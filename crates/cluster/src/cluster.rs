@@ -333,6 +333,6 @@ mod tests {
         ));
         let mut cluster = Cluster::new(&cfg, &ClusterConfig::default(), &dirs).expect("cluster");
         assert!(matches!(cluster.promote(9), Err(ClusterError::Config(_))));
-        assert!(matches!(cluster.offer(&[]), Err(ClusterError::Batch(_))));
+        assert!(matches!(cluster.offer(&[]), Err(ClusterError::Frame(_))));
     }
 }

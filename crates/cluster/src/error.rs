@@ -1,13 +1,12 @@
 //! The one error type every fallible cluster path returns.
 
-use crate::proto::RepError;
-use cellrel_ingest::DecodeError;
+use cellrel_ingest::FrameError;
 use cellrel_stream::StreamError;
 
 /// Why a cluster operation failed.
 ///
 /// Wire-facing paths (frame decode, segment apply) are **total** — hostile
-/// bytes surface as [`ClusterError::Wire`] or a replication rejection,
+/// bytes surface as [`ClusterError::Frame`] or a replication rejection,
 /// never a panic. [`ClusterError::Query`] carries the shard-side rejection
 /// detail, which is exactly the single-node `QueryError` display string so
 /// federated and local error behaviour agree.
@@ -15,12 +14,11 @@ use cellrel_stream::StreamError;
 pub enum ClusterError {
     /// A structural constraint was violated (shard count, directory views).
     Config(&'static str),
-    /// An ingest batch could not be routed (its header failed to decode).
-    Batch(DecodeError),
+    /// An ingest batch could not be routed (its `CB` header failed to
+    /// decode) or a replication/federation `CR` frame failed to decode.
+    Frame(FrameError),
     /// A shard pipeline operation failed.
     Stream(StreamError),
-    /// A replication or federation frame failed to decode.
-    Wire(RepError),
     /// A shard rejected the query; the detail is the store's own
     /// `QueryError` display string.
     Query(String),
@@ -39,9 +37,8 @@ impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClusterError::Config(why) => write!(f, "bad cluster config: {why}"),
-            ClusterError::Batch(e) => write!(f, "unroutable batch: {e}"),
+            ClusterError::Frame(e) => write!(f, "{e}"),
             ClusterError::Stream(e) => write!(f, "shard pipeline: {e}"),
-            ClusterError::Wire(e) => write!(f, "replication frame: {e}"),
             ClusterError::Query(detail) => write!(f, "query rejected: {detail}"),
             ClusterError::Replication { shard, detail } => {
                 write!(f, "replication fault on shard {shard}: {detail}")
@@ -53,20 +50,14 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-impl From<DecodeError> for ClusterError {
-    fn from(e: DecodeError) -> Self {
-        ClusterError::Batch(e)
+impl From<FrameError> for ClusterError {
+    fn from(e: FrameError) -> Self {
+        ClusterError::Frame(e)
     }
 }
 
 impl From<StreamError> for ClusterError {
     fn from(e: StreamError) -> Self {
         ClusterError::Stream(e)
-    }
-}
-
-impl From<RepError> for ClusterError {
-    fn from(e: RepError) -> Self {
-        ClusterError::Wire(e)
     }
 }

@@ -31,7 +31,7 @@
 //!   re-proves across leader-kill campaigns.
 //!
 //! Everything is std-only and deterministic. All frame decoding is total:
-//! hostile bytes map onto a typed [`RepError`], never a panic.
+//! hostile bytes map onto a typed `FrameError`, never a panic.
 //!
 //! [`Query`]: cellrel_store::Query
 //! [`StreamPipeline`]: cellrel_stream::StreamPipeline
@@ -53,6 +53,6 @@ pub use error::ClusterError;
 pub use failover::{run_failover, FailoverConfig, FailoverReport, KillOutcome};
 pub use node::ShardLeader;
 pub use partition::{shard_directories, shard_of, shard_of_batch};
-pub use proto::{decode_frame, encode_frame, Message, RepError};
+pub use proto::{decode_frame, encode_frame, Message};
 pub use replica::Follower;
 pub use router::{ClusterRouter, RoutedAnswer, ShardHandle};

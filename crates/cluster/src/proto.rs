@@ -16,28 +16,21 @@
 //! system. Partial aggregates ride as the store's [`PartialResultSet`]
 //! wire form.
 //!
-//! Decoding is **total**: truncation, bit flips, length lies, and garbage
-//! map onto a typed [`RepError`], never a panic, and never an over-read —
-//! every length field is bounds-checked against the remaining payload
-//! before use. `crates/cluster/tests/properties.rs` proves this under
-//! proptest; `tests/golden_cluster.rs` pins the exact bytes.
+//! The envelope, its check order and the bounded reader are
+//! [`cellrel_ingest::frame`]'s. Decoding is **total**: truncation, bit
+//! flips, length lies, and garbage map onto a typed [`FrameError`], never a
+//! panic, and never an over-read — every length field is bounds-checked
+//! against the remaining payload before use. `tests/frame_totality.rs`
+//! proves this under proptest; `tests/golden_cluster.rs` pins the exact
+//! bytes.
 
 use crate::error::ClusterError;
-use cellrel_ingest::codec::{crc32, read_varint, write_varint};
-use cellrel_ingest::DecodeError;
+use cellrel_ingest::frame::{seal, write_varint, FrameError, FrameErrorKind, CR};
 use cellrel_queryd::proto::{read_query, write_query};
-use cellrel_store::{decode_partial, encode_partial, PartialResultSet, PersistError, Query};
+use cellrel_store::{decode_partial, encode_partial, PartialResultSet, Query};
 
-/// Frame magic: `"CR"` (Cellrel Replication).
-pub const MAGIC: [u8; 2] = *b"CR";
 /// Wire schema version this build speaks.
 pub const VERSION: u8 = 1;
-/// Hard ceiling on a frame we will decode. Segment frames dominate: a
-/// sealed window over the full fleet is a few MiB; 64 MiB leaves an order
-/// of magnitude of headroom while bounding hostile allocation.
-pub const MAX_FRAME_LEN: usize = 1 << 26;
-/// Magic + version + kind + CRC trailer.
-const MIN_FRAME_LEN: usize = 2 + 1 + 1 + 4;
 
 /// Leader → follower: one sealed segment (`SG` frame) at a log position.
 pub const KIND_SEGMENT: u8 = 0x01;
@@ -63,7 +56,7 @@ pub const ERR_UNSUPPORTED: u8 = 2;
 /// Rejection code: the query failed store-side validation; the detail is
 /// the store's `QueryError` display string.
 pub const ERR_BAD_QUERY: u8 = 4;
-/// Rejection code: the frame exceeds [`MAX_FRAME_LEN`].
+/// Rejection code: the frame exceeds the `CR` cap (64 MiB).
 pub const ERR_TOO_LARGE: u8 = 5;
 /// Rejection code: a replication frame decoded but could not be applied
 /// (sequence gap, digest mismatch, corrupt segment or checkpoint).
@@ -126,93 +119,10 @@ pub enum Message {
     },
 }
 
-/// Why `CR` bytes failed to decode. Total over arbitrary input.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RepError {
-    /// Input ended before the frame said it would.
-    Truncated,
-    /// The first two bytes are not `"CR"`.
-    BadMagic {
-        /// What was found instead.
-        found: [u8; 2],
-    },
-    /// The frame's version is newer than this build understands.
-    UnsupportedVersion(u8),
-    /// The kind byte names no known frame.
-    UnknownKind(u8),
-    /// The CRC-32 trailer does not match the payload.
-    BadCrc {
-        /// CRC computed over the received payload.
-        expected: u32,
-        /// CRC stored in the trailer.
-        found: u32,
-    },
-    /// The frame exceeds [`MAX_FRAME_LEN`].
-    FrameTooLarge(u64),
-    /// A field decoded but its value is impossible (length lies included).
-    InvalidField(&'static str),
-    /// Bytes remained after a complete, CRC-valid frame.
-    TrailingBytes,
-    /// The embedded query failed queryd's grammar.
-    Query(cellrel_queryd::ProtoError),
-    /// The embedded partial aggregate failed the store's wire form.
-    Partial(PersistError),
-}
-
-impl std::fmt::Display for RepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RepError::Truncated => write!(f, "truncated CR frame"),
-            RepError::BadMagic { found } => {
-                write!(f, "bad CR magic: {:02x}{:02x}", found[0], found[1])
-            }
-            RepError::UnsupportedVersion(v) => write!(f, "unsupported CR version {v}"),
-            RepError::UnknownKind(k) => write!(f, "unknown CR frame kind {k:#04x}"),
-            RepError::BadCrc { expected, found } => {
-                write!(
-                    f,
-                    "CR crc mismatch: computed {expected:08x}, stored {found:08x}"
-                )
-            }
-            RepError::FrameTooLarge(n) => write!(f, "CR frame of {n} bytes exceeds limit"),
-            RepError::InvalidField(field) => write!(f, "invalid CR field: {field}"),
-            RepError::TrailingBytes => write!(f, "trailing bytes after CR frame"),
-            RepError::Query(e) => write!(f, "CR query payload: {e}"),
-            RepError::Partial(e) => write!(f, "CR partial payload: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RepError {}
-
-/// Read one varint, mapping codec errors onto `CR` errors.
-fn rv(bytes: &[u8], pos: &mut usize) -> Result<u64, RepError> {
-    read_varint(bytes, pos).map_err(|e| match e {
-        DecodeError::Truncated => RepError::Truncated,
-        _ => RepError::InvalidField("varint"),
-    })
-}
-
-/// Read one length-prefixed blob. The length is bounds-checked against the
-/// remaining payload *before* any allocation, so a length lie cannot
-/// amplify into an over-read or an oversized reservation.
-fn read_blob(bytes: &[u8], pos: &mut usize, field: &'static str) -> Result<Vec<u8>, RepError> {
-    let len = rv(bytes, pos)?;
-    let remaining = bytes.len().saturating_sub(*pos) as u64;
-    if len > remaining {
-        return Err(RepError::InvalidField(field));
-    }
-    let len = len as usize;
-    let blob = bytes[*pos..*pos + len].to_vec();
-    *pos += len;
-    Ok(blob)
-}
-
 /// Encode one message as a complete `CR` frame.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
+    let start = CR.begin(&mut out, VERSION);
     match msg {
         Message::ShipSegment { seq, frame } => {
             out.push(KIND_SEGMENT);
@@ -262,107 +172,62 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
             out.extend_from_slice(detail.as_bytes());
         }
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    seal(&mut out, start);
     out
 }
 
 /// Decode one complete `CR` frame. Total: any byte string yields `Ok` or a
-/// typed [`RepError`]. The CRC is verified before any field parsing, so
-/// field errors are only ever reported for intact frames.
-pub fn decode_frame(bytes: &[u8]) -> Result<Message, RepError> {
-    if bytes.len() > MAX_FRAME_LEN {
-        return Err(RepError::FrameTooLarge(bytes.len() as u64));
-    }
-    if bytes.len() < MIN_FRAME_LEN {
-        return Err(RepError::Truncated);
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-    let found = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let expected = crc32(payload);
-    if expected != found {
-        return Err(RepError::BadCrc { expected, found });
-    }
-    if payload[0..2] != MAGIC {
-        return Err(RepError::BadMagic {
-            found: [payload[0], payload[1]],
-        });
-    }
-    if payload[2] != VERSION {
-        return Err(RepError::UnsupportedVersion(payload[2]));
-    }
-    let kind = payload[3];
-    let body = &payload[4..];
-    let mut pos = 0usize;
-    let msg = match kind {
-        KIND_SEGMENT => {
-            let seq = rv(body, &mut pos)?;
-            let frame = read_blob(body, &mut pos, "segment length")?;
-            Message::ShipSegment { seq, frame }
-        }
-        KIND_CHECKPOINT => {
-            let seq = rv(body, &mut pos)?;
-            let checkpoint = read_blob(body, &mut pos, "checkpoint length")?;
-            Message::ShipCheckpoint { seq, checkpoint }
-        }
-        KIND_CATCHUP => Message::Catchup {
-            from_seq: rv(body, &mut pos)?,
+/// typed [`FrameError`]; an embedded query or partial that fails reports
+/// its own family.
+pub fn decode_frame(bytes: &[u8]) -> Result<Message, FrameError> {
+    let mut r = CR.open(bytes)?;
+    let msg = match r.u8()? {
+        KIND_SEGMENT => Message::ShipSegment {
+            seq: r.varint()?,
+            frame: r.blob("segment length")?.to_vec(),
         },
-        KIND_QUERY => Message::Query(read_query(body, &mut pos).map_err(RepError::Query)?),
-        KIND_ACK => {
-            let seq = rv(body, &mut pos)?;
-            let digest = rv(body, &mut pos)?;
-            Message::Ack { seq, digest }
-        }
+        KIND_CHECKPOINT => Message::ShipCheckpoint {
+            seq: r.varint()?,
+            checkpoint: r.blob("checkpoint length")?.to_vec(),
+        },
+        KIND_CATCHUP => Message::Catchup {
+            from_seq: r.varint()?,
+        },
+        KIND_QUERY => Message::Query(read_query(&mut r)?),
+        KIND_ACK => Message::Ack {
+            seq: r.varint()?,
+            digest: r.varint()?,
+        },
         KIND_SEGMENTS => {
-            let from_seq = rv(body, &mut pos)?;
-            let n = rv(body, &mut pos)?;
-            // Every frame needs at least a length byte; a count claiming
-            // more is a lie regardless of what follows.
-            if n > body.len().saturating_sub(pos) as u64 {
-                return Err(RepError::InvalidField("segment count"));
-            }
-            let mut frames = Vec::with_capacity(n as usize);
+            let from_seq = r.varint()?;
+            // Every frame needs at least a length byte.
+            let n = r.count("segment count", 1)?;
+            let mut frames = Vec::with_capacity(n);
             for _ in 0..n {
-                frames.push(read_blob(body, &mut pos, "segment length")?);
+                frames.push(r.blob("segment length")?.to_vec());
             }
             Message::Segments { from_seq, frames }
         }
-        KIND_PARTIAL => {
-            let epoch = rv(body, &mut pos)?;
-            let blob = read_blob(body, &mut pos, "partial length")?;
-            Message::Partial {
-                epoch,
-                partial: decode_partial(&blob).map_err(RepError::Partial)?,
-            }
-        }
-        KIND_ERROR => {
-            let code = rv(body, &mut pos)?;
-            if code > u64::from(u8::MAX) {
-                return Err(RepError::InvalidField("error code"));
-            }
-            let blob = read_blob(body, &mut pos, "detail length")?;
-            let detail =
-                String::from_utf8(blob).map_err(|_| RepError::InvalidField("detail utf8"))?;
-            Message::Rejection {
-                code: code as u8,
-                detail,
-            }
-        }
-        k => return Err(RepError::UnknownKind(k)),
+        KIND_PARTIAL => Message::Partial {
+            epoch: r.varint()?,
+            partial: decode_partial(r.blob("partial length")?)?,
+        },
+        KIND_ERROR => Message::Rejection {
+            code: r.narrow("error code")?,
+            detail: r.str("detail")?.to_string(),
+        },
+        k => return Err(r.error(FrameErrorKind::UnknownKind(k))),
     };
-    if pos != body.len() {
-        return Err(RepError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(msg)
 }
 
 /// The rejection frame a total server half answers with when a request
 /// fails to decode.
-pub fn rejection_for(e: &RepError) -> Message {
-    let code = match e {
-        RepError::FrameTooLarge(_) => ERR_TOO_LARGE,
-        RepError::UnsupportedVersion(_) | RepError::UnknownKind(_) => ERR_UNSUPPORTED,
+pub fn rejection_for(e: &FrameError) -> Message {
+    let code = match e.kind {
+        FrameErrorKind::TooLarge(_) => ERR_TOO_LARGE,
+        FrameErrorKind::UnsupportedVersion(_) | FrameErrorKind::UnknownKind(_) => ERR_UNSUPPORTED,
         _ => ERR_MALFORMED,
     };
     Message::Rejection {
@@ -444,9 +309,9 @@ mod tests {
 
     #[test]
     fn hostile_bytes_yield_typed_errors() {
-        assert_eq!(decode_frame(&[]), Err(RepError::Truncated));
-        let mut good = encode_frame(&Message::Catchup { from_seq: 7 });
-        // Bit flip anywhere → BadCrc (or Truncated for short prefixes).
+        assert_eq!(decode_frame(&[]), Err(CR.error(FrameErrorKind::Truncated)));
+        let good = encode_frame(&Message::Catchup { from_seq: 7 });
+        // Bit flip anywhere → an error (BadCrc unless the header objects).
         for i in 0..good.len() {
             let mut bad = good.clone();
             bad[i] ^= 0x40;
@@ -458,31 +323,28 @@ mod tests {
         }
         // A length lie inside a CRC-valid frame is an InvalidField.
         let mut lie = Vec::new();
-        lie.extend_from_slice(&MAGIC);
-        lie.push(VERSION);
+        CR.begin(&mut lie, VERSION);
         lie.push(KIND_SEGMENT);
         write_varint(&mut lie, 1);
         write_varint(&mut lie, 1_000_000); // claims 1 MB, carries none
-        let crc = crc32(&lie);
-        lie.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            decode_frame(&lie),
-            Err(RepError::InvalidField("segment length"))
-        );
+        seal(&mut lie, 0);
+        assert_eq!(decode_frame(&lie), Err(CR.invalid("segment length")));
         // Trailing garbage after a complete message is rejected.
-        good.truncate(good.len() - 4);
-        good.push(0);
-        let crc = crc32(&good);
-        good.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(decode_frame(&good), Err(RepError::TrailingBytes));
+        let mut trailing = good[..good.len() - 4].to_vec();
+        trailing.push(0);
+        seal(&mut trailing, 0);
+        assert_eq!(
+            decode_frame(&trailing),
+            Err(CR.error(FrameErrorKind::TrailingBytes))
+        );
     }
 
     #[test]
     fn oversized_frames_are_rejected_before_any_parse() {
-        let huge = vec![0u8; MAX_FRAME_LEN + 1];
+        let huge = vec![0u8; CR.max_len + 1];
         assert_eq!(
             decode_frame(&huge),
-            Err(RepError::FrameTooLarge((MAX_FRAME_LEN + 1) as u64))
+            Err(CR.error(FrameErrorKind::TooLarge(CR.max_len as u64 + 1)))
         );
     }
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use crate::error::ClusterError;
 use crate::proto::{self, Message};
 use crate::router;
-use cellrel_ingest::codec::crc32;
+use cellrel_ingest::frame::crc32;
 use cellrel_queryd::QuerydCore;
 use cellrel_sim::Merge;
 use cellrel_store::{DeviceDirectory, Store};

@@ -1,9 +1,8 @@
-//! Protocol totality proptests for the `CR` replication/federation wire
-//! format, mirroring `crates/queryd/tests/properties.rs`: arbitrary frames
-//! round-trip canonically, and truncated, bit-flipped, length-lying or
-//! garbage input always produces a typed error — never a panic, never an
-//! over-read — both in the raw decoder and through the total server halves
-//! (shard handles and followers).
+//! Protocol proptests for the `CR` replication/federation wire format:
+//! arbitrary frames round-trip canonically, and the total server halves
+//! (shard handles and followers) answer any byte string with a decodable
+//! frame without advancing. (Raw-decoder totality under truncation, bit
+//! flips, length lies and garbage is `tests/frame_totality.rs`'s `cr` row.)
 
 use cellrel_cluster::proto::{self, ERR_BAD_QUERY, ERR_UNEXPECTED};
 use cellrel_cluster::{decode_frame, encode_frame, Follower, Message, ShardHandle};
@@ -184,41 +183,6 @@ proptest! {
         let decoded = decode_frame(&frame).expect("own encoding decodes");
         prop_assert_eq!(&decoded, &msg);
         prop_assert_eq!(encode_frame(&decoded), frame);
-    }
-
-    /// Every strict prefix of a valid frame is a typed error.
-    #[test]
-    fn truncated_frames_are_errors_never_panics(
-        seq in any::<u64>(),
-        blob in prop::collection::vec(any::<u8>(), 0..96),
-        n in any::<usize>(),
-        cut_seed in any::<usize>(),
-    ) {
-        for msg in build_frames(seq, &blob, n) {
-            let frame = encode_frame(&msg);
-            let cut = cut_seed % frame.len();
-            prop_assert!(decode_frame(&frame[..cut]).is_err());
-        }
-    }
-
-    /// A single flipped bit anywhere in a frame is always caught: by the
-    /// magic/version/kind checks, the field bounds, or the CRC trailer.
-    #[test]
-    fn corrupted_frames_are_errors_never_panics(
-        p in query_parts(),
-        at_seed in any::<usize>(),
-        mask in 1u8..=255,
-    ) {
-        let mut frame = encode_frame(&Message::Query(build_query(&p)));
-        let at = at_seed % frame.len();
-        frame[at] ^= mask;
-        prop_assert!(decode_frame(&frame).is_err());
-    }
-
-    /// Arbitrary garbage never panics the decoder.
-    #[test]
-    fn garbage_never_panics_the_decoder(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_frame(&bytes);
     }
 
     /// The shard query endpoint is total end to end: any byte string in

@@ -24,15 +24,13 @@
 //! Sketches serialize sparsely — only non-empty buckets, with delta-coded
 //! indices — so an idle shard costs a handful of bytes, not 58 KiB.
 //! Restore is total: corrupt or truncated checkpoints yield a
-//! [`DecodeError`], never a panic or a half-restored collector.
+//! [`FrameError`], never a panic or a half-restored collector.
 
-use crate::codec::{crc32, read_varint, write_varint, DecodeError};
 use crate::collector::{Collector, IngestAggregate, IngestCounters, ShardState};
+use crate::frame::{seal, write_varint, FrameError, Reader, CK};
 use cellrel_sim::sketch::QuantileSketch;
 use std::collections::BTreeMap;
 
-/// Checkpoint framing magic.
-pub const CKPT_MAGIC: [u8; 2] = *b"CK";
 /// Current checkpoint format version.
 pub const CKPT_VERSION: u8 = 1;
 
@@ -50,32 +48,26 @@ fn write_sketch(out: &mut Vec<u8>, s: &QuantileSketch) {
     }
 }
 
-fn read_sketch(bytes: &[u8], pos: &mut usize) -> Result<QuantileSketch, DecodeError> {
-    let count = read_varint(bytes, pos)?;
-    let min = read_varint(bytes, pos)?;
-    let max = read_varint(bytes, pos)?;
-    let nnz = read_varint(bytes, pos)?;
-    // Each pair costs ≥ 2 bytes on the wire; bound before allocating.
-    if nnz > (bytes.len() as u64) / 2 + 1 {
-        return Err(DecodeError::InvalidField("sketch nnz"));
-    }
-    let mut pairs = Vec::with_capacity(nnz as usize);
+fn read_sketch(r: &mut Reader<'_>) -> Result<QuantileSketch, FrameError> {
+    let count = r.varint()?;
+    let min = r.varint()?;
+    let max = r.varint()?;
+    // Each pair costs ≥ 2 bytes on the wire.
+    let nnz = r.count("sketch nnz", 2)?;
+    let mut pairs = Vec::with_capacity(nnz);
     let mut index = 0u64;
     for i in 0..nnz {
-        let delta = read_varint(bytes, pos)?;
+        let delta = r.varint()?;
         if i > 0 && delta == 0 {
-            return Err(DecodeError::InvalidField("sketch index delta"));
+            return Err(r.invalid("sketch index delta"));
         }
-        index = index
-            .checked_add(delta)
-            .ok_or(DecodeError::InvalidField("sketch index"))?;
-        let c = read_varint(bytes, pos)?;
+        index = index.checked_add(delta).ok_or(r.invalid("sketch index"))?;
+        let c = r.varint()?;
         pairs.push((index as usize, c));
     }
-    let s = QuantileSketch::from_parts(min, max, pairs)
-        .ok_or(DecodeError::InvalidField("sketch buckets"))?;
+    let s = QuantileSketch::from_parts(min, max, pairs).ok_or(r.invalid("sketch buckets"))?;
     if s.count() != count {
-        return Err(DecodeError::InvalidField("sketch count"));
+        return Err(r.invalid("sketch count"));
     }
     Ok(s)
 }
@@ -94,9 +86,9 @@ fn write_agg(out: &mut Vec<u8>, a: &IngestAggregate) {
     }
 }
 
-fn read_agg(bytes: &[u8], pos: &mut usize) -> Result<IngestAggregate, DecodeError> {
+fn read_agg(r: &mut Reader<'_>) -> Result<IngestAggregate, FrameError> {
     let mut a = IngestAggregate {
-        records: read_varint(bytes, pos)?,
+        records: r.varint()?,
         ..IngestAggregate::default()
     };
     for c in a
@@ -105,14 +97,14 @@ fn read_agg(bytes: &[u8], pos: &mut usize) -> Result<IngestAggregate, DecodeErro
         .chain(&mut a.by_isp)
         .chain(&mut a.by_rat)
     {
-        *c = read_varint(bytes, pos)?;
+        *c = r.varint()?;
     }
-    a.duration_ms_total = read_varint(bytes, pos)?;
-    a.under_30s = read_varint(bytes, pos)?;
-    a.max_duration_ms = read_varint(bytes, pos)?;
-    a.sketch_all = read_sketch(bytes, pos)?;
+    a.duration_ms_total = r.varint()?;
+    a.under_30s = r.varint()?;
+    a.max_duration_ms = r.varint()?;
+    a.sketch_all = read_sketch(r)?;
     for s in &mut a.sketch_by_kind {
-        *s = read_sketch(bytes, pos)?;
+        *s = read_sketch(r)?;
     }
     Ok(a)
 }
@@ -120,8 +112,7 @@ fn read_agg(bytes: &[u8], pos: &mut usize) -> Result<IngestAggregate, DecodeErro
 /// Serialize the collector's full state.
 pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(&CKPT_MAGIC);
-    out.push(CKPT_VERSION);
+    let start = CK.begin(&mut out, CKPT_VERSION);
     write_varint(&mut out, c.virtual_shards as u64);
     write_varint(&mut out, c.lateness_ms);
     write_varint(&mut out, c.unroutable);
@@ -148,39 +139,23 @@ pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
         }
         write_agg(&mut out, &s.agg);
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    seal(&mut out, start);
     out
 }
 
 /// Rebuild a collector from checkpoint bytes. Total: malformed input yields
-/// a [`DecodeError`].
-pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, DecodeError> {
-    if bytes.len() < CKPT_MAGIC.len() + 1 + 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-    if payload[..2] != CKPT_MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let computed = crc32(payload);
-    if computed != stored {
-        return Err(DecodeError::BadCrc { computed, stored });
-    }
-    let mut pos = 2;
-    let version = payload[pos];
-    pos += 1;
-    if version != CKPT_VERSION {
-        return Err(DecodeError::UnsupportedVersion(version));
-    }
-    let virtual_shards = read_varint(payload, &mut pos)?;
+/// a [`FrameError`].
+pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, FrameError> {
+    let mut r = CK.open(bytes)?;
+    // Each shard costs ≥ 11 bytes on the wire (9 counters, watermark,
+    // nseq), so the claim is bounded before `shards` is sized from it.
+    let virtual_shards = r.count("virtual_shards", 11)?;
     if virtual_shards == 0 || virtual_shards > 1 << 20 {
-        return Err(DecodeError::InvalidField("virtual_shards"));
+        return Err(r.invalid("virtual_shards"));
     }
-    let lateness_ms = read_varint(payload, &mut pos)?;
-    let unroutable = read_varint(payload, &mut pos)?;
-    let mut shards = Vec::with_capacity(virtual_shards as usize);
+    let lateness_ms = r.varint()?;
+    let unroutable = r.varint()?;
+    let mut shards = Vec::with_capacity(virtual_shards);
     for _ in 0..virtual_shards {
         let mut k = IngestCounters::default();
         for v in [
@@ -194,22 +169,18 @@ pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, DecodeError> {
             &mut k.late_records,
             &mut k.out_of_order_batches,
         ] {
-            *v = read_varint(payload, &mut pos)?;
+            *v = r.varint()?;
         }
-        let watermark_ms = read_varint(payload, &mut pos)?;
-        let nseq = read_varint(payload, &mut pos)?;
-        // Each entry costs ≥ 2 bytes; bound before allocating.
-        if nseq > (payload.len() as u64) / 2 + 1 {
-            return Err(DecodeError::InvalidField("nseq"));
-        }
+        let watermark_ms = r.varint()?;
+        // Each entry costs ≥ 2 bytes.
+        let nseq = r.count("nseq", 2)?;
         let mut last_seq = BTreeMap::new();
         for _ in 0..nseq {
-            let dev = read_varint(payload, &mut pos)?;
-            let dev = u32::try_from(dev).map_err(|_| DecodeError::InvalidField("device"))?;
-            let seq = read_varint(payload, &mut pos)?;
+            let dev = r.narrow("device")?;
+            let seq = r.varint()?;
             last_seq.insert(dev, seq);
         }
-        let agg = read_agg(payload, &mut pos)?;
+        let agg = read_agg(&mut r)?;
         shards.push(ShardState {
             agg,
             counters: k,
@@ -217,11 +188,9 @@ pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, DecodeError> {
             watermark_ms,
         });
     }
-    if pos != payload.len() {
-        return Err(DecodeError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(Collector {
-        virtual_shards: virtual_shards as usize,
+        virtual_shards,
         lateness_ms,
         shards,
         unroutable,
@@ -242,7 +211,7 @@ pub fn save_checkpoint_with(c: &Collector, tele: &cellrel_sim::Telemetry) -> Vec
 pub fn restore_checkpoint_with(
     bytes: &[u8],
     tele: &cellrel_sim::Telemetry,
-) -> Result<Collector, DecodeError> {
+) -> Result<Collector, FrameError> {
     match restore_checkpoint(bytes) {
         Ok(c) => {
             tele.inc("ingest.checkpoint.restore");
@@ -260,6 +229,7 @@ mod tests {
     use super::*;
     use crate::codec::encode_batch;
     use crate::collector::CollectorConfig;
+    use crate::frame::FrameErrorKind;
     use cellrel_types::{
         Apn, BsId, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat, SignalLevel,
         SimDuration, SimTime,
@@ -349,12 +319,22 @@ mod tests {
     fn wrong_version_is_rejected() {
         let mut bytes = save_checkpoint(&Collector::new(&CollectorConfig::default()));
         bytes[2] = 99;
-        let n = bytes.len();
-        let crc = crc32(&bytes[..n - 4]).to_le_bytes();
-        bytes[n - 4..].copy_from_slice(&crc);
         assert_eq!(
             restore_checkpoint(&bytes),
-            Err(DecodeError::UnsupportedVersion(99))
+            Err(CK.error(FrameErrorKind::UnsupportedVersion(99)))
         );
+    }
+
+    /// Regression: a ~25-byte CRC-valid frame claiming 2^20 shards used to
+    /// reserve ~400 MB of `ShardState`s before the first shard failed to
+    /// parse. The claim must be bounded by the bytes that remain.
+    #[test]
+    fn shard_count_lie_is_rejected_before_allocating() {
+        let mut lie = Vec::new();
+        let start = CK.begin(&mut lie, CKPT_VERSION);
+        write_varint(&mut lie, 1 << 20); // virtual_shards
+        lie.extend_from_slice(&[0; 16]); // lateness, unroutable, a few counters
+        seal(&mut lie, start);
+        assert_eq!(restore_checkpoint(&lie), Err(CK.invalid("virtual_shards")));
     }
 }

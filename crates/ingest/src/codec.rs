@@ -27,142 +27,19 @@
 //! encoding a pure function of the record *set* — two uploads of the same
 //! records encode to identical bytes.
 //!
-//! Decoding is total: every failure mode maps to a [`DecodeError`], never a
-//! panic, no matter how adversarial the input.
+//! The envelope (magic, version, CRC, check order) and the bounded reader
+//! are [`crate::frame`]'s. Decoding is total: every failure mode maps to a
+//! [`FrameError`], never a panic, no matter how adversarial the input.
 
+use crate::frame::{seal, write_varint, FrameError, CB};
+pub use crate::frame::{unzigzag, zigzag};
 use cellrel_types::{
     Apn, BsId, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat,
     SignalLevel, SimDuration, SimTime,
 };
 
-/// First framing byte.
-pub const MAGIC: [u8; 2] = *b"CB";
 /// Current schema version.
 pub const SCHEMA_VERSION: u8 = 1;
-
-/// Why a batch failed to decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Input ended before the structure was complete.
-    Truncated,
-    /// The framing magic is wrong — not a trace batch.
-    BadMagic,
-    /// Schema version this decoder does not understand.
-    UnsupportedVersion(u8),
-    /// The CRC-32 trailer does not match the received bytes.
-    BadCrc {
-        /// CRC computed over the received bytes.
-        computed: u32,
-        /// CRC carried in the trailer.
-        stored: u32,
-    },
-    /// A varint ran past 10 bytes (cannot be a `u64`).
-    VarintOverflow,
-    /// A field held a value outside its domain (named for diagnostics).
-    InvalidField(&'static str),
-    /// Well-formed structure followed by unexpected trailing bytes.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "truncated batch"),
-            DecodeError::BadMagic => write!(f, "bad framing magic"),
-            DecodeError::UnsupportedVersion(v) => write!(f, "unsupported schema version {v}"),
-            DecodeError::BadCrc { computed, stored } => {
-                write!(
-                    f,
-                    "crc mismatch (computed {computed:08x}, stored {stored:08x})"
-                )
-            }
-            DecodeError::VarintOverflow => write!(f, "varint overflow"),
-            DecodeError::InvalidField(name) => write!(f, "invalid field: {name}"),
-            DecodeError::TrailingBytes => write!(f, "trailing bytes after batch"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-// ---------------------------------------------------------------------------
-// Primitives: varint, zigzag, CRC-32.
-// ---------------------------------------------------------------------------
-
-/// Append `v` as an LEB128 varint (1–10 bytes).
-pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Read an LEB128 varint from `bytes[*pos..]`, advancing `pos`.
-pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &b = bytes.get(*pos).ok_or(DecodeError::Truncated)?;
-        *pos += 1;
-        if shift == 63 && b > 1 {
-            return Err(DecodeError::VarintOverflow);
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(DecodeError::VarintOverflow);
-        }
-    }
-}
-
-/// Map a signed value onto an unsigned one with small magnitudes staying
-/// small (0,-1,1,-2 → 0,1,2,3).
-pub const fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub const fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// CRC-32 (IEEE, reflected) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    !crc
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
 
 // ---------------------------------------------------------------------------
 // Batch encode.
@@ -210,8 +87,7 @@ pub fn encode_batch(device: DeviceId, seq: u64, records: &[FailureEvent]) -> Vec
     sorted.sort_by_key(|e| canonical_key(e));
 
     let mut out = Vec::with_capacity(16 + records.len() * 24);
-    out.extend_from_slice(&MAGIC);
-    out.push(SCHEMA_VERSION);
+    let start = CB.begin(&mut out, SCHEMA_VERSION);
     write_varint(&mut out, u64::from(device.0));
     write_varint(&mut out, seq);
     write_varint(&mut out, sorted.len() as u64);
@@ -248,8 +124,7 @@ pub fn encode_batch(device: DeviceId, seq: u64, records: &[FailureEvent]) -> Vec
         }
         out.push(e.ctx.isp.index() as u8);
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    seal(&mut out, start);
     out
 }
 
@@ -257,91 +132,52 @@ pub fn encode_batch(device: DeviceId, seq: u64, records: &[FailureEvent]) -> Vec
 // Batch decode.
 // ---------------------------------------------------------------------------
 
-fn read_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, DecodeError> {
-    let &b = bytes.get(*pos).ok_or(DecodeError::Truncated)?;
-    *pos += 1;
-    Ok(b)
-}
+/// Decode a wire batch. Total: any malformed input yields a [`FrameError`].
+pub fn decode_batch(bytes: &[u8]) -> Result<WireBatch, FrameError> {
+    let mut r = CB.open(bytes)?;
+    let device = DeviceId(r.narrow("device")?);
+    let seq = r.varint()?;
+    // Each record is ≥ 9 bytes on the wire.
+    let count = r.count("count", 9)?;
 
-fn narrow<T: TryFrom<u64>>(v: u64, field: &'static str) -> Result<T, DecodeError> {
-    T::try_from(v).map_err(|_| DecodeError::InvalidField(field))
-}
-
-/// Decode a wire batch. Total: any malformed input yields a [`DecodeError`].
-pub fn decode_batch(bytes: &[u8]) -> Result<WireBatch, DecodeError> {
-    // Frame: payload then 4-byte CRC trailer. Check the CRC before parsing
-    // so field errors are only reported for intact batches.
-    if bytes.len() < MAGIC.len() + 1 + 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-    if payload[..2] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let computed = crc32(payload);
-    if computed != stored {
-        return Err(DecodeError::BadCrc { computed, stored });
-    }
-    let mut pos = 2;
-    let version = read_u8(payload, &mut pos)?;
-    if version != SCHEMA_VERSION {
-        return Err(DecodeError::UnsupportedVersion(version));
-    }
-    let device = DeviceId(narrow::<u32>(read_varint(payload, &mut pos)?, "device")?);
-    let seq = read_varint(payload, &mut pos)?;
-    let count = read_varint(payload, &mut pos)?;
-    // An upper bound that any genuine batch satisfies (each record is ≥ 8
-    // bytes on the wire) — rejects absurd counts before allocating.
-    if count > (payload.len() as u64) / 8 + 1 {
-        return Err(DecodeError::InvalidField("count"));
-    }
-
-    let mut records = Vec::with_capacity(count as usize);
+    let mut records = Vec::with_capacity(count);
     let mut prev_start = 0u64;
     for _ in 0..count {
-        let kind = FailureKind::from_index(usize::from(read_u8(payload, &mut pos)?))
-            .ok_or(DecodeError::InvalidField("kind"))?;
-        let delta = read_varint(payload, &mut pos)?;
-        let start = prev_start
-            .checked_add(delta)
-            .ok_or(DecodeError::InvalidField("start"))?;
+        let kind = FailureKind::from_index(usize::from(r.u8()?)).ok_or(r.invalid("kind"))?;
+        let delta = r.varint()?;
+        let start = prev_start.checked_add(delta).ok_or(r.invalid("start"))?;
         prev_start = start;
-        let duration = read_varint(payload, &mut pos)?;
-        let cause = match read_varint(payload, &mut pos)? {
+        let duration = r.varint()?;
+        let cause = match r.varint()? {
             0 => None,
             c => {
-                let code = i32::try_from(unzigzag(c - 1))
-                    .map_err(|_| DecodeError::InvalidField("cause"))?;
+                let code = i32::try_from(unzigzag(c - 1)).map_err(|_| r.invalid("cause"))?;
                 Some(DataFailCause::from_code(code))
             }
         };
-        let rat = Rat::from_index(usize::from(read_u8(payload, &mut pos)?))
-            .ok_or(DecodeError::InvalidField("rat"))?;
-        let signal_raw = read_u8(payload, &mut pos)?;
+        let rat = Rat::from_index(usize::from(r.u8()?)).ok_or(r.invalid("rat"))?;
+        let signal_raw = r.u8()?;
         if signal_raw > 5 {
-            return Err(DecodeError::InvalidField("signal"));
+            return Err(r.invalid("signal"));
         }
         let signal = SignalLevel::new(signal_raw);
-        let apn = Apn::from_index(usize::from(read_u8(payload, &mut pos)?))
-            .ok_or(DecodeError::InvalidField("apn"))?;
-        let bs = match read_u8(payload, &mut pos)? {
+        let apn = Apn::from_index(usize::from(r.u8()?)).ok_or(r.invalid("apn"))?;
+        let bs = match r.u8()? {
             0 => None,
             1 => Some(BsId::Gsm {
-                mcc: narrow(read_varint(payload, &mut pos)?, "mcc")?,
-                mnc: narrow(read_varint(payload, &mut pos)?, "mnc")?,
-                lac: narrow(read_varint(payload, &mut pos)?, "lac")?,
-                cid: narrow(read_varint(payload, &mut pos)?, "cid")?,
+                mcc: r.narrow("mcc")?,
+                mnc: r.narrow("mnc")?,
+                lac: r.narrow("lac")?,
+                cid: r.narrow("cid")?,
             }),
             2 => Some(BsId::Cdma {
-                sid: narrow(read_varint(payload, &mut pos)?, "sid")?,
-                nid: narrow(read_varint(payload, &mut pos)?, "nid")?,
-                bid: narrow(read_varint(payload, &mut pos)?, "bid")?,
+                sid: r.narrow("sid")?,
+                nid: r.narrow("nid")?,
+                bid: r.narrow("bid")?,
             }),
-            _ => return Err(DecodeError::InvalidField("bs_tag")),
+            _ => return Err(r.invalid("bs_tag")),
         };
-        let isp = Isp::from_index(usize::from(read_u8(payload, &mut pos)?))
-            .ok_or(DecodeError::InvalidField("isp"))?;
+        let isp = Isp::from_index(usize::from(r.u8()?)).ok_or(r.invalid("isp"))?;
         records.push(FailureEvent {
             device,
             kind,
@@ -357,9 +193,7 @@ pub fn decode_batch(bytes: &[u8]) -> Result<WireBatch, DecodeError> {
             },
         });
     }
-    if pos != payload.len() {
-        return Err(DecodeError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(WireBatch {
         device,
         seq,
@@ -367,20 +201,10 @@ pub fn decode_batch(bytes: &[u8]) -> Result<WireBatch, DecodeError> {
     })
 }
 
-/// Peek at a batch header without validating the CRC or parsing records —
-/// the router uses this to shard batches by device cheaply.
-pub fn peek_device(bytes: &[u8]) -> Result<DeviceId, DecodeError> {
-    if bytes.len() < 3 {
-        return Err(DecodeError::Truncated);
-    }
-    if bytes[..2] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut pos = 3;
-    Ok(DeviceId(narrow::<u32>(
-        read_varint(bytes, &mut pos)?,
-        "device",
-    )?))
+/// Peek at a batch header without validating the version or CRC or parsing
+/// records — the router uses this to shard batches by device cheaply.
+pub fn peek_device(bytes: &[u8]) -> Result<DeviceId, FrameError> {
+    Ok(DeviceId(CB.peek(bytes)?.narrow("device")?))
 }
 
 /// The raw (pre-codec) size estimate of one record, bytes — the fixed-width
@@ -391,6 +215,7 @@ pub const RAW_RECORD_BYTES: u64 = 35;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{crc32, FrameErrorKind, Reader};
 
     fn ev(start_ms: u64, kind: FailureKind, cause: Option<DataFailCause>) -> FailureEvent {
         FailureEvent {
@@ -414,9 +239,9 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
+            let mut r = Reader::bare(&CB, &buf);
+            assert_eq!(r.varint().unwrap(), v);
+            assert_eq!(r.finish(), Ok(()));
         }
     }
 
@@ -506,14 +331,18 @@ mod tests {
     fn wrong_magic_and_version() {
         let mut bytes = encode_batch(DeviceId(1), 0, &[]);
         bytes[0] = b'X';
-        assert_eq!(decode_batch(&bytes), Err(DecodeError::BadMagic));
+        assert_eq!(
+            decode_batch(&bytes),
+            Err(CB.error(FrameErrorKind::BadMagic { found: *b"XB" }))
+        );
 
-        let mut v2 = encode_batch(DeviceId(1), 0, &[]);
-        v2[2] = 9;
-        let crc = crc32(&v2[..v2.len() - 4]).to_le_bytes();
-        let n = v2.len();
-        v2[n - 4..].copy_from_slice(&crc);
-        assert_eq!(decode_batch(&v2), Err(DecodeError::UnsupportedVersion(9)));
+        // The version is checked before the CRC, so no re-seal is needed.
+        let mut v9 = encode_batch(DeviceId(1), 0, &[]);
+        v9[2] = 9;
+        assert_eq!(
+            decode_batch(&v9),
+            Err(CB.error(FrameErrorKind::UnsupportedVersion(9)))
+        );
     }
 
     #[test]

@@ -1,0 +1,615 @@
+//! The one frame layer behind every wire and disk format in the workspace.
+//!
+//! Eight framed families share one envelope:
+//!
+//! ```text
+//! frame := magic:[u8;2] version:u8 body... crc32:u32le
+//! ```
+//!
+//! The CRC-32 (IEEE) covers everything before it. Writers call
+//! [`Family::begin`] then [`seal`]; readers call [`Family::open`], which
+//! applies one fixed check order — length cap → minimum length → magic →
+//! version → CRC — and hands back a bounded [`Reader`] over the body, so
+//! field errors are only ever reported for intact frames. The `SC` column
+//! block is the one exception: it is self-delimiting and always embedded in
+//! a CRC-checked `CS` image, so [`Reader::enter`] checks its header up front
+//! and [`Reader::leave`] checks its CRC once the fields have said where the
+//! block ends.
+//!
+//! Every failure is a [`FrameError`]: the family it happened in plus one
+//! [`FrameErrorKind`]. Decoding is total — no input panics, reads past the
+//! buffer, or sizes an allocation from an unchecked length claim
+//! ([`Reader::count`] bounds every count by the bytes that remain).
+
+use std::fmt;
+
+/// One framed format: its name, magic, the versions this build reads, and
+/// the largest frame it will look at.
+#[derive(PartialEq, Eq)]
+pub struct Family {
+    /// Two-letter family name, as errors print it.
+    pub name: &'static str,
+    /// The two leading bytes of every frame.
+    pub magic: [u8; 2],
+    /// Version bytes this build decodes.
+    pub versions: &'static [u8],
+    /// Frames longer than this are rejected before a byte is read.
+    pub max_len: usize,
+}
+
+/// Trace batch: one device's records in one upload.
+pub static CB: Family = Family::new("CB", &[1], 1 << 24);
+/// Collector checkpoint.
+pub static CK: Family = Family::new("CK", &[1], 1 << 28);
+/// Store image; version 2 embeds `SC` blocks.
+pub static CS: Family = Family::new("CS", &[1, 2], 1 << 28);
+/// Column segment block inside a `CS` image.
+pub static SC: Family = Family::new("SC", &[1], 1 << 28);
+/// Sealed stream segment.
+pub static SG: Family = Family::new("SG", &[1], 1 << 28);
+/// Stream pipeline checkpoint.
+pub static SP: Family = Family::new("SP", &[1], 1 << 28);
+/// Query daemon request/response; the cap also bounds the TCP length prefix.
+pub static CQ: Family = Family::new("CQ", &[1], 1 << 24);
+/// Cluster replication and federation. Segment frames dominate: a sealed
+/// window over the full fleet is a few MiB, so 64 MiB leaves an order of
+/// magnitude of headroom while bounding hostile allocation.
+pub static CR: Family = Family::new("CR", &[1], 1 << 26);
+/// The bare (envelope-less) partial-aggregate form `CR` carries as a blob.
+pub static PARTIAL: Family = Family {
+    name: "partial",
+    magic: [0; 2],
+    versions: &[],
+    max_len: usize::MAX,
+};
+
+/// Magic + version.
+const HEADER_LEN: usize = 3;
+/// CRC-32 trailer.
+const TRAILER_LEN: usize = 4;
+
+impl fmt::Debug for Family {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+impl Family {
+    const fn new(name: &'static str, versions: &'static [u8], max_len: usize) -> Family {
+        let magic = [name.as_bytes()[0], name.as_bytes()[1]];
+        Family {
+            name,
+            magic,
+            versions,
+            max_len,
+        }
+    }
+
+    /// An error of `kind` in this family.
+    #[inline]
+    pub fn error(&'static self, kind: FrameErrorKind) -> FrameError {
+        FrameError { family: self, kind }
+    }
+
+    /// A field of this family held an impossible value.
+    #[inline]
+    pub fn invalid(&'static self, field: &'static str) -> FrameError {
+        self.error(FrameErrorKind::InvalidField(field))
+    }
+
+    /// Append the header (magic, `version`) to `out`; returns where the
+    /// frame starts, for [`seal`].
+    pub fn begin(&self, out: &mut Vec<u8>, version: u8) -> usize {
+        debug_assert!(self.versions.contains(&version));
+        let start = out.len();
+        out.extend_from_slice(&self.magic);
+        out.push(version);
+        start
+    }
+
+    /// Cap → minimum length → magic → version; returns the version.
+    fn check_header(&'static self, bytes: &[u8]) -> Result<u8, FrameError> {
+        if bytes.len() > self.max_len {
+            return Err(self.error(FrameErrorKind::TooLarge(bytes.len() as u64)));
+        }
+        if bytes.len() < HEADER_LEN + TRAILER_LEN {
+            return Err(self.error(FrameErrorKind::Truncated));
+        }
+        self.check_magic(bytes)?;
+        let version = bytes[2];
+        if !self.versions.contains(&version) {
+            return Err(self.error(FrameErrorKind::UnsupportedVersion(version)));
+        }
+        Ok(version)
+    }
+
+    fn check_magic(&'static self, bytes: &[u8]) -> Result<(), FrameError> {
+        if bytes[..2] != self.magic {
+            return Err(self.error(FrameErrorKind::BadMagic {
+                found: [bytes[0], bytes[1]],
+            }));
+        }
+        Ok(())
+    }
+
+    fn check_crc(&'static self, covered: &[u8], trailer: &[u8]) -> Result<(), FrameError> {
+        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+        let computed = crc32(covered);
+        if computed != stored {
+            return Err(self.error(FrameErrorKind::BadCrc { computed, stored }));
+        }
+        Ok(())
+    }
+
+    /// Validate the envelope of a complete frame and return a reader over
+    /// its body (everything between the version byte and the CRC).
+    pub fn open<'a>(&'static self, bytes: &'a [u8]) -> Result<Reader<'a>, FrameError> {
+        let version = self.check_header(bytes)?;
+        let (covered, trailer) = bytes.split_at(bytes.len() - TRAILER_LEN);
+        self.check_crc(covered, trailer)?;
+        Ok(Reader {
+            family: self,
+            bytes: covered,
+            pos: HEADER_LEN,
+            version,
+        })
+    }
+
+    /// A reader over the fields after the header **without** checking the
+    /// version or the CRC — for routing on a header field before paying for
+    /// a full decode. Anything read this way is a hint, not a fact.
+    pub fn peek<'a>(&'static self, bytes: &'a [u8]) -> Result<Reader<'a>, FrameError> {
+        if bytes.len() < HEADER_LEN {
+            return Err(self.error(FrameErrorKind::Truncated));
+        }
+        self.check_magic(bytes)?;
+        Ok(Reader {
+            family: self,
+            bytes,
+            pos: HEADER_LEN,
+            version: bytes[2],
+        })
+    }
+}
+
+/// Append the CRC-32 of `out[start..]`, closing the frame [`Family::begin`]
+/// opened at `start`.
+pub fn seal(out: &mut Vec<u8>, start: usize) {
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Why bytes failed to decode, and in which family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameError {
+    /// The family whose grammar rejected the bytes. An embedded frame (a
+    /// `CS` image inside an `SG` segment, say) reports its own family.
+    pub family: &'static Family,
+    /// What was wrong.
+    pub kind: FrameErrorKind,
+}
+
+/// The failure modes of every family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameErrorKind {
+    /// Input ended before the structure was complete.
+    Truncated,
+    /// The leading bytes are not the family's magic.
+    BadMagic {
+        /// The bytes found instead.
+        found: [u8; 2],
+    },
+    /// A version byte this build does not decode.
+    UnsupportedVersion(u8),
+    /// A kind byte that names no message of the family.
+    UnknownKind(u8),
+    /// The CRC-32 trailer does not match the received bytes.
+    BadCrc {
+        /// CRC computed over the received bytes.
+        computed: u32,
+        /// CRC carried in the trailer.
+        stored: u32,
+    },
+    /// A varint ran past 10 bytes (cannot be a `u64`).
+    VarintOverflow,
+    /// A field held a value outside its domain, length lies included
+    /// (named for diagnostics).
+    InvalidField(&'static str),
+    /// A complete structure followed by unexpected bytes.
+    TrailingBytes,
+    /// A frame (or a length prefix claiming one) of this many bytes exceeds
+    /// the family's cap.
+    TooLarge(u64),
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} frame: ", self.family.name)?;
+        match self.kind {
+            FrameErrorKind::Truncated => write!(f, "truncated"),
+            FrameErrorKind::BadMagic { found } => {
+                write!(f, "bad magic {:02x}{:02x}", found[0], found[1])
+            }
+            FrameErrorKind::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
+            FrameErrorKind::UnknownKind(k) => write!(f, "unknown kind 0x{k:02x}"),
+            FrameErrorKind::BadCrc { computed, stored } => {
+                write!(
+                    f,
+                    "crc mismatch (computed {computed:08x}, stored {stored:08x})"
+                )
+            }
+            FrameErrorKind::VarintOverflow => write!(f, "varint overflow"),
+            FrameErrorKind::InvalidField(name) => write!(f, "invalid field: {name}"),
+            FrameErrorKind::TrailingBytes => write!(f, "trailing bytes"),
+            FrameErrorKind::TooLarge(n) => {
+                write!(f, "length {n} exceeds the {}-byte cap", self.family.max_len)
+            }
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// A bounds-checked cursor over one frame body. Every read either advances
+/// or returns a [`FrameError`] tagged with the reader's family.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    family: &'static Family,
+    bytes: &'a [u8],
+    pos: usize,
+    version: u8,
+}
+
+/// An entered embedded block; give it back to [`Reader::leave`].
+#[derive(Debug)]
+pub struct Block {
+    outer: &'static Family,
+    start: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader over bytes that carry no envelope of their own (framing,
+    /// version and CRC belong to whatever carries them).
+    pub fn bare(family: &'static Family, bytes: &'a [u8]) -> Self {
+        Reader {
+            family,
+            bytes,
+            pos: 0,
+            version: 0,
+        }
+    }
+
+    /// The version byte of the frame [`Family::open`] opened.
+    #[inline]
+    pub fn version(&self) -> u8 {
+        self.version
+    }
+
+    /// Bytes not yet consumed.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// An error of `kind` in the family being read.
+    #[inline]
+    pub fn error(&self, kind: FrameErrorKind) -> FrameError {
+        self.family.error(kind)
+    }
+
+    /// A field of the family being read held an impossible value.
+    #[inline]
+    pub fn invalid(&self, field: &'static str) -> FrameError {
+        self.family.invalid(field)
+    }
+
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, FrameError> {
+        let &b = self
+            .bytes
+            .get(self.pos)
+            .ok_or(self.error(FrameErrorKind::Truncated))?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    /// One LEB128 varint (1–10 bytes).
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, FrameError> {
+        let mut v: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let b = self.u8()?;
+            // The tenth byte holds bit 63 alone: anything above 1, a
+            // continuation bit included, cannot be a `u64`.
+            if shift == 63 && b > 1 {
+                return Err(self.error(FrameErrorKind::VarintOverflow));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// One varint narrowed into a smaller integer type.
+    #[inline]
+    pub fn narrow<T: TryFrom<u64>>(&mut self, field: &'static str) -> Result<T, FrameError> {
+        let v = self.varint()?;
+        T::try_from(v).map_err(|_| self.invalid(field))
+    }
+
+    /// The next `len` bytes.
+    #[inline]
+    pub fn take(&mut self, len: usize) -> Result<&'a [u8], FrameError> {
+        if len > self.remaining() {
+            return Err(self.error(FrameErrorKind::Truncated));
+        }
+        let s = &self.bytes[self.pos..self.pos + len];
+        self.pos += len;
+        Ok(s)
+    }
+
+    /// A count of items that each occupy at least `min_bytes_per_item`
+    /// bytes somewhere in the rest of the body. A claim the remaining bytes
+    /// cannot hold is a length lie — rejected here, before any allocation
+    /// is sized from it.
+    #[inline]
+    pub fn count(
+        &mut self,
+        field: &'static str,
+        min_bytes_per_item: usize,
+    ) -> Result<usize, FrameError> {
+        debug_assert!(min_bytes_per_item > 0);
+        let n = self.varint()?;
+        if n > (self.remaining() / min_bytes_per_item) as u64 {
+            return Err(self.invalid(field));
+        }
+        Ok(n as usize)
+    }
+
+    /// A length-prefixed byte string.
+    #[inline]
+    pub fn blob(&mut self, field: &'static str) -> Result<&'a [u8], FrameError> {
+        let len = self.count(field, 1)?;
+        self.take(len)
+    }
+
+    /// A length-prefixed UTF-8 string.
+    #[inline]
+    pub fn str(&mut self, field: &'static str) -> Result<&'a str, FrameError> {
+        std::str::from_utf8(self.blob(field)?).map_err(|_| self.invalid(field))
+    }
+
+    /// Enter a self-delimiting block of `family` embedded at the cursor:
+    /// header checks now, fields next (errors carry the block's family),
+    /// CRC at [`Reader::leave`].
+    pub fn enter(&mut self, family: &'static Family) -> Result<Block, FrameError> {
+        family.check_header(&self.bytes[self.pos..])?;
+        let block = Block {
+            outer: std::mem::replace(&mut self.family, family),
+            start: self.pos,
+        };
+        self.pos += HEADER_LEN;
+        Ok(block)
+    }
+
+    /// Close a block: the next four bytes must be the CRC-32 of everything
+    /// read since [`Reader::enter`].
+    pub fn leave(&mut self, block: Block) -> Result<(), FrameError> {
+        let covered = &self.bytes[block.start..self.pos];
+        let trailer = self.take(TRAILER_LEN)?;
+        self.family.check_crc(covered, trailer)?;
+        self.family = block.outer;
+        Ok(())
+    }
+
+    /// The body must be fully consumed.
+    #[inline]
+    pub fn finish(self) -> Result<(), FrameError> {
+        if self.pos != self.bytes.len() {
+            return Err(self.error(FrameErrorKind::TrailingBytes));
+        }
+        Ok(())
+    }
+}
+
+/// Append `v` as an LEB128 varint (1–10 bytes).
+pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Map a signed value onto an unsigned one with small magnitudes staying
+/// small (0,-1,1,-2 → 0,1,2,3).
+pub const fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+pub const fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// CRC-32 (IEEE, reflected) over `bytes`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = crc32_table();
+    let mut crc: u32 = !0;
+    for &b in bytes {
+        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+    }
+    !crc
+}
+
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use FrameErrorKind::*;
+
+    const ENVELOPED: [&Family; 8] = [&CB, &CK, &CS, &SC, &SG, &SP, &CQ, &CR];
+
+    /// Open `bytes` as one complete, body-less frame of `family`.
+    fn open(family: &'static Family, bytes: &[u8]) -> Result<(), FrameError> {
+        if *family == SC {
+            let mut r = Reader::bare(&SC, bytes);
+            let block = r.enter(&SC)?;
+            r.leave(block)?;
+            r.finish()
+        } else {
+            family.open(bytes)?.finish()
+        }
+    }
+
+    #[test]
+    fn every_family_rejects_the_same_corruptions_in_the_same_order() {
+        // One lazily-zeroed buffer serves every over-the-cap case; the cap
+        // check never reads it.
+        let huge = vec![0u8; ENVELOPED.iter().map(|f| f.max_len).max().unwrap() + 1];
+        for family in ENVELOPED {
+            let mut good = Vec::new();
+            family.begin(&mut good, family.versions[0]);
+            seal(&mut good, 0);
+            assert_eq!(open(family, &good), Ok(()), "{family:?}");
+
+            let edit = |at: usize, to: u8| {
+                let mut bad = good.clone();
+                bad[at] = to;
+                bad
+            };
+            let (wrong_magic, future_version) = (edit(0, b'X'), edit(2, 9));
+            let flipped_trailer = edit(6, good[6] ^ 1);
+            let crc = crc32(&good[..3]);
+            // The five corruptions, in the order `open` looks for them.
+            let table: [(&[u8], FrameErrorKind); 5] = [
+                (
+                    &huge[..family.max_len + 1],
+                    TooLarge(family.max_len as u64 + 1),
+                ),
+                (&good[..6], Truncated),
+                (
+                    &wrong_magic,
+                    BadMagic {
+                        found: [b'X', family.magic[1]],
+                    },
+                ),
+                (&future_version, UnsupportedVersion(9)),
+                (
+                    &flipped_trailer,
+                    BadCrc {
+                        computed: crc,
+                        stored: crc ^ (1 << 24),
+                    },
+                ),
+            ];
+            for (bytes, kind) in table {
+                assert_eq!(open(family, bytes), Err(family.error(kind)));
+            }
+            // Precedence: with magic, version and trailer all wrong the
+            // magic is reported; restore it and the version is; cut the
+            // frame short and nothing else is looked at.
+            let mut all = edit(0, b'X');
+            all[2] = 9;
+            all[6] ^= 1;
+            assert_eq!(open(family, &all), Err(family.error(table[2].1)));
+            assert_eq!(open(family, &all[..6]), Err(family.error(Truncated)));
+            all[0] = good[0];
+            assert_eq!(open(family, &all), Err(family.error(table[3].1)));
+        }
+    }
+
+    #[test]
+    fn varint_overflow_and_end_of_input_are_distinct_in_every_family() {
+        for family in ENVELOPED.into_iter().chain([&PARTIAL]) {
+            let overflow = Reader::bare(family, &[0xff; 10]).varint();
+            assert_eq!(overflow, Err(family.error(VarintOverflow)));
+            // Nine continuation bytes then a tenth that sets bit 64.
+            let mut wide = [0x80; 10];
+            wide[9] = 0x02;
+            let wide = Reader::bare(family, &wide).varint();
+            assert_eq!(wide, Err(family.error(VarintOverflow)));
+            let cut = Reader::bare(family, &[0x80, 0x80]).varint();
+            assert_eq!(cut, Err(family.error(Truncated)));
+            assert_eq!(
+                Reader::bare(family, &[0xff; 9]).varint().unwrap_err().kind,
+                Truncated
+            );
+        }
+    }
+
+    #[test]
+    fn count_is_measured_against_the_bytes_that_remain() {
+        // Count 2 at 3 bytes per item with 6 bytes left: fits exactly.
+        let body = [2, 0, 0, 0, 0, 0, 0];
+        assert_eq!(Reader::bare(&CB, &body).count("n", 3), Ok(2));
+        assert_eq!(Reader::bare(&CB, &body).count("n", 4), Err(CB.invalid("n")));
+        let mut lie = Vec::new();
+        write_varint(&mut lie, u64::MAX);
+        lie.extend_from_slice(&[0; 64]);
+        assert_eq!(Reader::bare(&CB, &lie).count("n", 1), Err(CB.invalid("n")));
+        assert_eq!(Reader::bare(&CB, &lie).blob("b"), Err(CB.invalid("b")));
+    }
+
+    #[test]
+    fn display_names_the_family_and_the_offending_values() {
+        let text = |family: &'static Family, kind| family.error(kind).to_string();
+        assert_eq!(text(&SG, Truncated), "SG frame: truncated");
+        assert_eq!(
+            text(&CR, BadMagic { found: [0x5a; 2] }),
+            "CR frame: bad magic 5a5a"
+        );
+        assert_eq!(
+            text(&CS, UnsupportedVersion(9)),
+            "CS frame: unsupported version 9"
+        );
+        assert_eq!(text(&CQ, UnknownKind(0x44)), "CQ frame: unknown kind 0x44");
+        assert_eq!(
+            text(
+                &SC,
+                BadCrc {
+                    computed: 0xab,
+                    stored: 0xcd
+                }
+            ),
+            "SC frame: crc mismatch (computed 000000ab, stored 000000cd)"
+        );
+        assert_eq!(text(&CK, VarintOverflow), "CK frame: varint overflow");
+        assert_eq!(
+            text(&SP, InvalidField("nseq")),
+            "SP frame: invalid field: nseq"
+        );
+        assert_eq!(text(&CB, TrailingBytes), "CB frame: trailing bytes");
+        assert_eq!(
+            text(&CQ, TooLarge(1 << 32)),
+            "CQ frame: length 4294967296 exceeds the 16777216-byte cap"
+        );
+    }
+}

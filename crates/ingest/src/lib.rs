@@ -4,13 +4,17 @@
 //! paper's nationwide measurement platform (§2.2), which collected 2.32 B
 //! failure records from 70 M devices as compressed uploads.
 //!
-//! Three layers, bottom up:
+//! Four layers, bottom up:
 //!
+//! * [`frame`] — the one envelope (`magic | version | body | CRC-32`),
+//!   bounded [`frame::Reader`] and [`FrameError`] every wire and disk
+//!   format in the workspace is built on, plus the varint/zigzag/CRC
+//!   primitives.
 //! * [`codec`] — the compact binary wire format for trace batches: LEB128
 //!   varints, delta-of-timestamps, per-batch framing (magic, schema
 //!   version, device id, upload sequence number) and a CRC-32 trailer.
 //!   Encoding is a pure function of the record set; decoding is total —
-//!   adversarial bytes yield a [`codec::DecodeError`], never a panic.
+//!   adversarial bytes yield a [`FrameError`], never a panic.
 //!   The device-side `Uploader` in `cellrel-monitor` ships these bytes, so
 //!   the network-overhead numbers in the monitor are measured, not
 //!   estimated with a compression fudge factor.
@@ -34,12 +38,14 @@
 pub mod checkpoint;
 pub mod codec;
 pub mod collector;
+pub mod frame;
 
 pub use checkpoint::{
     restore_checkpoint, restore_checkpoint_with, save_checkpoint, save_checkpoint_with,
 };
-pub use codec::{decode_batch, encode_batch, peek_device, DecodeError, WireBatch};
+pub use codec::{decode_batch, encode_batch, peek_device, WireBatch};
 pub use collector::{
     run_ingest, run_ingest_with, AcceptedSink, Collector, CollectorConfig, IngestAggregate,
     IngestCounters, IngestReport,
 };
+pub use frame::{FrameError, FrameErrorKind};

@@ -1,11 +1,11 @@
 //! Property-based tests for the ingestion wire codec and the streaming
 //! quantile sketch: primitive roundtrips, whole-batch roundtrips on
 //! arbitrary records, totality of the decoder on hostile input, totality
-//! of checkpoint restore, and the algebra of sketch merging.
+//! of checkpoint restore, and the algebra of sketch merging. (Garbage
+//! input to every decoder is `tests/frame_totality.rs`'s job.)
 
-use cellrel_ingest::codec::{
-    crc32, decode_batch, encode_batch, peek_device, read_varint, unzigzag, write_varint, zigzag,
-};
+use cellrel_ingest::codec::{decode_batch, encode_batch, peek_device};
+use cellrel_ingest::frame::{crc32, unzigzag, write_varint, zigzag, Reader, CB};
 use cellrel_ingest::{
     restore_checkpoint, restore_checkpoint_with, save_checkpoint, Collector, CollectorConfig,
 };
@@ -103,9 +103,9 @@ proptest! {
         let mut buf = Vec::new();
         write_varint(&mut buf, v);
         prop_assert!(buf.len() <= 10);
-        let mut pos = 0;
-        prop_assert_eq!(read_varint(&buf, &mut pos), Ok(v));
-        prop_assert_eq!(pos, buf.len());
+        let mut r = Reader::bare(&CB, &buf);
+        prop_assert_eq!(r.varint(), Ok(v));
+        prop_assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]
@@ -119,8 +119,7 @@ proptest! {
         write_varint(&mut buf, v);
         if cut < buf.len() {
             buf.truncate(cut);
-            let mut pos = 0;
-            prop_assert!(read_varint(&buf, &mut pos).is_err());
+            prop_assert!(Reader::bare(&CB, &buf).varint().is_err());
         }
     }
 
@@ -178,14 +177,6 @@ proptest! {
         // A single flipped byte is always caught: by the CRC if it lands in
         // the payload, or by the CRC comparison if it lands in the trailer.
         prop_assert!(decode_batch(&bytes).is_err());
-    }
-
-    #[test]
-    fn garbage_never_panics_the_decoder(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_batch(&bytes);
-        let _ = peek_device(&bytes);
-        let mut pos = 0;
-        let _ = read_varint(&bytes, &mut pos);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! fully simulated devices.
 
 use crate::trace::TraceRecord;
-use cellrel_ingest::codec::{decode_batch, DecodeError};
+use cellrel_ingest::{decode_batch, FrameError};
 use cellrel_types::{DeviceId, FailureEvent, FailureKind, SimDuration};
 use std::collections::HashMap;
 
@@ -72,7 +72,7 @@ impl Backend {
     /// accounting uses the actual encoded length. Returns the record count,
     /// or the decode error for corrupt/truncated uploads (which leave the
     /// backend state untouched).
-    pub fn ingest_encoded(&mut self, bytes: &[u8]) -> Result<u64, DecodeError> {
+    pub fn ingest_encoded(&mut self, bytes: &[u8]) -> Result<u64, FrameError> {
         let batch = decode_batch(bytes)?;
         self.uploads += 1;
         self.uploaded_bytes += bytes.len() as u64;

@@ -39,5 +39,5 @@ pub mod server;
 pub use net::{
     serve, serve_with, ClientError, InProcClient, QuerydServer, ServerConfig, TcpClient,
 };
-pub use proto::{ProtoError, Request, Response, ServerStats, WireError};
+pub use proto::{Request, Response, ServerStats, WireError};
 pub use server::{feed_events, QuerydCore, ServerMetrics, Snapshot, SnapshotSource, WallClock};

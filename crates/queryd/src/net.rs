@@ -2,8 +2,8 @@
 //! TCP client, and a deterministic in-process client.
 //!
 //! On the wire each frame travels as `u32` little-endian length + frame
-//! bytes. The length prefix is untrusted: a prefix above
-//! [`proto::MAX_FRAME_LEN`] is answered with an [`ERR_TOO_LARGE`] error and
+//! bytes. The length prefix is untrusted: a prefix above the `CQ` frame cap
+//! ([`CQ`]`.max_len`) is answered with an [`ERR_TOO_LARGE`] error and
 //! the connection is closed (the stream's framing can no longer be
 //! trusted), without ever allocating the claimed size.
 //!
@@ -13,8 +13,9 @@
 //!
 //! [`ERR_TOO_LARGE`]: crate::proto::ERR_TOO_LARGE
 
-use crate::proto::{self, ProtoError, Request, Response, ServerStats, WireError};
+use crate::proto::{self, Request, Response, ServerStats, WireError};
 use crate::server::QuerydCore;
+use cellrel_ingest::frame::{FrameError, FrameErrorKind, CQ};
 use cellrel_store::{Query, ResultSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -48,7 +49,7 @@ pub enum ClientError {
     /// Transport failure.
     Io(std::io::Error),
     /// The server's bytes failed to decode.
-    Proto(ProtoError),
+    Proto(FrameError),
     /// The server answered with a wire error.
     Rejected(WireError),
     /// The server answered with a well-formed but wrong-kind response.
@@ -74,8 +75,8 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-impl From<ProtoError> for ClientError {
-    fn from(e: ProtoError) -> Self {
+impl From<FrameError> for ClientError {
+    fn from(e: FrameError) -> Self {
         ClientError::Proto(e)
     }
 }
@@ -167,8 +168,8 @@ fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ClientError> {
     let mut len4 = [0u8; 4];
     r.read_exact(&mut len4)?;
     let len = u32::from_le_bytes(len4) as usize;
-    if len > proto::MAX_FRAME_LEN {
-        return Err(ClientError::Proto(ProtoError::FrameTooLarge(len as u64)));
+    if len > CQ.max_len {
+        return Err(CQ.error(FrameErrorKind::TooLarge(len as u64)).into());
     }
     let mut frame = vec![0u8; len];
     r.read_exact(&mut frame)?;
@@ -276,7 +277,7 @@ fn serve_conn(core: &QuerydCore, stop: &AtomicBool, cfg: ServerConfig, mut strea
             return;
         }
         let len = u32::from_le_bytes(len4) as usize;
-        if len > core.max_frame_len() {
+        if len > CQ.max_len {
             // Answer once, then drop the connection: after a lying prefix
             // the byte stream can no longer be framed.
             let _ = write_frame(&mut stream, &core.oversize_response(len as u64));

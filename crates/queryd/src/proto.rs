@@ -13,11 +13,14 @@
 //! [`crate::net`]); the frame itself is self-delimiting only through the
 //! payload grammar, so decoding always ends with a trailing-bytes check.
 //!
+//! The envelope, its check order and the bounded reader are
+//! [`cellrel_ingest::frame`]'s; this module owns the kind byte and the
+//! payload grammar.
+//!
 //! **Totality.** Decoding is total: truncated, bit-flipped, length-lying or
-//! garbage input returns a typed [`ProtoError`] — never a panic, never a
+//! garbage input returns a typed [`FrameError`] — never a panic, never a
 //! read past the buffer, never an allocation larger than the input could
-//! justify (counts are sanity-bounded against the remaining payload before
-//! any `Vec` is sized, mirroring `cellrel-ingest`'s codec discipline).
+//! justify.
 //!
 //! **Stability.** The numeric encodings of dimensions ([`Dim::index`]),
 //! filters, metrics and error codes are frozen wire contract — the golden
@@ -26,24 +29,15 @@
 //! answers a frame with an unexpected version byte with error code
 //! [`ERR_VERSION`] and never attempts to parse its payload.
 
-use cellrel_ingest::codec::{crc32, read_varint, unzigzag, write_varint, zigzag};
+use cellrel_ingest::frame::{
+    seal, unzigzag, write_varint, zigzag, FrameError, FrameErrorKind, Reader, CQ,
+};
 use cellrel_store::{Dim, Filter, Metric, Query, QueryError, Region, ResultRow, ResultSet};
 use cellrel_types::{DataFailCause, FailureKind, FailureLayer, Isp, PhoneModelId, Rat};
 use std::fmt;
 
-/// Frame magic, `"CQ"`.
-pub const MAGIC: [u8; 2] = *b"CQ";
-
 /// Protocol version byte. Bump on any wire-incompatible change.
 pub const VERSION: u8 = 1;
-
-/// Hard ceiling on a single frame (16 MiB). The transport refuses to
-/// allocate a body larger than this no matter what the length prefix
-/// claims, and the server answers such prefixes with [`ERR_TOO_LARGE`].
-pub const MAX_FRAME_LEN: usize = 1 << 24;
-
-/// Smallest possible frame: magic + version + kind + CRC.
-const MIN_FRAME_LEN: usize = 8;
 
 /// Request kind: liveness probe, empty payload.
 pub const KIND_PING: u8 = 0x01;
@@ -70,69 +64,10 @@ pub const ERR_UNKNOWN_KIND: u8 = 3;
 /// Error code: the query decoded but the engine rejected it
 /// ([`QueryError`]).
 pub const ERR_BAD_QUERY: u8 = 4;
-/// Error code: the claimed frame length exceeds [`MAX_FRAME_LEN`].
+/// Error code: the claimed frame length exceeds the `CQ` cap (16 MiB). The
+/// transport refuses to allocate a body larger than that no matter what
+/// the length prefix claims.
 pub const ERR_TOO_LARGE: u8 = 5;
-
-/// Why a frame failed to decode. Mirrors the ingest codec's `DecodeError`
-/// taxonomy so the two wire formats fail the same way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtoError {
-    /// Fewer bytes than the grammar requires.
-    Truncated,
-    /// The first two bytes are not [`MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 2],
-    },
-    /// The version byte is not [`VERSION`].
-    UnsupportedVersion(u8),
-    /// The kind byte names no known message.
-    UnknownKind(u8),
-    /// The CRC-32 trailer does not match the frame contents.
-    BadCrc {
-        /// CRC computed over the received bytes.
-        expected: u32,
-        /// CRC carried in the trailer.
-        found: u32,
-    },
-    /// A varint ran past 10 bytes.
-    VarintOverflow,
-    /// A field decoded to an impossible value (named for diagnostics).
-    InvalidField(&'static str),
-    /// The payload decoded cleanly but bytes remain.
-    TrailingBytes,
-    /// A length prefix claimed more than [`MAX_FRAME_LEN`] bytes.
-    FrameTooLarge(u64),
-}
-
-impl fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtoError::Truncated => write!(f, "frame truncated"),
-            ProtoError::BadMagic { found } => {
-                write!(f, "bad magic {:02x}{:02x}", found[0], found[1])
-            }
-            ProtoError::UnsupportedVersion(v) => {
-                write!(f, "unsupported protocol version {v} (expected {VERSION})")
-            }
-            ProtoError::UnknownKind(k) => write!(f, "unknown message kind 0x{k:02x}"),
-            ProtoError::BadCrc { expected, found } => {
-                write!(
-                    f,
-                    "crc mismatch: computed {expected:08x}, trailer {found:08x}"
-                )
-            }
-            ProtoError::VarintOverflow => write!(f, "varint overflow"),
-            ProtoError::InvalidField(name) => write!(f, "invalid field: {name}"),
-            ProtoError::TrailingBytes => write!(f, "trailing bytes after payload"),
-            ProtoError::FrameTooLarge(n) => {
-                write!(f, "frame length {n} exceeds the {MAX_FRAME_LEN}-byte cap")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
 
 /// An error the server sends back over the wire instead of an answer.
 /// Carrying a code + free-text detail (rather than a typed enum) keeps old
@@ -147,11 +82,11 @@ pub struct WireError {
 
 impl WireError {
     /// Classify a request-decode failure into a wire error code.
-    pub fn from_decode(e: &ProtoError) -> WireError {
-        let code = match e {
-            ProtoError::UnsupportedVersion(_) => ERR_VERSION,
-            ProtoError::UnknownKind(_) => ERR_UNKNOWN_KIND,
-            ProtoError::FrameTooLarge(_) => ERR_TOO_LARGE,
+    pub fn from_decode(e: &FrameError) -> WireError {
+        let code = match e.kind {
+            FrameErrorKind::UnsupportedVersion(_) => ERR_VERSION,
+            FrameErrorKind::UnknownKind(_) => ERR_UNKNOWN_KIND,
+            FrameErrorKind::TooLarge(_) => ERR_TOO_LARGE,
             _ => ERR_MALFORMED,
         };
         WireError {
@@ -168,9 +103,9 @@ impl WireError {
         }
     }
 
-    /// A length prefix exceeded [`MAX_FRAME_LEN`].
+    /// A length prefix exceeded the `CQ` cap.
     pub fn too_large(claimed: u64) -> WireError {
-        WireError::from_decode(&ProtoError::FrameTooLarge(claimed))
+        WireError::from_decode(&CQ.error(FrameErrorKind::TooLarge(claimed)))
     }
 }
 
@@ -228,37 +163,9 @@ pub struct ServerStats {
     pub requests_served: u64,
 }
 
-// ---------------------------------------------------------------------------
-// primitive readers/writers
-// ---------------------------------------------------------------------------
-
-fn read_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, ProtoError> {
-    let b = *bytes.get(*pos).ok_or(ProtoError::Truncated)?;
-    *pos += 1;
-    Ok(b)
-}
-
-fn read_int(bytes: &[u8], pos: &mut usize) -> Result<u64, ProtoError> {
-    read_varint(bytes, pos).map_err(|e| match e {
-        cellrel_ingest::DecodeError::VarintOverflow => ProtoError::VarintOverflow,
-        _ => ProtoError::Truncated,
-    })
-}
-
 fn write_string(out: &mut Vec<u8>, s: &str) {
     write_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-fn read_string(bytes: &[u8], pos: &mut usize) -> Result<String, ProtoError> {
-    let len = read_int(bytes, pos)? as usize;
-    if len > bytes.len().saturating_sub(*pos) {
-        return Err(ProtoError::Truncated);
-    }
-    let s = std::str::from_utf8(&bytes[*pos..*pos + len])
-        .map_err(|_| ProtoError::InvalidField("string utf-8"))?;
-    *pos += len;
-    Ok(s.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -323,49 +230,40 @@ fn write_filter(out: &mut Vec<u8>, f: &Filter) {
     }
 }
 
-fn read_filter(bytes: &[u8], pos: &mut usize) -> Result<Filter, ProtoError> {
-    let tag = read_u8(bytes, pos)?;
-    Ok(match tag {
-        FILTER_KIND => {
-            let i = read_int(bytes, pos)? as usize;
-            Filter::Kind(FailureKind::from_index(i).ok_or(ProtoError::InvalidField("filter.kind"))?)
-        }
-        FILTER_ISP => {
-            let i = read_int(bytes, pos)? as usize;
-            Filter::Isp(Isp::from_index(i).ok_or(ProtoError::InvalidField("filter.isp"))?)
-        }
-        FILTER_RAT => {
-            let i = read_int(bytes, pos)? as usize;
-            Filter::Rat(Rat::from_index(i).ok_or(ProtoError::InvalidField("filter.rat"))?)
-        }
-        FILTER_MODEL => {
-            let m = read_int(bytes, pos)?;
-            let m = u8::try_from(m).map_err(|_| ProtoError::InvalidField("filter.model"))?;
-            Filter::Model(PhoneModelId(m))
-        }
-        FILTER_REGION => {
-            let i = read_int(bytes, pos)? as usize;
-            Filter::Region(Region::from_index(i).ok_or(ProtoError::InvalidField("filter.region"))?)
-        }
-        FILTER_CAUSE_CLASS => {
-            let i = read_int(bytes, pos)? as usize;
-            Filter::CauseClass(
-                FailureLayer::from_index(i)
-                    .ok_or(ProtoError::InvalidField("filter.cause_class"))?,
-            )
-        }
+/// One varint used as an enum index; `None` from `from_index` is the
+/// field's error.
+fn read_index<T>(
+    r: &mut Reader<'_>,
+    field: &'static str,
+    from_index: impl Fn(usize) -> Option<T>,
+) -> Result<T, FrameError> {
+    let i = r.narrow(field)?;
+    from_index(i).ok_or(r.invalid(field))
+}
+
+fn read_filter(r: &mut Reader<'_>) -> Result<Filter, FrameError> {
+    Ok(match r.u8()? {
+        FILTER_KIND => Filter::Kind(read_index(r, "filter.kind", FailureKind::from_index)?),
+        FILTER_ISP => Filter::Isp(read_index(r, "filter.isp", Isp::from_index)?),
+        FILTER_RAT => Filter::Rat(read_index(r, "filter.rat", Rat::from_index)?),
+        FILTER_MODEL => Filter::Model(PhoneModelId(r.narrow("filter.model")?)),
+        FILTER_REGION => Filter::Region(read_index(r, "filter.region", Region::from_index)?),
+        FILTER_CAUSE_CLASS => Filter::CauseClass(read_index(
+            r,
+            "filter.cause_class",
+            FailureLayer::from_index,
+        )?),
         FILTER_CAUSE => {
-            let z = unzigzag(read_int(bytes, pos)?);
             let code =
-                i32::try_from(z).map_err(|_| ProtoError::InvalidField("filter.cause code"))?;
+                i32::try_from(unzigzag(r.varint()?)).map_err(|_| r.invalid("filter.cause code"))?;
             Filter::Cause(DataFailCause::from_code(code))
         }
         FILTER_HAS_CAUSE => Filter::HasCause,
         FILTER_TIME_RANGE => Filter::TimeRange {
-            start_ms: read_int(bytes, pos)?,
-            end_ms: read_int(bytes, pos)?,
+            start_ms: r.varint()?,
+            end_ms: r.varint()?,
         },
-        _ => return Err(ProtoError::InvalidField("filter tag")),
+        _ => return Err(r.invalid("filter tag")),
     })
 }
 
@@ -385,9 +283,8 @@ fn write_metric(out: &mut Vec<u8>, m: &Metric) {
     }
 }
 
-fn read_metric(bytes: &[u8], pos: &mut usize) -> Result<Metric, ProtoError> {
-    let tag = read_u8(bytes, pos)?;
-    Ok(match tag {
+fn read_metric(r: &mut Reader<'_>) -> Result<Metric, FrameError> {
+    Ok(match r.u8()? {
         METRIC_COUNT => Metric::Count,
         METRIC_DURATION_TOTAL => Metric::DurationTotalMs,
         METRIC_MEAN_DURATION => Metric::MeanDurationMs,
@@ -395,10 +292,10 @@ fn read_metric(bytes: &[u8], pos: &mut usize) -> Result<Metric, ProtoError> {
         METRIC_UNDER_30S => Metric::Under30sShare,
         // A hostile bit pattern here can decode to NaN or out-of-range —
         // that is fine: query validation rejects it without panicking.
-        METRIC_QUANTILE => Metric::QuantileMs(f64::from_bits(read_int(bytes, pos)?)),
+        METRIC_QUANTILE => Metric::QuantileMs(f64::from_bits(r.varint()?)),
         METRIC_DEVICES => Metric::Devices,
         METRIC_FAILING_DEVICES => Metric::FailingDevices,
-        _ => return Err(ProtoError::InvalidField("metric tag")),
+        _ => return Err(r.invalid("metric tag")),
     })
 }
 
@@ -409,17 +306,11 @@ fn write_dims(out: &mut Vec<u8>, dims: &[Dim]) {
     }
 }
 
-fn read_dims(bytes: &[u8], pos: &mut usize) -> Result<Vec<Dim>, ProtoError> {
-    let n = read_int(bytes, pos)? as usize;
-    // Each dim is ≥ 1 byte; a count the remaining payload cannot hold is a
-    // length lie — reject before sizing the Vec.
-    if n > bytes.len().saturating_sub(*pos) {
-        return Err(ProtoError::InvalidField("group_by overcount"));
-    }
+fn read_dims(r: &mut Reader<'_>) -> Result<Vec<Dim>, FrameError> {
+    let n = r.count("group_by", 1)?;
     let mut dims = Vec::with_capacity(n);
     for _ in 0..n {
-        let i = read_int(bytes, pos)? as usize;
-        dims.push(Dim::from_index(i).ok_or(ProtoError::InvalidField("group_by dim"))?);
+        dims.push(read_index(r, "group_by dim", Dim::from_index)?);
     }
     Ok(dims)
 }
@@ -440,26 +331,18 @@ pub fn write_query(out: &mut Vec<u8>, q: &Query) {
 
 /// Total inverse of [`write_query`]: typed errors on malformed input,
 /// allocation bounded by the remaining payload.
-pub fn read_query(bytes: &[u8], pos: &mut usize) -> Result<Query, ProtoError> {
-    let nf = read_int(bytes, pos)? as usize;
-    if nf > bytes.len().saturating_sub(*pos) {
-        return Err(ProtoError::InvalidField("filters overcount"));
-    }
+pub fn read_query(r: &mut Reader<'_>) -> Result<Query, FrameError> {
+    let nf = r.count("filters", 1)?;
     let mut filters = Vec::with_capacity(nf);
     for _ in 0..nf {
-        filters.push(read_filter(bytes, pos)?);
+        filters.push(read_filter(r)?);
     }
-    let group_by = read_dims(bytes, pos)?;
-    let window_ms = read_int(bytes, pos)?;
-    let metric = read_metric(bytes, pos)?;
-    let top_k =
-        usize::try_from(read_int(bytes, pos)?).map_err(|_| ProtoError::InvalidField("top_k"))?;
     Ok(Query {
         filters,
-        group_by,
-        window_ms,
-        metric,
-        top_k,
+        group_by: read_dims(r)?,
+        window_ms: r.varint()?,
+        metric: read_metric(r)?,
+        top_k: r.narrow("top_k")?,
     })
 }
 
@@ -486,50 +369,37 @@ fn write_result_set(out: &mut Vec<u8>, rs: &ResultSet) {
     write_varint(out, rs.cells_matched);
 }
 
-fn read_result_set(bytes: &[u8], pos: &mut usize) -> Result<ResultSet, ProtoError> {
-    let group_by = read_dims(bytes, pos)?;
-    let metric = read_metric(bytes, pos)?;
-    let nrows = read_int(bytes, pos)? as usize;
+fn read_result_set(r: &mut Reader<'_>) -> Result<ResultSet, FrameError> {
+    let group_by = read_dims(r)?;
+    let metric = read_metric(r)?;
     // A row is at least 4 varint bytes (key count, label count, value,
-    // count); bound the claimed row count by what the payload could hold.
-    if nrows > bytes.len().saturating_sub(*pos) / 4 + 1 {
-        return Err(ProtoError::InvalidField("rows overcount"));
-    }
+    // count).
+    let nrows = r.count("rows", 4)?;
     let mut rows = Vec::with_capacity(nrows);
     for _ in 0..nrows {
-        let nk = read_int(bytes, pos)? as usize;
-        if nk > bytes.len().saturating_sub(*pos) {
-            return Err(ProtoError::InvalidField("row key overcount"));
-        }
+        let nk = r.count("row key", 1)?;
         let mut key = Vec::with_capacity(nk);
         for _ in 0..nk {
-            key.push(read_int(bytes, pos)?);
+            key.push(r.varint()?);
         }
-        let nl = read_int(bytes, pos)? as usize;
-        if nl > bytes.len().saturating_sub(*pos) {
-            return Err(ProtoError::InvalidField("row label overcount"));
-        }
+        let nl = r.count("row labels", 1)?;
         let mut labels = Vec::with_capacity(nl);
         for _ in 0..nl {
-            labels.push(read_string(bytes, pos)?);
+            labels.push(r.str("row label")?.to_string());
         }
-        let value = f64::from_bits(read_int(bytes, pos)?);
-        let count = read_int(bytes, pos)?;
         rows.push(ResultRow {
             key,
             labels,
-            value,
-            count,
+            value: f64::from_bits(r.varint()?),
+            count: r.varint()?,
         });
     }
-    let cells_scanned = read_int(bytes, pos)?;
-    let cells_matched = read_int(bytes, pos)?;
     Ok(ResultSet {
         group_by,
         metric,
         rows,
-        cells_scanned,
-        cells_matched,
+        cells_scanned: r.varint()?,
+        cells_matched: r.varint()?,
     })
 }
 
@@ -541,13 +411,13 @@ fn write_stats(out: &mut Vec<u8>, s: &ServerStats) {
     write_varint(out, s.requests_served);
 }
 
-fn read_stats(bytes: &[u8], pos: &mut usize) -> Result<ServerStats, ProtoError> {
+fn read_stats(r: &mut Reader<'_>) -> Result<ServerStats, FrameError> {
     Ok(ServerStats {
-        epoch: read_int(bytes, pos)?,
-        inserted: read_int(bytes, pos)?,
-        cells: read_int(bytes, pos)?,
-        devices: read_int(bytes, pos)?,
-        requests_served: read_int(bytes, pos)?,
+        epoch: r.varint()?,
+        inserted: r.varint()?,
+        cells: r.varint()?,
+        devices: r.varint()?,
+        requests_served: r.varint()?,
     })
 }
 
@@ -556,47 +426,10 @@ fn read_stats(bytes: &[u8], pos: &mut usize) -> Result<ServerStats, ProtoError> 
 // ---------------------------------------------------------------------------
 
 fn begin_frame(kind: u8) -> Vec<u8> {
-    vec![MAGIC[0], MAGIC[1], VERSION, kind]
-}
-
-fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
-    let crc = crc32(&frame);
-    frame.extend_from_slice(&crc.to_le_bytes());
+    let mut frame = Vec::new();
+    CQ.begin(&mut frame, VERSION);
+    frame.push(kind);
     frame
-}
-
-/// Validate framing (length, magic, version, CRC) and return the kind byte
-/// plus the payload slice. Shared by request and response decoding.
-fn open_frame(bytes: &[u8]) -> Result<(u8, &[u8]), ProtoError> {
-    if bytes.len() > MAX_FRAME_LEN {
-        return Err(ProtoError::FrameTooLarge(bytes.len() as u64));
-    }
-    if bytes.len() < MIN_FRAME_LEN {
-        return Err(ProtoError::Truncated);
-    }
-    if bytes[0..2] != MAGIC {
-        return Err(ProtoError::BadMagic {
-            found: [bytes[0], bytes[1]],
-        });
-    }
-    if bytes[2] != VERSION {
-        return Err(ProtoError::UnsupportedVersion(bytes[2]));
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let found = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    let expected = crc32(body);
-    if expected != found {
-        return Err(ProtoError::BadCrc { expected, found });
-    }
-    Ok((bytes[3], &body[4..]))
-}
-
-fn expect_consumed(payload: &[u8], pos: usize) -> Result<(), ProtoError> {
-    if pos == payload.len() {
-        Ok(())
-    } else {
-        Err(ProtoError::TrailingBytes)
-    }
 }
 
 /// Encode a request as a complete frame (magic through CRC trailer).
@@ -610,21 +443,20 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             f
         }
     };
-    frame = seal_frame(frame);
+    seal(&mut frame, 0);
     frame
 }
 
-/// Decode a request frame. Total: every failure is a typed [`ProtoError`].
-pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtoError> {
-    let (kind, payload) = open_frame(bytes)?;
-    let mut pos = 0usize;
-    let req = match kind {
+/// Decode a request frame. Total: every failure is a typed [`FrameError`].
+pub fn decode_request(bytes: &[u8]) -> Result<Request, FrameError> {
+    let mut r = CQ.open(bytes)?;
+    let req = match r.u8()? {
         KIND_PING => Request::Ping,
         KIND_STATS => Request::Stats,
-        KIND_QUERY => Request::Query(read_query(payload, &mut pos)?),
-        k => return Err(ProtoError::UnknownKind(k)),
+        KIND_QUERY => Request::Query(read_query(&mut r)?),
+        k => return Err(r.error(FrameErrorKind::UnknownKind(k))),
     };
-    expect_consumed(payload, pos)?;
+    r.finish()?;
     Ok(req)
 }
 
@@ -650,30 +482,27 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             f
         }
     };
-    frame = seal_frame(frame);
+    seal(&mut frame, 0);
     frame
 }
 
-/// Decode a response frame. Total: every failure is a typed [`ProtoError`].
-pub fn decode_response(bytes: &[u8]) -> Result<Response, ProtoError> {
-    let (kind, payload) = open_frame(bytes)?;
-    let mut pos = 0usize;
-    let resp = match kind {
+/// Decode a response frame. Total: every failure is a typed [`FrameError`].
+pub fn decode_response(bytes: &[u8]) -> Result<Response, FrameError> {
+    let mut r = CQ.open(bytes)?;
+    let resp = match r.u8()? {
         KIND_PONG => Response::Pong,
-        KIND_ROWS => {
-            let epoch = read_int(payload, &mut pos)?;
-            let result = read_result_set(payload, &mut pos)?;
-            Response::Rows { epoch, result }
-        }
-        KIND_STATS_REPLY => Response::Stats(read_stats(payload, &mut pos)?),
-        KIND_ERROR => {
-            let code = read_u8(payload, &mut pos)?;
-            let detail = read_string(payload, &mut pos)?;
-            Response::Error(WireError { code, detail })
-        }
-        k => return Err(ProtoError::UnknownKind(k)),
+        KIND_ROWS => Response::Rows {
+            epoch: r.varint()?,
+            result: read_result_set(&mut r)?,
+        },
+        KIND_STATS_REPLY => Response::Stats(read_stats(&mut r)?),
+        KIND_ERROR => Response::Error(WireError {
+            code: r.u8()?,
+            detail: r.str("error detail")?.to_string(),
+        }),
+        k => return Err(r.error(FrameErrorKind::UnknownKind(k))),
     };
-    expect_consumed(payload, pos)?;
+    r.finish()?;
     Ok(resp)
 }
 
@@ -777,24 +606,22 @@ mod tests {
     fn version_and_kind_errors_are_distinguished() {
         let mut frame = encode_request(&Request::Ping);
         frame[2] = 9;
-        let frame = seal_frame(frame[..frame.len() - 4].to_vec());
         assert_eq!(
             decode_request(&frame).unwrap_err(),
-            ProtoError::UnsupportedVersion(9)
+            CQ.error(FrameErrorKind::UnsupportedVersion(9))
         );
 
-        let mut frame = encode_request(&Request::Ping);
-        frame[3] = 0x44;
-        let frame = seal_frame(frame[..frame.len() - 4].to_vec());
+        let mut frame = begin_frame(0x44);
+        seal(&mut frame, 0);
         assert_eq!(
             decode_request(&frame).unwrap_err(),
-            ProtoError::UnknownKind(0x44)
+            CQ.error(FrameErrorKind::UnknownKind(0x44))
         );
         // A response kind is not a request.
         let frame = encode_response(&Response::Pong);
         assert_eq!(
             decode_request(&frame).unwrap_err(),
-            ProtoError::UnknownKind(KIND_PONG)
+            CQ.error(FrameErrorKind::UnknownKind(KIND_PONG))
         );
     }
 
@@ -807,22 +634,18 @@ mod tests {
         write_dims(&mut f, &[]); // group_by
         f.push(METRIC_COUNT);
         write_varint(&mut f, u64::MAX); // rows count lie
-        let frame = seal_frame(f);
-        assert_eq!(
-            decode_response(&frame).unwrap_err(),
-            ProtoError::InvalidField("rows overcount")
-        );
+        seal(&mut f, 0);
+        assert_eq!(decode_response(&f).unwrap_err(), CQ.invalid("rows"));
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut frame = encode_request(&Request::Ping);
-        frame.truncate(frame.len() - 4);
+        let mut frame = begin_frame(KIND_PING);
         frame.push(0);
-        let frame = seal_frame(frame);
+        seal(&mut frame, 0);
         assert_eq!(
             decode_request(&frame).unwrap_err(),
-            ProtoError::TrailingBytes
+            CQ.error(FrameErrorKind::TrailingBytes)
         );
     }
 }

@@ -136,7 +136,6 @@ pub struct QuerydCore {
     current: RwLock<Arc<Snapshot>>,
     metrics: ServerMetrics,
     clock: Option<WallClock>,
-    max_frame_len: usize,
 }
 
 impl QuerydCore {
@@ -155,13 +154,7 @@ impl QuerydCore {
             current: RwLock::new(Arc::new(Snapshot { epoch: 0, store })),
             metrics: ServerMetrics::default(),
             clock,
-            max_frame_len: proto::MAX_FRAME_LEN,
         })
-    }
-
-    /// The frame-size ceiling connections enforce before allocating a body.
-    pub fn max_frame_len(&self) -> usize {
-        self.max_frame_len
     }
 
     /// Request metrics accumulated so far.
@@ -252,8 +245,8 @@ impl QuerydCore {
         proto::encode_response(&resp)
     }
 
-    /// The error response for a length prefix that exceeds
-    /// [`proto::MAX_FRAME_LEN`] — the one failure the transport must answer
+    /// The error response for a length prefix that exceeds the `CQ` frame
+    /// cap — the one failure the transport must answer
     /// *without* materialising the frame.
     pub fn oversize_response(&self, claimed: u64) -> Vec<u8> {
         let start = self.clock.as_ref().map(|c| c());

@@ -1,8 +1,8 @@
-//! Protocol totality proptests, mirroring `crates/ingest/tests/properties.rs`
-//! for the queryd wire format: arbitrary request/response frames round-trip
-//! canonically, and truncated, bit-flipped, length-lying or garbage input
-//! always produces a typed error — never a panic, never an over-read — both
-//! in the decoder and through the serving core's frame handler.
+//! Protocol proptests for the queryd wire format: arbitrary
+//! request/response frames round-trip canonically, and the serving core
+//! answers any byte string with a decodable frame. (Decoder totality under
+//! truncation, bit flips, length lies and garbage is
+//! `tests/frame_totality.rs`'s `cq_request` / `cq_response` rows.)
 
 use cellrel_queryd::proto::{
     decode_request, decode_response, encode_request, encode_response, Request, Response,
@@ -190,45 +190,6 @@ proptest! {
             let frame = encode_response(&resp);
             prop_assert_eq!(decode_response(&frame).expect("decodes"), resp);
         }
-    }
-
-    /// Every strict prefix of a valid frame is a typed error — the decoder
-    /// never reads past the buffer and never panics on truncation.
-    #[test]
-    fn truncated_frames_are_errors_never_panics(
-        p in query_parts(),
-        cut_seed in any::<usize>(),
-    ) {
-        let frame = encode_request(&Request::Query(build_query(&p)));
-        let cut = cut_seed % frame.len(); // strictly shorter prefix
-        prop_assert!(decode_request(&frame[..cut]).is_err());
-        prop_assert!(decode_response(&frame[..cut]).is_err());
-    }
-
-    /// A single flipped bit anywhere in a frame is always caught: by the
-    /// magic/version/kind checks, the grammar, or the CRC trailer.
-    #[test]
-    fn corrupted_frames_are_errors_never_panics(
-        epoch in any::<u64>(),
-        p in result_set_parts(),
-        at_seed in any::<usize>(),
-        mask in 1u8..=255,
-    ) {
-        let mut frame = encode_response(&Response::Rows {
-            epoch,
-            result: build_result_set(&p),
-        });
-        let at = at_seed % frame.len();
-        frame[at] ^= mask;
-        prop_assert!(decode_response(&frame).is_err());
-        prop_assert!(decode_request(&frame).is_err());
-    }
-
-    /// Arbitrary garbage never panics either decoder.
-    #[test]
-    fn garbage_never_panics_the_decoders(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_request(&bytes);
-        let _ = decode_response(&bytes);
     }
 
     /// The serving core is total end to end: *any* byte string in produces

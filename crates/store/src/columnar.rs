@@ -26,18 +26,15 @@
 //! block (magic, version, varint/delta-coded columns, zone maps, CRC-32
 //! trailer) embedded by the v2 store image next to the v1 row sections.
 //! Decoding is total: truncated, bit-flipped, or adversarial bytes return
-//! a typed [`PersistError`], never panic, and never allocate past the
+//! a typed [`FrameError`], never panic, and never allocate past the
 //! input length; decoded sketch runs are re-validated so later
 //! materialisation cannot fail.
 
 use crate::cube::{Cell, CellKey};
-use crate::persist::PersistError;
-use cellrel_ingest::codec::{crc32, read_varint, write_varint};
+use cellrel_ingest::frame::{seal, write_varint, FrameError, Reader, SC};
 use cellrel_sim::{Merge, SparseSketch};
 use std::collections::BTreeMap;
 
-/// Leading magic of an encoded segment block.
-pub const SEGMENT_MAGIC: [u8; 2] = *b"SC";
 /// Current segment block format version.
 pub const SEGMENT_VERSION: u8 = 1;
 
@@ -254,9 +251,7 @@ impl ColumnSegment {
 
     /// Encode as a self-delimiting `SC` block (see the module docs).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&SEGMENT_MAGIC);
-        out.push(SEGMENT_VERSION);
+        let start = SC.begin(out, SEGMENT_VERSION);
         let n = self.len();
         write_varint(out, n as u64);
         // Buckets: first raw, then non-negative deltas (sorted run).
@@ -313,41 +308,26 @@ impl ColumnSegment {
         }
         write_varint(out, z.cause.0);
         write_varint(out, z.cause.1);
-        let crc = crc32(&out[start..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        seal(out, start);
     }
 
-    /// Decode one `SC` block starting at `*pos`, advancing `*pos` past its
-    /// CRC trailer. Total: every failure mode is a typed [`PersistError`].
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self, PersistError> {
-        let start = *pos;
-        let header = bytes.get(start..start + 3).ok_or(PersistError::TooShort)?;
-        if header[..2] != SEGMENT_MAGIC {
-            return Err(PersistError::BadMagic);
-        }
-        if header[2] != SEGMENT_VERSION {
-            return Err(PersistError::BadVersion(header[2]));
-        }
-        *pos = start + 3;
-        let n = rv(bytes, pos)? as usize;
-        if n > bytes.len().saturating_sub(*pos) {
-            return Err(PersistError::Malformed("segment row count exceeds input"));
-        }
+    /// Decode one `SC` block at the reader's cursor, advancing it past the
+    /// block's CRC trailer. Total: every failure mode is a typed
+    /// [`FrameError`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let block = r.enter(&SC)?;
+        // Per row: a bucket delta, six key bytes, six varint columns, nnz.
+        let n = r.count("segment row count", 14)?;
         let mut seg = ColumnSegment::empty();
         let mut prev = 0u64;
-        for i in 0..n {
-            let delta = rv(bytes, pos)?;
-            let b = if i == 0 {
-                delta
-            } else {
-                prev.checked_add(delta)
-                    .ok_or(PersistError::Malformed("bucket overflow"))?
-            };
-            if b > u64::from(u32::MAX) {
-                return Err(PersistError::Malformed("bucket exceeds u32"));
-            }
+        for _ in 0..n {
+            // The first bucket is raw (a delta from zero).
+            let b = prev
+                .checked_add(r.varint()?)
+                .ok_or(r.invalid("bucket overflow"))?;
             prev = b;
-            seg.buckets.push(b as u32);
+            seg.buckets
+                .push(u32::try_from(b).map_err(|_| r.invalid("bucket exceeds u32"))?);
         }
         for col in [
             &mut seg.kinds,
@@ -357,9 +337,7 @@ impl ColumnSegment {
             &mut seg.regions,
             &mut seg.cause_classes,
         ] {
-            let raw = bytes.get(*pos..*pos + n).ok_or(PersistError::TooShort)?;
-            col.extend_from_slice(raw);
-            *pos += n;
+            col.extend_from_slice(r.take(n)?);
         }
         for col in [
             &mut seg.causes,
@@ -371,37 +349,29 @@ impl ColumnSegment {
         ] {
             col.reserve(n);
             for _ in 0..n {
-                col.push(rv(bytes, pos)?);
+                col.push(r.varint()?);
             }
         }
         // Keys must come out strictly ascending — equal-bucket runs order
         // by the remaining key columns, which the deltas above can't check.
         for i in 1..n {
             if seg.key_at(i) <= seg.key_at(i - 1) {
-                return Err(PersistError::Malformed("segment keys out of order"));
+                return Err(r.invalid("segment keys out of order"));
             }
         }
         for i in 0..n {
-            let nnz = rv(bytes, pos)? as usize;
-            if nnz > bytes.len().saturating_sub(*pos) / 2 + 1 {
-                return Err(PersistError::Malformed("sketch length exceeds input"));
-            }
+            let nnz = r.count("sketch length", 2)?;
             let run_start = seg.sk_pool.len();
             let mut idx = 0u32;
             for j in 0..nnz {
-                let delta = rv(bytes, pos)?;
-                if j > 0 && delta == 0 {
-                    return Err(PersistError::Malformed("zero sketch index delta"));
+                let d: u32 = r.narrow("sketch index")?;
+                if j > 0 && d == 0 {
+                    return Err(r.invalid("zero sketch index delta"));
                 }
-                let d =
-                    u32::try_from(delta).map_err(|_| PersistError::Malformed("sketch index"))?;
-                idx = if j == 0 {
-                    d
-                } else {
-                    idx.checked_add(d)
-                        .ok_or(PersistError::Malformed("sketch index overflow"))?
-                };
-                let cnt = rv(bytes, pos)?;
+                idx = idx
+                    .checked_add(d)
+                    .ok_or(r.invalid("sketch index overflow"))?;
+                let cnt = r.varint()?;
                 seg.sk_pool.push((idx, cnt));
             }
             seg.sk_off.push(seg.sk_pool.len() as u32);
@@ -414,18 +384,18 @@ impl ColumnSegment {
                 seg.sk_max[i],
                 run.iter().map(|&(b, c)| (b as usize, c)),
             )
-            .ok_or(PersistError::Malformed("invalid segment sketch run"))?;
+            .ok_or(r.invalid("invalid segment sketch run"))?;
             if sk.count() != seg.counts[i] || seg.under_30s[i] > seg.counts[i] {
-                return Err(PersistError::Malformed("segment cell/sketch mismatch"));
+                return Err(r.invalid("segment cell/sketch mismatch"));
             }
         }
-        let mut zones = Zones::default();
-        let blo = rv(bytes, pos)?;
-        let bhi = rv(bytes, pos)?;
-        if blo > u64::from(u32::MAX) || bhi > u64::from(u32::MAX) {
-            return Err(PersistError::Malformed("zone bucket exceeds u32"));
-        }
-        zones.bucket = (blo as u32, bhi as u32);
+        let mut zones = Zones {
+            bucket: (
+                r.narrow("zone bucket exceeds u32")?,
+                r.narrow("zone bucket exceeds u32")?,
+            ),
+            ..Zones::default()
+        };
         for field in [
             &mut zones.kind,
             &mut zones.isp,
@@ -434,30 +404,19 @@ impl ColumnSegment {
             &mut zones.region,
             &mut zones.cause_class,
         ] {
-            *field = (rv_u8(bytes, pos)?, rv_u8(bytes, pos)?);
+            *field = (
+                r.narrow("zone field exceeds u8")?,
+                r.narrow("zone field exceeds u8")?,
+            );
         }
-        zones.cause = (rv(bytes, pos)?, rv(bytes, pos)?);
+        zones.cause = (r.varint()?, r.varint()?);
         seg.zones = zones;
         if !seg.is_empty() && compute_zones(&seg) != zones {
-            return Err(PersistError::Malformed("zone maps disagree with columns"));
+            return Err(r.invalid("zone maps disagree with columns"));
         }
-        let crc_bytes = bytes.get(*pos..*pos + 4).ok_or(PersistError::TooShort)?;
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte slice"));
-        if crc32(&bytes[start..*pos]) != stored {
-            return Err(PersistError::BadCrc);
-        }
-        *pos += 4;
+        r.leave(block)?;
         Ok(seg)
     }
-}
-
-fn rv(bytes: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
-    read_varint(bytes, pos).map_err(|_| PersistError::Varint)
-}
-
-fn rv_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, PersistError> {
-    let v = rv(bytes, pos)?;
-    u8::try_from(v).map_err(|_| PersistError::Malformed("zone field exceeds u8"))
 }
 
 fn compute_zones(seg: &ColumnSegment) -> Zones {
@@ -643,9 +602,9 @@ mod tests {
         .unwrap();
         let mut bytes = Vec::new();
         seg.encode(&mut bytes);
-        let mut pos = 0;
-        let back = ColumnSegment::decode(&bytes, &mut pos).unwrap();
-        assert_eq!(pos, bytes.len());
+        let mut r = Reader::bare(&SC, &bytes);
+        let back = ColumnSegment::decode(&mut r).unwrap();
+        assert_eq!(r.finish(), Ok(()));
         assert_eq!(back, seg);
     }
 
@@ -655,18 +614,16 @@ mod tests {
         let mut bytes = Vec::new();
         seg.encode(&mut bytes);
         for cut in 0..bytes.len() {
-            let mut pos = 0;
             assert!(
-                ColumnSegment::decode(&bytes[..cut], &mut pos).is_err(),
+                ColumnSegment::decode(&mut Reader::bare(&SC, &bytes[..cut])).is_err(),
                 "truncation at {cut} must fail"
             );
         }
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
-            let mut pos = 0;
             assert!(
-                ColumnSegment::decode(&bad, &mut pos).is_err(),
+                ColumnSegment::decode(&mut Reader::bare(&SC, &bad)).is_err(),
                 "bit flip at {i} must fail"
             );
         }

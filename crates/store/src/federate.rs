@@ -25,14 +25,14 @@
 //! The wire form ([`encode_partial`] / [`decode_partial`]) is a bare
 //! varint sequence in the persistence idiom — framing, versioning and CRC
 //! belong to the carrying protocol (the cluster's `CR` frames). Decoding
-//! is total: hostile bytes return a typed [`PersistError`], never panic,
+//! is total: hostile bytes return a typed [`FrameError`], never panic,
 //! and never allocate proportionally to an unchecked length claim.
 
 use crate::cube::{Cell, Store};
-use crate::persist::{read_sketch, rv, write_sketch, PersistError};
+use crate::persist::{read_sketch, write_sketch};
 use crate::query::{finalize_groups, validate, Engine, GroupKey, MAX_DIMS};
 use crate::{Query, QueryError, ResultSet};
-use cellrel_ingest::codec::write_varint;
+use cellrel_ingest::frame::{write_varint, FrameError, Reader, PARTIAL};
 use std::collections::BTreeMap;
 
 /// One shard's contribution to a federated query: mergeable per-group
@@ -132,40 +132,34 @@ pub fn encode_partial(p: &PartialResultSet) -> Vec<u8> {
 
 /// Total inverse of [`encode_partial`]: typed errors on truncated,
 /// corrupted or adversarial bytes, allocation bounded by the input size.
-pub fn decode_partial(bytes: &[u8]) -> Result<PartialResultSet, PersistError> {
-    let mut pos = 0usize;
-    let window_ms = rv(bytes, &mut pos)?;
-    let cells_scanned = rv(bytes, &mut pos)?;
-    let cells_matched = rv(bytes, &mut pos)?;
-    let key_len = rv(bytes, &mut pos)? as usize;
+pub fn decode_partial(bytes: &[u8]) -> Result<PartialResultSet, FrameError> {
+    let mut r = Reader::bare(&PARTIAL, bytes);
+    let window_ms = r.varint()?;
+    let cells_scanned = r.varint()?;
+    let cells_matched = r.varint()?;
+    let key_len: usize = r.narrow("group key width")?;
     if key_len > MAX_DIMS {
-        return Err(PersistError::Malformed("group key too wide"));
+        return Err(r.invalid("group key width"));
     }
-    let n = rv(bytes, &mut pos)? as usize;
-    // Each group costs at least key_len + 3 cell + 3 sketch-header bytes;
-    // a count claiming more groups than the input could hold is hostile.
-    if n > bytes.len().saturating_sub(pos) / (key_len + 6) + 1 {
-        return Err(PersistError::Malformed("group count exceeds input"));
-    }
+    // Each group costs at least key_len + 3 cell + 3 sketch-header bytes.
+    let n = r.count("group count", key_len + 6)?;
     let mut groups = Vec::with_capacity(n);
     let mut prev: Option<Vec<u64>> = None;
     for _ in 0..n {
         let mut key = Vec::with_capacity(key_len);
         for _ in 0..key_len {
-            key.push(rv(bytes, &mut pos)?);
+            key.push(r.varint()?);
         }
-        if let Some(p) = &prev {
-            if *p >= key {
-                return Err(PersistError::Malformed("group keys not ascending"));
-            }
+        if prev.as_ref().is_some_and(|p| *p >= key) {
+            return Err(r.invalid("group keys not ascending"));
         }
-        let count = rv(bytes, &mut pos)?;
-        let duration_ms_total = rv(bytes, &mut pos)?;
-        let under_30s = rv(bytes, &mut pos)?;
+        let count = r.varint()?;
+        let duration_ms_total = r.varint()?;
+        let under_30s = r.varint()?;
         if under_30s > count {
-            return Err(PersistError::Malformed("under_30s exceeds count"));
+            return Err(r.invalid("under_30s exceeds count"));
         }
-        let sketch = read_sketch(bytes, &mut pos)?;
+        let sketch = read_sketch(&mut r)?;
         prev = Some(key.clone());
         groups.push((
             key,
@@ -177,9 +171,7 @@ pub fn decode_partial(bytes: &[u8]) -> Result<PartialResultSet, PersistError> {
             },
         ));
     }
-    if pos != bytes.len() {
-        return Err(PersistError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(PartialResultSet {
         window_ms,
         groups,
@@ -193,6 +185,7 @@ mod tests {
     use super::*;
     use crate::cube::{build_sharded, DeviceDirectory, StoreConfig};
     use crate::{Dim, Filter, Metric};
+    use cellrel_ingest::FrameErrorKind;
     use cellrel_types::{
         Apn, BsId, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat,
         SignalLevel, SimDuration, SimTime,
@@ -332,18 +325,17 @@ mod tests {
         }
         // A group count lying past the input is rejected before allocating.
         let mut lie = Vec::new();
-        for v in [0u64, 0, 0, 8] {
-            cellrel_ingest::codec::write_varint(&mut lie, v);
+        for v in [0u64, 0, 0, 8, u64::MAX] {
+            write_varint(&mut lie, v);
         }
-        cellrel_ingest::codec::write_varint(&mut lie, u64::MAX);
-        assert!(matches!(
-            decode_partial(&lie),
-            Err(PersistError::Malformed(_))
-        ));
+        assert_eq!(decode_partial(&lie), Err(PARTIAL.invalid("group count")));
         // Trailing garbage after a valid image is rejected.
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert_eq!(decode_partial(&trailing), Err(PersistError::TrailingBytes));
+        assert_eq!(
+            decode_partial(&trailing),
+            Err(PARTIAL.error(FrameErrorKind::TrailingBytes))
+        );
     }
 
     #[test]
@@ -360,10 +352,10 @@ mod tests {
             cells_matched: 2,
         };
         let bytes = encode_partial(&p);
-        assert!(matches!(
+        assert_eq!(
             decode_partial(&bytes),
-            Err(PersistError::Malformed("group keys not ascending"))
-        ));
+            Err(PARTIAL.invalid("group keys not ascending"))
+        );
         // The merge itself is still total on such input.
         let _ = merge_partials(&q, &[p]);
     }

@@ -57,11 +57,11 @@ pub mod persist;
 pub mod query;
 pub mod workload;
 
-pub use columnar::{ColumnSegment, Zones, SEGMENT_MAGIC, SEGMENT_VERSION};
+pub use columnar::{ColumnSegment, Zones, SEGMENT_VERSION};
 pub use cube::{
     build_sharded, Cell, CellKey, DeviceDim, DeviceDirectory, DeviceRec, Region, Store,
     StoreConfig, StoreSink, NO_CAUSE_CLASS, NO_ISP,
 };
 pub use federate::{decode_partial, encode_partial, merge_partials, PartialResultSet};
-pub use persist::{restore_store, save_store, PersistError};
+pub use persist::{restore_store, save_store};
 pub use query::{Dim, Filter, Metric, Query, QueryError, ResultRow, ResultSet};

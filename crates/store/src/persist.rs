@@ -3,18 +3,16 @@
 //! delta-coded sketches, and a CRC-32 trailer over everything.
 //!
 //! Restore is **total**: truncated, corrupted, or adversarial bytes return
-//! a typed [`PersistError`], never panic, and never allocate proportionally
+//! a typed [`FrameError`], never panic, and never allocate proportionally
 //! to a length claim that exceeds the input. A successful restore
 //! reproduces the saved store exactly (`==`, same digest, same query
 //! answers) — asserted by the round-trip and property tests.
 
 use crate::columnar::ColumnSegment;
 use crate::cube::{Cell, CellKey, DeviceRec, Store, StoreConfig};
-use cellrel_ingest::codec::{crc32, read_varint, write_varint};
+use cellrel_ingest::frame::{seal, write_varint, FrameError, Reader, CS};
 use cellrel_sim::SparseSketch;
 
-/// Leading magic of a store image.
-pub const STORE_MAGIC: [u8; 2] = *b"CS";
 /// Row-only format version. Stores with no sealed segments save exactly
 /// as they always have — byte-identical v1 images — so old readers and
 /// golden snapshots of row-only stores are untouched.
@@ -24,50 +22,6 @@ pub const STORE_VERSION: u8 = 1;
 /// [`crate::columnar`]) between its cells and its device table. Emitted
 /// only when at least one partition holds a sealed segment.
 pub const STORE_VERSION_COLUMNAR: u8 = 2;
-
-/// Why a store image failed to restore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PersistError {
-    /// Too short to hold magic, version and trailer.
-    TooShort,
-    /// Magic mismatch.
-    BadMagic,
-    /// Unsupported version byte.
-    BadVersion(u8),
-    /// CRC-32 trailer mismatch (bit rot / truncation).
-    BadCrc,
-    /// A varint ran past the end of the image.
-    Varint,
-    /// Structurally invalid image (reason attached).
-    Malformed(&'static str),
-    /// Valid image followed by unconsumed bytes.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for PersistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PersistError::TooShort => write!(f, "image too short"),
-            PersistError::BadMagic => write!(f, "bad magic"),
-            PersistError::BadVersion(v) => write!(f, "unsupported store format version {v}"),
-            PersistError::BadCrc => write!(f, "CRC mismatch"),
-            PersistError::Varint => write!(f, "truncated varint"),
-            PersistError::Malformed(why) => write!(f, "malformed image: {why}"),
-            PersistError::TrailingBytes => write!(f, "trailing bytes after image"),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {}
-
-pub(crate) fn rv(bytes: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
-    read_varint(bytes, pos).map_err(|_| PersistError::Varint)
-}
-
-fn rv_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, PersistError> {
-    let v = rv(bytes, pos)?;
-    u8::try_from(v).map_err(|_| PersistError::Malformed("field exceeds u8"))
-}
 
 pub(crate) fn write_sketch(out: &mut Vec<u8>, s: &SparseSketch) {
     write_varint(out, s.min().unwrap_or(0));
@@ -84,44 +38,37 @@ pub(crate) fn write_sketch(out: &mut Vec<u8>, s: &SparseSketch) {
     }
 }
 
-pub(crate) fn read_sketch(bytes: &[u8], pos: &mut usize) -> Result<SparseSketch, PersistError> {
-    let min = rv(bytes, pos)?;
-    let max = rv(bytes, pos)?;
-    let nnz = rv(bytes, pos)? as usize;
-    // Each pair costs at least two bytes; a claim beyond that is hostile.
-    if nnz > bytes.len().saturating_sub(*pos) / 2 + 1 {
-        return Err(PersistError::Malformed("sketch length exceeds input"));
-    }
+pub(crate) fn read_sketch(r: &mut Reader<'_>) -> Result<SparseSketch, FrameError> {
+    let min = r.varint()?;
+    let max = r.varint()?;
+    // Each pair costs at least two bytes.
+    let nnz = r.count("sketch length", 2)?;
     let mut pairs = Vec::with_capacity(nnz);
     let mut idx = 0usize;
     for n in 0..nnz {
-        let delta = rv(bytes, pos)? as usize;
+        let delta: usize = r.narrow("sketch index")?;
         if n > 0 && delta == 0 {
-            return Err(PersistError::Malformed("zero sketch index delta"));
+            return Err(r.invalid("zero sketch index delta"));
         }
-        idx = if n == 0 {
-            delta
-        } else {
-            idx.checked_add(delta)
-                .ok_or(PersistError::Malformed("sketch index overflow"))?
-        };
-        let count = rv(bytes, pos)?;
+        idx = idx
+            .checked_add(delta)
+            .ok_or(r.invalid("sketch index overflow"))?;
+        let count = r.varint()?;
         pairs.push((idx, count));
     }
-    SparseSketch::from_parts(min, max, pairs)
-        .ok_or(PersistError::Malformed("invalid sketch buckets"))
+    SparseSketch::from_parts(min, max, pairs).ok_or(r.invalid("invalid sketch buckets"))
 }
 
 /// Serialize the full store state.
 pub fn save_store(store: &Store) -> Vec<u8> {
     let columnar = store.partitions.iter().any(|p| !p.segments.is_empty());
     let mut out = Vec::new();
-    out.extend_from_slice(&STORE_MAGIC);
-    out.push(if columnar {
+    let version = if columnar {
         STORE_VERSION_COLUMNAR
     } else {
         STORE_VERSION
-    });
+    };
+    let start = CS.begin(&mut out, version);
     let cfg = store.config();
     write_varint(&mut out, cfg.bucket_ms);
     write_varint(&mut out, u64::from(cfg.rollup_buckets));
@@ -169,38 +116,23 @@ pub fn save_store(store: &Store) -> Vec<u8> {
             write_varint(&mut out, rec.failures);
         }
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    seal(&mut out, start);
     out
 }
 
-/// Restore a store image. Total: every failure mode is a [`PersistError`].
-pub fn restore_store(bytes: &[u8]) -> Result<Store, PersistError> {
-    if bytes.len() < STORE_MAGIC.len() + 1 + 4 {
-        return Err(PersistError::TooShort);
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
-    if crc32(body) != stored_crc {
-        return Err(PersistError::BadCrc);
-    }
-    if body[..2] != STORE_MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = body[2];
-    if version != STORE_VERSION && version != STORE_VERSION_COLUMNAR {
-        return Err(PersistError::BadVersion(version));
-    }
-    let mut pos = 3usize;
-    let bucket_ms = rv(body, &mut pos)?;
-    let rollup = rv(body, &mut pos)?;
-    let nparts = rv(body, &mut pos)? as usize;
-    let auto_compact_every = rv(body, &mut pos)?;
+/// Restore a store image. Total: every failure mode is a [`FrameError`].
+pub fn restore_store(bytes: &[u8]) -> Result<Store, FrameError> {
+    let mut r = CS.open(bytes)?;
+    let bucket_ms = r.varint()?;
+    let rollup = r.varint()?;
+    // Each partition costs ≥ 6 bytes (four counters, two counts).
+    let nparts = r.count("partition count", 6)?;
+    let auto_compact_every = r.varint()?;
     if bucket_ms == 0 || rollup == 0 || rollup > u64::from(u32::MAX) {
-        return Err(PersistError::Malformed("invalid bucket geometry"));
+        return Err(r.invalid("invalid bucket geometry"));
     }
-    if nparts == 0 || nparts > body.len() {
-        return Err(PersistError::Malformed("partition count exceeds input"));
+    if nparts == 0 {
+        return Err(r.invalid("partition count"));
     }
     let cfg = StoreConfig {
         bucket_ms,
@@ -210,40 +142,34 @@ pub fn restore_store(bytes: &[u8]) -> Result<Store, PersistError> {
     };
     let mut store = Store::new(&cfg);
     for p in store.partitions.iter_mut() {
-        p.inserted = rv(body, &mut pos)?;
-        p.compactions = rv(body, &mut pos)?;
-        p.cells_folded = rv(body, &mut pos)?;
-        p.since_compact = rv(body, &mut pos)?;
-        let ncells = rv(body, &mut pos)? as usize;
-        if ncells > body.len().saturating_sub(pos) {
-            return Err(PersistError::Malformed("cell count exceeds input"));
-        }
+        p.inserted = r.varint()?;
+        p.compactions = r.varint()?;
+        p.cells_folded = r.varint()?;
+        p.since_compact = r.varint()?;
+        // Eight key fields, three aggregates, a three-field sketch header.
+        let ncells = r.count("cell count", 14)?;
         let mut prev_key: Option<CellKey> = None;
         for _ in 0..ncells {
-            let bucket = rv(body, &mut pos)?;
-            if bucket > u64::from(u32::MAX) {
-                return Err(PersistError::Malformed("bucket exceeds u32"));
-            }
             let key = CellKey {
-                bucket: bucket as u32,
-                kind: rv_u8(body, &mut pos)?,
-                isp: rv_u8(body, &mut pos)?,
-                rat: rv_u8(body, &mut pos)?,
-                model: rv_u8(body, &mut pos)?,
-                region: rv_u8(body, &mut pos)?,
-                cause_class: rv_u8(body, &mut pos)?,
-                cause: rv(body, &mut pos)?,
+                bucket: r.narrow("bucket exceeds u32")?,
+                kind: r.narrow("field exceeds u8")?,
+                isp: r.narrow("field exceeds u8")?,
+                rat: r.narrow("field exceeds u8")?,
+                model: r.narrow("field exceeds u8")?,
+                region: r.narrow("field exceeds u8")?,
+                cause_class: r.narrow("field exceeds u8")?,
+                cause: r.varint()?,
             };
             if prev_key.is_some_and(|pk| key <= pk) {
-                return Err(PersistError::Malformed("cells out of order"));
+                return Err(r.invalid("cells out of order"));
             }
             prev_key = Some(key);
-            let count = rv(body, &mut pos)?;
-            let duration_ms_total = rv(body, &mut pos)?;
-            let under_30s = rv(body, &mut pos)?;
-            let sketch = read_sketch(body, &mut pos)?;
+            let count = r.varint()?;
+            let duration_ms_total = r.varint()?;
+            let under_30s = r.varint()?;
+            let sketch = read_sketch(&mut r)?;
             if sketch.count() != count || under_30s > count {
-                return Err(PersistError::Malformed("cell/sketch count mismatch"));
+                return Err(r.invalid("cell/sketch count mismatch"));
             }
             p.cells.insert(
                 key,
@@ -255,48 +181,34 @@ pub fn restore_store(bytes: &[u8]) -> Result<Store, PersistError> {
                 },
             );
         }
-        if version == STORE_VERSION_COLUMNAR {
-            let nsegs = rv(body, &mut pos)? as usize;
-            // A segment costs at least a header + CRC; cap the claim.
-            if nsegs > body.len().saturating_sub(pos) / 8 + 1 {
-                return Err(PersistError::Malformed("segment count exceeds input"));
-            }
+        if r.version() == STORE_VERSION_COLUMNAR {
+            // A segment costs at least a header + CRC.
+            let nsegs = r.count("segment count", 8)?;
             for _ in 0..nsegs {
-                p.segments.push(ColumnSegment::decode(body, &mut pos)?);
+                p.segments.push(ColumnSegment::decode(&mut r)?);
             }
         }
-        let ndevices = rv(body, &mut pos)? as usize;
-        if ndevices > body.len().saturating_sub(pos) {
-            return Err(PersistError::Malformed("device count exceeds input"));
-        }
+        // Id, model, region, isp, failures.
+        let ndevices = r.count("device count", 5)?;
         let mut prev_id: Option<u32> = None;
         for _ in 0..ndevices {
-            let v = rv(body, &mut pos)?;
+            let v: u32 = r.narrow("device id")?;
             let id = match prev_id {
-                None => u32::try_from(v).map_err(|_| PersistError::Malformed("device id"))?,
-                Some(last) => {
-                    if v == 0 {
-                        return Err(PersistError::Malformed("zero device id delta"));
-                    }
-                    last.checked_add(
-                        u32::try_from(v).map_err(|_| PersistError::Malformed("device id"))?,
-                    )
-                    .ok_or(PersistError::Malformed("device id overflow"))?
-                }
+                None => v,
+                Some(_) if v == 0 => return Err(r.invalid("zero device id delta")),
+                Some(last) => last.checked_add(v).ok_or(r.invalid("device id overflow"))?,
             };
             prev_id = Some(id);
             let rec = DeviceRec {
-                model: rv_u8(body, &mut pos)?,
-                region: rv_u8(body, &mut pos)?,
-                isp: rv_u8(body, &mut pos)?,
-                failures: rv(body, &mut pos)?,
+                model: r.narrow("field exceeds u8")?,
+                region: r.narrow("field exceeds u8")?,
+                isp: r.narrow("field exceeds u8")?,
+                failures: r.varint()?,
             };
             p.devices.insert(id, rec);
         }
     }
-    if pos != body.len() {
-        return Err(PersistError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(store)
 }
 
@@ -304,6 +216,7 @@ pub fn restore_store(bytes: &[u8]) -> Result<Store, PersistError> {
 mod tests {
     use super::*;
     use crate::cube::{build_sharded, DeviceDirectory};
+    use cellrel_ingest::FrameErrorKind;
     use cellrel_types::{
         Apn, BsId, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat,
         SignalLevel, SimDuration, SimTime,
@@ -394,7 +307,7 @@ mod tests {
     #[test]
     fn truncation_and_corruption_are_typed_errors() {
         let bytes = save_store(&fixture());
-        assert_eq!(restore_store(&[]), Err(PersistError::TooShort));
+        assert_eq!(restore_store(&[]), Err(CS.error(FrameErrorKind::Truncated)));
         for cut in [1, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 restore_store(&bytes[..cut]).is_err(),
@@ -414,17 +327,15 @@ mod tests {
     #[test]
     fn version_and_magic_are_checked() {
         let mut bytes = save_store(&Store::new(&StoreConfig::default()));
-        // Bump the version byte and re-seal the CRC so only the version
-        // check can object.
         bytes[2] = 9;
-        let n = bytes.len();
-        let crc = crc32(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(restore_store(&bytes), Err(PersistError::BadVersion(9)));
+        assert_eq!(
+            restore_store(&bytes),
+            Err(CS.error(FrameErrorKind::UnsupportedVersion(9)))
+        );
         bytes[0] = b'X';
-        bytes[2] = STORE_VERSION;
-        let crc = crc32(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(restore_store(&bytes), Err(PersistError::BadMagic));
+        assert_eq!(
+            restore_store(&bytes),
+            Err(CS.error(FrameErrorKind::BadMagic { found: *b"XS" }))
+        );
     }
 }

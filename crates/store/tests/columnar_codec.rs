@@ -1,10 +1,11 @@
 //! Property tests for the columnar `SC` segment codec: encode/decode is
 //! an exact round trip on arbitrary segments, and decoding is **total** —
-//! truncations, bit flips, and garbage return a typed [`PersistError`],
+//! truncations, bit flips, and garbage return a typed [`FrameError`],
 //! never panic, and never allocate proportionally to a hostile length
 //! claim. Same discipline as the store-image and checkpoint codecs.
 
-use cellrel_store::{ColumnSegment, PersistError, SEGMENT_MAGIC};
+use cellrel_ingest::frame::{FrameError, FrameErrorKind, Reader, SC};
+use cellrel_store::ColumnSegment;
 use cellrel_types::{
     Apn, BsId, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat,
     SignalLevel, SimDuration, SimTime,
@@ -60,12 +61,17 @@ fn segment_from(parts: &[EventParts]) -> Option<ColumnSegment> {
         s.record(&e, dir.dim_of(e.device));
     }
     s.seal_columnar();
-    let blocks = s.segment_blocks();
-    let mut pos = 0usize;
-    let seg = blocks
+    s.segment_blocks()
         .first()
-        .map(|b| ColumnSegment::decode(b, &mut pos).expect("sealed segment decodes"));
-    seg
+        .map(|b| decode(b).expect("sealed segment decodes"))
+}
+
+/// Decode exactly one block: trailing bytes are an error.
+fn decode(bytes: &[u8]) -> Result<ColumnSegment, FrameError> {
+    let mut r = Reader::bare(&SC, bytes);
+    let seg = ColumnSegment::decode(&mut r)?;
+    r.finish()?;
+    Ok(seg)
 }
 
 fn encode(seg: &ColumnSegment) -> Vec<u8> {
@@ -81,9 +87,7 @@ proptest! {
     ) {
         let seg = segment_from(&parts).expect("non-empty segment");
         let bytes = encode(&seg);
-        let mut pos = 0usize;
-        let back = ColumnSegment::decode(&bytes, &mut pos).expect("round trip");
-        prop_assert_eq!(pos, bytes.len());
+        let back = decode(&bytes).expect("round trip");
         prop_assert_eq!(&back, &seg);
         // Re-encoding the decoded segment is byte-stable.
         prop_assert_eq!(encode(&back), bytes);
@@ -99,8 +103,7 @@ proptest! {
         let seg = segment_from(&parts).expect("non-empty segment");
         let bytes = encode(&seg);
         let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-        let mut pos = 0usize;
-        prop_assert!(ColumnSegment::decode(&bytes[..cut], &mut pos).is_err());
+        prop_assert!(decode(&bytes[..cut]).is_err());
     }
 
     /// Every single-bit flip fails: the CRC trailer seals the whole block,
@@ -115,8 +118,7 @@ proptest! {
         let mut bytes = encode(&seg);
         let i = ((bytes.len() - 1) as f64 * frac) as usize;
         bytes[i] ^= 1 << bit;
-        let mut pos = 0usize;
-        prop_assert!(ColumnSegment::decode(&bytes, &mut pos).is_err());
+        prop_assert!(decode(&bytes).is_err());
     }
 
     /// Arbitrary garbage — magic-prefixed or not — decodes to a typed
@@ -127,23 +129,17 @@ proptest! {
         with_magic in any::<bool>(),
     ) {
         if with_magic && junk.len() >= 2 {
-            junk[0] = SEGMENT_MAGIC[0];
-            junk[1] = SEGMENT_MAGIC[1];
+            junk[..2].copy_from_slice(&SC.magic);
         }
-        let mut pos = 0usize;
         // Never a valid CRC-sealed block by construction odds; if the
         // 1-in-2^32 lottery ever hits, the decoded segment must still be
         // internally consistent (decode re-validates keys, sketches and
         // zones), so only assert no panic on the error path.
-        let _ = ColumnSegment::decode(&junk, &mut pos);
+        let _ = decode(&junk);
     }
 }
 
 #[test]
 fn empty_input_is_too_short() {
-    let mut pos = 0usize;
-    assert!(matches!(
-        ColumnSegment::decode(&[], &mut pos),
-        Err(PersistError::TooShort | PersistError::Varint | PersistError::Malformed(_))
-    ));
+    assert_eq!(decode(&[]), Err(SC.error(FrameErrorKind::Truncated)));
 }

@@ -94,7 +94,7 @@ fn run_to_end(
     p.flush(&mut segs)?;
     let (t1, t2) = p
         .tables(10)
-        .map_err(|_| StreamError::Malformed("table query"))?;
+        .map_err(|_| StreamError::Config("table query"))?;
     Ok(Baseline {
         digest: p.digest(),
         collector_digest: p.collector_digest(),
@@ -187,7 +187,7 @@ fn one_kill(
 
     let (t1, t2) = r
         .tables(10)
-        .map_err(|_| StreamError::Malformed("table query"))?;
+        .map_err(|_| StreamError::Config("table query"))?;
     let mut replay_counters = *r.counters();
     replay_counters.restores = 0;
     let mut detail = String::new();

@@ -19,20 +19,17 @@
 //! The checkpoint carries everything except sealed segment *contents* —
 //! those reload from the [`SegmentStore`](crate::SegmentStore) backend and
 //! are cross-checked against the manifest. Restore is total: truncated,
-//! bit-flipped, or garbage bytes yield a typed [`StreamError`].
+//! bit-flipped, or garbage bytes yield a [`StreamError::Frame`].
 
-use crate::error::{check_crc, narrow, read_varint, take};
 use crate::pipeline::{StreamConfig, StreamCounters, StreamPipeline};
 use crate::segment::{decode_manifest, decode_segment, encode_manifest, SegmentStore};
 use crate::StreamError;
-use cellrel_ingest::codec::{crc32, write_varint};
+use cellrel_ingest::frame::{seal, write_varint, SP};
 use cellrel_ingest::{restore_checkpoint, save_checkpoint, CollectorConfig};
 use cellrel_store::{restore_store, save_store, DeviceDirectory, Store, StoreConfig};
 use cellrel_types::SimDuration;
 use std::collections::BTreeMap;
 
-/// Magic bytes opening a pipeline checkpoint.
-pub const CKPT_STREAM_MAGIC: [u8; 2] = *b"SP";
 /// Current pipeline checkpoint schema version.
 pub const CKPT_STREAM_VERSION: u8 = 1;
 
@@ -42,8 +39,7 @@ impl<'d> StreamPipeline<'d> {
     /// behaviour-neutral.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1024);
-        out.extend_from_slice(&CKPT_STREAM_MAGIC);
-        out.push(CKPT_STREAM_VERSION);
+        let start = SP.begin(&mut out, CKPT_STREAM_VERSION);
         write_varint(&mut out, self.cfg.window_ms);
         write_varint(&mut out, self.cfg.lateness_ms);
         write_varint(&mut out, self.cfg.hot_windows as u64);
@@ -74,8 +70,7 @@ impl<'d> StreamPipeline<'d> {
         let img = save_store(&self.late);
         write_varint(&mut out, img.len() as u64);
         out.extend_from_slice(&img);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        seal(&mut out, start);
         out
     }
 
@@ -90,25 +85,18 @@ impl<'d> StreamPipeline<'d> {
         dir: &'d DeviceDirectory,
         segs: &dyn SegmentStore,
     ) -> Result<Self, StreamError> {
-        let payload = check_crc(bytes, CKPT_STREAM_MAGIC.len() + 1)?;
-        if payload[..2] != CKPT_STREAM_MAGIC {
-            return Err(StreamError::BadMagic);
-        }
-        if payload[2] != CKPT_STREAM_VERSION {
-            return Err(StreamError::BadVersion(payload[2]));
-        }
-        let mut pos = 3usize;
-        let window_ms = read_varint(payload, &mut pos)?;
-        let lateness_ms = read_varint(payload, &mut pos)?;
-        let hot_windows: usize = narrow(read_varint(payload, &mut pos)?, "hot_windows")?;
-        let late_flush = read_varint(payload, &mut pos)?;
-        let virtual_shards: usize = narrow(read_varint(payload, &mut pos)?, "virtual_shards")?;
-        let collector_lateness = read_varint(payload, &mut pos)?;
+        let mut r = SP.open(bytes)?;
+        let window_ms = r.varint()?;
+        let lateness_ms = r.varint()?;
+        let hot_windows = r.narrow("hot_windows")?;
+        let late_flush = r.varint()?;
+        let virtual_shards = r.narrow("virtual_shards")?;
+        let collector_lateness = r.varint()?;
         let store = StoreConfig {
-            bucket_ms: read_varint(payload, &mut pos)?,
-            rollup_buckets: narrow(read_varint(payload, &mut pos)?, "rollup_buckets")?,
-            partitions: narrow(read_varint(payload, &mut pos)?, "partitions")?,
-            auto_compact_every: read_varint(payload, &mut pos)?,
+            bucket_ms: r.varint()?,
+            rollup_buckets: r.narrow("rollup_buckets")?,
+            partitions: r.narrow("partitions")?,
+            auto_compact_every: r.varint()?,
         };
         let cfg = StreamConfig {
             window_ms,
@@ -123,46 +111,39 @@ impl<'d> StreamPipeline<'d> {
             store,
         };
         cfg.validate()?;
-        let cursor = read_varint(payload, &mut pos)?;
-        let sealed_before = read_varint(payload, &mut pos)?;
-        let late_seq = read_varint(payload, &mut pos)?;
+        let cursor = r.varint()?;
+        let sealed_before = r.varint()?;
+        let late_seq = r.varint()?;
         let mut cfields = [0u64; 9];
         for c in cfields.iter_mut() {
-            *c = read_varint(payload, &mut pos)?;
+            *c = r.varint()?;
         }
         let counters = counters_from_fields(cfields);
 
-        let ck_len: usize = narrow(read_varint(payload, &mut pos)?, "collector length")?;
-        let collector = restore_checkpoint(take(payload, &mut pos, ck_len)?)?;
-        let manifest = decode_manifest(payload, &mut pos)?;
+        let collector = restore_checkpoint(r.blob("collector length")?)?;
+        let manifest = decode_manifest(&mut r)?;
 
-        let npending: usize = narrow(read_varint(payload, &mut pos)?, "pending count")?;
-        if npending > payload.len().saturating_sub(pos) / 2 + 1 {
-            return Err(StreamError::Malformed("pending count"));
-        }
+        // Each pending window costs at least an index and an image length.
+        let npending = r.count("pending count", 2)?;
         let mut pending = BTreeMap::new();
         let mut prev: Option<u64> = None;
         for _ in 0..npending {
-            let w = read_varint(payload, &mut pos)?;
+            let w = r.varint()?;
             if w < sealed_before || prev.is_some_and(|p| w <= p) {
-                return Err(StreamError::Malformed("pending window order"));
+                return Err(r.invalid("pending window order").into());
             }
             prev = Some(w);
-            let len: usize = narrow(read_varint(payload, &mut pos)?, "pending image length")?;
-            let delta = restore_store(take(payload, &mut pos, len)?)?;
+            let delta = restore_store(r.blob("pending image length")?)?;
             if *delta.config() != cfg.store {
-                return Err(StreamError::Malformed("pending window store config"));
+                return Err(r.invalid("pending window store config").into());
             }
             pending.insert(w, delta);
         }
-        let late_len: usize = narrow(read_varint(payload, &mut pos)?, "late image length")?;
-        let late = restore_store(take(payload, &mut pos, late_len)?)?;
+        let late = restore_store(r.blob("late image length")?)?;
         if *late.config() != cfg.store {
-            return Err(StreamError::Malformed("late lane store config"));
+            return Err(r.invalid("late lane store config").into());
         }
-        if pos != payload.len() {
-            return Err(StreamError::TrailingBytes);
-        }
+        r.finish()?;
 
         let mut p = StreamPipeline {
             cfg,

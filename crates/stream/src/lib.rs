@@ -41,12 +41,12 @@ pub mod source;
 mod error;
 
 pub use campaign::{run_kill_restart, KillOutcome, KillRestartConfig, KillRestartReport};
-pub use checkpoint::{CKPT_STREAM_MAGIC, CKPT_STREAM_VERSION};
+pub use checkpoint::CKPT_STREAM_VERSION;
 pub use error::StreamError;
 pub use pipeline::{StreamConfig, StreamCounters, StreamPipeline};
 pub use publish::run_published;
 pub use segment::{
     decode_manifest, decode_segment, encode_manifest, encode_segment, DirSegments, MemSegments,
-    SegmentEntry, SegmentKind, SegmentStore, SEG_MAGIC, SEG_VERSION,
+    SegmentEntry, SegmentKind, SegmentStore, SEG_VERSION,
 };
 pub use source::batches_from_events;

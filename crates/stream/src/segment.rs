@@ -14,14 +14,11 @@
 //! against the manifest (kind, index, watermark, record count, digest) —
 //! a missing or tampered segment is a typed error, not a wrong answer.
 
-use crate::error::{check_crc, narrow, read_varint, take};
 use crate::StreamError;
-use cellrel_ingest::codec::{crc32, write_varint};
+use cellrel_ingest::frame::{seal, write_varint, FrameError, Reader, SG};
 use cellrel_store::{restore_store, save_store, Store};
 use std::collections::BTreeMap;
 
-/// Magic bytes opening every segment frame.
-pub const SEG_MAGIC: [u8; 2] = *b"SG";
 /// Current segment frame schema version.
 pub const SEG_VERSION: u8 = 1;
 
@@ -42,11 +39,11 @@ impl SegmentKind {
         }
     }
 
-    fn from_u8(v: u8) -> Result<Self, StreamError> {
-        match v {
+    fn read(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match r.u8()? {
             0 => Ok(SegmentKind::Window),
             1 => Ok(SegmentKind::Late),
-            _ => Err(StreamError::Malformed("segment kind")),
+            _ => Err(r.invalid("segment kind")),
         }
     }
 }
@@ -84,8 +81,7 @@ impl SegmentEntry {
 pub fn encode_segment(entry: &SegmentEntry, store: &Store) -> Vec<u8> {
     let image = save_store(store);
     let mut out = Vec::with_capacity(image.len() + 32);
-    out.extend_from_slice(&SEG_MAGIC);
-    out.push(SEG_VERSION);
+    let start = SG.begin(&mut out, SEG_VERSION);
     out.push(entry.kind.as_u8());
     write_varint(&mut out, entry.index);
     write_varint(&mut out, entry.watermark_ms);
@@ -93,37 +89,25 @@ pub fn encode_segment(entry: &SegmentEntry, store: &Store) -> Vec<u8> {
     write_varint(&mut out, entry.digest);
     write_varint(&mut out, image.len() as u64);
     out.extend_from_slice(&image);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    seal(&mut out, start);
     out
 }
 
 /// Decode a segment frame back into its header and delta. Total: hostile
-/// bytes yield a typed [`StreamError`]. The returned entry's `bytes` field
+/// bytes yield a typed [`FrameError`]. The returned entry's `bytes` field
 /// is the frame length.
-pub fn decode_segment(bytes: &[u8]) -> Result<(SegmentEntry, Store), StreamError> {
-    let payload = check_crc(bytes, SEG_MAGIC.len() + 2)?;
-    if payload[..2] != SEG_MAGIC {
-        return Err(StreamError::BadMagic);
-    }
-    if payload[2] != SEG_VERSION {
-        return Err(StreamError::BadVersion(payload[2]));
-    }
-    let mut pos = 3usize;
-    let kind = SegmentKind::from_u8(*payload.get(pos).ok_or(StreamError::Truncated)?)?;
-    pos += 1;
-    let index = read_varint(payload, &mut pos)?;
-    let watermark_ms = read_varint(payload, &mut pos)?;
-    let records = read_varint(payload, &mut pos)?;
-    let digest = read_varint(payload, &mut pos)?;
-    let image_len: usize = narrow(read_varint(payload, &mut pos)?, "segment image length")?;
-    let image = take(payload, &mut pos, image_len)?;
-    if pos != payload.len() {
-        return Err(StreamError::TrailingBytes);
-    }
+pub fn decode_segment(bytes: &[u8]) -> Result<(SegmentEntry, Store), FrameError> {
+    let mut r = SG.open(bytes)?;
+    let kind = SegmentKind::read(&mut r)?;
+    let index = r.varint()?;
+    let watermark_ms = r.varint()?;
+    let records = r.varint()?;
+    let digest = r.varint()?;
+    let image = r.blob("segment image length")?;
+    r.finish()?;
     let store = restore_store(image)?;
     if store.inserted() != records || store.digest() != digest {
-        return Err(StreamError::Malformed("segment header/image disagreement"));
+        return Err(SG.invalid("segment header/image disagreement"));
     }
     let entry = SegmentEntry {
         kind,
@@ -152,23 +136,18 @@ pub fn encode_manifest(entries: &[SegmentEntry], out: &mut Vec<u8>) {
 
 /// Inverse of [`encode_manifest`]. Total; bounds entry count by the bytes
 /// actually present so a lying length cannot balloon the allocation.
-pub fn decode_manifest(bytes: &[u8], pos: &mut usize) -> Result<Vec<SegmentEntry>, StreamError> {
-    let n: usize = narrow(read_varint(bytes, pos)?, "manifest length")?;
+pub fn decode_manifest(r: &mut Reader<'_>) -> Result<Vec<SegmentEntry>, FrameError> {
     // Each entry takes at least 6 bytes (kind + five 1-byte varints).
-    if n > bytes.len().saturating_sub(*pos) / 6 + 1 {
-        return Err(StreamError::Malformed("manifest length"));
-    }
+    let n = r.count("manifest length", 6)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let kind = SegmentKind::from_u8(*bytes.get(*pos).ok_or(StreamError::Truncated)?)?;
-        *pos += 1;
         entries.push(SegmentEntry {
-            kind,
-            index: read_varint(bytes, pos)?,
-            watermark_ms: read_varint(bytes, pos)?,
-            records: read_varint(bytes, pos)?,
-            digest: read_varint(bytes, pos)?,
-            bytes: read_varint(bytes, pos)?,
+            kind: SegmentKind::read(r)?,
+            index: r.varint()?,
+            watermark_ms: r.varint()?,
+            records: r.varint()?,
+            digest: r.varint()?,
+            bytes: r.varint()?,
         });
     }
     Ok(entries)

@@ -4,6 +4,7 @@
 //! bit-flipped, or garbage input onto a typed [`StreamError`] — never a
 //! panic (mirror of `crates/ingest/tests/properties.rs`).
 
+use cellrel_ingest::frame::{Reader, SP};
 use cellrel_ingest::{encode_batch, CollectorConfig};
 use cellrel_store::{DeviceDirectory, StoreConfig};
 use cellrel_stream::{
@@ -210,7 +211,6 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..256),
     ) {
         let _ = decode_segment(&bytes);
-        let mut pos = 0;
-        let _ = decode_manifest(&bytes, &mut pos);
+        let _ = decode_manifest(&mut Reader::bare(&SP, &bytes));
     }
 }

@@ -1,0 +1,521 @@
+//! One hostile-input harness for every framed format in the workspace.
+//!
+//! [`check`] is a single generic routine; the table at the bottom
+//! instantiates it for `CB`, `CK`, `CS`, `SC`, `SG`, `SP`, `CQ` request,
+//! `CQ` response, `CR` and the bare partial-aggregate form. For each sample
+//! it proves:
+//!
+//! * the round trip is canonical — `decode(encode(v)) == v` and re-encoding
+//!   the decoded value reproduces the bytes;
+//! * every strict prefix is an error;
+//! * every single-bit flip is an error (for the un-CRC'd partial form: a
+//!   typed result, never a panic);
+//! * a CRC-valid frame whose first count/length field claims `u64::MAX` is
+//!   rejected, and no decode of hostile input allocates out of proportion
+//!   to the input;
+//! * random bytes — raw, and wrapped in a valid envelope so the field
+//!   grammar sees them — never panic.
+//!
+//! Round-trip properties over *arbitrary* values, and the properties about
+//! server state not advancing on hostile frames, stay with each crate.
+
+use cellrel::cluster::{decode_frame, encode_frame, Message};
+use cellrel::ingest::frame::{
+    self, seal, write_varint, Family, Reader, CB, CK, CQ, CR, CS, SC, SG, SP,
+};
+use cellrel::ingest::{
+    decode_batch, encode_batch, peek_device, restore_checkpoint, save_checkpoint, Collector,
+    CollectorConfig,
+};
+use cellrel::queryd::proto::{
+    decode_request, decode_response, encode_request, encode_response, Request, Response,
+    ServerStats, WireError,
+};
+use cellrel::store::workload::canonical;
+use cellrel::store::{
+    decode_partial, encode_partial, restore_store, save_store, ColumnSegment, DeviceDirectory, Dim,
+    Query, Store, StoreConfig,
+};
+use cellrel::stream::{
+    decode_segment, encode_segment, MemSegments, SegmentEntry, SegmentKind, StreamConfig,
+    StreamPipeline,
+};
+use cellrel::types::{
+    Apn, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat, SignalLevel,
+    SimDuration, SimTime,
+};
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fmt::Debug;
+
+// ---------------------------------------------------------------------------
+// Allocation accounting: the largest single request each thread has made.
+// ---------------------------------------------------------------------------
+
+struct Watermark;
+
+thread_local! {
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local integer store
+// that neither allocates nor unwinds (`try_with` covers thread teardown).
+unsafe impl GlobalAlloc for Watermark {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(layout.size())));
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(new_size)));
+        // SAFETY: as for `alloc` and `dealloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Watermark = Watermark;
+
+/// Run `f` and return the largest single allocation it requested.
+fn largest_alloc_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LARGEST_ALLOC.with(|m| m.set(0));
+    let r = f();
+    (r, LARGEST_ALLOC.with(Cell::get))
+}
+
+/// Hostile inputs here are under 1 KiB; the worst honest amplification is
+/// a `Vec` of ~400-byte shard states sized by `remaining / 11`.
+const ALLOC_BOUND: usize = 1 << 20;
+
+// ---------------------------------------------------------------------------
+// The generic routine.
+// ---------------------------------------------------------------------------
+
+type Encode<'a, T> = &'a dyn Fn(&T) -> Vec<u8>;
+
+/// What the harness needs to know about one format.
+struct Subject<'a, T, E> {
+    /// `None` for the bare partial form, which has no envelope or CRC.
+    family: Option<&'static Family>,
+    decode: &'a dyn Fn(&[u8]) -> Result<T, E>,
+    /// `None` where decoding is not invertible (`SP` restore counts itself).
+    encode: Option<Encode<'a, T>>,
+    /// Body bytes up to, not including, the first count or length field.
+    lie_prefix: Vec<u8>,
+}
+
+impl<T, E> Subject<'_, T, E> {
+    /// `body` inside a valid envelope (or bare, for the partial form).
+    fn wrap(&self, body: &[u8]) -> Vec<u8> {
+        let Some(family) = self.family else {
+            return body.to_vec();
+        };
+        let mut out = Vec::new();
+        family.begin(&mut out, family.versions[0]);
+        out.extend_from_slice(body);
+        seal(&mut out, 0);
+        out
+    }
+
+    /// Decode hostile bytes: any typed result is fine, a panic or an
+    /// allocation out of proportion to the input is not.
+    fn decode_hostile(&self, bytes: &[u8]) -> Result<Result<T, E>, TestCaseError> {
+        let (result, largest) = largest_alloc_during(|| (self.decode)(bytes));
+        prop_assert!(
+            largest <= ALLOC_BOUND.max(64 * bytes.len()),
+            "{largest}-byte allocation decoding {} hostile bytes",
+            bytes.len()
+        );
+        Ok(result)
+    }
+}
+
+/// splitmix64: the harness's own noise, so one `seed` reproduces a case.
+fn next(seed: &mut u64) -> u64 {
+    *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (*seed ^ (*seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn check<T: PartialEq + Debug, E: Debug>(
+    s: &Subject<'_, T, E>,
+    value: &T,
+    bytes: &[u8],
+    mut seed: u64,
+) -> Result<(), TestCaseError> {
+    // Canonical round trip.
+    let decoded = (s.decode)(bytes);
+    prop_assert!(
+        decoded.as_ref().ok() == Some(value),
+        "decoded {decoded:?}, expected {value:?}"
+    );
+    if let Some(encode) = s.encode {
+        prop_assert_eq!(encode(&decoded.expect("just compared")), bytes);
+    }
+
+    // Every strict prefix fails.
+    for cut in 0..bytes.len() {
+        prop_assert!((s.decode)(&bytes[..cut]).is_err(), "prefix {cut} decoded");
+    }
+
+    // Every single-bit flip fails (all bytes of small frames, the header,
+    // the trailer and a random sample of large ones).
+    let n = bytes.len();
+    let at: Vec<usize> = if n <= 256 {
+        (0..n).collect()
+    } else {
+        let sampled = (0..256).map(|_| next(&mut seed) as usize % n);
+        (0..8).chain(n - 8..n).chain(sampled).collect()
+    };
+    for i in at {
+        for bit in 0..8 {
+            let mut bad = bytes.to_vec();
+            bad[i] ^= 1 << bit;
+            let result = (s.decode)(&bad);
+            prop_assert!(
+                s.family.is_none() || result.is_err(),
+                "flip of byte {i} bit {bit} decoded"
+            );
+        }
+    }
+
+    // A length lie inside a valid envelope is rejected before allocating.
+    let mut lie = s.lie_prefix.clone();
+    write_varint(&mut lie, u64::MAX);
+    lie.extend((0..64).map(|_| next(&mut seed) as u8));
+    prop_assert!(
+        s.decode_hostile(&s.wrap(&lie))?.is_err(),
+        "length lie decoded"
+    );
+
+    // Garbage never panics: raw, then behind a valid envelope.
+    let junk: Vec<u8> = (0..next(&mut seed) % 256)
+        .map(|_| next(&mut seed) as u8)
+        .collect();
+    let _ = s.decode_hostile(&junk)?;
+    let _ = s.decode_hostile(&s.wrap(&junk))?;
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Samples: everything derives from one generated event list.
+// ---------------------------------------------------------------------------
+
+/// (device, start ms, duration ms), (kind, cause code), (rat, isp).
+type EventParts = ((u32, u64, u64), (usize, Option<i32>), (usize, usize));
+
+fn events() -> impl Strategy<Value = Vec<EventParts>> {
+    prop::collection::vec(
+        (
+            (0u32..5, 0u64..40_000, 0u64..1 << 22),
+            (0usize..5, prop::option::of(-20i32..4000)),
+            (0usize..4, 0usize..3),
+        ),
+        1..24,
+    )
+}
+
+fn event(p: &EventParts) -> FailureEvent {
+    let ((device, start, duration), (kind, cause), (rat, isp)) = *p;
+    FailureEvent {
+        device: DeviceId(device),
+        kind: FailureKind::ALL[kind],
+        start: SimTime::from_millis(start),
+        duration: SimDuration::from_millis(duration),
+        cause: cause.map(DataFailCause::from_code),
+        ctx: InSituInfo {
+            rat: Rat::ALL[rat],
+            signal: SignalLevel::L3,
+            apn: Apn::Internet,
+            bs: None,
+            isp: Isp::ALL[isp],
+        },
+    }
+}
+
+/// One encoded batch per device, in device order.
+fn batches(parts: &[EventParts]) -> Vec<Vec<u8>> {
+    (0..5)
+        .map(|d| {
+            let mine: Vec<FailureEvent> = parts
+                .iter()
+                .map(event)
+                .filter(|e| e.device.0 == d)
+                .collect();
+            encode_batch(DeviceId(d), 0, &mine)
+        })
+        .collect()
+}
+
+const STORE_CFG: StoreConfig = StoreConfig {
+    bucket_ms: 1_000,
+    rollup_buckets: 4,
+    partitions: 2,
+    auto_compact_every: 0,
+};
+
+/// A store over the events; `layout` 0 stays row-only (a v1 image), 1
+/// compacts and 2 seals (v2 images with `SC` blocks).
+fn store(parts: &[EventParts], layout: usize) -> Store {
+    let dir = DeviceDirectory::default();
+    let mut s = Store::new(&STORE_CFG);
+    for e in parts.iter().map(event) {
+        s.record(&e, dir.dim_of(e.device));
+    }
+    match layout {
+        0 => {}
+        1 => s.compact(),
+        _ => s.seal_columnar(),
+    }
+    s
+}
+
+fn segment(parts: &[EventParts]) -> (SegmentEntry, Store) {
+    let s = store(parts, 0);
+    let entry = SegmentEntry {
+        kind: SegmentKind::Window,
+        index: 3,
+        watermark_ms: 40_000,
+        records: s.inserted(),
+        digest: s.digest(),
+        bytes: 0,
+    };
+    decode_segment(&encode_segment(&entry, &s)).expect("own segment decodes")
+}
+
+fn stream_cfg() -> StreamConfig {
+    StreamConfig {
+        window_ms: 4_000,
+        lateness_ms: 0,
+        hot_windows: 1,
+        late_flush: 2,
+        collector: CollectorConfig {
+            virtual_shards: 8,
+            ..CollectorConfig::default()
+        },
+        store: STORE_CFG,
+    }
+}
+
+fn varints(values: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &v in values {
+        write_varint(&mut out, v);
+    }
+    out
+}
+
+fn decode_block(bytes: &[u8]) -> Result<ColumnSegment, frame::FrameError> {
+    let mut r = Reader::bare(&SC, bytes);
+    let seg = ColumnSegment::decode(&mut r)?;
+    r.finish()?;
+    Ok(seg)
+}
+
+fn encode_block(seg: &ColumnSegment) -> Vec<u8> {
+    let mut out = Vec::new();
+    seg.encode(&mut out);
+    out
+}
+
+fn query(pick: usize) -> Query {
+    let mut workload = canonical(STORE_CFG.bucket_ms * u64::from(STORE_CFG.rollup_buckets));
+    workload.swap_remove(pick % workload.len()).1
+}
+
+// ---------------------------------------------------------------------------
+// The table: one row per format.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #[test]
+    fn cb(parts in events(), seed in any::<u64>()) {
+        let bytes = batches(&parts).swap_remove(parts[0].0.0 as usize);
+        let subject = Subject {
+            family: Some(&CB),
+            // The router's header peek sees the same hostile bytes.
+            decode: &|b| {
+                let _ = peek_device(b);
+                decode_batch(b)
+            },
+            encode: Some(&|v| encode_batch(v.device, v.seq, &v.records)),
+            lie_prefix: varints(&[7, 0]), // device, seq → count
+        };
+        let value = decode_batch(&bytes).expect("own batch decodes");
+        check(&subject, &value, &bytes, seed)?;
+    }
+
+    #[test]
+    fn ck(parts in events(), seed in any::<u64>()) {
+        let mut value = Collector::new(&stream_cfg().collector);
+        for b in batches(&parts) {
+            value.ingest(&b);
+        }
+        let subject = Subject {
+            family: Some(&CK),
+            decode: &restore_checkpoint,
+            encode: Some(&save_checkpoint),
+            lie_prefix: Vec::new(), // → virtual_shards
+        };
+        let bytes = save_checkpoint(&value);
+        check(&subject, &value, &bytes, seed)?;
+    }
+
+    #[test]
+    fn cs(parts in events(), layout in 0usize..3, seed in any::<u64>()) {
+        let value = store(&parts, layout);
+        let subject = Subject {
+            family: Some(&CS),
+            decode: &restore_store,
+            encode: Some(&save_store),
+            lie_prefix: varints(&[1_000, 4]), // bucket_ms, rollup → partitions
+        };
+        let bytes = save_store(&value);
+        check(&subject, &value, &bytes, seed)?;
+    }
+
+    #[test]
+    fn sc(parts in events(), seed in any::<u64>()) {
+        let bytes = store(&parts, 2).segment_blocks().swap_remove(0);
+        let subject = Subject {
+            family: Some(&SC),
+            decode: &decode_block,
+            encode: Some(&encode_block),
+            lie_prefix: Vec::new(), // → row count
+        };
+        let value = decode_block(&bytes).expect("own block decodes");
+        check(&subject, &value, &bytes, seed)?;
+    }
+
+    #[test]
+    fn sg(parts in events(), seed in any::<u64>()) {
+        let value = segment(&parts);
+        let subject = Subject {
+            family: Some(&SG),
+            decode: &decode_segment,
+            encode: Some(&|(entry, store)| encode_segment(entry, store)),
+            lie_prefix: varints(&[0, 3, 40_000, 1, 9]), // kind … digest → image length
+        };
+        let bytes = encode_segment(&value.0, &value.1);
+        check(&subject, &value, &bytes, seed)?;
+    }
+
+    #[test]
+    fn sp(parts in events(), seed in any::<u64>()) {
+        let dir = DeviceDirectory::default();
+        let mut segs = MemSegments::new();
+        let mut p = StreamPipeline::new(&stream_cfg(), &dir).expect("valid config");
+        for b in batches(&parts) {
+            p.offer(&b, &mut segs).expect("offer succeeds");
+        }
+        let view = |p: &StreamPipeline| {
+            (p.digest(), p.collector_digest(), p.cursor(), p.manifest().to_vec())
+        };
+        let subject = Subject {
+            family: Some(&SP),
+            decode: &|b| StreamPipeline::restore(b, &dir, &segs).map(|p| view(&p)),
+            encode: None,
+            // A valid config, replay position and counters → collector length.
+            lie_prefix: varints(&[
+                4_000, 0, 1, 2, 8, 0, 1_000, 4, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ]),
+        };
+        let bytes = p.checkpoint();
+        check(&subject, &view(&p), &bytes, seed)?;
+    }
+
+    #[test]
+    fn cq_request(pick in 0usize..16, seed in any::<u64>()) {
+        let value = match pick {
+            0 => Request::Ping,
+            1 => Request::Stats,
+            _ => Request::Query(query(pick)),
+        };
+        let subject = Subject {
+            family: Some(&CQ),
+            // Both decoders share the envelope; neither may panic on the
+            // other's frames.
+            decode: &|b| {
+                let _ = decode_response(b);
+                decode_request(b)
+            },
+            encode: Some(&encode_request),
+            lie_prefix: vec![0x02], // KIND_QUERY → filter count
+        };
+        let bytes = encode_request(&value);
+        check(&subject, &value, &bytes, seed)?;
+    }
+
+    #[test]
+    fn cq_response(parts in events(), pick in 0usize..16, seed in any::<u64>()) {
+        let value = match pick {
+            0 => Response::Pong,
+            1 => Response::Stats(ServerStats { epoch: 3, inserted: 1 << 40, ..ServerStats::default() }),
+            2 => Response::Error(WireError { code: 4, detail: "quantile 1.5 outside [0, 1]".into() }),
+            _ => match store(&parts, pick % 3).query(&query(pick)) {
+                Ok(result) => Response::Rows { epoch: pick as u64, result },
+                Err(e) => Response::Error(WireError::bad_query(&e)),
+            },
+        };
+        let subject = Subject {
+            family: Some(&CQ),
+            decode: &|b| {
+                let _ = decode_request(b);
+                decode_response(b)
+            },
+            encode: Some(&encode_response),
+            lie_prefix: vec![0x82, 1], // KIND_ROWS, epoch → group_by count
+        };
+        let bytes = encode_response(&value);
+        check(&subject, &value, &bytes, seed)?;
+    }
+
+    #[test]
+    fn cr(parts in events(), pick in 0usize..8, seq in any::<u64>(), seed in any::<u64>()) {
+        let (entry, delta) = segment(&parts);
+        let sg = encode_segment(&entry, &delta);
+        let value = match pick {
+            0 => Message::ShipSegment { seq, frame: sg },
+            1 => Message::ShipCheckpoint { seq, checkpoint: save_store(&delta) },
+            2 => Message::Catchup { from_seq: seq },
+            3 => Message::Query(query(seq as usize)),
+            4 => Message::Ack { seq, digest: entry.digest },
+            5 => Message::Segments { from_seq: seq, frames: vec![sg.clone(), Vec::new(), sg] },
+            6 => Message::Partial {
+                epoch: seq,
+                partial: delta.query_partial(&Query::count_by(vec![Dim::Kind])).expect("legal"),
+            },
+            _ => Message::Rejection { code: 6, detail: "segment seq 4 does not follow 2".into() },
+        };
+        let subject = Subject {
+            family: Some(&CR),
+            decode: &decode_frame,
+            encode: Some(&encode_frame),
+            lie_prefix: vec![0x01, 1], // KIND_SEGMENT, seq → segment length
+        };
+        let bytes = encode_frame(&value);
+        check(&subject, &value, &bytes, seed)?;
+    }
+
+    #[test]
+    fn partial(parts in events(), layout in 0usize..3, seed in any::<u64>()) {
+        let q = Query::count_by(vec![Dim::Kind, Dim::Isp]);
+        let value = store(&parts, layout).query_partial(&q).expect("legal query");
+        let subject = Subject {
+            family: None,
+            decode: &decode_partial,
+            encode: Some(&encode_partial),
+            lie_prefix: varints(&[1, 0, 0, 2]), // window, scanned, matched, key width → groups
+        };
+        let bytes = encode_partial(&value);
+        check(&subject, &value, &bytes, seed)?;
+    }
+}

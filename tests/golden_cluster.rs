@@ -27,7 +27,7 @@ use cellrel::cluster::proto;
 use cellrel::cluster::{
     decode_frame, encode_frame, shard_directories, Follower, Message, ShardLeader,
 };
-use cellrel::ingest::codec::crc32;
+use cellrel::ingest::frame::{seal, CR};
 use cellrel::store::DeviceDirectory;
 use cellrel::stream::{batches_from_events, StreamConfig};
 use cellrel::workload::{run_macro_study, PopulationConfig, StudyConfig};
@@ -51,10 +51,9 @@ fn hex_dump(out: &mut String, bytes: &[u8]) {
 /// framing is fine, so decoding proceeds into the payload grammar (or the
 /// kind check) and fails there, deterministically.
 fn sealed_frame(version: u8, kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut f = vec![proto::MAGIC[0], proto::MAGIC[1], version, kind];
+    let mut f = vec![CR.magic[0], CR.magic[1], version, kind];
     f.extend_from_slice(payload);
-    let crc = crc32(&f);
-    f.extend_from_slice(&crc.to_le_bytes());
+    seal(&mut f, 0);
     f
 }
 

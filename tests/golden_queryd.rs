@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use cellrel::analysis::store_tables::{table1_queries, table2_query};
-use cellrel::ingest::codec::crc32;
+use cellrel::ingest::frame::{seal, CQ};
 use cellrel::queryd::proto::{self, decode_response, encode_request, Request};
 use cellrel::queryd::QuerydCore;
 use cellrel::store::{build_sharded, DeviceDirectory, Dim, Filter, Metric, Query, StoreConfig};
@@ -46,10 +46,9 @@ fn hex_dump(out: &mut String, bytes: &[u8]) {
 /// framing is fine, so decoding proceeds into the payload grammar (or the
 /// kind check) and fails there, deterministically.
 fn sealed_frame(version: u8, kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut f = vec![proto::MAGIC[0], proto::MAGIC[1], version, kind];
+    let mut f = vec![CQ.magic[0], CQ.magic[1], version, kind];
     f.extend_from_slice(payload);
-    let crc = crc32(&f);
-    f.extend_from_slice(&crc.to_le_bytes());
+    seal(&mut f, 0);
     f
 }
 
