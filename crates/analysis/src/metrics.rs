@@ -2,8 +2,9 @@
 //!
 //! The observability layer keeps metrics as plain mergeable data
 //! (`cellrel_sim::telemetry`); this module is the human-facing view the
-//! bench bins print under `--metrics`: one table per metric class plus the
-//! registry digest line CI greps to compare runs and thread counts.
+//! `repro` and `chaos` bins print under `--metrics`: one table per metric
+//! class plus the registry digest line CI greps to compare runs and
+//! thread counts.
 
 use cellrel_sim::MetricsSnapshot;
 use std::fmt::Write as _;

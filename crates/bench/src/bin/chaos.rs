@@ -27,12 +27,19 @@
 //! Tables 1/2, counters) exits non-zero. The final `digest:` line is the
 //! campaign content digest, identical across reruns.
 //!
+//! `--failover` runs the cluster's leader-kill campaign over the same
+//! stream instead: `--shards P` (default 2) shard leaders with one
+//! follower each, `--kills N` random (batch, shard) kill points, each
+//! promoted from the follower's last checkpoint and re-driven to the end
+//! — any divergence from the uninterrupted cluster exits non-zero, and
+//! the final `digest:` line is again the cross-run campaign digest.
+//!
 //! The final `digest: <hex>` line is the campaign's content digest: it is
 //! identical at any thread count and across re-runs — CI compares it to
 //! catch nondeterminism.
 
-// Wall-clock is the *measurement* here (scenarios/s, events/s), not
-// simulation state — benches are outside the workspace-wide
+// Wall-clock only times the recovery campaigns for the operator's stderr
+// line, never simulation state — benches are outside the workspace-wide
 // Instant/SystemTime gate.
 #![allow(clippy::disallowed_types)]
 
@@ -41,6 +48,7 @@ use cellrel::analysis::export::{
     campaign_violations_table,
 };
 use cellrel::analysis::render_metrics;
+use cellrel::cluster::{run_failover, shard_directories, ClusterConfig, FailoverConfig};
 use cellrel::ingest::CollectorConfig;
 use cellrel::store::{DeviceDirectory, StoreConfig};
 use cellrel::stream::{batches_from_events, run_kill_restart, KillRestartConfig, StreamConfig};
@@ -98,16 +106,30 @@ fn main() {
     } else {
         false
     };
+    let failover = if let Some(pos) = args.iter().position(|a| a == "--failover") {
+        args.remove(pos);
+        true
+    } else {
+        false
+    };
     let kills = parse_flag::<usize>(&mut args, "--kills").unwrap_or(32);
     let kr_devices = parse_flag::<usize>(&mut args, "--devices").unwrap_or(1_200);
     let kr_days = parse_flag::<u64>(&mut args, "--days").unwrap_or(10);
     let batch_cap = parse_flag::<usize>(&mut args, "--batch")
         .unwrap_or(48)
         .max(1);
+    let shards = parse_flag::<usize>(&mut args, "--shards")
+        .unwrap_or(2)
+        .max(1);
     assert!(args.is_empty(), "unrecognised arguments: {args:?}");
 
-    if kill_restart {
-        stream_kill_restart(cfg.root_seed, kills, kr_devices, kr_days, batch_cap);
+    if kill_restart || failover {
+        let fleet = UploadStream::generate(cfg.root_seed, kr_devices, kr_days, batch_cap);
+        if kill_restart {
+            stream_kill_restart(&fleet, kills);
+        } else {
+            cluster_failover(&fleet, kills, shards);
+        }
         return;
     }
 
@@ -148,7 +170,6 @@ fn main() {
             cfg.threads.to_string()
         },
     );
-    let t0 = Instant::now();
     let (report, metrics_snap) = if metrics {
         let (report, snap) = run_chaos_campaign_metrics(&cfg, trace_out.is_some());
         (report, Some(snap))
@@ -199,25 +220,49 @@ fn main() {
 
     println!("digest: {:016x}", report.digest());
 
-    let wall = t0.elapsed().as_secs_f64();
-    let snap = cellrel_bench::BenchSnapshot::new("chaos")
-        .config("scenarios", cfg.scenarios)
-        .config("seed", cfg.root_seed)
-        .config("threads", cfg.threads)
-        .config("horizon", cfg.horizon)
-        .metric("events", report.events as f64)
-        .metric("events_per_sec", report.events as f64 / wall.max(1e-9))
-        .metric(
-            "scenarios_per_sec",
-            report.scenarios as f64 / wall.max(1e-9),
-        )
-        .metric("violations", report.violations.len() as f64)
-        .wall_seconds(wall);
-    let path = snap.write().expect("write bench snapshot");
-    eprintln!("chaos: wrote {}", path.display());
-
     if fail_on_violation && !report.violations.is_empty() {
         std::process::exit(1);
+    }
+}
+
+/// The live-ordered upload stream both recovery campaigns replay: one
+/// seeded macro study cut into upload batches, plus the pipeline
+/// configuration every node in the campaign runs.
+struct UploadStream {
+    seed: u64,
+    dir: DeviceDirectory,
+    batches: Vec<Vec<u8>>,
+    cfg: StreamConfig,
+}
+
+impl UploadStream {
+    fn generate(seed: u64, devices: usize, days: u64, batch_cap: usize) -> Self {
+        eprintln!(
+            "chaos: upload stream — {devices} devices x {days} days \
+             (seed {seed}, batch cap {batch_cap})"
+        );
+        let data = run_macro_study(&StudyConfig {
+            population: PopulationConfig {
+                devices,
+                ..Default::default()
+            },
+            days,
+            bs_count: 2_000,
+            seed,
+        });
+        UploadStream {
+            seed,
+            dir: DeviceDirectory::from_population(&data.population),
+            batches: batches_from_events(&data.events, batch_cap),
+            cfg: StreamConfig {
+                window_ms: 86_400_000,
+                lateness_ms: 2 * 3_600_000,
+                hot_windows: 3,
+                late_flush: 512,
+                collector: CollectorConfig::default(),
+                store: StoreConfig::default(),
+            },
+        }
     }
 }
 
@@ -225,37 +270,15 @@ fn main() {
 /// points over one live-ordered upload stream, each restored from its
 /// last durable checkpoint and required to reproduce the uninterrupted
 /// run byte for byte. Exits non-zero on any divergence.
-fn stream_kill_restart(seed: u64, kills: usize, devices: usize, days: u64, batch_cap: usize) {
-    eprintln!(
-        "chaos: kill/restart campaign — {kills} kills over {devices} devices x {days} days \
-         (seed {seed}, batch cap {batch_cap})"
-    );
+fn stream_kill_restart(fleet: &UploadStream, kills: usize) {
     let t0 = Instant::now();
-    let data = run_macro_study(&StudyConfig {
-        population: PopulationConfig {
-            devices,
-            ..Default::default()
-        },
-        days,
-        bs_count: 2_000,
-        seed,
-    });
-    let dir = DeviceDirectory::from_population(&data.population);
-    let batches = batches_from_events(&data.events, batch_cap);
-    let cfg = StreamConfig {
-        window_ms: 86_400_000,
-        lateness_ms: 2 * 3_600_000,
-        hot_windows: 3,
-        late_flush: 512,
-        collector: CollectorConfig::default(),
-        store: StoreConfig::default(),
-    };
     let kcfg = KillRestartConfig {
         kills,
-        seed,
+        seed: fleet.seed,
         checkpoint_every: 5,
     };
-    let report = run_kill_restart(&cfg, &kcfg, &dir, &batches).expect("campaign runs");
+    let report =
+        run_kill_restart(&fleet.cfg, &kcfg, &fleet.dir, &fleet.batches).expect("campaign runs");
     for o in report.outcomes.iter().filter(|o| !o.ok) {
         println!(
             "kill at batch {} (restored cursor {}): {}",
@@ -266,22 +289,61 @@ fn stream_kill_restart(seed: u64, kills: usize, devices: usize, days: u64, batch
         "kill/restart: {} kills over {} batches, {} mid-window, {} diverged \
          (baseline: {} segments, digest {:016x})",
         report.outcomes.len(),
-        batches.len(),
+        fleet.batches.len(),
         report.mid_window_kills,
         report.failures,
         report.baseline_segments,
         report.baseline_digest,
     );
     println!("digest: {:016x}", report.digest);
+    finish_campaign("kill/restart", t0, report.failures);
+}
+
+/// The cluster leader-kill campaign: `kills` random (batch, shard) kill
+/// points over the same stream partitioned across `shards` leaders with
+/// one follower each; every kill promotes the follower and must converge
+/// to the uninterrupted cluster byte for byte. Exits non-zero on any
+/// divergence.
+fn cluster_failover(fleet: &UploadStream, kills: usize, shards: usize) {
+    let t0 = Instant::now();
+    let ccfg = ClusterConfig {
+        shards,
+        replicas: 1,
+        checkpoint_every: 8,
+    };
+    let fcfg = FailoverConfig {
+        kills,
+        seed: fleet.seed,
+    };
+    let dirs = shard_directories(&fleet.dir, shards);
+    let report =
+        run_failover(&fleet.cfg, &ccfg, &fcfg, &dirs, &fleet.batches).expect("campaign runs");
+    for o in report.outcomes.iter().filter(|o| !o.ok) {
+        println!(
+            "kill of shard {} at batch {} (restored cursor {}): {}",
+            o.shard, o.kill_at, o.restored_cursor, o.detail
+        );
+    }
+    println!(
+        "failover: {} kills over {} batches across {shards} shard(s), {} mid-window, \
+         {} diverged (baseline digest {:016x})",
+        report.outcomes.len(),
+        fleet.batches.len(),
+        report.mid_window_kills,
+        report.failures,
+        report.baseline_digest,
+    );
+    println!("digest: {:016x}", report.digest);
+    finish_campaign("failover", t0, report.failures);
+}
+
+fn finish_campaign(name: &str, t0: Instant, failures: u64) {
     eprintln!(
-        "chaos: kill/restart campaign finished in {:.2} s",
+        "chaos: {name} campaign finished in {:.2} s",
         t0.elapsed().as_secs_f64()
     );
-    if report.failures > 0 {
-        eprintln!(
-            "chaos: FAIL — {} kill(s) diverged from the uninterrupted run",
-            report.failures
-        );
+    if failures > 0 {
+        eprintln!("chaos: FAIL — {failures} kill(s) diverged from the uninterrupted run");
         std::process::exit(1);
     }
 }

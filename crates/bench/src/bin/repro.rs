@@ -47,9 +47,7 @@ use cellrel::workload::{
     run_fleet_event_driven, run_fleet_per_tick, run_rat_policy_ab, run_recovery_ab, FleetConfig,
     PopulationConfig,
 };
-use cellrel_bench::{
-    ab_config, recovery_ab_config, standard_config, standard_study, BenchSnapshot,
-};
+use cellrel_bench::{ab_config, recovery_ab_config, standard_config, standard_study};
 use std::time::Instant;
 
 const ALL: &[&str] = &[
@@ -240,9 +238,9 @@ fn main() {
 
 /// The event-driven fleet experiment: run the same fleet twice — once with
 /// the per-tick (1 s) scanner, once with the timer-wheel event-driven
-/// driver — assert the reports are bit-identical, and record the measured
-/// events/s of both in `BENCH_repro.json`. The speedup claim is only
-/// meaningful because the baseline produces the *same bytes*.
+/// driver — assert the reports are bit-identical, and print the measured
+/// events/s of both to stderr. The speedup claim is only meaningful
+/// because the baseline produces the *same bytes*.
 fn fleet_report() -> String {
     let fcfg = FleetConfig {
         population: PopulationConfig {
@@ -283,21 +281,6 @@ fn fleet_report() -> String {
         "fleet: per-tick {scan_wall:.3} s ({scan_eps:.0} events/s), \
          event-driven {ev_wall:.3} s ({ev_eps:.0} events/s), {speedup:.1}x"
     );
-
-    let snap = BenchSnapshot::new("repro")
-        .config("devices", fcfg.population.devices)
-        .config("days", fcfg.days)
-        .config("seed", fcfg.seed)
-        .config("tick_ms", tick.as_millis())
-        .metric("events", events as f64)
-        .metric("failures", ev.failures as f64)
-        .metric("per_tick_events_per_sec", scan_eps)
-        .metric("event_driven_events_per_sec", ev_eps)
-        .metric("speedup", speedup)
-        .metric("bytes_per_device", ev.bytes_per_device())
-        .wall_seconds(scan_wall + ev_wall);
-    let path = snap.write().expect("write bench snapshot");
-    eprintln!("fleet: wrote {}", path.display());
 
     // Deterministic summary (stdout): counts and the shared digest only.
     format!(

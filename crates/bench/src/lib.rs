@@ -10,11 +10,6 @@
 use cellrel::workload::{run_macro_study, PopulationConfig, StudyConfig, StudyDataset};
 use std::sync::OnceLock;
 
-pub mod queries;
-pub mod snapshot;
-
-pub use snapshot::{BenchSnapshot, SCHEMA_VERSION};
-
 /// The standard macro study used by benches and `repro` (medium size:
 /// large enough for stable statistics, small enough to regenerate in
 /// seconds).

@@ -4,8 +4,9 @@
 //! bytes, the manifest they decode to, and the latest checkpoint blob.
 //! The merged store, applied position, and serving snapshot are volatile
 //! and rebuilt by [`Follower::recover`]. Every applied segment is
-//! digest-verified by the segment codec before it merges, so a corrupt or
-//! torn ship is rejected at the wire, not discovered at failover. The
+//! digest-verified by the segment codec and checked against this
+//! replica's store config before it merges, so a corrupt, torn or foreign
+//! ship is rejected at the wire, not discovered at failover. The
 //! checkpoint is likewise restore-validated on arrival — a blob that
 //! cannot actually rebuild a pipeline is refused while the leader is still
 //! alive to resend it.
@@ -139,6 +140,14 @@ impl Follower {
                 }
             }
         };
+        // `Store::merge` asserts equal configs: a self-consistent segment
+        // built under a foreign `StoreConfig` must be refused here.
+        if *delta.config() != self.cfg.store {
+            return Message::Rejection {
+                code: proto::ERR_APPLY,
+                detail: "segment rejected: store config mismatch".into(),
+            };
+        }
         if let Err(e) = self.segs.put(&entry.name(), bytes) {
             return Message::Rejection {
                 code: proto::ERR_APPLY,
@@ -240,7 +249,7 @@ impl Follower {
         for entry in &self.manifest {
             let bytes = self.segs.get(&entry.name())?;
             let (decoded, delta) = decode_segment(&bytes)?;
-            if decoded != *entry {
+            if decoded != *entry || *delta.config() != self.cfg.store {
                 return Err(ClusterError::Stream(StreamError::SegmentMismatch(
                     entry.name(),
                 )));
@@ -269,5 +278,88 @@ impl Follower {
             None => StreamPipeline::new(&self.cfg, dir)?,
         };
         Ok((pipeline, segs))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cellrel_stream::{encode_segment, SegmentKind};
+
+    /// A CRC-valid, self-consistent `SG` frame whose store has 4
+    /// partitions where followers default to 16, and the stream config
+    /// it was built under. An empty delta is enough: `Store::merge`
+    /// asserts the configs before it looks at a cell.
+    fn foreign_segment() -> (StreamConfig, Vec<u8>) {
+        let mut foreign = StreamConfig::default();
+        foreign.store.partitions = 4;
+        let delta = Store::new(&foreign.store);
+        let entry = SegmentEntry {
+            kind: SegmentKind::Window,
+            index: 0,
+            watermark_ms: 0,
+            records: 0,
+            digest: delta.digest(),
+            bytes: 0,
+        };
+        (foreign, encode_segment(&entry, &delta))
+    }
+
+    fn follower(cfg: &StreamConfig) -> Follower {
+        Follower::new(cfg, &DeviceDirectory::default(), 0)
+    }
+
+    fn ship(f: &mut Follower, segment: Vec<u8>) -> Message {
+        let frame = proto::encode_frame(&Message::ShipSegment {
+            seq: 1,
+            frame: segment,
+        });
+        proto::decode_frame(&f.apply(&frame)).expect("reply decodes")
+    }
+
+    fn assert_position(f: &Follower, applied: u64) {
+        assert_eq!(f.applied(), applied);
+        assert_eq!(f.manifest().len() as u64, applied);
+        assert_eq!(f.segs.len() as u64, applied);
+    }
+
+    #[test]
+    fn a_shipped_segment_with_a_foreign_store_config_is_rejected_not_merged() {
+        let mut f = follower(&StreamConfig::default());
+        let reply = ship(&mut f, foreign_segment().1);
+        let want = Message::Rejection {
+            code: proto::ERR_APPLY,
+            detail: "segment rejected: store config mismatch".into(),
+        };
+        assert_eq!(reply, want);
+        assert_position(&f, 0);
+    }
+
+    #[test]
+    fn a_catchup_reply_with_a_foreign_store_config_is_refused_not_merged() {
+        let mut f = follower(&StreamConfig::default());
+        let reply = proto::encode_frame(&Message::Segments {
+            from_seq: 0,
+            frames: vec![foreign_segment().1],
+        });
+        let err = f.ingest_catchup(&reply).expect_err("must refuse");
+        assert!(err.to_string().contains("store config mismatch"), "{err}");
+        assert_position(&f, 0);
+    }
+
+    /// A follower restarted under a different `StoreConfig` over the
+    /// segments it made durable under the old one.
+    #[test]
+    fn recover_over_segments_of_a_foreign_store_config_is_a_typed_error() {
+        let (foreign, segment) = foreign_segment();
+        let mut f = follower(&foreign);
+        assert!(matches!(ship(&mut f, segment), Message::Ack { .. }));
+        f.cfg = StreamConfig::default();
+        let err = f.recover().expect_err("must refuse");
+        assert!(
+            matches!(err, ClusterError::Stream(StreamError::SegmentMismatch(_))),
+            "{err}"
+        );
+        assert_position(&f, 1);
     }
 }

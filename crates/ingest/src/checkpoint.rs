@@ -197,15 +197,6 @@ pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, FrameError> {
     })
 }
 
-/// [`save_checkpoint`] with telemetry: counts the save and the encoded
-/// bytes under `ingest.checkpoint.*`.
-pub fn save_checkpoint_with(c: &Collector, tele: &cellrel_sim::Telemetry) -> Vec<u8> {
-    let bytes = save_checkpoint(c);
-    tele.inc("ingest.checkpoint.save");
-    tele.add("ingest.checkpoint.save_bytes", bytes.len() as u64);
-    bytes
-}
-
 /// [`restore_checkpoint`] with telemetry: counts successful restores and
 /// typed-error rejections under `ingest.checkpoint.*`.
 pub fn restore_checkpoint_with(

@@ -29,7 +29,7 @@
 
 use crate::codec::{decode_batch, peek_device};
 use cellrel_sim::sketch::QuantileSketch;
-use cellrel_sim::{resolve_threads, Digest64, Merge, Telemetry};
+use cellrel_sim::{resolve_threads, Digest64, Merge};
 use cellrel_types::{DeviceId, FailureEvent, SimDuration};
 use std::collections::BTreeMap;
 use std::sync::mpsc::sync_channel;
@@ -375,36 +375,6 @@ impl Collector {
             s.absorb_into(&mut d);
         }
         d.finish()
-    }
-
-    /// Mirror the collector's stream bookkeeping into a telemetry registry:
-    /// batches decoded, records deduped/filtered/late, and the fleet
-    /// duration sketch as an `ingest.duration` histogram. Shard workers
-    /// keep their own deterministic counters during the run (telemetry
-    /// handles are single-threaded by design), so the mirror is taken from
-    /// the folded state — bit-identical at any worker count.
-    pub fn record_metrics(&self, tele: &Telemetry) {
-        if !tele.is_enabled() {
-            return;
-        }
-        let r = self.report();
-        let c = &r.counters;
-        for (name, v) in [
-            ("ingest.batches", c.batches),
-            ("ingest.bytes", c.bytes),
-            ("ingest.records", c.records),
-            ("ingest.decode_errors", c.decode_errors),
-            ("ingest.duplicate_batches", c.duplicate_batches),
-            ("ingest.duplicate_records", c.duplicate_records),
-            ("ingest.filtered_noise", c.filtered_noise),
-            ("ingest.late_records", c.late_records),
-            ("ingest.out_of_order_batches", c.out_of_order_batches),
-            ("ingest.unroutable", r.unroutable),
-            ("ingest.devices", r.devices),
-        ] {
-            tele.add(name, v);
-        }
-        tele.merge_histogram("ingest.duration", r.aggregate.sketch_all);
     }
 
     /// Merge shard states into the fleet-level report.

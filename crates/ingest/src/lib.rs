@@ -40,9 +40,7 @@ pub mod codec;
 pub mod collector;
 pub mod frame;
 
-pub use checkpoint::{
-    restore_checkpoint, restore_checkpoint_with, save_checkpoint, save_checkpoint_with,
-};
+pub use checkpoint::{restore_checkpoint, restore_checkpoint_with, save_checkpoint};
 pub use codec::{decode_batch, encode_batch, peek_device, WireBatch};
 pub use collector::{
     run_ingest, run_ingest_with, AcceptedSink, Collector, CollectorConfig, IngestAggregate,

@@ -241,14 +241,6 @@ impl ColumnSegment {
         (i0, i1)
     }
 
-    /// Approximate resident bytes (column entries + pool entries), the
-    /// analogue of the row side's per-cell accounting.
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        // Per row: bucket 4 + six u8 + cause/count/duration/under/min/max
-        // (6×8) + one pool offset 4 = 62; pool entries 12 each.
-        self.len() as u64 * 62 + self.sk_pool.len() as u64 * 12 + 4
-    }
-
     /// Encode as a self-delimiting `SC` block (see the module docs).
     pub fn encode(&self, out: &mut Vec<u8>) {
         let start = SC.begin(out, SEGMENT_VERSION);

@@ -37,7 +37,7 @@
 use crate::columnar::{merge_runs, ColumnSegment, Run};
 use cellrel_ingest::codec::{unzigzag, zigzag};
 use cellrel_ingest::AcceptedSink;
-use cellrel_sim::{run_sharded, Digest64, Merge, SparseSketch, Telemetry};
+use cellrel_sim::{run_sharded, Digest64, Merge, SparseSketch};
 use cellrel_types::{DeviceId, FailureEvent, Isp, PhoneModelId};
 use cellrel_workload::{EventSink, Population};
 use std::collections::BTreeMap;
@@ -661,24 +661,6 @@ impl Store {
         self.partitions.iter().map(|p| p.cells_folded).sum()
     }
 
-    /// Approximate resident bytes of the cell state (keys, fixed cell
-    /// fields, sparse sketch entries) — the bytes-per-cell number the bench
-    /// reports. Directory and map-node overhead excluded.
-    pub fn approx_cell_bytes(&self) -> u64 {
-        let fixed = (std::mem::size_of::<CellKey>() + 3 * std::mem::size_of::<u64>()) as u64;
-        self.partitions
-            .iter()
-            .flat_map(|p| p.cells.values())
-            .map(|c| fixed + 12 * c.sketch.nnz() as u64)
-            .sum::<u64>()
-            + self
-                .partitions
-                .iter()
-                .flat_map(|p| &p.segments)
-                .map(ColumnSegment::approx_bytes)
-                .sum::<u64>()
-    }
-
     /// Content digest over the **canonical rolled-up view**: every cell's
     /// bucket is folded to its rollup boundary and all partitions are
     /// merged into one ordered map before hashing. Physical layout —
@@ -736,27 +718,6 @@ impl Store {
             d.write_u64(rec.failures);
         }
         d.finish()
-    }
-
-    /// Mirror store state into a telemetry registry (cells, devices,
-    /// inserts, compaction counters, approximate bytes).
-    pub fn record_metrics(&self, tele: &Telemetry) {
-        if !tele.is_enabled() {
-            return;
-        }
-        for (name, v) in [
-            ("store.partitions", self.partitions.len() as u64),
-            ("store.cells", self.cells()),
-            ("store.sealed_segments", self.sealed_segments()),
-            ("store.sealed_cells", self.sealed_cells()),
-            ("store.devices", self.devices()),
-            ("store.inserted", self.inserted()),
-            ("store.compactions", self.compactions()),
-            ("store.cells_folded", self.cells_folded()),
-            ("store.cell_bytes", self.approx_cell_bytes()),
-        ] {
-            tele.add(name, v);
-        }
     }
 }
 

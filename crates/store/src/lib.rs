@@ -40,8 +40,8 @@
 //!   typed errors, no unbounded allocations on hostile input). Images are
 //!   version-gated: v1 (row-only) stays byte-stable; stores holding
 //!   sealed segments save as v2 with embedded `SC` blocks.
-//! * [`workload`] — the canonical 11-query benchmark workload shared by
-//!   the bench bins, the differential suite, and CI smoke checks.
+//! * [`workload`] — the canonical 11-query workload shared by the repo
+//!   benchmark and the differential suites.
 //!
 //! Records arrive either from the simulation drivers (via the workload
 //! `EventSink`) or from the ingest collector (via its `AcceptedSink`) —

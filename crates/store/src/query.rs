@@ -14,7 +14,7 @@
 //! validation rejects anything finer. Under that rule a cell and its
 //! rolled-up image always land in the same group of every legal query, so
 //! answers are identical with compaction on or off — asserted by the
-//! property tests and the CI store-smoke job.
+//! property tests and `tests/store_differential.rs`.
 //!
 //! **Determinism.** Group accumulation uses ordered maps keyed by the
 //! numeric group key; rows come out key-ascending, and top-k orders by
@@ -24,7 +24,6 @@
 use crate::columnar::{ColumnSegment, Zones};
 use crate::cube::{Cell, CellKey, Region, Store, NO_CAUSE_CLASS, NO_ISP};
 use cellrel_ingest::codec::{unzigzag, zigzag};
-use cellrel_sim::Telemetry;
 use cellrel_types::{DataFailCause, FailureKind, FailureLayer, Isp, PhoneModelId, Rat};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -529,39 +528,26 @@ pub(crate) enum Engine {
 impl Store {
     /// Evaluate a query. See the module docs for semantics and guarantees.
     pub fn query(&self, q: &Query) -> Result<ResultSet, QueryError> {
-        self.query_with(q, &Telemetry::disabled())
+        self.evaluate(q, Engine::Columnar)
     }
 
     /// Evaluate a query through the **row reference engine**: sealed
     /// segments are walked cell by cell through the same per-cell
     /// filter/merge code the hot tier uses — no zone pruning, no
-    /// per-column loops. Exists so the differential suite (and the CI
-    /// smoke checks) can prove the columnar scan path of [`Store::query`]
-    /// returns byte-identical `ResultSet`s; it is not the serving path.
+    /// per-column loops. Exists so the differential suite can prove the
+    /// columnar scan path of [`Store::query`] returns byte-identical
+    /// `ResultSet`s; it is not the serving path.
     pub fn query_row(&self, q: &Query) -> Result<ResultSet, QueryError> {
+        self.evaluate(q, Engine::Row)
+    }
+
+    fn evaluate(&self, q: &Query, engine: Engine) -> Result<ResultSet, QueryError> {
         let plan = validate(self, q)?;
         Ok(if q.metric.is_device_metric() {
             self.eval_devices(q)
         } else {
-            self.eval_cells(q, &plan, Engine::Row)
+            self.eval_cells(q, &plan, engine)
         })
-    }
-
-    /// [`Store::query`] with instrumentation: bumps `store.queries`,
-    /// `store.cells_scanned` and the `store.query.cells_scanned` /
-    /// `store.query.rows` histograms on an enabled registry.
-    pub fn query_with(&self, q: &Query, tele: &Telemetry) -> Result<ResultSet, QueryError> {
-        let plan = validate(self, q)?;
-        let rs = if q.metric.is_device_metric() {
-            self.eval_devices(q)
-        } else {
-            self.eval_cells(q, &plan, Engine::Columnar)
-        };
-        tele.inc("store.queries");
-        tele.add("store.cells_scanned", rs.cells_scanned);
-        tele.observe("store.query.cells_scanned", rs.cells_scanned);
-        tele.observe("store.query.rows", rs.rows.len() as u64);
-        Ok(rs)
     }
 
     fn eval_cells(&self, q: &Query, plan: &Plan, engine: Engine) -> ResultSet {

@@ -1,8 +1,7 @@
 //! The canonical mixed query workload — one of each shape the store's
-//! engine supports — shared by the bench bins (`query`, `queryd`), the
-//! differential scan-equivalence suite, and the CI smoke checks, so their
-//! throughput numbers measure the same work and their deterministic
-//! outputs stay diffable against each other.
+//! engine supports — shared by the repo benchmark, the store and cluster
+//! differential suites and the seed-2021 goldens, so throughput numbers
+//! measure the same work the identity tests prove correct.
 
 use crate::query::{Dim, Filter, Metric, Query};
 use cellrel_types::{FailureKind, Isp, Rat};

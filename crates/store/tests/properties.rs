@@ -1,8 +1,8 @@
 //! Property-based tests for the store algebra: partition/store merge is
 //! commutative and associative, compaction never changes a legal query's
 //! answer, and sharded builds are bit-identical to single-threaded builds
-//! at any thread count — the invariants the digest, the CI store-smoke job
-//! and the analysis adapters all lean on.
+//! at any thread count — the invariants the digest and the analysis
+//! adapters lean on.
 
 use cellrel_sim::Merge;
 use cellrel_store::{
@@ -191,7 +191,7 @@ proptest! {
     }
 
     /// Sharded builds are bit-identical to the single-threaded build at
-    /// every thread count (the CI store-smoke invariant).
+    /// every thread count.
     #[test]
     fn sharded_build_digest_is_thread_invariant(
         parts in prop::collection::vec(parts_strategy(), 0..200),

@@ -16,6 +16,7 @@
 
 use std::sync::OnceLock;
 
+use cellrel::analysis::store_tables::{table1_from_store, table2_from_store};
 use cellrel::cluster::{shard_directories, Cluster, ClusterConfig, ClusterError, ClusterRouter};
 use cellrel::store::{
     workload, DeviceDirectory, Dim, Filter, Metric, Query, Region, Store, StoreConfig,
@@ -172,6 +173,20 @@ fn workload_queries_are_cluster_identical_on_the_fleet() {
             fx.reference.query(&q).is_ok(),
             "canonical workload query {name} must be legal"
         );
+    }
+    // Federated Tables 1/2 render byte-identically to the single-node
+    // store's, at every shard count and through both tiers.
+    let fx = fixture();
+    let t1 = table1_from_store(&fx.reference)
+        .expect("valid query")
+        .render();
+    let t2 = table2_from_store(&fx.reference, 10)
+        .expect("valid query")
+        .render();
+    for router in fx.routers.iter().chain(&fx.follower_routers) {
+        let (r1, r2) = router.tables(10).expect("valid queries");
+        assert_eq!(r1.render(), t1, "{}-shard Table 1", router.fan_out());
+        assert_eq!(r2.render(), t2, "{}-shard Table 2", router.fan_out());
     }
 }
 

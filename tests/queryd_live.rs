@@ -17,7 +17,9 @@ use cellrel::analysis::store_tables::{
 use cellrel::analysis::{table1, table2};
 use cellrel::queryd::proto::{encode_response, Response};
 use cellrel::queryd::{feed_events, serve, QuerydCore, Snapshot, TcpClient};
-use cellrel::store::{DeviceDirectory, Dim, Filter, Metric, Query, Store, StoreConfig};
+use cellrel::store::{
+    build_sharded, DeviceDirectory, Dim, Filter, Metric, Query, Store, StoreConfig,
+};
 use cellrel::types::FailureKind;
 use cellrel::workload::{run_macro_study, PopulationConfig, StudyConfig, StudyDataset};
 use std::collections::HashMap;
@@ -191,6 +193,13 @@ fn run_live_session(clients: usize) {
         table2_from_result(&causes, 10).render(),
         table2::compute(data, 10).render(),
         "served Table 2 != batch ({clients} clients)"
+    );
+    // The store the feed ends on is the batch-built store, so its content
+    // digest is the same on every run and at every client count.
+    assert_eq!(
+        by_epoch[&final_epoch].store.digest(),
+        build_sharded(&store_cfg, dir, &data.events, 1).digest(),
+        "final served store != batch store ({clients} clients)"
     );
     drop(client);
     server.shutdown();

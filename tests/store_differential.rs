@@ -42,7 +42,7 @@ fn layouts() -> &'static [Store; 3] {
         let cfg = StoreConfig::default();
         let hot = build_sharded(&cfg, &dir, &data.events, 1);
         // The sharded build must be layout-identical at any thread count
-        // (segments included) — the store-smoke invariant, now columnar.
+        // (segments included).
         for threads in [2usize, 8] {
             assert_eq!(build_sharded(&cfg, &dir, &data.events, threads), hot);
         }
