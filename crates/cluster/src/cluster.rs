@@ -15,7 +15,6 @@ use crate::partition::shard_of_batch;
 use crate::proto;
 use crate::replica::Follower;
 use crate::router::{ClusterRouter, ShardHandle};
-use cellrel_sim::Merge;
 use cellrel_store::{DeviceDirectory, Store};
 use cellrel_stream::StreamConfig;
 
@@ -179,12 +178,8 @@ impl<'d> Cluster<'d> {
     /// ingested the whole fleet, because shard record sets and registered
     /// populations partition the global ones exactly.
     pub fn store(&self) -> Store {
-        let mut iter = self.leaders.iter().map(|l| l.pipeline().store());
-        let mut merged = iter.next().expect("cluster has at least one shard");
-        for s in iter {
-            merged.merge(s);
-        }
-        merged
+        let shards: Vec<Store> = self.leaders.iter().map(|l| l.pipeline().store()).collect();
+        Store::sealed_union(&self.stream_cfg.store, &shards.iter().collect::<Vec<_>>())
     }
 
     /// Digest of the merged global store.
@@ -263,8 +258,7 @@ mod tests {
             single.offer(b, &mut segs).expect("offer");
         }
         single.flush(&mut segs).expect("flush");
-        let mut reference = single.store();
-        reference.seal_columnar();
+        let reference = single.store();
 
         let dirs = shard_directories(&dir, 3);
         let ccfg = ClusterConfig {

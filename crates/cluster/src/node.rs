@@ -97,11 +97,10 @@ impl<'d> ShardLeader<'d> {
         self.shipped as u64
     }
 
-    /// The merged store this leader would serve right now.
+    /// The merged store this leader would serve right now (the pipeline's
+    /// view is already columnar-sealed).
     pub fn serving_store(&self) -> Store {
-        let mut s = self.pipeline.store();
-        s.seal_columnar();
-        s
+        self.pipeline.store()
     }
 
     /// Digest of the shard's merged view (sealed + unsealed records).

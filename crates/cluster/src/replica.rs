@@ -87,9 +87,8 @@ impl Follower {
     /// merged, the shard's devices registered, columnar-sealed — the same
     /// shape the leader's sealed history has after a flush.
     pub fn sealed_store(&self) -> Store {
-        let mut s = self.base.clone();
+        let mut s = Store::sealed_union(&self.cfg.store, &[&self.base]);
         s.register_population(&self.dir);
-        s.seal_columnar();
         s
     }
 

@@ -109,7 +109,46 @@ fn read_agg(r: &mut Reader<'_>) -> Result<IngestAggregate, FrameError> {
     Ok(a)
 }
 
-/// Serialize the collector's full state.
+/// Encode one `shard` section of the grammar above.
+fn encode_shard(s: &ShardState) -> Vec<u8> {
+    #[cfg(test)]
+    SECTIONS_ENCODED.with(|n| n.set(n.get() + 1));
+    let mut out = Vec::with_capacity(64);
+    let k = &s.counters;
+    for v in [
+        k.batches,
+        k.bytes,
+        k.records,
+        k.decode_errors,
+        k.duplicate_batches,
+        k.duplicate_records,
+        k.filtered_noise,
+        k.late_records,
+        k.out_of_order_batches,
+    ] {
+        write_varint(&mut out, v);
+    }
+    write_varint(&mut out, s.watermark_ms);
+    write_varint(&mut out, s.last_seq.len() as u64);
+    for (&dev, &seq) in &s.last_seq {
+        write_varint(&mut out, u64::from(dev));
+        write_varint(&mut out, seq);
+    }
+    write_agg(&mut out, &s.agg);
+    out
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Shard sections encoded by this thread (cache misses).
+    static SECTIONS_ENCODED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Serialize the collector's full state: the header, then every shard's
+/// section. A section is a pure function of its shard's state and is cached
+/// beside it until the shard next takes a batch, so a checkpoint after *k*
+/// batches encodes at most *k* sections and copies the rest; the bytes are
+/// the same either way.
 pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     let start = CK.begin(&mut out, CKPT_VERSION);
@@ -117,27 +156,7 @@ pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
     write_varint(&mut out, c.lateness_ms);
     write_varint(&mut out, c.unroutable);
     for s in &c.shards {
-        let k = &s.counters;
-        for v in [
-            k.batches,
-            k.bytes,
-            k.records,
-            k.decode_errors,
-            k.duplicate_batches,
-            k.duplicate_records,
-            k.filtered_noise,
-            k.late_records,
-            k.out_of_order_batches,
-        ] {
-            write_varint(&mut out, v);
-        }
-        write_varint(&mut out, s.watermark_ms);
-        write_varint(&mut out, s.last_seq.len() as u64);
-        for (&dev, &seq) in &s.last_seq {
-            write_varint(&mut out, u64::from(dev));
-            write_varint(&mut out, seq);
-        }
-        write_agg(&mut out, &s.agg);
+        out.extend_from_slice(s.section.get_or_encode(|| encode_shard(s)));
     }
     seal(&mut out, start);
     out
@@ -186,6 +205,7 @@ pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, FrameError> {
             counters: k,
             last_seq,
             watermark_ms,
+            section: Default::default(),
         });
     }
     r.finish()?;
@@ -291,6 +311,32 @@ mod tests {
         );
         let r = restore_checkpoint(&bytes).unwrap();
         assert_eq!(r.digest(), c.digest());
+    }
+
+    /// After a first checkpoint, `k` batches to `k` distinct shards make
+    /// the next checkpoint encode exactly `k` sections — rejected batches
+    /// included, since they move a counter.
+    #[test]
+    fn a_checkpoint_encodes_only_the_shards_that_took_a_batch() {
+        let encoded = || SECTIONS_ENCODED.with(std::cell::Cell::get);
+        let mut c = populated();
+        let t0 = encoded();
+        let first = save_checkpoint(&c);
+        assert_eq!(encoded() - t0, 8, "cold: every shard");
+        assert_eq!(save_checkpoint(&c), first);
+        assert_eq!(encoded() - t0, 8, "warm: none");
+
+        // Shards 1 and 2 take a fresh batch, shard 5 a duplicate; the
+        // unroutable batch touches only the header.
+        c.ingest(&encode_batch(DeviceId(1), 1, &[ev(1, 9_000, 4)]));
+        c.ingest(&encode_batch(DeviceId(2), 1, &[ev(2, 9_000, 4)]));
+        c.ingest(&encode_batch(DeviceId(5), 0, &[ev(5, 9_000, 4)]));
+        c.ingest(&[0x00]);
+        let t1 = encoded();
+        let second = save_checkpoint(&c);
+        assert_eq!(encoded() - t1, 3);
+        assert_ne!(second, first);
+        assert_eq!(restore_checkpoint(&second).expect("restore"), c);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use cellrel_sim::{resolve_threads, Digest64, Merge};
 use cellrel_types::{DeviceId, FailureEvent, SimDuration};
 use std::collections::BTreeMap;
 use std::sync::mpsc::sync_channel;
+use std::sync::OnceLock;
 
 /// A consumer of the records the collector **accepts** — i.e. after batch
 /// decode, per-device sequence dedup, intra-batch duplicate collapse, and
@@ -199,6 +200,33 @@ impl Merge for IngestAggregate {
     }
 }
 
+/// A shard's encoded `CK` section, kept from one checkpoint to the next so
+/// a checkpoint re-encodes only the shards that took a batch in between.
+/// It is derived from the rest of [`ShardState`] and never part of it: a
+/// clone starts empty and every cache compares equal.
+#[derive(Debug, Default)]
+pub(crate) struct SectionCache(OnceLock<Vec<u8>>);
+
+impl SectionCache {
+    /// The cached section, encoding it with `encode` if the shard changed
+    /// since the last call.
+    pub(crate) fn get_or_encode(&self, encode: impl FnOnce() -> Vec<u8>) -> &[u8] {
+        self.0.get_or_init(encode)
+    }
+}
+
+impl Clone for SectionCache {
+    fn clone(&self) -> Self {
+        SectionCache::default()
+    }
+}
+
+impl PartialEq for SectionCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// One virtual shard's deterministic state.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ShardState {
@@ -208,6 +236,8 @@ pub(crate) struct ShardState {
     pub(crate) last_seq: BTreeMap<u32, u64>,
     /// High-water mark over accepted record timestamps, ms.
     pub(crate) watermark_ms: u64,
+    /// Valid until the next [`ShardState::accept_with`].
+    pub(crate) section: SectionCache,
 }
 
 impl ShardState {
@@ -219,6 +249,9 @@ impl ShardState {
     /// Decode and fold one routed batch, echoing each accepted record into
     /// `sink` (after dedup and noise filtering, before anything else sees it).
     fn accept_with<S: AcceptedSink>(&mut self, bytes: &[u8], lateness_ms: u64, sink: &mut S) {
+        // Every outcome below moves at least a counter, and this is the
+        // only place shard state mutates.
+        self.section = SectionCache::default();
         let batch = match decode_batch(bytes) {
             Ok(b) => b,
             Err(_) => {
@@ -613,6 +646,15 @@ mod tests {
             out.push(encode_batch(DeviceId(d), 0, &records));
         }
         out
+    }
+
+    /// The section cache must not cost the collector a marker trait:
+    /// `run_ingest` moves shard states across threads and the stream
+    /// pipeline clones and compares collectors.
+    #[test]
+    fn collector_is_still_clone_eq_send_sync() {
+        fn assert_traits<T: Clone + PartialEq + Send + Sync>() {}
+        assert_traits::<Collector>();
     }
 
     #[test]

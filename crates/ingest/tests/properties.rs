@@ -237,6 +237,73 @@ proptest! {
         }
     }
 
+    /// The per-shard `CK` section cache can never be observed. Over a
+    /// stream of good, duplicate, out-of-order, undecodable and unroutable
+    /// batches with checkpoints taken at arbitrary points, a checkpoint's
+    /// bytes equal those re-encoded cold from its own restore and those of
+    /// a collector that never checkpointed before; `==` and `digest()` do
+    /// not see the cache; and a clone taken after a checkpoint encodes its
+    /// own later state, not the original's.
+    #[test]
+    fn checkpoint_section_cache_is_unobservable(
+        ops in prop::collection::vec(
+            (0u8..9, 0u32..12, prop::collection::vec(parts_strategy(), 0..4)),
+            1..40,
+        ),
+    ) {
+        let cfg = CollectorConfig { virtual_shards: 4, ..CollectorConfig::default() };
+        let mut cached = Collector::new(&cfg);
+        let mut cold = Collector::new(&cfg);
+        let mut next_seq = [0u64; 12];
+        let mut sent: Vec<Vec<u8>> = Vec::new();
+        for (kind, d, parts) in &ops {
+            let device = DeviceId(*d);
+            let events: Vec<FailureEvent> =
+                parts.iter().map(|p| build_event(device, p)).collect();
+            let good = || encode_batch(device, next_seq[*d as usize], &events);
+            let batch = match kind {
+                // Random timestamps against the shard watermark make many
+                // of these out-of-order or late.
+                0..=3 => {
+                    let b = good();
+                    next_seq[*d as usize] += 1;
+                    sent.push(b.clone());
+                    b
+                }
+                4 if !sent.is_empty() => sent[*d as usize % sent.len()].clone(),
+                5 => {
+                    let mut b = good();
+                    *b.last_mut().expect("framed") ^= 0xff;
+                    b
+                }
+                6 => vec![0x00],
+                _ => {
+                    let last = save_checkpoint(&cached);
+                    let restored = restore_checkpoint(&last);
+                    prop_assert!(restored.is_ok(), "own checkpoint restores: {restored:?}");
+                    prop_assert_eq!(&save_checkpoint(&restored.expect("checked")), &last);
+                    prop_assert_eq!(&save_checkpoint(&cold.clone()), &last);
+                    prop_assert_eq!(&save_checkpoint(&cached), &last, "warm re-encode");
+                    continue;
+                }
+            };
+            cached.ingest(&batch);
+            cold.ingest(&batch);
+            prop_assert!(cached == cold);
+            prop_assert_eq!(cached.digest(), cold.digest());
+        }
+
+        let last = save_checkpoint(&cached);
+        let mut fork = cached.clone();
+        let one_more = encode_batch(DeviceId(3), next_seq[3], &[]);
+        fork.ingest(&one_more);
+        cold.ingest(&one_more);
+        let forked = save_checkpoint(&fork);
+        prop_assert_eq!(&forked, &save_checkpoint(&cold));
+        prop_assert_ne!(&forked, &last);
+        prop_assert_eq!(&save_checkpoint(&cached), &last, "the original is untouched");
+    }
+
     #[test]
     fn sketch_merge_is_commutative(
         xs in prop::collection::vec(0u64..1 << 50, 0..200),

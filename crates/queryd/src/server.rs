@@ -288,27 +288,27 @@ pub fn feed_events(
 ) -> u64 {
     let chunk = chunk.max(1);
     let mut sink = StoreSink::new(cfg, dir);
+    // Published snapshots are immutable, so they are built in the columnar
+    // layout: concurrent readers scan segments instead of the row map.
+    // Pure layout change — answers and digests are invariant (the store's
+    // differential suite proves it).
+    let mut publish = |sink: &StoreSink<'_>| {
+        let mut snap = Store::sealed_union(cfg, &[sink.store()]);
+        snap.register_population(dir);
+        let epoch = core.publish(snap);
+        on_publish(&core.snapshot());
+        epoch
+    };
     let mut pending = 0usize;
     for e in events {
         sink.accepted(e);
         pending += 1;
         if pending == chunk {
             pending = 0;
-            // Published snapshots are immutable, so flip them to the
-            // columnar layout: concurrent readers scan segments instead of
-            // the row map. Pure layout change — answers and digests are
-            // invariant (the store's differential suite proves it).
-            let mut snap = sink.clone().into_store();
-            snap.seal_columnar();
-            core.publish(snap);
-            on_publish(&core.snapshot());
+            publish(&sink);
         }
     }
-    let mut snap = sink.into_store();
-    snap.seal_columnar();
-    let epoch = core.publish(snap);
-    on_publish(&core.snapshot());
-    epoch
+    publish(&sink)
 }
 
 #[cfg(test)]

@@ -183,17 +183,7 @@ impl QuantileSketch {
     /// midpoint above — so the reported value is within `1/SUBBUCKETS` of a
     /// true order statistic at that rank. Clamped into `[min, max]`.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        quantile_over(
-            self.count,
-            self.min,
-            self.max,
-            q,
-            self.buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c != 0)
-                .map(|(i, &c)| (i, c)),
-        )
+        quantile_over(self.count, self.min, self.max, q, self.nonzero_buckets())
     }
 
     /// Exact number of absorbed values `< v`'s bucket lower edge — the rank
@@ -208,41 +198,57 @@ impl QuantileSketch {
         d.write_u64(self.count);
         d.write_u64(if self.count > 0 { self.min } else { 0 });
         d.write_u64(self.max);
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c != 0 {
-                d.write_u64(i as u64);
-                d.write_u64(c);
-            }
+        for (i, c) in self.nonzero_buckets() {
+            d.write_u64(i as u64);
+            d.write_u64(c);
         }
     }
 
     /// Non-empty `(bucket index, count)` pairs in index order — the sparse
-    /// form checkpoints serialize.
+    /// form checkpoints serialize. Exact min/max bracket the non-empty
+    /// buckets ([`bucket_of`] is monotone; `from_parts` refuses anything
+    /// else), so the walk covers `bucket_of(min)..=bucket_of(max)` and not
+    /// all [`BUCKETS`] slots.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
+        let span = if self.count == 0 {
+            0..0
+        } else {
+            bucket_of(self.min)..bucket_of(self.max) + 1
+        };
+        let lo = span.start;
+        self.buckets[span]
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (i, c))
+            .map(move |(i, &c)| (lo + i, c))
     }
 
     /// Rebuild from the sparse form (inverse of [`Self::nonzero_buckets`],
     /// with min/max carried separately). Returns `None` if an index is out
-    /// of range or the counts overflow.
+    /// of range, the counts overflow, or `min`/`max` do not fall in the
+    /// first/last non-empty bucket.
     pub fn from_parts(
         min: u64,
         max: u64,
         pairs: impl IntoIterator<Item = (usize, u64)>,
     ) -> Option<Self> {
         let mut s = QuantileSketch::new();
+        let (mut first, mut last) = (usize::MAX, 0);
         for (i, c) in pairs {
             if i >= BUCKETS {
                 return None;
             }
             s.buckets[i] = s.buckets[i].checked_add(c)?;
             s.count = s.count.checked_add(c)?;
+            if c > 0 {
+                first = first.min(i);
+                last = last.max(i);
+            }
         }
         if s.count > 0 {
+            if bucket_of(min) != first || bucket_of(max) != last {
+                return None;
+            }
             s.min = min;
             s.max = max;
         }
@@ -374,8 +380,9 @@ impl SparseSketch {
 
     /// Rebuild from `(index, count)` pairs in strictly ascending index
     /// order (min/max carried separately). Returns `None` on out-of-range
-    /// or non-ascending indices, zero counts, or count overflow — restore
-    /// paths must stay total.
+    /// or non-ascending indices, zero counts, count overflow, or `min`/`max`
+    /// outside the first/last bucket — restore paths must stay total, and
+    /// `quantile(0.0)`/`quantile(1.0)` answer min/max verbatim.
     pub fn from_parts(
         min: u64,
         max: u64,
@@ -391,7 +398,10 @@ impl SparseSketch {
             s.count = s.count.checked_add(c)?;
             s.buckets.push((i as u32, c));
         }
-        if s.count > 0 {
+        if let (Some(&(first, _)), Some(&(last, _))) = (s.buckets.first(), s.buckets.last()) {
+            if bucket_of(min) != first as usize || bucket_of(max) != last as usize {
+                return None;
+            }
             s.min = min;
             s.max = max;
         }
@@ -622,6 +632,86 @@ mod tests {
         let r = QuantileSketch::from_parts(s.min().unwrap(), s.max().unwrap(), pairs).unwrap();
         assert_eq!(r, s);
         assert!(QuantileSketch::from_parts(0, 0, [(BUCKETS, 1)]).is_none());
+    }
+
+    /// A restored sketch answers `quantile(0.0)`/`quantile(1.0)` with the
+    /// carried min/max verbatim, so they must sit in the outermost
+    /// non-empty buckets.
+    #[test]
+    fn from_parts_rejects_min_max_outside_the_outer_buckets() {
+        // 1000..=1003 share bucket_of(1000); 5 is its own bucket.
+        let pairs = [(5usize, 2u64), (bucket_of(1000), 1)];
+        for (min, max, ok) in [
+            (5, 1000, true),
+            (5, 1003, true),
+            (4, 1000, false),
+            (6, 1000, false),
+            (5, 999, false),
+            (5, 1004, false),
+            (0, u64::MAX, false),
+        ] {
+            assert_eq!(
+                QuantileSketch::from_parts(min, max, pairs).is_some(),
+                ok,
+                "dense {min}..{max}"
+            );
+            assert_eq!(
+                SparseSketch::from_parts(min, max, pairs).is_some(),
+                ok,
+                "sparse {min}..{max}"
+            );
+        }
+        // Zero-count pairs do not count as occupied; an empty sketch
+        // ignores the carried extremes, as before.
+        assert!(QuantileSketch::from_parts(5, 5, [(3, 0), (5, 1), (9, 0)]).is_some());
+        assert!(QuantileSketch::from_parts(3, 5, [(3, 0), (5, 1)]).is_none());
+        assert_eq!(
+            QuantileSketch::from_parts(7, 9, []),
+            Some(QuantileSketch::new())
+        );
+    }
+
+    proptest::proptest! {
+        /// The walk bounded by `bucket_of(min)..=bucket_of(max)` sees the
+        /// same buckets as a walk over all of them, on any mix of pushes
+        /// and merges (empty sketches included).
+        #[test]
+        fn bounded_walk_equals_full_walk(
+            parts in proptest::collection::vec(
+                proptest::collection::vec((0u32..64, proptest::prelude::any::<u64>()), 0..12),
+                1..6,
+            )
+        ) {
+            let mut all = QuantileSketch::new();
+            for part in &parts {
+                let mut s = QuantileSketch::new();
+                for &(shift, v) in part {
+                    s.push(v >> shift);
+                }
+                all.merge(s);
+            }
+            let full: Vec<(usize, u64)> = all
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c != 0)
+                .map(|(i, &c)| (i, c))
+                .collect();
+            let bounded: Vec<(usize, u64)> = all.nonzero_buckets().collect();
+            proptest::prop_assert_eq!(&bounded, &full);
+            for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+                proptest::prop_assert_eq!(
+                    all.quantile(q),
+                    quantile_over(all.count, all.min, all.max, q, full.iter().copied())
+                );
+            }
+            let back = QuantileSketch::from_parts(
+                all.min().unwrap_or(0),
+                all.max().unwrap_or(0),
+                full,
+            );
+            proptest::prop_assert_eq!(back, Some(all));
+        }
     }
 
     #[test]

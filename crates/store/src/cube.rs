@@ -443,6 +443,23 @@ impl Partition {
         self.cells_folded += (before - self.physical_cells()) as u64;
     }
 
+    /// The part of a partition merge that is not cells: fold `o`'s device
+    /// directory slice and counters in.
+    fn merge_directory_and_counters(&mut self, o: &Partition) {
+        for (&id, &rec) in &o.devices {
+            match self.devices.get_mut(&id) {
+                Some(mine) => mine.merge(rec),
+                None => {
+                    self.devices.insert(id, rec);
+                }
+            }
+        }
+        self.inserted += o.inserted;
+        self.compactions += o.compactions;
+        self.cells_folded += o.cells_folded;
+        self.since_compact += o.since_compact;
+    }
+
     /// Move every hot cell into the (single) sealed columnar run, without
     /// any bucket folding — a pure layout change.
     fn seal_columnar(&mut self) {
@@ -459,6 +476,7 @@ impl Partition {
 
 impl Merge for Partition {
     fn merge(&mut self, o: Self) {
+        self.merge_directory_and_counters(&o);
         for (k, c) in o.cells {
             match self.cells.get_mut(&k) {
                 Some(mine) => mine.merge(c),
@@ -479,18 +497,6 @@ impl Merge for Partition {
         } else if self.segments.is_empty() {
             self.segments = o.segments;
         }
-        for (id, rec) in o.devices {
-            match self.devices.get_mut(&id) {
-                Some(mine) => mine.merge(rec),
-                None => {
-                    self.devices.insert(id, rec);
-                }
-            }
-        }
-        self.inserted += o.inserted;
-        self.compactions += o.compactions;
-        self.cells_folded += o.cells_folded;
-        self.since_compact += o.since_compact;
     }
 }
 
@@ -599,6 +605,49 @@ impl Store {
         for p in &mut self.partitions {
             p.seal_columnar();
         }
+    }
+
+    /// The union of `parts` as one columnar-sealed store — the one way a
+    /// served view is built. Equal, field for field, to folding the parts
+    /// with [`Merge::merge`] and calling [`Store::seal_columnar`], in any
+    /// order of `parts`, but without a copy of any part and in a single
+    /// k-way pass per partition: every part's sealed run feeds
+    /// [`merge_runs`] by reference beside one run of the parts' row-tier
+    /// cells.
+    ///
+    /// Panics, like `merge`, if a part was built under another config.
+    pub fn sealed_union(cfg: &StoreConfig, parts: &[&Store]) -> Store {
+        let mut out = Store::new(cfg);
+        for part in parts {
+            assert_eq!(
+                out.cfg, part.cfg,
+                "stores with different configs do not merge"
+            );
+        }
+        for (i, p) in out.partitions.iter_mut().enumerate() {
+            let mut hot: BTreeMap<CellKey, Cell> = BTreeMap::new();
+            let mut sealed: Vec<&ColumnSegment> = Vec::new();
+            for o in parts.iter().map(|part| &part.partitions[i]) {
+                for (k, c) in &o.cells {
+                    hot.entry(*k).or_default().merge_ref(c);
+                }
+                sealed.extend(&o.segments);
+                p.merge_directory_and_counters(o);
+            }
+            p.segments = match sealed[..] {
+                // A lone segment is already the canonical run of its
+                // content (a follower's sealed base, a view partition
+                // nothing new landed in): copy the columns instead of
+                // re-materialising every row.
+                [only] if hot.is_empty() && !only.is_empty() => vec![only.clone()],
+                _ => {
+                    let mut runs: Vec<Run<'_>> = sealed.into_iter().map(Run::seg).collect();
+                    runs.push(Run::Map(hot.into_iter()));
+                    merge_runs(runs).into_iter().collect()
+                }
+            };
+        }
+        out
     }
 
     /// Total live cells across partitions (row tier + sealed segments).

@@ -146,6 +146,61 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
+    /// `sealed_union` is the left fold of `merge` followed by
+    /// `seal_columnar` — structurally, counters included — over any mix of
+    /// row-tier, sealed, compacted and empty parts, in any order of parts.
+    #[test]
+    fn sealed_union_equals_merge_fold_then_seal(
+        parts in prop::collection::vec(
+            (prop::collection::vec(parts_strategy(), 0..60), 0usize..4),
+            0..6,
+        ),
+        partitions in 1usize..5,
+        rotate in any::<usize>(),
+    ) {
+        let cfg = StoreConfig { partitions, ..StoreConfig::default() };
+        let stores: Vec<Store> = parts
+            .iter()
+            .map(|(events, layout)| {
+                let mut s = build_store(&cfg, events);
+                match layout {
+                    0 => {}
+                    1 => s.seal_columnar(),
+                    2 => s.compact(),
+                    // Sealed history plus a hot tail, as a live view has.
+                    _ => {
+                        s.seal_columnar();
+                        for p in events.iter().take(5) {
+                            let e = build_event(p);
+                            s.record(&e, DeviceDirectory::default().dim_of(e.device));
+                        }
+                    }
+                }
+                s
+            })
+            .collect();
+
+        let mut fold = Store::new(&cfg);
+        for s in &stores {
+            fold.merge(s.clone());
+        }
+        fold.seal_columnar();
+
+        let mut refs: Vec<&Store> = stores.iter().collect();
+        let union = Store::sealed_union(&cfg, &refs);
+        prop_assert_eq!(&union, &fold);
+        prop_assert_eq!(union.sealed_cells(), union.cells());
+        prop_assert_eq!(union.inserted(), stores.iter().map(Store::inserted).sum::<u64>());
+        let mut again = union.clone();
+        again.seal_columnar();
+        prop_assert_eq!(&again, &union, "already sealed: seal_columnar is a no-op");
+
+        let by = rotate % refs.len().max(1);
+        refs.rotate_left(by);
+        refs.reverse();
+        prop_assert_eq!(&Store::sealed_union(&cfg, &refs), &fold);
+    }
+
     /// Compaction is query-transparent: every legal query answers
     /// identically before and after folding sealed buckets, and the digest
     /// does not move.

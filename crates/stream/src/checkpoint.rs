@@ -22,13 +22,13 @@
 //! bit-flipped, or garbage bytes yield a [`StreamError::Frame`].
 
 use crate::pipeline::{StreamConfig, StreamCounters, StreamPipeline};
-use crate::segment::{decode_manifest, decode_segment, encode_manifest, SegmentStore};
+use crate::segment::{decode_manifest, decode_segment, encode_manifest, SegmentKind, SegmentStore};
 use crate::StreamError;
 use cellrel_ingest::frame::{seal, write_varint, SP};
 use cellrel_ingest::{restore_checkpoint, save_checkpoint, CollectorConfig};
 use cellrel_store::{restore_store, save_store, DeviceDirectory, Store, StoreConfig};
 use cellrel_types::SimDuration;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Current pipeline checkpoint schema version.
 pub const CKPT_STREAM_VERSION: u8 = 1;
@@ -122,6 +122,26 @@ impl<'d> StreamPipeline<'d> {
 
         let collector = restore_checkpoint(r.blob("collector length")?)?;
         let manifest = decode_manifest(&mut r)?;
+        // The manifest is replayed entry by entry below, so it must be the
+        // seal history the counters and replay position describe: one
+        // entry per persisted segment, each sealed once, none from the
+        // future. Otherwise a segment would merge into the view twice.
+        if manifest.len() as u64 != counters.segments_persisted {
+            return Err(r.invalid("manifest length").into());
+        }
+        let mut seen = BTreeSet::new();
+        for e in &manifest {
+            let bound = match e.kind {
+                SegmentKind::Window => sealed_before,
+                SegmentKind::Late => late_seq,
+            };
+            if e.index >= bound {
+                return Err(r.invalid("manifest entry index").into());
+            }
+            if !seen.insert((e.kind, e.index)) {
+                return Err(r.invalid("manifest entry repeated").into());
+            }
+        }
 
         // Each pending window costs at least an index and an image length.
         let npending = r.count("pending count", 2)?;

@@ -291,17 +291,15 @@ impl<'d> StreamPipeline<'d> {
     }
 
     /// The merged queryable view: base + hot + pending + late, with the
-    /// device population registered. Content-identical to the batch store
-    /// over the same accepted records, at any point in the stream.
+    /// device population registered, columnar-sealed and ready to publish.
+    /// Content-identical to the batch store over the same accepted
+    /// records, at any point in the stream.
     pub fn store(&self) -> Store {
-        let mut s = self.base.clone();
-        for (_, seg) in &self.hot {
-            s.merge(seg.clone());
-        }
-        for delta in self.pending.values() {
-            s.merge(delta.clone());
-        }
-        s.merge(self.late.clone());
+        let mut parts = vec![&self.base];
+        parts.extend(self.hot.iter().map(|(_, seg)| seg));
+        parts.extend(self.pending.values());
+        parts.push(&self.late);
+        let mut s = Store::sealed_union(&self.cfg.store, &parts);
         s.register_population(self.dir);
         s
     }
@@ -592,5 +590,59 @@ mod tests {
         rc.restores = 0;
         assert_eq!(rc, *live.counters());
         assert!(live.counters().base_folds > 0, "base tier was exercised");
+    }
+
+    /// Regression: `restore` replays every manifest entry into the tiers,
+    /// so a CRC-valid checkpoint whose manifest names a segment twice —
+    /// or names one the replay position says was never sealed — used to
+    /// restore into a view holding that segment's records twice
+    /// (`store().inserted()` 3 against `counters().records` 2).
+    #[test]
+    fn restore_rejects_a_manifest_that_is_not_the_seal_history() {
+        use cellrel_ingest::frame::SP;
+
+        let cfg = StreamConfig {
+            late_flush: 1,
+            ..small_cfg()
+        };
+        let dir = DeviceDirectory::default();
+        let mut segs = MemSegments::new();
+        let mut p = StreamPipeline::new(&cfg, &dir).expect("valid config");
+        p.offer(&batch(0, 0, &[1_000]), &mut segs).unwrap();
+        p.offer(&batch(0, 1, &[5_000]), &mut segs).unwrap(); // seals window 0
+        p.offer(&batch(1, 0, &[100]), &mut segs).unwrap(); // late → flushed
+        let kinds: Vec<SegmentKind> = p.manifest().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, vec![SegmentKind::Window, SegmentKind::Late]);
+        assert!(StreamPipeline::restore(&p.checkpoint(), &dir, &segs).is_ok());
+
+        let mut forge = |edit: &dyn Fn(&mut StreamPipeline<'_>)| {
+            let (manifest, counters) = (p.manifest.clone(), p.counters);
+            edit(&mut p);
+            let result = StreamPipeline::restore(&p.checkpoint(), &dir, &segs);
+            p.manifest = manifest;
+            p.counters = counters;
+            result.map(|r| r.store().inserted()).unwrap_err()
+        };
+        let invalid = |field| StreamError::Frame(SP.invalid(field));
+
+        let twice = |p: &mut StreamPipeline<'_>| p.manifest.push(p.manifest[0]);
+        assert_eq!(forge(&twice), invalid("manifest length"));
+        assert_eq!(
+            forge(&|p| {
+                twice(p);
+                p.counters.segments_persisted += 1;
+            }),
+            invalid("manifest entry repeated")
+        );
+        // Window 1 and late flush 1 have not been sealed yet; their
+        // entries could only name some other pipeline's segments.
+        assert_eq!(
+            forge(&|p| p.manifest[0].index = p.sealed_before),
+            invalid("manifest entry index")
+        );
+        assert_eq!(
+            forge(&|p| p.manifest[1].index = p.late_seq),
+            invalid("manifest entry index")
+        );
     }
 }

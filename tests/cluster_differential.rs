@@ -72,8 +72,7 @@ fn fixture() -> &'static Fixture {
         }
         single.flush(&mut segs).expect("flush");
         let reference_digest = single.digest();
-        let mut reference = single.store();
-        reference.seal_columnar();
+        let reference = single.store();
 
         let mut routers = Vec::new();
         let mut follower_routers = Vec::new();

@@ -37,8 +37,8 @@ use cellrel::store::{
     Query, Store, StoreConfig,
 };
 use cellrel::stream::{
-    decode_segment, encode_segment, MemSegments, SegmentEntry, SegmentKind, StreamConfig,
-    StreamPipeline,
+    decode_manifest, decode_segment, encode_manifest, encode_segment, MemSegments, SegmentEntry,
+    SegmentKind, StreamConfig, StreamPipeline,
 };
 use cellrel::types::{
     Apn, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat, SignalLevel,
@@ -313,6 +313,51 @@ fn varints(values: &[u64]) -> Vec<u8> {
     out
 }
 
+/// A frame whose body is varints only (`CK`, a row-only `CS` image), with
+/// `edit` applied to the decoded values and the envelope sealed again: a
+/// CRC-valid frame saying something its encoder never would.
+fn reframe(family: &'static Family, bytes: &[u8], edit: impl FnOnce(&mut Vec<u64>)) -> Vec<u8> {
+    let mut r = family.open(bytes).expect("own frame opens");
+    let version = r.version();
+    let mut values = Vec::new();
+    while r.remaining() > 0 {
+        values.push(r.varint().expect("varint body"));
+    }
+    edit(&mut values);
+    let mut out = Vec::new();
+    let start = family.begin(&mut out, version);
+    out.extend(varints(&values));
+    seal(&mut out, start);
+    out
+}
+
+/// Index of the `max` of the first non-empty sketch in a `CK` body.
+fn ck_first_sketch_max(v: &[u64]) -> usize {
+    let mut i = 3; // virtual_shards, lateness, unroutable
+    loop {
+        i += 10; // counters, watermark
+        i += 1 + 2 * v[i] as usize; // dedup map
+        i += 16; // records, by_kind/isp/rat, three duration scalars
+        for _ in 0..6 {
+            if v[i] > 0 {
+                return i + 2; // count, min, max
+            }
+            i += 4 + 2 * v[i + 3] as usize;
+        }
+    }
+}
+
+/// Index of the `max` of the first cell's sketch in a row-only `CS` body.
+fn cs_first_sketch_max(v: &[u64]) -> usize {
+    let mut i = 4; // bucket_ms, rollup, partitions, auto_compact
+    loop {
+        if v[i + 4] > 0 {
+            return i + 5 + 11 + 1; // counters, ncells, key, aggregates, min
+        }
+        i += 6 + 5 * v[i + 5] as usize; // an empty partition's device table
+    }
+}
+
 fn decode_block(bytes: &[u8]) -> Result<ColumnSegment, frame::FrameError> {
     let mut r = Reader::bare(&SC, bytes);
     let seg = ColumnSegment::decode(&mut r)?;
@@ -367,6 +412,13 @@ proptest! {
         };
         let bytes = save_checkpoint(&value);
         check(&subject, &value, &bytes, seed)?;
+        // `quantile(1.0)` answers `max` verbatim: one that does not fall
+        // in the last non-empty bucket is a lie, however valid the CRC.
+        let lie = reframe(&CK, &bytes, |v| {
+            let at = ck_first_sketch_max(v);
+            v[at] = u64::MAX;
+        });
+        prop_assert_eq!(restore_checkpoint(&lie), Err(CK.invalid("sketch buckets")));
     }
 
     #[test]
@@ -380,6 +432,13 @@ proptest! {
         };
         let bytes = save_store(&value);
         check(&subject, &value, &bytes, seed)?;
+        // Same lie as in `ck`, in the row image (`SC` blocks go through
+        // the same constructor and have their own row).
+        let lie = reframe(&CS, &save_store(&store(&parts, 0)), |v| {
+            let at = cs_first_sketch_max(v);
+            v[at] = u64::MAX;
+        });
+        prop_assert_eq!(restore_store(&lie), Err(CS.invalid("invalid sketch buckets")));
     }
 
     #[test]
@@ -430,6 +489,30 @@ proptest! {
         };
         let bytes = p.checkpoint();
         check(&subject, &view(&p), &bytes, seed)?;
+        // A manifest naming its first segment twice, with the length and
+        // the persisted-segments counter kept in step, would merge that
+        // segment into the restored view twice.
+        if let Some(first) = p.manifest().first() {
+            let mut r = SP.open(&bytes).expect("own frame opens");
+            // Configs (10), replay position (3), counters (9).
+            let mut head: Vec<u64> = (0..22).map(|_| r.varint().expect("head")).collect();
+            head[19] += 1; // segments_persisted
+            let collector = r.blob("collector").expect("collector");
+            let mut manifest = decode_manifest(&mut r).expect("manifest");
+            manifest.push(*first);
+            let mut forged = Vec::new();
+            let start = SP.begin(&mut forged, SP.versions[0]);
+            forged.extend(varints(&head));
+            write_varint(&mut forged, collector.len() as u64);
+            forged.extend_from_slice(collector);
+            encode_manifest(&manifest, &mut forged);
+            forged.extend_from_slice(r.take(r.remaining()).expect("pending and late"));
+            seal(&mut forged, start);
+            prop_assert_eq!(
+                (subject.decode)(&forged),
+                Err(SP.invalid("manifest entry repeated").into())
+            );
+        }
     }
 
     #[test]

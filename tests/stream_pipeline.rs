@@ -78,6 +78,10 @@ fn incremental_tables_match_one_shot_batch_after_final_seal() {
             let (t1, t2) = p.tables(10).expect("valid queries");
             seq.write_bytes(t1.render().as_bytes());
             seq.write_bytes(t2.render().as_bytes());
+            // The view comes out ready to publish: no row tier left for a
+            // caller's `seal_columnar` to move.
+            let view = p.store();
+            assert_eq!(view.sealed_cells(), view.cells(), "seal {seals}");
         }
     }
     p.flush(&mut segs).expect("flush");
