@@ -3,13 +3,28 @@
 //! Durable state is exactly what survives a follower restart: the segment
 //! bytes, the manifest they decode to, and the latest checkpoint blob.
 //! The merged store, applied position, and serving snapshot are volatile
-//! and rebuilt by [`Follower::recover`]. Every applied segment is
-//! digest-verified by the segment codec and checked against this
-//! replica's store config before it merges, so a corrupt, torn or foreign
-//! ship is rejected at the wire, not discovered at failover. The
-//! checkpoint is likewise restore-validated on arrival — a blob that
-//! cannot actually rebuild a pipeline is refused while the leader is still
-//! alive to resend it.
+//! and rebuilt by [`Follower::recover`].
+//!
+//! **Once per segment:** every shipped segment is CRC-, count- and
+//! digest-verified by the segment codec, checked against this replica's
+//! store config and refused if the replica already holds its
+//! `(kind, index)`, all before it is stored or merged — so a corrupt, torn,
+//! foreign or overwriting ship is rejected at the wire, not discovered at
+//! failover, and `manifest` is an exact index of `segs`: entry *i* is the
+//! decoded header of the bytes stored under its name, and nothing else is
+//! stored.
+//!
+//! **Once per checkpoint:** the frame is decoded and checked against
+//! itself ([`StreamPipeline::decode`]), its store config must be this
+//! replica's, and its manifest must equal the first `seq` entries of the
+//! replayed manifest. That is what replaying the whole log through
+//! [`StreamPipeline::restore`] would establish — each named segment
+//! present, decodable, equal to its entry and of the right config — because
+//! the apply path established exactly that for every entry of `manifest`
+//! and nothing can change a stored segment afterwards. A blob that cannot
+//! rebuild a pipeline at promotion is still refused while the leader is
+//! alive to resend it; it just costs the size of the checkpoint, not the
+//! size of the log.
 
 use std::sync::Arc;
 
@@ -73,7 +88,7 @@ impl Follower {
         self.applied
     }
 
-    /// Replication position of the newest restore-validated checkpoint.
+    /// Replication position of the newest accepted checkpoint.
     pub fn checkpoint_seq(&self) -> Option<u64> {
         self.checkpoint.as_ref().map(|(seq, _)| *seq)
     }
@@ -147,6 +162,18 @@ impl Follower {
                 detail: "segment rejected: store config mismatch".into(),
             };
         }
+        // One name, one set of bytes, for good: an accepted checkpoint
+        // names this log by entry, so no later ship may replace a segment.
+        if self
+            .manifest
+            .iter()
+            .any(|e| (e.kind, e.index) == (entry.kind, entry.index))
+        {
+            return Message::Rejection {
+                code: proto::ERR_APPLY,
+                detail: format!("segment rejected: {} is already held", entry.name()),
+            };
+        }
         if let Err(e) = self.segs.put(&entry.name(), bytes) {
             return Message::Rejection {
                 code: proto::ERR_APPLY,
@@ -173,13 +200,24 @@ impl Follower {
                 ),
             };
         }
-        // Restore-validate now, against the segments we actually hold:
-        // a checkpoint that cannot rebuild a pipeline is useless at
+        // A checkpoint that cannot rebuild a pipeline is useless at
         // promotion time and must be refused while it is still cheap to.
-        if let Err(e) = StreamPipeline::restore(&bytes, &self.dir, &self.segs) {
+        // The segments it names were verified one by one as they arrived
+        // (module docs), so it is enough that it names exactly those.
+        let refusal = match StreamPipeline::decode(&bytes) {
+            Err(e) => Some(e.to_string()),
+            Ok(image) if image.config().store != self.cfg.store => {
+                Some("store config mismatch".into())
+            }
+            Ok(image) if image.manifest() != &self.manifest[..seq as usize] => {
+                Some(format!("manifest is not the applied log up to seq {seq}"))
+            }
+            Ok(_) => None,
+        };
+        if let Some(why) = refusal {
             return Message::Rejection {
                 code: proto::ERR_APPLY,
-                detail: format!("checkpoint rejected: {e}"),
+                detail: format!("checkpoint rejected: {why}"),
             };
         }
         let digest = u64::from(crc32(&bytes));
@@ -283,7 +321,13 @@ impl Follower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellrel_stream::{encode_segment, SegmentKind};
+    use crate::node::ShardLeader;
+    use cellrel_ingest::frame::{seal, write_varint, SP};
+    use cellrel_stream::{
+        batches_from_events, decode_manifest, encode_manifest, encode_segment, SegmentKind,
+    };
+    use cellrel_workload::{run_macro_study, PopulationConfig, StudyConfig};
+    use std::sync::OnceLock;
 
     /// A CRC-valid, self-consistent `SG` frame whose store has 4
     /// partitions where followers default to 16, and the stream config
@@ -309,10 +353,19 @@ mod tests {
     }
 
     fn ship(f: &mut Follower, segment: Vec<u8>) -> Message {
+        ship_at(f, 1, segment)
+    }
+
+    fn ship_at(f: &mut Follower, seq: u64, segment: Vec<u8>) -> Message {
         let frame = proto::encode_frame(&Message::ShipSegment {
-            seq: 1,
+            seq,
             frame: segment,
         });
+        proto::decode_frame(&f.apply(&frame)).expect("reply decodes")
+    }
+
+    fn ship_checkpoint(f: &mut Follower, seq: u64, checkpoint: Vec<u8>) -> Message {
+        let frame = proto::encode_frame(&Message::ShipCheckpoint { seq, checkpoint });
         proto::decode_frame(&f.apply(&frame)).expect("reply decodes")
     }
 
@@ -360,5 +413,325 @@ mod tests {
             "{err}"
         );
         assert_position(&f, 1);
+    }
+
+    /// One shard leader's whole replication log over a seed-2021 stream.
+    struct Shipped {
+        dir: DeviceDirectory,
+        cfg: StreamConfig,
+        /// `SG` frames in log order: `segments[i]` ships at seq `i + 1`.
+        segments: Vec<Vec<u8>>,
+        /// Every checkpoint the leader shipped, with the seq it shipped at.
+        checkpoints: Vec<(u64, Vec<u8>)>,
+    }
+
+    fn shipped() -> &'static Shipped {
+        static SHIPPED: OnceLock<Shipped> = OnceLock::new();
+        SHIPPED.get_or_init(|| {
+            let data = run_macro_study(&StudyConfig {
+                seed: 2021,
+                population: PopulationConfig {
+                    devices: 120,
+                    ..Default::default()
+                },
+                days: 4,
+                bs_count: 60,
+            });
+            let dir = DeviceDirectory::from_population(&data.population);
+            let cfg = StreamConfig {
+                window_ms: 86_400_000,
+                lateness_ms: 2 * 3_600_000,
+                hot_windows: 2,
+                late_flush: 64,
+                ..Default::default()
+            };
+            let (mut segments, mut checkpoints) = (Vec::new(), Vec::new());
+            let mut leader = ShardLeader::new(&cfg, &dir, 0, 4).expect("leader");
+            let mut frames = Vec::new();
+            for b in batches_from_events(&data.events, 32) {
+                frames.extend(leader.offer(&b).expect("offer"));
+            }
+            frames.extend(leader.flush().expect("flush"));
+            for frame in frames {
+                match proto::decode_frame(&frame).expect("own frame") {
+                    Message::ShipSegment { seq, frame } => {
+                        segments.push(frame);
+                        assert_eq!(seq, segments.len() as u64);
+                    }
+                    Message::ShipCheckpoint { seq, checkpoint } => {
+                        checkpoints.push((seq, checkpoint))
+                    }
+                    other => panic!("leaders ship segments and checkpoints, not {other:?}"),
+                }
+            }
+            drop(leader);
+            assert!(segments.len() >= 6, "{} segments", segments.len());
+            Shipped {
+                dir,
+                cfg,
+                segments,
+                checkpoints,
+            }
+        })
+    }
+
+    /// A replica that applied the first `applied` segments and no checkpoint.
+    fn follower_at(s: &Shipped, applied: usize) -> Follower {
+        let mut f = Follower::new(&s.cfg, &s.dir, 0);
+        for (i, segment) in s.segments[..applied].iter().enumerate() {
+            let reply = ship_at(&mut f, i as u64 + 1, segment.clone());
+            assert!(matches!(reply, Message::Ack { .. }), "{reply:?}");
+        }
+        f
+    }
+
+    /// `ckpt` re-sealed with `edit` applied to its 22 leading varints
+    /// (configs 0..10; cursor, `sealed_before`, `late_seq` 10..13; counters
+    /// 13..22) and its manifest. `segments_persisted` follows the manifest
+    /// length, so the forgery gets past `decode`'s own length check.
+    fn forge(ckpt: &[u8], edit: impl FnOnce(&mut [u64], &mut Vec<SegmentEntry>)) -> Vec<u8> {
+        let mut r = SP.open(ckpt).expect("own frame opens");
+        let mut head: Vec<u64> = (0..22).map(|_| r.varint().expect("head")).collect();
+        let collector = r.blob("collector").expect("collector");
+        let mut manifest = decode_manifest(&mut r).expect("manifest");
+        let rest = r.take(r.remaining()).expect("pending and late");
+        edit(&mut head, &mut manifest);
+        head[19] = manifest.len() as u64;
+        let mut out = Vec::new();
+        let start = SP.begin(&mut out, SP.versions[0]);
+        for v in head {
+            write_varint(&mut out, v);
+        }
+        write_varint(&mut out, collector.len() as u64);
+        out.extend_from_slice(collector);
+        encode_manifest(&manifest, &mut out);
+        out.extend_from_slice(rest);
+        seal(&mut out, start);
+        out
+    }
+
+    /// Forgeries that `decode` has no quarrel with: the manifest is a seal
+    /// history some pipeline could have, just not the one this log holds.
+    /// `at` picks the entry. A manifest too short to edit comes back as
+    /// is, and so does any `forgery` past the last arm.
+    fn forge_manifest(ckpt: &[u8], forgery: usize, at: usize) -> Vec<u8> {
+        forge(ckpt, |head, m| {
+            let n = m.len();
+            match forgery {
+                0 if n > 0 => m[at % n].digest ^= 1,
+                1 if n > 0 => m[at % n].records += 1,
+                2 if n > 0 => m[at % n].watermark_ms += 1,
+                // Two entries of one kind trade indices: both stay inside
+                // the replay position, neither repeats.
+                3 if n > 1 => {
+                    let i = at % n;
+                    if let Some(j) = (0..n).find(|&j| j != i && m[j].kind == m[i].kind) {
+                        let (a, b) = (m[i].index, m[j].index);
+                        m[i].index = b;
+                        m[j].index = a;
+                    }
+                }
+                4 if n > 1 => m.swap(at % (n - 1), at % (n - 1) + 1),
+                5 => {
+                    m.pop();
+                }
+                // One more late flush than the log holds.
+                6 if n > 0 => {
+                    let mut extra = m[at % n];
+                    (extra.kind, extra.index) = (SegmentKind::Late, head[12]);
+                    head[12] += 1;
+                    m.push(extra);
+                }
+                _ => {}
+            }
+        })
+    }
+
+    fn assert_refused(f: &mut Follower, seq: u64, ckpt: Vec<u8>, why: &str) {
+        let held = f.checkpoint.clone();
+        let reply = ship_checkpoint(f, seq, ckpt);
+        let want = Message::Rejection {
+            code: proto::ERR_APPLY,
+            detail: why.into(),
+        };
+        assert_eq!(reply, want);
+        assert_eq!(f.checkpoint, held, "a refused checkpoint replaces nothing");
+    }
+
+    #[test]
+    fn the_leaders_own_checkpoints_ack_at_every_position() {
+        let s = shipped();
+        let mut f = Follower::new(&s.cfg, &s.dir, 0);
+        let mut applied = 0;
+        for (seq, ckpt) in &s.checkpoints {
+            for segment in &s.segments[applied..*seq as usize] {
+                applied += 1;
+                let reply = ship_at(&mut f, applied as u64, segment.clone());
+                assert!(matches!(reply, Message::Ack { .. }), "{reply:?}");
+            }
+            let reply = ship_checkpoint(&mut f, *seq, ckpt.clone());
+            let digest = u64::from(crc32(ckpt));
+            assert_eq!(reply, Message::Ack { seq: *seq, digest });
+            assert_eq!(f.checkpoint_seq(), Some(*seq));
+        }
+        assert_position(&f, s.segments.len() as u64);
+        let (pipeline, _) = f.promote(&s.dir).expect("promotes");
+        assert_eq!(pipeline.manifest(), f.manifest());
+    }
+
+    #[test]
+    fn a_checkpoint_that_does_not_name_the_applied_log_is_refused() {
+        let s = shipped();
+        let n = s.segments.len() as u64;
+        let (seq, genuine) = s.checkpoints.last().expect("flush ships one");
+        assert_eq!(*seq, n);
+        let mut f = follower_at(s, n as usize);
+        let first = &s.checkpoints[0];
+        assert!(matches!(
+            ship_checkpoint(&mut f, first.0, first.1.clone()),
+            Message::Ack { .. }
+        ));
+
+        assert_refused(
+            &mut f,
+            n + 1,
+            genuine.clone(),
+            &format!("checkpoint seq {} is ahead of applied seq {n}", n + 1),
+        );
+        let not_the_log = |seq: u64| {
+            format!("checkpoint rejected: manifest is not the applied log up to seq {seq}")
+        };
+        // The right bytes at the wrong position: a manifest one longer,
+        // then one shorter, than the prefix the seq names.
+        assert_refused(&mut f, n - 1, genuine.clone(), &not_the_log(n - 1));
+        let (earlier, shorter) = &s.checkpoints[s.checkpoints.len() / 2];
+        assert!(*earlier < n);
+        assert_refused(
+            &mut f,
+            earlier + 1,
+            shorter.clone(),
+            &not_the_log(earlier + 1),
+        );
+        // An entry edited (digest, records, watermark, index), two entries
+        // swapped, one dropped, one added.
+        for forgery in 0..7 {
+            let forged = forge_manifest(genuine, forgery, 1);
+            assert_ne!(&forged, genuine, "forgery {forgery} is a no-op");
+            assert_refused(&mut f, n, forged, &not_the_log(n));
+        }
+        // What `decode` refuses stays refused, with its own reason.
+        let twice = forge(genuine, |_, m| m[1] = m[0]);
+        assert_refused(
+            &mut f,
+            n,
+            twice,
+            "checkpoint rejected: SP frame: invalid field: manifest entry repeated",
+        );
+        assert_eq!(f.checkpoint_seq(), Some(first.0));
+        assert!(matches!(
+            ship_checkpoint(&mut f, n, genuine.clone()),
+            Message::Ack { .. }
+        ));
+    }
+
+    /// With no segment applied yet nothing ties a checkpoint to this
+    /// replica's `StoreConfig` but the check itself.
+    #[test]
+    fn a_checkpoint_of_a_foreign_store_config_is_refused() {
+        let (foreign, _) = foreign_segment();
+        let dir = DeviceDirectory::default();
+        let ckpt = StreamPipeline::new(&foreign, &dir)
+            .expect("valid config")
+            .checkpoint();
+        let mut f = follower(&StreamConfig::default());
+        assert_refused(
+            &mut f,
+            0,
+            ckpt.clone(),
+            "checkpoint rejected: store config mismatch",
+        );
+        assert!(matches!(
+            ship_checkpoint(&mut follower(&foreign), 0, ckpt),
+            Message::Ack { .. }
+        ));
+    }
+
+    /// An accepted checkpoint names segments by `(kind, index)`; a later
+    /// ship under a held name would replace the bytes behind it.
+    #[test]
+    fn a_segment_the_replica_already_holds_is_refused_not_overwritten() {
+        let s = shipped();
+        let n = s.segments.len();
+        let mut f = follower_at(s, n);
+        let (seq, ckpt) = s.checkpoints.last().expect("flush ships one");
+        assert!(matches!(
+            ship_checkpoint(&mut f, *seq, ckpt.clone()),
+            Message::Ack { .. }
+        ));
+        let held = f.manifest()[0];
+        let empty = Store::new(&s.cfg.store);
+        let usurper = SegmentEntry {
+            records: 0,
+            digest: empty.digest(),
+            ..held
+        };
+        let segs = f.segs.clone();
+        for segment in [encode_segment(&usurper, &empty), s.segments[0].clone()] {
+            let reply = ship_at(&mut f, n as u64 + 1, segment);
+            let want = Message::Rejection {
+                code: proto::ERR_APPLY,
+                detail: format!("segment rejected: {} is already held", held.name()),
+            };
+            assert_eq!(reply, want);
+            assert_position(&f, n as u64);
+            assert_eq!(f.segs, segs, "nothing put");
+        }
+        f.promote(&s.dir)
+            .expect("the accepted checkpoint still restores");
+    }
+
+    proptest::proptest! {
+        /// The follower no longer replays its log per checkpoint; it must
+        /// still ack exactly the checkpoints the replay would have let
+        /// through **and** that name the applied log: over genuine and
+        /// forged checkpoints, at right and wrong positions, against
+        /// replicas at any point of the log.
+        #[test]
+        fn a_checkpoint_acks_iff_it_restores_and_names_the_applied_log(
+            behind in 0usize..6,
+            pick in 0usize..1 << 16,
+            shift in 0u64..4,
+            forgery in 0usize..14,
+            at in 0usize..1 << 16,
+        ) {
+            let s = shipped();
+            let applied = s.segments.len() - behind;
+            let mut f = follower_at(s, applied);
+            let (taken_at, genuine) = &s.checkpoints[pick % s.checkpoints.len()];
+            // Half the draws leave the bytes alone (`forge_manifest` has
+            // seven forgeries); the seq is the one the leader used, the
+            // one before, or one or two after.
+            let ckpt = forge_manifest(genuine, forgery, at);
+            let seq = (taken_at + shift).saturating_sub(1);
+            let restored = StreamPipeline::restore(&ckpt, &s.dir, &f.segs);
+            let want = seq <= f.applied()
+                && restored.is_ok_and(|p| {
+                    p.config().store == f.cfg.store && p.manifest() == &f.manifest[..seq as usize]
+                });
+            let held = f.checkpoint.clone();
+            match ship_checkpoint(&mut f, seq, ckpt.clone()) {
+                Message::Ack { seq: acked, .. } => {
+                    proptest::prop_assert!(want, "acked a checkpoint the replay refuses");
+                    proptest::prop_assert_eq!(acked, seq);
+                    proptest::prop_assert_eq!(&f.checkpoint, &Some((seq, ckpt)));
+                }
+                Message::Rejection { code, detail } => {
+                    proptest::prop_assert!(!want, "refused a good checkpoint: {}", detail);
+                    proptest::prop_assert_eq!(code, proto::ERR_APPLY);
+                    proptest::prop_assert_eq!(&f.checkpoint, &held);
+                }
+                other => proptest::prop_assert!(false, "unexpected reply {:?}", other),
+            }
+        }
     }
 }

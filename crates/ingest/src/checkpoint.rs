@@ -22,33 +22,35 @@
 //! ```
 //!
 //! Sketches serialize sparsely — only non-empty buckets, with delta-coded
-//! indices — so an idle shard costs a handful of bytes, not 58 KiB.
-//! Restore is total: corrupt or truncated checkpoints yield a
-//! [`FrameError`], never a panic or a half-restored collector.
+//! indices — and are held sparsely once restored, so an idle shard costs a
+//! handful of bytes on the wire and in memory. The first sketch of an `agg`
+//! is the all-kinds one: the collector derives it from the five per-kind
+//! sketches that follow, and restore refuses a frame where it is anything
+//! but their bucket sum. Restore is total: corrupt or truncated checkpoints
+//! yield a [`FrameError`], never a panic or a half-restored collector.
 
 use crate::collector::{Collector, IngestAggregate, IngestCounters, ShardState};
 use crate::frame::{seal, write_varint, FrameError, Reader, CK};
-use cellrel_sim::sketch::QuantileSketch;
+use cellrel_sim::sketch::SparseSketch;
 use std::collections::BTreeMap;
 
 /// Current checkpoint format version.
 pub const CKPT_VERSION: u8 = 1;
 
-fn write_sketch(out: &mut Vec<u8>, s: &QuantileSketch) {
+fn write_sketch(out: &mut Vec<u8>, s: &SparseSketch) {
     write_varint(out, s.count());
     write_varint(out, s.min().unwrap_or(0));
     write_varint(out, s.max().unwrap_or(0));
-    let pairs: Vec<(usize, u64)> = s.nonzero_buckets().collect();
-    write_varint(out, pairs.len() as u64);
+    write_varint(out, s.nnz() as u64);
     let mut prev = 0usize;
-    for (i, c) in pairs {
+    for (i, c) in s.nonzero_buckets() {
         write_varint(out, (i - prev) as u64);
         prev = i;
         write_varint(out, c);
     }
 }
 
-fn read_sketch(r: &mut Reader<'_>) -> Result<QuantileSketch, FrameError> {
+fn read_sketch(r: &mut Reader<'_>) -> Result<SparseSketch, FrameError> {
     let count = r.varint()?;
     let min = r.varint()?;
     let max = r.varint()?;
@@ -65,7 +67,7 @@ fn read_sketch(r: &mut Reader<'_>) -> Result<QuantileSketch, FrameError> {
         let c = r.varint()?;
         pairs.push((index as usize, c));
     }
-    let s = QuantileSketch::from_parts(min, max, pairs).ok_or(r.invalid("sketch buckets"))?;
+    let s = SparseSketch::from_parts(min, max, pairs).ok_or(r.invalid("sketch buckets"))?;
     if s.count() != count {
         return Err(r.invalid("sketch count"));
     }
@@ -80,7 +82,7 @@ fn write_agg(out: &mut Vec<u8>, a: &IngestAggregate) {
     write_varint(out, a.duration_ms_total);
     write_varint(out, a.under_30s);
     write_varint(out, a.max_duration_ms);
-    write_sketch(out, &a.sketch_all);
+    write_sketch(out, &a.sketch_all());
     for s in &a.sketch_by_kind {
         write_sketch(out, s);
     }
@@ -102,9 +104,12 @@ fn read_agg(r: &mut Reader<'_>) -> Result<IngestAggregate, FrameError> {
     a.duration_ms_total = r.varint()?;
     a.under_30s = r.varint()?;
     a.max_duration_ms = r.varint()?;
-    a.sketch_all = read_sketch(r)?;
+    let all = read_sketch(r)?;
     for s in &mut a.sketch_by_kind {
         *s = read_sketch(r)?;
+    }
+    if all != a.sketch_all() {
+        return Err(r.invalid("all-kinds sketch"));
     }
     Ok(a)
 }
@@ -303,7 +308,7 @@ mod tests {
     fn empty_collector_round_trips_small() {
         let c = Collector::new(&CollectorConfig::default());
         let bytes = save_checkpoint(&c);
-        // ~51 bytes per empty shard (sparse sketches), not 58 KiB each.
+        // ~51 bytes per empty shard: sketches serialize sparsely.
         assert!(
             bytes.len() < 4096,
             "empty checkpoint is {} bytes",

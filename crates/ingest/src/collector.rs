@@ -2,7 +2,9 @@
 //!
 //! Encoded upload batches stream in from millions of devices; the collector
 //! decodes, deduplicates, noise-filters (§2.1) and folds them into
-//! constant-memory aggregates. Two drivers share one state machine:
+//! aggregates whose size depends on what they have seen (the distinct
+//! duration buckets and devices), never on how many records went by. Two
+//! drivers share one state machine:
 //!
 //! * [`Collector::ingest`] — the sequential path: route a batch to its
 //!   virtual shard and fold it in.
@@ -28,7 +30,7 @@
 //! instead of silently skewing the stream.
 
 use crate::codec::{decode_batch, peek_device};
-use cellrel_sim::sketch::QuantileSketch;
+use cellrel_sim::sketch::SparseSketch;
 use cellrel_sim::{resolve_threads, Digest64, Merge};
 use cellrel_types::{DeviceId, FailureEvent, SimDuration};
 use std::collections::BTreeMap;
@@ -125,7 +127,10 @@ impl Merge for IngestCounters {
     }
 }
 
-/// The constant-memory aggregate a shard (and, merged, the fleet) keeps.
+/// The aggregate a shard (and, merged, the fleet) keeps: a few dozen
+/// counters plus one sparse duration sketch per failure kind, so an idle
+/// shard holds no heap at all and a busy one ~16 B per distinct duration
+/// bucket it has seen.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestAggregate {
     /// Records aggregated.
@@ -142,10 +147,8 @@ pub struct IngestAggregate {
     pub under_30s: u64,
     /// Longest single failure, milliseconds.
     pub max_duration_ms: u64,
-    /// Duration sketch over all kinds (milliseconds).
-    pub sketch_all: QuantileSketch,
-    /// Per-kind duration sketches (Figs. 6–7 CDm inputs).
-    pub sketch_by_kind: [QuantileSketch; 5],
+    /// Per-kind duration sketches, milliseconds (Figs. 6–7 CDm inputs).
+    pub sketch_by_kind: [SparseSketch; 5],
 }
 
 impl IngestAggregate {
@@ -161,8 +164,18 @@ impl IngestAggregate {
             self.under_30s += 1;
         }
         self.max_duration_ms = self.max_duration_ms.max(ms);
-        self.sketch_all.push(ms);
         self.sketch_by_kind[e.kind.index()].push(ms);
+    }
+
+    /// Duration sketch over all kinds (milliseconds). Every record lands in
+    /// exactly one per-kind sketch, so this is their exact bucket sum — it
+    /// is derived on demand, not stored and pushed a second time.
+    pub fn sketch_all(&self) -> SparseSketch {
+        let mut all = SparseSketch::new();
+        for s in &self.sketch_by_kind {
+            all.merge_ref(s);
+        }
+        all
     }
 
     /// Absorb into a content digest.
@@ -174,7 +187,7 @@ impl IngestAggregate {
         d.write_u64(self.duration_ms_total);
         d.write_u64(self.under_30s);
         d.write_u64(self.max_duration_ms);
-        self.sketch_all.absorb_into(d);
+        self.sketch_all().absorb_into(d);
         for s in &self.sketch_by_kind {
             s.absorb_into(d);
         }
@@ -190,13 +203,9 @@ impl Merge for IngestAggregate {
         self.duration_ms_total += o.duration_ms_total;
         self.under_30s += o.under_30s;
         self.max_duration_ms = self.max_duration_ms.max(o.max_duration_ms);
-        self.sketch_all.merge(o.sketch_all);
-        let [a, b, c, d, e] = o.sketch_by_kind;
-        self.sketch_by_kind[0].merge(a);
-        self.sketch_by_kind[1].merge(b);
-        self.sketch_by_kind[2].merge(c);
-        self.sketch_by_kind[3].merge(d);
-        self.sketch_by_kind[4].merge(e);
+        for (mine, theirs) in self.sketch_by_kind.iter_mut().zip(o.sketch_by_kind) {
+            mine.merge(theirs);
+        }
     }
 }
 
@@ -477,11 +486,10 @@ impl IngestReport {
             self.unroutable,
         ));
         let a = &self.aggregate;
-        if let (Some(p50), Some(p90), Some(p99)) = (
-            a.sketch_all.quantile(0.50),
-            a.sketch_all.quantile(0.90),
-            a.sketch_all.quantile(0.99),
-        ) {
+        let all = a.sketch_all();
+        if let (Some(p50), Some(p90), Some(p99)) =
+            (all.quantile(0.50), all.quantile(0.90), all.quantile(0.99))
+        {
             out.push_str(&format!(
                 "duration p50 {:.1} s | p90 {:.1} s | p99 {:.1} s | max {:.1} s | <30 s {:.1}%\n",
                 p50 as f64 / 1000.0,

@@ -21,10 +21,12 @@
 //! * [`collector`] — the sharded collector: batches route to
 //!   `device % virtual_shards`, workers behind bounded channels apply
 //!   dedup (per-device upload seq), §2.1 noise filtering, and
-//!   late/out-of-order accounting, then fold into constant-memory
-//!   aggregates whose digest is identical at 1, 2, or 8 ingest threads.
-//!   Durations are summarised with the mergeable quantile sketches from
-//!   `cellrel_sim::sketch`. Downstream consumers (the `cellrel-store`
+//!   late/out-of-order accounting, then fold into aggregates whose size
+//!   follows what a shard has seen (distinct duration buckets, devices),
+//!   not how many records passed, and whose digest is identical at 1, 2,
+//!   or 8 ingest threads. Durations are summarised with the sparse
+//!   mergeable quantile sketch from `cellrel_sim::sketch`, one per failure
+//!   kind; the all-kinds sketch is their sum. Downstream consumers (the `cellrel-store`
 //!   analytics cube) attach via [`collector::AcceptedSink`] /
 //!   [`run_ingest_with`] and observe exactly the accepted record stream.
 //! * [`checkpoint`] — versioned, CRC-framed serialization of the full

@@ -8,8 +8,9 @@ use cellrel_ingest::codec::{decode_batch, encode_batch, peek_device};
 use cellrel_ingest::frame::{crc32, unzigzag, write_varint, zigzag, Reader, CB};
 use cellrel_ingest::{
     restore_checkpoint, restore_checkpoint_with, save_checkpoint, Collector, CollectorConfig,
+    IngestAggregate,
 };
-use cellrel_sim::{Merge, QuantileSketch, Telemetry};
+use cellrel_sim::{Digest64, Merge, QuantileSketch, SparseSketch, Telemetry};
 use cellrel_types::{
     Apn, BsId, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat,
     SignalLevel, SimDuration, SimTime,
@@ -302,6 +303,62 @@ proptest! {
         prop_assert_eq!(&forked, &save_checkpoint(&cold));
         prop_assert_ne!(&forked, &last);
         prop_assert_eq!(&save_checkpoint(&cached), &last, "the original is untouched");
+    }
+
+    /// The collector keeps one sparse sketch per kind and derives the
+    /// all-kinds one. Over any stream the derived sketch is the one a
+    /// second push per record would have built, sparse or dense, whether
+    /// read from one aggregate, from a merge across shards, or after a
+    /// checkpoint round trip.
+    #[test]
+    fn derived_all_kinds_sketch_equals_one_pushed_with_every_record(
+        streams in prop::collection::vec(prop::collection::vec(parts_strategy(), 0..24), 1..6),
+    ) {
+        let mut collector = Collector::new(&CollectorConfig {
+            virtual_shards: 4,
+            ..CollectorConfig::default()
+        });
+        let mut accepted: Vec<FailureEvent> = Vec::new();
+        for (d, parts) in streams.iter().enumerate() {
+            let device = DeviceId(d as u32);
+            // Durations up to 2^40 ms: the aggregate also sums them in a u64.
+            let events: Vec<FailureEvent> = parts
+                .iter()
+                .map(|p| build_event(device, &((p.0 .0, p.0 .1, p.0 .2 >> 20), p.1, p.2)))
+                .collect();
+            collector.ingest_with(&encode_batch(device, 0, &events), &mut accepted);
+        }
+        let mut single = IngestAggregate::default();
+        let mut sparse = SparseSketch::new();
+        let mut dense = QuantileSketch::new();
+        for e in &accepted {
+            single.push(e);
+            sparse.push(e.duration.as_millis());
+            dense.push(e.duration.as_millis());
+        }
+        let digest_of = |absorb: &dyn Fn(&mut Digest64)| {
+            let mut d = Digest64::new();
+            absorb(&mut d);
+            d.finish()
+        };
+        let restored = restore_checkpoint(&save_checkpoint(&collector)).expect("own checkpoint");
+        for (what, aggregate) in [
+            ("one aggregate", single),
+            ("merged shards", collector.report().aggregate),
+            ("restored and merged", restored.report().aggregate),
+        ] {
+            let derived = aggregate.sketch_all();
+            prop_assert_eq!(&derived, &sparse, "{}: {:?} vs {:?}", what, derived, sparse);
+            let digest = digest_of(&|d| derived.absorb_into(d));
+            prop_assert_eq!(digest, digest_of(&|d| sparse.absorb_into(d)), "{}: sparse digest", what);
+            prop_assert_eq!(digest, digest_of(&|d| dense.absorb_into(d)), "{}: dense digest", what);
+            prop_assert_eq!(derived.count(), dense.count(), "{}: count", what);
+            prop_assert_eq!(derived.min(), dense.min(), "{}: min", what);
+            prop_assert_eq!(derived.max(), dense.max(), "{}: max", what);
+            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+                prop_assert_eq!(derived.quantile(q), dense.quantile(q), "{}: q={}", what, q);
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Mergeable streaming quantile sketches for failure durations.
 //!
 //! The analysis layer draws per-kind duration CDFs (Figs. 4, 6–7, 10) and
-//! headline percentiles. Materialising every duration sample defeats the
-//! constant-memory goal, so the backend summarises each duration stream
-//! with a [`QuantileSketch`] instead.
+//! headline percentiles. Materialising every duration sample would make
+//! memory grow with the record count, so the backend summarises each
+//! duration stream with a quantile sketch instead.
 //!
 //! **Why not KLL/GK/CKMS?** Those sketches give tight worst-case rank
 //! bounds, but their compaction state depends on the order items and merges
@@ -26,12 +26,18 @@
 //! Two representations share the bucket geometry:
 //!
 //! * [`QuantileSketch`] — dense `BUCKETS` u64 slots (~58 KiB), O(1) push;
-//!   the right shape for a handful of long-lived fleet aggregates.
+//!   the right shape for a handful of long-lived sketches that nobody
+//!   clones, restores or creates per frame: the telemetry registry's
+//!   histograms, `cellrel-queryd`'s latency sketches and the analysis
+//!   crate's `FleetAccumulator`.
 //! * [`SparseSketch`] — a sorted `(bucket, count)` vector, memory
-//!   proportional to the *distinct buckets touched*; the right shape for
-//!   the analytics cube in `cellrel-store`, which keeps one sketch per
-//!   cell across hundreds of thousands of cells. Both answer every
-//!   quantile query identically (same rank walk over the same buckets).
+//!   proportional to the *distinct buckets touched*; the right shape
+//!   wherever sketches are many or short-lived: the analytics cube in
+//!   `cellrel-store` (one per cell across hundreds of thousands of
+//!   cells) and the ingest collector (five per virtual shard, rebuilt by
+//!   every checkpoint restore — dense, 64 shards were 22.8 MB of mostly
+//!   zeros). Both answer every quantile query identically (same rank walk
+//!   over the same buckets) and absorb into a digest as the same words.
 
 use crate::campaign::Digest64;
 use crate::par::Merge;

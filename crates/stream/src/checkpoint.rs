@@ -18,14 +18,22 @@
 //!
 //! The checkpoint carries everything except sealed segment *contents* —
 //! those reload from the [`SegmentStore`](crate::SegmentStore) backend and
-//! are cross-checked against the manifest. Restore is total: truncated,
-//! bit-flipped, or garbage bytes yield a [`StreamError::Frame`].
+//! are cross-checked against the manifest. Restore therefore has two
+//! stages: [`StreamPipeline::decode`] checks everything the frame says
+//! against itself and yields a [`CheckpointImage`];
+//! [`StreamPipeline::load`] fetches and verifies the segments the image
+//! names and replays them into the tiers. A reader that has already
+//! verified those segments itself (a cluster follower) stops after the
+//! first stage. Both are total: truncated, bit-flipped, or garbage bytes
+//! yield a [`StreamError::Frame`].
 
 use crate::pipeline::{StreamConfig, StreamCounters, StreamPipeline};
-use crate::segment::{decode_manifest, decode_segment, encode_manifest, SegmentKind, SegmentStore};
+use crate::segment::{
+    decode_manifest, decode_segment, encode_manifest, SegmentEntry, SegmentKind, SegmentStore,
+};
 use crate::StreamError;
 use cellrel_ingest::frame::{seal, write_varint, SP};
-use cellrel_ingest::{restore_checkpoint, save_checkpoint, CollectorConfig};
+use cellrel_ingest::{restore_checkpoint, save_checkpoint, Collector, CollectorConfig};
 use cellrel_store::{restore_store, save_store, DeviceDirectory, Store, StoreConfig};
 use cellrel_types::SimDuration;
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,17 +82,23 @@ impl<'d> StreamPipeline<'d> {
         out
     }
 
-    /// Rebuild a pipeline from a checkpoint and its segment backend.
-    /// Every manifest entry is reloaded and verified (missing or tampered
-    /// segments are typed errors); the hot/base tiers are rebuilt by
-    /// replaying the manifest in seal order, so the merged view — and the
-    /// behaviour of every subsequent [`offer`](StreamPipeline::offer) — is
-    /// exactly what the uninterrupted pipeline would have produced.
+    /// Rebuild a pipeline from a checkpoint and its segment backend:
+    /// [`decode`](StreamPipeline::decode), then
+    /// [`load`](StreamPipeline::load).
     pub fn restore(
         bytes: &[u8],
         dir: &'d DeviceDirectory,
         segs: &dyn SegmentStore,
     ) -> Result<Self, StreamError> {
+        Self::load(Self::decode(bytes)?, dir, segs)
+    }
+
+    /// Stage one of a restore: parse a checkpoint frame and check it
+    /// against itself — envelope, stream config, the embedded collector
+    /// checkpoint, the manifest against the counters and replay position,
+    /// the pending windows and late lane against the store config — without
+    /// touching a segment.
+    pub fn decode(bytes: &[u8]) -> Result<CheckpointImage, StreamError> {
         let mut r = SP.open(bytes)?;
         let window_ms = r.varint()?;
         let lateness_ms = r.varint()?;
@@ -122,7 +136,7 @@ impl<'d> StreamPipeline<'d> {
 
         let collector = restore_checkpoint(r.blob("collector length")?)?;
         let manifest = decode_manifest(&mut r)?;
-        // The manifest is replayed entry by entry below, so it must be the
+        // `load` replays the manifest entry by entry, so it must be the
         // seal history the counters and replay position describe: one
         // entry per persisted segment, each sealed once, none from the
         // future. Otherwise a segment would merge into the view twice.
@@ -164,24 +178,46 @@ impl<'d> StreamPipeline<'d> {
             return Err(r.invalid("late lane store config").into());
         }
         r.finish()?;
-
-        let mut p = StreamPipeline {
+        Ok(CheckpointImage {
             cfg,
-            dir,
             collector,
             cursor,
             sealed_before,
+            late_seq,
+            counters,
+            manifest,
             pending,
             late,
-            late_seq,
+        })
+    }
+
+    /// Stage two of a restore: reload every segment the image's manifest
+    /// names and verify it against its entry (missing or tampered segments
+    /// are typed errors), rebuilding the hot/base tiers by replaying the
+    /// manifest in seal order — so the merged view, and the behaviour of
+    /// every subsequent [`offer`](StreamPipeline::offer), is exactly what
+    /// the uninterrupted pipeline would have produced.
+    pub fn load(
+        image: CheckpointImage,
+        dir: &'d DeviceDirectory,
+        segs: &dyn SegmentStore,
+    ) -> Result<Self, StreamError> {
+        let cfg = image.cfg;
+        let mut p = StreamPipeline {
+            cfg,
+            dir,
+            collector: image.collector,
+            cursor: image.cursor,
+            sealed_before: image.sealed_before,
+            pending: image.pending,
+            late: image.late,
+            late_seq: image.late_seq,
             base: Store::new(&cfg.store),
             hot: Default::default(),
-            manifest: Vec::with_capacity(manifest.len()),
+            manifest: Vec::with_capacity(image.manifest.len()),
             counters: StreamCounters::default(),
         };
-        // Replay the manifest in seal order, verifying each segment
-        // against its entry; this reproduces the hot/base tier split.
-        for entry in manifest {
+        for entry in image.manifest {
             let seg_bytes = segs.get(&entry.name())?;
             let (got, delta) = decode_segment(&seg_bytes)?;
             if got != entry || *delta.config() != cfg.store {
@@ -190,9 +226,37 @@ impl<'d> StreamPipeline<'d> {
             p.manifest.push(entry);
             p.tier_insert(entry, delta, false);
         }
-        p.counters = counters;
+        p.counters = image.counters;
         p.counters.restores += 1;
         Ok(p)
+    }
+}
+
+/// What one `SP` frame says, parsed and checked against itself by
+/// [`StreamPipeline::decode`]: everything a pipeline needs except the
+/// contents of the segments its manifest names.
+#[derive(Debug)]
+pub struct CheckpointImage {
+    cfg: StreamConfig,
+    collector: Collector,
+    cursor: u64,
+    sealed_before: u64,
+    late_seq: u64,
+    counters: StreamCounters,
+    manifest: Vec<SegmentEntry>,
+    pending: BTreeMap<u64, Store>,
+    late: Store,
+}
+
+impl CheckpointImage {
+    /// The stream configuration the checkpointed pipeline ran under.
+    pub fn config(&self) -> &StreamConfig {
+        &self.cfg
+    }
+
+    /// Every segment the checkpointed pipeline had sealed, in seal order.
+    pub fn manifest(&self) -> &[SegmentEntry] {
+        &self.manifest
     }
 }
 

@@ -23,7 +23,10 @@
 //!   collector checkpoint, segment manifest, pending (unsealed) window
 //!   deltas, late lane, cursor — as one versioned CRC-framed blob;
 //!   [`StreamPipeline::restore`] rebuilds from that blob plus the segment
-//!   backend. Restart is **digest-transparent**: replaying the remaining
+//!   backend, in two stages: [`StreamPipeline::decode`] (the frame checked
+//!   against itself, yielding a [`CheckpointImage`]) and
+//!   [`StreamPipeline::load`] (segments fetched, verified and replayed).
+//!   Restart is **digest-transparent**: replaying the remaining
 //!   batches yields byte-identical store digests, manifests, and tables,
 //!   even when the kill lands mid-window ([`campaign::run_kill_restart`]).
 //!
@@ -41,7 +44,7 @@ pub mod source;
 mod error;
 
 pub use campaign::{run_kill_restart, KillOutcome, KillRestartConfig, KillRestartReport};
-pub use checkpoint::CKPT_STREAM_VERSION;
+pub use checkpoint::{CheckpointImage, CKPT_STREAM_VERSION};
 pub use error::StreamError;
 pub use pipeline::{StreamConfig, StreamCounters, StreamPipeline};
 pub use publish::run_published;

@@ -133,7 +133,7 @@ fn aggregate_conserves_every_record() {
     assert_eq!(report.counters.duplicate_batches, 0);
 
     // The sketch and the by-kind partition both saw every kept record.
-    assert_eq!(report.aggregate.sketch_all.count(), records - noise);
+    assert_eq!(report.aggregate.sketch_all().count(), records - noise);
     let by_kind: u64 = report.aggregate.by_kind.iter().sum();
     assert_eq!(by_kind, records - noise);
 
