@@ -29,7 +29,11 @@
 //!   the right shape for a handful of long-lived sketches that nobody
 //!   clones, restores or creates per frame: the telemetry registry's
 //!   histograms, `cellrel-queryd`'s latency sketches and the analysis
-//!   crate's `FleetAccumulator`.
+//!   crate's `FleetAccumulator` — and, for the length of one query, the
+//!   store's per-group histograms when a quantile query folds tens of
+//!   thousands of pooled runs into at most 16 groups
+//!   ([`QuantileSketch::merge_run`], collapsed once per group with
+//!   [`SparseSketch::from_dense`]).
 //! * [`SparseSketch`] — a sorted `(bucket, count)` vector, memory
 //!   proportional to the *distinct buckets touched*; the right shape
 //!   wherever sketches are many or short-lived: the analytics cube in
@@ -260,6 +264,26 @@ impl QuantileSketch {
         }
         Some(s)
     }
+
+    /// Fold a raw sketch run — exact extremes plus strictly ascending
+    /// `(bucket, count)` pairs, the form [`SparseSketch::as_run`] and sealed
+    /// segments' sketch pools hand out — into the dense histogram: one add
+    /// per pair, where [`SparseSketch::merge_run`] searches or rebuilds a
+    /// sorted vector. Query-time accumulation folds tens of thousands of
+    /// runs into a handful of groups this way and collapses each group
+    /// once with [`SparseSketch::from_dense`]. An empty run is the identity
+    /// whatever extremes ride with it. The run must be valid sketch content.
+    pub fn merge_run(&mut self, min: u64, max: u64, run: &[(u32, u64)]) {
+        if run.is_empty() {
+            return;
+        }
+        self.min = self.min.min(min);
+        self.max = self.max.max(max);
+        for &(i, c) in run {
+            self.buckets[i as usize] += c;
+            self.count += c;
+        }
+    }
 }
 
 impl Merge for QuantileSketch {
@@ -412,6 +436,29 @@ impl SparseSketch {
             s.max = max;
         }
         Some(s)
+    }
+
+    /// Collapse a dense sketch into the sparse form: same count, extremes
+    /// and buckets, so folding runs with [`QuantileSketch::merge_run`] and
+    /// collapsing once equals folding them one by one with
+    /// [`SparseSketch::merge_run`].
+    pub fn from_dense(dense: &QuantileSketch) -> Self {
+        SparseSketch {
+            count: dense.count,
+            min: dense.min,
+            max: dense.max,
+            buckets: dense
+                .nonzero_buckets()
+                .map(|(i, c)| (i as u32, c))
+                .collect(),
+        }
+    }
+
+    /// The sketch as a raw `(min, max, run)` triple — the form
+    /// [`SparseSketch::merge_run`] and [`QuantileSketch::merge_run`] take.
+    /// An empty sketch is an empty run (its extremes mean nothing).
+    pub fn as_run(&self) -> (u64, u64, &[(u32, u64)]) {
+        (self.min, self.max, &self.buckets)
     }
 }
 
@@ -717,6 +764,42 @@ mod tests {
                 full,
             );
             proptest::prop_assert_eq!(back, Some(all));
+        }
+    }
+
+    proptest::proptest! {
+        /// Folding runs into the dense histogram and collapsing once is
+        /// the sequential sparse fold of the same runs — empty runs
+        /// (whose extremes mean nothing) included.
+        #[test]
+        fn dense_fold_then_collapse_equals_sequential_sparse_fold(
+            parts in proptest::collection::vec(
+                proptest::collection::vec((0u32..64, proptest::prelude::any::<u64>()), 0..12),
+                0..8,
+            )
+        ) {
+            let mut dense = QuantileSketch::new();
+            let mut sparse = SparseSketch::new();
+            for part in &parts {
+                let mut s = SparseSketch::new();
+                for &(shift, v) in part {
+                    s.push(v >> shift);
+                }
+                let (min, max, run) = s.as_run();
+                dense.merge_run(min, max, run);
+                sparse.merge_run(s.count(), min, max, run);
+            }
+            let collapsed = SparseSketch::from_dense(&dense);
+            proptest::prop_assert_eq!(&collapsed, &sparse);
+            proptest::prop_assert_eq!(collapsed.min(), sparse.min());
+            proptest::prop_assert_eq!(collapsed.max(), sparse.max());
+            let (mut a, mut b) = (Digest64::new(), Digest64::new());
+            collapsed.absorb_into(&mut a);
+            sparse.absorb_into(&mut b);
+            proptest::prop_assert_eq!(a.finish(), b.finish());
+            for q in [0.0, 0.5, 0.95, 1.0] {
+                proptest::prop_assert_eq!(collapsed.quantile(q), sparse.quantile(q));
+            }
         }
     }
 

@@ -29,11 +29,11 @@
 //! and never allocate proportionally to an unchecked length claim.
 
 use crate::cube::{Cell, Store};
+use crate::group::{widen, GroupAcc, GroupKey, EMPTY_RANGE, MAX_DIMS};
 use crate::persist::{read_sketch, write_sketch};
-use crate::query::{finalize_groups, validate, Engine, GroupKey, MAX_DIMS};
+use crate::query::{finalize_groups, validate};
 use crate::{Query, QueryError, ResultSet};
 use cellrel_ingest::frame::{write_varint, FrameError, Reader, PARTIAL};
-use std::collections::BTreeMap;
 
 /// One shard's contribution to a federated query: mergeable per-group
 /// partial aggregates plus scan accounting. Group keys are truncated to
@@ -60,51 +60,56 @@ impl Store {
     /// shards with the same [`QueryError`].
     pub fn query_partial(&self, q: &Query) -> Result<PartialResultSet, QueryError> {
         let plan = validate(self, q)?;
-        let (groups, scanned, matched, window_ms) = if q.metric.is_device_metric() {
-            let (g, s, m) = self.collect_devices(q);
-            (g, s, m, 1)
-        } else {
-            let (g, s, m) = self.collect_cells(q, &plan, Engine::Columnar);
-            (g, s, m, plan.window_ms)
-        };
+        let (groups, cells_scanned, cells_matched) = self.collect(q, &plan);
         Ok(PartialResultSet {
-            window_ms,
+            window_ms: plan.window_ms,
             groups: groups
                 .into_iter()
                 .map(|(gk, c)| (gk[..q.group_by.len()].to_vec(), c))
                 .collect(),
-            cells_scanned: scanned,
-            cells_matched: matched,
+            cells_scanned,
+            cells_matched,
         })
     }
 }
 
 /// Merge shard partials with the exact `Cell` algebra, then finalise
 /// (metric derivation, labels, top-k) through the same code path local
-/// evaluation uses. Accounting sums saturating — decoded wire input could
-/// claim anything; answers must still be total.
+/// evaluation uses. Total on anything [`decode_partial`] accepts: a
+/// decoded partial could claim any counts, keys and window width, so sums
+/// saturate (accounting, per-group aggregates, label arithmetic), a sketch
+/// whose count would pass `u64::MAX` is left out of its group, and keys of
+/// the wrong width are cut or zero-padded to the widest one seen.
 pub fn merge_partials(q: &Query, partials: &[PartialResultSet]) -> ResultSet {
     let window_ms = partials.first().map_or(1, |p| p.window_ms);
-    let mut groups: BTreeMap<GroupKey, Cell> = BTreeMap::new();
+    let padded = |key: &[u64]| {
+        let mut gk: GroupKey = [0; MAX_DIMS];
+        for (slot, k) in gk.iter_mut().zip(key) {
+            *slot = *k;
+        }
+        gk
+    };
+    // Pass 1, over keys only: the range each key position takes.
+    let mut ranges = [EMPTY_RANGE; MAX_DIMS];
+    let (mut width, mut runs) = (0, 0);
+    for (key, _) in partials.iter().flat_map(|p| &p.groups) {
+        runs += 1;
+        width = width.max(key.len().min(MAX_DIMS));
+        for (r, v) in ranges.iter_mut().zip(padded(key)) {
+            widen(r, v, v);
+        }
+    }
+    let mut acc = GroupAcc::new(&ranges[..width], q.metric.reads_sketch().then_some(runs));
     let mut scanned = 0u64;
     let mut matched = 0u64;
     for p in partials {
         scanned = scanned.saturating_add(p.cells_scanned);
         matched = matched.saturating_add(p.cells_matched);
         for (key, cell) in &p.groups {
-            let mut gk: GroupKey = [0; MAX_DIMS];
-            for (slot, k) in gk.iter_mut().zip(key) {
-                *slot = *k;
-            }
-            match groups.get_mut(&gk) {
-                Some(acc) => acc.merge_ref(cell),
-                None => {
-                    groups.insert(gk, cell.clone());
-                }
-            }
+            acc.merge_cell(&padded(key), cell);
         }
     }
-    finalize_groups(q, window_ms, groups, scanned, matched)
+    finalize_groups(q, window_ms, &acc.into_groups(), scanned, matched)
 }
 
 /// Serialize a partial result as a bare varint sequence (no framing — the

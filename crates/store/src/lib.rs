@@ -26,9 +26,11 @@
 //! * [`query`] — the typed embedded query engine:
 //!   [`Query`] { filters, group-by, window, metric, top-k } →
 //!   [`ResultSet`], with validation that keeps every legal query
-//!   compaction-transparent. [`Store::query`] scans segments columnar;
-//!   [`Store::query_row`] is the row reference engine the differential
-//!   harness compares against.
+//!   compaction-transparent. [`Store::query`] scans segments a column
+//!   at a time and groups by code — a row's group key packed into one
+//!   number that addresses flat per-group sums (the private `group`
+//!   module); [`Store::query_row`] is the row reference engine the
+//!   differential harness compares against.
 //! * [`federate`] — scatter-gather support for the cluster tier:
 //!   [`Store::query_partial`] evaluates up to (not including)
 //!   finalisation, [`merge_partials`] folds shard partials with the
@@ -53,6 +55,7 @@
 pub mod columnar;
 pub mod cube;
 pub mod federate;
+mod group;
 pub mod persist;
 pub mod query;
 pub mod workload;

@@ -3,11 +3,13 @@
 //!
 //! A [`Query`] names the dimensions to group by, the predicates to filter
 //! on, the [`Metric`] to compute per group, and optionally a top-k cut.
-//! Evaluation is a single pass: the engine scans each partition's cell map
-//! (pruned to a key range when the filters bound time), folds matching
-//! cells into one accumulator [`Cell`](crate::cube::Cell) per group — the
-//! same exact merge the build path uses, so grouping is associative and
-//! compaction-transparent — then derives the metric per group.
+//! Evaluation scans each partition (pruned to a key range when the filters
+//! bound time), refines a row selection one filter column at a time, packs
+//! each matched row's group key into one group code and adds the row's
+//! aggregates into flat arrays addressed by that code (`crate::group`) —
+//! the same exact sums the build path folds with, so grouping is
+//! associative and compaction-transparent — then materialises one
+//! [`Cell`](crate::cube::Cell) per group and derives the metric from it.
 //!
 //! **Compaction transparency.** Time windows and time-range bounds must be
 //! multiples of the rollup granularity (`bucket_ms × rollup_buckets`);
@@ -16,17 +18,19 @@
 //! answers are identical with compaction on or off — asserted by the
 //! property tests and `tests/store_differential.rs`.
 //!
-//! **Determinism.** Group accumulation uses ordered maps keyed by the
-//! numeric group key; rows come out key-ascending, and top-k orders by
-//! (value descending, key ascending) — no iteration-order or tie
-//! nondeterminism anywhere.
+//! **Determinism.** Rows come out ascending by numeric group key and
+//! top-k orders by (value descending, key ascending): groups are sorted by
+//! key when they are materialised, so neither depends on the order rows
+//! were scanned in or on any hash map's iteration order.
 
 use crate::columnar::{ColumnSegment, Zones};
 use crate::cube::{Cell, CellKey, Region, Store, NO_CAUSE_CLASS, NO_ISP};
+use crate::group::{widen, GroupAcc, GroupKey, Rows, EMPTY_RANGE, MAX_DIMS};
 use cellrel_ingest::codec::{unzigzag, zigzag};
 use cellrel_types::{DataFailCause, FailureKind, FailureLayer, Isp, PhoneModelId, Rat};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{self, BTreeMap};
 use std::fmt;
+use std::ops::Bound;
 
 /// A cube dimension a query can group by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +197,12 @@ impl Metric {
 
     pub(crate) fn is_device_metric(&self) -> bool {
         matches!(self, Metric::Devices | Metric::FailingDevices)
+    }
+
+    /// Metrics derived from a group's duration sketch; for the rest no
+    /// sketch is accumulated (or shipped in a partial).
+    pub(crate) fn reads_sketch(&self) -> bool {
+        matches!(self, Metric::MaxDurationMs | Metric::QuantileMs(_))
     }
 }
 
@@ -367,15 +377,55 @@ impl ResultSet {
 
 pub(crate) struct Plan {
     pub(crate) window_ms: u64,
+    bucket_ms: u64,
     bucket_lo: u32,
-    bucket_hi: u32, // exclusive
+    bucket_hi: u32, // exclusive, never below `bucket_lo`
 }
 
-/// There are exactly [`MAX_DIMS`] dimensions and duplicates are rejected,
-/// so a fixed array (unused slots 0) holds any legal group key without
-/// per-cell heap allocation.
-pub(crate) const MAX_DIMS: usize = 8;
-pub(crate) type GroupKey = [u64; MAX_DIMS];
+impl Plan {
+    /// No filter bounds time: every row is in range, bucket `u32::MAX`
+    /// included (which an exclusive upper bound cannot express).
+    fn unbounded(&self) -> bool {
+        self.bucket_lo == 0 && self.bucket_hi == u32::MAX
+    }
+
+    /// The hot-tier cells in the plan's time range.
+    fn hot<'a>(&self, cells: &'a BTreeMap<CellKey, Cell>) -> btree_map::Range<'a, CellKey, Cell> {
+        let lo = CellKey {
+            bucket: self.bucket_lo,
+            kind: 0,
+            isp: 0,
+            rat: 0,
+            model: 0,
+            region: 0,
+            cause_class: 0,
+            cause: 0,
+        };
+        let hi = if self.unbounded() {
+            Bound::Unbounded
+        } else {
+            Bound::Excluded(CellKey {
+                bucket: self.bucket_hi,
+                ..lo
+            })
+        };
+        cells.range((Bound::Included(lo), hi))
+    }
+
+    /// The rows `[i0, i1)` of a sealed segment in the plan's time range.
+    fn rows_of(&self, seg: &ColumnSegment) -> (usize, usize) {
+        if self.unbounded() {
+            (0, seg.len())
+        } else {
+            seg.bucket_range(self.bucket_lo, self.bucket_hi)
+        }
+    }
+
+    /// The time window a bucket falls in: the `Dim::Time` group component.
+    fn time_window(&self, bucket: u32) -> u64 {
+        (u64::from(bucket) * self.bucket_ms) / self.window_ms
+    }
+}
 
 pub(crate) fn validate(store: &Store, q: &Query) -> Result<Plan, QueryError> {
     let cfg = store.config();
@@ -402,7 +452,13 @@ pub(crate) fn validate(store: &Store, q: &Query) -> Result<Plan, QueryError> {
             }
         }
     }
-    let mut window_ms = granularity_ms;
+    // Device metrics cannot group by time; width 1 keeps the (unreachable)
+    // `Dim::Time` label arm well-defined.
+    let mut window_ms = if q.metric.is_device_metric() {
+        1
+    } else {
+        granularity_ms
+    };
     if q.group_by.contains(&Dim::Time) && q.window_ms != 0 {
         if q.window_ms % granularity_ms != 0 {
             return Err(QueryError::UnalignedWindow {
@@ -436,8 +492,11 @@ pub(crate) fn validate(store: &Store, q: &Query) -> Result<Plan, QueryError> {
     }
     Ok(Plan {
         window_ms,
+        bucket_ms: cfg.bucket_ms,
         bucket_lo,
-        bucket_hi,
+        // Ranges that do not intersect leave `hi` below `lo`: an empty
+        // scan, not a reversed one.
+        bucket_hi: bucket_hi.max(bucket_lo),
     })
 }
 
@@ -455,9 +514,9 @@ const fn filter_name(f: &Filter) -> &'static str {
     }
 }
 
-fn group_component(key: &CellKey, d: Dim, bucket_ms: u64, window_ms: u64) -> u64 {
+fn group_component(key: &CellKey, d: Dim, plan: &Plan) -> u64 {
     match d {
-        Dim::Time => (u64::from(key.bucket) * bucket_ms) / window_ms,
+        Dim::Time => plan.time_window(key.bucket),
         Dim::Kind => u64::from(key.kind),
         Dim::Isp => u64::from(key.isp),
         Dim::Rat => u64::from(key.rat),
@@ -468,11 +527,21 @@ fn group_component(key: &CellKey, d: Dim, bucket_ms: u64, window_ms: u64) -> u64
     }
 }
 
+fn group_key(key: &CellKey, group_by: &[Dim], plan: &Plan) -> GroupKey {
+    let mut gk: GroupKey = [0; MAX_DIMS];
+    for (slot, d) in gk.iter_mut().zip(group_by) {
+        *slot = group_component(key, *d, plan);
+    }
+    gk
+}
+
 fn component_label(d: Dim, component: u64, window_ms: u64) -> String {
     match d {
         Dim::Time => {
-            let start = component * window_ms;
-            let end = start + window_ms;
+            // Saturating: a partial decoded from the wire names its own
+            // window width and keys.
+            let start = component.saturating_mul(window_ms);
+            let end = start.saturating_add(window_ms);
             format!("[{}h,{}h)", start / 3_600_000, end / 3_600_000)
         }
         Dim::Kind => FailureKind::from_index(component as usize)
@@ -515,14 +584,23 @@ fn component_label(d: Dim, component: u64, window_ms: u64) -> String {
     }
 }
 
-/// Which physical scan implementation serves sealed segments. The hot row
-/// tier always scans cell-by-cell; the engines differ only on segments.
+/// Which scan serves a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Engine {
-    /// Zone-pruned, filter-before-materialise per-column loops.
+    /// The serving kernel: zone-pruned, column-at-a-time selection and
+    /// group codes over sealed segments, flat accumulators for every tier.
     Columnar,
-    /// Reference path: materialise every row and reuse the hot-tier code.
+    /// The reference: every cell materialised and folded into an ordered
+    /// map of groups — no zones, no columns, no codes.
     Row,
+}
+
+/// Buffers the segment scans of one query share: the row selection and
+/// the group code of each selected row.
+#[derive(Default)]
+struct Scratch {
+    sel: Vec<u32>,
+    codes: Vec<u64>,
 }
 
 impl Store {
@@ -531,144 +609,130 @@ impl Store {
         self.evaluate(q, Engine::Columnar)
     }
 
-    /// Evaluate a query through the **row reference engine**: sealed
-    /// segments are walked cell by cell through the same per-cell
-    /// filter/merge code the hot tier uses — no zone pruning, no
-    /// per-column loops. Exists so the differential suite can prove the
-    /// columnar scan path of [`Store::query`] returns byte-identical
-    /// `ResultSet`s; it is not the serving path.
+    /// Evaluate a query through the **row reference engine**: hot cells
+    /// and sealed rows alike are materialised one by one, filtered per
+    /// cell and folded into an ordered map keyed by group — no zone
+    /// pruning, no per-column loops, no group codes. Exists so the
+    /// differential suite can prove [`Store::query`] returns
+    /// byte-identical `ResultSet`s; it is not the serving path.
     pub fn query_row(&self, q: &Query) -> Result<ResultSet, QueryError> {
         self.evaluate(q, Engine::Row)
     }
 
     fn evaluate(&self, q: &Query, engine: Engine) -> Result<ResultSet, QueryError> {
         let plan = validate(self, q)?;
-        Ok(if q.metric.is_device_metric() {
-            self.eval_devices(q)
-        } else {
-            self.eval_cells(q, &plan, engine)
-        })
-    }
-
-    fn eval_cells(&self, q: &Query, plan: &Plan, engine: Engine) -> ResultSet {
-        let (groups, scanned, matched) = self.collect_cells(q, plan, engine);
-        finalize_groups(q, plan.window_ms, groups, scanned, matched)
-    }
-
-    /// The scan half of cell evaluation: fold matching cells into one
-    /// partial-aggregate [`Cell`] per group and report the scan
-    /// accounting, leaving metric derivation to [`finalize_groups`]. The
-    /// cluster tier ships these partials across shards before finalising.
-    pub(crate) fn collect_cells(
-        &self,
-        q: &Query,
-        plan: &Plan,
-        engine: Engine,
-    ) -> (BTreeMap<GroupKey, Cell>, u64, u64) {
-        let bucket_ms = self.config().bucket_ms;
-        let mut scanned = 0u64;
-        let mut matched = 0u64;
-        // Group keys are fixed arrays (unused dims stay 0), not Vecs: the
-        // scan visits every cell once per query, and a heap allocation per
-        // cell would dominate it. `MAX_DIMS` bounds `group_by` (validated).
-        let mut groups: BTreeMap<GroupKey, Cell> = BTreeMap::new();
-        let lo = CellKey {
-            bucket: plan.bucket_lo,
-            kind: 0,
-            isp: 0,
-            rat: 0,
-            model: 0,
-            region: 0,
-            cause_class: 0,
-            cause: 0,
-        };
-        let hi = CellKey {
-            bucket: plan.bucket_hi,
-            ..lo
-        };
-        for p in &self.partitions {
-            let range: Box<dyn Iterator<Item = (&CellKey, &Cell)>> =
-                if plan.bucket_lo == 0 && plan.bucket_hi == u32::MAX {
-                    Box::new(p.cells.iter())
+        let (groups, scanned, matched) = match engine {
+            Engine::Columnar => self.collect(q, &plan),
+            Engine::Row => {
+                let (groups, scanned, matched) = if q.metric.is_device_metric() {
+                    self.collect_devices_row(q)
                 } else {
-                    Box::new(p.cells.range(lo..hi))
+                    self.collect_cells_row(q, &plan)
                 };
-            for (key, cell) in range {
+                (Vec::from_iter(groups), scanned, matched)
+            }
+        };
+        Ok(finalize_groups(
+            q,
+            plan.window_ms,
+            &groups,
+            scanned,
+            matched,
+        ))
+    }
+
+    /// The scan half of evaluation: one partial-aggregate [`Cell`] per
+    /// group, key-ascending, plus the scan accounting (cells scanned,
+    /// cells matched) — metric derivation is left to [`finalize_groups`].
+    /// The cluster tier ships these partials across shards before
+    /// finalising.
+    pub(crate) fn collect(&self, q: &Query, plan: &Plan) -> (Vec<(GroupKey, Cell)>, u64, u64) {
+        if q.metric.is_device_metric() {
+            self.collect_devices(q)
+        } else {
+            self.collect_cells(q, plan)
+        }
+    }
+
+    fn collect_cells(&self, q: &Query, plan: &Plan) -> (Vec<(GroupKey, Cell)>, u64, u64) {
+        let dims = q.group_by.as_slice();
+        // Pass 1, over keys and zone maps only: which segment rows there
+        // are to scan, and the range each `group_by` position can take.
+        // A segment's zones bound every row it holds (computed on build,
+        // re-checked on decode), its in-range buckets bound the time
+        // position exactly, and hot keys are read directly — so every row
+        // pass 2 adds falls inside these ranges.
+        let mut scanned = 0u64;
+        let mut ranges = [EMPTY_RANGE; MAX_DIMS];
+        let mut scans: Vec<(&ColumnSegment, usize, usize)> = Vec::new();
+        for p in &self.partitions {
+            for (key, _) in plan.hot(&p.cells) {
                 scanned += 1;
-                if !q.filters.iter().all(|f| filter_hits(key, f, bucket_ms)) {
-                    continue;
-                }
-                matched += 1;
-                let mut gk: GroupKey = [0; MAX_DIMS];
-                for (slot, d) in gk.iter_mut().zip(&q.group_by) {
-                    *slot = group_component(key, *d, bucket_ms, plan.window_ms);
-                }
-                match groups.get_mut(&gk) {
-                    Some(acc) => acc.merge_ref(cell),
-                    None => {
-                        groups.insert(gk, cell.clone());
-                    }
+                for (r, d) in ranges.iter_mut().zip(dims) {
+                    let v = group_component(key, *d, plan);
+                    widen(r, v, v);
                 }
             }
             for seg in &p.segments {
-                // Same pruning semantics as the row tier: an unbounded
-                // plan scans every row; a bounded one scans the bucket
-                // range. Scan accounting counts the range either way, so
-                // both engines report identical `cells_scanned`.
-                let (i0, i1) = if plan.bucket_lo == 0 && plan.bucket_hi == u32::MAX {
-                    (0, seg.len())
-                } else {
-                    seg.bucket_range(plan.bucket_lo, plan.bucket_hi)
-                };
+                // A zone-pruned segment's in-range rows still count as
+                // scanned, as the row engine counts them.
+                let (i0, i1) = plan.rows_of(seg);
                 scanned += (i1 - i0) as u64;
-                if i0 == i1 {
+                if i0 == i1 || !q.filters.iter().all(|f| zone_may_match(seg.zones(), f)) {
                     continue;
                 }
-                match engine {
-                    Engine::Columnar => {
-                        matched +=
-                            scan_segment_columnar(seg, q, plan, bucket_ms, i0, i1, &mut groups);
-                    }
-                    Engine::Row => {
-                        for i in i0..i1 {
-                            let key = seg.key_at(i);
-                            if !q.filters.iter().all(|f| filter_hits(&key, f, bucket_ms)) {
-                                continue;
-                            }
-                            matched += 1;
-                            let cell = seg.cell_at(i);
-                            let mut gk: GroupKey = [0; MAX_DIMS];
-                            for (slot, d) in gk.iter_mut().zip(&q.group_by) {
-                                *slot = group_component(&key, *d, bucket_ms, plan.window_ms);
-                            }
-                            match groups.get_mut(&gk) {
-                                Some(acc) => acc.merge_ref(&cell),
-                                None => {
-                                    groups.insert(gk, cell);
-                                }
-                            }
-                        }
-                    }
+                for (r, d) in ranges.iter_mut().zip(dims) {
+                    let (lo, hi) = range_of(seg, i0, i1, *d, plan);
+                    widen(r, lo, hi);
+                }
+                scans.push((seg, i0, i1));
+            }
+        }
+        // Pass 2: add every matching row to its group.
+        let sketch_runs = q.metric.reads_sketch().then_some(scanned as usize);
+        let mut acc = GroupAcc::new(&ranges[..dims.len()], sketch_runs);
+        let mut matched = 0u64;
+        for p in &self.partitions {
+            for (key, cell) in plan.hot(&p.cells) {
+                if q.filters
+                    .iter()
+                    .all(|f| filter_hits(key, f, plan.bucket_ms))
+                {
+                    matched += 1;
+                    acc.merge_cell(&group_key(key, dims, plan), cell);
                 }
             }
         }
-        (groups, scanned, matched)
-    }
-
-    fn eval_devices(&self, q: &Query) -> ResultSet {
-        let (groups, scanned, matched) = self.collect_devices(q);
-        // Device labels never involve a time window; width 1 keeps the
-        // (unreachable) `Dim::Time` arm well-defined.
-        finalize_groups(q, 1, groups, scanned, matched)
+        let mut scratch = Scratch::default();
+        for (seg, i0, i1) in scans {
+            matched += scan_segment(seg, q, plan, i0, i1, &mut acc, &mut scratch);
+        }
+        (acc.into_groups(), scanned, matched)
     }
 
     /// The scan half of device-directory evaluation: one group per
     /// model/region/ISP key, the device tally carried in [`Cell::count`]
     /// so the same partial-aggregate shape (and the same cluster shipping
     /// path) serves cell and device metrics alike.
-    pub(crate) fn collect_devices(&self, q: &Query) -> (BTreeMap<GroupKey, Cell>, u64, u64) {
+    fn collect_devices(&self, q: &Query) -> (Vec<(GroupKey, Cell)>, u64, u64) {
+        // Directory dimensions are bytes: each position's range is known
+        // without a pass over the directory.
+        let bytes = [(0, u64::from(u8::MAX)); MAX_DIMS];
+        let mut acc = GroupAcc::new(&bytes[..q.group_by.len()], None);
+        let one = Cell {
+            count: 1,
+            ..Cell::default()
+        };
+        let scanned = self.matching_devices(q, |gk| acc.merge_cell(&gk, &one));
+        let groups = acc.into_groups();
+        let matched = groups.iter().map(|(_, c)| c.count).sum();
+        (groups, scanned, matched)
+    }
+
+    /// Walk the device directory, handing `tally` the group key of every
+    /// device the query keeps; returns how many devices were visited.
+    fn matching_devices(&self, q: &Query, mut tally: impl FnMut(GroupKey)) -> u64 {
         let failing_only = matches!(q.metric, Metric::FailingDevices);
-        let mut groups: BTreeMap<GroupKey, Cell> = BTreeMap::new();
         let mut scanned = 0u64;
         for p in &self.partitions {
             for rec in p.devices.values() {
@@ -694,57 +758,137 @@ impl Store {
                         _ => 0, // validation rejects the rest
                     };
                 }
-                groups.entry(gk).or_default().count += 1;
+                tally(gk);
             }
         }
-        let matched: u64 = groups.values().map(|c| c.count).sum();
+        scanned
+    }
+
+    /// [`Engine::Row`]'s cell scan, kept apart from the serving kernel so
+    /// that it shares none of its grouping code.
+    fn collect_cells_row(&self, q: &Query, plan: &Plan) -> (BTreeMap<GroupKey, Cell>, u64, u64) {
+        let mut groups: BTreeMap<GroupKey, Cell> = BTreeMap::new();
+        let (mut scanned, mut matched) = (0u64, 0u64);
+        let mut fold = |key: &CellKey, cell: &Cell| {
+            scanned += 1;
+            if !q
+                .filters
+                .iter()
+                .all(|f| filter_hits(key, f, plan.bucket_ms))
+            {
+                return;
+            }
+            matched += 1;
+            let gk = group_key(key, &q.group_by, plan);
+            match groups.get_mut(&gk) {
+                Some(acc) => acc.merge_ref(cell),
+                None => {
+                    groups.insert(gk, cell.clone());
+                }
+            }
+        };
+        for p in &self.partitions {
+            for (key, cell) in plan.hot(&p.cells) {
+                fold(key, cell);
+            }
+            for seg in &p.segments {
+                let (i0, i1) = plan.rows_of(seg);
+                for i in i0..i1 {
+                    fold(&seg.key_at(i), &seg.cell_at(i));
+                }
+            }
+        }
+        (groups, scanned, matched)
+    }
+
+    /// [`Engine::Row`]'s directory scan.
+    fn collect_devices_row(&self, q: &Query) -> (BTreeMap<GroupKey, Cell>, u64, u64) {
+        let mut groups: BTreeMap<GroupKey, Cell> = BTreeMap::new();
+        let scanned = self.matching_devices(q, |gk| groups.entry(gk).or_default().count += 1);
+        let matched = groups.values().map(|c| c.count).sum();
         (groups, scanned, matched)
     }
 }
 
-/// Shared groups→rows finalisation: label every group key, derive the
-/// metric value from the accumulated partial aggregate (device metrics
-/// read the tally straight out of [`Cell::count`]), and apply the top-k
-/// cut. Local evaluation and the cluster's merge-then-finalize both end
-/// here — the single code path is what makes scatter-gathered answers
-/// byte-identical to single-node ones.
+/// Shared groups→rows finalisation: derive the metric value from each
+/// group's partial aggregate (device metrics read the tally straight out
+/// of [`Cell::count`]), apply the top-k cut, and only then build keys and
+/// labels — for the rows that survive it. Local evaluation and the
+/// cluster's merge-then-finalize both end here — the single code path is
+/// what makes scatter-gathered answers byte-identical to single-node ones.
+///
+/// `groups` must be key-ascending. Without a cut rows keep that order;
+/// with one they are ranked (value descending, key ascending) even when
+/// fewer than `k` — `total_cmp`, so the ranking stays total (and a server
+/// built on this engine cannot panic) should a metric ever produce a NaN.
 pub(crate) fn finalize_groups(
     q: &Query,
     window_ms: u64,
-    groups: BTreeMap<GroupKey, Cell>,
+    groups: &[(GroupKey, Cell)],
     cells_scanned: u64,
     cells_matched: u64,
 ) -> ResultSet {
     let device = q.metric.is_device_metric();
-    let mut rows: Vec<ResultRow> = groups
-        .into_iter()
+    let mut ranked: Vec<(GroupKey, f64, u64)> = groups
+        .iter()
         .map(|(gk, acc)| {
+            let value = if device {
+                acc.count as f64
+            } else {
+                metric_value(&q.metric, acc)
+            };
+            (*gk, value, acc.count)
+        })
+        .collect();
+    if q.top_k != 0 {
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        ranked.truncate(q.top_k);
+    }
+    let rows = ranked
+        .into_iter()
+        .map(|(gk, value, count)| {
             let key: Vec<u64> = gk[..q.group_by.len()].to_vec();
             let labels = key
                 .iter()
                 .zip(&q.group_by)
                 .map(|(c, d)| component_label(*d, *c, window_ms))
                 .collect();
-            let value = if device {
-                acc.count as f64
-            } else {
-                metric_value(&q.metric, &acc)
-            };
             ResultRow {
                 key,
                 labels,
                 value,
-                count: acc.count,
+                count,
             }
         })
         .collect();
-    apply_top_k(&mut rows, q.top_k);
     ResultSet {
         group_by: q.group_by.clone(),
         metric: q.metric,
         rows,
         cells_scanned,
         cells_matched,
+    }
+}
+
+/// The inclusive range `d` takes over rows `[i0, i1)` (not empty) of `seg`:
+/// exact for time — rows are bucket-sorted and the window is monotone in
+/// the bucket — and for the rest the segment's zone, which bounds every
+/// row it holds.
+fn range_of(seg: &ColumnSegment, i0: usize, i1: usize, d: Dim, plan: &Plan) -> (u64, u64) {
+    let z = seg.zones();
+    let wide = |(lo, hi): (u8, u8)| (u64::from(lo), u64::from(hi));
+    match d {
+        Dim::Time => (
+            plan.time_window(seg.buckets[i0]),
+            plan.time_window(seg.buckets[i1 - 1]),
+        ),
+        Dim::Kind => wide(z.kind),
+        Dim::Isp => wide(z.isp),
+        Dim::Rat => wide(z.rat),
+        Dim::Model => wide(z.model),
+        Dim::Region => wide(z.region),
+        Dim::CauseClass => wide(z.cause_class),
+        Dim::Cause => z.cause,
     }
 }
 
@@ -772,129 +916,115 @@ fn zone_may_match(z: &Zones, f: &Filter) -> bool {
     }
 }
 
-/// Scan rows `[i0, i1)` of one sealed segment with per-column loops:
-/// prune by zone map, refine a selection one filter (= one column) at a
-/// time, then materialise only the surviving rows into the group
-/// accumulators — skipping sketch-pool merging entirely for metrics that
-/// never read a sketch. Returns the matched-row count.
-fn scan_segment_columnar(
+/// Scan rows `[i0, i1)` of one sealed segment, a column at a time: refine
+/// a selection one filter (= one column) at a time, fold each `group_by`
+/// column of the surviving rows into their group codes, then add their
+/// aggregate columns to the groups — the sketch pool only for metrics that
+/// read a sketch. Returns the matched-row count.
+fn scan_segment(
     seg: &ColumnSegment,
     q: &Query,
     plan: &Plan,
-    bucket_ms: u64,
     i0: usize,
     i1: usize,
-    groups: &mut BTreeMap<GroupKey, Cell>,
+    acc: &mut GroupAcc,
+    scratch: &mut Scratch,
 ) -> u64 {
-    let z = seg.zones();
-    if !q.filters.iter().all(|f| zone_may_match(z, f)) {
-        return 0;
-    }
-    // Selection refinement: `None` = all rows in range still match. Each
-    // filter reads exactly one column. TimeRange filters are already
+    let Scratch { sel, codes } = scratch;
+    // `all` = every row in range still matches and `sel` is not in use.
+    // Each filter reads exactly one column. TimeRange filters are already
     // satisfied by `[i0, i1)` (validation aligns bounds to whole buckets),
     // matching the row engine's per-cell re-check by construction.
-    let mut sel: Option<Vec<u32>> = None;
+    let mut all = true;
     for f in &q.filters {
+        let span = (i0, i1);
         match f {
             Filter::Kind(k) => {
                 let w = k.index() as u8;
-                refine(&mut sel, i0, i1, &seg.kinds, |&v| v == w);
+                refine(&mut all, sel, span, &seg.kinds, |&v| v == w);
             }
             Filter::Isp(i) => {
                 let w = i.index() as u8;
-                refine(&mut sel, i0, i1, &seg.isps, |&v| v == w);
+                refine(&mut all, sel, span, &seg.isps, |&v| v == w);
             }
             Filter::Rat(r) => {
                 let w = r.index() as u8;
-                refine(&mut sel, i0, i1, &seg.rats, |&v| v == w);
+                refine(&mut all, sel, span, &seg.rats, |&v| v == w);
             }
             Filter::Model(m) => {
                 let w = m.0;
-                refine(&mut sel, i0, i1, &seg.models, |&v| v == w);
+                refine(&mut all, sel, span, &seg.models, |&v| v == w);
             }
             Filter::Region(r) => {
                 let w = r.index() as u8;
-                refine(&mut sel, i0, i1, &seg.regions, |&v| v == w);
+                refine(&mut all, sel, span, &seg.regions, |&v| v == w);
             }
             Filter::CauseClass(l) => {
                 let w = l.index() as u8;
-                refine(&mut sel, i0, i1, &seg.cause_classes, |&v| v == w);
+                refine(&mut all, sel, span, &seg.cause_classes, |&v| v == w);
             }
             Filter::Cause(c) => {
                 let code = c.code();
-                refine(&mut sel, i0, i1, &seg.causes, |&v| {
+                refine(&mut all, sel, span, &seg.causes, |&v| {
                     v != 0 && unzigzag(v - 1) as i32 == code
                 });
             }
-            Filter::HasCause => refine(&mut sel, i0, i1, &seg.causes, |&v| v != 0),
+            Filter::HasCause => refine(&mut all, sel, span, &seg.causes, |&v| v != 0),
             Filter::TimeRange { .. } => {}
         }
-        if sel.as_ref().is_some_and(Vec::is_empty) {
+        if !all && sel.is_empty() {
             return 0;
         }
     }
-    let needs_sketch = matches!(q.metric, Metric::MaxDurationMs | Metric::QuantileMs(_));
-    let mut fold = |i: usize| {
-        let mut gk: GroupKey = [0; MAX_DIMS];
-        for (slot, d) in gk.iter_mut().zip(&q.group_by) {
-            *slot = match d {
-                Dim::Time => (u64::from(seg.buckets[i]) * bucket_ms) / plan.window_ms,
-                Dim::Kind => u64::from(seg.kinds[i]),
-                Dim::Isp => u64::from(seg.isps[i]),
-                Dim::Rat => u64::from(seg.rats[i]),
-                Dim::Model => u64::from(seg.models[i]),
-                Dim::Region => u64::from(seg.regions[i]),
-                Dim::CauseClass => u64::from(seg.cause_classes[i]),
-                Dim::Cause => seg.causes[i],
-            };
-        }
-        let acc = groups.entry(gk).or_default();
-        acc.count += seg.counts[i];
-        acc.duration_ms_total += seg.duration_totals[i];
-        acc.under_30s += seg.under_30s[i];
-        if needs_sketch {
-            let (min, max, run) = seg.sketch_run(i);
-            let count = run.iter().map(|&(_, c)| c).sum();
-            acc.sketch.merge_run(count, min, max, run);
-        }
+    let rows = if all {
+        Rows::Span(i0, i1)
+    } else {
+        Rows::Picked(sel)
     };
-    match sel {
-        None => {
-            for i in i0..i1 {
-                fold(i);
+    codes.clear();
+    codes.resize(rows.len(), 0);
+    for (d, dim) in q.group_by.iter().enumerate() {
+        match dim {
+            Dim::Time => acc.push_digit(d, codes, rows, |i| plan.time_window(seg.buckets[i])),
+            Dim::Kind => acc.push_digit(d, codes, rows, |i| u64::from(seg.kinds[i])),
+            Dim::Isp => acc.push_digit(d, codes, rows, |i| u64::from(seg.isps[i])),
+            Dim::Rat => acc.push_digit(d, codes, rows, |i| u64::from(seg.rats[i])),
+            Dim::Model => acc.push_digit(d, codes, rows, |i| u64::from(seg.models[i])),
+            Dim::Region => acc.push_digit(d, codes, rows, |i| u64::from(seg.regions[i])),
+            Dim::CauseClass => {
+                acc.push_digit(d, codes, rows, |i| u64::from(seg.cause_classes[i]));
             }
-            (i1 - i0) as u64
-        }
-        Some(rows) => {
-            for &i in &rows {
-                fold(i as usize);
-            }
-            rows.len() as u64
+            Dim::Cause => acc.push_digit(d, codes, rows, |i| seg.causes[i]),
         }
     }
+    acc.add_rows(seg, rows, codes, |i| {
+        group_key(&seg.key_at(i), &q.group_by, plan)
+    });
+    rows.len() as u64
 }
 
-/// Refine a row selection against one column: on the first filter, scan
-/// the whole `[i0, i1)` slice; afterwards, re-test only the survivors.
+/// Refine the row selection against one column: the first filter scans
+/// the whole `[i0, i1)` slice into `sel`; later ones re-test only the
+/// survivors.
 fn refine<T>(
-    sel: &mut Option<Vec<u32>>,
-    i0: usize,
-    i1: usize,
+    all: &mut bool,
+    sel: &mut Vec<u32>,
+    (i0, i1): (usize, usize),
     col: &[T],
     pred: impl Fn(&T) -> bool,
 ) {
-    match sel {
-        None => {
-            let mut v = Vec::new();
-            for (off, x) in col[i0..i1].iter().enumerate() {
-                if pred(x) {
-                    v.push((i0 + off) as u32);
-                }
-            }
-            *sel = Some(v);
-        }
-        Some(v) => v.retain(|&i| pred(&col[i as usize])),
+    if *all {
+        *all = false;
+        sel.clear();
+        sel.extend(
+            col[i0..i1]
+                .iter()
+                .enumerate()
+                .filter(|(_, x)| pred(x))
+                .map(|(off, _)| (i0 + off) as u32),
+        );
+    } else {
+        sel.retain(|&i| pred(&col[i as usize]));
     }
 }
 
@@ -939,27 +1069,6 @@ fn metric_value(m: &Metric, acc: &Cell) -> f64 {
         Metric::QuantileMs(q) => acc.sketch.quantile(*q).unwrap_or(0) as f64,
         Metric::Devices | Metric::FailingDevices => 0.0, // device path never lands here
     }
-}
-
-fn apply_top_k(rows: &mut Vec<ResultRow>, k: usize) {
-    if k == 0 || rows.len() <= k {
-        if k != 0 {
-            // Still rank the short list by value for presentation parity.
-            sort_by_value(rows);
-        }
-        return;
-    }
-    sort_by_value(rows);
-    rows.truncate(k);
-}
-
-fn sort_by_value(rows: &mut [ResultRow]) {
-    // `total_cmp`, not `partial_cmp().expect(..)`: metric values are finite
-    // today, but the ranking must stay total (and the server built on this
-    // engine must never panic) even if a future metric produces a NaN. The
-    // (value desc, key asc) order is the one explicit tie-break — nothing
-    // here may depend on pre-sort row order or map iteration order.
-    rows.sort_by(|a, b| b.value.total_cmp(&a.value).then_with(|| a.key.cmp(&b.key)));
 }
 
 #[cfg(test)]
@@ -1330,6 +1439,265 @@ mod tests {
         assert_eq!(rs.cells_scanned, s.cells());
         assert_eq!(rs.cells_matched, 1);
         assert_eq!(rs.rows[0].count, 2);
+    }
+
+    // ---- The group-code kernel on hand-built tiers, each answer compared
+    // ---- with the row engine: one test per choice the kernel makes.
+
+    fn ck(bucket: u32, kind: u8, model: u8, cause_class: u8, cause: u64) -> CellKey {
+        CellKey {
+            bucket,
+            kind,
+            isp: kind % 3,
+            rat: model % 4,
+            model,
+            region: model % 3,
+            cause_class,
+            cause,
+        }
+    }
+
+    fn cell(durations: &[u64]) -> Cell {
+        let mut c = Cell::default();
+        for &d in durations {
+            c.push(d);
+        }
+        c
+    }
+
+    /// A one-millisecond-bucket store whose partition `p` holds `sealed[p]`
+    /// as one segment, and whose partition 0 holds `hot` in its row tier.
+    fn hand_built(sealed: Vec<Vec<(CellKey, Cell)>>, hot: Vec<(CellKey, Cell)>) -> Store {
+        let mut s = Store::new(&StoreConfig {
+            bucket_ms: 1,
+            rollup_buckets: 1,
+            partitions: sealed.len().max(1),
+            auto_compact_every: 0,
+        });
+        for (p, rows) in s.partitions.iter_mut().zip(sealed) {
+            p.segments.extend(ColumnSegment::from_rows(rows));
+        }
+        s.partitions[0].cells.extend(hot);
+        s
+    }
+
+    /// Serving kernel, row engine and a one-shard scatter-gather agree.
+    fn assert_kernel_matches_row(s: &Store, q: &Query) -> ResultSet {
+        let served = s.query(q).unwrap();
+        assert_eq!(served, s.query_row(q).unwrap(), "{q:?}");
+        let partial = s.query_partial(q).unwrap();
+        assert_eq!(crate::merge_partials(q, &[partial]), served, "{q:?}");
+        served
+    }
+
+    fn metric_by(metric: Metric, group_by: Vec<Dim>) -> Query {
+        Query {
+            metric,
+            ..Query::count_by(group_by)
+        }
+    }
+
+    #[test]
+    fn code_space_past_64_bits_is_renamed_not_truncated() {
+        // Buckets span 2³², every byte dimension its whole range and the
+        // raw cause column all of u64 (values ≥ 2³² only a forged segment
+        // holds): grouped by all eight dimensions that is ~2¹⁴⁴ codes.
+        let rows = vec![
+            (ck(0, 0, 0, 0, 0), cell(&[1_000])),
+            (ck(0, 0, 0, 0, 7), cell(&[2_000, 40_000])),
+            (ck(0, 255, 255, 255, 1 << 32), cell(&[3_000])),
+            (ck(9, 4, 3, 2, (1 << 32) + 1), cell(&[4_000])),
+            (ck(9, 4, 3, 2, u64::MAX), cell(&[5_000])),
+            (ck(u32::MAX, 0, 0, 0, 7), cell(&[6_000])),
+            (ck(u32::MAX, 255, 255, 255, u64::MAX), cell(&[7_000])),
+        ];
+        let hot = vec![
+            (ck(9, 4, 3, 2, u64::MAX), cell(&[8_000])),
+            (ck(5, 1, 1, 1, 1 << 40), cell(&[9_000])),
+        ];
+        let s = hand_built(vec![rows.clone(), rows[2..5].to_vec()], hot);
+        let mut reversed = Dim::ALL.to_vec();
+        reversed.reverse();
+        for group_by in [Dim::ALL.to_vec(), reversed, vec![Dim::Cause, Dim::Time]] {
+            for metric in [Metric::Count, Metric::QuantileMs(0.5)] {
+                let all = assert_kernel_matches_row(&s, &metric_by(metric, group_by.clone()));
+                assert_eq!(all.rows.len(), 8, "{group_by:?}");
+                let caused = Query {
+                    filters: vec![Filter::HasCause],
+                    top_k: 3,
+                    ..metric_by(metric, group_by.clone())
+                };
+                assert_kernel_matches_row(&s, &caused);
+            }
+        }
+    }
+
+    #[test]
+    fn a_matched_cell_that_counts_nothing_is_still_a_group() {
+        let s = hand_built(
+            vec![vec![
+                (ck(0, 0, 1, 0, 0), Cell::default()),
+                (ck(0, 1, 1, 0, 0), cell(&[1_000])),
+            ]],
+            vec![(ck(1, 2, 1, 0, 0), Cell::default())],
+        );
+        // Direct-indexed (five kinds), then hashed (kind × raw cause).
+        for group_by in [vec![Dim::Kind], vec![Dim::Kind, Dim::Cause]] {
+            let mut s = s.clone();
+            if group_by.len() == 2 {
+                s.partitions[0]
+                    .cells
+                    .insert(ck(1, 3, 1, 0, 1 << 20), Cell::default());
+            }
+            for metric in [Metric::Count, Metric::MeanDurationMs, Metric::MaxDurationMs] {
+                let rs = assert_kernel_matches_row(&s, &metric_by(metric, group_by.clone()));
+                let counts: Vec<u64> = rs.rows.iter().map(|r| r.count).collect();
+                assert_eq!(counts[..3], [0, 1, 0], "{group_by:?} {metric:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn partitions_with_disjoint_zones_share_one_code_space() {
+        let s = hand_built(
+            vec![
+                vec![
+                    (ck(0, 0, 1, 0, 0), cell(&[1_000])),
+                    (ck(1, 1, 3, 0, 0), cell(&[2_000])),
+                ],
+                vec![
+                    (ck(40, 3, 200, 7, 90), cell(&[3_000])),
+                    (ck(41, 4, 210, 7, 99), cell(&[4_000, 5_000])),
+                ],
+                vec![(ck(20, 2, 100, 3, 50), cell(&[6_000]))],
+            ],
+            vec![],
+        );
+        for group_by in [
+            vec![Dim::Kind, Dim::Model],
+            vec![Dim::Model, Dim::Cause, Dim::Time],
+            vec![Dim::CauseClass],
+        ] {
+            let rs = assert_kernel_matches_row(&s, &Query::count_by(group_by.clone()));
+            assert_eq!(rs.rows.len(), if group_by.len() == 1 { 3 } else { 5 });
+            // A filter that zone-prunes two of the three segments.
+            let pruned = Query {
+                filters: vec![Filter::Model(PhoneModelId(100))],
+                ..Query::count_by(group_by)
+            };
+            assert_eq!(assert_kernel_matches_row(&s, &pruned).rows.len(), 1);
+        }
+    }
+
+    #[test]
+    fn hot_rows_outside_every_segment_zone_are_grouped() {
+        let s = hand_built(
+            vec![vec![
+                (ck(10, 1, 10, 1, 10), cell(&[1_000])),
+                (ck(11, 2, 11, 1, 11), cell(&[2_000])),
+            ]],
+            vec![
+                (ck(0, 0, 0, 0, 0), cell(&[3_000])),
+                (ck(10, 1, 10, 1, 10), cell(&[4_000])),
+                (ck(500, 4, 255, 255, 1 << 33), cell(&[5_000])),
+            ],
+        );
+        for group_by in [
+            vec![Dim::Kind],
+            vec![Dim::Time, Dim::Model],
+            vec![Dim::Cause, Dim::CauseClass, Dim::Kind],
+        ] {
+            for metric in [Metric::Count, Metric::QuantileMs(0.95)] {
+                let rs = assert_kernel_matches_row(&s, &metric_by(metric, group_by.clone()));
+                assert_eq!(rs.rows.len(), 4, "{group_by:?}");
+            }
+        }
+    }
+
+    /// `models` groups of `runs` one-record cells each, sealed.
+    fn sketch_store(models: usize, runs: usize) -> Store {
+        let rows = (0..models * runs)
+            .map(|i| {
+                let (model, run) = ((i % models) as u8, (i / models) as u64);
+                let duration = 500 + 37 * run * (u64::from(model) + 1);
+                (ck(i as u32, 0, model, 0, 0), cell(&[duration]))
+            })
+            .collect();
+        hand_built(vec![rows], vec![])
+    }
+
+    #[test]
+    fn sketch_groups_at_the_dense_cap_and_one_past_it() {
+        use crate::group::{DENSE_SKETCH_GROUPS, DENSE_SKETCH_RUNS};
+        let runs = DENSE_SKETCH_RUNS / DENSE_SKETCH_GROUPS;
+        for (models, runs) in [
+            (DENSE_SKETCH_GROUPS, runs),     // dense histograms
+            (DENSE_SKETCH_GROUPS + 1, runs), // one group too many: sparse
+            (DENSE_SKETCH_GROUPS, runs - 1), // one run too few: sparse
+        ] {
+            let s = sketch_store(models, runs);
+            let metrics = [0.0, 0.5, 0.95, 1.0].map(Metric::QuantileMs);
+            for metric in metrics.into_iter().chain([Metric::MaxDurationMs]) {
+                let rs = assert_kernel_matches_row(&s, &metric_by(metric, vec![Dim::Model]));
+                assert_eq!(rs.rows.len(), models);
+            }
+        }
+    }
+
+    #[test]
+    fn count_groups_at_the_direct_cap_and_one_past_it() {
+        use crate::group::DIRECT_CODES;
+        for codes in [DIRECT_CODES as u64, DIRECT_CODES as u64 + 1] {
+            // Raw causes 0 and `codes - 1` span exactly `codes` codes.
+            let rows = [0, 1, codes / 2, codes - 2, codes - 1]
+                .into_iter()
+                .enumerate()
+                .map(|(i, cause)| {
+                    (
+                        ck(i as u32, 0, 1, 0, cause),
+                        cell(&[1_000 * (i as u64 + 1)]),
+                    )
+                });
+            let s = hand_built(vec![rows.clone().collect(), rows.skip(3).collect()], vec![]);
+            for q in [
+                Query::count_by(vec![Dim::Cause]),
+                Query {
+                    top_k: 2,
+                    ..metric_by(Metric::DurationTotalMs, vec![Dim::Cause])
+                },
+            ] {
+                let rs = assert_kernel_matches_row(&s, &q);
+                assert_eq!(rs.rows.len(), if q.top_k == 0 { 5 } else { 2 });
+            }
+        }
+    }
+
+    #[test]
+    fn time_ranges_that_do_not_intersect_scan_nothing() {
+        // Each range is legal; together they leave the upper bound below
+        // the lower one, which used to reach the scan as a reversed range.
+        let mut s = fixture();
+        let week_ms = 7 * 86_400_000u64;
+        let q = Query {
+            filters: vec![
+                Filter::TimeRange {
+                    start_ms: 2 * week_ms,
+                    end_ms: 3 * week_ms,
+                },
+                Filter::TimeRange {
+                    start_ms: 0,
+                    end_ms: week_ms,
+                },
+            ],
+            ..Query::count_by(vec![Dim::Kind])
+        };
+        for sealed in [false, true] {
+            if sealed {
+                s.seal_columnar();
+            }
+            let rs = assert_kernel_matches_row(&s, &q);
+            assert_eq!((rs.rows.len(), rs.cells_scanned), (0, 0));
+        }
     }
 
     #[test]

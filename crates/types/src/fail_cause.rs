@@ -156,6 +156,15 @@ macro_rules! fail_causes {
                 }
             }
 
+            /// Look up a named cause by its numeric code; falls back to
+            /// `Other`. Inverse of [`Self::code`] on the named causes.
+            pub const fn from_code(code: i32) -> DataFailCause {
+                match code {
+                    $( $code => DataFailCause::$variant, )*
+                    _ => DataFailCause::Other(code.unsigned_abs() as u16),
+                }
+            }
+
             /// The Android constant-style name.
             pub const fn name(self) -> &'static str {
                 match self {
@@ -598,15 +607,6 @@ impl DataFailCause {
     /// not classified as any false-positive class).
     pub const fn is_true_failure(self) -> bool {
         self.false_positive().is_none()
-    }
-
-    /// Look up a named cause by its numeric code; falls back to `Other`.
-    pub fn from_code(code: i32) -> DataFailCause {
-        Self::NAMED
-            .iter()
-            .copied()
-            .find(|c| c.code() == code)
-            .unwrap_or(DataFailCause::Other(code.unsigned_abs() as u16))
     }
 }
 

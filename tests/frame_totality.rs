@@ -31,10 +31,11 @@ use cellrel::queryd::proto::{
     decode_request, decode_response, encode_request, encode_response, Request, Response,
     ServerStats, WireError,
 };
+use cellrel::sim::SparseSketch;
 use cellrel::store::workload::canonical;
 use cellrel::store::{
-    decode_partial, encode_partial, restore_store, save_store, ColumnSegment, DeviceDirectory, Dim,
-    Query, Store, StoreConfig,
+    decode_partial, encode_partial, merge_partials, restore_store, save_store, Cell as StoreCell,
+    ColumnSegment, DeviceDirectory, Dim, Metric, PartialResultSet, Query, Store, StoreConfig,
 };
 use cellrel::stream::{
     decode_manifest, decode_segment, encode_manifest, encode_segment, MemSegments, SegmentEntry,
@@ -658,4 +659,85 @@ proptest! {
         let bytes = encode_partial(&value);
         check(&subject, &value, &bytes, seed)?;
     }
+}
+
+// ---------------------------------------------------------------------------
+// `merge_partials` is the one consumer documented total on whatever
+// `decode_partial` accepts, and a decoded partial names its own window
+// width, keys, counts and sketches. Each case below is decodable wire input
+// that used to panic the merge in this profile (and wrap in release).
+// ---------------------------------------------------------------------------
+
+/// `p` as a router would see it: through the wire form.
+fn over_the_wire(p: &PartialResultSet) -> PartialResultSet {
+    decode_partial(&encode_partial(p)).expect("a decodable partial")
+}
+
+fn one_group(window_ms: u64, key: u64, cell: StoreCell) -> PartialResultSet {
+    PartialResultSet {
+        window_ms,
+        groups: vec![(vec![key], cell)],
+        cells_scanned: 1,
+        cells_matched: 1,
+    }
+}
+
+#[test]
+fn merge_partials_labels_a_window_of_any_width() {
+    let q = Query::count_by(vec![Dim::Time]);
+    let cell = StoreCell {
+        count: 1,
+        ..StoreCell::default()
+    };
+    for (window_ms, key) in [(u64::MAX, 3), (u64::MAX, u64::MAX), (1 << 63, 2), (0, 7)] {
+        let rs = merge_partials(
+            &q,
+            &[over_the_wire(&one_group(window_ms, key, cell.clone()))],
+        );
+        assert_eq!(rs.rows.len(), 1);
+        assert_eq!(rs.rows[0].key, vec![key]);
+        assert!(rs.rows[0].labels[0].starts_with('['), "{:?}", rs.rows[0]);
+    }
+}
+
+#[test]
+fn merge_partials_saturates_sums_past_u64() {
+    let q = Query {
+        metric: Metric::MeanDurationMs,
+        ..Query::count_by(vec![Dim::Kind])
+    };
+    let big = StoreCell {
+        count: u64::MAX - 2,
+        duration_ms_total: u64::MAX - 1,
+        under_30s: u64::MAX - 2,
+        ..StoreCell::default()
+    };
+    let p = over_the_wire(&one_group(1, 0, big));
+    let rs = merge_partials(&q, &[p.clone(), p.clone(), p]);
+    assert_eq!(rs.rows.len(), 1);
+    assert_eq!(rs.rows[0].count, u64::MAX);
+    assert_eq!(rs.rows[0].value, 1.0);
+}
+
+#[test]
+fn merge_partials_leaves_out_a_sketch_it_cannot_count() {
+    let q = Query {
+        metric: Metric::QuantileMs(0.5),
+        ..Query::count_by(vec![Dim::Kind])
+    };
+    // Two sketches of 2⁶³ samples each: one more than a count can hold.
+    let sketch = |value: u64, count: u64| StoreCell {
+        count,
+        sketch: SparseSketch::from_parts(value, value, [(value as usize, count)])
+            .expect("a value below the linear limit is its own bucket"),
+        ..StoreCell::default()
+    };
+    let fives = over_the_wire(&one_group(1, 0, sketch(5, 1 << 63)));
+    let nines = over_the_wire(&one_group(1, 0, sketch(9, 1 << 63)));
+    let rs = merge_partials(&q, &[fives, nines.clone()]);
+    assert_eq!((rs.rows[0].count, rs.rows[0].value), (u64::MAX, 5.0));
+    // One that fits is ranked with the rest: a third fives, two thirds nines.
+    let fives = over_the_wire(&one_group(1, 0, sketch(5, 1 << 62)));
+    let rs = merge_partials(&q, &[fives, nines]);
+    assert_eq!((rs.rows[0].count, rs.rows[0].value), (3 << 62, 9.0));
 }

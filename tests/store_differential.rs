@@ -113,10 +113,13 @@ fn build_filter((variant, a, b): FilterParts) -> Filter {
     }
 }
 
-/// The varying material of one query: filters, group-by dims (duplicates
-/// allowed — `DuplicateDim` rejection must agree too), window selector,
-/// top-k, and metric selector (quantile numerator included, spanning
-/// out-of-range values).
+/// The varying material of one query: filters, zero to eight group-by
+/// dims, window selector, top-k, and metric selector (quantile numerator
+/// included, spanning out-of-range values). A draw of up to three dims
+/// keeps its duplicates — `DuplicateDim` rejection must agree too; a
+/// longer one (which would almost never be duplicate-free) drops its
+/// repeats, so that legal wide group-bys — code spaces the kernel indexes
+/// directly and ones it hashes — are drawn as well.
 type QueryParts = (
     Vec<FilterParts>,
     Vec<usize>,
@@ -128,7 +131,7 @@ type QueryParts = (
 fn parts_strategy() -> impl Strategy<Value = QueryParts> {
     (
         prop::collection::vec((0usize..9, 0u64..4_096, 0u64..4_096), 0..4),
-        prop::collection::vec(0usize..Dim::ALL.len(), 0..4),
+        prop::collection::vec(0usize..Dim::ALL.len(), 0..9),
         (0u64..3, 0u64..2),
         0usize..7,
         (0usize..8, 0u64..1_500),
@@ -147,9 +150,16 @@ fn build_query((filters, dims, (weeks, jitter), top_k, (metric, qn)): QueryParts
         6 => Metric::Devices,
         _ => Metric::FailingDevices,
     };
+    let mut group_by: Vec<Dim> = Vec::new();
+    let keep_repeats = dims.len() <= 3;
+    for d in dims.into_iter().map(|i| Dim::ALL[i]) {
+        if keep_repeats || !group_by.contains(&d) {
+            group_by.push(d);
+        }
+    }
     Query {
         filters: filters.into_iter().map(build_filter).collect(),
-        group_by: dims.into_iter().map(|i| Dim::ALL[i]).collect(),
+        group_by,
         window_ms: weeks * WEEK_MS + jitter * 9_999,
         metric,
         top_k,
