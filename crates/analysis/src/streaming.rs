@@ -98,13 +98,6 @@ impl FleetAccumulator {
             .quantile(q)
             .map(|ms| ms as f64 / 1000.0)
     }
-
-    /// Sketched duration quantile in seconds for one failure kind.
-    pub fn kind_duration_quantile_secs(&self, kind: FailureKind, q: f64) -> Option<f64> {
-        self.duration_sketch_by_kind[kind.index()]
-            .quantile(q)
-            .map(|ms| ms as f64 / 1000.0)
-    }
 }
 
 impl EventSink for FleetAccumulator {

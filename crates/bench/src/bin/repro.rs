@@ -19,18 +19,6 @@
 //! value; `--trace-out FILE` (implies `--metrics`) additionally writes
 //! every failure as a Chrome trace-event span, loadable in Perfetto or
 //! `chrome://tracing`.
-//!
-//! `--stream` runs the continuous windowed pipeline over a live-ordered
-//! upload stream and asserts its merged view and Tables 1/2 are
-//! byte-identical to the one-shot batch pipeline — the streaming identity
-//! check, in-run. Combinable with experiment ids; alone it runs only the
-//! streaming pass.
-//!
-//! `--cluster` runs the same upload stream through the sharded, replicated
-//! serving tier (device-hash partitioning, segment-shipping replication,
-//! scatter-gather federation) and asserts the merged store digest and the
-//! federated Tables 1/2 are byte-identical to the one-shot batch pipeline
-//! — the federation identity check, in-run.
 
 // Wall-clock is the *measurement* in the fleet experiment (events/s), not
 // simulation state — benches are outside the workspace-wide
@@ -90,16 +78,6 @@ fn main() {
         raw.remove(pos);
         metrics = true;
     }
-    let mut stream = false;
-    if let Some(pos) = raw.iter().position(|w| w == "--stream") {
-        raw.remove(pos);
-        stream = true;
-    }
-    let mut cluster = false;
-    if let Some(pos) = raw.iter().position(|w| w == "--cluster") {
-        raw.remove(pos);
-        cluster = true;
-    }
     let mut trace_out: Option<String> = None;
     if let Some(pos) = raw.iter().position(|w| w == "--trace-out") {
         let file = raw
@@ -111,7 +89,7 @@ fn main() {
         metrics = true;
     }
     let mut wanted = raw;
-    if (wanted.is_empty() && !stream && !cluster) || wanted.iter().any(|w| w == "all") {
+    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
         wanted = ALL.iter().map(|s| s.to_string()).collect();
     }
     // Alias figure pairs that share one computation.
@@ -211,16 +189,6 @@ fn main() {
         }
     }
 
-    if stream {
-        eprintln!("repro: running streaming identity pass ...");
-        println!("{}", stream_report());
-    }
-
-    if cluster {
-        eprintln!("repro: running cluster federation identity pass ...");
-        println!("{}", cluster_report());
-    }
-
     if metrics {
         eprintln!("repro: running fleet metrics pass ...");
         let (snap, devices) = cellrel::workload::run_fleet_metrics(&cfg, 0, trace_out.is_some());
@@ -296,179 +264,6 @@ fn fleet_report() -> String {
         ev.radio_events,
         ev.digest,
         ev.bytes_per_device(),
-    )
-}
-
-/// The streaming identity experiment: run one fleet's upload stream both
-/// ways — through the continuous windowed pipeline (watermark sealing,
-/// tiered segments, late lane) and through the one-shot batch collector —
-/// and assert the merged digest and Tables 1/2 are byte-identical. The
-/// windowed decomposition must be invisible in every answer.
-fn stream_report() -> String {
-    use cellrel::analysis::store_tables::{table1_from_store, table2_from_store};
-    use cellrel::ingest::{Collector, CollectorConfig};
-    use cellrel::store::{DeviceDirectory, StoreConfig, StoreSink};
-    use cellrel::stream::{batches_from_events, MemSegments, StreamConfig, StreamPipeline};
-    use cellrel::workload::{run_macro_study, StudyConfig};
-
-    let study = StudyConfig {
-        population: PopulationConfig {
-            devices: 1_500,
-            ..Default::default()
-        },
-        days: 7,
-        bs_count: 1_000,
-        seed: 2021,
-    };
-    eprintln!(
-        "stream: {} devices x {} days, daily windows, 2 h lateness ...",
-        study.population.devices, study.days
-    );
-    let data = run_macro_study(&study);
-    let dir = DeviceDirectory::from_population(&data.population);
-    let batches = batches_from_events(&data.events, 48);
-
-    let cfg = StreamConfig {
-        window_ms: 86_400_000,
-        lateness_ms: 2 * 3_600_000,
-        hot_windows: 3,
-        late_flush: 512,
-        collector: CollectorConfig::default(),
-        store: StoreConfig::default(),
-    };
-    let mut collector = Collector::new(&cfg.collector);
-    let mut sink = StoreSink::new(&cfg.store, &dir);
-    for b in &batches {
-        collector.ingest_with(b, &mut sink);
-    }
-    let batch = sink.into_store();
-
-    let mut segs = MemSegments::new();
-    let mut p = StreamPipeline::new(&cfg, &dir).expect("valid config");
-    for b in &batches {
-        p.offer(b, &mut segs).expect("offer");
-    }
-    p.flush(&mut segs).expect("flush");
-
-    assert_eq!(
-        p.digest(),
-        batch.digest(),
-        "streamed merged view diverged from the batch store"
-    );
-    let (t1, t2) = p.tables(10).expect("valid queries");
-    assert_eq!(
-        t1.render(),
-        table1_from_store(&batch).expect("valid query").render(),
-        "incremental Table 1 diverged from the one-shot batch"
-    );
-    assert_eq!(
-        t2.render(),
-        table2_from_store(&batch, 10).expect("valid query").render(),
-        "incremental Table 2 diverged from the one-shot batch"
-    );
-
-    let c = p.counters();
-    format!(
-        "== Continuous streaming (windowed pipeline) ==\n\
-         batches: {} ({} records, {} routed late)\n\
-         windows sealed: {} ({} late segments, {} segments persisted)\n\
-         merged view == batch store: ok (tables 1/2 byte-identical)\n\
-         digest: {:016x}\n",
-        c.batches,
-        c.records,
-        c.late_records,
-        c.windows_sealed,
-        c.late_segments,
-        c.segments_persisted,
-        p.digest(),
-    )
-}
-
-/// The cluster federation identity experiment: partition one fleet's
-/// upload stream across shard leaders by device hash, replicate every
-/// sealed segment to followers, and answer Tables 1/2 through the
-/// scatter-gather router — asserting the merged store digest and both
-/// federated tables are byte-identical to the one-shot batch pipeline.
-/// The sharded decomposition must be invisible in every answer.
-fn cluster_report() -> String {
-    use cellrel::analysis::store_tables::{table1_from_store, table2_from_store};
-    use cellrel::cluster::{shard_directories, Cluster, ClusterConfig};
-    use cellrel::ingest::{Collector, CollectorConfig};
-    use cellrel::store::{DeviceDirectory, StoreConfig, StoreSink};
-    use cellrel::stream::{batches_from_events, StreamConfig};
-    use cellrel::workload::{run_macro_study, StudyConfig};
-
-    let study = StudyConfig {
-        population: PopulationConfig {
-            devices: 1_500,
-            ..Default::default()
-        },
-        days: 7,
-        bs_count: 1_000,
-        seed: 2021,
-    };
-    let ccfg = ClusterConfig {
-        shards: 2,
-        replicas: 1,
-        checkpoint_every: 8,
-    };
-    eprintln!(
-        "cluster: {} devices x {} days across {} shards (+{} replica(s) each) ...",
-        study.population.devices, study.days, ccfg.shards, ccfg.replicas
-    );
-    let data = run_macro_study(&study);
-    let dir = DeviceDirectory::from_population(&data.population);
-    let batches = batches_from_events(&data.events, 48);
-
-    let cfg = StreamConfig {
-        window_ms: 86_400_000,
-        lateness_ms: 2 * 3_600_000,
-        hot_windows: 3,
-        late_flush: 512,
-        collector: CollectorConfig::default(),
-        store: StoreConfig::default(),
-    };
-    let mut collector = Collector::new(&cfg.collector);
-    let mut sink = StoreSink::new(&cfg.store, &dir);
-    for b in &batches {
-        collector.ingest_with(b, &mut sink);
-    }
-    let batch = sink.into_store();
-
-    let dirs = shard_directories(&dir, ccfg.shards);
-    let mut cluster = Cluster::new(&cfg, &ccfg, &dirs).expect("valid config");
-    for b in &batches {
-        cluster.offer(b).expect("offer");
-    }
-    cluster.flush().expect("flush");
-    cluster.publish();
-
-    assert_eq!(
-        cluster.digest(),
-        batch.digest(),
-        "sharded merged view diverged from the batch store"
-    );
-    let (t1, t2) = cluster.router().tables(10).expect("valid queries");
-    assert_eq!(
-        t1.render(),
-        table1_from_store(&batch).expect("valid query").render(),
-        "federated Table 1 diverged from the one-shot batch"
-    );
-    assert_eq!(
-        t2.render(),
-        table2_from_store(&batch, 10).expect("valid query").render(),
-        "federated Table 2 diverged from the one-shot batch"
-    );
-
-    format!(
-        "== Sharded serving tier (scatter-gather federation) ==\n\
-         batches: {} across {} shards ({} replica(s) per shard)\n\
-         merged view == batch store: ok (federated tables 1/2 byte-identical)\n\
-         digest: {:016x}\n",
-        batches.len(),
-        cluster.shards(),
-        ccfg.replicas,
-        cluster.digest(),
     )
 }
 

@@ -36,7 +36,7 @@ use cellrel_queryd::QuerydCore;
 use cellrel_sim::Merge;
 use cellrel_store::{DeviceDirectory, Store};
 use cellrel_stream::{
-    decode_segment, MemSegments, SegmentEntry, SegmentStore, StreamConfig, StreamError,
+    decode_segment, fetch_segment, MemSegments, SegmentEntry, SegmentStore, StreamConfig,
     StreamPipeline,
 };
 
@@ -284,14 +284,7 @@ impl Follower {
     pub fn recover(&mut self) -> Result<(), ClusterError> {
         let mut base = Store::new(&self.cfg.store);
         for entry in &self.manifest {
-            let bytes = self.segs.get(&entry.name())?;
-            let (decoded, delta) = decode_segment(&bytes)?;
-            if decoded != *entry || *delta.config() != self.cfg.store {
-                return Err(ClusterError::Stream(StreamError::SegmentMismatch(
-                    entry.name(),
-                )));
-            }
-            base.merge(delta);
+            base.merge(fetch_segment(&self.segs, entry, &self.cfg.store)?.1);
         }
         self.base = base;
         self.applied = self.manifest.len() as u64;
@@ -325,6 +318,7 @@ mod tests {
     use cellrel_ingest::frame::{seal, write_varint, SP};
     use cellrel_stream::{
         batches_from_events, decode_manifest, encode_manifest, encode_segment, SegmentKind,
+        StreamError,
     };
     use cellrel_workload::{run_macro_study, PopulationConfig, StudyConfig};
     use std::sync::OnceLock;

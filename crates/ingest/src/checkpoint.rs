@@ -222,24 +222,6 @@ pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, FrameError> {
     })
 }
 
-/// [`restore_checkpoint`] with telemetry: counts successful restores and
-/// typed-error rejections under `ingest.checkpoint.*`.
-pub fn restore_checkpoint_with(
-    bytes: &[u8],
-    tele: &cellrel_sim::Telemetry,
-) -> Result<Collector, FrameError> {
-    match restore_checkpoint(bytes) {
-        Ok(c) => {
-            tele.inc("ingest.checkpoint.restore");
-            Ok(c)
-        }
-        Err(e) => {
-            tele.inc("ingest.checkpoint.restore_error");
-            Err(e)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,22 +3,16 @@
 //! Encoded upload batches stream in from millions of devices; the collector
 //! decodes, deduplicates, noise-filters (§2.1) and folds them into
 //! aggregates whose size depends on what they have seen (the distinct
-//! duration buckets and devices), never on how many records went by. Two
-//! drivers share one state machine:
+//! duration buckets and devices), never on how many records went by.
+//! [`Collector::ingest_with`] is the one driver: route a batch to its
+//! virtual shard, fold it in, echo what was accepted into a sink. Scale-out
+//! is the cluster tier's device-hash sharding, one collector per shard
+//! leader, not threads inside a collector.
 //!
-//! * [`Collector::ingest`] — the sequential path: route a batch to its
-//!   virtual shard and fold it in.
-//! * [`run_ingest`] — the parallel path: N workers behind **bounded**
-//!   channels (`std::sync::mpsc::sync_channel`, so a slow worker
-//!   back-pressures the producer instead of buffering unboundedly), each
-//!   owning a fixed subset of virtual shards.
-//!
-//! **Determinism.** Batches are routed to `device % virtual_shards`; each
-//! virtual shard is owned by exactly one worker, and a single producer
-//! emits batches in a fixed order, so every shard sees the same batch
-//! subsequence in the same order at *any* worker count. Folding shard
-//! states in shard-index order therefore yields a bit-identical
-//! [`Collector::digest`] at 1, 2, or 8 workers — the property CI enforces.
+//! **Determinism.** Batches are routed to `device % virtual_shards` and a
+//! shard's state depends only on the batch subsequence it was handed, so
+//! the same batches in the same order yield a bit-identical
+//! [`Collector::digest`].
 //!
 //! **Dedup / noise / lateness.** Re-delivered batches are dropped by the
 //! per-device upload sequence number (`seq` must strictly increase);
@@ -31,21 +25,17 @@
 
 use crate::codec::{decode_batch, peek_device};
 use cellrel_sim::sketch::SparseSketch;
-use cellrel_sim::{resolve_threads, Digest64, Merge};
+use cellrel_sim::{Digest64, Merge};
 use cellrel_types::{DeviceId, FailureEvent, SimDuration};
 use std::collections::BTreeMap;
-use std::sync::mpsc::sync_channel;
 use std::sync::OnceLock;
 
 /// A consumer of the records the collector **accepts** — i.e. after batch
 /// decode, per-device sequence dedup, intra-batch duplicate collapse, and
 /// §2.1 false-positive noise filtering. Downstream consumers (the
 /// `cellrel-store` analytics cube, test capture buffers) hook in here so
-/// they observe exactly the record stream the aggregates are built from.
-///
-/// [`run_ingest_with`] keeps one sink per *virtual shard* and folds them in
-/// shard-index order, so a sink that implements `Merge` sees a
-/// deterministic observation sequence at any worker count.
+/// they observe exactly the record stream the aggregates are built from,
+/// in batch arrival order.
 pub trait AcceptedSink {
     /// Observe one accepted record.
     fn accepted(&mut self, e: &FailureEvent);
@@ -66,11 +56,6 @@ impl AcceptedSink for Vec<FailureEvent> {
 /// Collector tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct CollectorConfig {
-    /// Ingest workers for [`run_ingest`] (0 = auto via `CELLREL_THREADS`).
-    pub workers: usize,
-    /// Bounded-channel capacity per worker (batches in flight before the
-    /// producer blocks — the backpressure knob).
-    pub queue_depth: usize,
     /// Fixed routing domain. Must not change across a campaign: shard
     /// layout is part of the deterministic state.
     pub virtual_shards: usize,
@@ -82,8 +67,6 @@ pub struct CollectorConfig {
 impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
-            workers: 0,
-            queue_depth: 256,
             virtual_shards: 64,
             lateness: SimDuration::from_mins(30),
         }
@@ -250,11 +233,6 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    /// Decode and fold one routed batch.
-    fn accept(&mut self, bytes: &[u8], lateness_ms: u64) {
-        self.accept_with(bytes, lateness_ms, &mut ());
-    }
-
     /// Decode and fold one routed batch, echoing each accepted record into
     /// `sink` (after dedup and noise filtering, before anything else sees it).
     fn accept_with<S: AcceptedSink>(&mut self, bytes: &[u8], lateness_ms: u64, sink: &mut S) {
@@ -359,20 +337,13 @@ impl Collector {
         device.0 as usize % self.virtual_shards
     }
 
-    /// Ingest one encoded batch (the sequential path).
+    /// Ingest one encoded batch with no downstream consumer.
     pub fn ingest(&mut self, bytes: &[u8]) {
-        match peek_device(bytes) {
-            Ok(device) => {
-                let shard = self.shard_of(device);
-                self.shards[shard].accept(bytes, self.lateness_ms);
-            }
-            Err(_) => self.unroutable += 1,
-        }
+        self.ingest_with(bytes, &mut ());
     }
 
-    /// Ingest one encoded batch, echoing accepted records into `sink`.
-    /// Sequential counterpart of [`run_ingest_with`]; with a single shared
-    /// sink the observation order is batch arrival order.
+    /// Ingest one encoded batch, echoing accepted records into `sink` in
+    /// batch arrival order.
     pub fn ingest_with<S: AcceptedSink>(&mut self, bytes: &[u8], sink: &mut S) {
         match peek_device(bytes) {
             Ok(device) => {
@@ -400,14 +371,8 @@ impl Collector {
             .unwrap_or(0)
     }
 
-    /// Per-shard event-time watermarks in shard-index order (ms). The
-    /// fleet watermark in [`Collector::watermark_ms`] is their max.
-    pub fn shard_watermarks_ms(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.watermark_ms).collect()
-    }
-
     /// Content digest over the full collector state, folding shards in
-    /// index order — bit-identical at any worker count.
+    /// index order.
     pub fn digest(&self) -> u64 {
         let mut d = Digest64::new();
         d.write_u64(self.virtual_shards as u64);
@@ -461,152 +426,6 @@ impl IngestReport {
             self.counters.bytes as f64 / self.counters.records as f64
         }
     }
-
-    /// Human-readable summary block.
-    pub fn render(&self) -> String {
-        let c = &self.counters;
-        let mut out = String::new();
-        out.push_str(&format!(
-            "devices {} | batches {} | records {} | encoded {} B ({:.1} B/record vs {} raw)\n",
-            self.devices,
-            c.batches,
-            c.records,
-            c.bytes,
-            self.bytes_per_record(),
-            crate::codec::RAW_RECORD_BYTES,
-        ));
-        out.push_str(&format!(
-            "dedup: {} dup batches, {} dup records | noise filtered {} | late {} | ooo batches {} | decode errors {} | unroutable {}\n",
-            c.duplicate_batches,
-            c.duplicate_records,
-            c.filtered_noise,
-            c.late_records,
-            c.out_of_order_batches,
-            c.decode_errors,
-            self.unroutable,
-        ));
-        let a = &self.aggregate;
-        let all = a.sketch_all();
-        if let (Some(p50), Some(p90), Some(p99)) =
-            (all.quantile(0.50), all.quantile(0.90), all.quantile(0.99))
-        {
-            out.push_str(&format!(
-                "duration p50 {:.1} s | p90 {:.1} s | p99 {:.1} s | max {:.1} s | <30 s {:.1}%\n",
-                p50 as f64 / 1000.0,
-                p90 as f64 / 1000.0,
-                p99 as f64 / 1000.0,
-                a.max_duration_ms as f64 / 1000.0,
-                if a.records > 0 {
-                    a.under_30s as f64 / a.records as f64 * 100.0
-                } else {
-                    0.0
-                },
-            ));
-        }
-        out
-    }
-}
-
-/// Run the full ingestion pipeline: `produce` emits encoded batches on the
-/// caller's thread; up to `cfg.workers` scoped worker threads decode and
-/// aggregate behind bounded channels. Returns the finished [`Collector`]
-/// (its [`Collector::digest`] is independent of the worker count).
-pub fn run_ingest<F>(cfg: &CollectorConfig, produce: F) -> Collector
-where
-    F: FnOnce(&mut dyn FnMut(Vec<u8>)),
-{
-    run_ingest_with(cfg, || (), produce).0
-}
-
-/// [`run_ingest`] with a downstream [`AcceptedSink`] attached.
-///
-/// `make_sink` builds one sink **per virtual shard** (created lazily on the
-/// owning worker when the shard first accepts a record); after the run the
-/// per-shard sinks are folded in shard-index order into one. Because shard
-/// routing, per-shard record order, and the fold order are all independent
-/// of the worker count, the folded sink observes the exact same
-/// deterministic sequence at 1, 2, or 8 workers — the same argument that
-/// makes [`Collector::digest`] thread-invariant.
-pub fn run_ingest_with<S, MS, F>(cfg: &CollectorConfig, make_sink: MS, produce: F) -> (Collector, S)
-where
-    S: AcceptedSink + Merge + Send,
-    MS: Fn() -> S + Sync,
-    F: FnOnce(&mut dyn FnMut(Vec<u8>)),
-{
-    let vs = cfg.virtual_shards.max(1);
-    let workers = resolve_threads(cfg.workers).min(vs);
-    let lateness_ms = cfg.lateness.as_millis();
-    let mut unroutable = 0u64;
-    let mut shards: Vec<ShardState> = vec![ShardState::default(); vs];
-    let mut sinks: BTreeMap<u32, S> = BTreeMap::new();
-
-    if workers <= 1 {
-        let mut emit = |bytes: Vec<u8>| match peek_device(&bytes) {
-            Ok(device) => {
-                let shard = device.0 as usize % vs;
-                let sink = sinks.entry(shard as u32).or_insert_with(&make_sink);
-                shards[shard].accept_with(&bytes, lateness_ms, sink);
-            }
-            Err(_) => unroutable += 1,
-        };
-        produce(&mut emit);
-    } else {
-        std::thread::scope(|scope| {
-            let make_sink = &make_sink;
-            let mut senders = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (tx, rx) = sync_channel::<(u32, Vec<u8>)>(cfg.queue_depth.max(1));
-                senders.push(tx);
-                handles.push(scope.spawn(move || {
-                    let mut owned: BTreeMap<u32, (ShardState, S)> = BTreeMap::new();
-                    while let Ok((shard, bytes)) = rx.recv() {
-                        let (state, sink) = owned
-                            .entry(shard)
-                            .or_insert_with(|| (ShardState::default(), make_sink()));
-                        state.accept_with(&bytes, lateness_ms, sink);
-                    }
-                    owned
-                }));
-            }
-
-            // Producer runs on the caller's thread; a full worker queue blocks
-            // the send — that *is* the backpressure.
-            let mut emit = |bytes: Vec<u8>| match peek_device(&bytes) {
-                Ok(device) => {
-                    let shard = device.0 as usize % vs;
-                    senders[shard % workers]
-                        .send((shard as u32, bytes))
-                        .expect("ingest worker hung up");
-                }
-                Err(_) => unroutable += 1,
-            };
-            produce(&mut emit);
-            drop(senders);
-
-            for h in handles {
-                let owned = h.join().expect("ingest worker panicked");
-                for (shard, (state, sink)) in owned {
-                    shards[shard as usize] = state;
-                    sinks.insert(shard, sink);
-                }
-            }
-        });
-    }
-
-    let mut folded = make_sink();
-    for (_, s) in sinks {
-        folded.merge(s);
-    }
-    (
-        Collector {
-            virtual_shards: vs,
-            lateness_ms,
-            shards,
-            unroutable,
-        },
-        folded,
-    )
 }
 
 #[cfg(test)]
@@ -656,59 +475,13 @@ mod tests {
         out
     }
 
-    /// The section cache must not cost the collector a marker trait:
-    /// `run_ingest` moves shard states across threads and the stream
-    /// pipeline clones and compares collectors.
+    /// The section cache must not cost the collector a marker trait: shard
+    /// leaders move collectors across threads and the stream pipeline
+    /// clones and compares them.
     #[test]
     fn collector_is_still_clone_eq_send_sync() {
         fn assert_traits<T: Clone + PartialEq + Send + Sync>() {}
         assert_traits::<Collector>();
-    }
-
-    #[test]
-    fn sequential_and_parallel_digests_match() {
-        let cfg = CollectorConfig::default();
-        let data = batches(200, 12);
-        let mut seq = Collector::new(&cfg);
-        for b in &data {
-            seq.ingest(b);
-        }
-        for workers in [1usize, 2, 8] {
-            let cfg = CollectorConfig {
-                workers,
-                ..CollectorConfig::default()
-            };
-            let par = run_ingest(&cfg, |emit| {
-                for b in &data {
-                    emit(b.clone());
-                }
-            });
-            assert_eq!(par.digest(), seq.digest(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn accepted_sink_sees_the_same_stream_at_any_worker_count() {
-        let data = batches(60, 8);
-        let mut first: Option<Vec<FailureEvent>> = None;
-        for workers in [1usize, 2, 8] {
-            let cfg = CollectorConfig {
-                workers,
-                ..CollectorConfig::default()
-            };
-            let (c, sink) = run_ingest_with(&cfg, Vec::new, |emit| {
-                for b in &data {
-                    emit(b.clone());
-                }
-            });
-            // The sink observes exactly the accepted records (post-dedup,
-            // post-noise-filter), in a worker-count-independent order.
-            assert_eq!(sink.len() as u64, c.report().counters.records);
-            match &first {
-                None => first = Some(sink),
-                Some(f) => assert_eq!(&sink, f, "workers={workers}"),
-            }
-        }
     }
 
     #[test]
@@ -774,7 +547,6 @@ mod tests {
         let cfg = CollectorConfig {
             lateness: SimDuration::from_mins(10),
             virtual_shards: 1,
-            ..CollectorConfig::default()
         };
         let mut c = Collector::new(&cfg);
         // Device 1 advances the watermark to t=2h.
@@ -823,6 +595,5 @@ mod tests {
         assert_eq!(r.counters.bytes, total_bytes);
         assert_eq!(r.counters.records, 500);
         assert!(r.bytes_per_record() < crate::codec::RAW_RECORD_BYTES as f64);
-        assert!(r.render().contains("devices 50"));
     }
 }

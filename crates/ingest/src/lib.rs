@@ -18,17 +18,17 @@
 //!   The device-side `Uploader` in `cellrel-monitor` ships these bytes, so
 //!   the network-overhead numbers in the monitor are measured, not
 //!   estimated with a compression fudge factor.
-//! * [`collector`] — the sharded collector: batches route to
-//!   `device % virtual_shards`, workers behind bounded channels apply
-//!   dedup (per-device upload seq), §2.1 noise filtering, and
-//!   late/out-of-order accounting, then fold into aggregates whose size
-//!   follows what a shard has seen (distinct duration buckets, devices),
-//!   not how many records passed, and whose digest is identical at 1, 2,
-//!   or 8 ingest threads. Durations are summarised with the sparse
-//!   mergeable quantile sketch from `cellrel_sim::sketch`, one per failure
-//!   kind; the all-kinds sketch is their sum. Downstream consumers (the `cellrel-store`
-//!   analytics cube) attach via [`collector::AcceptedSink`] /
-//!   [`run_ingest_with`] and observe exactly the accepted record stream.
+//! * [`collector`] — the sharded collector: a batch routes to
+//!   `device % virtual_shards`, where dedup (per-device upload seq), §2.1
+//!   noise filtering and late/out-of-order accounting apply before it
+//!   folds into aggregates whose size follows what a shard has seen
+//!   (distinct duration buckets, devices), not how many records passed.
+//!   Durations are summarised with the sparse mergeable quantile sketch
+//!   from `cellrel_sim::sketch`, one per failure kind; the all-kinds
+//!   sketch is their sum. [`Collector::ingest_with`] is the one way to run
+//!   it; downstream consumers (the `cellrel-store` analytics cube) pass a
+//!   [`collector::AcceptedSink`] and observe exactly the accepted record
+//!   stream.
 //! * [`checkpoint`] — versioned, CRC-framed serialization of the full
 //!   collector state, so ingestion survives restarts without replay.
 //!
@@ -42,10 +42,9 @@ pub mod codec;
 pub mod collector;
 pub mod frame;
 
-pub use checkpoint::{restore_checkpoint, restore_checkpoint_with, save_checkpoint};
+pub use checkpoint::{restore_checkpoint, save_checkpoint};
 pub use codec::{decode_batch, encode_batch, peek_device, WireBatch};
 pub use collector::{
-    run_ingest, run_ingest_with, AcceptedSink, Collector, CollectorConfig, IngestAggregate,
-    IngestCounters, IngestReport,
+    AcceptedSink, Collector, CollectorConfig, IngestAggregate, IngestCounters, IngestReport,
 };
 pub use frame::{FrameError, FrameErrorKind};

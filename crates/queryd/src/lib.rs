@@ -15,8 +15,7 @@
 //! * [`server`] — the transport-agnostic core: snapshot-isolated reads
 //!   (readers pin an `Arc<Snapshot>`; [`QuerydCore::publish`] swaps in new
 //!   epochs), total frame handling with wire-level error responses, and
-//!   per-request counters + latency/row histograms exported as a regular
-//!   `MetricsSnapshot`.
+//!   the three request counters something reads.
 //! * [`net`] — transports: a std-only thread-per-connection TCP server
 //!   speaking `u32`-length-prefixed frames, a blocking [`TcpClient`], and
 //!   the deterministic [`InProcClient`] the equivalence tests pin against.
@@ -36,8 +35,6 @@ pub mod net;
 pub mod proto;
 pub mod server;
 
-pub use net::{
-    serve, serve_with, ClientError, InProcClient, QuerydServer, ServerConfig, TcpClient,
-};
+pub use net::{serve, ClientError, InProcClient, QuerydServer, TcpClient};
 pub use proto::{Request, Response, ServerStats, WireError};
-pub use server::{feed_events, QuerydCore, ServerMetrics, Snapshot, SnapshotSource, WallClock};
+pub use server::{QuerydCore, ServerMetrics, Snapshot};

@@ -20,28 +20,15 @@ use cellrel_store::{Query, ResultSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Tunables of the TCP serving loop. [`ServerConfig::default`] preserves
-/// the historical behavior (50 ms shutdown-polling read timeout); latency
-/// benches and the cluster router pick tighter values, batch tools looser
-/// ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerConfig {
-    /// How often a blocked connection read wakes up to check for
-    /// shutdown. Shorter = faster shutdown, more idle wakeups.
-    pub poll_interval: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            poll_interval: Duration::from_millis(50),
-        }
-    }
-}
+/// How long a connection's blocked read waits before it wakes to look at
+/// the stop flag. It bounds how long [`QuerydServer::shutdown`] waits on an
+/// idle connection and costs an idle connection 20 wakeups a second; a
+/// request never waits on it, so nothing in use wants another value.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// What went wrong on the client side of a call.
 #[derive(Debug)]
@@ -181,32 +168,23 @@ fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ClientError> {
 pub struct QuerydServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// The accept thread owns the connection registry and hands back what
+    /// is left of it when it stops.
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 /// Serve `core` on `bind_addr` (e.g. `"127.0.0.1:0"` for an OS-assigned
 /// port). One thread accepts; each connection gets its own thread that
 /// answers frames until the peer closes or the server shuts down.
 pub fn serve(core: Arc<QuerydCore>, bind_addr: &str) -> std::io::Result<QuerydServer> {
-    serve_with(core, bind_addr, ServerConfig::default())
-}
-
-/// [`serve`] with explicit [`ServerConfig`] tunables.
-pub fn serve_with(
-    core: Arc<QuerydCore>,
-    bind_addr: &str,
-    cfg: ServerConfig,
-) -> std::io::Result<QuerydServer> {
     let listener = TcpListener::bind(bind_addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
     let accept = {
         let stop = stop.clone();
-        let conns = conns.clone();
         std::thread::spawn(move || {
+            let mut conns: Vec<JoinHandle<()>> = Vec::new();
             for stream in listener.incoming() {
                 if stop.load(Ordering::Acquire) {
                     break;
@@ -214,9 +192,12 @@ pub fn serve_with(
                 let Ok(stream) = stream else { break };
                 let core = core.clone();
                 let stop = stop.clone();
-                let handle = std::thread::spawn(move || serve_conn(&core, &stop, cfg, stream));
-                conns.lock().expect("conn registry").push(handle);
+                // A server that runs for months holds a handle per open
+                // connection, not per connection it has ever accepted.
+                conns.retain(|h| !h.is_finished());
+                conns.push(std::thread::spawn(move || serve_conn(&core, &stop, stream)));
             }
+            conns
         })
     };
 
@@ -224,7 +205,6 @@ pub fn serve_with(
         addr,
         stop,
         accept: Some(accept),
-        conns,
     })
 }
 
@@ -239,22 +219,21 @@ impl QuerydServer {
         self.stop_and_join();
     }
 
-    fn stop_and_join(&mut self) {
+    /// Returns how many connection threads were still registered.
+    fn stop_and_join(&mut self) -> usize {
         self.stop.store(true, Ordering::Release);
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
+        let conns = self
+            .accept
+            .take()
+            .and_then(|h| h.join().ok())
+            .unwrap_or_default();
+        let registered = conns.len();
+        for h in conns {
             let _ = h.join();
         }
-        let handles: Vec<_> = self
-            .conns
-            .lock()
-            .expect("conn registry")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        registered
     }
 }
 
@@ -266,13 +245,18 @@ impl Drop for QuerydServer {
     }
 }
 
-fn serve_conn(core: &QuerydCore, stop: &AtomicBool, cfg: ServerConfig, mut stream: TcpStream) {
+fn serve_conn(core: &QuerydCore, stop: &AtomicBool, mut stream: TcpStream) {
     // Short read timeouts let blocked connections notice shutdown; a frame
     // mid-flight keeps accumulating across timeouts.
-    let _ = stream.set_read_timeout(Some(cfg.poll_interval));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
     let mut len4 = [0u8; 4];
     loop {
+        // Once per frame: a client that never pauses never times a read
+        // out, so the check in `read_exact_polling` alone would not end it.
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
         if !read_exact_polling(&mut stream, &mut len4, stop) {
             return;
         }
@@ -394,25 +378,45 @@ mod tests {
     }
 
     #[test]
-    fn custom_poll_interval_answers_identically_to_the_default() {
-        // The configurable shutdown-poll timeout is a liveness knob only:
-        // answers are byte-identical at any value, and shutdown with an
-        // idle (blocked) connection still joins promptly at a tight one.
-        let core = QuerydCore::new(Store::new(&StoreConfig::default()));
-        let server = serve_with(
-            core.clone(),
-            "127.0.0.1:0",
-            ServerConfig {
-                poll_interval: Duration::from_millis(2),
-            },
-        )
-        .expect("bind");
-        let mut tcp = TcpClient::connect(server.addr()).expect("connect");
-        let q = Query::count_by(vec![Dim::Kind]);
-        let (e1, r1) = tcp.query(&q).expect("tcp query");
-        let (e2, r2) = InProcClient::new(core).query(&q).expect("inproc query");
-        assert_eq!((e1, r1), (e2, r2));
-        let _idle = TcpClient::connect(server.addr()).expect("connect");
-        server.shutdown();
+    fn shutdown_ends_a_connection_whose_client_never_pauses() {
+        let (_core, server) = served_core();
+        let addr = server.addr();
+        let (answered, first_answer) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let mut tcp = TcpClient::connect(addr).expect("connect");
+            let q = Query::count_by(vec![Dim::Kind]);
+            let mut calls = 0u64;
+            // Closed loop until the server hangs up on us.
+            while tcp.query(&q).is_ok() {
+                calls += 1;
+                let _ = answered.send(());
+            }
+            calls
+        });
+        first_answer.recv().expect("client got an answer");
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        done.recv_timeout(Duration::from_secs(3))
+            .expect("shutdown returns while the client is still looping");
+        stopper.join().unwrap();
+        assert!(client.join().unwrap() >= 1);
+    }
+
+    #[test]
+    fn finished_connections_leave_the_registry() {
+        let (_core, mut server) = served_core();
+        let rounds = 32;
+        for _ in 0..rounds {
+            let mut tcp = TcpClient::connect(server.addr()).expect("connect");
+            tcp.query(&Query::count_by(vec![Dim::Kind])).expect("query");
+        }
+        let registered = server.stop_and_join();
+        assert!(
+            registered < rounds,
+            "{registered} handles held after {rounds} closed connections"
+        );
     }
 }

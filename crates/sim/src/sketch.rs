@@ -8,9 +8,9 @@
 //! **Why not KLL/GK/CKMS?** Those sketches give tight worst-case rank
 //! bounds, but their compaction state depends on the order items and merges
 //! happen — two shard layouts of the same stream can produce different
-//! internal states and (slightly) different quantile answers. The ingest
-//! pipeline's headline guarantee is a *bit-identical aggregate digest at
-//! any worker count*, so we use a sketch whose merge is exactly
+//! internal states and (slightly) different quantile answers. The serving
+//! tiers' headline guarantee is a *bit-identical aggregate digest at any
+//! shard layout and thread count*, so we use a sketch whose merge is exactly
 //! commutative and associative: a logarithmically-bucketed rank histogram
 //! (HDR-histogram style). Bucket counts add like integers, so any shard
 //! order, any merge tree, and any thread count produce the same bytes.
@@ -28,7 +28,7 @@
 //! * [`QuantileSketch`] — dense `BUCKETS` u64 slots (~58 KiB), O(1) push;
 //!   the right shape for a handful of long-lived sketches that nobody
 //!   clones, restores or creates per frame: the telemetry registry's
-//!   histograms, `cellrel-queryd`'s latency sketches and the analysis
+//!   histograms and the analysis
 //!   crate's `FleetAccumulator` — and, for the length of one query, the
 //!   store's per-group histograms when a quantile query folds tens of
 //!   thousands of pooled runs into at most 16 groups
@@ -196,12 +196,6 @@ impl QuantileSketch {
         quantile_over(self.count, self.min, self.max, q, self.nonzero_buckets())
     }
 
-    /// Exact number of absorbed values `< v`'s bucket lower edge — the rank
-    /// machinery quality tests use.
-    pub fn rank_below_bucket_of(&self, v: u64) -> u64 {
-        self.buckets[..bucket_of(v)].iter().sum()
-    }
-
     /// Fold the sketch into a content digest: count, min, max, then every
     /// non-empty bucket as an (index, count) pair.
     pub fn absorb_into(&self, d: &mut Digest64) {
@@ -216,7 +210,7 @@ impl QuantileSketch {
 
     /// Non-empty `(bucket index, count)` pairs in index order — the sparse
     /// form checkpoints serialize. Exact min/max bracket the non-empty
-    /// buckets ([`bucket_of`] is monotone; `from_parts` refuses anything
+    /// buckets (`bucket_of` is monotone; `from_parts` refuses anything
     /// else), so the walk covers `bucket_of(min)..=bucket_of(max)` and not
     /// all [`BUCKETS`] slots.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {

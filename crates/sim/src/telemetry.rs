@@ -14,7 +14,7 @@
 //!   The default handle is *disabled* and every operation on it is a single
 //!   `Option` branch, so always-on instrumentation in hot paths costs
 //!   nothing measurable when metrics are off.
-//! * [`SpanGuard`] / [`span!`] — sim-time spans. A discrete-event
+//! * [`SpanGuard`] / [`span!`](crate::span!) — sim-time spans. A discrete-event
 //!   simulation has no ambient clock, so spans carry explicit [`SimTime`]s:
 //!   begin at one event, end at a later one (stall detected → stall
 //!   healed), record the duration under the span's label.
@@ -537,7 +537,7 @@ impl Telemetry {
 }
 
 /// An open sim-time span: label + start instant + track. Produced by
-/// [`Telemetry::span`] or the [`span!`] macro; closing it records the
+/// [`Telemetry::span`] or the [`span!`](crate::span!) macro; closing it records the
 /// duration under the label's histogram and, when tracing is on, a Chrome
 /// `"X"` event.
 #[derive(Debug, Clone)]

@@ -1,6 +1,6 @@
 //! Hierarchical timer wheel: the O(1) scheduler backend for fleet-scale runs.
 //!
-//! [`TimerWheel`] implements the same [`Scheduler`](crate::Scheduler)
+//! [`TimerWheel`] implements the same [`Scheduler`]
 //! contract as [`EventQueue`](crate::EventQueue) — deterministic FIFO order
 //! among simultaneous events, clock that never moves backwards, exact
 //! cancellation — but replaces the binary heap with six levels of 64 slots

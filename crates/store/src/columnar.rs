@@ -18,7 +18,7 @@
 //! [`Zones::may_match_value`] for the one subtle case (raw cause codes).
 //!
 //! **Merging.** Segments never mutate; compaction and merges build a new
-//! segment by k-way merging sorted runs ([`merge_runs`]), folding cells
+//! segment by k-way merging sorted runs (`merge_runs`), folding cells
 //! with equal keys by the same exact [`Merge`] algebra the row path uses —
 //! so layout changes can never change a digest or a query answer.
 //!
@@ -84,7 +84,7 @@ impl Zones {
 }
 
 /// One immutable sealed run of cells in columnar layout. See the module
-/// docs; build with [`ColumnSegment::from_rows`] or [`merge_runs`].
+/// docs; build with [`ColumnSegment::from_rows`] or `merge_runs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnSegment {
     // Key columns, sorted by the composite CellKey order (bucket first).

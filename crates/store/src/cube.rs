@@ -612,7 +612,7 @@ impl Store {
     /// with [`Merge::merge`] and calling [`Store::seal_columnar`], in any
     /// order of `parts`, but without a copy of any part and in a single
     /// k-way pass per partition: every part's sealed run feeds
-    /// [`merge_runs`] by reference beside one run of the parts' row-tier
+    /// `merge_runs` by reference beside one run of the parts' row-tier
     /// cells.
     ///
     /// Panics, like `merge`, if a part was built under another config.

@@ -4,7 +4,7 @@
 //! A finalized [`ResultSet`] cannot be combined across shards — a mean, a
 //! quantile, or an under-30 s share computed per shard loses the partial
 //! aggregates it was derived from. So shards answer with a
-//! [`PartialResultSet`]: one mergeable [`Cell`](crate::Cell) of partial
+//! [`PartialResultSet`]: one mergeable [`Cell`] of partial
 //! aggregates per group (count, exact duration sum, under-30 s tally,
 //! quantile sketch — the same algebra the build path folds with), plus the
 //! scan accounting. [`merge_partials`] folds any number of shard partials

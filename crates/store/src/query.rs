@@ -9,7 +9,7 @@
 //! aggregates into flat arrays addressed by that code (`crate::group`) —
 //! the same exact sums the build path folds with, so grouping is
 //! associative and compaction-transparent — then materialises one
-//! [`Cell`](crate::cube::Cell) per group and derives the metric from it.
+//! [`Cell`] per group and derives the metric from it.
 //!
 //! **Compaction transparency.** Time windows and time-range bounds must be
 //! multiples of the rollup granularity (`bucket_ms × rollup_buckets`);

@@ -1,10 +1,10 @@
 //! End-to-end wiring: device uploads enter the ingest collector as CRC-framed
 //! wire batches, the collector's `AcceptedSink` streams every accepted record
 //! into a [`StoreSink`], and the resulting store answers queries — identical
-//! to a store built directly from the clean event list, at any worker count.
+//! to a store built directly from the clean event list.
 
 use cellrel_ingest::codec::encode_batch;
-use cellrel_ingest::{run_ingest_with, CollectorConfig};
+use cellrel_ingest::{Collector, CollectorConfig};
 use cellrel_store::{build_sharded, DeviceDirectory, Dim, Query, Store, StoreConfig, StoreSink};
 use cellrel_types::{
     Apn, BsId, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat,
@@ -49,44 +49,30 @@ fn batches() -> (Vec<Vec<u8>>, Vec<FailureEvent>) {
     (batches, all)
 }
 
-fn ingest_into_store(workers: usize, dir: &DeviceDirectory) -> Store {
+fn ingest_into_store(dir: &DeviceDirectory) -> Store {
     let (wire, _) = batches();
-    let cfg = CollectorConfig {
-        workers,
-        ..CollectorConfig::default()
-    };
-    let store_cfg = StoreConfig::default();
-    let (_collector, sink) = run_ingest_with(
-        &cfg,
-        || StoreSink::new(&store_cfg, dir),
-        |emit| {
-            for b in &wire {
-                emit(b.clone());
-            }
-        },
-    );
+    let mut collector = Collector::new(&CollectorConfig::default());
+    let mut sink = StoreSink::new(&StoreConfig::default(), dir);
+    for b in &wire {
+        collector.ingest_with(b, &mut sink);
+    }
     sink.into_store()
 }
 
 #[test]
-fn collector_fed_store_matches_direct_build_at_any_worker_count() {
+fn collector_fed_store_matches_direct_build() {
     let dir = DeviceDirectory::default();
     let (_, events) = batches();
     let direct = build_sharded(&StoreConfig::default(), &dir, &events, 1);
-    let base = ingest_into_store(1, &dir);
-    assert_eq!(base, direct, "wire-fed store must equal the direct build");
-    assert_eq!(base.digest(), direct.digest());
-    for workers in [2usize, 8] {
-        let s = ingest_into_store(workers, &dir);
-        assert_eq!(s, base, "workers={workers}");
-        assert_eq!(s.digest(), base.digest(), "workers={workers}");
-    }
+    let fed = ingest_into_store(&dir);
+    assert_eq!(fed, direct, "wire-fed store must equal the direct build");
+    assert_eq!(fed.digest(), direct.digest());
 }
 
 #[test]
 fn collector_fed_store_answers_queries() {
     let dir = DeviceDirectory::default();
-    let s = ingest_into_store(2, &dir);
+    let s = ingest_into_store(&dir);
     let rs = s.query(&Query::count_by(vec![Dim::Kind])).unwrap();
     assert_eq!(rs.rows.len(), 5);
     let total: u64 = rs.rows.iter().map(|r| r.count).sum();

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! The checkpoint carries everything except sealed segment *contents* —
-//! those reload from the [`SegmentStore`](crate::SegmentStore) backend and
+//! those reload from the [`SegmentStore`] backend and
 //! are cross-checked against the manifest. Restore therefore has two
 //! stages: [`StreamPipeline::decode`] checks everything the frame says
 //! against itself and yields a [`CheckpointImage`];
@@ -29,7 +29,7 @@
 
 use crate::pipeline::{StreamConfig, StreamCounters, StreamPipeline};
 use crate::segment::{
-    decode_manifest, decode_segment, encode_manifest, SegmentEntry, SegmentKind, SegmentStore,
+    decode_manifest, encode_manifest, fetch_segment, SegmentEntry, SegmentKind, SegmentStore,
 };
 use crate::StreamError;
 use cellrel_ingest::frame::{seal, write_varint, SP};
@@ -120,7 +120,6 @@ impl<'d> StreamPipeline<'d> {
             collector: CollectorConfig {
                 virtual_shards,
                 lateness: SimDuration::from_millis(collector_lateness),
-                ..CollectorConfig::default()
             },
             store,
         };
@@ -218,14 +217,11 @@ impl<'d> StreamPipeline<'d> {
             counters: StreamCounters::default(),
         };
         for entry in image.manifest {
-            let seg_bytes = segs.get(&entry.name())?;
-            let (got, delta) = decode_segment(&seg_bytes)?;
-            if got != entry || *delta.config() != cfg.store {
-                return Err(StreamError::SegmentMismatch(entry.name()));
-            }
+            let (_, delta) = fetch_segment(segs, &entry, &cfg.store)?;
             p.manifest.push(entry);
-            p.tier_insert(entry, delta, false);
+            p.tier_insert(delta);
         }
+        // The image's counters already hold the folds just replayed.
         p.counters = image.counters;
         p.counters.restores += 1;
         Ok(p)

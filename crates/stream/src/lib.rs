@@ -17,8 +17,9 @@
 //!   **late lane** that flushes as its own segment kind, so nothing is
 //!   ever dropped and the merged view stays byte-identical to batch.
 //! - Tables 1/2 re-derive incrementally from the merged view after every
-//!   seal ([`StreamPipeline::tables`]), and [`publish::run_published`]
-//!   pushes a snapshot into a `queryd` core per sealed window.
+//!   seal ([`StreamPipeline::tables`]); whoever drives the pipeline
+//!   hands [`StreamPipeline::store`] to a query-daemon core when readers
+//!   should see it (this crate does not know the daemon).
 //! - [`StreamPipeline::checkpoint`] serializes the whole pipeline —
 //!   collector checkpoint, segment manifest, pending (unsealed) window
 //!   deltas, late lane, cursor — as one versioned CRC-framed blob;
@@ -37,7 +38,6 @@
 pub mod campaign;
 pub mod checkpoint;
 pub mod pipeline;
-pub mod publish;
 pub mod segment;
 pub mod source;
 
@@ -47,9 +47,8 @@ pub use campaign::{run_kill_restart, KillOutcome, KillRestartConfig, KillRestart
 pub use checkpoint::{CheckpointImage, CKPT_STREAM_VERSION};
 pub use error::StreamError;
 pub use pipeline::{StreamConfig, StreamCounters, StreamPipeline};
-pub use publish::run_published;
 pub use segment::{
-    decode_manifest, decode_segment, encode_manifest, encode_segment, DirSegments, MemSegments,
-    SegmentEntry, SegmentKind, SegmentStore, SEG_VERSION,
+    decode_manifest, decode_segment, encode_manifest, encode_segment, fetch_segment, DirSegments,
+    MemSegments, SegmentEntry, SegmentKind, SegmentStore, SEG_VERSION,
 };
 pub use source::batches_from_events;

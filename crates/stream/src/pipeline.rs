@@ -1,6 +1,6 @@
 //! The continuously running pipeline: collector → windows → tiers.
 
-use crate::segment::{encode_segment, SegmentEntry, SegmentKind, SegmentStore};
+use crate::segment::{encode_segment, fetch_segment, SegmentEntry, SegmentKind, SegmentStore};
 use crate::StreamError;
 use cellrel_analysis::store_tables::{table1_from_store, table2_from_store};
 use cellrel_analysis::table1::Table1;
@@ -142,7 +142,7 @@ pub struct StreamPipeline<'d> {
     /// Compacted fold of segments evicted from the hot tier.
     pub(crate) base: Store,
     /// Most recent sealed segments, newest at the back.
-    pub(crate) hot: VecDeque<(SegmentEntry, Store)>,
+    pub(crate) hot: VecDeque<Store>,
     /// Every segment ever sealed, in seal order.
     pub(crate) manifest: Vec<SegmentEntry>,
     pub(crate) counters: StreamCounters,
@@ -271,22 +271,19 @@ impl<'d> StreamPipeline<'d> {
         segs.put(&entry.name(), &bytes)?;
         self.counters.segments_persisted += 1;
         self.manifest.push(entry);
-        self.tier_insert(entry, delta, true);
+        self.tier_insert(delta);
         Ok(entry)
     }
 
     /// Push a sealed delta into the hot tier, folding overflow into the
-    /// compacted base. `count` is false when rebuilding from a checkpoint
-    /// (the restored counters already include those folds).
-    pub(crate) fn tier_insert(&mut self, entry: SegmentEntry, delta: Store, count: bool) {
-        self.hot.push_back((entry, delta));
+    /// compacted base.
+    pub(crate) fn tier_insert(&mut self, delta: Store) {
+        self.hot.push_back(delta);
         while self.hot.len() > self.cfg.hot_windows.max(1) {
-            let (_, old) = self.hot.pop_front().expect("hot tier is non-empty");
+            let old = self.hot.pop_front().expect("hot tier is non-empty");
             self.base.merge(old);
             self.base.compact();
-            if count {
-                self.counters.base_folds += 1;
-            }
+            self.counters.base_folds += 1;
         }
     }
 
@@ -296,7 +293,7 @@ impl<'d> StreamPipeline<'d> {
     /// records, at any point in the stream.
     pub fn store(&self) -> Store {
         let mut parts = vec![&self.base];
-        parts.extend(self.hot.iter().map(|(_, seg)| seg));
+        parts.extend(&self.hot);
         parts.extend(self.pending.values());
         parts.push(&self.late);
         let mut s = Store::sealed_union(&self.cfg.store, &parts);
@@ -379,12 +376,7 @@ impl<'d> StreamPipeline<'d> {
         entry: &SegmentEntry,
         segs: &dyn SegmentStore,
     ) -> Result<Vec<u8>, StreamError> {
-        let bytes = segs.get(&entry.name())?;
-        let (decoded, _) = crate::segment::decode_segment(&bytes)?;
-        if decoded != *entry {
-            return Err(StreamError::SegmentMismatch(entry.name()));
-        }
-        Ok(bytes)
+        Ok(fetch_segment(segs, entry, &self.cfg.store)?.0)
     }
 
     /// Stream bookkeeping counters.

@@ -16,7 +16,7 @@
 
 use crate::StreamError;
 use cellrel_ingest::frame::{seal, write_varint, FrameError, Reader, SG};
-use cellrel_store::{restore_store, save_store, Store};
+use cellrel_store::{restore_store, save_store, Store, StoreConfig};
 use std::collections::BTreeMap;
 
 /// Current segment frame schema version.
@@ -118,6 +118,25 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(SegmentEntry, Store), FrameError>
         bytes: bytes.len() as u64,
     };
     Ok((entry, store))
+}
+
+/// Fetch the segment a manifest `entry` names and verify it before anyone
+/// uses it: the frame must decode, describe itself exactly as the entry
+/// does (kind, index, watermark, records, digest, length) and have been
+/// built under `store_cfg`. Returns the frame bytes and the decoded delta.
+/// A missing segment is [`StreamError::SegmentMissing`], a damaged one
+/// [`StreamError::Frame`], a wrong one [`StreamError::SegmentMismatch`].
+pub fn fetch_segment(
+    segs: &dyn SegmentStore,
+    entry: &SegmentEntry,
+    store_cfg: &StoreConfig,
+) -> Result<(Vec<u8>, Store), StreamError> {
+    let bytes = segs.get(&entry.name())?;
+    let (decoded, delta) = decode_segment(&bytes)?;
+    if decoded != *entry || delta.config() != store_cfg {
+        return Err(StreamError::SegmentMismatch(entry.name()));
+    }
+    Ok((bytes, delta))
 }
 
 /// Serialize a manifest (an ordered entry list) as a bare field sequence —

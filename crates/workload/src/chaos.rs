@@ -104,17 +104,17 @@ const USERS: [(&str, f64); 2] = [("impatient", 30.0), ("patient", 1e9)];
 pub struct ChaosScenario {
     /// Scenario id (the encoder input).
     pub id: u64,
-    /// Index into [`FAULT_MIXES`].
+    /// Index into `FAULT_MIXES`.
     pub fault_mix: usize,
-    /// Index into [`SCHEDULES`].
+    /// Index into `SCHEDULES`.
     pub schedule: usize,
-    /// Index into [`POLICIES`].
+    /// Index into `POLICIES`.
     pub policy: usize,
-    /// Index into [`RECOVERIES`].
+    /// Index into `RECOVERIES`.
     pub recovery: usize,
-    /// Index into [`MOBILITY`].
+    /// Index into `MOBILITY`.
     pub mobility: usize,
-    /// Index into [`USERS`].
+    /// Index into `USERS`.
     pub user: usize,
 }
 

@@ -38,7 +38,7 @@
 //! # Struct-of-arrays state
 //!
 //! Fleet-resident state is packed by device id into parallel arrays
-//! ([`ShardState`]): current RAT (1 B), the two next-event deadlines
+//! (`ShardState`): current RAT (1 B), the two next-event deadlines
 //! (8 B each), two occurrence counters (4 B each), the running event
 //! digest (8 B) and one flag byte — 34 hot bytes per device, with the
 //! cold [`DeviceProfile`] out-of-line in the shared [`Population`]. The

@@ -5,7 +5,8 @@
 //! every `X` must be a `[[bin]]` / `[[bench]]` of `crates/bench`, a file
 //! in `examples/`, or a file in `tests/`. The per-tier `BENCH_<name>.json`
 //! snapshots are retired (measurement lives in `benchmark/`), so no
-//! `BENCH_` file name may reappear in those documents either.
+//! `BENCH_` file name may reappear in those documents either, and neither
+//! may the name of a second driver that was deleted (`RETIRED`).
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -16,6 +17,20 @@ const DOCS: [&str; 5] = [
     "EXPERIMENTS.md",
     "DESIGN.md",
     ".github/workflows/ci.yml",
+];
+
+/// Deleted with their subjects: the worker-pool collector, the knobbed
+/// server start, the clocked core, the in-library feed harnesses and the
+/// two `repro` identity passes. The verify skill is held to this list too.
+const RETIRED: [&str; 8] = [
+    "run_ingest",
+    "serve_with",
+    "ServerConfig",
+    "with_clock",
+    "feed_events",
+    "run_published",
+    "repro -- --stream",
+    "repro -- --cluster",
 ];
 
 fn root() -> PathBuf {
@@ -117,8 +132,11 @@ fn every_named_target_exists() {
 
 #[test]
 fn no_retired_snapshot_name_survives() {
-    for doc in DOCS {
+    for doc in DOCS.into_iter().chain([".claude/skills/verify/SKILL.md"]) {
         let text = read(doc);
+        for name in RETIRED {
+            assert!(!text.contains(name), "{doc} names the retired `{name}`");
+        }
         for (at, _) in text.match_indices("BENCH_") {
             // `CELLREL_BENCH_DEVICES` (the criterion bench's size knob) is
             // a live name; a bare `BENCH_<name>.json` is a retired file.

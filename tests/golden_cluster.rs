@@ -152,7 +152,6 @@ fn canonical_frames() -> String {
     hex_dump(&mut out, &partial);
 
     // Rejection frames: every hostile shape a peer can answer.
-    let mut follower = follower;
     let hostile: Vec<(&str, Vec<u8>)> = vec![
         ("garbage (bad magic)", vec![0x5a; 16]),
         (

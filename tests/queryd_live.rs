@@ -15,12 +15,13 @@ use cellrel::analysis::store_tables::{
     table1_from_results, table1_queries, table2_from_result, table2_query,
 };
 use cellrel::analysis::{table1, table2};
+use cellrel::ingest::AcceptedSink;
 use cellrel::queryd::proto::{encode_response, Response};
-use cellrel::queryd::{feed_events, serve, QuerydCore, Snapshot, TcpClient};
+use cellrel::queryd::{serve, QuerydCore, Snapshot, TcpClient};
 use cellrel::store::{
-    build_sharded, DeviceDirectory, Dim, Filter, Metric, Query, Store, StoreConfig,
+    build_sharded, DeviceDirectory, Dim, Filter, Metric, Query, Store, StoreConfig, StoreSink,
 };
-use cellrel::types::FailureKind;
+use cellrel::types::{FailureEvent, FailureKind};
 use cellrel::workload::{run_macro_study, PopulationConfig, StudyConfig, StudyDataset};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,6 +42,45 @@ fn fixture() -> &'static (StudyDataset, DeviceDirectory) {
         let dir = DeviceDirectory::from_population(&data.population);
         (data, dir)
     })
+}
+
+/// Replay `events` into the core the way a live backend would: append
+/// through a [`StoreSink`] (the same `AcceptedSink` the ingest collector
+/// feeds) and publish an immutable snapshot every `chunk` events, plus a
+/// final one. `on_publish` sees each snapshot as it becomes current, so
+/// the test retains the exact states concurrent clients can observe.
+/// Returns the final epoch.
+fn feed_events(
+    core: &QuerydCore,
+    cfg: &StoreConfig,
+    dir: &DeviceDirectory,
+    events: &[FailureEvent],
+    chunk: usize,
+    mut on_publish: impl FnMut(&Arc<Snapshot>),
+) -> u64 {
+    let chunk = chunk.max(1);
+    let mut sink = StoreSink::new(cfg, dir);
+    // Published snapshots are immutable, so they are built in the columnar
+    // layout: concurrent readers scan segments instead of the row map.
+    // Pure layout change — answers and digests are invariant (the store's
+    // differential suite proves it).
+    let mut publish = |sink: &StoreSink<'_>| {
+        let mut snap = Store::sealed_union(cfg, &[sink.store()]);
+        snap.register_population(dir);
+        let epoch = core.publish(snap);
+        on_publish(&core.snapshot());
+        epoch
+    };
+    let mut pending = 0usize;
+    for e in events {
+        sink.accepted(e);
+        pending += 1;
+        if pending == chunk {
+            pending = 0;
+            publish(&sink);
+        }
+    }
+    publish(&sink)
 }
 
 /// The workload every client runs: the table queries plus a spread of

@@ -2,22 +2,25 @@
 //! merged view and incremental Tables 1/2 byte-identical to the one-shot
 //! batch pipeline over the same upload stream, kill/restart
 //! digest-transparency across random kill points (including mid-window),
-//! and the query daemon serving epoch-consistent answers from per-window
-//! published snapshots.
+//! the query daemon serving epoch-consistent answers from per-window
+//! published snapshots, and where the benchmark fixture's late-lane
+//! traffic comes from.
 
 use cellrel::analysis::store_tables::{
     table1_from_results, table1_from_store, table1_queries, table2_from_result, table2_from_store,
     table2_query,
 };
-use cellrel::ingest::{Collector, CollectorConfig};
+use cellrel::ingest::{encode_batch, Collector, CollectorConfig};
 use cellrel::queryd::{InProcClient, QuerydCore, Snapshot};
 use cellrel::sim::Digest64;
 use cellrel::store::{DeviceDirectory, Store, StoreConfig, StoreSink};
 use cellrel::stream::{
-    batches_from_events, run_kill_restart, run_published, KillRestartConfig, MemSegments,
-    StreamConfig, StreamPipeline,
+    batches_from_events, run_kill_restart, KillRestartConfig, MemSegments, SegmentStore,
+    StreamConfig, StreamError, StreamPipeline,
 };
+use cellrel::types::{DeviceId, FailureEvent};
 use cellrel::workload::{run_macro_study, PopulationConfig, StudyConfig};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One fleet, encoded once: ~1,200 devices over 10 days, batches ordered
@@ -142,6 +145,33 @@ fn kill_restart_campaign_is_digest_transparent() {
     assert!(report.baseline_segments >= 8);
 }
 
+/// Drive a pipeline over `batches`, publishing the merged view into a
+/// query-daemon core after **every call that seals at least one segment**
+/// and once more after the end-of-stream flush. `on_publish` receives each
+/// published snapshot (epoch + store), so the test can retain them and
+/// replay served answers against the exact state that produced them.
+/// Returns the final epoch.
+fn run_published(
+    pipeline: &mut StreamPipeline<'_>,
+    batches: &[Vec<u8>],
+    segs: &mut dyn SegmentStore,
+    core: &QuerydCore,
+    mut on_publish: impl FnMut(&Arc<Snapshot>),
+) -> Result<u64, StreamError> {
+    core.publish(pipeline.store());
+    on_publish(&core.snapshot());
+    for bytes in batches {
+        if !pipeline.offer(bytes, segs)?.is_empty() {
+            core.publish(pipeline.store());
+            on_publish(&core.snapshot());
+        }
+    }
+    pipeline.flush(segs)?;
+    let epoch = core.publish(pipeline.store());
+    on_publish(&core.snapshot());
+    Ok(epoch)
+}
+
 #[test]
 fn queryd_serves_epoch_consistent_answers_from_per_window_snapshots() {
     let (batches, dir) = fixture();
@@ -204,4 +234,91 @@ fn queryd_serves_epoch_consistent_answers_from_per_window_snapshots() {
         retained.last().expect("publishes happened").store.digest(),
         p.digest()
     );
+}
+
+/// `batches_from_events` with one more reason to close a batch: a device
+/// uploads once its oldest unsent record is `span_ms` old, instead of
+/// holding records until it has `cap` of them.
+fn time_capped_batches(events: &[FailureEvent], cap: usize, span_ms: u64) -> Vec<Vec<u8>> {
+    let mut per_device: BTreeMap<u32, Vec<FailureEvent>> = BTreeMap::new();
+    for e in events {
+        per_device.entry(e.device.0).or_default().push(*e);
+    }
+    let mut batches: Vec<(u64, u32, u64, Vec<u8>)> = Vec::new();
+    for (device, mut evs) in per_device {
+        evs.sort_by_key(|e| e.start.as_millis());
+        let (mut seq, mut from) = (0u64, 0usize);
+        for i in 1..=evs.len() {
+            let first_ms = evs[from].start.as_millis();
+            let full = i - from == cap;
+            if i == evs.len() || full || evs[i].start.as_millis() - first_ms > span_ms {
+                let chunk = &evs[from..i];
+                let upload_ms = chunk[chunk.len() - 1].start.as_millis();
+                let bytes = encode_batch(DeviceId(device), seq, chunk);
+                batches.push((upload_ms, device, seq, bytes));
+                seq += 1;
+                from = i;
+            }
+        }
+    }
+    batches.sort_by_key(|b| (b.0, b.1, b.2));
+    batches.into_iter().map(|b| b.3).collect()
+}
+
+/// Why half of the `ingest_stream` fixture's records take the late lane
+/// (its geometry: 500 devices x 14 days, daily windows, 2 h lateness).
+/// `batches_from_events` closes a batch by count, so a device that fails
+/// twice a week uploads its first week on day 14: the late records are the
+/// older records of batches that span days. No batch ever arrives behind
+/// its shard's watermark, so the watermark does not run ahead of the data,
+/// and the same events uploaded within an hour put nothing in the lane.
+/// The collector's own `late_records` counter (what the benchmark reports
+/// as `ingest.late_share`) measures something else: records behind its
+/// 30 min per-shard bound, sealed window or not.
+#[test]
+fn the_late_lane_is_fed_by_batches_that_span_days_not_by_the_watermark() {
+    let data = run_macro_study(&StudyConfig {
+        population: PopulationConfig {
+            devices: 500,
+            ..Default::default()
+        },
+        days: 14,
+        bs_count: 2_000,
+        seed: 2021,
+    });
+    let dir = DeviceDirectory::from_population(&data.population);
+    let cfg = stream_cfg();
+
+    let run = |batches: &[Vec<u8>]| {
+        let mut segs = MemSegments::new();
+        let mut p = StreamPipeline::new(&cfg, &dir).expect("valid config");
+        for b in batches {
+            p.offer(b, &mut segs).expect("offer");
+        }
+        p.flush(&mut segs).expect("flush");
+        let mut collector = Collector::new(&cfg.collector);
+        let mut sink = StoreSink::new(&cfg.store, &dir);
+        for b in batches {
+            collector.ingest_with(b, &mut sink);
+        }
+        assert_eq!(p.digest(), sink.into_store().digest(), "view == batch");
+        assert_eq!(p.collector_digest(), collector.digest());
+        (*p.counters(), collector.report().counters)
+    };
+
+    let by_count = batches_from_events(&data.events, 48);
+    let (stream, collector) = run(&by_count);
+    assert_eq!(collector.out_of_order_batches, 0);
+    let lane_share = stream.late_records as f64 / stream.records as f64;
+    assert!(lane_share > 0.4, "late-lane share {lane_share:.3}");
+    assert!(stream.late_segments > 0);
+    // Not the same count: the collector's bound is 30 min per shard.
+    assert!(collector.late_records < stream.late_records);
+
+    let by_hour = time_capped_batches(&data.events, 48, 3_600_000);
+    assert!(by_hour.len() > by_count.len());
+    let (stream, collector) = run(&by_hour);
+    assert_eq!(collector.out_of_order_batches, 0);
+    assert_eq!(stream.late_records, 0);
+    assert_eq!(stream.late_segments, 0);
 }
