@@ -9,7 +9,7 @@ use crate::render::Table;
 use cellrel_sim::campaign::CampaignReport;
 use cellrel_store::ResultSet;
 use cellrel_types::FailureEvent;
-use cellrel_workload::{ChaosScenario, StudyDataset};
+use cellrel_workload::StudyDataset;
 use std::fmt::Write as _;
 
 /// Serialize failure events as CSV (one row per failure).
@@ -124,10 +124,6 @@ pub fn campaign_summary_table(report: &CampaignReport) -> Table {
     t.row(vec![
         "invariant violations".into(),
         report.violations.len().to_string(),
-    ]);
-    t.row(vec![
-        "scenario grid size".into(),
-        ChaosScenario::GRID.to_string(),
     ]);
     t.row(vec![
         "report digest".into(),

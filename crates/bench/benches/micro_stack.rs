@@ -6,7 +6,7 @@ use cellrel::modem::{FaultProfile, Modem};
 use cellrel::monitor::ProbeSession;
 use cellrel::netstack::LinkCondition;
 use cellrel::radio::{DeploymentConfig, EmmStateMachine, RadioEnvironment};
-use cellrel::sim::{EventQueue, SimRng};
+use cellrel::sim::{SimRng, TimerWheel};
 use cellrel::telephony::{DeviceConfig, DeviceSim, NullListener, RatPolicyKind};
 use cellrel::types::{Apn, DeviceId, Isp, Rat, RatSet, SimDuration, SimTime};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -91,7 +91,7 @@ fn bench_device_day(c: &mut Criterion) {
             let mut cfg = DeviceConfig::new(DeviceId(0), Isp::A, home);
             cfg.policy = RatPolicyKind::Android9;
             cfg.stall_rate_per_hour = 2.0;
-            let mut queue = EventQueue::new();
+            let mut queue = TimerWheel::new();
             let mut dev = DeviceSim::new(cfg, &env, NullListener, SimRng::new(9), &mut queue);
             queue.run_until(&mut dev, SimTime::from_secs(86_400));
             black_box(*dev.stats())

@@ -218,14 +218,14 @@ impl<'d> Cluster<'d> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::partition::shard_directories;
     use cellrel_store::{workload, DeviceDirectory};
     use cellrel_stream::{batches_from_events, MemSegments, StreamPipeline};
     use cellrel_workload::{run_macro_study, PopulationConfig, StudyConfig};
 
-    fn fixture() -> (DeviceDirectory, Vec<Vec<u8>>, StreamConfig) {
+    pub(crate) fn fixture() -> (DeviceDirectory, Vec<Vec<u8>>, StreamConfig) {
         let data = run_macro_study(&StudyConfig {
             seed: 2021,
             population: PopulationConfig {

@@ -1,4 +1,5 @@
-//! Leader-kill failover campaign: chaos for the replicated tier.
+//! Leader-kill failover drill: chaos for the replicated tier, run as
+//! scenarios of the [`cellrel_sim::campaign`] engine.
 //!
 //! The claim under test: killing any shard leader at any batch boundary
 //! and promoting its follower is **answer-transparent** — after the
@@ -6,278 +7,196 @@
 //! and the run completes, the merged store digest and the federated
 //! Tables 1/2 are byte-identical to an uninterrupted cluster's, and the
 //! backfilled replica (which caught up over the wire from the promoted
-//! leader) converges to the leader's sealed history. Kill points and
-//! victim shards are sampled from a seeded RNG, so a reported failure
-//! replays exactly.
+//! leader) converges to the leader's sealed history. Kill `i` is scenario
+//! `i`; kill points and victim shards come from the seeded [`KillPlan`],
+//! so a reported violation replays exactly.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::error::ClusterError;
-use crate::partition::shard_of_batch;
-use cellrel_sim::{Digest64, SimRng};
+use cellrel_sim::campaign::CampaignReport;
+use cellrel_sim::SimRng;
 use cellrel_store::DeviceDirectory;
+use cellrel_stream::campaign::{Drill, KillPlan, KillReplay, Observed};
 use cellrel_stream::StreamConfig;
 
 /// Table 2's top-k, fixed across the campaign so renders are comparable.
 const TABLE2_K: usize = 8;
 
-/// Campaign shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailoverConfig {
-    /// Leader kills to perform (each on a fresh cluster run).
-    pub kills: usize,
-    /// Seed for kill-point and victim-shard sampling.
-    pub seed: u64,
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            kills: 8,
-            seed: 2021,
+fn observe(cluster: &Cluster<'_>) -> Result<Observed, ClusterError> {
+    cluster.publish();
+    let (t1, t2) = cluster.router().tables(TABLE2_K)?;
+    // A replica — after a kill, the backfilled one that caught up over the
+    // wire — must hold its leader's exact view after the final flush.
+    let replicas = (0..cluster.shards()).map(|shard| {
+        let replica = cluster.followers_of(shard)[0].sealed_store().digest();
+        match cluster.leader(shard).digest() {
+            leader if leader == replica => format!("shard {shard}: converged\n"),
+            leader => format!("shard {shard}: replica {replica:016x}, leader {leader:016x}\n"),
         }
-    }
+    });
+    Ok(vec![
+        ("store-digest", format!("{:016x}", cluster.digest())),
+        ("table-1", t1.render()),
+        ("table-2", t2.render()),
+        ("replica-converged", replicas.collect()),
+    ])
 }
 
-/// One kill, one verdict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KillOutcome {
-    /// Batch index the kill landed after.
-    pub kill_at: u64,
-    /// The shard whose leader was killed.
-    pub shard: usize,
-    /// Shard-local cursor the promoted pipeline restarted from.
-    pub restored_cursor: u64,
-    /// Whether the promoted pipeline came back holding unsealed windows.
-    pub mid_window: bool,
-    /// Did the interrupted run converge to the baseline byte-for-byte?
-    pub ok: bool,
-    /// First divergence found, empty when `ok`.
-    pub detail: String,
-}
-
-/// The whole campaign, plus a content digest CI can pin.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailoverReport {
-    /// Per-kill outcomes, in execution order.
-    pub outcomes: Vec<KillOutcome>,
-    /// The uninterrupted cluster's merged store digest.
-    pub baseline_digest: u64,
-    /// Kills that landed while the victim held unsealed windows.
-    pub mid_window_kills: u64,
-    /// Outcomes with `ok == false`.
-    pub failures: u64,
-    /// FNV-1a digest over the outcomes — one number for CI to compare.
-    pub digest: u64,
-}
-
-/// What an uninterrupted run converges to.
-struct Baseline {
-    digest: u64,
-    t1: String,
-    t2: String,
-}
-
-fn run_to_end(
+/// One run of the cluster over the whole stream. With `kill`: drop its
+/// shard's leader after its batch, promote the follower, and finish.
+fn run_cluster(
     scfg: &StreamConfig,
     ccfg: &ClusterConfig,
     dirs: &[DeviceDirectory],
     batches: &[Vec<u8>],
-) -> Result<Baseline, ClusterError> {
+    kill: Option<&mut KillReplay>,
+) -> Result<Observed, ClusterError> {
     let mut cluster = Cluster::new(scfg, ccfg, dirs)?;
-    for b in batches {
+    let mut offered = 0;
+    if let Some(run) = kill {
+        let (kill_at, shard) = (run.kill_at as usize, run.shard);
+        let mut routes = Vec::with_capacity(kill_at);
+        for b in &batches[..kill_at] {
+            routes.push(cluster.offer(b)?);
+        }
+        // Kill: the leader (and all its volatile state) is dropped on the
+        // floor; the shard comes back from its follower's durable state.
+        let restored_cursor = cluster.promote(shard)?;
+        let mid_window = cluster.leader(shard).pipeline().pending_windows() > 0;
+        run.restored(restored_cursor, mid_window);
+        run.outcome.coverage.push(format!("shard:{shard}"));
+        // Replay the shard's batch subsequence lost with the leader, then
+        // finish the stream as if nothing happened.
+        let lost = (0..kill_at).filter(|&i| routes[i] == shard);
+        run.outcome.events = batches.len() as u64;
+        for i in lost.skip(restored_cursor as usize) {
+            cluster.offer(&batches[i])?;
+            run.outcome.events += 1;
+        }
+        offered = kill_at;
+    }
+    for b in &batches[offered..] {
         cluster.offer(b)?;
     }
     cluster.flush()?;
-    cluster.publish();
-    let (t1, t2) = cluster.router().tables(TABLE2_K)?;
-    Ok(Baseline {
-        digest: cluster.digest(),
-        t1: t1.render(),
-        t2: t2.render(),
-    })
+    observe(&cluster)
 }
 
-/// Run the campaign. Requires at least two batches (a kill needs a
-/// boundary strictly inside the stream) and a replicated cluster config.
-pub fn run_failover(
-    scfg: &StreamConfig,
-    ccfg: &ClusterConfig,
-    fcfg: &FailoverConfig,
-    dirs: &[DeviceDirectory],
-    batches: &[Vec<u8>],
-) -> Result<FailoverReport, ClusterError> {
-    if batches.len() < 2 {
+/// The failover drill over `batches`. `Err` only for what is wrong before
+/// any kill: fewer than two batches (a kill needs a boundary strictly
+/// inside the stream), an unreplicated cluster config, a baseline that
+/// cannot run.
+pub fn failover_drill<'a>(
+    scfg: &'a StreamConfig,
+    ccfg: &'a ClusterConfig,
+    plan: &KillPlan,
+    dirs: &'a [DeviceDirectory],
+    batches: &'a [Vec<u8>],
+) -> Result<Drill<'a>, ClusterError> {
+    let (count, shards) = (batches.len() as u64, ccfg.shards as u64);
+    if count < 2 {
         return Err(ClusterError::Config(
-            "failover campaign needs at least two batches",
+            "a failover drill needs at least two batches",
         ));
     }
     if ccfg.replicas == 0 {
         return Err(ClusterError::Config(
-            "failover campaign needs at least one replica per shard",
+            "a failover drill needs a replica per shard",
         ));
     }
-    let baseline = run_to_end(scfg, ccfg, dirs, batches)?;
-    // Shard routing is a pure function of the batch bytes; precompute it
-    // once so replay subsequences are cheap to carve out.
-    let routes = batches
-        .iter()
-        .map(|b| shard_of_batch(b, ccfg.shards))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut rng = SimRng::new(fcfg.seed);
-    let mut outcomes = Vec::with_capacity(fcfg.kills);
-    for _ in 0..fcfg.kills {
-        let kill_at = rng.range_u64(1, batches.len() as u64);
-        let shard = rng.range_u64(0, ccfg.shards as u64) as usize;
-        outcomes.push(one_kill(
-            scfg, ccfg, dirs, batches, &routes, &baseline, kill_at, shard,
-        )?);
-    }
-    let failures = outcomes.iter().filter(|o| !o.ok).count() as u64;
-    let mid_window_kills = outcomes.iter().filter(|o| o.mid_window).count() as u64;
-    let mut d = Digest64::new();
-    d.write_u64(baseline.digest);
-    for o in &outcomes {
-        d.write_u64(o.kill_at);
-        d.write_u64(o.shard as u64);
-        d.write_u64(o.restored_cursor);
-        d.write_u64(u64::from(o.mid_window));
-        d.write_u64(u64::from(o.ok));
-    }
-    Ok(FailoverReport {
-        outcomes,
-        baseline_digest: baseline.digest,
-        mid_window_kills,
-        failures,
-        digest: d.finish(),
-    })
+    let point = |rng: &mut SimRng| {
+        let kill_at = rng.range_u64(1, count);
+        (kill_at, rng.range_u64(0, shards) as usize)
+    };
+    let run_one = move |kill: Option<&mut KillReplay>| run_cluster(scfg, ccfg, dirs, batches, kill);
+    let mut drill = Drill::new(plan, point, run_one)?;
+    let digest = &drill.base[0].1;
+    drill.baseline = format!("{count} batches across {shards} shard(s), merged digest {digest}");
+    Ok(drill)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn one_kill(
+/// [`failover_drill`], then [`Drill::run`] on `threads` threads.
+pub fn run_failover(
     scfg: &StreamConfig,
     ccfg: &ClusterConfig,
+    plan: &KillPlan,
     dirs: &[DeviceDirectory],
     batches: &[Vec<u8>],
-    routes: &[usize],
-    baseline: &Baseline,
-    kill_at: u64,
-    shard: usize,
-) -> Result<KillOutcome, ClusterError> {
-    let kill = kill_at as usize;
-    let mut cluster = Cluster::new(scfg, ccfg, dirs)?;
-    for b in &batches[..kill] {
-        cluster.offer(b)?;
-    }
-    // Kill: the leader (and all its volatile state) is dropped on the
-    // floor; the shard comes back from its follower's durable state.
-    let restored_cursor = cluster.promote(shard)?;
-    let mid_window = cluster.leader(shard).pipeline().pending_windows() > 0;
-    // Replay the shard's batch subsequence lost with the leader, then
-    // finish the stream as if nothing happened.
-    let shard_batches: Vec<usize> = (0..kill).filter(|&i| routes[i] == shard).collect();
-    for &i in shard_batches.iter().skip(restored_cursor as usize) {
-        cluster.offer(&batches[i])?;
-    }
-    for b in &batches[kill..] {
-        cluster.offer(b)?;
-    }
-    cluster.flush()?;
-    cluster.publish();
-
-    let mut ok = true;
-    let mut detail = String::new();
-    let digest = cluster.digest();
-    if digest != baseline.digest {
-        ok = false;
-        detail = format!(
-            "merged digest {digest:016x} != baseline {:016x}",
-            baseline.digest
-        );
-    } else {
-        let (t1, t2) = cluster.router().tables(TABLE2_K)?;
-        let follower_digest = cluster.followers_of(shard)[0].sealed_store().digest();
-        let leader_digest = cluster.leader(shard).digest();
-        if t1.render() != baseline.t1 {
-            ok = false;
-            detail = "federated table 1 diverged from baseline".into();
-        } else if t2.render() != baseline.t2 {
-            ok = false;
-            detail = "federated table 2 diverged from baseline".into();
-        } else if follower_digest != leader_digest {
-            // The backfilled replica caught up over the wire; after the
-            // final flush it must hold the promoted leader's exact view.
-            ok = false;
-            detail = format!(
-                "backfilled replica {follower_digest:016x} != promoted leader {leader_digest:016x}"
-            );
-        }
-    }
-    Ok(KillOutcome {
-        kill_at,
-        shard,
-        restored_cursor,
-        mid_window,
-        ok,
-        detail,
-    })
+    threads: usize,
+) -> Result<CampaignReport, ClusterError> {
+    Ok(failover_drill(scfg, ccfg, plan, dirs, batches)?.run(threads))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::tests::fixture;
     use crate::partition::shard_directories;
-    use cellrel_store::DeviceDirectory;
-    use cellrel_stream::batches_from_events;
-    use cellrel_workload::{run_macro_study, PopulationConfig, StudyConfig};
+    use cellrel_sim::campaign::Violation;
 
-    #[test]
-    fn a_small_campaign_converges_and_is_reproducible() {
-        let data = run_macro_study(&StudyConfig {
-            seed: 2021,
-            population: PopulationConfig {
-                devices: 150,
-                ..Default::default()
-            },
-            days: 3,
-            bs_count: 60,
-        });
-        let dir = DeviceDirectory::from_population(&data.population);
-        let batches = batches_from_events(&data.events, 32);
-        let scfg = StreamConfig {
-            window_ms: 86_400_000,
-            lateness_ms: 2 * 3_600_000,
-            hot_windows: 2,
-            late_flush: 256,
-            ..Default::default()
-        };
+    const PLAN: KillPlan = KillPlan {
+        kills: 3,
+        seed: 2021,
+    };
+
+    fn with_drill(test: impl FnOnce(Drill<'_>)) {
+        let (dir, batches, scfg) = fixture();
         let ccfg = ClusterConfig {
             shards: 2,
             replicas: 1,
             checkpoint_every: 3,
         };
-        let fcfg = FailoverConfig {
-            kills: 3,
-            seed: 2021,
-        };
         let dirs = shard_directories(&dir, ccfg.shards);
-        let report = run_failover(&scfg, &ccfg, &fcfg, &dirs, &batches).expect("campaign");
-        assert_eq!(report.failures, 0, "outcomes: {:#?}", report.outcomes);
-        assert_eq!(report.outcomes.len(), 3);
-        let again = run_failover(&scfg, &ccfg, &fcfg, &dirs, &batches).expect("campaign");
-        assert_eq!(report, again, "campaign must be deterministic");
+        test(failover_drill(&scfg, &ccfg, &PLAN, &dirs, &batches).expect("baseline runs"));
+    }
+
+    #[test]
+    fn a_small_campaign_converges_and_is_reproducible() {
+        with_drill(|drill| {
+            let report = drill.run(1);
+            assert!(report.violations.is_empty(), "{:#?}", report.violations);
+            assert_eq!(report.scenarios, 3);
+            assert!(report.coverage["mid-window"] > 0);
+            // Engine contract: one report at any thread count and across
+            // runs, and every kill replays to its outcome in the campaign.
+            for threads in [1, 2, 8] {
+                assert_eq!(drill.run(threads), report, "threads={threads}");
+            }
+            let mut replayed = CampaignReport::default();
+            (0..3).for_each(|id| replayed.absorb(drill.kill(id).outcome));
+            assert_eq!(replayed, report);
+        });
+    }
+
+    /// The drill can fail, and says everything that failed — not only the
+    /// first divergence.
+    #[test]
+    fn a_doctored_baseline_fails_every_comparison_it_breaks() {
+        with_drill(|mut drill| {
+            drill.base[0].1.push('!');
+            drill.base[1].1.push_str("not in table 1\n");
+            let run = drill.kill(2);
+            let named = |v: &Violation| (v.invariant, v.scenario, v.event_index);
+            let failed: Vec<_> = run.outcome.violations.iter().map(named).collect();
+            let at = run.kill_at;
+            assert_eq!(failed, [("store-digest", 2, at), ("table-1", 2, at)]);
+        });
     }
 
     #[test]
     fn unreplicated_clusters_cannot_run_the_campaign() {
+        let unreplicated = ClusterConfig {
+            replicas: 0,
+            ..ClusterConfig::default()
+        };
+        let batches = [Vec::new(), Vec::new()];
         let err = run_failover(
             &StreamConfig::default(),
-            &ClusterConfig {
-                replicas: 0,
-                ..ClusterConfig::default()
-            },
-            &FailoverConfig::default(),
+            &unreplicated,
+            &PLAN,
             &[],
-            &[Vec::new(), Vec::new()],
+            &batches,
+            1,
         );
         assert!(matches!(err, Err(ClusterError::Config(_))));
     }

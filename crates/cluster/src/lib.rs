@@ -50,7 +50,7 @@ pub mod router;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use error::ClusterError;
-pub use failover::{run_failover, FailoverConfig, FailoverReport, KillOutcome};
+pub use failover::{failover_drill, run_failover};
 pub use node::ShardLeader;
 pub use partition::{shard_directories, shard_of, shard_of_batch};
 pub use proto::{decode_frame, encode_frame, Message};

@@ -311,16 +311,7 @@ mod tests {
     fn hostile_bytes_yield_typed_errors() {
         assert_eq!(decode_frame(&[]), Err(CR.error(FrameErrorKind::Truncated)));
         let good = encode_frame(&Message::Catchup { from_seq: 7 });
-        // Bit flip anywhere → an error (BadCrc unless the header objects).
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x40;
-            assert!(decode_frame(&bad).is_err(), "flip at {i} must not decode");
-        }
-        // Truncations never panic.
-        for n in 0..good.len() {
-            assert!(decode_frame(&good[..n]).is_err());
-        }
+        // (Every prefix and every bit flip: `frame_totality`'s `cr` row.)
         // A length lie inside a CRC-valid frame is an InvalidField.
         let mut lie = Vec::new();
         CR.begin(&mut lie, VERSION);

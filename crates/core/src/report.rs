@@ -12,7 +12,7 @@
 
 use crate::monitor::MonitoringService;
 use crate::radio::{DeploymentConfig, RadioEnvironment};
-use crate::sim::{EventQueue, SimRng};
+use crate::sim::{SimRng, TimerWheel};
 use crate::telephony::{DeviceConfig, DeviceSim, RatPolicyKind, RecordingBoth, TelephonyEvent};
 use crate::types::{DeviceId, Isp, Rat, RatSet, SimTime};
 use std::fmt::Write as _;
@@ -37,7 +37,7 @@ pub fn device_trace_report(seed: u64) -> String {
     cfg.stall_rate_per_hour = 4.0;
 
     let listener = RecordingBoth::new(MonitoringService::new(DeviceId(0), rng.fork(1)));
-    let mut queue = EventQueue::new();
+    let mut queue = TimerWheel::new();
     let mut dev = DeviceSim::new(cfg, &env, listener, rng.fork(2), &mut queue);
     let horizon = SimTime::from_secs(24 * 3600);
     queue.run_until(&mut dev, horizon);

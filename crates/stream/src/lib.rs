@@ -43,7 +43,7 @@ pub mod source;
 
 mod error;
 
-pub use campaign::{run_kill_restart, KillOutcome, KillRestartConfig, KillRestartReport};
+pub use campaign::{kill_restart_drill, run_kill_restart, Drill, KillPlan, KillReplay};
 pub use checkpoint::{CheckpointImage, CKPT_STREAM_VERSION};
 pub use error::StreamError;
 pub use pipeline::{StreamConfig, StreamCounters, StreamPipeline};

@@ -386,7 +386,7 @@ impl<'d> StreamPipeline<'d> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::segment::{MemSegments, SegmentKind};
     use cellrel_ingest::encode_batch;
@@ -397,7 +397,7 @@ mod tests {
 
     /// Small geometry: 1 s buckets, 4-bucket rollups, 4 s windows — every
     /// window edge is also a rollup-granularity edge.
-    fn small_cfg() -> StreamConfig {
+    pub(crate) fn small_cfg() -> StreamConfig {
         StreamConfig {
             window_ms: 4_000,
             lateness_ms: 0,
@@ -433,7 +433,7 @@ mod tests {
         }
     }
 
-    fn batch(device: u32, seq: u64, times_ms: &[u64]) -> Vec<u8> {
+    pub(crate) fn batch(device: u32, seq: u64, times_ms: &[u64]) -> Vec<u8> {
         let records: Vec<FailureEvent> = times_ms.iter().map(|&t| evt(device, t)).collect();
         encode_batch(DeviceId(device), seq, &records)
     }

@@ -12,10 +12,11 @@ use cellrel::analysis::store_tables::{
 };
 use cellrel::ingest::{encode_batch, Collector, CollectorConfig};
 use cellrel::queryd::{InProcClient, QuerydCore, Snapshot};
+use cellrel::sim::campaign::CampaignReport;
 use cellrel::sim::Digest64;
 use cellrel::store::{DeviceDirectory, Store, StoreConfig, StoreSink};
 use cellrel::stream::{
-    batches_from_events, run_kill_restart, KillRestartConfig, MemSegments, SegmentStore,
+    batches_from_events, kill_restart_drill, run_kill_restart, KillPlan, MemSegments, SegmentStore,
     StreamConfig, StreamError, StreamPipeline,
 };
 use cellrel::types::{DeviceId, FailureEvent};
@@ -123,26 +124,29 @@ fn incremental_tables_match_one_shot_batch_after_final_seal() {
 #[test]
 fn kill_restart_campaign_is_digest_transparent() {
     let (batches, dir) = fixture();
-    let report = run_kill_restart(
-        &stream_cfg(),
-        &KillRestartConfig {
-            kills: 8,
-            seed: 2021,
-            checkpoint_every: 5,
-        },
-        dir,
-        batches,
-    )
-    .expect("campaign runs");
-    for o in &report.outcomes {
-        assert!(o.ok, "kill at batch {} diverged: {}", o.kill_at, o.detail);
-    }
-    assert_eq!(report.failures, 0);
+    let plan = KillPlan {
+        kills: 8,
+        seed: 2021,
+    };
+    let cfg = stream_cfg();
+    let drill = kill_restart_drill(&cfg, &plan, 5, dir, batches).expect("baseline runs");
+    let report = drill.run(1);
+    assert!(report.violations.is_empty(), "{:#?}", report.violations);
+    assert_eq!(report.scenarios, 8);
     assert!(
-        report.mid_window_kills > 0,
+        report.coverage["mid-window"] > 0,
         "no kill landed on a mid-window checkpoint"
     );
-    assert!(report.baseline_segments >= 8);
+
+    // Engine contract: one report at any thread count and across runs, and
+    // every kill replays to its outcome inside the campaign.
+    for threads in [1, 2, 8] {
+        let again = run_kill_restart(&cfg, &plan, 5, dir, batches, threads);
+        assert_eq!(again.as_ref(), Ok(&report), "threads={threads}");
+    }
+    let mut replayed = CampaignReport::default();
+    (0..8).for_each(|id| replayed.absorb(drill.kill(id).outcome));
+    assert_eq!(replayed, report);
 }
 
 /// Drive a pipeline over `batches`, publishing the merged view into a
