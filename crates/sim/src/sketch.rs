@@ -496,31 +496,39 @@ impl SparseSketch {
             return;
         }
         let mut merged = Vec::with_capacity(self.buckets.len() + run.len());
-        let (mut a, mut b) = (self.buckets.iter().peekable(), run.iter());
-        let mut next_b = b.next();
-        while let Some(&&(ai, ac)) = a.peek() {
-            match next_b {
-                Some(&(bi, bc)) if bi < ai => {
-                    merged.push((bi, bc));
-                    next_b = b.next();
-                }
-                Some(&(bi, bc)) if bi == ai => {
-                    merged.push((ai, ac + bc));
-                    next_b = b.next();
-                    a.next();
-                }
-                _ => {
-                    merged.push((ai, ac));
-                    a.next();
-                }
-            }
-        }
-        if let Some(&p) = next_b {
-            merged.push(p);
-        }
-        merged.extend(b.copied());
+        merge_runs_into(&self.buckets, run, &mut merged);
         self.buckets = merged;
     }
+}
+
+/// Append the bucket-wise sum of two sketch runs — strictly ascending
+/// `(bucket, count)` pairs, as [`SparseSketch::as_run`] and sealed segments'
+/// sketch pools hold them — to `out`: the one two-pointer walk behind
+/// [`SparseSketch::merge_run`] and behind the store's column merge, which
+/// sums pool slice against pool slice straight into the pool of the segment
+/// it is building. Either run may be empty.
+pub fn merge_runs_into(a: &[(u32, u64)], b: &[(u32, u64)], out: &mut Vec<(u32, u64)>) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let ((ai, ac), (bi, bc)) = (a[i], b[j]);
+        match ai.cmp(&bi) {
+            std::cmp::Ordering::Less => {
+                out.push((ai, ac));
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push((bi, bc));
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push((ai, ac + bc));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 impl Merge for SparseSketch {

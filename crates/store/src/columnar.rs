@@ -17,9 +17,10 @@
 //! so the scan can skip it without touching any column — see
 //! [`Zones::may_match_value`] for the one subtle case (raw cause codes).
 //!
-//! **Merging.** Segments never mutate; compaction and merges build a new
-//! segment by k-way merging sorted runs (`merge_runs`), folding cells
-//! with equal keys by the same exact [`Merge`] algebra the row path uses —
+//! **Merging.** Segments never mutate; compaction, merges and views build
+//! a new segment by k-way merging sorted runs (`merge_runs`): rows only one
+//! run holds move column to column as whole ranges, and rows with equal
+//! keys are summed by the same exact [`Merge`] algebra the row path uses —
 //! so layout changes can never change a digest or a query answer.
 //!
 //! **Framing.** [`ColumnSegment::encode`] emits a self-delimiting `SC`
@@ -32,8 +33,11 @@
 
 use crate::cube::{Cell, CellKey};
 use cellrel_ingest::frame::{seal, write_varint, FrameError, Reader, SC};
+use cellrel_sim::sketch::merge_runs_into;
 use cellrel_sim::{Merge, SparseSketch};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{btree_map, BTreeMap, BinaryHeap};
+use std::ops::Range;
 
 /// Current segment block format version.
 pub const SEGMENT_VERSION: u8 = 1;
@@ -131,37 +135,6 @@ impl ColumnSegment {
         }
     }
 
-    fn push_row(&mut self, k: CellKey, c: &Cell) {
-        debug_assert!(
-            self.buckets.is_empty() || self.key_at(self.len() - 1) < k,
-            "segment rows must be strictly key-ascending"
-        );
-        self.buckets.push(k.bucket);
-        self.kinds.push(k.kind);
-        self.isps.push(k.isp);
-        self.rats.push(k.rat);
-        self.models.push(k.model);
-        self.regions.push(k.region);
-        self.cause_classes.push(k.cause_class);
-        self.causes.push(k.cause);
-        self.counts.push(c.count);
-        self.duration_totals.push(c.duration_ms_total);
-        self.under_30s.push(c.under_30s);
-        self.sk_min.push(c.sketch.min().unwrap_or(0));
-        self.sk_max.push(c.sketch.max().unwrap_or(0));
-        self.sk_pool
-            .extend(c.sketch.nonzero_buckets().map(|(i, n)| (i as u32, n)));
-        self.sk_off.push(self.sk_pool.len() as u32);
-    }
-
-    fn finish(mut self) -> Option<Self> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        self.zones = compute_zones(&self);
-        Some(self)
-    }
-
     /// Build a segment from `(key, cell)` rows; duplicate keys merge by
     /// the exact cell algebra, and rows need not arrive sorted. Returns
     /// `None` for an empty input (empty segments are never stored).
@@ -175,7 +148,7 @@ impl ColumnSegment {
                 }
             }
         }
-        merge_runs(vec![Run::Map(sorted.into_iter())])
+        merge_to_segment(vec![Run::owned(sorted)])
     }
 
     /// Cells in the run.
@@ -216,17 +189,24 @@ impl ColumnSegment {
         (self.sk_min[i], self.sk_max[i], &self.sk_pool[lo..hi])
     }
 
+    /// Row `i`'s aggregates and sketch run, borrowed from the columns.
+    pub(crate) fn row_at(&self, i: usize) -> RowRef<'_> {
+        let (min, max, run) = self.sketch_run(i);
+        RowRef {
+            agg: Agg {
+                count: self.counts[i],
+                duration_total: self.duration_totals[i],
+                under_30s: self.under_30s[i],
+                min,
+                max,
+            },
+            run,
+        }
+    }
+
     /// Materialise row `i` as a row-layout cell.
     pub(crate) fn cell_at(&self, i: usize) -> Cell {
-        let (min, max, run) = self.sketch_run(i);
-        let sketch = SparseSketch::from_parts(min, max, run.iter().map(|&(b, n)| (b as usize, n)))
-            .expect("segment sketch runs are validated on build and decode");
-        Cell {
-            count: self.counts[i],
-            duration_ms_total: self.duration_totals[i],
-            under_30s: self.under_30s[i],
-            sketch,
-        }
+        self.row_at(i).to_cell()
     }
 
     /// Iterate `(key, cell)` rows in key order (materialising each cell).
@@ -380,6 +360,11 @@ impl ColumnSegment {
             if sk.count() != seg.counts[i] || seg.under_30s[i] > seg.counts[i] {
                 return Err(r.invalid("segment cell/sketch mismatch"));
             }
+            // One content, one layout: builders write zero extremes beside
+            // an empty run, and merges copy these columns as they are.
+            if run.is_empty() && (seg.sk_min[i], seg.sk_max[i]) != (0, 0) {
+                return Err(r.invalid("extremes on an empty sketch run"));
+            }
         }
         let mut zones = Zones {
             bucket: (
@@ -429,80 +414,441 @@ fn compute_zones(seg: &ColumnSegment) -> Zones {
     }
 }
 
-/// One sorted input run for [`merge_runs`]: either an ordered map being
-/// dissolved (hot cells, folded rows) or an existing segment passed
-/// through by reference.
-pub(crate) enum Run<'a> {
-    /// Rows from an ordered map (already key-ascending).
-    Map(std::collections::btree_map::IntoIter<CellKey, Cell>),
-    /// Rows of an existing segment.
-    Seg(&'a ColumnSegment, usize),
+/// One row's scalar aggregates: what a cell holds beside its sketch run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Agg {
+    pub(crate) count: u64,
+    pub(crate) duration_total: u64,
+    pub(crate) under_30s: u64,
+    /// Exact sketch extremes; both `0` beside an empty run, as the
+    /// `sk_min` / `sk_max` columns hold them.
+    pub(crate) min: u64,
+    pub(crate) max: u64,
 }
 
-impl Iterator for Run<'_> {
-    type Item = (CellKey, Cell);
+/// One row, borrowed from wherever it lives: a segment's columns and pool,
+/// or a row-tier [`Cell`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowRef<'a> {
+    pub(crate) agg: Agg,
+    pub(crate) run: &'a [(u32, u64)],
+}
 
-    fn next(&mut self) -> Option<(CellKey, Cell)> {
-        match self {
-            Run::Map(it) => it.next(),
-            Run::Seg(seg, i) => {
-                if *i < seg.len() {
-                    let row = (seg.key_at(*i), seg.cell_at(*i));
-                    *i += 1;
-                    Some(row)
-                } else {
-                    None
-                }
-            }
+impl<'a> RowRef<'a> {
+    fn of(c: &'a Cell) -> Self {
+        RowRef {
+            agg: Agg {
+                count: c.count,
+                duration_total: c.duration_ms_total,
+                under_30s: c.under_30s,
+                min: c.sketch.min().unwrap_or(0),
+                max: c.sketch.max().unwrap_or(0),
+            },
+            run: c.sketch.as_run().2,
         }
     }
+
+    /// Materialise as a row-layout cell.
+    fn to_cell(self) -> Cell {
+        let pairs = self.run.iter().map(|&(b, n)| (b as usize, n));
+        Cell {
+            count: self.agg.count,
+            duration_ms_total: self.agg.duration_total,
+            under_30s: self.agg.under_30s,
+            sketch: SparseSketch::from_parts(self.agg.min, self.agg.max, pairs)
+                .expect("segment sketch runs are validated on build and decode"),
+        }
+    }
+}
+
+impl Agg {
+    /// Add row `o` to the row these aggregates belong to, whose sketch run
+    /// occupies `pool[start..]`: run against run, straight into `pool`
+    /// (`scratch` holds the old tail while the sum is written).
+    pub(crate) fn fold(
+        &mut self,
+        o: RowRef<'_>,
+        pool: &mut Vec<(u32, u64)>,
+        start: usize,
+        scratch: &mut Vec<(u32, u64)>,
+    ) {
+        self.count += o.agg.count;
+        self.duration_total += o.agg.duration_total;
+        self.under_30s += o.agg.under_30s;
+        if o.run.is_empty() {
+            return;
+        }
+        if pool.len() == start {
+            (self.min, self.max) = (o.agg.min, o.agg.max);
+            pool.extend_from_slice(o.run);
+            return;
+        }
+        self.min = self.min.min(o.agg.min);
+        self.max = self.max.max(o.agg.max);
+        scratch.clear();
+        scratch.extend_from_slice(&pool[start..]);
+        pool.truncate(start);
+        merge_runs_into(scratch, o.run, pool);
+    }
+}
+
+/// Where [`merge_runs`] puts the merged rows. Keys arrive ascending: `row`
+/// and `rows` only ever bring keys above every key before them, and a key
+/// several runs hold arrives as one `row` followed by a `fold` per further
+/// holder.
+pub(crate) trait RowSink {
+    /// A row under a new key.
+    fn row(&mut self, key: CellKey, row: RowRef<'_>);
+    /// One more row under the key of the last `row` call: add it in.
+    fn fold(&mut self, row: RowRef<'_>);
+    /// Rows `rows` of `seg`, keys as stored but for `bucket`, which
+    /// replaces every row's bucket when set. No later row shares a key
+    /// with any of them.
+    fn rows(&mut self, seg: &ColumnSegment, rows: Range<usize>, bucket: Option<u32>);
+}
+
+/// The sink that builds a segment: whole row ranges move column to column,
+/// and equal keys are summed in place in the last row.
+struct SegmentSink {
+    seg: ColumnSegment,
+    scratch: Vec<(u32, u64)>,
+}
+
+impl SegmentSink {
+    fn new() -> Self {
+        SegmentSink {
+            seg: ColumnSegment::empty(),
+            scratch: Vec::new(),
+        }
+    }
+
+    fn finish(self) -> Option<ColumnSegment> {
+        let mut seg = self.seg;
+        if seg.buckets.is_empty() {
+            return None;
+        }
+        seg.zones = compute_zones(&seg);
+        Some(seg)
+    }
+
+    fn ascends_to(&self, key: CellKey) -> bool {
+        self.seg.is_empty() || self.seg.key_at(self.seg.len() - 1) < key
+    }
+}
+
+impl RowSink for SegmentSink {
+    fn row(&mut self, k: CellKey, row: RowRef<'_>) {
+        debug_assert!(
+            self.ascends_to(k),
+            "segment rows must be strictly key-ascending"
+        );
+        let seg = &mut self.seg;
+        seg.buckets.push(k.bucket);
+        seg.kinds.push(k.kind);
+        seg.isps.push(k.isp);
+        seg.rats.push(k.rat);
+        seg.models.push(k.model);
+        seg.regions.push(k.region);
+        seg.cause_classes.push(k.cause_class);
+        seg.causes.push(k.cause);
+        seg.counts.push(row.agg.count);
+        seg.duration_totals.push(row.agg.duration_total);
+        seg.under_30s.push(row.agg.under_30s);
+        seg.sk_min.push(row.agg.min);
+        seg.sk_max.push(row.agg.max);
+        seg.sk_pool.extend_from_slice(row.run);
+        seg.sk_off.push(seg.sk_pool.len() as u32);
+    }
+
+    fn fold(&mut self, row: RowRef<'_>) {
+        let seg = &mut self.seg;
+        let n = seg.buckets.len() - 1;
+        let mut sum = seg.row_at(n).agg;
+        let start = seg.sk_off[n] as usize;
+        sum.fold(row, &mut seg.sk_pool, start, &mut self.scratch);
+        seg.counts[n] = sum.count;
+        seg.duration_totals[n] = sum.duration_total;
+        seg.under_30s[n] = sum.under_30s;
+        seg.sk_min[n] = sum.min;
+        seg.sk_max[n] = sum.max;
+        seg.sk_off[n + 1] = seg.sk_pool.len() as u32;
+    }
+
+    fn rows(&mut self, src: &ColumnSegment, rows: Range<usize>, bucket: Option<u32>) {
+        debug_assert!(
+            bucket.is_none() || src.buckets[rows.start] == src.buckets[rows.end - 1],
+            "a bucket override spans one stored bucket, or the slice is not key-sorted"
+        );
+        debug_assert!(
+            self.ascends_to(src.key_at(rows.start).with_bucket(bucket)),
+            "segment rows must be strictly key-ascending"
+        );
+        let seg = &mut self.seg;
+        match bucket {
+            Some(b) => seg.buckets.resize(seg.buckets.len() + rows.len(), b),
+            None => seg.buckets.extend_from_slice(&src.buckets[rows.clone()]),
+        }
+        seg.kinds.extend_from_slice(&src.kinds[rows.clone()]);
+        seg.isps.extend_from_slice(&src.isps[rows.clone()]);
+        seg.rats.extend_from_slice(&src.rats[rows.clone()]);
+        seg.models.extend_from_slice(&src.models[rows.clone()]);
+        seg.regions.extend_from_slice(&src.regions[rows.clone()]);
+        seg.cause_classes
+            .extend_from_slice(&src.cause_classes[rows.clone()]);
+        seg.causes.extend_from_slice(&src.causes[rows.clone()]);
+        seg.counts.extend_from_slice(&src.counts[rows.clone()]);
+        seg.duration_totals
+            .extend_from_slice(&src.duration_totals[rows.clone()]);
+        seg.under_30s
+            .extend_from_slice(&src.under_30s[rows.clone()]);
+        seg.sk_min.extend_from_slice(&src.sk_min[rows.clone()]);
+        seg.sk_max.extend_from_slice(&src.sk_max[rows.clone()]);
+        // The pool slice moves as it is — the source segment was validated
+        // when it was built or decoded — and its offsets are rebased from
+        // the source pool to this one.
+        let (from, to) = (src.sk_off[rows.start], seg.sk_pool.len() as u32);
+        seg.sk_off.extend(
+            src.sk_off[rows.start + 1..=rows.end]
+                .iter()
+                .map(|&o| o - from + to),
+        );
+        seg.sk_pool
+            .extend_from_slice(&src.sk_pool[from as usize..src.sk_off[rows.end] as usize]);
+    }
+}
+
+/// One key-sorted input run for [`merge_runs`], read in place: nothing a
+/// run points at is copied until a sink asks for it. A `bucket` override
+/// presents every row of the run under that bucket instead of its own —
+/// how a bucket fold is fed: one run per stored bucket, each still sorted
+/// by the rest of the key.
+pub(crate) enum Run<'a> {
+    /// A whole row tier its caller is done with. Reading it through
+    /// `IntoIter` frees each node and cell while it is still in cache;
+    /// borrowed, the 37 k cells of a batch store were walked a second
+    /// time, cold, to drop them (+17 % on `seal_columnar`).
+    Owned {
+        head: Option<(CellKey, Cell)>,
+        rest: btree_map::IntoIter<CellKey, Cell>,
+    },
+    /// Row-tier cells, borrowed.
+    Map {
+        head: Option<(CellKey, &'a Cell)>,
+        rest: btree_map::Range<'a, CellKey, Cell>,
+        bucket: Option<u32>,
+    },
+    /// Rows `at..end` of a sealed segment.
+    Seg {
+        seg: &'a ColumnSegment,
+        at: usize,
+        end: usize,
+        bucket: Option<u32>,
+    },
 }
 
 impl<'a> Run<'a> {
+    /// A run that consumes a whole row tier.
+    pub(crate) fn owned(cells: BTreeMap<CellKey, Cell>) -> Self {
+        let mut rest = cells.into_iter();
+        Run::Owned {
+            head: rest.next(),
+            rest,
+        }
+    }
+
+    /// A run over a whole row tier.
+    pub(crate) fn map(cells: &'a BTreeMap<CellKey, Cell>) -> Self {
+        Run::map_range(cells.range(..), None)
+    }
+
+    /// A run over part of a row tier; see [`Run`] for `bucket`.
+    pub(crate) fn map_range(
+        mut rest: btree_map::Range<'a, CellKey, Cell>,
+        bucket: Option<u32>,
+    ) -> Self {
+        let head = rest.next().map(|(k, c)| (k.with_bucket(bucket), c));
+        Run::Map { head, rest, bucket }
+    }
+
     /// A run over a whole segment.
     pub(crate) fn seg(seg: &'a ColumnSegment) -> Self {
-        Run::Seg(seg, 0)
+        Run::slice(seg, 0..seg.len(), None)
+    }
+
+    /// A run over rows `rows` of a segment; see [`Run`] for `bucket`.
+    pub(crate) fn slice(seg: &'a ColumnSegment, rows: Range<usize>, bucket: Option<u32>) -> Self {
+        Run::Seg {
+            seg,
+            at: rows.start,
+            end: rows.end,
+            bucket,
+        }
+    }
+
+    /// The key of the run's next row, `None` once it is spent.
+    fn key(&self) -> Option<CellKey> {
+        match self {
+            Run::Owned { head, .. } => head.as_ref().map(|(k, _)| *k),
+            Run::Map { head, .. } => head.map(|(k, _)| k),
+            &Run::Seg {
+                seg,
+                at,
+                end,
+                bucket,
+            } => (at < end).then(|| seg.key_at(at).with_bucket(bucket)),
+        }
+    }
+
+    /// Hand the next row to `emit` and step past it.
+    fn pop(&mut self, emit: impl FnOnce(RowRef<'_>)) {
+        match self {
+            Run::Owned { head, rest } => {
+                let (_, c) = head.take().expect("pop on a spent run");
+                emit(RowRef::of(&c));
+                *head = rest.next();
+            }
+            Run::Map { head, rest, bucket } => {
+                let (_, c) = head.take().expect("pop on a spent run");
+                emit(RowRef::of(c));
+                *head = rest.next().map(|(k, c)| (k.with_bucket(*bucket), c));
+            }
+            Run::Seg { seg, at, .. } => {
+                emit(seg.row_at(*at));
+                *at += 1;
+            }
+        }
+    }
+
+    /// Move every row below `bound` (all that are left, without one) into
+    /// `sink`. The caller knows no other run holds a key below `bound`.
+    fn drain_below<S: RowSink>(&mut self, bound: Option<CellKey>, sink: &mut S) {
+        let above = |k: &CellKey| bound.is_some_and(|b| *k >= b);
+        match self {
+            Run::Owned { head, rest } => {
+                while let Some((k, c)) = head.take() {
+                    if above(&k) {
+                        *head = Some((k, c));
+                        break;
+                    }
+                    sink.row(k, RowRef::of(&c));
+                    *head = rest.next();
+                }
+            }
+            Run::Map { head, rest, bucket } => {
+                while let Some((k, c)) = *head {
+                    if above(&k) {
+                        break;
+                    }
+                    sink.row(k, RowRef::of(c));
+                    *head = rest.next().map(|(k, c)| (k.with_bucket(*bucket), c));
+                }
+            }
+            Run::Seg {
+                seg,
+                at,
+                end,
+                bucket,
+            } => {
+                let below = |i: usize, b: CellKey| seg.key_at(i).with_bucket(*bucket) < b;
+                // Gallop, then bisect: a range of n rows costs O(log n)
+                // compares, so runs that interleave row by row pay one or
+                // two per row and runs that do not overlap pay next to none.
+                let stop = bound.map_or(*end, |b| {
+                    let (mut lo, mut hi, mut step) = (*at + 1, *at + 1, 1);
+                    while hi < *end && below(hi, b) {
+                        lo = hi + 1;
+                        hi += step;
+                        step *= 2;
+                    }
+                    hi = hi.min(*end);
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        if below(mid, b) {
+                            lo = mid + 1;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    lo
+                });
+                sink.rows(seg, *at..stop, *bucket);
+                *at = stop;
+            }
+        }
     }
 }
 
-/// K-way merge sorted runs into one canonical segment, folding cells with
-/// equal keys by exact cell merge. The result depends only on the merged
-/// *content* (cell merge is commutative and associative), never on run
-/// order — which keeps partition merges commutative even when both sides
-/// carry segments. Returns `None` when the runs hold no rows.
-pub(crate) fn merge_runs(runs: Vec<Run<'_>>) -> Option<ColumnSegment> {
-    let mut iters: Vec<std::iter::Peekable<Run<'_>>> =
-        runs.into_iter().map(Iterator::peekable).collect();
-    let mut seg = ColumnSegment::empty();
-    loop {
-        let mut min: Option<CellKey> = None;
-        for it in &mut iters {
-            if let Some((k, _)) = it.peek() {
-                min = Some(match min {
-                    None => *k,
-                    Some(m) => m.min(*k),
-                });
-            }
+/// K-way merge key-sorted runs into `sink`, adding up rows with equal
+/// keys by the exact cell algebra. What the sink sees depends only on the
+/// merged *content* (cell merge is commutative and associative), never on
+/// run order — which keeps partition merges commutative even when both
+/// sides carry segments.
+///
+/// The smallest head comes off a heap, so a row costs O(log runs) at most
+/// and a fold over tens of thousands of one-row runs stays linearithmic.
+/// While one run alone holds the smallest keys, everything it holds below
+/// the next-smallest head moves in one [`RowSink::rows`] /
+/// [`Run::drain_below`] step without touching the heap — so a lone run, of
+/// either kind, is a straight loop over its rows.
+pub(crate) fn merge_runs<S: RowSink>(mut runs: Vec<Run<'_>>, sink: &mut S) {
+    let mut heads: BinaryHeap<Reverse<(CellKey, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(r, run)| Some(Reverse((run.key()?, r))))
+        .collect();
+    // The key of the sink's last row while another run may still hold it.
+    let mut open: Option<CellKey> = None;
+    while let Some(Reverse((key, r))) = heads.pop() {
+        let bound = heads.peek().map(|Reverse((k, _))| *k);
+        let run = &mut runs[r];
+        if open == Some(key) {
+            run.pop(|row| sink.fold(row));
+        } else if bound == Some(key) {
+            run.pop(|row| sink.row(key, row));
+            open = Some(key);
+        } else {
+            run.drain_below(bound, sink);
+            open = None;
         }
-        let Some(key) = min else { break };
-        let mut acc: Option<Cell> = None;
-        for it in &mut iters {
-            while it.peek().is_some_and(|(k, _)| *k == key) {
-                let (_, c) = it.next().expect("peeked");
-                match &mut acc {
-                    Some(a) => a.merge(c),
-                    None => acc = Some(c),
-                }
-            }
+        if let Some(k) = run.key() {
+            heads.push(Reverse((k, r)));
         }
-        seg.push_row(key, &acc.expect("at least one run held the min key"));
     }
-    seg.finish()
+}
+
+/// [`merge_runs`] into one canonical segment; `None` when the runs hold no
+/// rows (empty segments are never stored).
+pub(crate) fn merge_to_segment(runs: Vec<Run<'_>>) -> Option<ColumnSegment> {
+    let mut sink = SegmentSink::new();
+    merge_runs(runs, &mut sink);
+    sink.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The merge as it was before rows moved by column, kept as the oracle:
+    /// the smallest head by a linear scan of the runs, every row rebuilt as
+    /// a [`Cell`], equal keys summed cell into cell.
+    fn merge_runs_by_row(mut runs: Vec<Run<'_>>) -> Option<ColumnSegment> {
+        let mut sink = SegmentSink::new();
+        while let Some(key) = runs.iter().filter_map(Run::key).min() {
+            let mut acc: Option<Cell> = None;
+            for run in &mut runs {
+                while run.key() == Some(key) {
+                    run.pop(|row| match &mut acc {
+                        Some(a) => a.merge(row.to_cell()),
+                        None => acc = Some(row.to_cell()),
+                    });
+                }
+            }
+            let cell = acc.expect("at least one run held the min key");
+            sink.row(key, RowRef::of(&cell));
+        }
+        sink.finish()
+    }
 
     fn key(bucket: u32, kind: u8, cause: u64) -> CellKey {
         CellKey {
@@ -560,8 +906,8 @@ mod tests {
             (key(3, 1, 0), cell(&[4_000])),
         ])
         .unwrap();
-        let ab = merge_runs(vec![Run::seg(&a), Run::seg(&b)]).unwrap();
-        let ba = merge_runs(vec![Run::seg(&b), Run::seg(&a)]).unwrap();
+        let ab = merge_to_segment(vec![Run::seg(&a), Run::seg(&b)]).unwrap();
+        let ba = merge_to_segment(vec![Run::seg(&b), Run::seg(&a)]).unwrap();
         assert_eq!(ab, ba);
         assert_eq!(ab.len(), 3);
         let (_, folded) = ab.rows().next().unwrap();
@@ -638,5 +984,133 @@ mod tests {
             ..Zones::default()
         };
         assert!(huge.may_match_value(2));
+    }
+
+    /// One content, one layout: a row without samples carries zero
+    /// extremes, so a copied `sk_min` / `sk_max` range is what a rebuilt
+    /// one would have been.
+    #[test]
+    fn decode_rejects_extremes_beside_an_empty_run() {
+        let mut seg = ColumnSegment::from_rows([(key(1, 0, 0), cell(&[]))]).unwrap();
+        let round_trip = |seg: &ColumnSegment| {
+            let mut bytes = Vec::new();
+            seg.encode(&mut bytes);
+            ColumnSegment::decode(&mut Reader::bare(&SC, &bytes))
+        };
+        assert_eq!(round_trip(&seg).as_ref(), Ok(&seg));
+        seg.sk_max[0] = 9;
+        assert_eq!(
+            round_trip(&seg),
+            Err(SC.invalid("extremes on an empty sketch run"))
+        );
+    }
+
+    /// One generated row: `(bucket, kind, which cause)` and the durations
+    /// folded into its cell — none at all is a zero-count `Cell::default()`
+    /// row, an empty pool slice between its neighbours'.
+    type RowParts = ((u32, u8, usize), Vec<u64>);
+    /// One generated input: its rows, the form it is fed in, and a bucket
+    /// shift (inputs under one shift interleave row by row, inputs under
+    /// different shifts do not overlap at all).
+    type InputParts = (Vec<RowParts>, usize, u32);
+
+    fn inputs_strategy() -> impl Strategy<Value = Vec<InputParts>> {
+        let row = (
+            (0u32..4, 0u8..3, 0usize..3),
+            prop::collection::vec(0u64..1 << 17, 0..4),
+        );
+        prop::collection::vec(
+            (prop::collection::vec(row, 0..10), 0usize..5, 0u32..3),
+            1..13,
+        )
+    }
+
+    fn build_input(rows: &[RowParts], shift: u32) -> BTreeMap<CellKey, Cell> {
+        let mut map: BTreeMap<CellKey, Cell> = BTreeMap::new();
+        for ((bucket, kind, cause), durations) in rows {
+            // Few distinct keys, so inputs share them in ones, twos and
+            // more; one cause is a raw value past 2^32.
+            let k = key(bucket + 4 * shift, *kind, [0, 3, 1 << 33][*cause]);
+            map.entry(k).or_default().merge(cell(durations));
+        }
+        map
+    }
+
+    /// The forms a caller feeds an input in: a map (borrowed or owned) or
+    /// a whole segment as it is, or — the bucket fold — one run per stored
+    /// bucket of either, presented under that bucket's rollup start
+    /// (rollup 2).
+    fn push_runs<'a>(
+        map: &'a BTreeMap<CellKey, Cell>,
+        seg: Option<&'a ColumnSegment>,
+        form: usize,
+        runs: &mut Vec<Run<'a>>,
+    ) {
+        let fold = |b: u32| Some(b / 2 * 2);
+        match (form, seg) {
+            (0, _) => runs.push(Run::map(map)),
+            (4, _) => runs.push(Run::owned(map.clone())),
+            (1, _) => {
+                let mut buckets: Vec<u32> = map.keys().map(|k| k.bucket).collect();
+                buckets.dedup();
+                for b in buckets {
+                    let range = map.range(CellKey::first_of(b)..CellKey::first_of(b + 1));
+                    runs.push(Run::map_range(range, fold(b)));
+                }
+            }
+            (_, None) => runs.push(Run::map(map)), // an empty input has no segment
+            (2, Some(seg)) => runs.push(Run::seg(seg)),
+            (_, Some(seg)) => {
+                let mut buckets = seg.buckets.clone();
+                buckets.dedup();
+                for b in buckets {
+                    let (i, j) = seg.bucket_range(b, b + 1);
+                    runs.push(Run::slice(seg, i..j, fold(b)));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// The kernel against the oracle: the same segment — columns, pool,
+        /// offsets, zones — and the same `SC` bytes, over 1–12 inputs in
+        /// every form, sharing keys or not, empty ones included.
+        #[test]
+        fn merge_runs_equals_the_row_by_row_merge(inputs in inputs_strategy()) {
+            let maps: Vec<BTreeMap<CellKey, Cell>> = inputs
+                .iter()
+                .map(|(rows, _, shift)| build_input(rows, *shift))
+                .collect();
+            let segs: Vec<Option<ColumnSegment>> = maps
+                .iter()
+                .map(|m| merge_to_segment(vec![Run::map(m)]))
+                .collect();
+            let runs = || {
+                let mut runs = Vec::new();
+                for ((map, seg), (_, form, _)) in maps.iter().zip(&segs).zip(&inputs) {
+                    push_runs(map, seg.as_ref(), *form, &mut runs);
+                }
+                runs
+            };
+            let by_column = merge_to_segment(runs());
+            let by_row = merge_runs_by_row(runs());
+            prop_assert_eq!(&by_column, &by_row);
+            let encode = |seg: &Option<ColumnSegment>| {
+                let mut bytes = Vec::new();
+                if let Some(seg) = seg {
+                    seg.encode(&mut bytes);
+                }
+                bytes
+            };
+            prop_assert_eq!(encode(&by_column), encode(&by_row));
+            // A lone input of any form is the same straight copy.
+            for (map, seg) in maps.iter().zip(&segs) {
+                for form in [0, 2, 4] {
+                    let mut lone = Vec::new();
+                    push_runs(map, seg.as_ref(), form, &mut lone);
+                    prop_assert_eq!(&merge_to_segment(lone), seg);
+                }
+            }
+        }
     }
 }

@@ -34,13 +34,14 @@
 //! Both are pure layout changes: answers, digests and merge results are
 //! identical whether a cell lives in the row or the columnar tier.
 
-use crate::columnar::{merge_runs, ColumnSegment, Run};
+use crate::columnar::{merge_runs, merge_to_segment, Agg, ColumnSegment, RowRef, RowSink, Run};
 use cellrel_ingest::codec::{unzigzag, zigzag};
 use cellrel_ingest::AcceptedSink;
 use cellrel_sim::{run_sharded, Digest64, Merge, SparseSketch};
 use cellrel_types::{DeviceId, FailureEvent, Isp, PhoneModelId};
 use cellrel_workload::{EventSink, Population};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Coarse geography dimension: the population model distinguishes urban
 /// from remote-region devices (§3.4's regional disparity analysis); records
@@ -159,15 +160,41 @@ impl CellKey {
         (self.cause != 0).then(|| unzigzag(self.cause - 1) as i32)
     }
 
-    fn absorb_into(&self, d: &mut Digest64) {
-        d.write_u64(u64::from(self.bucket));
-        d.write_u64(u64::from(self.kind));
-        d.write_u64(u64::from(self.isp));
-        d.write_u64(u64::from(self.rat));
-        d.write_u64(u64::from(self.model));
-        d.write_u64(u64::from(self.region));
-        d.write_u64(u64::from(self.cause_class));
-        d.write_u64(self.cause);
+    /// The smallest key of `bucket`: where that bucket's cells start in a
+    /// partition's ordered map.
+    pub(crate) fn first_of(bucket: u32) -> CellKey {
+        CellKey {
+            bucket,
+            kind: 0,
+            isp: 0,
+            rat: 0,
+            model: 0,
+            region: 0,
+            cause_class: 0,
+            cause: 0,
+        }
+    }
+
+    /// This key under `bucket` instead of its own, when one is given.
+    pub(crate) fn with_bucket(mut self, bucket: Option<u32>) -> CellKey {
+        if let Some(b) = bucket {
+            self.bucket = b;
+        }
+        self
+    }
+
+    /// The words a digest absorbs for this key.
+    fn words(&self) -> [u64; 8] {
+        [
+            u64::from(self.bucket),
+            u64::from(self.kind),
+            u64::from(self.isp),
+            u64::from(self.rat),
+            u64::from(self.model),
+            u64::from(self.region),
+            u64::from(self.cause_class),
+            self.cause,
+        ]
     }
 }
 
@@ -193,13 +220,6 @@ impl Cell {
             self.under_30s += 1;
         }
         self.sketch.push(duration_ms);
-    }
-
-    fn absorb_into(&self, d: &mut Digest64) {
-        d.write_u64(self.count);
-        d.write_u64(self.duration_ms_total);
-        d.write_u64(self.under_30s);
-        self.sketch.absorb_into(d);
     }
 
     /// [`Merge::merge`] without consuming the other cell — query-time group
@@ -385,60 +405,21 @@ impl Partition {
             return;
         }
         let before = self.physical_cells();
-        // Hot cells below the seal fold onto rollup starts and leave the
-        // row tier; open buckets stay hot and mutable.
-        let mut dissolved: BTreeMap<CellKey, Cell> = BTreeMap::new();
-        let mut open: BTreeMap<CellKey, Cell> = BTreeMap::new();
-        for (mut key, cell) in std::mem::take(&mut self.cells) {
-            if key.bucket < seal {
-                key.bucket = (key.bucket / rollup) * rollup;
-                match dissolved.get_mut(&key) {
-                    Some(c) => c.merge(cell),
-                    None => {
-                        dissolved.insert(key, cell);
-                    }
-                }
-            } else {
-                open.insert(key, cell);
-            }
-        }
-        self.cells = open;
-        // An existing run stays sorted under the fold only if the fold
-        // touches none of its rows (open bucket, or already aligned — the
-        // fold is then the identity). Runs with unaligned sealed rows
-        // (stream seals) dissolve into the fold map, which re-sorts them.
+        // Hot cells below the seal leave the row tier; open buckets stay
+        // hot and mutable.
+        let open = self.cells.split_off(&CellKey::first_of(seal));
+        let sealed_hot = std::mem::replace(&mut self.cells, open);
         let old = std::mem::take(&mut self.segments);
-        let stable: Vec<bool> = old
-            .iter()
-            .map(|s| s.buckets.iter().all(|&b| b >= seal || b % rollup == 0))
-            .collect();
-        for (seg, keep) in old.iter().zip(&stable) {
-            if *keep {
-                continue;
-            }
-            for (mut key, cell) in seg.rows() {
-                if key.bucket < seal {
-                    key.bucket = (key.bucket / rollup) * rollup;
-                }
-                match dissolved.get_mut(&key) {
-                    Some(c) => c.merge(cell),
-                    None => {
-                        dissolved.insert(key, cell);
-                    }
-                }
-            }
-        }
-        if dissolved.is_empty() && old.len() <= 1 && stable.iter().all(|&s| s) {
+        // The fold is the identity on a row in an open bucket or on a
+        // rollup start already; a lone run of such rows with nothing to
+        // add to it is already the answer.
+        let settled = |s: &ColumnSegment| s.buckets.iter().all(|&b| b >= seal || b % rollup == 0);
+        if sealed_hot.is_empty() && old.len() <= 1 && old.iter().all(settled) {
             self.segments = old; // already sealed: a no-op sweep
         } else {
-            let mut runs: Vec<Run<'_>> = vec![Run::Map(dissolved.into_iter())];
-            runs.extend(
-                old.iter()
-                    .zip(&stable)
-                    .filter(|(_, s)| **s)
-                    .map(|(seg, _)| Run::seg(seg)),
-            );
-            self.segments = merge_runs(runs).into_iter().collect();
+            let mut runs = Vec::new();
+            push_folded_runs(&sealed_hot, &old, Some(seal), rollup, &mut runs);
+            self.segments = merge_to_segment(runs).into_iter().collect();
         }
         self.cells_folded += (before - self.physical_cells()) as u64;
     }
@@ -468,9 +449,51 @@ impl Partition {
         }
         let hot = std::mem::take(&mut self.cells);
         let old = std::mem::take(&mut self.segments);
-        let mut runs: Vec<Run<'_>> = vec![Run::Map(hot.into_iter())];
+        let mut runs: Vec<Run<'_>> = vec![Run::owned(hot)];
         runs.extend(old.iter().map(Run::seg));
-        self.segments = merge_runs(runs).into_iter().collect();
+        self.segments = merge_to_segment(runs).into_iter().collect();
+    }
+}
+
+/// The runs that present `cells` and `segments` with every bucket below
+/// `seal` (every bucket, without one) folded onto its rollup start: one run
+/// per stored bucket, its rows' bucket overridden — each still sorted by the
+/// rest of the key, so the k-way merge re-sorts and sums the fold without
+/// taking a row apart — then each source's rows at or above the seal as
+/// they are.
+fn push_folded_runs<'a>(
+    cells: &'a BTreeMap<CellKey, Cell>,
+    segments: &'a [ColumnSegment],
+    seal: Option<u32>,
+    rollup: u32,
+    runs: &mut Vec<Run<'a>>,
+) {
+    let folds = |b: u32| seal.map_or(true, |s| b < s);
+    let mut next = cells.first_key_value().map(|(k, _)| k.bucket);
+    while let Some(b) = next {
+        let from = CellKey::first_of(b);
+        if !folds(b) {
+            runs.push(Run::map_range(cells.range(from..), None));
+            break;
+        }
+        let rest = b.checked_add(1).map(CellKey::first_of);
+        let bucket = match rest {
+            Some(to) => cells.range(from..to),
+            None => cells.range(from..),
+        };
+        runs.push(Run::map_range(bucket, Some((b / rollup) * rollup)));
+        next = rest.and_then(|to| cells.range(to..).next().map(|(k, _)| k.bucket));
+    }
+    for seg in segments {
+        let sealed = seal.map_or(seg.len(), |s| seg.buckets.partition_point(|&b| b < s));
+        let mut i = 0;
+        while i < sealed {
+            let b = seg.buckets[i];
+            let j = i + seg.buckets[i..sealed].partition_point(|&x| x == b);
+            runs.push(Run::slice(seg, i..j, Some((b / rollup) * rollup)));
+            i = j;
+        }
+        runs.push(Run::slice(seg, sealed..seg.len(), None));
     }
 }
 
@@ -493,7 +516,7 @@ impl Merge for Partition {
             let mine = std::mem::take(&mut self.segments);
             let mut runs: Vec<Run<'_>> = mine.iter().map(Run::seg).collect();
             runs.extend(o.segments.iter().map(Run::seg));
-            self.segments = merge_runs(runs).into_iter().collect();
+            self.segments = merge_to_segment(runs).into_iter().collect();
         } else if self.segments.is_empty() {
             self.segments = o.segments;
         }
@@ -611,9 +634,8 @@ impl Store {
     /// served view is built. Equal, field for field, to folding the parts
     /// with [`Merge::merge`] and calling [`Store::seal_columnar`], in any
     /// order of `parts`, but without a copy of any part and in a single
-    /// k-way pass per partition: every part's sealed run feeds
-    /// `merge_runs` by reference beside one run of the parts' row-tier
-    /// cells.
+    /// k-way pass per partition: every part's sealed run and every part's
+    /// row tier feeds `merge_runs` by reference, a run each.
     ///
     /// Panics, like `merge`, if a part was built under another config.
     pub fn sealed_union(cfg: &StoreConfig, parts: &[&Store]) -> Store {
@@ -625,11 +647,11 @@ impl Store {
             );
         }
         for (i, p) in out.partitions.iter_mut().enumerate() {
-            let mut hot: BTreeMap<CellKey, Cell> = BTreeMap::new();
+            let mut hot: Vec<Run<'_>> = Vec::new();
             let mut sealed: Vec<&ColumnSegment> = Vec::new();
             for o in parts.iter().map(|part| &part.partitions[i]) {
-                for (k, c) in &o.cells {
-                    hot.entry(*k).or_default().merge_ref(c);
+                if !o.cells.is_empty() {
+                    hot.push(Run::map(&o.cells));
                 }
                 sealed.extend(&o.segments);
                 p.merge_directory_and_counters(o);
@@ -637,13 +659,11 @@ impl Store {
             p.segments = match sealed[..] {
                 // A lone segment is already the canonical run of its
                 // content (a follower's sealed base, a view partition
-                // nothing new landed in): copy the columns instead of
-                // re-materialising every row.
+                // nothing new landed in): copy it, zones and all.
                 [only] if hot.is_empty() && !only.is_empty() => vec![only.clone()],
                 _ => {
-                    let mut runs: Vec<Run<'_>> = sealed.into_iter().map(Run::seg).collect();
-                    runs.push(Run::Map(hot.into_iter()));
-                    merge_runs(runs).into_iter().collect()
+                    hot.extend(sealed.into_iter().map(Run::seg));
+                    merge_to_segment(hot).into_iter().collect()
                 }
             };
         }
@@ -712,35 +732,37 @@ impl Store {
 
     /// Content digest over the **canonical rolled-up view**: every cell's
     /// bucket is folded to its rollup boundary and all partitions are
-    /// merged into one ordered map before hashing. Physical layout —
-    /// thread count, partition count, whether compaction ran — therefore
-    /// cannot affect it; only the recorded data can.
+    /// merged into one key order before hashing — the fold
+    /// [`Store::compact`] makes, run over everything and into a hash
+    /// instead of a segment. Physical layout — thread count, partition
+    /// count, whether compaction ran — therefore cannot affect it; only
+    /// the recorded data can.
     pub fn digest(&self) -> u64 {
-        let rollup = self.cfg.rollup_buckets;
-        let mut canon: BTreeMap<CellKey, Cell> = BTreeMap::new();
+        let mut runs = Vec::new();
+        for p in &self.partitions {
+            push_folded_runs(
+                &p.cells,
+                &p.segments,
+                None,
+                self.cfg.rollup_buckets,
+                &mut runs,
+            );
+        }
+        let mut canon = CanonWords::default();
+        merge_runs(runs, &mut canon);
+        canon.close();
+        self.digest_of(canon.cells, |d| {
+            for &w in &canon.words {
+                d.write_u64(w);
+            }
+        })
+    }
+
+    /// The digest around its canonical cells: config, the cell count,
+    /// whatever `cells` absorbs, then the merged device directory.
+    fn digest_of(&self, count: u64, cells: impl FnOnce(&mut Digest64)) -> u64 {
         let mut devices: BTreeMap<u32, DeviceRec> = BTreeMap::new();
         for p in &self.partitions {
-            for (k, c) in &p.cells {
-                let mut key = *k;
-                key.bucket = (key.bucket / rollup) * rollup;
-                match canon.get_mut(&key) {
-                    Some(mine) => mine.merge_ref(c),
-                    None => {
-                        canon.insert(key, c.clone());
-                    }
-                }
-            }
-            for seg in &p.segments {
-                for (mut key, cell) in seg.rows() {
-                    key.bucket = (key.bucket / rollup) * rollup;
-                    match canon.get_mut(&key) {
-                        Some(mine) => mine.merge(cell),
-                        None => {
-                            canon.insert(key, cell);
-                        }
-                    }
-                }
-            }
             for (&id, &rec) in &p.devices {
                 match devices.get_mut(&id) {
                     Some(mine) => mine.merge(rec),
@@ -752,12 +774,9 @@ impl Store {
         }
         let mut d = Digest64::new();
         d.write_u64(self.cfg.bucket_ms);
-        d.write_u64(u64::from(rollup));
-        d.write_u64(canon.len() as u64);
-        for (k, c) in &canon {
-            k.absorb_into(&mut d);
-            c.absorb_into(&mut d);
-        }
+        d.write_u64(u64::from(self.cfg.rollup_buckets));
+        d.write_u64(count);
+        cells(&mut d);
         d.write_u64(devices.len() as u64);
         for (&id, rec) in &devices {
             d.write_u64(u64::from(id));
@@ -767,6 +786,64 @@ impl Store {
             d.write_u64(rec.failures);
         }
         d.finish()
+    }
+}
+
+/// The sink behind [`Store::digest`]: the words of every canonical cell —
+/// key, count, duration total, under-30 s, then the sketch as
+/// [`SparseSketch::absorb_into`] writes it — in key order. They wait in a
+/// flat buffer because the digest absorbs the cell count before the first
+/// cell, and only the end of the merge knows it.
+#[derive(Default)]
+struct CanonWords {
+    words: Vec<u64>,
+    cells: u64,
+    /// The last `row`, kept apart while further runs may still fold into
+    /// it; its sketch run is all of `run`.
+    open: Option<(CellKey, Agg)>,
+    run: Vec<(u32, u64)>,
+    scratch: Vec<(u32, u64)>,
+}
+
+impl CanonWords {
+    fn write(words: &mut Vec<u64>, key: CellKey, RowRef { agg, run }: RowRef<'_>) {
+        words.extend_from_slice(&key.words());
+        words.extend_from_slice(&[agg.count, agg.duration_total, agg.under_30s]);
+        words.push(run.iter().map(|&(_, n)| n).sum());
+        words.extend_from_slice(&[agg.min, agg.max]);
+        words.extend(run.iter().flat_map(|&(i, n)| [u64::from(i), n]));
+    }
+
+    /// Write the open row out, if there is one.
+    fn close(&mut self) {
+        if let Some((key, agg)) = self.open.take() {
+            let run = &self.run;
+            Self::write(&mut self.words, key, RowRef { agg, run });
+        }
+    }
+}
+
+impl RowSink for CanonWords {
+    fn row(&mut self, key: CellKey, row: RowRef<'_>) {
+        self.close();
+        self.cells += 1;
+        self.open = Some((key, row.agg));
+        self.run.clear();
+        self.run.extend_from_slice(row.run);
+    }
+
+    fn fold(&mut self, row: RowRef<'_>) {
+        let (_, sum) = self.open.as_mut().expect("fold follows a row");
+        sum.fold(row, &mut self.run, 0, &mut self.scratch);
+    }
+
+    fn rows(&mut self, seg: &ColumnSegment, rows: Range<usize>, bucket: Option<u32>) {
+        self.close();
+        self.cells += rows.len() as u64;
+        for i in rows {
+            let key = seg.key_at(i).with_bucket(bucket);
+            Self::write(&mut self.words, key, seg.row_at(i));
+        }
     }
 }
 
@@ -890,6 +967,34 @@ mod tests {
         }
     }
 
+    impl Store {
+        /// The digest as it was before it read the merge kernel, kept as
+        /// the oracle: every cell cloned into one ordered map under its
+        /// folded key, then hashed.
+        fn digest_by_tree(&self) -> u64 {
+            let rollup = self.cfg.rollup_buckets;
+            let mut canon: BTreeMap<CellKey, Cell> = BTreeMap::new();
+            for p in &self.partitions {
+                let hot = p.cells.iter().map(|(k, c)| (*k, c.clone()));
+                for (mut key, cell) in hot.chain(p.segments.iter().flat_map(|s| s.rows())) {
+                    key.bucket = (key.bucket / rollup) * rollup;
+                    canon.entry(key).or_default().merge(cell);
+                }
+            }
+            self.digest_of(canon.len() as u64, |d| {
+                for (k, c) in &canon {
+                    for w in k.words() {
+                        d.write_u64(w);
+                    }
+                    d.write_u64(c.count);
+                    d.write_u64(c.duration_ms_total);
+                    d.write_u64(c.under_30s);
+                    c.sketch.absorb_into(d);
+                }
+            })
+        }
+    }
+
     fn small_events(n: u32) -> Vec<FailureEvent> {
         (0..n)
             .map(|i| {
@@ -959,6 +1064,108 @@ mod tests {
         );
         assert!(auto.compactions() > 0);
         assert_eq!(auto.digest(), base.digest());
+    }
+
+    /// The kernel-fed digest against the tree oracle, on every layout a
+    /// store takes: row tier only, compacted (sealed run + open hot
+    /// buckets), fully sealed, and a sealed history with a hot tail.
+    #[test]
+    fn digest_equals_the_tree_digest_on_every_layout() {
+        let events = small_events(600);
+        let dir = DeviceDirectory::default();
+        let mut seen = Vec::new();
+        for partitions in [1usize, 4, 16] {
+            let cfg = StoreConfig {
+                partitions,
+                ..StoreConfig::default()
+            };
+            let hot = build_sharded(&cfg, &dir, &events, 1);
+            let mut compacted = hot.clone();
+            compacted.compact();
+            let mut sealed = hot.clone();
+            sealed.seal_columnar();
+            let mut mixed = build_sharded(&cfg, &dir, &events[..400], 1);
+            mixed.seal_columnar();
+            for e in &events[400..] {
+                mixed.record(e, dir.dim_of(e.device));
+            }
+            assert!(mixed.sealed_cells() > 0 && mixed.sealed_cells() < mixed.cells());
+            for (layout, s) in [
+                ("hot", &hot),
+                ("compacted", &compacted),
+                ("sealed", &sealed),
+                ("mixed", &mixed),
+            ] {
+                assert_eq!(s.digest(), s.digest_by_tree(), "{layout} x{partitions}");
+                seen.push(s.digest());
+            }
+        }
+        assert!(
+            seen.iter().all(|&d| d == seen[0]),
+            "one content, one digest"
+        );
+        let empty = Store::new(&StoreConfig::default());
+        assert_eq!(empty.digest(), empty.digest_by_tree());
+        // The last bucket there is (start times past it clamp onto it) has
+        // no successor to bound its run by.
+        let mut edge = Store::new(&StoreConfig {
+            bucket_ms: 1,
+            ..StoreConfig::default()
+        });
+        for start_s in [1, 5_000_000, 6_000_000] {
+            let e = ev(3, start_s, 2, FailureKind::DataStall, None);
+            edge.record(&e, dir.dim_of(e.device));
+        }
+        let last = edge.partitions[3].cells.keys().next_back().unwrap().bucket;
+        assert_eq!(last, u32::MAX);
+        let want = edge.digest_by_tree();
+        assert_eq!(edge.digest(), want);
+        edge.compact();
+        assert_eq!((edge.cells(), edge.sealed_cells()), (2, 1));
+        assert_eq!(edge.digest(), want);
+    }
+
+    /// A sealed run holding one row per bucket over 50 000 buckets — what
+    /// the 1 s geometry of the stream tests seals, and what a follower can
+    /// be shipped — folds as 50 000 one-row runs. Picking the smallest head
+    /// off a heap keeps that linearithmic and this test at a tenth of a
+    /// second; a scan of the heads per row is 2.5 · 10⁹ key compares here,
+    /// minutes in the test profile, and fails it by timeout.
+    #[test]
+    fn folding_fifty_thousand_one_row_buckets_is_not_quadratic() {
+        let cfg = StoreConfig {
+            bucket_ms: 1_000,
+            rollup_buckets: 4,
+            partitions: 1,
+            auto_compact_every: 0,
+        };
+        let dir = DeviceDirectory::default();
+        let mut s = Store::new(&cfg);
+        for t in 0..50_000u64 {
+            let e = ev(0, t, 1 + t % 40, FailureKind::DataStall, None);
+            s.record(&e, dir.dim_of(e.device));
+        }
+        s.seal_columnar();
+        assert_eq!(s.sealed_cells(), 50_000);
+        let want_digest = s.digest_by_tree();
+        // The fold through a tree: rows re-keyed, re-sorted and summed by
+        // `from_rows`' ordered map.
+        let seal = 49_999 / 4 * 4;
+        let want =
+            ColumnSegment::from_rows(s.partitions[0].segments[0].rows().map(|(mut k, c)| {
+                if k.bucket < seal {
+                    k.bucket = k.bucket / 4 * 4;
+                }
+                (k, c)
+            }));
+
+        assert_eq!(s.digest(), want_digest);
+        s.compact();
+        assert_eq!(s.digest(), want_digest);
+
+        assert_eq!(s.partitions[0].segments, Vec::from_iter(want));
+        assert_eq!(s.cells(), 12_503, "12 499 rollup rows and 4 open ones");
+        assert_eq!(s.cells_folded(), 50_000 - 12_503);
     }
 
     #[test]

@@ -578,6 +578,14 @@ pub(crate) mod tests {
         assert_eq!(restored.collector_digest(), live.collector_digest());
         assert_eq!(restored.manifest(), live.manifest());
         assert_eq!(segs, segs2, "persisted segment bytes identical");
+        // The fence for whoever folds `load`'s replay once instead of per
+        // segment: a restored base must keep the live base's layout and
+        // fold counters, not only its content.
+        assert_eq!(
+            cellrel_store::save_store(&restored.store()),
+            cellrel_store::save_store(&live.store()),
+            "served view image identical"
+        );
         let mut rc = *restored.counters();
         rc.restores = 0;
         assert_eq!(rc, *live.counters());

@@ -16,8 +16,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use cellrel::ingest::frame::crc32;
 use cellrel::ingest::CollectorConfig;
-use cellrel::store::{DeviceDirectory, StoreConfig};
+use cellrel::store::{save_store, DeviceDirectory, StoreConfig};
 use cellrel::stream::{
     batches_from_events, MemSegments, SegmentKind, StreamConfig, StreamPipeline,
 };
@@ -40,7 +41,9 @@ fn golden_path() -> PathBuf {
         .join("../../tests/golden/stream_manifest_seed2021.txt")
 }
 
-fn render_manifest() -> String {
+/// Run the seed-2021 fleet through a pipeline to the end of the stream and
+/// hand the flushed pipeline (and the batch count) to `read`.
+fn with_flushed_pipeline<T>(read: impl FnOnce(&StreamPipeline<'_>, usize) -> T) -> T {
     let data = run_macro_study(&StudyConfig {
         seed: 2021,
         population: PopulationConfig {
@@ -60,7 +63,11 @@ fn render_manifest() -> String {
         p.offer(b, &mut segs).expect("offer");
     }
     p.flush(&mut segs).expect("flush");
+    read(&p, batches.len())
+}
 
+fn render(p: &StreamPipeline<'_>, batches: usize) -> String {
+    let cfg = stream_cfg();
     let mut out = String::new();
     let _ = writeln!(out, "# stream window-seal manifest (seed 2021)");
     let _ = writeln!(
@@ -68,7 +75,7 @@ fn render_manifest() -> String {
         "config: window_ms={} lateness_ms={} batch_cap=48",
         cfg.window_ms, cfg.lateness_ms
     );
-    let _ = writeln!(out, "batches: {}", batches.len());
+    let _ = writeln!(out, "batches: {batches}");
     let _ = writeln!(
         out,
         "\n## manifest (kind window watermark_ms records digest)\n"
@@ -101,7 +108,7 @@ fn render_manifest() -> String {
 
 #[test]
 fn stream_manifest_matches_golden_snapshot() {
-    let actual = render_manifest();
+    let actual = with_flushed_pipeline(render);
     let path = golden_path();
 
     if std::env::var_os("CELLREL_BLESS").is_some() {
@@ -137,4 +144,32 @@ fn stream_manifest_matches_golden_snapshot() {
             ),
         }
     }
+}
+
+/// The physical layout the manifest snapshot does not pin: how many cells
+/// the 31 base folds left where, and the bytes of the served view's image.
+/// A fold that merges, slices or counts differently moves these while every
+/// digest stays put. Values recorded before ISSUE 21 touched `merge_runs`.
+#[test]
+fn served_view_layout_is_pinned() {
+    let (layout, image_crc) = with_flushed_pipeline(|p, _| {
+        let s = p.store();
+        (
+            (
+                s.cells(),
+                s.sealed_cells(),
+                s.sealed_segments(),
+                s.compactions(),
+                s.cells_folded(),
+            ),
+            // Without the image's own CRC trailer: a CRC over a frame that
+            // ends in its CRC is the same residue whatever the frame says.
+            {
+                let image = save_store(&s);
+                crc32(&image[..image.len() - 4])
+            },
+        )
+    });
+    assert_eq!(layout, (30_059, 30_059, 16, 1_392, 7_686));
+    assert_eq!(image_crc, 0xda14_7b1b);
 }
