@@ -16,7 +16,7 @@ use crate::proto::{self, Message};
 use crate::router;
 use cellrel_queryd::QuerydCore;
 use cellrel_store::{DeviceDirectory, Store};
-use cellrel_stream::{MemSegments, SegmentEntry, StreamConfig, StreamPipeline};
+use cellrel_stream::{MemSegments, StreamConfig, StreamPipeline};
 
 /// One shard's write path: pipeline, durable segments, replication log.
 pub struct ShardLeader<'d> {
@@ -134,16 +134,26 @@ impl<'d> ShardLeader<'d> {
 
     /// Ship every manifest entry past the log head; optionally close the
     /// batch of frames with a checkpoint so followers can always restore.
+    ///
+    /// The entries the last offer sealed ship the very bytes `seal` wrote
+    /// ([`StreamPipeline::sealed_frames`]). Only entries older than that —
+    /// left behind by a ship that failed — are read back from the backend
+    /// and verified first, as every [`catchup`](Self::catchup) frame is.
+    /// Either way the follower verifies a frame before it applies it.
     fn ship(&mut self, checkpoint: bool) -> Result<Vec<Vec<u8>>, ClusterError> {
-        let mut frames = Vec::new();
-        let pending: Vec<SegmentEntry> = self.pipeline.manifest_suffix(self.shipped).to_vec();
-        for entry in pending {
-            let bytes = self.pipeline.export_segment(&entry, &self.segs)?;
+        let pending = self.pipeline.manifest_suffix(self.shipped);
+        let sealed = self.pipeline.sealed_frames();
+        let (older, fresh) = pending.split_at(pending.len().saturating_sub(sealed.len()));
+        let read_back = older
+            .iter()
+            .map(|entry| self.pipeline.export_segment(entry, &self.segs));
+        let fresh = sealed[sealed.len() - fresh.len()..].iter();
+        let mut frames = Vec::with_capacity(pending.len() + usize::from(checkpoint));
+        for frame in read_back.chain(fresh.cloned().map(Ok)) {
+            let frame = frame?;
             self.shipped += 1;
-            frames.push(proto::encode_frame(&Message::ShipSegment {
-                seq: self.shipped as u64,
-                frame: bytes,
-            }));
+            let seq = self.shipped as u64;
+            frames.push(proto::encode_frame(&Message::ShipSegment { seq, frame }));
         }
         if checkpoint {
             frames.push(proto::encode_frame(&Message::ShipCheckpoint {
@@ -186,5 +196,109 @@ impl<'d> ShardLeader<'d> {
             frames.push(self.pipeline.export_segment(entry, &self.segs)?);
         }
         Ok(Message::Segments { from_seq, frames })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::tests::fixture;
+    use crate::replica::Follower;
+    use cellrel_stream::StreamError;
+
+    fn segment_of(frame: &[u8]) -> Option<Vec<u8>> {
+        match proto::decode_frame(frame).expect("own frame") {
+            Message::ShipSegment { frame, .. } => Some(frame),
+            _ => None,
+        }
+    }
+
+    /// The leader ships the bytes it sealed, so damage done to its backend
+    /// *after* a segment shipped cannot stall replication — while a
+    /// catch-up, which has nothing but the backend to read, still refuses
+    /// to hand the damaged copy out.
+    #[test]
+    fn a_backend_copy_damaged_after_shipping_stops_catchup_not_the_log() {
+        let (dir, batches, cfg) = fixture();
+        let mut leader = ShardLeader::new(&cfg, &dir, 0, 4).expect("leader");
+        let mut follower = Follower::new(&cfg, &dir, 0);
+        let mut offers = batches.iter();
+        for b in offers.by_ref() {
+            for frame in leader.offer(b).expect("offer") {
+                follower.apply(&frame);
+            }
+            if leader.shipped() > 0 {
+                break;
+            }
+        }
+        assert!(matches!(leader.catchup(0), Ok(Message::Segments { .. })));
+        let first = leader.pipeline.manifest()[0].name();
+        let copy = leader.segs.raw_mut().get_mut(&first).expect("persisted");
+        let mid = copy.len() / 2;
+        copy[mid] ^= 0x10;
+
+        let mut frames = Vec::new();
+        for b in offers {
+            frames.extend(leader.offer(b).expect("offer after the damage"));
+        }
+        frames.extend(leader.flush().expect("flush after the damage"));
+        for frame in &frames {
+            let reply = proto::decode_frame(&follower.apply(frame)).expect("reply decodes");
+            assert!(matches!(reply, Message::Ack { .. }), "{reply:?}");
+        }
+        assert!(leader.shipped() > 1);
+        assert_eq!(follower.applied(), leader.shipped());
+        assert!(matches!(
+            leader.catchup(0),
+            Err(ClusterError::Stream(StreamError::Frame(_)))
+        ));
+        // Over the wire, to a replica that starts from nothing.
+        let request = Follower::new(&cfg, &dir, 0).catchup_request();
+        let reply = proto::decode_frame(&leader.handle(&request));
+        assert!(
+            matches!(reply, Ok(Message::Rejection { code, .. }) if code == proto::ERR_APPLY),
+            "{reply:?}"
+        );
+        // Past the damaged entry the backend is intact.
+        assert!(matches!(leader.catchup(1), Ok(Message::Segments { .. })));
+    }
+
+    /// A leader behind its own manifest (an earlier ship failed part-way)
+    /// ships the entries older than the last offer read back and verified,
+    /// then the last offer's as sealed — one log, in order.
+    #[test]
+    fn entries_older_than_the_last_offer_are_read_back_in_log_order() {
+        let (dir, batches, cfg) = fixture();
+        let mut leader = ShardLeader::new(&cfg, &dir, 0, 0).expect("leader");
+        let mut shipped = Vec::new();
+        let mut last_sealed = 0;
+        for b in &batches {
+            let frames = leader.offer(b).expect("offer");
+            let sealed = frames.iter().filter_map(|f| segment_of(f));
+            last_sealed = sealed.clone().count();
+            shipped.extend(sealed);
+            if shipped.len() >= 3 && last_sealed > 0 {
+                break;
+            }
+        }
+        assert!(shipped.len() >= 3);
+        assert_eq!(leader.pipeline.sealed_frames().len(), last_sealed);
+        assert!(last_sealed < shipped.len(), "some entries are older");
+        leader.shipped = 0;
+        let again: Vec<Vec<u8>> = leader
+            .ship(false)
+            .expect("ship")
+            .iter()
+            .filter_map(|f| segment_of(f))
+            .collect();
+        assert_eq!(again, shipped);
+        // An older entry whose backend copy is gone is the typed error.
+        leader.shipped = 0;
+        let first = leader.pipeline.manifest()[0].name();
+        leader.segs.raw_mut().remove(&first);
+        assert!(matches!(
+            leader.ship(false),
+            Err(ClusterError::Stream(StreamError::SegmentMissing(_)))
+        ));
     }
 }

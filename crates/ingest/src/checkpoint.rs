@@ -24,30 +24,46 @@
 //! Sketches serialize sparsely — only non-empty buckets, with delta-coded
 //! indices — and are held sparsely once restored, so an idle shard costs a
 //! handful of bytes on the wire and in memory. The first sketch of an `agg`
-//! is the all-kinds one: the collector derives it from the five per-kind
-//! sketches that follow, and restore refuses a frame where it is anything
-//! but their bucket sum. Restore is total: corrupt or truncated checkpoints
+//! is the all-kinds one: the collector never holds it — it is written as a
+//! five-way walk of the per-kind sketches that follow — and restore
+//! refuses a frame where it is anything but their bucket sum. A shard's
+//! `(device, seq)` pairs come in strictly ascending device order, as the
+//! map they are written from holds them; restore refuses any other, so one
+//! collector state has one frame. Restore is total: corrupt or truncated checkpoints
 //! yield a [`FrameError`], never a panic or a half-restored collector.
 
 use crate::collector::{Collector, IngestAggregate, IngestCounters, ShardState};
 use crate::frame::{seal, write_varint, FrameError, Reader, CK};
-use cellrel_sim::sketch::SparseSketch;
+use cellrel_sim::sketch::{sum_of_runs, SparseSketch};
 use std::collections::BTreeMap;
 
 /// Current checkpoint format version.
 pub const CKPT_VERSION: u8 = 1;
 
-fn write_sketch(out: &mut Vec<u8>, s: &SparseSketch) {
-    write_varint(out, s.count());
-    write_varint(out, s.min().unwrap_or(0));
-    write_varint(out, s.max().unwrap_or(0));
-    write_varint(out, s.nnz() as u64);
-    let mut prev = 0usize;
-    for (i, c) in s.nonzero_buckets() {
-        write_varint(out, (i - prev) as u64);
+/// One `sketch` of the grammar above: its header, then `nnz` pairs
+/// delta-coded in ascending bucket order.
+fn write_sketch(
+    out: &mut Vec<u8>,
+    (count, min, max): (u64, u64, u64),
+    nnz: usize,
+    pairs: impl Iterator<Item = (u32, u64)>,
+) {
+    write_varint(out, count);
+    write_varint(out, min);
+    write_varint(out, max);
+    write_varint(out, nnz as u64);
+    let mut prev = 0u32;
+    for (i, c) in pairs {
+        write_varint(out, u64::from(i - prev));
         prev = i;
         write_varint(out, c);
     }
+}
+
+/// The `(count, min, max)` a sketch's wire header carries: zero extremes
+/// beside no samples.
+fn header(s: &SparseSketch) -> (u64, u64, u64) {
+    (s.count(), s.min().unwrap_or(0), s.max().unwrap_or(0))
 }
 
 fn read_sketch(r: &mut Reader<'_>) -> Result<SparseSketch, FrameError> {
@@ -56,7 +72,7 @@ fn read_sketch(r: &mut Reader<'_>) -> Result<SparseSketch, FrameError> {
     let max = r.varint()?;
     // Each pair costs ≥ 2 bytes on the wire.
     let nnz = r.count("sketch nnz", 2)?;
-    let mut pairs = Vec::with_capacity(nnz);
+    let mut run = Vec::with_capacity(nnz);
     let mut index = 0u64;
     for i in 0..nnz {
         let delta = r.varint()?;
@@ -64,14 +80,32 @@ fn read_sketch(r: &mut Reader<'_>) -> Result<SparseSketch, FrameError> {
             return Err(r.invalid("sketch index delta"));
         }
         index = index.checked_add(delta).ok_or(r.invalid("sketch index"))?;
-        let c = r.varint()?;
-        pairs.push((index as usize, c));
+        // An index past `u32` is past every bucket too: it saturates, and
+        // the validator below refuses it with the rest.
+        run.push((u32::try_from(index).unwrap_or(u32::MAX), r.varint()?));
     }
-    let s = SparseSketch::from_parts(min, max, pairs).ok_or(r.invalid("sketch buckets"))?;
+    let s = SparseSketch::from_run(min, max, run).ok_or(r.invalid("sketch buckets"))?;
     if s.count() != count {
         return Err(r.invalid("sketch count"));
     }
     Ok(s)
+}
+
+/// The wire header of an aggregate's all-kinds sketch, which is never
+/// built: the per-kind counts summed, the outermost of their extremes.
+/// `None` when the counts do not sum to a `u64` (only a forged frame's).
+fn all_kinds_header(kinds: &[SparseSketch; 5]) -> Option<(u64, u64, u64)> {
+    let count = kinds
+        .iter()
+        .try_fold(0u64, |n, s| n.checked_add(s.count()))?;
+    let min = kinds.iter().filter_map(SparseSketch::min).min();
+    let max = kinds.iter().filter_map(SparseSketch::max).max();
+    Some((count, min.unwrap_or(0), max.unwrap_or(0)))
+}
+
+/// The buckets of that sketch: the five-way sum of the per-kind runs.
+fn all_kinds_buckets(kinds: &[SparseSketch; 5]) -> impl Iterator<Item = (u32, u64)> + Clone + '_ {
+    sum_of_runs(std::array::from_fn::<_, 5, _>(|k| kinds[k].as_run().2))
 }
 
 fn write_agg(out: &mut Vec<u8>, a: &IngestAggregate) {
@@ -82,9 +116,11 @@ fn write_agg(out: &mut Vec<u8>, a: &IngestAggregate) {
     write_varint(out, a.duration_ms_total);
     write_varint(out, a.under_30s);
     write_varint(out, a.max_duration_ms);
-    write_sketch(out, &a.sketch_all());
+    let all = all_kinds_header(&a.sketch_by_kind).expect("a collector counts in u64");
+    let buckets = all_kinds_buckets(&a.sketch_by_kind);
+    write_sketch(out, all, buckets.clone().count(), buckets);
     for s in &a.sketch_by_kind {
-        write_sketch(out, s);
+        write_sketch(out, header(s), s.nnz(), s.as_run().2.iter().copied());
     }
 }
 
@@ -108,7 +144,11 @@ fn read_agg(r: &mut Reader<'_>) -> Result<IngestAggregate, FrameError> {
     for s in &mut a.sketch_by_kind {
         *s = read_sketch(r)?;
     }
-    if all != a.sketch_all() {
+    // The all-kinds sketch is the bucket sum of the five: checked pair by
+    // pair against the walk that would write it, never built to compare.
+    let matches = all_kinds_header(&a.sketch_by_kind) == Some(header(&all))
+        && all_kinds_buckets(&a.sketch_by_kind).eq(all.as_run().2.iter().copied());
+    if !matches {
         return Err(r.invalid("all-kinds sketch"));
     }
     Ok(a)
@@ -198,17 +238,22 @@ pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, FrameError> {
         let watermark_ms = r.varint()?;
         // Each entry costs ≥ 2 bytes.
         let nseq = r.count("nseq", 2)?;
-        let mut last_seq = BTreeMap::new();
+        let mut last_seq: Vec<(u32, u64)> = Vec::with_capacity(nseq);
         for _ in 0..nseq {
             let dev = r.narrow("device")?;
-            let seq = r.varint()?;
-            last_seq.insert(dev, seq);
+            // `encode_shard` walks a map: ids ascend. A frame where they do
+            // not would restore to a collector that re-encodes to other bytes.
+            if last_seq.last().is_some_and(|&(prev, _)| dev <= prev) {
+                return Err(r.invalid("device order"));
+            }
+            last_seq.push((dev, r.varint()?));
         }
         let agg = read_agg(&mut r)?;
         shards.push(ShardState {
             agg,
             counters: k,
-            last_seq,
+            // Sorted input: one bulk build, no per-key descent.
+            last_seq: BTreeMap::from_iter(last_seq),
             watermark_ms,
             section: Default::default(),
         });
@@ -347,6 +392,105 @@ mod tests {
             restore_checkpoint(&bytes),
             Err(CK.error(FrameErrorKind::UnsupportedVersion(99)))
         );
+    }
+
+    /// Regression: `restore` inserted a shard's `(device, seq)` pairs into
+    /// a map one by one, so a CRC-valid frame whose ids repeat or descend
+    /// restored — last pair wins — into a collector that re-encodes to
+    /// other bytes than it was restored from. One state, one frame.
+    #[test]
+    fn device_ids_that_repeat_or_descend_are_refused() {
+        let one_shard = |pairs: &[(u32, u64)]| {
+            let mut out = Vec::new();
+            let start = CK.begin(&mut out, CKPT_VERSION);
+            // One shard, no lateness, nothing unroutable; nine counters and
+            // a watermark of zero.
+            out.extend_from_slice(&[1, 0, 0]);
+            out.extend_from_slice(&[0; 10]);
+            write_varint(&mut out, pairs.len() as u64);
+            for &(dev, seq) in pairs {
+                write_varint(&mut out, u64::from(dev));
+                write_varint(&mut out, seq);
+            }
+            // An empty aggregate: 16 counts, then six empty sketches.
+            out.extend_from_slice(&[0; 16 + 6 * 4]);
+            seal(&mut out, start);
+            out
+        };
+        let canonical = one_shard(&[(3, 9), (5, 1), (70_000, 2)]);
+        let restored = restore_checkpoint(&canonical).expect("ascending ids restore");
+        assert_eq!(save_checkpoint(&restored), canonical);
+        for forged in [
+            one_shard(&[(5, 1), (3, 9), (70_000, 2)]),
+            one_shard(&[(3, 9), (5, 1), (5, 7)]),
+            one_shard(&[(0, 1), (0, 1)]),
+        ] {
+            assert_eq!(restore_checkpoint(&forged), Err(CK.invalid("device order")));
+        }
+    }
+
+    /// Write `a` as `write_agg` does, but with `all` where the all-kinds
+    /// sketch goes.
+    fn agg_bytes_with(a: &IngestAggregate, all: &SparseSketch) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_agg(&mut out, &IngestAggregate::default());
+        out.truncate(16); // the scalar fields; no test reads them
+        for s in std::iter::once(all).chain(&a.sketch_by_kind) {
+            write_sketch(&mut out, header(s), s.nnz(), s.as_run().2.iter().copied());
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// The pair-by-pair check against the comparison it replaced:
+        /// `read_agg` accepts an all-kinds sketch exactly when it equals
+        /// `sketch_all()`, on random aggregates (idle kinds included) and on
+        /// forgeries one sample off — a neighbouring bucket, a moved
+        /// extreme, a count one too high — and `write_agg` writes the one
+        /// it accepts.
+        #[test]
+        fn the_five_way_check_is_equality_with_sketch_all(
+            parts in proptest::collection::vec(
+                proptest::collection::vec((0u32..50, proptest::prelude::any::<u64>()), 0..10),
+                5,
+            ),
+            forgery in 0usize..4,
+            at in 0usize..1 << 16,
+        ) {
+            let mut a = IngestAggregate::default();
+            let mut samples = Vec::new();
+            for (s, part) in a.sketch_by_kind.iter_mut().zip(&parts) {
+                for &(shift, v) in part {
+                    s.push(v >> shift);
+                    samples.push(v >> shift);
+                }
+            }
+            let n = samples.len().max(1);
+            match forgery {
+                1 if !samples.is_empty() => {
+                    samples[at % n] = samples[at % n].saturating_add(1 + samples[at % n] / 100)
+                }
+                2 if !samples.is_empty() => samples[at % n] /= 2,
+                3 => samples.push(at as u64),
+                _ => {}
+            }
+            let mut all = SparseSketch::new();
+            for &v in &samples {
+                all.push(v);
+            }
+            let bytes = agg_bytes_with(&a, &all);
+            let mut r = Reader::bare(&CK, &bytes);
+            let read = read_agg(&mut r);
+            if all == a.sketch_all() {
+                proptest::prop_assert_eq!(read.as_ref(), Ok(&a));
+                proptest::prop_assert_eq!(r.finish(), Ok(()));
+                let mut written = Vec::new();
+                write_agg(&mut written, &a);
+                proptest::prop_assert_eq!(written, bytes);
+            } else {
+                proptest::prop_assert_eq!(read, Err(CK.invalid("all-kinds sketch")));
+            }
+        }
     }
 
     /// Regression: a ~25-byte CRC-valid frame claiming 2^20 shards used to

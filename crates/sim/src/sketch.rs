@@ -432,6 +432,37 @@ impl SparseSketch {
         Some(s)
     }
 
+    /// [`Self::from_parts`] over a run already laid out as the sketch
+    /// holds it: `run` is validated where it stands and becomes the bucket
+    /// vector, so a decoder that read `nnz` pairs into one `Vec` of that
+    /// capacity allocates nothing more. Refuses exactly what `from_parts`
+    /// refuses (an index `>= BUCKETS`, a zero count, indices not strictly
+    /// ascending, count overflow, `min`/`max` outside the first/last
+    /// bucket) and, like it, ignores the extremes beside an empty run.
+    pub fn from_run(min: u64, max: u64, run: Vec<(u32, u64)>) -> Option<Self> {
+        let (Some(&(first, _)), Some(&(last, _))) = (run.first(), run.last()) else {
+            return Some(SparseSketch::new());
+        };
+        let mut count = 0u64;
+        let mut prev = None;
+        for &(i, c) in &run {
+            if i as usize >= BUCKETS || c == 0 || prev.is_some_and(|p| i <= p) {
+                return None;
+            }
+            prev = Some(i);
+            count = count.checked_add(c)?;
+        }
+        if bucket_of(min) != first as usize || bucket_of(max) != last as usize {
+            return None;
+        }
+        Some(SparseSketch {
+            count,
+            min,
+            max,
+            buckets: run,
+        })
+    }
+
     /// Collapse a dense sketch into the sparse form: same count, extremes
     /// and buckets, so folding runs with [`QuantileSketch::merge_run`] and
     /// collapsing once equals folding them one by one with
@@ -529,6 +560,29 @@ pub fn merge_runs_into(a: &[(u32, u64)], b: &[(u32, u64)], out: &mut Vec<(u32, u
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
+}
+
+/// The bucket-wise sum of `N` sketch runs, pair by pair in ascending bucket
+/// order, without building it — what [`merge_runs_into`] folded over the
+/// runs would hold. A checkpoint writes and checks a collector's all-kinds
+/// sketch as this walk over the five per-kind runs. The runs must be valid
+/// sketch content whose total count fits a `u64`.
+pub fn sum_of_runs<'a, const N: usize>(
+    mut runs: [&'a [(u32, u64)]; N],
+) -> impl Iterator<Item = (u32, u64)> + Clone + 'a {
+    std::iter::from_fn(move || {
+        let bucket = runs.iter().filter_map(|r| Some(r.first()?.0)).min()?;
+        let mut sum = 0;
+        for run in &mut runs {
+            if let Some((&(i, c), rest)) = run.split_first() {
+                if i == bucket {
+                    sum += c;
+                    *run = rest;
+                }
+            }
+        }
+        Some((bucket, sum))
+    })
 }
 
 impl Merge for SparseSketch {
@@ -878,6 +932,72 @@ mod tests {
         assert!(SparseSketch::from_parts(0, 0, [(5, 1), (5, 1)]).is_none());
         assert!(SparseSketch::from_parts(0, 0, [(5, 0)]).is_none());
         assert!(SparseSketch::from_parts(0, 0, [(1, u64::MAX), (2, 1)]).is_none());
+    }
+
+    proptest::proptest! {
+        /// The in-place validator against the constructor it stands in
+        /// for: the same sketch or the same refusal, on valid runs and on
+        /// each way a run goes wrong — an index at or past `BUCKETS`, a
+        /// zero count, a swapped or repeated index, counts that overflow,
+        /// extremes off the first or last bucket — and on the empty run,
+        /// whose extremes mean nothing.
+        #[test]
+        fn from_run_accepts_and_refuses_what_from_parts_does(
+            steps in proptest::collection::vec((1u32..800, 1u64..1 << 40), 0..9),
+            (min_off, max_off) in (0u64..3, 0u64..3),
+            forgery in 0usize..9,
+            at in 0usize..1 << 16,
+        ) {
+            let mut index = 0u32;
+            let mut run: Vec<(u32, u64)> = steps
+                .iter()
+                .map(|&(step, count)| {
+                    index += step;
+                    (index - 1, count)
+                })
+                .collect();
+            let low = |i: Option<&(u32, u64)>| i.map_or(7, |&(i, _)| bucket_low(i as usize));
+            // Offsets 0 and 1 stay inside a bucket of width ≥ 2 and leave a
+            // unit bucket at 1; 2 leaves most buckets this run can hold.
+            let (mut min, mut max) = (low(run.first()) + min_off, low(run.last()) + max_off);
+            let n = run.len().max(1);
+            match forgery {
+                1 if !run.is_empty() => run[at % n].0 = BUCKETS as u32 + (at % 3) as u32,
+                2 if !run.is_empty() => run[at % n].1 = 0,
+                3 if run.len() > 1 => run.swap(at % (n - 1), at % (n - 1) + 1),
+                4 if run.len() > 1 => run[at % (n - 1) + 1].0 = run[at % (n - 1)].0,
+                5 if run.len() > 1 => (run[0].1, run[at % (n - 1) + 1].1) = (u64::MAX, 1),
+                6 => min = min.wrapping_sub(1 + at as u64 % 2),
+                7 => max += 1 << 41,
+                _ => {}
+            }
+            let by_parts =
+                SparseSketch::from_parts(min, max, run.iter().map(|&(i, c)| (i as usize, c)));
+            proptest::prop_assert_eq!(SparseSketch::from_run(min, max, run), by_parts);
+        }
+
+        /// The walk that stands in for the all-kinds sketch: pair for pair
+        /// what folding the runs together holds, on any number of empty,
+        /// disjoint and overlapping runs.
+        #[test]
+        fn sum_of_runs_is_the_merged_run(
+            parts in proptest::collection::vec(
+                proptest::collection::vec((0u32..40, 0u64..1 << 20), 0..12),
+                5,
+            )
+        ) {
+            let mut sketches: [SparseSketch; 5] = Default::default();
+            let mut all = SparseSketch::new();
+            for (s, part) in sketches.iter_mut().zip(&parts) {
+                for &(shift, v) in part {
+                    s.push(v >> shift);
+                }
+                all.merge_ref(s);
+            }
+            let summed: Vec<(u32, u64)> =
+                sum_of_runs(std::array::from_fn::<_, 5, _>(|k| sketches[k].as_run().2)).collect();
+            proptest::prop_assert_eq!(&summed[..], all.as_run().2);
+        }
     }
 
     #[test]

@@ -114,23 +114,28 @@ pub struct ColumnSegment {
 }
 
 impl ColumnSegment {
-    fn empty() -> Self {
+    /// An empty segment with room for `rows` rows and `pool` sketch-pool
+    /// entries: what a builder that knows a bound reserves once, instead of
+    /// doubling fifteen vectors up to it.
+    fn with_capacity(rows: usize, pool: usize) -> Self {
+        let mut sk_off = Vec::with_capacity(rows + 1);
+        sk_off.push(0);
         ColumnSegment {
-            buckets: Vec::new(),
-            kinds: Vec::new(),
-            isps: Vec::new(),
-            rats: Vec::new(),
-            models: Vec::new(),
-            regions: Vec::new(),
-            cause_classes: Vec::new(),
-            causes: Vec::new(),
-            counts: Vec::new(),
-            duration_totals: Vec::new(),
-            under_30s: Vec::new(),
-            sk_min: Vec::new(),
-            sk_max: Vec::new(),
-            sk_off: vec![0],
-            sk_pool: Vec::new(),
+            buckets: Vec::with_capacity(rows),
+            kinds: Vec::with_capacity(rows),
+            isps: Vec::with_capacity(rows),
+            rats: Vec::with_capacity(rows),
+            models: Vec::with_capacity(rows),
+            regions: Vec::with_capacity(rows),
+            cause_classes: Vec::with_capacity(rows),
+            causes: Vec::with_capacity(rows),
+            counts: Vec::with_capacity(rows),
+            duration_totals: Vec::with_capacity(rows),
+            under_30s: Vec::with_capacity(rows),
+            sk_min: Vec::with_capacity(rows),
+            sk_max: Vec::with_capacity(rows),
+            sk_off,
+            sk_pool: Vec::with_capacity(pool),
             zones: Zones::default(),
         }
     }
@@ -290,7 +295,7 @@ impl ColumnSegment {
         let block = r.enter(&SC)?;
         // Per row: a bucket delta, six key bytes, six varint columns, nnz.
         let n = r.count("segment row count", 14)?;
-        let mut seg = ColumnSegment::empty();
+        let mut seg = ColumnSegment::with_capacity(n, 0);
         let mut prev = 0u64;
         for _ in 0..n {
             // The first bucket is raw (a delta from zero).
@@ -319,11 +324,17 @@ impl ColumnSegment {
             &mut seg.sk_min,
             &mut seg.sk_max,
         ] {
-            col.reserve(n);
             for _ in 0..n {
                 col.push(r.varint()?);
             }
         }
+        // A run holds at most a pair per record its row counts, and a pair
+        // costs two bytes or more: the pool is sized once from whichever
+        // bound is smaller (a forged count column only reaches the second).
+        let records = seg.counts.iter().fold(0usize, |sum, &c| {
+            sum.saturating_add(usize::try_from(c).unwrap_or(usize::MAX))
+        });
+        seg.sk_pool.reserve(records.min(r.remaining() / 2));
         // Keys must come out strictly ascending — equal-bucket runs order
         // by the remaining key columns, which the deltas above can't check.
         for i in 1..n {
@@ -512,17 +523,37 @@ pub(crate) trait RowSink {
 struct SegmentSink {
     seg: ColumnSegment,
     scratch: Vec<(u32, u64)>,
+    /// The `(rows, pool entries)` reserved: no column may outgrow it.
+    #[cfg(test)]
+    reserved: (usize, usize),
 }
 
 impl SegmentSink {
-    fn new() -> Self {
+    /// A sink for whatever `runs` merge to: at most their rows, holding at
+    /// most their sketch-pool entries (see [`Run::bound`]). Every column is
+    /// reserved here, once, and filled without growing.
+    fn for_runs(runs: &[Run<'_>]) -> Self {
+        let (rows, pool) = runs
+            .iter()
+            .map(Run::bound)
+            .fold((0, 0), |sum, b| (sum.0 + b.0, sum.1 + b.1));
         SegmentSink {
-            seg: ColumnSegment::empty(),
+            seg: ColumnSegment::with_capacity(rows, pool),
             scratch: Vec::new(),
+            #[cfg(test)]
+            reserved: (rows, pool),
         }
     }
 
     fn finish(self) -> Option<ColumnSegment> {
+        #[cfg(test)]
+        assert!(
+            self.seg.len() <= self.reserved.0 && self.seg.sk_pool.len() <= self.reserved.1,
+            "{} rows and {} pool entries outgrew the {:?} reserved",
+            self.seg.len(),
+            self.seg.sk_pool.len(),
+            self.reserved
+        );
         let mut seg = self.seg;
         if seg.buckets.is_empty() {
             return None;
@@ -630,6 +661,9 @@ pub(crate) enum Run<'a> {
     Owned {
         head: Option<(CellKey, Cell)>,
         rest: btree_map::IntoIter<CellKey, Cell>,
+        /// Sketch-pool entries the whole tier held (an `IntoIter` cannot
+        /// be walked twice, so [`Run::owned`] counts them first).
+        pool: usize,
     },
     /// Row-tier cells, borrowed.
     Map {
@@ -649,10 +683,12 @@ pub(crate) enum Run<'a> {
 impl<'a> Run<'a> {
     /// A run that consumes a whole row tier.
     pub(crate) fn owned(cells: BTreeMap<CellKey, Cell>) -> Self {
+        let pool = cells.values().map(|c| c.sketch.nnz()).sum();
         let mut rest = cells.into_iter();
         Run::Owned {
             head: rest.next(),
             rest,
+            pool,
         }
     }
 
@@ -699,10 +735,28 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Upper bounds on the rows and the sketch-pool entries the run still
+    /// holds — what a sink reserves for it. A segment run reads both off
+    /// its offsets; a row-tier run counts its cells' buckets (a merge only
+    /// ever sums rows and buckets away, so the totals bound the output).
+    fn bound(&self) -> (usize, usize) {
+        match self {
+            Run::Owned { head, rest, pool } => (rest.len() + usize::from(head.is_some()), *pool),
+            Run::Map { head, rest, .. } => head
+                .iter()
+                .map(|&(_, c)| c)
+                .chain(rest.clone().map(|(_, c)| c))
+                .fold((0, 0), |(rows, pool), c| (rows + 1, pool + c.sketch.nnz())),
+            &Run::Seg { seg, at, end, .. } => {
+                (end - at, (seg.sk_off[end] - seg.sk_off[at]) as usize)
+            }
+        }
+    }
+
     /// Hand the next row to `emit` and step past it.
     fn pop(&mut self, emit: impl FnOnce(RowRef<'_>)) {
         match self {
-            Run::Owned { head, rest } => {
+            Run::Owned { head, rest, .. } => {
                 let (_, c) = head.take().expect("pop on a spent run");
                 emit(RowRef::of(&c));
                 *head = rest.next();
@@ -724,7 +778,7 @@ impl<'a> Run<'a> {
     fn drain_below<S: RowSink>(&mut self, bound: Option<CellKey>, sink: &mut S) {
         let above = |k: &CellKey| bound.is_some_and(|b| *k >= b);
         match self {
-            Run::Owned { head, rest } => {
+            Run::Owned { head, rest, .. } => {
                 while let Some((k, c)) = head.take() {
                     if above(&k) {
                         *head = Some((k, c));
@@ -819,7 +873,7 @@ pub(crate) fn merge_runs<S: RowSink>(mut runs: Vec<Run<'_>>, sink: &mut S) {
 /// [`merge_runs`] into one canonical segment; `None` when the runs hold no
 /// rows (empty segments are never stored).
 pub(crate) fn merge_to_segment(runs: Vec<Run<'_>>) -> Option<ColumnSegment> {
-    let mut sink = SegmentSink::new();
+    let mut sink = SegmentSink::for_runs(&runs);
     merge_runs(runs, &mut sink);
     sink.finish()
 }
@@ -833,7 +887,7 @@ mod tests {
     /// the smallest head by a linear scan of the runs, every row rebuilt as
     /// a [`Cell`], equal keys summed cell into cell.
     fn merge_runs_by_row(mut runs: Vec<Run<'_>>) -> Option<ColumnSegment> {
-        let mut sink = SegmentSink::new();
+        let mut sink = SegmentSink::for_runs(&runs);
         while let Some(key) = runs.iter().filter_map(Run::key).min() {
             let mut acc: Option<Cell> = None;
             for run in &mut runs {
@@ -1074,7 +1128,9 @@ mod tests {
     proptest! {
         /// The kernel against the oracle: the same segment — columns, pool,
         /// offsets, zones — and the same `SC` bytes, over 1–12 inputs in
-        /// every form, sharing keys or not, empty ones included.
+        /// every form, sharing keys or not, empty ones included. Every sink
+        /// here also checks, as it finishes, that no column and not the pool
+        /// outgrew what it reserved from its runs' bounds.
         #[test]
         fn merge_runs_equals_the_row_by_row_merge(inputs in inputs_strategy()) {
             let maps: Vec<BTreeMap<CellKey, Cell>> = inputs

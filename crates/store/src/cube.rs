@@ -761,24 +761,30 @@ impl Store {
     /// The digest around its canonical cells: config, the cell count,
     /// whatever `cells` absorbs, then the merged device directory.
     fn digest_of(&self, count: u64, cells: impl FnOnce(&mut Digest64)) -> u64 {
-        let mut devices: BTreeMap<u32, DeviceRec> = BTreeMap::new();
+        // Each partition's map is a run of ascending ids, so the stable
+        // sort is a k-way merge of runs it finds already sorted; an id two
+        // partitions hold (never, under one routing) sums into one entry.
+        // The digest absorbs the device count first, hence the buffer.
+        let mut devices: Vec<(u32, DeviceRec)> =
+            Vec::with_capacity(self.partitions.iter().map(|p| p.devices.len()).sum());
         for p in &self.partitions {
-            for (&id, &rec) in &p.devices {
-                match devices.get_mut(&id) {
-                    Some(mine) => mine.merge(rec),
-                    None => {
-                        devices.insert(id, rec);
-                    }
-                }
-            }
+            devices.extend(p.devices.iter().map(|(&id, &rec)| (id, rec)));
         }
+        devices.sort_by_key(|&(id, _)| id);
+        devices.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1.merge(next.1);
+            }
+            same
+        });
         let mut d = Digest64::new();
         d.write_u64(self.cfg.bucket_ms);
         d.write_u64(u64::from(self.cfg.rollup_buckets));
         d.write_u64(count);
         cells(&mut d);
         d.write_u64(devices.len() as u64);
-        for (&id, rec) in &devices {
+        for &(id, rec) in &devices {
             d.write_u64(u64::from(id));
             d.write_u64(u64::from(rec.model));
             d.write_u64(u64::from(rec.region));
@@ -1123,6 +1129,36 @@ mod tests {
         edge.compact();
         assert_eq!((edge.cells(), edge.sealed_cells()), (2, 1));
         assert_eq!(edge.digest(), want);
+    }
+
+    /// Routing keeps a device in one partition, but the digest does not
+    /// rely on it: an id two partitions hold is one directory entry, the
+    /// sum of both, wherever it falls among the other ids.
+    #[test]
+    fn digest_sums_a_device_two_partitions_hold() {
+        let rec = |failures| DeviceRec {
+            model: 3,
+            region: 1,
+            isp: 2,
+            failures,
+        };
+        let cfg = |partitions| StoreConfig {
+            partitions,
+            ..StoreConfig::default()
+        };
+        let mut split = Store::new(&cfg(3));
+        split.partitions[0].devices = BTreeMap::from([(3, rec(1)), (7, rec(2)), (9, rec(4))]);
+        split.partitions[1].devices = BTreeMap::from([(4, rec(1)), (7, rec(3))]);
+        split.partitions[2].devices = BTreeMap::from([(7, rec(1)), (8, rec(6))]);
+        let mut whole = Store::new(&cfg(1));
+        whole.partitions[0].devices = BTreeMap::from([
+            (3, rec(1)),
+            (4, rec(1)),
+            (7, rec(6)),
+            (8, rec(6)),
+            (9, rec(4)),
+        ]);
+        assert_eq!(split.digest(), whole.digest());
     }
 
     /// A sealed run holding one row per bucket over 50 000 buckets — what

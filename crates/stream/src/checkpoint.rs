@@ -46,7 +46,22 @@ impl<'d> StreamPipeline<'d> {
     /// mutates the pipeline, so any cadence (every seal, every batch) is
     /// behaviour-neutral.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1024);
+        // The embedded frames first: they are nearly all of the bytes, so
+        // the buffer is sized once from them instead of doubling up to it.
+        let ck = save_checkpoint(&self.collector);
+        let pending: Vec<(u64, Vec<u8>)> = self
+            .pending
+            .iter()
+            .map(|(&w, delta)| (w, save_store(delta)))
+            .collect();
+        let late = save_store(&self.late);
+        let blobs = ck.len() + late.len() + pending.iter().map(|(_, i)| i.len()).sum::<usize>();
+        // The rest is varints of at most ten bytes — 22 head fields, six per
+        // manifest entry, two per pending window, four counts and lengths —
+        // inside a seven-byte envelope.
+        let varints = 26 + 6 * self.manifest.len() + 2 * pending.len();
+        let room = blobs + 10 * varints + 7;
+        let mut out = Vec::with_capacity(room);
         let start = SP.begin(&mut out, CKPT_STREAM_VERSION);
         write_varint(&mut out, self.cfg.window_ms);
         write_varint(&mut out, self.cfg.lateness_ms);
@@ -64,21 +79,19 @@ impl<'d> StreamPipeline<'d> {
         for c in counters_fields(&self.counters) {
             write_varint(&mut out, c);
         }
-        let ck = save_checkpoint(&self.collector);
         write_varint(&mut out, ck.len() as u64);
         out.extend_from_slice(&ck);
         encode_manifest(&self.manifest, &mut out);
-        write_varint(&mut out, self.pending.len() as u64);
-        for (&w, delta) in &self.pending {
-            write_varint(&mut out, w);
-            let img = save_store(delta);
+        write_varint(&mut out, pending.len() as u64);
+        for (w, img) in &pending {
+            write_varint(&mut out, *w);
             write_varint(&mut out, img.len() as u64);
-            out.extend_from_slice(&img);
+            out.extend_from_slice(img);
         }
-        let img = save_store(&self.late);
-        write_varint(&mut out, img.len() as u64);
-        out.extend_from_slice(&img);
+        write_varint(&mut out, late.len() as u64);
+        out.extend_from_slice(&late);
         seal(&mut out, start);
+        debug_assert!(out.len() <= room, "the frame outgrew its estimate");
         out
     }
 
@@ -214,6 +227,7 @@ impl<'d> StreamPipeline<'d> {
             base: Store::new(&cfg.store),
             hot: Default::default(),
             manifest: Vec::with_capacity(image.manifest.len()),
+            sealed_frames: Vec::new(),
             counters: StreamCounters::default(),
         };
         for entry in image.manifest {

@@ -145,6 +145,10 @@ pub struct StreamPipeline<'d> {
     pub(crate) hot: VecDeque<Store>,
     /// Every segment ever sealed, in seal order.
     pub(crate) manifest: Vec<SegmentEntry>,
+    /// The `SG` frames the last `offer`/`flush` sealed; see
+    /// [`sealed_frames`](StreamPipeline::sealed_frames). Not state: a
+    /// checkpoint does not carry them and a restore starts without any.
+    pub(crate) sealed_frames: Vec<Vec<u8>>,
     pub(crate) counters: StreamCounters,
 }
 
@@ -164,6 +168,7 @@ impl<'d> StreamPipeline<'d> {
             base: Store::new(&cfg.store),
             hot: VecDeque::new(),
             manifest: Vec::new(),
+            sealed_frames: Vec::new(),
             counters: StreamCounters::default(),
         })
     }
@@ -188,6 +193,7 @@ impl<'d> StreamPipeline<'d> {
         self.collector.ingest_with(bytes, &mut router);
         self.cursor += 1;
         self.counters.batches += 1;
+        self.sealed_frames.clear();
         self.advance(segs)
     }
 
@@ -218,6 +224,7 @@ impl<'d> StreamPipeline<'d> {
     /// and flush a non-empty late lane.
     pub fn flush(&mut self, segs: &mut dyn SegmentStore) -> Result<Vec<SegmentEntry>, StreamError> {
         let wm = self.collector.watermark_ms();
+        self.sealed_frames.clear();
         let mut sealed = Vec::new();
         let open: Vec<u64> = self.pending.keys().copied().collect();
         for w in open {
@@ -271,6 +278,7 @@ impl<'d> StreamPipeline<'d> {
         segs.put(&entry.name(), &bytes)?;
         self.counters.segments_persisted += 1;
         self.manifest.push(entry);
+        self.sealed_frames.push(bytes);
         self.tier_insert(delta);
         Ok(entry)
     }
@@ -365,6 +373,17 @@ impl<'d> StreamPipeline<'d> {
     /// suffix, not an error.
     pub fn manifest_suffix(&self, from: usize) -> &[SegmentEntry] {
         self.manifest.get(from..).unwrap_or(&[])
+    }
+
+    /// The `SG` frames of the entries the last
+    /// [`offer`](StreamPipeline::offer) or [`flush`](StreamPipeline::flush)
+    /// returned, in that order: the bytes `seal` encoded and `put`, kept so
+    /// a shipper need not read back, re-verify and re-decode through
+    /// [`export_segment`](StreamPipeline::export_segment) what was built a
+    /// moment ago. Empty on a new or restored pipeline, and after a call
+    /// that sealed nothing.
+    pub fn sealed_frames(&self) -> &[Vec<u8>] {
+        &self.sealed_frames
     }
 
     /// Fetch one sealed segment's frame bytes from the backend for
