@@ -1,7 +1,7 @@
 //! Streaming, mergeable fleet statistics.
 //!
 //! [`FleetAccumulator`] is an [`EventSink`] fed directly by the macro
-//! study's streaming/parallel drivers: it folds every failure event into
+//! study's parallel driver: it folds every failure event into
 //! the §3.1 headline counters (totals by kind / ISP / RAT, duration
 //! moments, the under-30 s share, the Out_of_Service device set) without
 //! materialising the event list — fleets of 10⁶+ devices run in constant
@@ -15,8 +15,7 @@
 
 use cellrel_sim::QuantileSketch;
 use cellrel_sim::{Merge, Summary};
-use cellrel_types::{DeviceId, FailureEvent, FailureKind};
-use cellrel_workload::EventSink;
+use cellrel_types::{DeviceId, EventSink, FailureEvent, FailureKind};
 use std::collections::HashSet;
 
 /// Online fleet statistics over a stream of failure events.
@@ -204,7 +203,7 @@ mod tests {
 
     #[test]
     fn sketched_percentiles_within_one_percent_rank_of_exact() {
-        use cellrel_workload::{run_macro_study_streaming, PopulationConfig};
+        use cellrel_workload::PopulationConfig;
         // The fixed acceptance fleet: 10 k devices, seed 2021.
         let cfg = StudyConfig {
             population: PopulationConfig {
@@ -215,12 +214,12 @@ mod tests {
             bs_count: 2_000,
             seed: 2021,
         };
+        let (_, _, _, events) = run_macro_study_parallel(&cfg, 1, Vec::new);
         let mut acc = FleetAccumulator::new();
-        let mut exact: Vec<u64> = Vec::new();
-        run_macro_study_streaming(&cfg, |e| {
+        for e in &events {
             acc.record(e);
-            exact.push(e.duration.as_millis());
-        });
+        }
+        let mut exact: Vec<u64> = events.iter().map(|e| e.duration.as_millis()).collect();
         exact.sort_unstable();
         let n = exact.len();
         assert!(n > 100_000, "fleet produced only {n} events");

@@ -26,32 +26,9 @@
 use crate::codec::{decode_batch, peek_device};
 use cellrel_sim::sketch::SparseSketch;
 use cellrel_sim::{Digest64, Merge};
-use cellrel_types::{DeviceId, FailureEvent, SimDuration};
+use cellrel_types::{DeviceId, EventSink, FailureEvent, SimDuration};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-
-/// A consumer of the records the collector **accepts** — i.e. after batch
-/// decode, per-device sequence dedup, intra-batch duplicate collapse, and
-/// §2.1 false-positive noise filtering. Downstream consumers (the
-/// `cellrel-store` analytics cube, test capture buffers) hook in here so
-/// they observe exactly the record stream the aggregates are built from,
-/// in batch arrival order.
-pub trait AcceptedSink {
-    /// Observe one accepted record.
-    fn accepted(&mut self, e: &FailureEvent);
-}
-
-/// The no-op sink: plain ingestion with no downstream consumer.
-impl AcceptedSink for () {
-    fn accepted(&mut self, _: &FailureEvent) {}
-}
-
-/// Capture sink for tests and replay tooling.
-impl AcceptedSink for Vec<FailureEvent> {
-    fn accepted(&mut self, e: &FailureEvent) {
-        self.push(*e);
-    }
-}
 
 /// Collector tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -235,7 +212,7 @@ pub(crate) struct ShardState {
 impl ShardState {
     /// Decode and fold one routed batch, echoing each accepted record into
     /// `sink` (after dedup and noise filtering, before anything else sees it).
-    fn accept_with<S: AcceptedSink>(&mut self, bytes: &[u8], lateness_ms: u64, sink: &mut S) {
+    fn accept_with<S: EventSink>(&mut self, bytes: &[u8], lateness_ms: u64, sink: &mut S) {
         // Every outcome below moves at least a counter, and this is the
         // only place shard state mutates.
         self.section = SectionCache::default();
@@ -285,7 +262,7 @@ impl ShardState {
             }
             self.counters.records += 1;
             self.agg.push(e);
-            sink.accepted(e);
+            sink.record(e);
         }
         self.watermark_ms = self.watermark_ms.max(batch_max);
     }
@@ -342,9 +319,11 @@ impl Collector {
         self.ingest_with(bytes, &mut ());
     }
 
-    /// Ingest one encoded batch, echoing accepted records into `sink` in
-    /// batch arrival order.
-    pub fn ingest_with<S: AcceptedSink>(&mut self, bytes: &[u8], sink: &mut S) {
+    /// Ingest one encoded batch, echoing the records it **accepts** — after
+    /// batch decode, per-device sequence dedup, intra-batch duplicate
+    /// collapse and §2.1 noise filtering, so exactly the stream the
+    /// aggregates are built from — into `sink` in batch arrival order.
+    pub fn ingest_with<S: EventSink>(&mut self, bytes: &[u8], sink: &mut S) {
         match peek_device(bytes) {
             Ok(device) => {
                 let shard = self.shard_of(device);

@@ -429,6 +429,66 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Append one `pairs` sequence — a sketch run as every family that carries
+/// one writes it:
+///
+/// ```text
+/// pairs := nnz:varint (delta:varint count:varint)^nnz
+/// ```
+///
+/// `delta` is the bucket index for the first pair and the (strictly
+/// positive) step from the previous index after it. `pairs` must yield
+/// exactly `nnz` pairs of valid sketch content. The header beside the
+/// sequence (`min`, `max`, a count) is each family's own.
+pub fn write_pairs(out: &mut Vec<u8>, nnz: usize, pairs: impl IntoIterator<Item = (u32, u64)>) {
+    write_varint(out, nnz as u64);
+    let mut prev = 0u32;
+    let mut written = 0;
+    for (i, c) in pairs {
+        write_varint(out, u64::from(i - prev));
+        write_varint(out, c);
+        prev = i;
+        written += 1;
+    }
+    debug_assert_eq!(written, nnz);
+}
+
+/// Read one `pairs` sequence (see [`write_pairs`]) beside the extremes its
+/// header carried, appending the pairs to `run` — a sketch's own vector,
+/// or a segment's pool. The wire's rules are applied here, once for every
+/// family: a zero delta after the first pair, an index sum past `u64` and
+/// non-zero extremes beside no pairs (a writer emits zeros there, so such
+/// a frame would re-encode to other bytes) are each an
+/// [`FrameErrorKind::InvalidField`]. Whether the pairs are sketch content
+/// is for `cellrel_sim::sketch::check_run` to say, on `run`'s new tail. An
+/// index past `u32` is past every bucket too: it saturates, and the
+/// validator refuses it with the rest. What was appended before an error
+/// stays in `run`; the caller is abandoning the decode.
+pub fn read_pairs(
+    r: &mut Reader<'_>,
+    (min, max): (u64, u64),
+    run: &mut Vec<(u32, u64)>,
+) -> Result<(), FrameError> {
+    // Each pair costs ≥ 2 bytes on the wire.
+    let nnz = r.count("sketch nnz", 2)?;
+    if nnz == 0 && (min, max) != (0, 0) {
+        return Err(r.invalid("sketch extremes"));
+    }
+    // Exact: a sketch's own vector keeps no slack, and a pool its caller
+    // sized for the whole segment falls short only on a forged frame.
+    run.reserve_exact(nnz);
+    let mut index = 0u64;
+    for i in 0..nnz {
+        let delta = r.varint()?;
+        if i > 0 && delta == 0 {
+            return Err(r.invalid("sketch index delta"));
+        }
+        index = index.checked_add(delta).ok_or(r.invalid("sketch index"))?;
+        run.push((u32::try_from(index).unwrap_or(u32::MAX), r.varint()?));
+    }
+    Ok(())
+}
+
 /// Map a signed value onto an unsigned one with small magnitudes staying
 /// small (0,-1,1,-2 → 0,1,2,3).
 pub const fn zigzag(v: i64) -> u64 {

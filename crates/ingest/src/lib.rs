@@ -27,7 +27,7 @@
 //!   from `cellrel_sim::sketch`, one per failure kind; the all-kinds
 //!   sketch is their sum. [`Collector::ingest_with`] is the one way to run
 //!   it; downstream consumers (the `cellrel-store` analytics cube) pass a
-//!   [`collector::AcceptedSink`] and observe exactly the accepted record
+//!   [`cellrel_types::EventSink`] and observe exactly the accepted record
 //!   stream.
 //! * [`checkpoint`] — versioned, CRC-framed serialization of the full
 //!   collector state, so ingestion survives restarts without replay.
@@ -44,7 +44,5 @@ pub mod frame;
 
 pub use checkpoint::{restore_checkpoint, save_checkpoint};
 pub use codec::{decode_batch, encode_batch, peek_device, WireBatch};
-pub use collector::{
-    AcceptedSink, Collector, CollectorConfig, IngestAggregate, IngestCounters, IngestReport,
-};
+pub use collector::{Collector, CollectorConfig, IngestAggregate, IngestCounters, IngestReport};
 pub use frame::{FrameError, FrameErrorKind};

@@ -240,17 +240,6 @@ impl Modem {
         had
     }
 
-    /// Tear down the call serving one APN. Returns whether it existed.
-    pub fn deactivate_apn(&mut self, apn: Apn) -> bool {
-        let before = self.calls.len();
-        self.calls.retain(|c| c.apn != apn);
-        let removed = self.calls.len() != before;
-        if removed && self.calls.is_empty() {
-            self.emm.release();
-        }
-        removed
-    }
-
     /// Detach and re-register (recovery stage 2).
     pub fn reregister(
         &mut self,

@@ -70,11 +70,6 @@ impl Uploader {
         self.pending.len() as u64
     }
 
-    /// Raw (pre-codec) bytes waiting for upload — the gating metric.
-    pub fn pending_bytes(&self) -> u64 {
-        self.pending_raw_bytes
-    }
-
     /// Encoded wire bytes shipped so far.
     pub fn uploaded_bytes(&self) -> u64 {
         self.uploaded_bytes_encoded

@@ -41,11 +41,6 @@ impl NetStack {
         self.dns_servers
     }
 
-    /// Mutable access to the raw TCP counters (tests).
-    pub fn tcp_mut(&mut self) -> &mut TcpAccounting {
-        &mut self.tcp
-    }
-
     /// Application traffic: `out` outbound segments at `now`. Whether the
     /// matching inbound segments arrive depends on the link condition.
     pub fn app_exchange(&mut self, now: SimTime, out: usize) {

@@ -42,6 +42,12 @@
 //!   every checkpoint restore — dense, 64 shards were 22.8 MB of mostly
 //!   zeros). Both answer every quantile query identically (same rank walk
 //!   over the same buckets) and absorb into a digest as the same words.
+//!
+//! Outside this module a sketch travels in one form, the **run**: exact
+//! `min`/`max` beside strictly ascending `(bucket, count)` pairs. A sparse
+//! sketch is read with [`SparseSketch::as_run`] and built with
+//! [`SparseSketch::from_run`]; [`check_run`] is the one validator, and it
+//! borrows, so a decoder checks pairs where it read them.
 
 use crate::campaign::Digest64;
 use crate::par::Merge;
@@ -122,7 +128,7 @@ fn quantile_over(
     min: u64,
     max: u64,
     q: f64,
-    pairs: impl Iterator<Item = (usize, u64)>,
+    pairs: impl Iterator<Item = (u32, u64)>,
 ) -> Option<u64> {
     if count == 0 {
         return None;
@@ -139,6 +145,7 @@ fn quantile_over(
     for (i, c) in pairs {
         cum += c;
         if cum >= target {
+            let i = i as usize;
             let v = if i < LINEAR_MAX as usize {
                 i as u64
             } else {
@@ -203,17 +210,16 @@ impl QuantileSketch {
         d.write_u64(if self.count > 0 { self.min } else { 0 });
         d.write_u64(self.max);
         for (i, c) in self.nonzero_buckets() {
-            d.write_u64(i as u64);
+            d.write_u64(u64::from(i));
             d.write_u64(c);
         }
     }
 
-    /// Non-empty `(bucket index, count)` pairs in index order — the sparse
-    /// form checkpoints serialize. Exact min/max bracket the non-empty
-    /// buckets (`bucket_of` is monotone; `from_parts` refuses anything
-    /// else), so the walk covers `bucket_of(min)..=bucket_of(max)` and not
-    /// all [`BUCKETS`] slots.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    /// Non-empty `(bucket, count)` pairs in ascending bucket order — the run
+    /// [`SparseSketch::from_dense`] keeps. Exact min/max bracket the
+    /// non-empty buckets (`bucket_of` is monotone), so the walk covers
+    /// `bucket_of(min)..=bucket_of(max)` and not all [`BUCKETS`] slots.
+    fn nonzero_buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         let span = if self.count == 0 {
             0..0
         } else {
@@ -224,39 +230,7 @@ impl QuantileSketch {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)
-            .map(move |(i, &c)| (lo + i, c))
-    }
-
-    /// Rebuild from the sparse form (inverse of [`Self::nonzero_buckets`],
-    /// with min/max carried separately). Returns `None` if an index is out
-    /// of range, the counts overflow, or `min`/`max` do not fall in the
-    /// first/last non-empty bucket.
-    pub fn from_parts(
-        min: u64,
-        max: u64,
-        pairs: impl IntoIterator<Item = (usize, u64)>,
-    ) -> Option<Self> {
-        let mut s = QuantileSketch::new();
-        let (mut first, mut last) = (usize::MAX, 0);
-        for (i, c) in pairs {
-            if i >= BUCKETS {
-                return None;
-            }
-            s.buckets[i] = s.buckets[i].checked_add(c)?;
-            s.count = s.count.checked_add(c)?;
-            if c > 0 {
-                first = first.min(i);
-                last = last.max(i);
-            }
-        }
-        if s.count > 0 {
-            if bucket_of(min) != first || bucket_of(max) != last {
-                return None;
-            }
-            s.min = min;
-            s.max = max;
-        }
-        Some(s)
+            .map(move |(i, &c)| ((lo + i) as u32, c))
     }
 
     /// Fold a raw sketch run — exact extremes plus strictly ascending
@@ -371,13 +345,8 @@ impl SparseSketch {
             self.min,
             self.max,
             q,
-            self.buckets.iter().map(|&(i, c)| (i as usize, c)),
+            self.buckets.iter().copied(),
         )
-    }
-
-    /// Non-empty `(bucket index, count)` pairs in index order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets.iter().map(|&(i, c)| (i as usize, c))
     }
 
     /// Fold into a content digest — byte-compatible with
@@ -392,68 +361,16 @@ impl SparseSketch {
         }
     }
 
-    /// Expand into the dense representation.
-    pub fn to_dense(&self) -> QuantileSketch {
-        QuantileSketch::from_parts(
-            self.min().unwrap_or(0),
-            self.max().unwrap_or(0),
-            self.nonzero_buckets(),
-        )
-        .expect("sparse buckets are in range by construction")
-    }
-
-    /// Rebuild from `(index, count)` pairs in strictly ascending index
-    /// order (min/max carried separately). Returns `None` on out-of-range
-    /// or non-ascending indices, zero counts, count overflow, or `min`/`max`
-    /// outside the first/last bucket — restore paths must stay total, and
-    /// `quantile(0.0)`/`quantile(1.0)` answer min/max verbatim.
-    pub fn from_parts(
-        min: u64,
-        max: u64,
-        pairs: impl IntoIterator<Item = (usize, u64)>,
-    ) -> Option<Self> {
-        let mut s = SparseSketch::new();
-        let mut prev: Option<usize> = None;
-        for (i, c) in pairs {
-            if i >= BUCKETS || c == 0 || prev.is_some_and(|p| i <= p) {
-                return None;
-            }
-            prev = Some(i);
-            s.count = s.count.checked_add(c)?;
-            s.buckets.push((i as u32, c));
-        }
-        if let (Some(&(first, _)), Some(&(last, _))) = (s.buckets.first(), s.buckets.last()) {
-            if bucket_of(min) != first as usize || bucket_of(max) != last as usize {
-                return None;
-            }
-            s.min = min;
-            s.max = max;
-        }
-        Some(s)
-    }
-
-    /// [`Self::from_parts`] over a run already laid out as the sketch
-    /// holds it: `run` is validated where it stands and becomes the bucket
-    /// vector, so a decoder that read `nnz` pairs into one `Vec` of that
-    /// capacity allocates nothing more. Refuses exactly what `from_parts`
-    /// refuses (an index `>= BUCKETS`, a zero count, indices not strictly
-    /// ascending, count overflow, `min`/`max` outside the first/last
-    /// bucket) and, like it, ignores the extremes beside an empty run.
+    /// Build a sketch around a run already laid out as the sketch holds it:
+    /// `run` is validated where it stands by [`check_run`] and becomes the
+    /// bucket vector, so a decoder that read its pairs into one `Vec`
+    /// allocates nothing more. `None` for whatever `check_run` refuses —
+    /// restore paths stay total, and `quantile(0.0)`/`quantile(1.0)` answer
+    /// min/max verbatim. The extremes beside an empty run mean nothing.
     pub fn from_run(min: u64, max: u64, run: Vec<(u32, u64)>) -> Option<Self> {
-        let (Some(&(first, _)), Some(&(last, _))) = (run.first(), run.last()) else {
+        let count = check_run(min, max, &run)?;
+        if run.is_empty() {
             return Some(SparseSketch::new());
-        };
-        let mut count = 0u64;
-        let mut prev = None;
-        for &(i, c) in &run {
-            if i as usize >= BUCKETS || c == 0 || prev.is_some_and(|p| i <= p) {
-                return None;
-            }
-            prev = Some(i);
-            count = count.checked_add(c)?;
-        }
-        if bucket_of(min) != first as usize || bucket_of(max) != last as usize {
-            return None;
         }
         Some(SparseSketch {
             count,
@@ -472,10 +389,7 @@ impl SparseSketch {
             count: dense.count,
             min: dense.min,
             max: dense.max,
-            buckets: dense
-                .nonzero_buckets()
-                .map(|(i, c)| (i as u32, c))
-                .collect(),
+            buckets: dense.nonzero_buckets().collect(),
         }
     }
 
@@ -530,6 +444,29 @@ impl SparseSketch {
         merge_runs_into(&self.buckets, run, &mut merged);
         self.buckets = merged;
     }
+}
+
+/// The one validator of a sketch run: the samples `run` counts, or `None`
+/// when it is not sketch content — a bucket at or past [`BUCKETS`], a zero
+/// count, buckets not strictly ascending, counts that do not sum to a
+/// `u64`, or `min`/`max` outside the first/last bucket. It borrows the
+/// run, so a decoder checks pairs where it read them (a sketch's own
+/// vector, a segment's pool) and [`SparseSketch::from_run`] is this check
+/// plus a move. An empty run counts nothing whatever extremes ride with it.
+pub fn check_run(min: u64, max: u64, run: &[(u32, u64)]) -> Option<u64> {
+    let (Some(&(first, _)), Some(&(last, _))) = (run.first(), run.last()) else {
+        return Some(0);
+    };
+    let mut count = 0u64;
+    let mut prev = None;
+    for &(i, c) in run {
+        if i as usize >= BUCKETS || c == 0 || prev.is_some_and(|p| i <= p) {
+            return None;
+        }
+        prev = Some(i);
+        count = count.checked_add(c)?;
+    }
+    (bucket_of(min) == first as usize && bucket_of(max) == last as usize).then_some(count)
 }
 
 /// Append the bucket-wise sum of two sketch runs — strictly ascending
@@ -731,52 +668,27 @@ mod tests {
         assert_eq!(whole, parts);
     }
 
+    /// Dense → sparse → run → sparse: the collapsed sketch hands out a run
+    /// its own validator accepts, and rebuilds from it unchanged.
     #[test]
     fn sparse_round_trip() {
-        let mut s = QuantileSketch::new();
+        let mut dense = QuantileSketch::new();
         for v in [1u64, 60_000, 60_000, 91_770_000, 5] {
-            s.push(v);
+            dense.push(v);
         }
-        let pairs: Vec<_> = s.nonzero_buckets().collect();
-        let r = QuantileSketch::from_parts(s.min().unwrap(), s.max().unwrap(), pairs).unwrap();
-        assert_eq!(r, s);
-        assert!(QuantileSketch::from_parts(0, 0, [(BUCKETS, 1)]).is_none());
-    }
-
-    /// A restored sketch answers `quantile(0.0)`/`quantile(1.0)` with the
-    /// carried min/max verbatim, so they must sit in the outermost
-    /// non-empty buckets.
-    #[test]
-    fn from_parts_rejects_min_max_outside_the_outer_buckets() {
-        // 1000..=1003 share bucket_of(1000); 5 is its own bucket.
-        let pairs = [(5usize, 2u64), (bucket_of(1000), 1)];
-        for (min, max, ok) in [
-            (5, 1000, true),
-            (5, 1003, true),
-            (4, 1000, false),
-            (6, 1000, false),
-            (5, 999, false),
-            (5, 1004, false),
-            (0, u64::MAX, false),
-        ] {
-            assert_eq!(
-                QuantileSketch::from_parts(min, max, pairs).is_some(),
-                ok,
-                "dense {min}..{max}"
-            );
-            assert_eq!(
-                SparseSketch::from_parts(min, max, pairs).is_some(),
-                ok,
-                "sparse {min}..{max}"
-            );
-        }
-        // Zero-count pairs do not count as occupied; an empty sketch
-        // ignores the carried extremes, as before.
-        assert!(QuantileSketch::from_parts(5, 5, [(3, 0), (5, 1), (9, 0)]).is_some());
-        assert!(QuantileSketch::from_parts(3, 5, [(3, 0), (5, 1)]).is_none());
+        let sparse = SparseSketch::from_dense(&dense);
+        let (min, max, run) = sparse.as_run();
+        assert_eq!((min, max), (1, 91_770_000));
+        assert_eq!(check_run(min, max, run), Some(5));
         assert_eq!(
-            QuantileSketch::from_parts(7, 9, []),
-            Some(QuantileSketch::new())
+            SparseSketch::from_run(min, max, run.to_vec()),
+            Some(sparse.clone())
+        );
+        // An empty sketch is an empty run, whatever extremes ride with it.
+        assert_eq!(SparseSketch::new().as_run().2, &[]);
+        assert_eq!(
+            SparseSketch::from_run(7, 9, Vec::new()),
+            Some(SparseSketch::new())
         );
     }
 
@@ -799,14 +711,14 @@ mod tests {
                 }
                 all.merge(s);
             }
-            let full: Vec<(usize, u64)> = all
+            let full: Vec<(u32, u64)> = all
                 .buckets
                 .iter()
                 .enumerate()
                 .filter(|(_, &c)| c != 0)
-                .map(|(i, &c)| (i, c))
+                .map(|(i, &c)| (i as u32, c))
                 .collect();
-            let bounded: Vec<(usize, u64)> = all.nonzero_buckets().collect();
+            let bounded: Vec<(u32, u64)> = all.nonzero_buckets().collect();
             proptest::prop_assert_eq!(&bounded, &full);
             for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
                 proptest::prop_assert_eq!(
@@ -814,12 +726,6 @@ mod tests {
                     quantile_over(all.count, all.min, all.max, q, full.iter().copied())
                 );
             }
-            let back = QuantileSketch::from_parts(
-                all.min().unwrap_or(0),
-                all.max().unwrap_or(0),
-                full,
-            );
-            proptest::prop_assert_eq!(back, Some(all));
         }
     }
 
@@ -873,10 +779,9 @@ mod tests {
         for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(sparse.quantile(q), dense.quantile(q), "q={q}");
         }
-        let sp: Vec<_> = sparse.nonzero_buckets().collect();
         let dp: Vec<_> = dense.nonzero_buckets().collect();
-        assert_eq!(sp, dp);
-        assert_eq!(sparse.to_dense(), dense);
+        assert_eq!(sparse.as_run().2, &dp[..]);
+        assert_eq!(SparseSketch::from_dense(&dense), sparse);
         let mut ds = Digest64::new();
         sparse.absorb_into(&mut ds);
         let mut dd = Digest64::new();
@@ -917,32 +822,15 @@ mod tests {
         assert_eq!(w, whole);
     }
 
-    #[test]
-    fn sparse_from_parts_is_total() {
-        let mut s = SparseSketch::new();
-        for v in [4u64, 4, 999, 70_000] {
-            s.push(v);
-        }
-        let pairs: Vec<_> = s.nonzero_buckets().collect();
-        let r = SparseSketch::from_parts(s.min().unwrap(), s.max().unwrap(), pairs).unwrap();
-        assert_eq!(r, s);
-        // Out of range, unsorted, duplicate, and zero-count inputs are rejected.
-        assert!(SparseSketch::from_parts(0, 0, [(BUCKETS, 1)]).is_none());
-        assert!(SparseSketch::from_parts(0, 0, [(5, 1), (3, 1)]).is_none());
-        assert!(SparseSketch::from_parts(0, 0, [(5, 1), (5, 1)]).is_none());
-        assert!(SparseSketch::from_parts(0, 0, [(5, 0)]).is_none());
-        assert!(SparseSketch::from_parts(0, 0, [(1, u64::MAX), (2, 1)]).is_none());
-    }
-
     proptest::proptest! {
-        /// The in-place validator against the constructor it stands in
-        /// for: the same sketch or the same refusal, on valid runs and on
-        /// each way a run goes wrong — an index at or past `BUCKETS`, a
-        /// zero count, a swapped or repeated index, counts that overflow,
-        /// extremes off the first or last bucket — and on the empty run,
-        /// whose extremes mean nothing.
+        /// The validator against a naive model — a dense histogram summed
+        /// in `u128` — on valid runs and on each way a run goes wrong: an
+        /// index at or past `BUCKETS`, a zero count, a swapped or repeated
+        /// index, counts that overflow, extremes off the first or last
+        /// bucket — and on the empty run, whose extremes mean nothing.
+        /// `from_run` is the same verdict plus a move.
         #[test]
-        fn from_run_accepts_and_refuses_what_from_parts_does(
+        fn check_run_accepts_and_refuses_what_a_naive_model_does(
             steps in proptest::collection::vec((1u32..800, 1u64..1 << 40), 0..9),
             (min_off, max_off) in (0u64..3, 0u64..3),
             forgery in 0usize..9,
@@ -971,9 +859,29 @@ mod tests {
                 7 => max += 1 << 41,
                 _ => {}
             }
-            let by_parts =
-                SparseSketch::from_parts(min, max, run.iter().map(|&(i, c)| (i as usize, c)));
-            proptest::prop_assert_eq!(SparseSketch::from_run(min, max, run), by_parts);
+            let naive = || {
+                let mut dense = vec![0u128; BUCKETS];
+                for (n, &(i, c)) in run.iter().enumerate() {
+                    let ascends = n == 0 || run[n - 1].0 < i;
+                    if !ascends || c == 0 {
+                        return None;
+                    }
+                    *dense.get_mut(i as usize)? += u128::from(c);
+                }
+                let count = u64::try_from(dense.iter().sum::<u128>()).ok()?;
+                let Some(first) = dense.iter().position(|&c| c > 0) else {
+                    return Some(0);
+                };
+                let last = dense.iter().rposition(|&c| c > 0)?;
+                (bucket_of(min) == first && bucket_of(max) == last).then_some(count)
+            };
+            let checked = check_run(min, max, &run);
+            proptest::prop_assert_eq!(checked, naive());
+            let built = SparseSketch::from_run(min, max, run.clone());
+            proptest::prop_assert_eq!(built.as_ref().map(SparseSketch::count), checked);
+            if let Some(s) = built.filter(|s| s.nnz() > 0) {
+                proptest::prop_assert_eq!(s.as_run(), (min, max, &run[..]));
+            }
         }
 
         /// The walk that stands in for the all-kinds sketch: pair for pair

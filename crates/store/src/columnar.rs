@@ -32,8 +32,8 @@
 //! materialisation cannot fail.
 
 use crate::cube::{Cell, CellKey};
-use cellrel_ingest::frame::{seal, write_varint, FrameError, Reader, SC};
-use cellrel_sim::sketch::merge_runs_into;
+use cellrel_ingest::frame::{read_pairs, seal, write_pairs, write_varint, FrameError, Reader, SC};
+use cellrel_sim::sketch::{check_run, merge_runs_into};
 use cellrel_sim::{Merge, SparseSketch};
 use std::cmp::Reverse;
 use std::collections::{btree_map, BTreeMap, BinaryHeap};
@@ -260,18 +260,11 @@ impl ColumnSegment {
                 write_varint(out, v);
             }
         }
-        // Sketch pool: per-cell nnz, then delta-coded (index, count) pairs
-        // exactly like the v1 row sketches.
+        // Sketch pool: one `pairs` sequence per row, exactly like the v1
+        // row sketches.
         for i in 0..n {
-            let (_, _, run) = self.sketch_run(i);
-            write_varint(out, run.len() as u64);
-            let mut prev_idx = 0u32;
-            for (j, &(idx, cnt)) in run.iter().enumerate() {
-                let delta = if j == 0 { idx } else { idx - prev_idx };
-                write_varint(out, u64::from(delta));
-                write_varint(out, cnt);
-                prev_idx = idx;
-            }
+            let run = self.sketch_run(i).2;
+            write_pairs(out, run.len(), run.iter().copied());
         }
         // Zone maps, written (and cross-checked on decode) so readers can
         // prune without trusting a recomputation they didn't do.
@@ -343,38 +336,17 @@ impl ColumnSegment {
             }
         }
         for i in 0..n {
-            let nnz = r.count("sketch length", 2)?;
-            let run_start = seg.sk_pool.len();
-            let mut idx = 0u32;
-            for j in 0..nnz {
-                let d: u32 = r.narrow("sketch index")?;
-                if j > 0 && d == 0 {
-                    return Err(r.invalid("zero sketch index delta"));
-                }
-                idx = idx
-                    .checked_add(d)
-                    .ok_or(r.invalid("sketch index overflow"))?;
-                let cnt = r.varint()?;
-                seg.sk_pool.push((idx, cnt));
-            }
+            let start = seg.sk_pool.len();
+            let (min, max) = (seg.sk_min[i], seg.sk_max[i]);
+            read_pairs(r, (min, max), &mut seg.sk_pool)?;
             seg.sk_off.push(seg.sk_pool.len() as u32);
-            // Re-validate through the sketch's own total constructor so a
-            // later materialisation of this row can never fail, and pin the
-            // cross-column invariants the builder guarantees.
-            let run = &seg.sk_pool[run_start..];
-            let sk = SparseSketch::from_parts(
-                seg.sk_min[i],
-                seg.sk_max[i],
-                run.iter().map(|&(b, c)| (b as usize, c)),
-            )
-            .ok_or(r.invalid("invalid segment sketch run"))?;
-            if sk.count() != seg.counts[i] || seg.under_30s[i] > seg.counts[i] {
+            // Validate the run where it landed, so a later materialisation
+            // of this row can never fail, and pin the cross-column
+            // invariants the builder guarantees.
+            let count =
+                check_run(min, max, &seg.sk_pool[start..]).ok_or(r.invalid("sketch buckets"))?;
+            if count != seg.counts[i] || seg.under_30s[i] > seg.counts[i] {
                 return Err(r.invalid("segment cell/sketch mismatch"));
-            }
-            // One content, one layout: builders write zero extremes beside
-            // an empty run, and merges copy these columns as they are.
-            if run.is_empty() && (seg.sk_min[i], seg.sk_max[i]) != (0, 0) {
-                return Err(r.invalid("extremes on an empty sketch run"));
             }
         }
         let mut zones = Zones {
@@ -461,12 +433,11 @@ impl<'a> RowRef<'a> {
 
     /// Materialise as a row-layout cell.
     fn to_cell(self) -> Cell {
-        let pairs = self.run.iter().map(|&(b, n)| (b as usize, n));
         Cell {
             count: self.agg.count,
             duration_ms_total: self.agg.duration_total,
             under_30s: self.agg.under_30s,
-            sketch: SparseSketch::from_parts(self.agg.min, self.agg.max, pairs)
+            sketch: SparseSketch::from_run(self.agg.min, self.agg.max, self.run.to_vec())
                 .expect("segment sketch runs are validated on build and decode"),
         }
     }
@@ -1053,10 +1024,7 @@ mod tests {
         };
         assert_eq!(round_trip(&seg).as_ref(), Ok(&seg));
         seg.sk_max[0] = 9;
-        assert_eq!(
-            round_trip(&seg),
-            Err(SC.invalid("extremes on an empty sketch run"))
-        );
+        assert_eq!(round_trip(&seg), Err(SC.invalid("sketch extremes")));
     }
 
     /// One generated row: `(bucket, kind, which cause)` and the durations

@@ -36,10 +36,9 @@
 
 use crate::columnar::{merge_runs, merge_to_segment, Agg, ColumnSegment, RowRef, RowSink, Run};
 use cellrel_ingest::codec::{unzigzag, zigzag};
-use cellrel_ingest::AcceptedSink;
 use cellrel_sim::{run_sharded, Digest64, Merge, SparseSketch};
-use cellrel_types::{DeviceId, FailureEvent, Isp, PhoneModelId};
-use cellrel_workload::{EventSink, Population};
+use cellrel_types::{DeviceId, EventSink, FailureEvent, Isp, PhoneModelId};
+use cellrel_workload::Population;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -866,10 +865,9 @@ impl Merge for Store {
 }
 
 /// A sink that streams events into a [`Store`], resolving device
-/// dimensions through a shared [`DeviceDirectory`]. Implements both the
-/// workload's [`EventSink`] (simulation-driven builds) and the ingest
-/// collector's [`AcceptedSink`] (wire-driven builds), plus [`Merge`] so the
-/// parallel drivers fold per-shard sinks deterministically.
+/// dimensions through a shared [`DeviceDirectory`]. It is an [`EventSink`],
+/// so the simulation drivers and the ingest collector feed it alike, and
+/// [`Merge`], so the parallel drivers fold per-shard sinks deterministically.
 #[derive(Debug, Clone)]
 pub struct StoreSink<'a> {
     store: Store,
@@ -902,13 +900,6 @@ impl EventSink for StoreSink<'_> {
     fn record(&mut self, event: &FailureEvent) {
         let dim = self.dir.dim_of(event.device);
         self.store.record(event, dim);
-    }
-}
-
-impl AcceptedSink for StoreSink<'_> {
-    fn accepted(&mut self, e: &FailureEvent) {
-        let dim = self.dir.dim_of(e.device);
-        self.store.record(e, dim);
     }
 }
 

@@ -30,7 +30,7 @@
 
 use crate::cube::{Cell, Store};
 use crate::group::{widen, GroupAcc, GroupKey, EMPTY_RANGE, MAX_DIMS};
-use crate::persist::{read_sketch, write_sketch};
+use crate::persist::{read_run, write_run};
 use crate::query::{finalize_groups, validate};
 use crate::{Query, QueryError, ResultSet};
 use cellrel_ingest::frame::{write_varint, FrameError, Reader, PARTIAL};
@@ -130,7 +130,7 @@ pub fn encode_partial(p: &PartialResultSet) -> Vec<u8> {
         write_varint(&mut out, c.count);
         write_varint(&mut out, c.duration_ms_total);
         write_varint(&mut out, c.under_30s);
-        write_sketch(&mut out, &c.sketch);
+        write_run(&mut out, &c.sketch);
     }
     out
 }
@@ -164,7 +164,7 @@ pub fn decode_partial(bytes: &[u8]) -> Result<PartialResultSet, FrameError> {
         if under_30s > count {
             return Err(r.invalid("under_30s exceeds count"));
         }
-        let sketch = read_sketch(&mut r)?;
+        let sketch = read_run(&mut r)?;
         prev = Some(key.clone());
         groups.push((
             key,

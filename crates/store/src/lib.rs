@@ -45,9 +45,9 @@
 //! * [`workload`] — the canonical 11-query workload shared by the repo
 //!   benchmark and the differential suites.
 //!
-//! Records arrive either from the simulation drivers (via the workload
-//! `EventSink`) or from the ingest collector (via its `AcceptedSink`) —
-//! [`StoreSink`] implements both over a shared [`DeviceDirectory`].
+//! Records arrive from the simulation drivers or from the ingest
+//! collector through the one `cellrel_types::EventSink` trait, which
+//! [`StoreSink`] implements over a shared [`DeviceDirectory`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

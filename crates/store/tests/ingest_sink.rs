@@ -1,7 +1,7 @@
 //! End-to-end wiring: device uploads enter the ingest collector as CRC-framed
-//! wire batches, the collector's `AcceptedSink` streams every accepted record
-//! into a [`StoreSink`], and the resulting store answers queries — identical
-//! to a store built directly from the clean event list.
+//! wire batches, the collector streams every accepted record into a
+//! [`StoreSink`] (its `EventSink`), and the resulting store answers queries —
+//! identical to a store built directly from the clean event list.
 
 use cellrel_ingest::codec::encode_batch;
 use cellrel_ingest::{Collector, CollectorConfig};

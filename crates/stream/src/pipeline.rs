@@ -5,10 +5,10 @@ use crate::StreamError;
 use cellrel_analysis::store_tables::{table1_from_store, table2_from_store};
 use cellrel_analysis::table1::Table1;
 use cellrel_analysis::table2::Table2;
-use cellrel_ingest::{AcceptedSink, Collector, CollectorConfig};
+use cellrel_ingest::{Collector, CollectorConfig};
 use cellrel_sim::Merge;
 use cellrel_store::{DeviceDirectory, QueryError, Store, StoreConfig};
-use cellrel_types::FailureEvent;
+use cellrel_types::{EventSink, FailureEvent};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Stream tuning knobs. Window geometry is part of the deterministic
@@ -101,8 +101,8 @@ struct WindowRouter<'a> {
     counters: &'a mut StreamCounters,
 }
 
-impl AcceptedSink for WindowRouter<'_> {
-    fn accepted(&mut self, e: &FailureEvent) {
+impl EventSink for WindowRouter<'_> {
+    fn record(&mut self, e: &FailureEvent) {
         self.counters.records += 1;
         let dim = self.dir.dim_of(e.device);
         let w = e.start.as_millis() / self.window_ms;

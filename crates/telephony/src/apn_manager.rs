@@ -80,13 +80,6 @@ impl ApnManager {
         modem.deactivate();
     }
 
-    /// Reset all trackers (modem restart, recovery).
-    pub fn reset_all(&mut self, now: SimTime) {
-        for tracker in &mut self.trackers {
-            tracker.reset(now);
-        }
-    }
-
     /// Number of APNs with an established bearer.
     pub fn active_count(&self, modem: &Modem) -> usize {
         self.trackers

@@ -311,11 +311,6 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         self.pos
     }
 
-    /// Move the device (mobility is driven externally by the workload layer).
-    pub fn set_position(&mut self, pos: Pos) {
-        self.pos = pos;
-    }
-
     /// The modem (tests).
     pub fn modem(&self) -> &Modem {
         &self.modem

@@ -158,6 +158,31 @@ impl FailureEvent {
     }
 }
 
+/// A receiver of failure events — the one seam between whatever produces
+/// them (the macro study's generators, the ingest collector's accepted
+/// stream) and whatever folds them (the analytics cube, the stream windows,
+/// the fleet accumulators, a capture buffer). A collector hands its sink
+/// exactly the records its aggregates are built from, in batch arrival
+/// order; a parallel study driver builds one sink per shard and folds them
+/// with `cellrel_sim::Merge`, so a sink used there must make `merge` behave
+/// like "the other shard's events recorded after mine".
+pub trait EventSink {
+    /// Record one failure event.
+    fn record(&mut self, event: &FailureEvent);
+}
+
+/// Capture sink: materialises the stream.
+impl EventSink for Vec<FailureEvent> {
+    fn record(&mut self, event: &FailureEvent) {
+        self.push(*event);
+    }
+}
+
+/// Discarding sink, for runs with no downstream consumer.
+impl EventSink for () {
+    fn record(&mut self, _event: &FailureEvent) {}
+}
+
 impl fmt::Display for FailureEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -13,7 +13,8 @@
 //!   layer classification and false-positive tagging the paper relies on.
 //! * [`FailureKind`] / [`FailureEvent`] — the cellular failure taxonomy of the
 //!   study (`Data_Setup_Error`, `Out_of_Service`, `Data_Stall`, …) and the
-//!   in-situ record captured for each occurrence.
+//!   in-situ record captured for each occurrence; [`EventSink`] is the one
+//!   trait a consumer of those records implements.
 //! * Identifiers: [`DeviceId`], [`BsId`], [`Isp`], [`Apn`].
 //! * Device descriptors: [`AndroidVersion`], [`PhoneModelId`], [`HardwareSpec`].
 //! * [`ServiceState`] — the Android service-state a device perceives.
@@ -36,7 +37,7 @@ pub mod time;
 
 pub use device::{AndroidVersion, HardwareSpec, PhoneModelId};
 pub use fail_cause::{DataFailCause, FailureLayer, FalsePositiveClass};
-pub use failure::{FailureEvent, FailureKind, InSituInfo};
+pub use failure::{EventSink, FailureEvent, FailureKind, InSituInfo};
 pub use ids::{Apn, BsId, DeviceId, Isp};
 pub use rat::{Rat, RatSet};
 pub use service::ServiceState;

@@ -128,12 +128,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
 
-    /// Scale the span by a non-negative float factor.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        debug_assert!(k >= 0.0, "negative duration scaling");
-        SimDuration((self.0 as f64 * k).round() as u64)
-    }
-
     /// Minimum of two spans.
     pub fn min(self, other: SimDuration) -> SimDuration {
         if self.0 <= other.0 {

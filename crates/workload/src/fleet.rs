@@ -49,14 +49,14 @@ use crate::durations;
 use crate::exposure::FailureLevelSampler;
 use crate::fleet_metrics::FleetMetrics;
 use crate::population::{DeviceProfile, Population, PopulationConfig};
-use crate::study::{kind_weights_for, rat_mix, EventSink, OOS_PRONE_SHARE};
+use crate::study::{kind_weights_for, rat_mix, OOS_PRONE_SHARE};
 use crate::BsAssigner;
 use cellrel_modem::cause_mix::CauseMix;
 use cellrel_radio::load::diurnal_factor;
 use cellrel_radio::RatTransitionModel;
 use cellrel_sim::{resolve_threads, run_sharded, Merge, MetricsSnapshot, SimRng, TimerWheel};
 use cellrel_types::{
-    Apn, DeviceId, FailureEvent, FailureKind, InSituInfo, Rat, SimDuration, SimTime,
+    Apn, DeviceId, EventSink, FailureEvent, FailureKind, InSituInfo, Rat, SimDuration, SimTime,
 };
 
 /// Upper envelope of [`diurnal_factor`] used by the thinning sampler; a

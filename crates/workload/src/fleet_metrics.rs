@@ -12,9 +12,9 @@
 //! [`run_macro_study_parallel`]: crate::study::run_macro_study_parallel
 
 use cellrel_sim::{Merge, MetricsRegistry, MetricsSnapshot};
-use cellrel_types::{FailureEvent, FailureKind, FailureLayer, Rat};
+use cellrel_types::{EventSink, FailureEvent, FailureKind, FailureLayer, Rat};
 
-use crate::study::{run_macro_study_parallel, EventSink, StudyConfig};
+use crate::study::{run_macro_study_parallel, StudyConfig};
 
 /// Counter name for a failure kind.
 pub fn kind_counter(kind: FailureKind) -> &'static str {

@@ -42,7 +42,4 @@ pub use fleet::{run_fleet_event_driven, run_fleet_per_tick, FleetConfig, FleetRe
 pub use fleet_metrics::{run_fleet_metrics, FleetMetrics};
 pub use models::{PhoneModelSpec, MODELS};
 pub use population::{DeviceProfile, Population, PopulationConfig};
-pub use study::{
-    run_macro_study, run_macro_study_parallel, run_macro_study_streaming, EventSink, StudyConfig,
-    StudyDataset,
-};
+pub use study::{run_macro_study, run_macro_study_parallel, StudyConfig, StudyDataset};

@@ -12,7 +12,9 @@ use crate::exposure::FailureLevelSampler;
 use crate::population::{DeviceProfile, Population, PopulationConfig};
 use cellrel_modem::cause_mix::CauseMix;
 use cellrel_sim::{resolve_threads, run_sharded, Merge, SimRng};
-use cellrel_types::{Apn, FailureEvent, FailureKind, InSituInfo, Rat, SimDuration, SimTime};
+use cellrel_types::{
+    Apn, EventSink, FailureEvent, FailureKind, InSituInfo, Rat, SimDuration, SimTime,
+};
 
 /// Macro study parameters.
 #[derive(Debug, Clone, Copy)]
@@ -141,27 +143,6 @@ pub(crate) fn rat_mix(has_5g: bool) -> ([Rat; 4], [f64; 4]) {
     }
 }
 
-/// A receiver for generated failure events — the streaming / parallel
-/// counterpart of materialising a `Vec<FailureEvent>`. Parallel drivers
-/// build one sink per shard and fold them with [`Merge`], so a sink used
-/// with [`run_macro_study_parallel`] must make `merge` behave like "the
-/// other shard's events recorded after mine".
-pub trait EventSink {
-    /// Record one failure event.
-    fn record(&mut self, event: &FailureEvent);
-}
-
-impl EventSink for Vec<FailureEvent> {
-    fn record(&mut self, event: &FailureEvent) {
-        self.push(*event);
-    }
-}
-
-/// Discarding sink, for runs that only need the per-device counts.
-impl EventSink for () {
-    fn record(&mut self, _event: &FailureEvent) {}
-}
-
 /// Read-only per-run context shared by every shard of a study run.
 struct StudyCtx {
     bs: BsAssigner,
@@ -194,11 +175,7 @@ fn study_ctx(cfg: &StudyConfig) -> (Population, StudyCtx) {
 
 /// Generate one device's failures into `sink` from the device's own
 /// substream; returns the device's failure count (0 if it never fails).
-fn emit_device_failures(
-    dev: &DeviceProfile,
-    ctx: &StudyCtx,
-    sink: &mut impl FnMut(&FailureEvent),
-) -> u32 {
+fn emit_device_failures(dev: &DeviceProfile, ctx: &StudyCtx, sink: &mut impl EventSink) -> u32 {
     let mut ev_rng = SimRng::for_substream(ctx.event_root, dev.id.0 as u64);
     if !ev_rng.chance(dev.failure_prevalence()) {
         return 0;
@@ -222,7 +199,7 @@ fn emit_device_failures(
             (kind == FailureKind::DataSetupError).then(|| ctx.cause_mix.sample(&mut ev_rng));
         let duration = durations::sample_duration(kind, &mut ev_rng, dev.remote_region);
         let start = SimTime::from_millis(ev_rng.range_u64(0, ctx.window_ms));
-        sink(&FailureEvent {
+        sink.record(&FailureEvent {
             device: dev.id,
             kind,
             start,
@@ -240,23 +217,6 @@ fn emit_device_failures(
     count
 }
 
-/// Run the macro study in streaming form: every generated failure event is
-/// handed to `sink` instead of being materialised, so fleets of 10⁶+
-/// devices run in memory bounded by the BS directory and per-device counts.
-/// Returns the population, per-device counts and BS directory (the parts
-/// aggregations need for denominators).
-pub fn run_macro_study_streaming(
-    cfg: &StudyConfig,
-    mut sink: impl FnMut(&FailureEvent),
-) -> (Population, Vec<u32>, BsAssigner) {
-    let (population, ctx) = study_ctx(cfg);
-    let mut per_device_counts = Vec::with_capacity(population.len());
-    for dev in population.devices() {
-        per_device_counts.push(emit_device_failures(dev, &ctx, &mut sink));
-    }
-    (population, per_device_counts, ctx.bs)
-}
-
 /// Run the macro study sharded over up to `threads` scoped threads
 /// (`0` = auto: `CELLREL_THREADS` or the machine's available parallelism).
 ///
@@ -264,7 +224,10 @@ pub fn run_macro_study_streaming(
 /// built by `make_sink`; shard sinks are folded in shard order with
 /// [`Merge`] at the end. Because every device draws from its own substream
 /// and shards are contiguous, the result is **bit-identical at any thread
-/// count**, including 1 — and identical to [`run_macro_study_streaming`].
+/// count**, including 1. Events are handed to the shard's sink as they are
+/// generated, never materialised, so a fleet of 10⁶+ devices runs in memory
+/// bounded by the BS directory, the per-device counts and what the sinks
+/// keep.
 pub fn run_macro_study_parallel<S, F>(
     cfg: &StudyConfig,
     threads: usize,
@@ -281,7 +244,7 @@ where
         let mut sink = make_sink();
         let mut counts = Vec::with_capacity(range.len());
         for dev in &devices[range] {
-            counts.push(emit_device_failures(dev, &ctx, &mut |e| sink.record(e)));
+            counts.push(emit_device_failures(dev, &ctx, &mut sink));
         }
         (counts, sink)
     });
@@ -451,16 +414,29 @@ mod tests {
             ..Default::default()
         };
         let full = run_macro_study(&cfg);
-        let mut count = 0usize;
-        let mut duration_sum = 0u64;
-        let (_, per_device, _) = run_macro_study_streaming(&cfg, |e| {
-            count += 1;
-            duration_sum += e.duration.as_millis();
-        });
-        assert_eq!(count, full.events.len());
+        /// A sink that keeps two sums and no event.
+        #[derive(Default)]
+        struct Tally {
+            count: usize,
+            duration_sum: u64,
+        }
+        impl EventSink for Tally {
+            fn record(&mut self, e: &FailureEvent) {
+                self.count += 1;
+                self.duration_sum += e.duration.as_millis();
+            }
+        }
+        impl Merge for Tally {
+            fn merge(&mut self, o: Self) {
+                self.count += o.count;
+                self.duration_sum += o.duration_sum;
+            }
+        }
+        let (_, per_device, _, tally) = run_macro_study_parallel(&cfg, 3, Tally::default);
+        assert_eq!(tally.count, full.events.len());
         assert_eq!(per_device, full.per_device_counts);
         let full_sum: u64 = full.events.iter().map(|e| e.duration.as_millis()).sum();
-        assert_eq!(duration_sum, full_sum);
+        assert_eq!(tally.duration_sum, full_sum);
         // The parallel path produces the same bytes at every thread count.
         for threads in [1usize, 2, 8] {
             let (_, par_counts, _, par_events) = run_macro_study_parallel(&cfg, threads, Vec::new);

@@ -23,8 +23,10 @@ const DOCS: [&str; 5] = [
 /// server start, the clocked core, the in-library feed harnesses, the two
 /// `repro` identity passes, and the recovery drills' own count flag, report
 /// types and second plan struct (they are scenarios of the campaign engine
-/// now). The verify skill is held to this list too.
-const RETIRED: [&str; 12] = [
+/// now), the collector's own sink trait and the closure-fed study driver
+/// (one `EventSink`, one `run_macro_study_parallel`). The verify skill is
+/// held to this list too.
+const RETIRED: [&str; 14] = [
     "run_ingest",
     "serve_with",
     "ServerConfig",
@@ -38,6 +40,8 @@ const RETIRED: [&str; 12] = [
     concat!("KillRestart", "Report"),
     concat!("Failover", "Report"),
     concat!("Failover", "Config"),
+    concat!("Accepted", "Sink"),
+    concat!("run_macro_study", "_streaming"),
 ];
 
 fn root() -> PathBuf {

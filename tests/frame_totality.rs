@@ -16,12 +16,16 @@
 //! * random bytes — raw, and wrapped in a valid envelope so the field
 //!   grammar sees them — never panic.
 //!
+//! Below the table, one cross-family property splices the same hostile
+//! sketch `pairs` into each of the four families that carry a sketch (`CK`,
+//! `CS`, `SC`, partial) and requires the same refusal from all of them.
+//!
 //! Round-trip properties over *arbitrary* values, and the properties about
 //! server state not advancing on hostile frames, stay with each crate.
 
 use cellrel::cluster::{decode_frame, encode_frame, Message};
 use cellrel::ingest::frame::{
-    self, seal, write_varint, Family, Reader, CB, CK, CQ, CR, CS, SC, SG, SP,
+    self, seal, write_varint, Family, Reader, CB, CK, CQ, CR, CS, PARTIAL, SC, SG, SP,
 };
 use cellrel::ingest::{
     decode_batch, encode_batch, peek_device, restore_checkpoint, save_checkpoint, Collector,
@@ -31,6 +35,7 @@ use cellrel::queryd::proto::{
     decode_request, decode_response, encode_request, encode_response, Request, Response,
     ServerStats, WireError,
 };
+use cellrel::sim::sketch::BUCKETS;
 use cellrel::sim::SparseSketch;
 use cellrel::store::workload::canonical;
 use cellrel::store::{
@@ -129,17 +134,22 @@ struct Subject<'a, T, E> {
     lie_prefix: Vec<u8>,
 }
 
+/// `body` inside `family`'s envelope: header, body, CRC.
+fn framed(family: &'static Family, version: u8, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let start = family.begin(&mut out, version);
+    out.extend_from_slice(body);
+    seal(&mut out, start);
+    out
+}
+
 impl<T, E> Subject<'_, T, E> {
     /// `body` inside a valid envelope (or bare, for the partial form).
     fn wrap(&self, body: &[u8]) -> Vec<u8> {
-        let Some(family) = self.family else {
-            return body.to_vec();
-        };
-        let mut out = Vec::new();
-        family.begin(&mut out, family.versions[0]);
-        out.extend_from_slice(body);
-        seal(&mut out, 0);
-        out
+        match self.family {
+            Some(family) => framed(family, family.versions[0], body),
+            None => body.to_vec(),
+        }
     }
 
     /// Decode hostile bytes: any typed result is fine, a panic or an
@@ -348,11 +358,7 @@ fn reframe(family: &'static Family, bytes: &[u8], edit: impl FnOnce(&mut Vec<u64
         values.push(r.varint().expect("varint body"));
     }
     edit(&mut values);
-    let mut out = Vec::new();
-    let start = family.begin(&mut out, version);
-    out.extend(varints(&values));
-    seal(&mut out, start);
-    out
+    framed(family, version, &varints(&values))
 }
 
 /// Index of the `max` of the first non-empty sketch in a `CK` body — the
@@ -496,7 +502,7 @@ proptest! {
             let at = cs_first_sketch_max(v);
             v[at] = u64::MAX;
         });
-        prop_assert_eq!(restore_store(&lie), Err(CS.invalid("invalid sketch buckets")));
+        prop_assert_eq!(restore_store(&lie), Err(CS.invalid("sketch buckets")));
     }
 
     #[test]
@@ -662,6 +668,211 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// One sketch, four carriers. `CK` shards, `CS` cells, `SC` rows and partial
+// groups each put their own header fields around the one `pairs` sequence
+// `frame::read_pairs` reads; whatever is wrong with the pairs, all four
+// must say so in the same words.
+// ---------------------------------------------------------------------------
+
+/// A sketch as the wire spells it: header values, then `(delta, count)`
+/// pairs — free to say what no writer would.
+#[derive(Debug, Clone)]
+struct WireSketch {
+    count: u64,
+    min: u64,
+    max: u64,
+    pairs: Vec<(u64, u64)>,
+}
+
+impl WireSketch {
+    fn of(s: &SparseSketch) -> Self {
+        let mut prev = 0;
+        let pairs = s.as_run().2.iter().map(|&(i, c)| {
+            let delta = u64::from(i - prev);
+            prev = i;
+            (delta, c)
+        });
+        WireSketch {
+            count: s.count(),
+            min: s.min().unwrap_or(0),
+            max: s.max().unwrap_or(0),
+            pairs: pairs.collect(),
+        }
+    }
+
+    /// `fields` (picked from count, min, max by the family), then `pairs`.
+    fn bytes(&self, fields: &[u64]) -> Vec<u8> {
+        let mut out = varints(fields);
+        write_varint(&mut out, self.pairs.len() as u64);
+        for &(delta, count) in &self.pairs {
+            out.extend(varints(&[delta, count]));
+        }
+        out
+    }
+}
+
+/// A one-shard checkpoint whose first kind holds `s`, so the all-kinds
+/// sketch — read first — is `s` too.
+fn ck_with(s: &WireSketch) -> Vec<u8> {
+    let sketch = s.bytes(&[s.count, s.min, s.max]);
+    framed(
+        &CK,
+        CK.versions[0],
+        &[
+            &[1u8, 0, 0][..], // virtual_shards, lateness, unroutable
+            &[0; 11],         // counters, watermark, nseq
+            &[0; 16],         // records, by_kind/isp/rat, three duration scalars
+            &sketch,
+            &sketch,
+            &[0; 4 * 4], // four idle kinds: count, min, max, nnz
+        ]
+        .concat(),
+    )
+}
+
+/// A one-partition row image holding one cell.
+fn cs_with(s: &WireSketch) -> Vec<u8> {
+    framed(
+        &CS,
+        CS.versions[0],
+        &[
+            &varints(&[1_000, 4, 1, 0])[..], // bucket_ms, rollup, partitions, auto_compact
+            &[0, 0, 0, 0, 1],                // four counters, one cell
+            &[0; 8],                         // its key
+            &varints(&[s.count, 0, 0]),      // count, duration total, under 30 s
+            &s.bytes(&[s.min, s.max]),
+            &[0], // no devices
+        ]
+        .concat(),
+    )
+}
+
+/// A one-row column block.
+fn sc_with(s: &WireSketch) -> Vec<u8> {
+    framed(
+        &SC,
+        SC.versions[0],
+        &[
+            &[1u8][..],                                  // rows
+            &[0; 7],                                     // bucket, six key bytes
+            &varints(&[0, s.count, 0, 0, s.min, s.max]), // cause … sk_min, sk_max
+            &s.bytes(&[]),
+            &[0; 16], // zones of the all-zero key
+        ]
+        .concat(),
+    )
+}
+
+/// A partial holding one group under the empty key.
+fn partial_with(s: &WireSketch) -> Vec<u8> {
+    let mut out = varints(&[1, 0, 0, 0, 1]); // window, scanned, matched, key width, groups
+    out.extend(varints(&[s.count, 0, 0])); // count, duration total, under 30 s
+    out.extend(s.bytes(&[s.min, s.max]));
+    out
+}
+
+/// Decode `s` inside each carrier: `Ok` only when the frame also
+/// re-encodes to itself, else the error.
+fn carried(s: &WireSketch) -> [Result<(), frame::FrameError>; 4] {
+    fn canonical<T>(
+        bytes: Vec<u8>,
+        decode: impl Fn(&[u8]) -> Result<T, frame::FrameError>,
+        encode: impl Fn(&T) -> Vec<u8>,
+    ) -> Result<(), frame::FrameError> {
+        assert_eq!(encode(&decode(&bytes)?), bytes, "not the canonical frame");
+        Ok(())
+    }
+    [
+        canonical(ck_with(s), restore_checkpoint, save_checkpoint),
+        canonical(cs_with(s), restore_store, save_store),
+        canonical(sc_with(s), decode_block, encode_block),
+        canonical(partial_with(s), decode_partial, encode_partial),
+    ]
+}
+
+/// The same refusal, `field`, from every carrier.
+fn refused(field: &'static str) -> [Result<(), frame::FrameError>; 4] {
+    [&CK, &CS, &SC, &PARTIAL].map(|family| Err(family.invalid(field)))
+}
+
+/// Regression: `CK`, `CS` and the partial form restored a sketch with no
+/// pairs and non-zero extremes — its constructor ignores extremes beside
+/// an empty run — and re-encoded it with zeros, to other bytes than it was
+/// restored from; only `SC` refused. One state has one frame in all four.
+#[test]
+fn extremes_beside_an_empty_run_are_refused_by_every_family() {
+    let empty = WireSketch::of(&SparseSketch::new());
+    assert_eq!(carried(&empty), [Ok(()), Ok(()), Ok(()), Ok(())]);
+    for (min, max) in [(0, 9), (7, 0), (7, 9)] {
+        let forged = WireSketch {
+            min,
+            max,
+            ..empty.clone()
+        };
+        assert_eq!(carried(&forged), refused("sketch extremes"));
+    }
+}
+
+proptest! {
+    #[test]
+    fn hostile_pairs_are_refused_alike_by_every_family(
+        values in prop::collection::vec((0u32..30, 1u64..1 << 40), 0..12),
+        forgery in 0usize..9,
+        at in any::<usize>(),
+    ) {
+        // Two buckets at least, none of them bucket 0.
+        let mut sketch = SparseSketch::new();
+        for v in [3, 70_000].into_iter().chain(values.iter().map(|&(shift, v)| (v >> shift).max(1))) {
+            sketch.push(v);
+        }
+        let good = WireSketch::of(&sketch);
+        prop_assert_eq!(carried(&good), [Ok(()), Ok(()), Ok(()), Ok(())]);
+
+        let mut s = good.clone();
+        let n = s.pairs.len();
+        let field = match forgery {
+            0 => {
+                s.pairs[1 + at % (n - 1)].0 = 0;
+                "sketch index delta"
+            }
+            1 => {
+                s.pairs[at % n].0 += BUCKETS as u64;
+                "sketch buckets"
+            }
+            2 => {
+                s.pairs[at % n].1 = 0;
+                "sketch buckets"
+            }
+            3 => {
+                s.pairs[0].1 = u64::MAX;
+                "sketch buckets"
+            }
+            4 => {
+                s.min = 0;
+                "sketch buckets"
+            }
+            5 => {
+                s.max = u64::MAX;
+                "sketch buckets"
+            }
+            6 => {
+                s.pairs[0].0 = u64::MAX;
+                "sketch index"
+            }
+            7 => {
+                s.pairs[at % n].0 += 1 << 32;
+                "sketch buckets"
+            }
+            _ => {
+                s = WireSketch { min: 1 + at as u64 % 2, ..WireSketch::of(&SparseSketch::new()) };
+                "sketch extremes"
+            }
+        };
+        prop_assert_eq!(carried(&s), refused(field), "{:?}", s);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // `merge_partials` is the one consumer documented total on whatever
 // `decode_partial` accepts, and a decoded partial names its own window
 // width, keys, counts and sketches. Each case below is decodable wire input
@@ -728,7 +939,7 @@ fn merge_partials_leaves_out_a_sketch_it_cannot_count() {
     // Two sketches of 2⁶³ samples each: one more than a count can hold.
     let sketch = |value: u64, count: u64| StoreCell {
         count,
-        sketch: SparseSketch::from_parts(value, value, [(value as usize, count)])
+        sketch: SparseSketch::from_run(value, value, vec![(value as u32, count)])
             .expect("a value below the linear limit is its own bucket"),
         ..StoreCell::default()
     };

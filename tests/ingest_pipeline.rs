@@ -5,7 +5,7 @@
 use cellrel::ingest::codec::encode_batch;
 use cellrel::ingest::{restore_checkpoint, save_checkpoint, Collector, CollectorConfig};
 use cellrel::types::{DeviceId, FailureEvent};
-use cellrel::workload::{run_macro_study_streaming, PopulationConfig, StudyConfig};
+use cellrel::workload::{run_macro_study_parallel, PopulationConfig, StudyConfig};
 
 fn fleet_cfg() -> StudyConfig {
     StudyConfig {
@@ -28,7 +28,8 @@ fn encode_fleet(cfg: &StudyConfig, cap: usize) -> (Vec<Vec<u8>>, u64, u64) {
     let mut cur: Option<DeviceId> = None;
     let mut seq = 0u64;
     let mut buf: Vec<FailureEvent> = Vec::new();
-    run_macro_study_streaming(cfg, |e| {
+    let (_, _, _, events) = run_macro_study_parallel(cfg, 1, Vec::new);
+    for e in &events {
         if cur != Some(e.device) {
             if let Some(d) = cur {
                 if !buf.is_empty() {
@@ -49,7 +50,7 @@ fn encode_fleet(cfg: &StudyConfig, cap: usize) -> (Vec<Vec<u8>>, u64, u64) {
             seq += 1;
             buf.clear();
         }
-    });
+    }
     if let (Some(d), false) = (cur, buf.is_empty()) {
         batches.push(encode_batch(d, seq, &buf));
     }

@@ -11,8 +11,7 @@ use cellrel::sim::{Merge, MetricsRegistry, MetricsSnapshot};
 use cellrel::telephony::RatPolicyKind;
 use cellrel::types::{FailureEvent, SimDuration, SimTime};
 use cellrel::workload::{
-    ab, run_fleet_metrics, run_macro_study_parallel, run_macro_study_streaming, AbConfig,
-    PopulationConfig, StudyConfig,
+    ab, run_fleet_metrics, run_macro_study_parallel, AbConfig, PopulationConfig, StudyConfig,
 };
 use proptest::prelude::*;
 
@@ -39,16 +38,6 @@ fn macro_study_events_are_identical_across_thread_counts() {
         assert_eq!(counts, base_counts, "per-device counts, threads={threads}");
         assert_eq!(events, base_events, "event stream, threads={threads}");
     }
-}
-
-#[test]
-fn macro_study_parallel_matches_sequential_streaming() {
-    let cfg = small_cfg();
-    let mut seq_events = Vec::new();
-    let (_, seq_counts, _) = run_macro_study_streaming(&cfg, |e| seq_events.push(*e));
-    let (_, par_counts, _, par_events) = run_macro_study_parallel(&cfg, 8, Vec::new);
-    assert_eq!(par_counts, seq_counts);
-    assert_eq!(par_events, seq_events);
 }
 
 #[test]

@@ -15,13 +15,12 @@ use cellrel::analysis::store_tables::{
     table1_from_results, table1_queries, table2_from_result, table2_query,
 };
 use cellrel::analysis::{table1, table2};
-use cellrel::ingest::AcceptedSink;
 use cellrel::queryd::proto::{encode_response, Response};
 use cellrel::queryd::{serve, QuerydCore, Snapshot, TcpClient};
 use cellrel::store::{
     build_sharded, DeviceDirectory, Dim, Filter, Metric, Query, Store, StoreConfig, StoreSink,
 };
-use cellrel::types::{FailureEvent, FailureKind};
+use cellrel::types::{EventSink, FailureEvent, FailureKind};
 use cellrel::workload::{run_macro_study, PopulationConfig, StudyConfig, StudyDataset};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,7 +44,7 @@ fn fixture() -> &'static (StudyDataset, DeviceDirectory) {
 }
 
 /// Replay `events` into the core the way a live backend would: append
-/// through a [`StoreSink`] (the same `AcceptedSink` the ingest collector
+/// through a [`StoreSink`] (the same `EventSink` the ingest collector
 /// feeds) and publish an immutable snapshot every `chunk` events, plus a
 /// final one. `on_publish` sees each snapshot as it becomes current, so
 /// the test retains the exact states concurrent clients can observe.
@@ -73,7 +72,7 @@ fn feed_events(
     };
     let mut pending = 0usize;
     for e in events {
-        sink.accepted(e);
+        sink.record(e);
         pending += 1;
         if pending == chunk {
             pending = 0;
