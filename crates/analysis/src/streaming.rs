@@ -1,19 +1,23 @@
 //! Streaming, mergeable fleet statistics.
 //!
 //! [`FleetAccumulator`] is an [`EventSink`] fed directly by the macro
-//! study's parallel driver: it folds every failure event into
+//! study's parallel driver — or by a collector, as the sink of
+//! `Collector::ingest_with`: it folds every failure event into
 //! the §3.1 headline counters (totals by kind / ISP / RAT, duration
 //! moments, the under-30 s share, the Out_of_Service device set) without
 //! materialising the event list — fleets of 10⁶+ devices run in constant
-//! memory. Because it implements [`Merge`], per-shard accumulators from
-//! [`cellrel_workload::run_macro_study_parallel`] fold into exactly the
-//! sequential result: every field is an integer counter, a set union, a
-//! Welford summary, or a bucket-count [`QuantileSketch`] merged in shard
-//! order. The sketches supply streaming duration percentiles (Fig. 4 and
-//! the per-kind CDm figures) within 1 % rank error of the exact order
+//! memory. The counters and the per-kind duration sketches are the
+//! collector's own fold, [`IngestAggregate`]; this type adds what the
+//! collector does not keep (per-kind duration totals, Welford moments, the
+//! Out_of_Service device set). Because it implements [`Merge`], per-shard
+//! accumulators from [`cellrel_workload::run_macro_study_parallel`] fold
+//! into exactly the sequential result: every field is an integer counter,
+//! a set union, a Welford summary, or a bucket-count sketch merged in
+//! shard order. The sketches supply streaming duration percentiles (Fig. 4
+//! and the per-kind CDm figures) within 1 % rank error of the exact order
 //! statistics, with bitwise thread-count-invariant state.
 
-use cellrel_sim::QuantileSketch;
+use cellrel_ingest::IngestAggregate;
 use cellrel_sim::{Merge, Summary};
 use cellrel_types::{DeviceId, EventSink, FailureEvent, FailureKind};
 use std::collections::HashSet;
@@ -21,29 +25,14 @@ use std::collections::HashSet;
 /// Online fleet statistics over a stream of failure events.
 #[derive(Debug, Clone, Default)]
 pub struct FleetAccumulator {
-    /// Total recorded failures.
-    pub total: u64,
-    /// Counts by kind (index = `FailureKind::index`).
-    pub by_kind: [u64; 5],
-    /// Counts by ISP (index = `Isp::index`).
-    pub by_isp: [u64; 3],
-    /// Counts by RAT (index = `Rat::index`).
-    pub by_rat: [u64; 4],
-    /// Exact total failure duration, integer milliseconds.
-    pub duration_ms_total: u64,
+    /// Totals by kind / ISP / RAT, the duration total, the under-30 s
+    /// count, the longest failure and the per-kind duration sketches
+    /// (Figs. 6–7 inputs; `agg.sketch_all()` is the Fig. 4 CDF).
+    pub agg: IngestAggregate,
     /// Exact per-kind duration totals, integer milliseconds.
     pub duration_ms_by_kind: [u64; 5],
-    /// Failures shorter than 30 s.
-    pub under_30s: u64,
-    /// Longest single failure, milliseconds.
-    pub max_duration_ms: u64,
     /// Welford moments of the duration distribution (seconds).
     pub duration: Summary,
-    /// Streaming quantile sketch over all failure durations (milliseconds)
-    /// — the Fig. 4 CDF without materialising the sample list.
-    pub duration_sketch: QuantileSketch,
-    /// Per-kind duration sketches (Figs. 6–7 inputs).
-    pub duration_sketch_by_kind: [QuantileSketch; 5],
     /// Devices that saw ≥1 Out_of_Service event.
     pub oos_devices: HashSet<DeviceId>,
 }
@@ -56,44 +45,45 @@ impl FleetAccumulator {
 
     /// Mean failure duration in seconds (0 when empty).
     pub fn mean_duration_secs(&self) -> f64 {
-        if self.total == 0 {
+        if self.agg.records == 0 {
             0.0
         } else {
-            self.duration_ms_total as f64 / 1000.0 / self.total as f64
+            self.agg.duration_ms_total as f64 / 1000.0 / self.agg.records as f64
         }
     }
 
     /// Share of failures of `kind` (0 when empty).
     pub fn kind_share(&self, kind: FailureKind) -> f64 {
-        if self.total == 0 {
+        if self.agg.records == 0 {
             0.0
         } else {
-            self.by_kind[kind.index()] as f64 / self.total as f64
+            self.agg.by_kind[kind.index()] as f64 / self.agg.records as f64
         }
     }
 
     /// Share of *total duration* contributed by `kind` (0 when empty).
     pub fn kind_duration_share(&self, kind: FailureKind) -> f64 {
-        if self.duration_ms_total == 0 {
+        if self.agg.duration_ms_total == 0 {
             0.0
         } else {
-            self.duration_ms_by_kind[kind.index()] as f64 / self.duration_ms_total as f64
+            self.duration_ms_by_kind[kind.index()] as f64 / self.agg.duration_ms_total as f64
         }
     }
 
     /// Fraction of failures shorter than 30 s (0 when empty).
     pub fn under_30s_share(&self) -> f64 {
-        if self.total == 0 {
+        if self.agg.records == 0 {
             0.0
         } else {
-            self.under_30s as f64 / self.total as f64
+            self.agg.under_30s as f64 / self.agg.records as f64
         }
     }
 
     /// Sketched duration quantile in seconds over all kinds (`None` when
     /// empty). Within 1 % rank error of the exact order statistic.
     pub fn duration_quantile_secs(&self, q: f64) -> Option<f64> {
-        self.duration_sketch
+        self.agg
+            .sketch_all()
             .quantile(q)
             .map(|ms| ms as f64 / 1000.0)
     }
@@ -101,20 +91,9 @@ impl FleetAccumulator {
 
 impl EventSink for FleetAccumulator {
     fn record(&mut self, e: &FailureEvent) {
-        let ms = e.duration.as_millis();
-        self.total += 1;
-        self.by_kind[e.kind.index()] += 1;
-        self.by_isp[e.ctx.isp.index()] += 1;
-        self.by_rat[e.ctx.rat.index()] += 1;
-        self.duration_ms_total += ms;
-        self.duration_ms_by_kind[e.kind.index()] += ms;
-        if ms < 30_000 {
-            self.under_30s += 1;
-        }
-        self.max_duration_ms = self.max_duration_ms.max(ms);
+        self.agg.push(e);
+        self.duration_ms_by_kind[e.kind.index()] += e.duration.as_millis();
         self.duration.push(e.duration.as_secs_f64());
-        self.duration_sketch.push(ms);
-        self.duration_sketch_by_kind[e.kind.index()].push(ms);
         if e.kind == FailureKind::OutOfService {
             self.oos_devices.insert(e.device);
         }
@@ -123,22 +102,9 @@ impl EventSink for FleetAccumulator {
 
 impl Merge for FleetAccumulator {
     fn merge(&mut self, other: Self) {
-        self.total.merge(other.total);
-        self.by_kind.merge(other.by_kind);
-        self.by_isp.merge(other.by_isp);
-        self.by_rat.merge(other.by_rat);
-        self.duration_ms_total.merge(other.duration_ms_total);
+        self.agg.merge(other.agg);
         self.duration_ms_by_kind.merge(other.duration_ms_by_kind);
-        self.under_30s.merge(other.under_30s);
-        self.max_duration_ms = self.max_duration_ms.max(other.max_duration_ms);
         self.duration.merge(&other.duration);
-        self.duration_sketch.merge(other.duration_sketch);
-        let [a, b, c, d, e] = other.duration_sketch_by_kind;
-        self.duration_sketch_by_kind[0].merge(a);
-        self.duration_sketch_by_kind[1].merge(b);
-        self.duration_sketch_by_kind[2].merge(c);
-        self.duration_sketch_by_kind[3].merge(d);
-        self.duration_sketch_by_kind[4].merge(e);
         self.oos_devices.merge(other.oos_devices);
     }
 }
@@ -158,46 +124,31 @@ mod tests {
             acc.record(e);
         }
         let h = headline::compute(d);
-        assert_eq!(acc.total, h.total_failures);
+        assert_eq!(acc.agg.records, h.total_failures);
         for kind in FailureKind::ALL {
             assert!((acc.kind_share(kind) - h.kind_share[kind.index()]).abs() < 1e-12);
         }
         assert!((acc.mean_duration_secs() - h.mean_duration_secs).abs() < 1e-6);
         assert!((acc.under_30s_share() - h.under_30s).abs() < 1e-12);
-        assert!((acc.max_duration_ms as f64 / 1000.0 - h.max_duration_secs).abs() < 1e-9);
+        assert!((acc.agg.max_duration_ms as f64 / 1000.0 - h.max_duration_secs).abs() < 1e-9);
     }
 
     #[test]
     fn parallel_accumulators_are_thread_count_invariant() {
         let cfg = StudyConfig::small();
         let (_, _, _, base) = run_macro_study_parallel(&cfg, 1, FleetAccumulator::new);
-        assert!(base.total > 0);
+        assert!(base.agg.records > 0);
         for threads in [2usize, 8] {
             let (_, _, _, acc) = run_macro_study_parallel(&cfg, threads, FleetAccumulator::new);
-            assert_eq!(acc.total, base.total, "threads={threads}");
-            assert_eq!(acc.by_kind, base.by_kind, "threads={threads}");
-            assert_eq!(acc.by_isp, base.by_isp, "threads={threads}");
-            assert_eq!(acc.by_rat, base.by_rat, "threads={threads}");
+            // Counters add and sketch merges are exactly commutative and
+            // associative, so the whole fold — sketch state included — is
+            // bitwise thread-count invariant.
+            assert_eq!(acc.agg, base.agg, "threads={threads}");
             assert_eq!(
-                acc.duration_ms_total, base.duration_ms_total,
-                "threads={threads}"
-            );
-            assert_eq!(acc.under_30s, base.under_30s, "threads={threads}");
-            assert_eq!(
-                acc.max_duration_ms, base.max_duration_ms,
+                acc.duration_ms_by_kind, base.duration_ms_by_kind,
                 "threads={threads}"
             );
             assert_eq!(acc.oos_devices, base.oos_devices, "threads={threads}");
-            // Sketch merges are exactly commutative/associative, so the
-            // sketch state is bitwise thread-count invariant too.
-            assert_eq!(
-                acc.duration_sketch, base.duration_sketch,
-                "threads={threads}"
-            );
-            assert_eq!(
-                acc.duration_sketch_by_kind, base.duration_sketch_by_kind,
-                "threads={threads}"
-            );
         }
     }
 
@@ -223,9 +174,10 @@ mod tests {
         exact.sort_unstable();
         let n = exact.len();
         assert!(n > 100_000, "fleet produced only {n} events");
-        assert_eq!(acc.duration_sketch.count(), n as u64);
+        let all = acc.agg.sketch_all();
+        assert_eq!(all.count(), n as u64);
         for q in [0.50, 0.90, 0.99] {
-            let v = acc.duration_sketch.quantile(q).expect("non-empty sketch");
+            let v = all.quantile(q).expect("non-empty sketch");
             // Rank error: how far the target rank q·n falls outside the
             // rank interval the sketched value actually occupies.
             let lo = exact.partition_point(|&x| x < v) as f64;
@@ -243,8 +195,8 @@ mod tests {
         // The per-kind sketches partition the overall stream.
         let per_kind: u64 = FailureKind::ALL
             .iter()
-            .map(|k| acc.duration_sketch_by_kind[k.index()].count())
+            .map(|k| acc.agg.sketch_by_kind[k.index()].count())
             .sum();
-        assert_eq!(per_kind, acc.duration_sketch.count());
+        assert_eq!(per_kind, all.count());
     }
 }

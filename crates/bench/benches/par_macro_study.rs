@@ -51,17 +51,17 @@ fn bench_par_macro_study(c: &mut Criterion) {
             "par_macro_study: {} devices, {} threads -> {} events in {:.2} s ({:.0} events/s)",
             cfg.population.devices,
             threads,
-            acc.total,
+            acc.agg.records,
             secs,
-            acc.total as f64 / secs.max(1e-9)
+            acc.agg.records as f64 / secs.max(1e-9)
         );
-        counts.push((threads, acc.total));
+        counts.push((threads, acc.agg.records));
 
         c.bench_function(&format!("par_macro_study_{threads}t"), |b| {
             b.iter(|| {
                 let (_, _, _, acc) =
                     run_macro_study_parallel(black_box(&cfg), threads, FleetAccumulator::new);
-                black_box(acc.total)
+                black_box(acc.agg.records)
             })
         });
     }

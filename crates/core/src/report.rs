@@ -118,8 +118,8 @@ fn describe(ev: &TelephonyEvent) -> String {
         },
         TelephonyEvent::ManualReset => "user reset data connection".into(),
         TelephonyEvent::VoiceCallInterruption => "voice call interrupted data".into(),
-        TelephonyEvent::SmsSendFailed => "SMS send failed".into(),
-        TelephonyEvent::VoiceSetupFailed => "voice call setup failed".into(),
+        TelephonyEvent::SmsSendFailed { .. } => "SMS send failed".into(),
+        TelephonyEvent::VoiceSetupFailed { .. } => "voice call setup failed".into(),
     }
 }
 

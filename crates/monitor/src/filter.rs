@@ -44,7 +44,7 @@ impl FpFilter {
             TelephonyEvent::DataStallSuspected { .. } | TelephonyEvent::DataStallCleared { .. } => {
                 FilterDecision::Record
             }
-            TelephonyEvent::SmsSendFailed | TelephonyEvent::VoiceSetupFailed => {
+            TelephonyEvent::SmsSendFailed { .. } | TelephonyEvent::VoiceSetupFailed { .. } => {
                 FilterDecision::Record
             }
             TelephonyEvent::VoiceCallInterruption => {

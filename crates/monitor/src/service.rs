@@ -2,18 +2,23 @@
 //!
 //! [`MonitoringService`] registers as the telephony event listener (§2.2's
 //! "system service instrumentation"), applies the false-positive filter,
-//! measures stall durations with probe sessions, assembles
-//! [`TraceRecord`]s, and keeps the overhead/upload machinery fed.
+//! measures stall durations with probe sessions, assembles one
+//! [`FailureEvent`] per true failure, and keeps the overhead/upload
+//! machinery fed. The service's record list is the device's only copy of
+//! its dataset: the uploader ships from it and keeps a position, so what
+//! reaches the collector is what [`MonitoringService::records`] shows.
 
 use crate::filter::{FilterDecision, FpFilter};
 use crate::overhead::OverheadAccounting;
 use crate::probing::ProbeSession;
-use crate::trace::TraceRecord;
 use crate::uploader::{EncodedUpload, Uploader};
+use cellrel_ingest::codec::RAW_RECORD_BYTES;
 use cellrel_netstack::LinkCondition;
 use cellrel_sim::SimRng;
 use cellrel_telephony::{TelephonyEvent, TelephonyListener};
-use cellrel_types::{DeviceId, FailureKind, FalsePositiveClass, InSituInfo, SimDuration, SimTime};
+use cellrel_types::{
+    DeviceId, FailureEvent, FailureKind, FalsePositiveClass, InSituInfo, SimDuration, SimTime,
+};
 
 /// Counters of filtered false positives by class.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -50,7 +55,7 @@ impl FpCounters {
 }
 
 /// A pending setup-error episode: records whose duration closes at the next
-/// successful setup.
+/// successful setup, oldest first.
 #[derive(Debug, Default)]
 struct SetupEpisode {
     open_record_indices: Vec<usize>,
@@ -63,7 +68,7 @@ pub struct MonitoringService {
     filter: FpFilter,
     probe: ProbeSession,
     rng: SimRng,
-    records: Vec<TraceRecord>,
+    records: Vec<FailureEvent>,
     fp: FpCounters,
     setup_episode: SetupEpisode,
     pending_stall: Option<(SimTime, InSituInfo, LinkCondition)>,
@@ -91,12 +96,12 @@ impl MonitoringService {
     }
 
     /// The recorded true failures.
-    pub fn records(&self) -> &[TraceRecord] {
+    pub fn records(&self) -> &[FailureEvent] {
         &self.records
     }
 
     /// Consume the service, returning its records.
-    pub fn into_records(self) -> Vec<TraceRecord> {
+    pub fn into_records(self) -> Vec<FailureEvent> {
         self.records
     }
 
@@ -120,18 +125,31 @@ impl MonitoringService {
         self.events_seen
     }
 
-    /// An upload opportunity (the workload layer calls this periodically).
-    /// Returns the encoded wire batch that was shipped, if any, so the
-    /// caller can deliver it to a backend.
+    /// Records not yet shipped, held-back ones included.
+    pub fn pending_records(&self) -> u64 {
+        self.records.len() as u64 - self.uploader.uploaded_records()
+    }
+
+    /// An upload opportunity. Nothing in the library schedules these: the
+    /// harness that owns the device decides when it has connectivity (the
+    /// fleet tests flush once, at the end of a run, over WiFi). Ships the
+    /// unshipped records up to the oldest one whose setup episode is still
+    /// open — that one's duration is not known yet, and it goes out at the
+    /// first opportunity after the episode closes. Returns the encoded wire
+    /// batch that was shipped, if any, for the caller to deliver to the
+    /// collector.
     pub fn upload_opportunity(&mut self, now: SimTime, wifi: bool) -> Option<EncodedUpload> {
-        let up = self.uploader.try_upload(now, wifi)?;
+        let open = &self.setup_episode.open_record_indices;
+        let ready = open.first().copied().unwrap_or(self.records.len());
+        let up = self
+            .uploader
+            .try_upload(now, wifi, &self.records[..ready])?;
         self.overhead.on_upload(up.records, up.payload.len() as u64);
         Some(up)
     }
 
-    fn push_record(&mut self, record: TraceRecord) -> usize {
-        self.overhead.on_record(record.encoded_size());
-        self.uploader.enqueue(&record);
+    fn push_record(&mut self, record: FailureEvent) -> usize {
+        self.overhead.on_record(RAW_RECORD_BYTES);
         self.overhead.add_failure_window(record.duration);
         self.records.push(record);
         self.records.len() - 1
@@ -143,7 +161,7 @@ impl MonitoringService {
         cause: cellrel_types::DataFailCause,
         ctx: InSituInfo,
     ) {
-        let idx = self.push_record(TraceRecord {
+        let idx = self.push_record(FailureEvent {
             device: self.device,
             kind: FailureKind::DataSetupError,
             start: at,
@@ -191,7 +209,7 @@ impl MonitoringService {
                 self.fp.bump(class);
             }
             Some(measured) => {
-                self.push_record(TraceRecord {
+                self.push_record(FailureEvent {
                     device: self.device,
                     kind: FailureKind::DataStall,
                     start: detected_at,
@@ -259,7 +277,7 @@ impl TelephonyListener for MonitoringService {
             }
             TelephonyEvent::OutOfServiceEnded { duration, ctx } => {
                 let start = SimTime::ZERO + at.since(SimTime::ZERO).saturating_sub(duration);
-                self.push_record(TraceRecord {
+                self.push_record(FailureEvent {
                     device: self.device,
                     kind: FailureKind::OutOfService,
                     start,
@@ -268,25 +286,19 @@ impl TelephonyListener for MonitoringService {
                     ctx,
                 });
             }
-            TelephonyEvent::SmsSendFailed | TelephonyEvent::VoiceSetupFailed => {
-                let kind = if matches!(event, TelephonyEvent::SmsSendFailed) {
+            TelephonyEvent::SmsSendFailed { ctx } | TelephonyEvent::VoiceSetupFailed { ctx } => {
+                let kind = if matches!(event, TelephonyEvent::SmsSendFailed { .. }) {
                     FailureKind::SmsSendFail
                 } else {
                     FailureKind::VoiceSetupFail
                 };
-                self.push_record(TraceRecord {
+                self.push_record(FailureEvent {
                     device: self.device,
                     kind,
                     start: at,
                     duration: SimDuration::ZERO,
                     cause: None,
-                    ctx: InSituInfo {
-                        rat: cellrel_types::Rat::G2,
-                        signal: cellrel_types::SignalLevel::L2,
-                        apn: cellrel_types::Apn::Internet,
-                        bs: None,
-                        isp: cellrel_types::Isp::A,
-                    },
+                    ctx,
                 });
             }
             _ => {}
@@ -504,19 +516,77 @@ mod tests {
         assert!(r.duration <= long + SimDuration::from_secs(60));
     }
 
+    fn setup_error(s: &mut MonitoringService, at_s: u64, cause: DataFailCause) {
+        s.on_event(
+            t(at_s),
+            &TelephonyEvent::DataSetupError { cause, ctx: ctx() },
+        );
+    }
+
     #[test]
     fn uploads_flow_through_overhead() {
         let mut s = svc();
+        setup_error(&mut s, 10, DataFailCause::SignalLost);
+        s.on_event(t(15), &TelephonyEvent::DataSetupSuccess { ctx: ctx() });
+        assert_eq!(s.pending_records(), 1);
+        s.upload_opportunity(t(20), true);
+        assert_eq!(s.pending_records(), 0);
+        assert!(s.overhead().network_bytes() > 0);
+    }
+
+    #[test]
+    fn an_upload_carries_the_durations_records_shows() {
+        use cellrel_ingest::codec::decode_batch;
+        let mut s = svc();
+        setup_error(&mut s, 10, DataFailCause::SignalLost);
+        setup_error(&mut s, 15, DataFailCause::GprsRegistrationFail);
+        // The episode is open: neither duration is known, nothing ships.
+        assert!(s.upload_opportunity(t(20), true).is_none());
+        assert_eq!(s.pending_records(), 2);
+        s.on_event(t(25), &TelephonyEvent::DataSetupSuccess { ctx: ctx() });
+        let up = s
+            .upload_opportunity(t(30), true)
+            .expect("a closed episode ships");
+        let shipped = decode_batch(&up.payload).expect("decodable").records;
+        assert_eq!(shipped, s.records());
+        assert_eq!(shipped[0].duration, SimDuration::from_secs(15));
+        assert_eq!(shipped[1].duration, SimDuration::from_secs(10));
+        assert_eq!(s.pending_records(), 0);
+    }
+
+    #[test]
+    fn records_behind_an_open_episode_wait_for_it() {
+        let mut s = svc();
         s.on_event(
-            t(10),
-            &TelephonyEvent::DataSetupError {
-                cause: DataFailCause::SignalLost,
+            t(5),
+            &TelephonyEvent::OutOfServiceEnded {
+                duration: SimDuration::from_secs(3),
                 ctx: ctx(),
             },
         );
-        assert_eq!(s.uploader().pending_records(), 1);
-        s.upload_opportunity(t(20), true);
-        assert_eq!(s.uploader().pending_records(), 0);
-        assert!(s.overhead().network_bytes() > 0);
+        setup_error(&mut s, 10, DataFailCause::SignalLost);
+        s.on_event(
+            t(12),
+            &TelephonyEvent::SmsSendFailed {
+                ctx: InSituInfo {
+                    rat: Rat::G3,
+                    isp: Isp::B,
+                    ..ctx()
+                },
+            },
+        );
+        // Only what precedes the open record is final.
+        let up = s.upload_opportunity(t(13), true).expect("the OOS record");
+        assert_eq!((up.seq, up.records), (0, 1));
+        assert_eq!(s.pending_records(), 2);
+        assert!(s.upload_opportunity(t(14), true).is_none());
+        s.on_event(t(20), &TelephonyEvent::DataSetupSuccess { ctx: ctx() });
+        let up = s.upload_opportunity(t(21), true).expect("the rest");
+        assert_eq!((up.seq, up.records), (1, 2));
+        // The SMS failure carries the context its event did.
+        let sms = s.records()[2];
+        assert_eq!(sms.kind, FailureKind::SmsSendFail);
+        assert_eq!((sms.ctx.rat, sms.ctx.isp), (Rat::G3, Isp::B));
+        assert_eq!(sms.ctx.bs, ctx().bs);
     }
 }

@@ -1,99 +1,14 @@
-//! Trace records — the rows of the study's dataset.
-
-use cellrel_types::{
-    DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, SimDuration, SimTime,
-};
-
-/// One recorded true failure with its in-situ context — what Android-MOD
-/// uploads (§2.2): failure kind and timing plus RAT, RSS level, APN and BS
-/// identity, and the protocol error code for setup errors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceRecord {
-    /// The device that experienced the failure.
-    pub device: DeviceId,
-    /// Failure kind.
-    pub kind: FailureKind,
-    /// Failure start (detection-adjusted for stalls).
-    pub start: SimTime,
-    /// Measured duration.
-    pub duration: SimDuration,
-    /// Protocol error code (setup errors only).
-    pub cause: Option<DataFailCause>,
-    /// Radio context.
-    pub ctx: InSituInfo,
-}
-
-impl TraceRecord {
-    /// Convert to the analysis-layer event type.
-    pub fn to_failure_event(&self) -> FailureEvent {
-        FailureEvent {
-            device: self.device,
-            kind: self.kind,
-            start: self.start,
-            duration: self.duration,
-            cause: self.cause,
-            ctx: self.ctx,
-        }
-    }
-
-    /// Inverse of [`TraceRecord::to_failure_event`] — the backend rebuilds
-    /// records from decoded wire batches through this.
-    pub fn from_failure_event(e: &FailureEvent) -> TraceRecord {
-        TraceRecord {
-            device: e.device,
-            kind: e.kind,
-            start: e.start,
-            duration: e.duration,
-            cause: e.cause,
-            ctx: e.ctx,
-        }
-    }
-
-    /// Raw (pre-codec) size of one record in bytes: the fixed-width row the
-    /// monitor budgets on-device storage with, and the baseline the wire
-    /// codec's bytes/record is measured against.
-    pub fn encoded_size(&self) -> u64 {
-        // device(4) + kind(1) + start(8) + duration(8) + cause(2, optional
-        // flag folded in) + ctx: rat(1)+level(1)+apn(1)+bs(8)+isp(1) = 35.
-        35
-    }
-}
+//! The raw row a record is budgeted at.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use cellrel_types::{Apn, BsId, Isp, Rat, SignalLevel};
-
-    fn record() -> TraceRecord {
-        TraceRecord {
-            device: DeviceId(7),
-            kind: FailureKind::DataSetupError,
-            start: SimTime::from_secs(100),
-            duration: SimDuration::from_secs(12),
-            cause: Some(DataFailCause::PppTimeout),
-            ctx: InSituInfo {
-                rat: Rat::G4,
-                signal: SignalLevel::L2,
-                apn: Apn::Internet,
-                bs: Some(BsId::gsm_cn(0, 5, 9)),
-                isp: Isp::C,
-            },
-        }
-    }
-
-    #[test]
-    fn converts_to_failure_event() {
-        let r = record();
-        let e = r.to_failure_event();
-        assert_eq!(e.device, r.device);
-        assert_eq!(e.kind, r.kind);
-        assert_eq!(e.duration, r.duration);
-        assert_eq!(e.cause, r.cause);
-        assert_eq!(e.ctx.isp, Isp::C);
-    }
+    use cellrel_ingest::codec::RAW_RECORD_BYTES;
 
     #[test]
     fn encoded_size_is_compact() {
-        assert!(record().encoded_size() < 64);
+        // device, kind, start, duration, cause (optional flag folded in),
+        // then the context: rat, level, apn, bs, isp.
+        let fields = [4u64, 1, 8, 8, 2, 1, 1, 1, 8, 1];
+        assert_eq!(fields.iter().sum::<u64>(), RAW_RECORD_BYTES);
     }
 }

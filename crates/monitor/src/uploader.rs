@@ -4,18 +4,19 @@
 //! ("recorded data are uploaded to our backend server only when there is
 //! WiFi connectivity") the uploader defers until WiFi is available.
 //!
-//! Batches ship as real `cellrel-ingest` wire bytes: each flush encodes the
-//! pending records with [`encode_batch`] under a per-device upload sequence
-//! number, so the network byte counts fed to overhead accounting are the
+//! The uploader holds no records. The device's dataset lives once, in
+//! [`MonitoringService`](crate::MonitoringService); the uploader keeps how
+//! far into that list it has shipped, and each flush encodes the next run
+//! of it with [`encode_batch`] under a per-device upload sequence number.
+//! The network byte counts fed to overhead accounting are therefore the
 //! actual encoded sizes (varint + delta-of-timestamp + CRC framing), not an
-//! assumed compression ratio, and the backend can deduplicate re-delivered
-//! batches by `(device, seq)`.
+//! assumed compression ratio, and the collector deduplicates a re-delivered
+//! batch by `(device, seq)`.
 
-use crate::trace::TraceRecord;
-use cellrel_ingest::codec::encode_batch;
+use cellrel_ingest::codec::{encode_batch, RAW_RECORD_BYTES};
 use cellrel_types::{DeviceId, FailureEvent, SimTime};
 
-/// Pending raw bytes above which an upload is forced to wait for WiFi
+/// Unshipped raw bytes above which an upload is forced to wait for WiFi
 /// (typical users' volumes are tiny, so cellular upload is fine; heavy
 /// users batch until WiFi).
 const CELLULAR_OK_THRESHOLD: u64 = 64 * 1024;
@@ -31,14 +32,14 @@ pub struct EncodedUpload {
     pub payload: Vec<u8>,
 }
 
-/// The trace uploader: batches records and flushes opportunistically.
+/// The trace uploader: a position in the device's record list, flushed
+/// opportunistically.
 #[derive(Debug, Clone)]
 pub struct Uploader {
     device: DeviceId,
-    pending: Vec<TraceRecord>,
-    pending_raw_bytes: u64,
+    /// Records shipped so far — the list's first `shipped` entries.
+    shipped: usize,
     next_seq: u64,
-    uploaded_records: u64,
     uploaded_bytes_encoded: u64,
     uploads: u32,
     last_upload: Option<SimTime>,
@@ -49,25 +50,12 @@ impl Uploader {
     pub fn new(device: DeviceId) -> Self {
         Uploader {
             device,
-            pending: Vec::new(),
-            pending_raw_bytes: 0,
+            shipped: 0,
             next_seq: 0,
-            uploaded_records: 0,
             uploaded_bytes_encoded: 0,
             uploads: 0,
             last_upload: None,
         }
-    }
-
-    /// Queue one record for upload.
-    pub fn enqueue(&mut self, record: &TraceRecord) {
-        self.pending_raw_bytes += record.encoded_size();
-        self.pending.push(*record);
-    }
-
-    /// Records waiting for upload.
-    pub fn pending_records(&self) -> u64 {
-        self.pending.len() as u64
     }
 
     /// Encoded wire bytes shipped so far.
@@ -77,7 +65,7 @@ impl Uploader {
 
     /// Records shipped so far.
     pub fn uploaded_records(&self) -> u64 {
-        self.uploaded_records
+        self.shipped as u64
     }
 
     /// Number of upload batches.
@@ -85,30 +73,34 @@ impl Uploader {
         self.uploads
     }
 
-    /// An upload opportunity: flush if WiFi is available, or if the pending
-    /// volume is small enough that cellular upload is fine. Returns the
-    /// encoded batch that was shipped (the caller feeds `payload.len()` to
-    /// overhead accounting and the bytes to the backend), or `None` if
-    /// nothing was shipped.
-    pub fn try_upload(&mut self, now: SimTime, wifi_available: bool) -> Option<EncodedUpload> {
-        if self.pending.is_empty() {
+    /// An upload opportunity over `ready`, the leading part of the device's
+    /// record list that is final (it only ever grows): flush what of it has
+    /// not shipped yet if WiFi is available, or if that is small enough
+    /// that cellular upload is fine. Returns the encoded batch that was
+    /// shipped (the caller feeds `payload.len()` to overhead accounting and
+    /// the bytes to the collector), or `None` if nothing was shipped.
+    pub fn try_upload(
+        &mut self,
+        now: SimTime,
+        wifi_available: bool,
+        ready: &[FailureEvent],
+    ) -> Option<EncodedUpload> {
+        let unshipped = &ready[self.shipped..];
+        if unshipped.is_empty() {
             return None;
         }
-        let small = self.pending_raw_bytes <= CELLULAR_OK_THRESHOLD;
+        let small = unshipped.len() as u64 * RAW_RECORD_BYTES <= CELLULAR_OK_THRESHOLD;
         if !wifi_available && !small {
             return None;
         }
-        let events: Vec<FailureEvent> = self.pending.iter().map(|r| r.to_failure_event()).collect();
         let seq = self.next_seq;
-        let payload = encode_batch(self.device, seq, &events);
-        let records = self.pending.len() as u64;
+        let payload = encode_batch(self.device, seq, unshipped);
+        let records = unshipped.len() as u64;
 
         self.next_seq += 1;
-        self.uploaded_records += records;
+        self.shipped = ready.len();
         self.uploaded_bytes_encoded += payload.len() as u64;
         self.uploads += 1;
-        self.pending.clear();
-        self.pending_raw_bytes = 0;
         self.last_upload = Some(now);
         Some(EncodedUpload {
             seq,
@@ -121,11 +113,11 @@ impl Uploader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellrel_ingest::codec::{decode_batch, RAW_RECORD_BYTES};
+    use cellrel_ingest::codec::decode_batch;
     use cellrel_types::{Apn, BsId, FailureKind, InSituInfo, Isp, Rat, SignalLevel, SimDuration};
 
-    fn record(start_s: u64) -> TraceRecord {
-        TraceRecord {
+    fn record(start_s: u64) -> FailureEvent {
+        FailureEvent {
             device: DeviceId(9),
             kind: FailureKind::DataStall,
             start: SimTime::from_secs(start_s),
@@ -144,10 +136,9 @@ mod tests {
     #[test]
     fn small_batches_upload_over_cellular() {
         let mut u = Uploader::new(DeviceId(9));
-        u.enqueue(&record(10));
-        u.enqueue(&record(20));
+        let list = [record(10), record(20)];
         let up = u
-            .try_upload(SimTime::from_secs(30), false)
+            .try_upload(SimTime::from_secs(30), false, &list)
             .expect("small batch uploads without wifi");
         assert_eq!(up.records, 2);
         assert!(
@@ -155,19 +146,18 @@ mod tests {
             "codec must beat the raw rows: {} bytes",
             up.payload.len()
         );
-        assert_eq!(u.pending_records(), 0);
+        assert_eq!(u.uploaded_records(), 2);
     }
 
     #[test]
     fn large_batches_wait_for_wifi() {
         let mut u = Uploader::new(DeviceId(9));
-        for i in 0..3000 {
-            u.enqueue(&record(i * 30)); // 105 KB raw > threshold
-        }
-        assert!(u.try_upload(SimTime::from_secs(1), false).is_none());
-        assert_eq!(u.pending_records(), 3000);
+        // 105 KB raw > threshold
+        let list: Vec<FailureEvent> = (0..3000).map(|i| record(i * 30)).collect();
+        assert!(u.try_upload(SimTime::from_secs(1), false, &list).is_none());
+        assert_eq!(u.uploaded_records(), 0);
         let up = u
-            .try_upload(SimTime::from_secs(2), true)
+            .try_upload(SimTime::from_secs(2), true, &list)
             .expect("wifi flushes");
         assert_eq!(up.records, 3000);
     }
@@ -175,41 +165,48 @@ mod tests {
     #[test]
     fn payload_is_a_decodable_wire_batch() {
         let mut u = Uploader::new(DeviceId(9));
-        u.enqueue(&record(5));
-        u.enqueue(&record(65));
-        let up = u.try_upload(SimTime::from_secs(100), true).unwrap();
+        let list = [record(5), record(65)];
+        let up = u.try_upload(SimTime::from_secs(100), true, &list).unwrap();
         let batch = decode_batch(&up.payload).expect("uploader ships valid batches");
         assert_eq!(batch.device, DeviceId(9));
         assert_eq!(batch.seq, up.seq);
-        assert_eq!(batch.records.len(), 2);
-        assert_eq!(batch.records[0].start, SimTime::from_secs(5));
+        assert_eq!(batch.records, list);
     }
 
     #[test]
     fn sequence_numbers_increase_per_flush() {
         let mut u = Uploader::new(DeviceId(9));
-        u.enqueue(&record(1));
-        let first = u.try_upload(SimTime::from_secs(1), true).unwrap();
-        u.enqueue(&record(2));
-        let second = u.try_upload(SimTime::from_secs(2), true).unwrap();
+        let list = [record(1), record(2)];
+        let first = u
+            .try_upload(SimTime::from_secs(1), true, &list[..1])
+            .unwrap();
+        let second = u.try_upload(SimTime::from_secs(2), true, &list).unwrap();
         assert_eq!(first.seq, 0);
         assert_eq!(second.seq, 1);
+        // The second flush ships only what the first did not.
+        assert_eq!(decode_batch(&second.payload).unwrap().records, list[1..]);
     }
 
     #[test]
     fn empty_uploader_is_quiet() {
         let mut u = Uploader::new(DeviceId(9));
-        assert!(u.try_upload(SimTime::ZERO, true).is_none());
+        assert!(u.try_upload(SimTime::ZERO, true, &[]).is_none());
         assert_eq!(u.uploads(), 0);
+        // Nothing new since the last flush is as quiet as nothing at all.
+        let list = [record(1)];
+        assert!(u.try_upload(SimTime::ZERO, true, &list).is_some());
+        assert!(u.try_upload(SimTime::ZERO, true, &list).is_none());
+        assert_eq!(u.uploads(), 1);
     }
 
     #[test]
     fn totals_accumulate_encoded_bytes() {
         let mut u = Uploader::new(DeviceId(9));
-        u.enqueue(&record(1));
-        let a = u.try_upload(SimTime::from_secs(1), true).unwrap();
-        u.enqueue(&record(2));
-        let b = u.try_upload(SimTime::from_secs(2), true).unwrap();
+        let list = [record(1), record(2)];
+        let a = u
+            .try_upload(SimTime::from_secs(1), true, &list[..1])
+            .unwrap();
+        let b = u.try_upload(SimTime::from_secs(2), true, &list).unwrap();
         assert_eq!(u.uploaded_records(), 2);
         assert_eq!(u.uploads(), 2);
         assert_eq!(

@@ -27,9 +27,8 @@
 //!
 //! * [`QuantileSketch`] — dense `BUCKETS` u64 slots (~58 KiB), O(1) push;
 //!   the right shape for a handful of long-lived sketches that nobody
-//!   clones, restores or creates per frame: the telemetry registry's
-//!   histograms and the analysis
-//!   crate's `FleetAccumulator` — and, for the length of one query, the
+//!   clones, restores or creates per frame — the telemetry registry's
+//!   histograms — and, for the length of one query, the
 //!   store's per-group histograms when a quantile query folds tens of
 //!   thousands of pooled runs into at most 16 groups
 //!   ([`QuantileSketch::merge_run`], collapsed once per group with
@@ -38,9 +37,11 @@
 //!   proportional to the *distinct buckets touched*; the right shape
 //!   wherever sketches are many or short-lived: the analytics cube in
 //!   `cellrel-store` (one per cell across hundreds of thousands of
-//!   cells) and the ingest collector (five per virtual shard, rebuilt by
+//!   cells), the ingest collector (five per virtual shard, rebuilt by
 //!   every checkpoint restore — dense, 64 shards were 22.8 MB of mostly
-//!   zeros). Both answer every quantile query identically (same rank walk
+//!   zeros) and the analysis crate's `FleetAccumulator`, which is the
+//!   collector's aggregate plus three extras (one per study shard, merged
+//!   at the join). Both answer every quantile query identically (same rank walk
 //!   over the same buckets) and absorb into a digest as the same words.
 //!
 //! Outside this module a sketch travels in one form, the **run**: exact

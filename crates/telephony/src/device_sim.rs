@@ -435,8 +435,8 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
             TelephonyEvent::ManualReset => self.tele.inc("telephony.manual_reset"),
             TelephonyEvent::VoiceCallInterruption => self.tele.inc("telephony.voice.interruption"),
             TelephonyEvent::RatChanged { .. } => self.tele.inc("telephony.rat.changed"),
-            TelephonyEvent::SmsSendFailed => self.tele.inc("telephony.sms.send_fail"),
-            TelephonyEvent::VoiceSetupFailed => self.tele.inc("telephony.voice.setup_fail"),
+            TelephonyEvent::SmsSendFailed { .. } => self.tele.inc("telephony.sms.send_fail"),
+            TelephonyEvent::VoiceSetupFailed { .. } => self.tele.inc("telephony.voice.setup_fail"),
         }
     }
 
@@ -994,7 +994,8 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
             let (result, _attempts) = self.sms.send_with_retries(view.rat, &risk, &mut self.rng);
             if result == crate::sms::SmsResult::Failed {
                 self.stats.sms_failures += 1;
-                self.emit(now, TelephonyEvent::SmsSendFailed);
+                let ctx = self.in_situ(Some(&view));
+                self.emit(now, TelephonyEvent::SmsSendFailed { ctx });
             }
         }
         self.schedule_next_sms(queue);
@@ -1011,7 +1012,8 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
             );
             if !ok {
                 self.stats.voice_setup_failures += 1;
-                self.emit(now, TelephonyEvent::VoiceSetupFailed);
+                let ctx = self.in_situ(Some(&view));
+                self.emit(now, TelephonyEvent::VoiceSetupFailed { ctx });
                 self.schedule_next_voice_call(queue);
                 return;
             }

@@ -76,9 +76,15 @@ pub enum TelephonyEvent {
         to: Rat,
     },
     /// An SMS send failed (`RIL_SMS_SEND_FAIL_RETRY` class, <1 % bucket).
-    SmsSendFailed,
+    SmsSendFailed {
+        /// Radio context.
+        ctx: InSituInfo,
+    },
     /// A voice call setup failed (<1 % bucket).
-    VoiceSetupFailed,
+    VoiceSetupFailed {
+        /// Radio context.
+        ctx: InSituInfo,
+    },
 }
 
 impl TelephonyEvent {
@@ -88,8 +94,8 @@ impl TelephonyEvent {
             TelephonyEvent::DataSetupError { .. } => Some(FailureKind::DataSetupError),
             TelephonyEvent::OutOfServiceBegan { .. } => Some(FailureKind::OutOfService),
             TelephonyEvent::DataStallSuspected { .. } => Some(FailureKind::DataStall),
-            TelephonyEvent::SmsSendFailed => Some(FailureKind::SmsSendFail),
-            TelephonyEvent::VoiceSetupFailed => Some(FailureKind::VoiceSetupFail),
+            TelephonyEvent::SmsSendFailed { .. } => Some(FailureKind::SmsSendFail),
+            TelephonyEvent::VoiceSetupFailed { .. } => Some(FailureKind::VoiceSetupFail),
             _ => None,
         }
     }
@@ -198,7 +204,10 @@ mod tests {
     fn recording_listener_records_in_order() {
         let mut l = RecordingListener::default();
         l.on_event(SimTime::from_secs(1), &TelephonyEvent::ManualReset);
-        l.on_event(SimTime::from_secs(2), &TelephonyEvent::SmsSendFailed);
+        l.on_event(
+            SimTime::from_secs(2),
+            &TelephonyEvent::SmsSendFailed { ctx: ctx() },
+        );
         assert_eq!(l.log.len(), 2);
         assert!(l.log[0].0 < l.log[1].0);
     }

@@ -23,7 +23,7 @@
 //!   DES ground truth (§2.2: ≤5 s, minute-granular after long-stall revert);
 //! * once faults stop, no device stays wedged out of service.
 
-use cellrel_monitor::{MonitoringService, TraceRecord};
+use cellrel_monitor::MonitoringService;
 use cellrel_netstack::{LinkCondition, STALL_MIN_SENT};
 use cellrel_radio::{DeploymentConfig, RadioEnvironment};
 use cellrel_sim::campaign::{
@@ -37,7 +37,9 @@ use cellrel_telephony::{
     DeviceConfig, DeviceSim, DeviceStats, MobilityProfile, RatPolicyKind, RecordingBoth,
     RecoveryConfig, TelephonyEvent,
 };
-use cellrel_types::{DeviceId, FailureKind, Isp, Rat, RatSet, ServiceState, SimDuration, SimTime};
+use cellrel_types::{
+    DeviceId, FailureEvent, FailureKind, Isp, Rat, RatSet, ServiceState, SimDuration, SimTime,
+};
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -208,7 +210,7 @@ pub struct StepView {
     /// Telephony events emitted during this step.
     pub new_events: Vec<(SimTime, TelephonyEvent)>,
     /// Monitor trace records appended during this step.
-    pub new_records: Vec<TraceRecord>,
+    pub new_records: Vec<FailureEvent>,
     /// `(sent, received)` TCP segments in the kernel's detection window.
     pub window_counts: (usize, usize),
     /// Whether the recovery engine is mid-episode after the step.

@@ -75,7 +75,7 @@ fn main() {
         run_macro_study_parallel(&cfg, threads, FleetAccumulator::new);
     let elapsed = t0.elapsed();
 
-    let total = acc.total;
+    let total = acc.agg.records;
     let failing = per_device.iter().filter(|&&c| c > 0).count();
 
     println!(
@@ -95,7 +95,7 @@ fn main() {
         "mean duration {:.0} s (paper 188 s) | <30 s {:.1}% (paper 70.8%) | max {:.0} s",
         acc.mean_duration_secs(),
         acc.under_30s_share() * 100.0,
-        acc.max_duration_ms as f64 / 1000.0
+        acc.agg.max_duration_ms as f64 / 1000.0
     );
     println!(
         "Data_Stall: {:.1}% of failures, {:.1}% of duration (paper ~40% / 94%)",

@@ -24,9 +24,11 @@ const DOCS: [&str; 5] = [
 /// `repro` identity passes, and the recovery drills' own count flag, report
 /// types and second plan struct (they are scenarios of the campaign engine
 /// now), the collector's own sink trait and the closure-fed study driver
-/// (one `EventSink`, one `run_macro_study_parallel`). The verify skill is
-/// held to this list too.
-const RETIRED: [&str; 14] = [
+/// (one `EventSink`, one `run_macro_study_parallel`), the monitor's second
+/// record type and second backend (a record is a `FailureEvent`, the
+/// backend is `ingest::Collector`). The verify skill is held to this list
+/// too.
+const RETIRED: [&str; 16] = [
     "run_ingest",
     "serve_with",
     "ServerConfig",
@@ -42,6 +44,8 @@ const RETIRED: [&str; 14] = [
     concat!("Failover", "Config"),
     concat!("Accepted", "Sink"),
     concat!("run_macro_study", "_streaming"),
+    concat!("Trace", "Record"),
+    concat!("Fleet", "Summary"),
 ];
 
 fn root() -> PathBuf {

@@ -44,16 +44,13 @@ fn macro_study_events_are_identical_across_thread_counts() {
 fn fleet_accumulator_sums_are_identical_across_thread_counts() {
     let cfg = small_cfg();
     let (_, _, _, base) = run_macro_study_parallel(&cfg, 1, FleetAccumulator::new);
-    assert!(base.total > 0);
+    assert!(base.agg.records > 0);
     for threads in [2usize, 8] {
         let (_, _, _, acc) = run_macro_study_parallel(&cfg, threads, FleetAccumulator::new);
-        assert_eq!(acc.total, base.total, "threads={threads}");
-        assert_eq!(acc.by_kind, base.by_kind, "threads={threads}");
-        assert_eq!(acc.by_isp, base.by_isp, "threads={threads}");
-        assert_eq!(acc.by_rat, base.by_rat, "threads={threads}");
+        assert_eq!(acc.agg, base.agg, "threads={threads}");
         assert_eq!(
-            acc.duration_ms_total, base.duration_ms_total,
-            "duration sum, threads={threads}"
+            acc.duration_ms_by_kind, base.duration_ms_by_kind,
+            "duration sums, threads={threads}"
         );
         assert_eq!(acc.oos_devices, base.oos_devices, "threads={threads}");
     }
