@@ -121,7 +121,19 @@ pub enum Message {
 
 /// Encode one message as a complete `CR` frame.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    // Sized once for the bytes a message carries — a segment or a
+    // checkpoint is kilobytes to megabytes — plus 64 for the envelope, the
+    // kind and a few varints.
+    let carried = match msg {
+        Message::ShipSegment { frame: blob, .. }
+        | Message::ShipCheckpoint {
+            checkpoint: blob, ..
+        } => blob.len(),
+        Message::Segments { frames, .. } => frames.iter().map(|f| 10 + f.len()).sum(),
+        Message::Rejection { detail, .. } => detail.len(),
+        _ => 0,
+    };
+    let mut out = Vec::with_capacity(64 + carried);
     let start = CR.begin(&mut out, VERSION);
     match msg {
         Message::ShipSegment { seq, frame } => {

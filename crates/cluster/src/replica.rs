@@ -24,20 +24,25 @@
 //! and nothing can change a stored segment afterwards. A blob that cannot
 //! rebuild a pipeline at promotion is still refused while the leader is
 //! alive to resend it; it just costs the size of the checkpoint, not the
-//! size of the log.
+//! size of the log. Not even that, mostly: the follower keeps the image the
+//! accepted checkpoint decoded to and decodes the next one onto it
+//! ([`StreamPipeline::decode_onto`]), which verifies every byte shipped
+//! (the CRCs over the whole frame) but parses only the collector sections
+//! that changed. The ack's digest is the CRC-32 of the accepted frame,
+//! which for a sealed frame is [`RESIDUE`] — what `decode` already proved.
 
 use std::sync::Arc;
 
 use crate::error::ClusterError;
 use crate::proto::{self, Message};
 use crate::router;
-use cellrel_ingest::frame::crc32;
+use cellrel_ingest::frame::RESIDUE;
 use cellrel_queryd::QuerydCore;
 use cellrel_sim::Merge;
 use cellrel_store::{DeviceDirectory, Store};
 use cellrel_stream::{
-    decode_segment, fetch_segment, MemSegments, SegmentEntry, SegmentStore, StreamConfig,
-    StreamPipeline,
+    decode_segment, fetch_segment, CheckpointImage, MemSegments, SegmentEntry, SegmentStore,
+    StreamConfig, StreamPipeline,
 };
 
 /// One shard's read replica and failover target.
@@ -53,6 +58,10 @@ pub struct Follower {
     applied: u64,
     base: Store,
     core: Arc<QuerydCore>,
+    /// `StreamPipeline::decode` of the held checkpoint's bytes, kept as the
+    /// basis the next checkpoint decodes onto; `None` after a refusal or a
+    /// restart, which costs the next decode its shortcut and nothing else.
+    image: Option<CheckpointImage>,
 }
 
 impl Follower {
@@ -68,6 +77,7 @@ impl Follower {
             applied: 0,
             base: Store::new(&cfg.store),
             core: QuerydCore::new(Store::new(&cfg.store)),
+            image: None,
         };
         f.publish();
         f
@@ -191,6 +201,9 @@ impl Follower {
 
     /// Validate and retain a checkpoint covering the applied prefix.
     fn apply_checkpoint(&mut self, seq: u64, bytes: Vec<u8>) -> Message {
+        // Whatever the outcome, the basis is spent: an accepted checkpoint
+        // leaves its own image, a refused one none.
+        let basis = self.image.take();
         if seq > self.applied {
             return Message::Rejection {
                 code: proto::ERR_APPLY,
@@ -204,25 +217,32 @@ impl Follower {
         // promotion time and must be refused while it is still cheap to.
         // The segments it names were verified one by one as they arrived
         // (module docs), so it is enough that it names exactly those.
-        let refusal = match StreamPipeline::decode(&bytes) {
-            Err(e) => Some(e.to_string()),
+        let image = match StreamPipeline::decode_onto(&bytes, basis) {
+            Err(e) => Err(e.to_string()),
             Ok(image) if image.config().store != self.cfg.store => {
-                Some("store config mismatch".into())
+                Err("store config mismatch".into())
             }
             Ok(image) if image.manifest() != &self.manifest[..seq as usize] => {
-                Some(format!("manifest is not the applied log up to seq {seq}"))
+                Err(format!("manifest is not the applied log up to seq {seq}"))
             }
-            Ok(_) => None,
+            Ok(image) => Ok(image),
         };
-        if let Some(why) = refusal {
-            return Message::Rejection {
+        match image {
+            Ok(image) => {
+                self.image = Some(image);
+                self.checkpoint = Some((seq, bytes));
+                // `decode` opened the frame, CRC included, so its bytes sum
+                // to the residue: the digest `crc32(&bytes)` would compute.
+                Message::Ack {
+                    seq,
+                    digest: u64::from(RESIDUE),
+                }
+            }
+            Err(why) => Message::Rejection {
                 code: proto::ERR_APPLY,
                 detail: format!("checkpoint rejected: {why}"),
-            };
+            },
         }
-        let digest = u64::from(crc32(&bytes));
-        self.checkpoint = Some((seq, bytes));
-        Message::Ack { seq, digest }
     }
 
     /// The catch-up request this follower would send its leader.
@@ -289,6 +309,7 @@ impl Follower {
         self.base = base;
         self.applied = self.manifest.len() as u64;
         self.core = QuerydCore::new(Store::new(&self.cfg.store));
+        self.image = None;
         self.publish();
         Ok(())
     }
@@ -315,7 +336,7 @@ impl Follower {
 mod tests {
     use super::*;
     use crate::node::ShardLeader;
-    use cellrel_ingest::frame::{seal, write_varint, SP};
+    use cellrel_ingest::frame::{crc32, seal, write_varint, SP};
     use cellrel_stream::{
         batches_from_events, decode_manifest, encode_manifest, encode_segment, SegmentKind,
         StreamError,
@@ -628,6 +649,76 @@ mod tests {
         ));
     }
 
+    /// The image a follower holds is `decode` of the checkpoint it holds:
+    /// loaded over the follower's segments, it is the pipeline `restore`
+    /// builds from those bytes — content, collector and the checkpoint it
+    /// writes. Consumes the image.
+    fn assert_the_image_is_the_held_checkpoint(f: &mut Follower, dir: &DeviceDirectory) {
+        let (_, bytes) = f.checkpoint.as_ref().expect("a checkpoint is held");
+        let image = f
+            .image
+            .take()
+            .expect("an accepted checkpoint leaves its image");
+        let held = StreamPipeline::load(image, dir, &f.segs).expect("the image loads");
+        let restored = StreamPipeline::restore(bytes, dir, &f.segs).expect("the bytes restore");
+        assert_eq!(held.collector_digest(), restored.collector_digest());
+        assert_eq!(held.digest(), restored.digest());
+        assert_eq!(held.counters(), restored.counters());
+        assert_eq!(held.checkpoint(), restored.checkpoint());
+    }
+
+    /// A follower decodes each checkpoint onto the image of the one it
+    /// accepted last. A refusal leaves it no basis, and the next genuine
+    /// checkpoint is decoded from nothing — and acks with the digest a
+    /// follower always sent, the CRC-32 of the frame.
+    #[test]
+    fn a_refused_checkpoint_leaves_no_basis_and_the_next_still_acks() {
+        let s = shipped();
+        let n = s.segments.len();
+        let mut f = follower_at(s, n);
+        let genuine: Vec<&(u64, Vec<u8>)> = s.checkpoints.iter().rev().take(3).collect();
+        let [(last, newest), (mid, middle), (first, oldest)] = genuine[..] else {
+            panic!("the log ships at least three checkpoints");
+        };
+        let ack = |seq: u64, bytes: &[u8]| Message::Ack {
+            seq,
+            digest: u64::from(crc32(bytes)),
+        };
+        assert_eq!(
+            ship_checkpoint(&mut f, *first, oldest.clone()),
+            ack(*first, oldest)
+        );
+        assert!(f.image.is_some());
+        assert_refused(
+            &mut f,
+            *mid,
+            forge_manifest(middle, 0, 0),
+            &format!("checkpoint rejected: manifest is not the applied log up to seq {mid}"),
+        );
+        assert!(f.image.is_none(), "a refusal leaves no basis");
+        assert_eq!(
+            ship_checkpoint(&mut f, *mid, middle.clone()),
+            ack(*mid, middle)
+        );
+        assert_eq!(
+            ship_checkpoint(&mut f, *last, newest.clone()),
+            ack(*last, newest)
+        );
+        assert_the_image_is_the_held_checkpoint(&mut f, &s.dir);
+
+        // A restart drops the image with the rest of the volatile state.
+        assert_eq!(
+            ship_checkpoint(&mut f, *mid, middle.clone()),
+            ack(*mid, middle)
+        );
+        f.recover().expect("recover");
+        assert!(f.image.is_none());
+        assert_eq!(
+            ship_checkpoint(&mut f, *last, newest.clone()),
+            ack(*last, newest)
+        );
+    }
+
     /// With no segment applied yet nothing ties a checkpoint to this
     /// replica's `StoreConfig` but the check itself.
     #[test]
@@ -696,11 +787,22 @@ mod tests {
             pick in 0usize..1 << 16,
             shift in 0u64..4,
             forgery in 0usize..14,
-            at in 0usize..1 << 16,
+            (at, prior) in (0usize..1 << 16, 0usize..1 << 16),
         ) {
             let s = shipped();
             let applied = s.segments.len() - behind;
             let mut f = follower_at(s, applied);
+            // Two draws in three, the replica already holds a genuine
+            // checkpoint of its applied prefix, whose image the one under
+            // test decodes onto.
+            let acceptable: Vec<_> =
+                s.checkpoints.iter().filter(|(seq, _)| *seq as usize <= applied).collect();
+            if prior % 3 != 0 && !acceptable.is_empty() {
+                let (seq, bytes) = acceptable[prior % acceptable.len()];
+                let reply = ship_checkpoint(&mut f, *seq, bytes.clone());
+                proptest::prop_assert!(matches!(reply, Message::Ack { .. }), "{:?}", reply);
+                proptest::prop_assert!(f.image.is_some());
+            }
             let (taken_at, genuine) = &s.checkpoints[pick % s.checkpoints.len()];
             // Half the draws leave the bytes alone (`forge_manifest` has
             // seven forgeries); the seq is the one the leader used, the
@@ -714,15 +816,18 @@ mod tests {
                 });
             let held = f.checkpoint.clone();
             match ship_checkpoint(&mut f, seq, ckpt.clone()) {
-                Message::Ack { seq: acked, .. } => {
+                Message::Ack { seq: acked, digest } => {
                     proptest::prop_assert!(want, "acked a checkpoint the replay refuses");
                     proptest::prop_assert_eq!(acked, seq);
+                    proptest::prop_assert_eq!(digest, u64::from(crc32(&ckpt)));
                     proptest::prop_assert_eq!(&f.checkpoint, &Some((seq, ckpt)));
+                    assert_the_image_is_the_held_checkpoint(&mut f, &s.dir);
                 }
                 Message::Rejection { code, detail } => {
                     proptest::prop_assert!(!want, "refused a good checkpoint: {}", detail);
                     proptest::prop_assert_eq!(code, proto::ERR_APPLY);
                     proptest::prop_assert_eq!(&f.checkpoint, &held);
+                    proptest::prop_assert!(f.image.is_none(), "a refusal leaves no basis");
                 }
                 other => proptest::prop_assert!(false, "unexpected reply {:?}", other),
             }

@@ -32,9 +32,19 @@
 //! map they are written from holds them; restore refuses any other, so one
 //! collector state has one frame. Restore is total: corrupt or truncated checkpoints
 //! yield a [`FrameError`], never a panic or a half-restored collector.
+//!
+//! Both directions cost what changed. A shard keeps its section (and the
+//! section's CRC) from the last save or restore until it next takes a
+//! batch, so [`save_checkpoint`] encodes and sums only the shards that
+//! did, and [`restore_checkpoint_onto`] parses only the sections that
+//! differ from the ones its basis — the last image restored — was read from.
 
-use crate::collector::{Collector, IngestAggregate, IngestCounters, ShardState};
-use crate::frame::{read_pairs, seal, write_pairs, write_varint, FrameError, Reader, CK};
+use crate::collector::{
+    Collector, IngestAggregate, IngestCounters, Section, SectionCache, ShardState,
+};
+use crate::frame::{
+    crc32, crc32_combine_op, read_pairs, write_pairs, write_varint, FrameError, Reader, CK,
+};
 use cellrel_sim::sketch::{sum_of_runs, SparseSketch};
 use std::collections::BTreeMap;
 
@@ -168,29 +178,65 @@ fn encode_shard(s: &ShardState) -> Vec<u8> {
 thread_local! {
     /// Shard sections encoded by this thread (cache misses).
     static SECTIONS_ENCODED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Shard sections parsed by this thread (not skipped against a basis).
+    static SECTIONS_PARSED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Serialize the collector's full state: the header, then every shard's
-/// section. A section is a pure function of its shard's state and is cached
-/// beside it until the shard next takes a batch, so a checkpoint after *k*
-/// batches encodes at most *k* sections and copies the rest; the bytes are
-/// the same either way.
+/// section. A section is cached beside its shard, with its CRC-32, until
+/// the shard next takes a batch, so a checkpoint after *k* batches encodes
+/// and sums at most *k* sections: the rest are copied and their CRCs
+/// combined into the frame's ([`crate::frame::crc32_combine`]). The bytes
+/// are the same either way.
 pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
+    fn section(s: &ShardState) -> &Section {
+        s.section.get_or_encode(|| encode_shard(s))
+    }
+    let body: usize = c.shards.iter().map(|s| section(s).bytes.len()).sum();
+    // Magic and version, three varints, the sections, the CRC.
+    let mut out = Vec::with_capacity(3 + 30 + body + 4);
     let start = CK.begin(&mut out, CKPT_VERSION);
     write_varint(&mut out, c.virtual_shards as u64);
     write_varint(&mut out, c.lateness_ms);
     write_varint(&mut out, c.unroutable);
+    let mut crc = crc32(&out[start..]);
     for s in &c.shards {
-        out.extend_from_slice(s.section.get_or_encode(|| encode_shard(s)));
+        let section = section(s);
+        out.extend_from_slice(&section.bytes);
+        let (own, op) = section.sum();
+        crc = crc32_combine_op(crc, own, op);
     }
-    seal(&mut out, start);
+    debug_assert_eq!(crc, crc32(&out[start..]), "a cached section CRC is stale");
+    out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
 /// Rebuild a collector from checkpoint bytes. Total: malformed input yields
 /// a [`FrameError`].
 pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, FrameError> {
+    restore_checkpoint_onto(bytes, None)
+}
+
+/// [`restore_checkpoint`], reusing what `basis` — typically the collector
+/// the previous checkpoint of the same stream restored to — has already
+/// parsed. Where a basis shard's cached section is a prefix of the unread
+/// bytes, that shard moves across and the reader steps past its section;
+/// every other section is parsed. A basis of another shard count is
+/// ignored. The result, its cached sections and every error are those of
+/// `restore_checkpoint(bytes)`.
+///
+/// Skipping is exact because a section parse reads nothing but its own
+/// bytes: the shard a parse of these bytes would build is the basis shard,
+/// which was read from (or encodes to) the same bytes. The one input from
+/// outside a section is what [`Reader::count`] measures a count against —
+/// the bytes that remain in the frame — and every count bound a parse of the
+/// section passed is met by items inside the section itself, so it holds
+/// at any position the bytes can sit. The envelope, CRC included, is still
+/// checked over the whole frame first.
+pub fn restore_checkpoint_onto(
+    bytes: &[u8],
+    basis: Option<Collector>,
+) -> Result<Collector, FrameError> {
     let mut r = CK.open(bytes)?;
     // Each shard costs ≥ 11 bytes on the wire (9 counters, watermark,
     // nseq), so the claim is bounded before `shards` is sized from it.
@@ -200,44 +246,21 @@ pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, FrameError> {
     }
     let lateness_ms = r.varint()?;
     let unroutable = r.varint()?;
+    let mut basis = basis
+        .filter(|b| b.virtual_shards == virtual_shards)
+        .map(|b| b.shards.into_iter());
     let mut shards = Vec::with_capacity(virtual_shards);
     for _ in 0..virtual_shards {
-        let mut k = IngestCounters::default();
-        for v in [
-            &mut k.batches,
-            &mut k.bytes,
-            &mut k.records,
-            &mut k.decode_errors,
-            &mut k.duplicate_batches,
-            &mut k.duplicate_records,
-            &mut k.filtered_noise,
-            &mut k.late_records,
-            &mut k.out_of_order_batches,
-        ] {
-            *v = r.varint()?;
-        }
-        let watermark_ms = r.varint()?;
-        // Each entry costs ≥ 2 bytes.
-        let nseq = r.count("nseq", 2)?;
-        let mut last_seq: Vec<(u32, u64)> = Vec::with_capacity(nseq);
-        for _ in 0..nseq {
-            let dev = r.narrow("device")?;
-            // `encode_shard` walks a map: ids ascend. A frame where they do
-            // not would restore to a collector that re-encodes to other bytes.
-            if last_seq.last().is_some_and(|&(prev, _)| dev <= prev) {
-                return Err(r.invalid("device order"));
+        let held = basis.as_mut().and_then(Iterator::next);
+        let shard = match held {
+            Some(s) if s.section.get().is_some_and(|sec| r.skip_known(&sec.bytes)) => s,
+            _ => {
+                let (mut s, read) = r.spanned(read_shard)?;
+                s.section = SectionCache::holding(read);
+                s
             }
-            last_seq.push((dev, r.varint()?));
-        }
-        let agg = read_agg(&mut r)?;
-        shards.push(ShardState {
-            agg,
-            counters: k,
-            // Sorted input: one bulk build, no per-key descent.
-            last_seq: BTreeMap::from_iter(last_seq),
-            watermark_ms,
-            section: Default::default(),
-        });
+        };
+        shards.push(shard);
     }
     r.finish()?;
     Ok(Collector {
@@ -248,12 +271,53 @@ pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, FrameError> {
     })
 }
 
+/// Parse one `shard` section of the grammar above.
+fn read_shard(r: &mut Reader<'_>) -> Result<ShardState, FrameError> {
+    #[cfg(test)]
+    SECTIONS_PARSED.with(|n| n.set(n.get() + 1));
+    let mut k = IngestCounters::default();
+    for v in [
+        &mut k.batches,
+        &mut k.bytes,
+        &mut k.records,
+        &mut k.decode_errors,
+        &mut k.duplicate_batches,
+        &mut k.duplicate_records,
+        &mut k.filtered_noise,
+        &mut k.late_records,
+        &mut k.out_of_order_batches,
+    ] {
+        *v = r.varint()?;
+    }
+    let watermark_ms = r.varint()?;
+    // Each entry costs ≥ 2 bytes.
+    let nseq = r.count("nseq", 2)?;
+    let mut last_seq: Vec<(u32, u64)> = Vec::with_capacity(nseq);
+    for _ in 0..nseq {
+        let dev = r.narrow("device")?;
+        // `encode_shard` walks a map: ids ascend. A frame where they do
+        // not would restore to a collector that re-encodes to other bytes.
+        if last_seq.last().is_some_and(|&(prev, _)| dev <= prev) {
+            return Err(r.invalid("device order"));
+        }
+        last_seq.push((dev, r.varint()?));
+    }
+    Ok(ShardState {
+        agg: read_agg(r)?,
+        counters: k,
+        // Sorted input: one bulk build, no per-key descent.
+        last_seq: BTreeMap::from_iter(last_seq),
+        watermark_ms,
+        section: SectionCache::default(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::encode_batch;
     use crate::collector::CollectorConfig;
-    use crate::frame::FrameErrorKind;
+    use crate::frame::{seal, FrameErrorKind};
     use cellrel_types::{
         Apn, BsId, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat, SignalLevel,
         SimDuration, SimTime,
@@ -350,6 +414,42 @@ mod tests {
         assert_eq!(encoded() - t1, 3);
         assert_ne!(second, first);
         assert_eq!(restore_checkpoint(&second).expect("restore"), c);
+    }
+
+    /// The follower's side of the same count: restored onto the image of
+    /// the checkpoint before, a checkpoint after `k` batches to `k`
+    /// distinct shards parses exactly `k` sections — and a restored
+    /// collector, whose sections are the bytes it was read from, encodes
+    /// none when it is checkpointed again.
+    #[test]
+    fn restoring_onto_the_last_image_parses_only_the_shards_that_took_a_batch() {
+        let parsed = || SECTIONS_PARSED.with(std::cell::Cell::get);
+        let encoded = || SECTIONS_ENCODED.with(std::cell::Cell::get);
+        let mut c = populated();
+        let first = save_checkpoint(&c);
+        let t0 = parsed();
+        let image = restore_checkpoint(&first).expect("restore");
+        assert_eq!(parsed() - t0, 8, "cold: every shard");
+        let e0 = encoded();
+        assert_eq!(save_checkpoint(&image), first);
+        assert_eq!(encoded() - e0, 0, "a restored collector re-encodes nothing");
+
+        for d in [1, 2, 5] {
+            c.ingest(&encode_batch(DeviceId(d), 1, &[ev(d, 9_000, 4)]));
+        }
+        let second = save_checkpoint(&c);
+        let t1 = parsed();
+        let onto = restore_checkpoint_onto(&second, Some(image)).expect("restore onto");
+        assert_eq!(parsed() - t1, 3);
+        assert_eq!(onto, c);
+        assert_eq!(save_checkpoint(&onto), second);
+        assert_eq!(save_checkpoint(&onto.clone()), second, "cold re-encode");
+
+        // A basis of another shard count is no basis: every section parses.
+        let t2 = parsed();
+        let foreign = Collector::new(&CollectorConfig::default());
+        let plain = restore_checkpoint_onto(&second, Some(foreign)).expect("restore");
+        assert_eq!((parsed() - t2, plain), (8, c));
     }
 
     #[test]

@@ -300,6 +300,14 @@ mod tests {
     }
 
     #[test]
+    fn encoded_size_is_compact() {
+        // The raw row: device, kind, start, duration, cause (optional flag
+        // folded in), then the context: rat, level, apn, bs, isp.
+        let fields = [4u64, 1, 8, 8, 2, 1, 1, 1, 8, 1];
+        assert_eq!(fields.iter().sum::<u64>(), RAW_RECORD_BYTES);
+    }
+
+    #[test]
     fn empty_batch_round_trips() {
         let bytes = encode_batch(DeviceId(3), 1, &[]);
         let decoded = decode_batch(&bytes).expect("empty batch");

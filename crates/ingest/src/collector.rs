@@ -24,6 +24,7 @@
 //! instead of silently skewing the stream.
 
 use crate::codec::{decode_batch, peek_device};
+use crate::frame::{crc32, crc32_combine_gen};
 use cellrel_sim::sketch::SparseSketch;
 use cellrel_sim::{Digest64, Merge};
 use cellrel_types::{DeviceId, EventSink, FailureEvent, SimDuration};
@@ -169,18 +170,59 @@ impl Merge for IngestAggregate {
     }
 }
 
-/// A shard's encoded `CK` section, kept from one checkpoint to the next so
-/// a checkpoint re-encodes only the shards that took a batch in between.
-/// It is derived from the rest of [`ShardState`] and never part of it: a
-/// clone starts empty and every cache compares equal.
+/// One shard's `CK` section. A checkpoint combines the section's CRC-32
+/// into the frame's instead of summing the bytes again, with the combine
+/// operator for its length — without which 64 combines cost what summing
+/// an 18 KB checkpoint does. Both are worked out the first time a
+/// checkpoint needs them, so a follower that only compares sections never
+/// pays for them.
+#[derive(Debug)]
+pub(crate) struct Section {
+    pub(crate) bytes: Vec<u8>,
+    sum: OnceLock<(u32, u32)>,
+}
+
+impl Section {
+    fn new(bytes: Vec<u8>) -> Self {
+        Section {
+            bytes,
+            sum: OnceLock::new(),
+        }
+    }
+
+    /// `(crc32(bytes), crc32_combine_gen(bytes.len()))`.
+    pub(crate) fn sum(&self) -> (u32, u32) {
+        *self
+            .sum
+            .get_or_init(|| (crc32(&self.bytes), crc32_combine_gen(self.bytes.len())))
+    }
+}
+
+/// A shard's `CK` section, kept from one checkpoint to the next so a
+/// checkpoint re-encodes only the shards that took a batch in between: the
+/// bytes it was encoded to, or the bytes a restore parsed it from — for a
+/// frame the encoder wrote, the same bytes. It is derived from the rest of
+/// [`ShardState`] and never part of it: a clone starts empty and every
+/// cache compares equal.
 #[derive(Debug, Default)]
-pub(crate) struct SectionCache(OnceLock<Vec<u8>>);
+pub(crate) struct SectionCache(OnceLock<Section>);
 
 impl SectionCache {
+    /// A cache holding the section `bytes`, which the shard was read from.
+    pub(crate) fn holding(bytes: &[u8]) -> Self {
+        SectionCache(OnceLock::from(Section::new(bytes.to_vec())))
+    }
+
+    /// The cached section, if the shard has not changed since it was
+    /// encoded or read.
+    pub(crate) fn get(&self) -> Option<&Section> {
+        self.0.get()
+    }
+
     /// The cached section, encoding it with `encode` if the shard changed
     /// since the last call.
-    pub(crate) fn get_or_encode(&self, encode: impl FnOnce() -> Vec<u8>) -> &[u8] {
-        self.0.get_or_init(encode)
+    pub(crate) fn get_or_encode(&self, encode: impl FnOnce() -> Vec<u8>) -> &Section {
+        self.0.get_or_init(|| Section::new(encode()))
     }
 }
 

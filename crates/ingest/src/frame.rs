@@ -179,6 +179,24 @@ pub fn seal(out: &mut Vec<u8>, start: usize) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
+/// [`seal`] for a frame that embeds frames sealed a moment ago. Each range
+/// of `out` in `sealed` (ascending, disjoint, inside the frame) must hold
+/// one complete sealed frame; whatever its bytes, such a frame sums to
+/// [`RESIDUE`], so it enters the CRC through [`crc32_combine`] instead of
+/// being read a second time. The trailer is the one [`seal`] would write.
+pub fn seal_around(out: &mut Vec<u8>, start: usize, sealed: &[std::ops::Range<usize>]) {
+    let mut crc = 0;
+    let mut at = start;
+    for frame in sealed {
+        crc = crc32_continue(crc, &out[at..frame.start]);
+        crc = crc32_combine(crc, RESIDUE, frame.len());
+        at = frame.end;
+    }
+    let crc = crc32_continue(crc, &out[at..]);
+    debug_assert_eq!(crc, crc32(&out[start..]), "a range is not a sealed frame");
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
 /// Why bytes failed to decode, and in which family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameError {
@@ -370,6 +388,28 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
+    /// If the unread bytes begin with `known`, step past them and say so;
+    /// otherwise leave the cursor where it is.
+    #[inline]
+    pub(crate) fn skip_known(&mut self, known: &[u8]) -> bool {
+        let next = self.bytes[self.pos..].starts_with(known);
+        if next {
+            self.pos += known.len();
+        }
+        next
+    }
+
+    /// Run `read` at the cursor and return what it read beside the bytes
+    /// it consumed.
+    pub(crate) fn spanned<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, FrameError>,
+    ) -> Result<(T, &'a [u8]), FrameError> {
+        let start = self.pos;
+        let value = read(self)?;
+        Ok((value, &self.bytes[start..self.pos]))
+    }
+
     /// A length-prefixed byte string.
     #[inline]
     pub fn blob(&mut self, field: &'static str) -> Result<&'a [u8], FrameError> {
@@ -505,11 +545,82 @@ pub const fn unzigzag(v: u64) -> i64 {
 /// zero bytes, so the eight lookups of one step are independent of each
 /// other and only the final XOR waits on the previous step — the
 /// byte-at-a-time loop chains one dependent lookup per byte. Every frame
-/// is summed on seal and again on open, several times over for a
-/// checkpoint that travels `CK` → `SP` → `CR`.
+/// is summed on open, several times over for a checkpoint that travels
+/// `CK` → `SP` → `CR`; writers that embed a frame they just sealed use
+/// [`seal_around`] and sum it once.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_continue(0, bytes)
+}
+
+/// The CRC-32 of any sealed frame: the covered bytes followed by their own
+/// CRC, little-endian, always sum to this constant.
+pub const RESIDUE: u32 = 0x2144_DF1C;
+
+/// `crc32(a ‖ b)` from `crc32(a)`, `crc32(b)` and `b.len()`, without
+/// reading a byte (zlib's `crc32_combine`): the CRC register is linear
+/// over GF(2), so `a`'s sum moves past `b` by a multiplication with
+/// `x^(8·len_b) mod P` — a handful of 32-step multiplies over a table of
+/// the powers `x^(2^k)`, however long `b` is.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    crc32_combine_op(crc_a, crc_b, crc32_combine_gen(len_b))
+}
+
+/// The operator [`crc32_combine`] moves a sum past `len` bytes with,
+/// `x^(8·len) mod P` (zlib's `crc32_combine_gen`). Building it is most of
+/// a combine's cost — a multiply per set bit of `len` — so a writer that
+/// combines the same lengths again keeps it.
+pub(crate) fn crc32_combine_gen(len: usize) -> u32 {
+    /// `X2N[k]` is `x^(2^k) mod P`; since x's order divides `2^32 - 1`,
+    /// `k` wraps at 32.
+    const X2N: [u32; 32] = {
+        let mut table = [0u32; 32];
+        table[0] = 1 << 30; // x¹
+        let mut k = 1;
+        while k < 32 {
+            table[k] = multiply(table[k - 1], table[k - 1]);
+            k += 1;
+        }
+        table
+    };
+    let mut op = 1 << 31; // x⁰
+    let (mut n, mut k) = (len, 3); // 8·n = n·2³
+    while n != 0 {
+        if n & 1 != 0 {
+            op = multiply(X2N[k & 31], op);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    op
+}
+
+/// [`crc32_combine`] with the operator for `b`'s length already built:
+/// one multiply.
+pub(crate) fn crc32_combine_op(crc_a: u32, crc_b: u32, op: u32) -> u32 {
+    multiply(op, crc_a) ^ crc_b
+}
+
+/// `a · b mod P` in the CRC's reflected bit order (bit 31 is x⁰).
+const fn multiply(mut a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    while a != 0 {
+        if a & (1 << 31) != 0 {
+            product ^= b;
+        }
+        a <<= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+    product
+}
+
+/// The IEEE generator, reflected.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Resume a CRC-32 that summed some bytes over `bytes`:
+/// `crc32_continue(crc32(a), b) == crc32(a ‖ b)`.
+fn crc32_continue(crc: u32, bytes: &[u8]) -> u32 {
     const TABLES: [[u32; 256]; 8] = crc32_tables();
-    let mut crc: u32 = !0;
+    let mut crc = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -536,7 +647,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ POLY
             } else {
                 crc >> 1
             };
@@ -681,6 +792,87 @@ mod tests {
         ) {
             let s = &bytes[start.min(bytes.len())..];
             proptest::prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        }
+    }
+
+    /// `len` bytes of noise from `seed`.
+    fn noise(mut seed: u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                seed = seed
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (seed >> 56) as u8
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Summing two buffers apart and combining is summing them
+        /// together — either side empty, and `b` at any length up to past
+        /// 2¹⁶ (lengths drawn log-uniformly, so every bit of `len_b`, the
+        /// table index the combine walks, is exercised).
+        #[test]
+        fn crc32_combine_is_the_sum_of_the_concatenation(
+            (a_len, b_bits, b_low) in (0usize..300, 0u32..18, proptest::prelude::any::<usize>()),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let b_len = b_low % (1 << b_bits);
+            let a = noise(seed, a_len);
+            let b = noise(!seed, b_len);
+            let whole = [&a[..], &b[..]].concat();
+            proptest::prop_assert_eq!(crc32_combine(crc32(&a), crc32(&b), b.len()), crc32(&whole));
+            proptest::prop_assert_eq!(crc32_continue(crc32(&a), &b), crc32(&whole));
+        }
+    }
+
+    #[test]
+    fn crc32_combine_handles_empty_sides_and_long_tails() {
+        let long = noise(7, 70_000);
+        assert_eq!(crc32_combine(0, 0, 0), 0);
+        assert_eq!(crc32_combine(crc32(&long), 0, 0), crc32(&long));
+        assert_eq!(crc32_combine(0, crc32(&long), long.len()), crc32(&long));
+        let (a, b) = long.split_at(1 << 16);
+        assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(&long));
+        let (a, b) = long.split_at(3);
+        assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(&long));
+    }
+
+    /// A sealed frame of any family sums to `RESIDUE`; `seal_around` over
+    /// embedded sealed frames — back to back or apart, right behind the
+    /// header, right before the trailer — writes the trailer `seal` does.
+    #[test]
+    fn a_sealed_frame_sums_to_the_residue_and_seal_around_is_seal() {
+        let frame = |family: &Family, body: &[u8]| {
+            let mut out = Vec::new();
+            family.begin(&mut out, family.versions[0]);
+            out.extend_from_slice(body);
+            seal(&mut out, 0);
+            out
+        };
+        for (i, family) in ENVELOPED.into_iter().enumerate() {
+            for len in [0, 1, 7, 300] {
+                assert_eq!(crc32(&frame(family, &noise(i as u64, len))), RESIDUE);
+            }
+        }
+        let inner: Vec<Vec<u8>> = (0..4)
+            .map(|i| frame(&CS, &noise(i, 40 * i as usize)))
+            .collect();
+        for layout in 0..6u64 {
+            let mut out = noise(layout, 5); // bytes before the outer frame
+            let start = SP.begin(&mut out, 1);
+            let mut sealed = Vec::new();
+            for (i, img) in inner.iter().enumerate() {
+                if layout >> (i % 3) & 1 == 0 {
+                    out.extend(noise(layout + i as u64, (layout as usize * 3) % 11));
+                }
+                sealed.push(out.len()..out.len() + img.len());
+                out.extend_from_slice(img);
+            }
+            let mut plain = out.clone();
+            seal_around(&mut out, start, &sealed);
+            seal(&mut plain, start);
+            assert_eq!(out, plain, "layout {layout}");
         }
     }
 

@@ -42,7 +42,7 @@ pub mod codec;
 pub mod collector;
 pub mod frame;
 
-pub use checkpoint::{restore_checkpoint, save_checkpoint};
+pub use checkpoint::{restore_checkpoint, restore_checkpoint_onto, save_checkpoint};
 pub use codec::{decode_batch, encode_batch, peek_device, WireBatch};
 pub use collector::{Collector, CollectorConfig, IngestAggregate, IngestCounters, IngestReport};
 pub use frame::{FrameError, FrameErrorKind};

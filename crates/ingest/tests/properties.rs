@@ -1,13 +1,15 @@
 //! Property-based tests for the ingestion wire codec and the streaming
 //! quantile sketch: primitive roundtrips, whole-batch roundtrips on
 //! arbitrary records, totality of the decoder on hostile input, totality
-//! of checkpoint restore, and the algebra of sketch merging. (Garbage
+//! of checkpoint restore, the checkpoint's cached sections and
+//! by-difference restore, and the algebra of sketch merging. (Garbage
 //! input to every decoder is `tests/frame_totality.rs`'s job.)
 
 use cellrel_ingest::codec::{decode_batch, encode_batch, peek_device};
-use cellrel_ingest::frame::{crc32, unzigzag, write_varint, zigzag, Reader, CB};
+use cellrel_ingest::frame::{crc32, seal, unzigzag, write_varint, zigzag, Reader, CB, CK};
 use cellrel_ingest::{
-    restore_checkpoint, save_checkpoint, Collector, CollectorConfig, IngestAggregate,
+    restore_checkpoint, restore_checkpoint_onto, save_checkpoint, Collector, CollectorConfig,
+    IngestAggregate,
 };
 use cellrel_sim::{Digest64, Merge, QuantileSketch, SparseSketch};
 use cellrel_types::{
@@ -15,6 +17,7 @@ use cellrel_types::{
     SignalLevel, SimDuration, SimTime,
 };
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// The field material of one record, minus the device (batches are
 /// single-device; the device comes from the batch header). Grouped into
@@ -95,6 +98,81 @@ fn populated_collector(devices: u32, per_device: usize) -> Collector {
         c.ingest(&encode_batch(device, 0, &events));
     }
     c
+}
+
+/// The byte ranges of a `CK` frame's shard sections, walked with the
+/// grammar in `cellrel_ingest::checkpoint`'s docs: every field a varint.
+fn ck_sections(frame: &[u8]) -> Vec<Range<usize>> {
+    fn skip(r: &mut Reader<'_>, n: u64) {
+        for _ in 0..n {
+            r.varint().expect("varint field");
+        }
+    }
+    let mut r = CK.open(frame).expect("own frame");
+    let end = frame.len() - 4;
+    let shards = r.varint().expect("virtual_shards");
+    skip(&mut r, 2); // lateness, unroutable
+    (0..shards)
+        .map(|_| {
+            let start = end - r.remaining();
+            skip(&mut r, 10); // counters, watermark
+            let nseq = r.varint().expect("nseq");
+            skip(&mut r, 2 * nseq);
+            skip(&mut r, 16); // records, by_kind/isp/rat, three duration scalars
+            for _ in 0..6 {
+                skip(&mut r, 3); // count, min, max
+                let nnz = r.varint().expect("nnz");
+                skip(&mut r, 2 * nnz);
+            }
+            start..end - r.remaining()
+        })
+        .collect()
+}
+
+/// Forgeries of checkpoint `b`, taken after `a`, for the by-difference
+/// parse to disagree with the plain one on if it can: a byte flipped inside
+/// a section `b` shares with `a`, two sections swapped and the body cut
+/// short — each sealed again — and `b` cut short as it is. `pick` chooses
+/// the section, byte, mask and cut.
+fn forgeries(a: &[u8], b: &[u8], pick: usize) -> Vec<Vec<u8>> {
+    let (in_a, in_b) = (ck_sections(a), ck_sections(b));
+    let body = &b[..b.len() - 4];
+    let sealed = |mut body: Vec<u8>| {
+        seal(&mut body, 0);
+        body
+    };
+    let mut out = Vec::new();
+    let shared: Vec<&Range<usize>> = in_b
+        .iter()
+        .zip(&in_a)
+        .filter(|(sb, sa)| b[(*sb).clone()] == a[(*sa).clone()])
+        .map(|(sb, _)| sb)
+        .collect();
+    if !shared.is_empty() {
+        let section = shared[pick % shared.len()];
+        let mut flipped = body.to_vec();
+        flipped[section.start + pick % section.len()] ^= 1 + (pick % 255) as u8;
+        out.push(sealed(flipped));
+    }
+    let n = in_b.len();
+    let i = pick % n;
+    let j = (i + 1 + (pick / n) % (n - 1).max(1)) % n;
+    let mut swapped = body[..in_b[0].start].to_vec();
+    for k in 0..n {
+        let from = if k == i {
+            j
+        } else if k == j {
+            i
+        } else {
+            k
+        };
+        swapped.extend_from_slice(&b[in_b[from].clone()]);
+    }
+    out.push(sealed(swapped));
+    let head = in_b[0].start;
+    out.push(sealed(body[..head + pick % (body.len() - head)].to_vec()));
+    out.push(b[..b.len() - 1 - pick % (b.len() - 1)].to_vec());
+    out
 }
 
 proptest! {
@@ -236,6 +314,15 @@ proptest! {
     /// a collector that never checkpointed before; `==` and `digest()` do
     /// not see the cache; and a clone taken after a checkpoint encodes its
     /// own later state, not the original's.
+    ///
+    /// Nor can restoring onto a basis, the follower's by-difference parse:
+    /// with `A` the checkpoint before and `B` this one,
+    /// `restore_checkpoint_onto(B, Some(restore(A)))` equals
+    /// `restore_checkpoint(B)` — value, re-encoded bytes (warm and cold)
+    /// and, on forgeries of `B`, error for error. The forgeries are
+    /// re-sealed, so they reach the section parse: a byte flipped inside a
+    /// section that matches `A`'s, two sections swapped, the body cut
+    /// short; and `B` cut short without a new CRC.
     #[test]
     fn checkpoint_section_cache_is_unobservable(
         ops in prop::collection::vec(
@@ -248,6 +335,7 @@ proptest! {
         let mut cold = Collector::new(&cfg);
         let mut next_seq = [0u64; 12];
         let mut sent: Vec<Vec<u8>> = Vec::new();
+        let mut previous: Option<Vec<u8>> = None;
         for (kind, d, parts) in &ops {
             let device = DeviceId(*d);
             let events: Vec<FailureEvent> =
@@ -273,9 +361,25 @@ proptest! {
                     let last = save_checkpoint(&cached);
                     let restored = restore_checkpoint(&last);
                     prop_assert!(restored.is_ok(), "own checkpoint restores: {restored:?}");
-                    prop_assert_eq!(&save_checkpoint(&restored.expect("checked")), &last);
+                    let restored = restored.expect("checked");
+                    prop_assert_eq!(&save_checkpoint(&restored), &last, "sections as read");
+                    prop_assert_eq!(&save_checkpoint(&restored.clone()), &last, "cold");
                     prop_assert_eq!(&save_checkpoint(&cold.clone()), &last);
                     prop_assert_eq!(&save_checkpoint(&cached), &last, "warm re-encode");
+                    if let Some(a) = previous.replace(last.clone()) {
+                        let basis = || restore_checkpoint(&a).ok();
+                        let onto = restore_checkpoint_onto(&last, basis());
+                        prop_assert_eq!(onto.as_ref(), Ok(&restored));
+                        let onto = onto.expect("checked");
+                        prop_assert_eq!(&save_checkpoint(&onto), &last, "sections kept or read");
+                        prop_assert_eq!(&save_checkpoint(&onto.clone()), &last, "cold");
+                        for forged in forgeries(&a, &last, *d as usize) {
+                            prop_assert_eq!(
+                                restore_checkpoint_onto(&forged, basis()),
+                                restore_checkpoint(&forged)
+                            );
+                        }
+                    }
                     continue;
                 }
             };

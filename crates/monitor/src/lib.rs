@@ -33,10 +33,6 @@ pub mod probing;
 pub mod service;
 pub mod uploader;
 
-// One test id kept one more round; the module holds nothing else.
-#[cfg(test)]
-mod trace;
-
 pub use filter::{FilterDecision, FpFilter};
 pub use overhead::OverheadAccounting;
 pub use probing::{ProbeConfig, ProbeSession, StallMeasurement};

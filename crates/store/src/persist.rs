@@ -11,7 +11,9 @@
 
 use crate::columnar::ColumnSegment;
 use crate::cube::{Cell, CellKey, DeviceRec, Store, StoreConfig};
-use cellrel_ingest::frame::{read_pairs, seal, write_pairs, write_varint, FrameError, Reader, CS};
+use cellrel_ingest::frame::{
+    read_pairs, seal_around, write_pairs, write_varint, FrameError, Reader, CS,
+};
 use cellrel_sim::SparseSketch;
 
 /// Row-only format version. Stores with no sealed segments save exactly
@@ -51,6 +53,9 @@ pub fn save_store(store: &Store) -> Vec<u8> {
         STORE_VERSION
     };
     let start = CS.begin(&mut out, version);
+    // Where each `SC` block lands: sealed as it was written, so the image's
+    // trailer sums around the blocks instead of over them again.
+    let mut blocks = Vec::new();
     let cfg = store.config();
     write_varint(&mut out, cfg.bucket_ms);
     write_varint(&mut out, u64::from(cfg.rollup_buckets));
@@ -79,7 +84,9 @@ pub fn save_store(store: &Store) -> Vec<u8> {
         if columnar {
             write_varint(&mut out, p.segments.len() as u64);
             for seg in &p.segments {
+                let at = out.len();
                 seg.encode(&mut out);
+                blocks.push(at..out.len());
             }
         }
         write_varint(&mut out, p.devices.len() as u64);
@@ -98,7 +105,7 @@ pub fn save_store(store: &Store) -> Vec<u8> {
             write_varint(&mut out, rec.failures);
         }
     }
-    seal(&mut out, start);
+    seal_around(&mut out, start, &blocks);
     out
 }
 

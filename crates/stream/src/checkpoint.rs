@@ -24,16 +24,18 @@
 //! [`StreamPipeline::load`] fetches and verifies the segments the image
 //! names and replays them into the tiers. A reader that has already
 //! verified those segments itself (a cluster follower) stops after the
-//! first stage. Both are total: truncated, bit-flipped, or garbage bytes
-//! yield a [`StreamError::Frame`].
+//! first stage, and one that decodes every checkpoint of a stream in turn
+//! hands the last image to [`StreamPipeline::decode_onto`], which parses
+//! only the collector sections that changed since. Both are total:
+//! truncated, bit-flipped, or garbage bytes yield a [`StreamError::Frame`].
 
 use crate::pipeline::{StreamConfig, StreamCounters, StreamPipeline};
 use crate::segment::{
     decode_manifest, encode_manifest, fetch_segment, SegmentEntry, SegmentKind, SegmentStore,
 };
 use crate::StreamError;
-use cellrel_ingest::frame::{seal, write_varint, SP};
-use cellrel_ingest::{restore_checkpoint, save_checkpoint, Collector, CollectorConfig};
+use cellrel_ingest::frame::{seal_around, write_varint, SP};
+use cellrel_ingest::{restore_checkpoint_onto, save_checkpoint, Collector, CollectorConfig};
 use cellrel_store::{restore_store, save_store, DeviceDirectory, Store, StoreConfig};
 use cellrel_types::SimDuration;
 use std::collections::{BTreeMap, BTreeSet};
@@ -62,6 +64,14 @@ impl<'d> StreamPipeline<'d> {
         let varints = 26 + 6 * self.manifest.len() + 2 * pending.len();
         let room = blobs + 10 * varints + 7;
         let mut out = Vec::with_capacity(room);
+        // Where each embedded frame lands: they were sealed a moment ago, so
+        // the `SP` trailer sums around them instead of over them again.
+        let mut sealed = Vec::with_capacity(pending.len() + 2);
+        let mut embed = |out: &mut Vec<u8>, frame: &[u8]| {
+            write_varint(out, frame.len() as u64);
+            sealed.push(out.len()..out.len() + frame.len());
+            out.extend_from_slice(frame);
+        };
         let start = SP.begin(&mut out, CKPT_STREAM_VERSION);
         write_varint(&mut out, self.cfg.window_ms);
         write_varint(&mut out, self.cfg.lateness_ms);
@@ -79,18 +89,15 @@ impl<'d> StreamPipeline<'d> {
         for c in counters_fields(&self.counters) {
             write_varint(&mut out, c);
         }
-        write_varint(&mut out, ck.len() as u64);
-        out.extend_from_slice(&ck);
+        embed(&mut out, &ck);
         encode_manifest(&self.manifest, &mut out);
         write_varint(&mut out, pending.len() as u64);
         for (w, img) in &pending {
             write_varint(&mut out, *w);
-            write_varint(&mut out, img.len() as u64);
-            out.extend_from_slice(img);
+            embed(&mut out, img);
         }
-        write_varint(&mut out, late.len() as u64);
-        out.extend_from_slice(&late);
-        seal(&mut out, start);
+        embed(&mut out, &late);
+        seal_around(&mut out, start, &sealed);
         debug_assert!(out.len() <= room, "the frame outgrew its estimate");
         out
     }
@@ -112,6 +119,18 @@ impl<'d> StreamPipeline<'d> {
     /// the pending windows and late lane against the store config — without
     /// touching a segment.
     pub fn decode(bytes: &[u8]) -> Result<CheckpointImage, StreamError> {
+        Self::decode_onto(bytes, None)
+    }
+
+    /// [`decode`](StreamPipeline::decode), reusing `basis` — the image the
+    /// previous checkpoint of the same stream decoded to — for the
+    /// collector shards whose `CK` sections did not change since
+    /// ([`restore_checkpoint_onto`]). The image and every error are those
+    /// of `decode(bytes)`; the basis is consumed either way.
+    pub fn decode_onto(
+        bytes: &[u8],
+        basis: Option<CheckpointImage>,
+    ) -> Result<CheckpointImage, StreamError> {
         let mut r = SP.open(bytes)?;
         let window_ms = r.varint()?;
         let lateness_ms = r.varint()?;
@@ -146,7 +165,8 @@ impl<'d> StreamPipeline<'d> {
         }
         let counters = counters_from_fields(cfields);
 
-        let collector = restore_checkpoint(r.blob("collector length")?)?;
+        let basis = basis.map(|image| image.collector);
+        let collector = restore_checkpoint_onto(r.blob("collector length")?, basis)?;
         let manifest = decode_manifest(&mut r)?;
         // `load` replays the manifest entry by entry, so it must be the
         // seal history the counters and replay position describe: one

@@ -15,7 +15,7 @@
 //! a missing or tampered segment is a typed error, not a wrong answer.
 
 use crate::StreamError;
-use cellrel_ingest::frame::{seal, write_varint, FrameError, Reader, SG};
+use cellrel_ingest::frame::{seal_around, write_varint, FrameError, Reader, SG};
 use cellrel_store::{restore_store, save_store, Store, StoreConfig};
 use std::collections::BTreeMap;
 
@@ -88,8 +88,10 @@ pub fn encode_segment(entry: &SegmentEntry, store: &Store) -> Vec<u8> {
     write_varint(&mut out, entry.records);
     write_varint(&mut out, entry.digest);
     write_varint(&mut out, image.len() as u64);
+    let embedded = out.len()..out.len() + image.len();
     out.extend_from_slice(&image);
-    seal(&mut out, start);
+    // The image is a sealed `CS` frame: it is not summed a second time.
+    seal_around(&mut out, start, &[embedded]);
     out
 }
 

@@ -7,6 +7,8 @@
 //!
 //! * the round trip is canonical — `decode(encode(v)) == v` and re-encoding
 //!   the decoded value reproduces the bytes;
+//! * an enveloped frame sums to `frame::RESIDUE` and carries the trailer
+//!   `seal` writes, however its writer arrived at it;
 //! * every strict prefix is an error;
 //! * every single-bit flip is an error (for the un-CRC'd partial form: a
 //!   typed result, never a panic);
@@ -193,6 +195,16 @@ fn check<T: PartialEq + Debug, E: Debug>(
     );
     if let Some(encode) = s.encode {
         prop_assert_eq!(encode(&decoded.expect("just compared")), bytes);
+    }
+
+    // A sealed frame sums to the residue, and its trailer is the one `seal`
+    // writes — whether its writer summed every byte, combined cached
+    // sections (`CK`) or summed around frames it embeds (`SP`, `SG`).
+    if s.family.is_some() {
+        prop_assert_eq!(frame::crc32(bytes), frame::RESIDUE);
+        let mut resealed = bytes[..bytes.len() - 4].to_vec();
+        seal(&mut resealed, 0);
+        prop_assert_eq!(&resealed[..], bytes);
     }
 
     // Every strict prefix fails.
@@ -431,7 +443,7 @@ proptest! {
     }
 
     #[test]
-    fn ck(parts in events(), seed in any::<u64>()) {
+    fn ck(parts in events(), seed in any::<u64>(), (at, mask) in (any::<usize>(), 1u8..=255)) {
         let mut value = Collector::new(&stream_cfg().collector);
         for b in batches(&parts) {
             value.ingest(&b);
@@ -444,6 +456,11 @@ proptest! {
         };
         let bytes = save_checkpoint(&value);
         check(&subject, &value, &bytes, seed)?;
+        // A whole byte changed, by any mask, anywhere: the CRC catches
+        // every error burst of up to 32 bits.
+        let mut corrupted = bytes.clone();
+        corrupted[at % bytes.len()] ^= mask;
+        prop_assert!(restore_checkpoint(&corrupted).is_err());
         // `quantile(1.0)` answers `max` verbatim: one that does not fall
         // in the last non-empty bucket is a lie, however valid the CRC.
         let lie = reframe(&CK, &bytes, |v| {
