@@ -53,6 +53,6 @@ pub use error::ClusterError;
 pub use failover::{failover_drill, run_failover};
 pub use node::ShardLeader;
 pub use partition::{shard_directories, shard_of, shard_of_batch};
-pub use proto::{decode_frame, encode_frame, Message};
+pub use proto::{decode_frame, encode_frame, read_frame, Message, MessageRef};
 pub use replica::Follower;
 pub use router::{ClusterRouter, RoutedAnswer, ShardHandle};

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use crate::error::ClusterError;
-use crate::proto::{self, Message};
+use crate::proto::{self, Message, KIND_CHECKPOINT, KIND_SEGMENT};
 use crate::router;
 use cellrel_queryd::QuerydCore;
 use cellrel_store::{DeviceDirectory, Store};
@@ -140,26 +140,29 @@ impl<'d> ShardLeader<'d> {
     /// left behind by a ship that failed — are read back from the backend
     /// and verified first, as every [`catchup`](Self::catchup) frame is.
     /// Either way the follower verifies a frame before it applies it.
+    ///
+    /// Every frame shipped is one this leader sealed or verified, so each
+    /// `CR` trailer sums around it instead of over it again.
     fn ship(&mut self, checkpoint: bool) -> Result<Vec<Vec<u8>>, ClusterError> {
         let pending = self.pipeline.manifest_suffix(self.shipped);
         let sealed = self.pipeline.sealed_frames();
         let (older, fresh) = pending.split_at(pending.len().saturating_sub(sealed.len()));
-        let read_back = older
-            .iter()
-            .map(|entry| self.pipeline.export_segment(entry, &self.segs));
-        let fresh = sealed[sealed.len() - fresh.len()..].iter();
         let mut frames = Vec::with_capacity(pending.len() + usize::from(checkpoint));
-        for frame in read_back.chain(fresh.cloned().map(Ok)) {
-            let frame = frame?;
+        for entry in older {
+            let frame = self.pipeline.export_segment(entry, &self.segs)?;
             self.shipped += 1;
             let seq = self.shipped as u64;
-            frames.push(proto::encode_frame(&Message::ShipSegment { seq, frame }));
+            frames.push(proto::encode_sealed_ship(KIND_SEGMENT, seq, &frame));
+        }
+        for frame in &sealed[sealed.len() - fresh.len()..] {
+            self.shipped += 1;
+            let seq = self.shipped as u64;
+            frames.push(proto::encode_sealed_ship(KIND_SEGMENT, seq, frame));
         }
         if checkpoint {
-            frames.push(proto::encode_frame(&Message::ShipCheckpoint {
-                seq: self.shipped as u64,
-                checkpoint: self.pipeline.checkpoint(),
-            }));
+            let seq = self.shipped as u64;
+            let ckpt = self.pipeline.checkpoint();
+            frames.push(proto::encode_sealed_ship(KIND_CHECKPOINT, seq, &ckpt));
         }
         Ok(frames)
     }
@@ -261,6 +264,39 @@ mod tests {
         );
         // Past the damaged entry the backend is intact.
         assert!(matches!(leader.catchup(1), Ok(Message::Segments { .. })));
+    }
+
+    /// The leader seals what it ships around the cargo it sealed itself;
+    /// every frame is still the one `encode_frame` writes for its message —
+    /// fresh segments, segments read back and checkpoints alike.
+    #[test]
+    fn a_leaders_frames_are_the_encoding_of_their_message() {
+        let (dir, batches, cfg) = fixture();
+        let mut leader = ShardLeader::new(&cfg, &dir, 0, 3).expect("leader");
+        let (half, rest) = batches.split_at(batches.len() / 2);
+        let mut frames = Vec::new();
+        for b in half {
+            frames.extend(leader.offer(b).expect("offer"));
+        }
+        // Every entry again: all but the last offer's are read back.
+        leader.shipped = 0;
+        frames.extend(leader.ship(true).expect("ship"));
+        for b in rest {
+            frames.extend(leader.offer(b).expect("offer"));
+        }
+        frames.extend(leader.flush().expect("flush"));
+        let (mut segments, mut checkpoints) = (0u64, 0);
+        for frame in &frames {
+            let msg = proto::decode_frame(frame).expect("own frame");
+            match msg {
+                Message::ShipSegment { .. } => segments += 1,
+                Message::ShipCheckpoint { .. } => checkpoints += 1,
+                ref other => panic!("leaders ship segments and checkpoints, not {other:?}"),
+            }
+            assert_eq!(&proto::encode_frame(&msg), frame);
+        }
+        // Some entries went out twice; at least one of them read back.
+        assert!(segments > leader.shipped() && checkpoints > 2);
     }
 
     /// A leader behind its own manifest (an earlier ship failed part-way)

@@ -23,9 +23,19 @@
 //! against the remaining payload before use. `tests/frame_totality.rs`
 //! proves this under proptest; `tests/golden_cluster.rs` pins the exact
 //! bytes.
+//!
+//! The replication kinds carry frames of other families. [`read_frame`]
+//! hands those out as sub-frames of the `CR` frame, not copies — marked, if
+//! the `CR` frame was ([`cellrel_ingest::frame::Marks`]), so a follower
+//! reads each replicated byte once. [`decode_frame`] is the same grammar,
+//! with the cargo copied out into a [`Message`].
+
+use std::ops::Range;
 
 use crate::error::ClusterError;
-use cellrel_ingest::frame::{seal, write_varint, FrameError, FrameErrorKind, CR};
+use cellrel_ingest::frame::{
+    seal, seal_around, write_varint, Frame, FrameError, FrameErrorKind, CR,
+};
 use cellrel_queryd::proto::{read_query, write_query};
 use cellrel_store::{decode_partial, encode_partial, PartialResultSet, Query};
 
@@ -137,16 +147,10 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
     let start = CR.begin(&mut out, VERSION);
     match msg {
         Message::ShipSegment { seq, frame } => {
-            out.push(KIND_SEGMENT);
-            write_varint(&mut out, *seq);
-            write_varint(&mut out, frame.len() as u64);
-            out.extend_from_slice(frame);
+            write_ship(&mut out, KIND_SEGMENT, *seq, frame);
         }
         Message::ShipCheckpoint { seq, checkpoint } => {
-            out.push(KIND_CHECKPOINT);
-            write_varint(&mut out, *seq);
-            write_varint(&mut out, checkpoint.len() as u64);
-            out.extend_from_slice(checkpoint);
+            write_ship(&mut out, KIND_CHECKPOINT, *seq, checkpoint);
         }
         Message::Catchup { from_seq } => {
             out.push(KIND_CATCHUP);
@@ -188,27 +192,100 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
     out
 }
 
+/// The kind, position and length-prefixed cargo of a replication message;
+/// returns where the cargo landed.
+fn write_ship(out: &mut Vec<u8>, kind: u8, seq: u64, cargo: &[u8]) -> Range<usize> {
+    out.push(kind);
+    write_varint(out, seq);
+    write_varint(out, cargo.len() as u64);
+    out.extend_from_slice(cargo);
+    out.len() - cargo.len()..out.len()
+}
+
+/// [`encode_frame`] of a [`Message::ShipSegment`] (`kind` is
+/// [`KIND_SEGMENT`]) or a [`Message::ShipCheckpoint`]
+/// ([`KIND_CHECKPOINT`]) whose cargo is a complete frame this process
+/// sealed or verified: the trailer sums around the cargo
+/// ([`seal_around`]) instead of reading it again. The bytes are the ones
+/// `encode_frame` writes.
+pub(crate) fn encode_sealed_ship(kind: u8, seq: u64, cargo: &[u8]) -> Vec<u8> {
+    debug_assert!(kind == KIND_SEGMENT || kind == KIND_CHECKPOINT);
+    let mut out = Vec::with_capacity(64 + cargo.len());
+    let start = CR.begin(&mut out, VERSION);
+    let sealed = write_ship(&mut out, kind, seq, cargo);
+    seal_around(&mut out, start, &[sealed]);
+    out
+}
+
+/// One `CR` frame as [`read_frame`] parses it: the replication kinds
+/// borrow the frames they carry, every other kind is decoded in full.
+#[derive(Debug)]
+pub enum MessageRef<'a> {
+    /// [`Message::ShipSegment`], its `SG` frame unread.
+    ShipSegment {
+        /// Log position.
+        seq: u64,
+        /// The segment frame, marked if the `CR` frame was.
+        frame: Frame<'a>,
+    },
+    /// [`Message::ShipCheckpoint`], its `SP` frame unread.
+    ShipCheckpoint {
+        /// Log position.
+        seq: u64,
+        /// The checkpoint frame, marked if the `CR` frame was.
+        checkpoint: Frame<'a>,
+    },
+    /// [`Message::Segments`], its `SG` frames unread.
+    Segments {
+        /// Echo of the request position.
+        from_seq: u64,
+        /// The segment frames, in log order.
+        frames: Vec<Frame<'a>>,
+    },
+    /// Any other kind.
+    Other(Message),
+}
+
+impl MessageRef<'_> {
+    /// The message, with any cargo copied out.
+    pub fn into_message(self) -> Message {
+        match self {
+            MessageRef::ShipSegment { seq, frame } => Message::ShipSegment {
+                seq,
+                frame: frame.bytes().to_vec(),
+            },
+            MessageRef::ShipCheckpoint { seq, checkpoint } => Message::ShipCheckpoint {
+                seq,
+                checkpoint: checkpoint.bytes().to_vec(),
+            },
+            MessageRef::Segments { from_seq, frames } => Message::Segments {
+                from_seq,
+                frames: frames.iter().map(|f| f.bytes().to_vec()).collect(),
+            },
+            MessageRef::Other(msg) => msg,
+        }
+    }
+}
+
 /// Decode one complete `CR` frame. Total: any byte string yields `Ok` or a
 /// typed [`FrameError`]; an embedded query or partial that fails reports
 /// its own family.
 pub fn decode_frame(bytes: &[u8]) -> Result<Message, FrameError> {
-    let mut r = CR.open(bytes)?;
+    read_frame(bytes).map(MessageRef::into_message)
+}
+
+/// [`decode_frame`] without copying the cargo out: the grammar, the result
+/// and every error are the same. The frame is plain bytes or marked.
+pub fn read_frame<'a>(frame: impl Into<Frame<'a>>) -> Result<MessageRef<'a>, FrameError> {
+    let mut r = CR.open(frame)?;
     let msg = match r.u8()? {
-        KIND_SEGMENT => Message::ShipSegment {
+        KIND_SEGMENT => MessageRef::ShipSegment {
             seq: r.varint()?,
-            frame: r.blob("segment length")?.to_vec(),
+            frame: r.frame("segment length")?,
         },
-        KIND_CHECKPOINT => Message::ShipCheckpoint {
+        KIND_CHECKPOINT => MessageRef::ShipCheckpoint {
             seq: r.varint()?,
-            checkpoint: r.blob("checkpoint length")?.to_vec(),
-        },
-        KIND_CATCHUP => Message::Catchup {
-            from_seq: r.varint()?,
-        },
-        KIND_QUERY => Message::Query(read_query(&mut r)?),
-        KIND_ACK => Message::Ack {
-            seq: r.varint()?,
-            digest: r.varint()?,
+            checkpoint: r.frame("checkpoint length")?,
         },
         KIND_SEGMENTS => {
             let from_seq = r.varint()?;
@@ -216,19 +293,29 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Message, FrameError> {
             let n = r.count("segment count", 1)?;
             let mut frames = Vec::with_capacity(n);
             for _ in 0..n {
-                frames.push(r.blob("segment length")?.to_vec());
+                frames.push(r.frame("segment length")?);
             }
-            Message::Segments { from_seq, frames }
+            MessageRef::Segments { from_seq, frames }
         }
-        KIND_PARTIAL => Message::Partial {
-            epoch: r.varint()?,
-            partial: decode_partial(r.blob("partial length")?)?,
-        },
-        KIND_ERROR => Message::Rejection {
-            code: r.narrow("error code")?,
-            detail: r.str("detail")?.to_string(),
-        },
-        k => return Err(r.error(FrameErrorKind::UnknownKind(k))),
+        kind => MessageRef::Other(match kind {
+            KIND_CATCHUP => Message::Catchup {
+                from_seq: r.varint()?,
+            },
+            KIND_QUERY => Message::Query(read_query(&mut r)?),
+            KIND_ACK => Message::Ack {
+                seq: r.varint()?,
+                digest: r.varint()?,
+            },
+            KIND_PARTIAL => Message::Partial {
+                epoch: r.varint()?,
+                partial: decode_partial(r.blob("partial length")?)?,
+            },
+            KIND_ERROR => Message::Rejection {
+                code: r.narrow("error code")?,
+                detail: r.str("detail")?.to_string(),
+            },
+            k => return Err(r.error(FrameErrorKind::UnknownKind(k))),
+        }),
     };
     r.finish()?;
     Ok(msg)

@@ -30,18 +30,25 @@
 //! (the CRCs over the whole frame) but parses only the collector sections
 //! that changed. The ack's digest is the CRC-32 of the accepted frame,
 //! which for a sealed frame is [`RESIDUE`] — what `decode` already proved.
+//!
+//! **Once per byte:** a frame arriving here is marked as it is opened
+//! ([`Marks`]), and its cargo — the `SG` segment with its `CS` image and
+//! `SC` blocks, or the `SP` checkpoint with its `CK` and `CS` frames — is
+//! decoded where it sits in the `CR` frame, every embedded trailer checked
+//! from the marks. Nothing is copied but what is kept: a segment into the
+//! segment store, the bytes of an accepted checkpoint.
 
 use std::sync::Arc;
 
 use crate::error::ClusterError;
-use crate::proto::{self, Message};
+use crate::proto::{self, Message, MessageRef};
 use crate::router;
-use cellrel_ingest::frame::RESIDUE;
+use cellrel_ingest::frame::{Frame, Marks, RESIDUE};
 use cellrel_queryd::QuerydCore;
 use cellrel_sim::Merge;
 use cellrel_store::{DeviceDirectory, Store};
 use cellrel_stream::{
-    decode_segment, fetch_segment, CheckpointImage, MemSegments, SegmentEntry, SegmentStore,
+    fetch_segment, read_segment, CheckpointImage, MemSegments, SegmentEntry, SegmentStore,
     StreamConfig, StreamPipeline,
 };
 
@@ -126,14 +133,17 @@ impl Follower {
     /// Apply one replication or query frame. Total: every outcome is a
     /// reply frame (ack, partial, or rejection), never a panic.
     pub fn apply(&mut self, frame: &[u8]) -> Vec<u8> {
-        let msg = match proto::decode_frame(frame) {
+        let marks = Marks::new(frame);
+        let msg = match proto::read_frame(marks.frame()) {
             Ok(m) => m,
             Err(e) => return proto::encode_frame(&proto::rejection_for(&e)),
         };
         let reply = match msg {
-            Message::ShipSegment { seq, frame } => self.apply_segment(seq, &frame),
-            Message::ShipCheckpoint { seq, checkpoint } => self.apply_checkpoint(seq, checkpoint),
-            Message::Query(q) => return router::answer_query(&self.core, &q),
+            MessageRef::ShipSegment { seq, frame } => self.apply_segment(seq, frame),
+            MessageRef::ShipCheckpoint { seq, checkpoint } => {
+                self.apply_checkpoint(seq, checkpoint)
+            }
+            MessageRef::Other(Message::Query(q)) => return router::answer_query(&self.core, &q),
             _ => Message::Rejection {
                 code: proto::ERR_UNEXPECTED,
                 detail: "followers accept segments, checkpoints, and queries only".into(),
@@ -143,7 +153,7 @@ impl Follower {
     }
 
     /// Verify and merge one shipped segment at the next dense position.
-    fn apply_segment(&mut self, seq: u64, bytes: &[u8]) -> Message {
+    fn apply_segment(&mut self, seq: u64, frame: Frame<'_>) -> Message {
         if seq != self.applied + 1 {
             return Message::Rejection {
                 code: proto::ERR_APPLY,
@@ -153,9 +163,9 @@ impl Follower {
                 ),
             };
         }
-        // decode_segment cross-checks the embedded digest and record
+        // read_segment cross-checks the embedded digest and record
         // count, so `entry` here is verified, not merely claimed.
-        let (entry, delta) = match decode_segment(bytes) {
+        let (entry, delta) = match read_segment(frame) {
             Ok(x) => x,
             Err(e) => {
                 return Message::Rejection {
@@ -184,7 +194,7 @@ impl Follower {
                 detail: format!("segment rejected: {} is already held", entry.name()),
             };
         }
-        if let Err(e) = self.segs.put(&entry.name(), bytes) {
+        if let Err(e) = self.segs.put(&entry.name(), frame.bytes()) {
             return Message::Rejection {
                 code: proto::ERR_APPLY,
                 detail: format!("segment store: {e}"),
@@ -200,7 +210,7 @@ impl Follower {
     }
 
     /// Validate and retain a checkpoint covering the applied prefix.
-    fn apply_checkpoint(&mut self, seq: u64, bytes: Vec<u8>) -> Message {
+    fn apply_checkpoint(&mut self, seq: u64, frame: Frame<'_>) -> Message {
         // Whatever the outcome, the basis is spent: an accepted checkpoint
         // leaves its own image, a refused one none.
         let basis = self.image.take();
@@ -217,7 +227,7 @@ impl Follower {
         // promotion time and must be refused while it is still cheap to.
         // The segments it names were verified one by one as they arrived
         // (module docs), so it is enough that it names exactly those.
-        let image = match StreamPipeline::decode_onto(&bytes, basis) {
+        let image = match StreamPipeline::decode_onto(frame, basis) {
             Err(e) => Err(e.to_string()),
             Ok(image) if image.config().store != self.cfg.store => {
                 Err("store config mismatch".into())
@@ -230,9 +240,9 @@ impl Follower {
         match image {
             Ok(image) => {
                 self.image = Some(image);
-                self.checkpoint = Some((seq, bytes));
+                self.checkpoint = Some((seq, frame.bytes().to_vec()));
                 // `decode` opened the frame, CRC included, so its bytes sum
-                // to the residue: the digest `crc32(&bytes)` would compute.
+                // to the residue: the digest `crc32(bytes)` would compute.
                 Message::Ack {
                     seq,
                     digest: u64::from(RESIDUE),
@@ -255,8 +265,9 @@ impl Follower {
     /// Apply a leader's catch-up reply: the manifest suffix after our
     /// applied position, replayed through the normal verified-apply path.
     pub fn ingest_catchup(&mut self, reply: &[u8]) -> Result<u64, ClusterError> {
-        match proto::decode_frame(reply)? {
-            Message::Segments { from_seq, frames } => {
+        let marks = Marks::new(reply);
+        match proto::read_frame(marks.frame())? {
+            MessageRef::Segments { from_seq, frames } => {
                 if from_seq != self.applied {
                     return Err(ClusterError::Replication {
                         shard: self.shard,
@@ -268,7 +279,7 @@ impl Follower {
                 }
                 for f in frames {
                     let seq = self.applied + 1;
-                    match self.apply_segment(seq, &f) {
+                    match self.apply_segment(seq, f) {
                         Message::Ack { .. } => {}
                         Message::Rejection { code, detail } => {
                             return Err(ClusterError::Replication {
@@ -287,13 +298,15 @@ impl Follower {
                 self.publish();
                 Ok(self.applied)
             }
-            Message::Rejection { code, detail } => Err(ClusterError::Replication {
-                shard: self.shard,
-                detail: format!("catch-up refused (code {code}): {detail}"),
-            }),
+            MessageRef::Other(Message::Rejection { code, detail }) => {
+                Err(ClusterError::Replication {
+                    shard: self.shard,
+                    detail: format!("catch-up refused (code {code}): {detail}"),
+                })
+            }
             other => Err(ClusterError::Replication {
                 shard: self.shard,
-                detail: format!("expected segments, got {other:?}"),
+                detail: format!("expected segments, got {:?}", other.into_message()),
             }),
         }
     }
@@ -717,6 +730,62 @@ mod tests {
             ship_checkpoint(&mut f, *last, newest.clone()),
             ack(*last, newest)
         );
+    }
+
+    /// A follower decodes the cargo where it sits in the `CR` frame, its
+    /// trailers checked from the frame's marks. Damage inside a segment or
+    /// a checkpoint whose own trailer was sealed again over it is reported
+    /// by the embedded frame it hit, as a decode of a copy reports it.
+    #[test]
+    fn damage_under_a_resealed_trailer_is_reported_by_the_frame_it_hit() {
+        use cellrel_ingest::frame::{Frame, SG};
+        use cellrel_stream::read_segment;
+        /// `frame` with one bit flipped at `at` and its trailer sealed
+        /// again, so that only what `at` sits in fails.
+        fn flipped(frame: &[u8], at: usize) -> Vec<u8> {
+            let mut bad = frame[..frame.len() - 4].to_vec();
+            bad[at] ^= 1;
+            seal(&mut bad, 0);
+            bad
+        }
+        let s = shipped();
+        let segment = &s.segments[0];
+        let mut r = SG.open(segment).expect("own segment");
+        r.u8().expect("kind");
+        for _ in 0..4 {
+            r.varint().expect("header field");
+        }
+        let image = r.frame("image").expect("image").bytes();
+        let image_at = image.as_ptr() as usize - segment.as_ptr() as usize;
+        for at in [
+            image_at + 4,
+            image_at + image.len() / 2,
+            image_at + image.len() - 1,
+        ] {
+            let bad = flipped(segment, at);
+            let err = read_segment(Frame::from(&bad)).expect_err("damaged");
+            assert_ne!(err.family, &SG, "the damage is inside the image");
+            let want = Message::Rejection {
+                code: proto::ERR_APPLY,
+                detail: format!("segment rejected: {err}"),
+            };
+            assert_eq!(ship(&mut follower(&s.cfg), bad), want);
+        }
+
+        let (seq, ckpt) = &s.checkpoints[0];
+        let mut f = follower_at(s, *seq as usize);
+        let mut r = SP.open(ckpt).expect("own checkpoint");
+        for _ in 0..22 {
+            r.varint().expect("head");
+        }
+        let ck = r.frame("collector").expect("collector").bytes();
+        let ck_at = ck.as_ptr() as usize - ckpt.as_ptr() as usize;
+        for at in [ck_at + 3, ck_at + ck.len() / 2, ckpt.len() - 9] {
+            let bad = flipped(ckpt, at);
+            let err = StreamPipeline::decode_onto(Frame::from(&bad), None).expect_err("damaged");
+            assert!(!err.to_string().starts_with("SP"), "{err}");
+            assert_refused(&mut f, *seq, bad, &format!("checkpoint rejected: {err}"));
+        }
     }
 
     /// With no segment applied yet nothing ties a checkpoint to this

@@ -25,9 +25,10 @@
 //! non-empty buckets, with delta-coded indices — and are held sparsely
 //! once restored, so an idle shard costs a
 //! handful of bytes on the wire and in memory. The first sketch of an `agg`
-//! is the all-kinds one: the collector never holds it — it is written as a
-//! five-way walk of the per-kind sketches that follow — and restore
-//! refuses a frame where it is anything but their bucket sum. A shard's
+//! is the all-kinds one: the collector never holds it — it is written as
+//! the bucket sum of the per-kind sketches that follow, built in buffers a
+//! checkpoint reuses from shard to shard — and restore refuses a frame
+//! where it is anything but that sum. A shard's
 //! `(device, seq)` pairs come in strictly ascending device order, as the
 //! map they are written from holds them; restore refuses any other, so one
 //! collector state has one frame. Restore is total: corrupt or truncated checkpoints
@@ -43,9 +44,9 @@ use crate::collector::{
     Collector, IngestAggregate, IngestCounters, Section, SectionCache, ShardState,
 };
 use crate::frame::{
-    crc32, crc32_combine_op, read_pairs, write_pairs, write_varint, FrameError, Reader, CK,
+    crc32, crc32_combine_op, read_pairs, write_pairs, write_varint, Frame, FrameError, Reader, CK,
 };
-use cellrel_sim::sketch::{sum_of_runs, SparseSketch};
+use cellrel_sim::sketch::{check_run, sum_runs_into, SparseSketch};
 use std::collections::BTreeMap;
 
 /// Current checkpoint format version.
@@ -94,12 +95,42 @@ fn all_kinds_header(kinds: &[SparseSketch; 5]) -> Option<(u64, u64, u64)> {
     Some((count, min.unwrap_or(0), max.unwrap_or(0)))
 }
 
-/// The buckets of that sketch: the five-way sum of the per-kind runs.
-fn all_kinds_buckets(kinds: &[SparseSketch; 5]) -> impl Iterator<Item = (u32, u64)> + Clone + '_ {
-    sum_of_runs(std::array::from_fn::<_, 5, _>(|k| kinds[k].as_run().2))
+/// The buffers an aggregate's all-kinds sketch passes through, kept from
+/// one shard section to the next: its buckets as the per-kind runs sum to,
+/// the spare that sum alternates with, and on restore the pairs the frame
+/// spells.
+#[derive(Default)]
+struct AllKinds {
+    buckets: Vec<(u32, u64)>,
+    spare: Vec<(u32, u64)>,
+    read: Vec<(u32, u64)>,
 }
 
-fn write_agg(out: &mut Vec<u8>, a: &IngestAggregate) {
+impl AllKinds {
+    /// Sum the per-kind runs into `buckets`; their counts must sum to a
+    /// `u64` ([`all_kinds_header`] says whether they do).
+    fn sum(&mut self, kinds: &[SparseSketch; 5]) {
+        let runs: [_; 5] = std::array::from_fn(|k| kinds[k].as_run().2);
+        sum_runs_into(&runs, &mut self.buckets, &mut self.spare);
+    }
+
+    /// [`read_counted`] into `read` instead of a sketch of its own: the
+    /// header, with the pairs checked as sketch content that counts what
+    /// it says.
+    fn read(&mut self, r: &mut Reader<'_>) -> Result<(u64, u64, u64), FrameError> {
+        let count = r.varint()?;
+        let (min, max) = (r.varint()?, r.varint()?);
+        self.read.clear();
+        read_pairs(r, (min, max), &mut self.read)?;
+        match check_run(min, max, &self.read) {
+            None => Err(r.invalid("sketch buckets")),
+            Some(n) if n != count => Err(r.invalid("sketch count")),
+            Some(_) => Ok((count, min, max)),
+        }
+    }
+}
+
+fn write_agg(out: &mut Vec<u8>, a: &IngestAggregate, all: &mut AllKinds) {
     write_varint(out, a.records);
     for c in a.by_kind.iter().chain(&a.by_isp).chain(&a.by_rat) {
         write_varint(out, *c);
@@ -107,15 +138,15 @@ fn write_agg(out: &mut Vec<u8>, a: &IngestAggregate) {
     write_varint(out, a.duration_ms_total);
     write_varint(out, a.under_30s);
     write_varint(out, a.max_duration_ms);
-    let all = all_kinds_header(&a.sketch_by_kind).expect("a collector counts in u64");
-    let buckets = all_kinds_buckets(&a.sketch_by_kind);
-    write_counted(out, all, buckets.clone().count(), buckets);
+    let counted = all_kinds_header(&a.sketch_by_kind).expect("a collector counts in u64");
+    all.sum(&a.sketch_by_kind);
+    write_counted(out, counted, all.buckets.len(), all.buckets.iter().copied());
     for s in &a.sketch_by_kind {
         write_counted(out, header(s), s.nnz(), s.as_run().2.iter().copied());
     }
 }
 
-fn read_agg(r: &mut Reader<'_>) -> Result<IngestAggregate, FrameError> {
+fn read_agg(r: &mut Reader<'_>, all: &mut AllKinds) -> Result<IngestAggregate, FrameError> {
     let mut a = IngestAggregate {
         records: r.varint()?,
         ..IngestAggregate::default()
@@ -131,22 +162,25 @@ fn read_agg(r: &mut Reader<'_>) -> Result<IngestAggregate, FrameError> {
     a.duration_ms_total = r.varint()?;
     a.under_30s = r.varint()?;
     a.max_duration_ms = r.varint()?;
-    let all = read_counted(r)?;
+    let spelled = all.read(r)?;
     for s in &mut a.sketch_by_kind {
         *s = read_counted(r)?;
     }
-    // The all-kinds sketch is the bucket sum of the five: checked pair by
-    // pair against the walk that would write it, never built to compare.
-    let matches = all_kinds_header(&a.sketch_by_kind) == Some(header(&all))
-        && all_kinds_buckets(&a.sketch_by_kind).eq(all.as_run().2.iter().copied());
-    if !matches {
+    // The all-kinds sketch is the bucket sum of the five. The header goes
+    // first: once the counts are known to sum to a `u64`, no bucket of the
+    // sum can overflow.
+    if all_kinds_header(&a.sketch_by_kind) != Some(spelled) {
+        return Err(r.invalid("all-kinds sketch"));
+    }
+    all.sum(&a.sketch_by_kind);
+    if all.buckets != all.read {
         return Err(r.invalid("all-kinds sketch"));
     }
     Ok(a)
 }
 
 /// Encode one `shard` section of the grammar above.
-fn encode_shard(s: &ShardState) -> Vec<u8> {
+fn encode_shard(s: &ShardState, all: &mut AllKinds) -> Vec<u8> {
     #[cfg(test)]
     SECTIONS_ENCODED.with(|n| n.set(n.get() + 1));
     let mut out = Vec::with_capacity(64);
@@ -170,7 +204,7 @@ fn encode_shard(s: &ShardState) -> Vec<u8> {
         write_varint(&mut out, u64::from(dev));
         write_varint(&mut out, seq);
     }
-    write_agg(&mut out, &s.agg);
+    write_agg(&mut out, &s.agg, all);
     out
 }
 
@@ -189,10 +223,13 @@ thread_local! {
 /// combined into the frame's ([`crate::frame::crc32_combine`]). The bytes
 /// are the same either way.
 pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
-    fn section(s: &ShardState) -> &Section {
-        s.section.get_or_encode(|| encode_shard(s))
-    }
-    let body: usize = c.shards.iter().map(|s| section(s).bytes.len()).sum();
+    let mut all = AllKinds::default();
+    let sections: Vec<&Section> = c
+        .shards
+        .iter()
+        .map(|s| s.section.get_or_encode(|| encode_shard(s, &mut all)))
+        .collect();
+    let body: usize = sections.iter().map(|s| s.bytes.len()).sum();
     // Magic and version, three varints, the sections, the CRC.
     let mut out = Vec::with_capacity(3 + 30 + body + 4);
     let start = CK.begin(&mut out, CKPT_VERSION);
@@ -200,8 +237,7 @@ pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
     write_varint(&mut out, c.lateness_ms);
     write_varint(&mut out, c.unroutable);
     let mut crc = crc32(&out[start..]);
-    for s in &c.shards {
-        let section = section(s);
+    for section in sections {
         out.extend_from_slice(&section.bytes);
         let (own, op) = section.sum();
         crc = crc32_combine_op(crc, own, op);
@@ -232,12 +268,13 @@ pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, FrameError> {
 /// the bytes that remain in the frame — and every count bound a parse of the
 /// section passed is met by items inside the section itself, so it holds
 /// at any position the bytes can sit. The envelope, CRC included, is still
-/// checked over the whole frame first.
-pub fn restore_checkpoint_onto(
-    bytes: &[u8],
+/// checked over the whole frame first — from the marks, when the frame is
+/// a marked one embedded in a checkpoint of the stream pipeline.
+pub fn restore_checkpoint_onto<'a>(
+    frame: impl Into<Frame<'a>>,
     basis: Option<Collector>,
 ) -> Result<Collector, FrameError> {
-    let mut r = CK.open(bytes)?;
+    let mut r = CK.open(frame)?;
     // Each shard costs ≥ 11 bytes on the wire (9 counters, watermark,
     // nseq), so the claim is bounded before `shards` is sized from it.
     let virtual_shards = r.count("virtual_shards", 11)?;
@@ -250,12 +287,13 @@ pub fn restore_checkpoint_onto(
         .filter(|b| b.virtual_shards == virtual_shards)
         .map(|b| b.shards.into_iter());
     let mut shards = Vec::with_capacity(virtual_shards);
+    let mut all = AllKinds::default();
     for _ in 0..virtual_shards {
         let held = basis.as_mut().and_then(Iterator::next);
         let shard = match held {
             Some(s) if s.section.get().is_some_and(|sec| r.skip_known(&sec.bytes)) => s,
             _ => {
-                let (mut s, read) = r.spanned(read_shard)?;
+                let (mut s, read) = r.spanned(|r| read_shard(r, &mut all))?;
                 s.section = SectionCache::holding(read);
                 s
             }
@@ -272,7 +310,7 @@ pub fn restore_checkpoint_onto(
 }
 
 /// Parse one `shard` section of the grammar above.
-fn read_shard(r: &mut Reader<'_>) -> Result<ShardState, FrameError> {
+fn read_shard(r: &mut Reader<'_>, all: &mut AllKinds) -> Result<ShardState, FrameError> {
     #[cfg(test)]
     SECTIONS_PARSED.with(|n| n.set(n.get() + 1));
     let mut k = IngestCounters::default();
@@ -303,7 +341,7 @@ fn read_shard(r: &mut Reader<'_>) -> Result<ShardState, FrameError> {
         last_seq.push((dev, r.varint()?));
     }
     Ok(ShardState {
-        agg: read_agg(r)?,
+        agg: read_agg(r, all)?,
         counters: k,
         // Sorted input: one bulk build, no per-key descent.
         last_seq: BTreeMap::from_iter(last_seq),
@@ -501,7 +539,11 @@ mod tests {
     /// sketch goes.
     fn agg_bytes_with(a: &IngestAggregate, all: &SparseSketch) -> Vec<u8> {
         let mut out = Vec::new();
-        write_agg(&mut out, &IngestAggregate::default());
+        write_agg(
+            &mut out,
+            &IngestAggregate::default(),
+            &mut AllKinds::default(),
+        );
         out.truncate(16); // the scalar fields; no test reads them
         for s in std::iter::once(all).chain(&a.sketch_by_kind) {
             write_counted(&mut out, header(s), s.nnz(), s.as_run().2.iter().copied());
@@ -548,12 +590,12 @@ mod tests {
             }
             let bytes = agg_bytes_with(&a, &all);
             let mut r = Reader::bare(&CK, &bytes);
-            let read = read_agg(&mut r);
+            let read = read_agg(&mut r, &mut AllKinds::default());
             if all == a.sketch_all() {
                 proptest::prop_assert_eq!(read.as_ref(), Ok(&a));
                 proptest::prop_assert_eq!(r.finish(), Ok(()));
                 let mut written = Vec::new();
-                write_agg(&mut written, &a);
+                write_agg(&mut written, &a, &mut AllKinds::default());
                 proptest::prop_assert_eq!(written, bytes);
             } else {
                 proptest::prop_assert_eq!(read, Err(CK.invalid("all-kinds sketch")));

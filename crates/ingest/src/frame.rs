@@ -20,8 +20,20 @@
 //! [`FrameErrorKind`]. Decoding is total — no input panics, reads past the
 //! buffer, or sizes an allocation from an unchecked length claim
 //! ([`Reader::count`] bounds every count by the bytes that remain).
+//!
+//! Frames nest: a `CR` frame carries an `SP` checkpoint, which carries a
+//! `CK` checkpoint and `CS` images, which carry `SC` blocks. Each has its
+//! own trailer, and summing each one over its own bytes reads the innermost
+//! bytes once per level. A reader that opens such a frame marks the buffer
+//! first ([`Marks`]: one read, the running CRC kept every [`STRIDE`]
+//! bytes) and opens it as a marked [`Frame`]; every frame embedded in it
+//! comes out of the [`Reader`] still marked ([`Reader::frame`], and the
+//! `SC` blocks [`Reader::leave`] closes), and its trailer is checked from
+//! two marks. Nothing else changes: the sum a check compares is the one
+//! summing the bytes would give, in the same order, so every error is too.
 
 use std::fmt;
+use std::ops::Range;
 
 /// One framed format: its name, magic, the versions this build reads, and
 /// the largest frame it will look at.
@@ -132,9 +144,9 @@ impl Family {
         Ok(())
     }
 
-    fn check_crc(&'static self, covered: &[u8], trailer: &[u8]) -> Result<(), FrameError> {
+    /// `computed` is the CRC-32 of the bytes `trailer` closes.
+    fn check_crc(&'static self, computed: u32, trailer: &[u8]) -> Result<(), FrameError> {
         let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let computed = crc32(covered);
         if computed != stored {
             return Err(self.error(FrameErrorKind::BadCrc { computed, stored }));
         }
@@ -142,14 +154,17 @@ impl Family {
     }
 
     /// Validate the envelope of a complete frame and return a reader over
-    /// its body (everything between the version byte and the CRC).
-    pub fn open<'a>(&'static self, bytes: &'a [u8]) -> Result<Reader<'a>, FrameError> {
-        let version = self.check_header(bytes)?;
-        let (covered, trailer) = bytes.split_at(bytes.len() - TRAILER_LEN);
-        self.check_crc(covered, trailer)?;
+    /// its body (everything between the version byte and the CRC). The
+    /// frame is plain bytes or a marked [`Frame`]; the reader hands out
+    /// what it embeds the same way.
+    pub fn open<'a>(&'static self, frame: impl Into<Frame<'a>>) -> Result<Reader<'a>, FrameError> {
+        let frame = frame.into();
+        let version = self.check_header(frame.bytes)?;
+        let covered = frame.bytes.len() - TRAILER_LEN;
+        self.check_crc(frame.crc(0..covered), &frame.bytes[covered..])?;
         Ok(Reader {
             family: self,
-            bytes: covered,
+            body: frame.sub(0..covered),
             pos: HEADER_LEN,
             version,
         })
@@ -165,7 +180,7 @@ impl Family {
         self.check_magic(bytes)?;
         Ok(Reader {
             family: self,
-            bytes,
+            body: bytes.into(),
             pos: HEADER_LEN,
             version: bytes[2],
         })
@@ -195,6 +210,111 @@ pub fn seal_around(out: &mut Vec<u8>, start: usize, sealed: &[std::ops::Range<us
     let crc = crc32_continue(crc, &out[at..]);
     debug_assert_eq!(crc, crc32(&out[start..]), "a range is not a sealed frame");
     out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Bytes between two marks of a [`Marks`]: the most a range check
+/// re-reads at either end.
+pub const STRIDE: usize = 64;
+
+/// A buffer summed once, keeping the running CRC-32 every [`STRIDE`]
+/// bytes. The sum of any range of it is then two prefix sums — each a mark
+/// continued over fewer than `STRIDE` bytes — and one [`crc32_combine`]
+/// to take the shorter prefix out of the longer: the CRC register is
+/// linear, so `crc32(a ‖ b)` and `crc32(a)` give `crc32(b)`. A range of
+/// up to `2 · STRIDE` bytes is summed directly instead, which costs less.
+pub struct Marks<'a> {
+    bytes: &'a [u8],
+    /// `sums[i]` is `crc32(&bytes[..i * STRIDE])`.
+    sums: Vec<u32>,
+}
+
+impl<'a> Marks<'a> {
+    /// Read `bytes` once, marking every [`STRIDE`] bytes.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        let mut sums = Vec::with_capacity(bytes.len() / STRIDE + 1);
+        let mut crc = 0;
+        sums.push(crc);
+        for stride in bytes.chunks_exact(STRIDE) {
+            crc = crc32_continue(crc, stride);
+            sums.push(crc);
+        }
+        Marks { bytes, sums }
+    }
+
+    /// `crc32(&bytes[..end])`.
+    fn prefix(&self, end: usize) -> u32 {
+        let mark = end / STRIDE;
+        crc32_continue(self.sums[mark], &self.bytes[mark * STRIDE..end])
+    }
+
+    /// `crc32(&bytes[start..end])`, reading at most `2 · STRIDE` bytes.
+    pub(crate) fn range(&self, start: usize, end: usize) -> u32 {
+        let span = &self.bytes[start..end];
+        if span.len() <= 2 * STRIDE {
+            return crc32(span);
+        }
+        crc32_combine(self.prefix(start), self.prefix(end), span.len())
+    }
+
+    /// The whole buffer as a marked frame.
+    pub fn frame(&self) -> Frame<'_> {
+        Frame {
+            bytes: self.bytes,
+            marks: Some((self, 0)),
+        }
+    }
+}
+
+impl fmt::Debug for Marks<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Marks({} bytes)", self.bytes.len())
+    }
+}
+
+/// The bytes of one frame for [`Family::open`], marked or plain. Plain
+/// bytes convert into one; [`Marks::frame`] makes a marked one, whose sums
+/// come from the marks instead of the bytes, and [`Reader::frame`] hands
+/// out the frames a marked one embeds marked too.
+#[derive(Debug, Clone, Copy)]
+pub struct Frame<'a> {
+    bytes: &'a [u8],
+    /// The marks of the buffer `bytes` sit in, and where in it they start.
+    marks: Option<(&'a Marks<'a>, usize)>,
+}
+
+impl<'a> Frame<'a> {
+    /// The frame's bytes.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// `crc32(&self.bytes()[range])`, from the marks if there are any.
+    fn crc(&self, range: Range<usize>) -> u32 {
+        match self.marks {
+            Some((marks, at)) => marks.range(at + range.start, at + range.end),
+            None => crc32(&self.bytes[range]),
+        }
+    }
+
+    /// The bytes at `range`, still marked if these are.
+    fn sub(&self, range: Range<usize>) -> Frame<'a> {
+        Frame {
+            marks: self.marks.map(|(marks, at)| (marks, at + range.start)),
+            bytes: &self.bytes[range],
+        }
+    }
+}
+
+impl<'a> From<&'a [u8]> for Frame<'a> {
+    fn from(bytes: &'a [u8]) -> Self {
+        Frame { bytes, marks: None }
+    }
+}
+
+impl<'a> From<&'a Vec<u8>> for Frame<'a> {
+    fn from(bytes: &'a Vec<u8>) -> Self {
+        Frame::from(&bytes[..])
+    }
 }
 
 /// Why bytes failed to decode, and in which family.
@@ -230,6 +350,9 @@ pub enum FrameErrorKind {
     },
     /// A varint ran past 10 bytes (cannot be a `u64`).
     VarintOverflow,
+    /// A varint spelled with more bytes than its value needs — a zero
+    /// final byte after a continuation byte. One value has one spelling.
+    OverlongVarint,
     /// A field held a value outside its domain, length lies included
     /// (named for diagnostics).
     InvalidField(&'static str),
@@ -257,6 +380,7 @@ impl fmt::Display for FrameError {
                 )
             }
             FrameErrorKind::VarintOverflow => write!(f, "varint overflow"),
+            FrameErrorKind::OverlongVarint => write!(f, "overlong varint"),
             FrameErrorKind::InvalidField(name) => write!(f, "invalid field: {name}"),
             FrameErrorKind::TrailingBytes => write!(f, "trailing bytes"),
             FrameErrorKind::TooLarge(n) => {
@@ -273,7 +397,7 @@ impl std::error::Error for FrameError {}
 #[derive(Debug)]
 pub struct Reader<'a> {
     family: &'static Family,
-    bytes: &'a [u8],
+    body: Frame<'a>,
     pos: usize,
     version: u8,
 }
@@ -291,7 +415,7 @@ impl<'a> Reader<'a> {
     pub fn bare(family: &'static Family, bytes: &'a [u8]) -> Self {
         Reader {
             family,
-            bytes,
+            body: bytes.into(),
             pos: 0,
             version: 0,
         }
@@ -306,7 +430,7 @@ impl<'a> Reader<'a> {
     /// Bytes not yet consumed.
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+        self.body.bytes.len() - self.pos
     }
 
     /// An error of `kind` in the family being read.
@@ -325,6 +449,7 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn u8(&mut self) -> Result<u8, FrameError> {
         let &b = self
+            .body
             .bytes
             .get(self.pos)
             .ok_or(self.error(FrameErrorKind::Truncated))?;
@@ -332,7 +457,8 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
-    /// One LEB128 varint (1–10 bytes).
+    /// One LEB128 varint (1–10 bytes), spelled as [`write_varint`] spells
+    /// it.
     #[inline]
     pub fn varint(&mut self) -> Result<u64, FrameError> {
         let mut v: u64 = 0;
@@ -346,6 +472,10 @@ impl<'a> Reader<'a> {
             }
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
+                // The writer stops at the last non-zero group.
+                if b == 0 && shift > 0 {
+                    return Err(self.error(FrameErrorKind::OverlongVarint));
+                }
                 return Ok(v);
             }
             shift += 7;
@@ -365,7 +495,7 @@ impl<'a> Reader<'a> {
         if len > self.remaining() {
             return Err(self.error(FrameErrorKind::Truncated));
         }
-        let s = &self.bytes[self.pos..self.pos + len];
+        let s = &self.body.bytes[self.pos..self.pos + len];
         self.pos += len;
         Ok(s)
     }
@@ -392,7 +522,7 @@ impl<'a> Reader<'a> {
     /// otherwise leave the cursor where it is.
     #[inline]
     pub(crate) fn skip_known(&mut self, known: &[u8]) -> bool {
-        let next = self.bytes[self.pos..].starts_with(known);
+        let next = self.body.bytes[self.pos..].starts_with(known);
         if next {
             self.pos += known.len();
         }
@@ -407,7 +537,7 @@ impl<'a> Reader<'a> {
     ) -> Result<(T, &'a [u8]), FrameError> {
         let start = self.pos;
         let value = read(self)?;
-        Ok((value, &self.bytes[start..self.pos]))
+        Ok((value, &self.body.bytes[start..self.pos]))
     }
 
     /// A length-prefixed byte string.
@@ -415,6 +545,16 @@ impl<'a> Reader<'a> {
     pub fn blob(&mut self, field: &'static str) -> Result<&'a [u8], FrameError> {
         let len = self.count(field, 1)?;
         self.take(len)
+    }
+
+    /// A length-prefixed frame of some family embedded in this one, for
+    /// that family to open: marked if this reader's frame was, so its
+    /// trailer is checked without reading its bytes again.
+    pub fn frame(&mut self, field: &'static str) -> Result<Frame<'a>, FrameError> {
+        let len = self.count(field, 1)?;
+        let at = self.pos;
+        self.take(len)?;
+        Ok(self.body.sub(at..at + len))
     }
 
     /// A length-prefixed UTF-8 string.
@@ -427,7 +567,7 @@ impl<'a> Reader<'a> {
     /// header checks now, fields next (errors carry the block's family),
     /// CRC at [`Reader::leave`].
     pub fn enter(&mut self, family: &'static Family) -> Result<Block, FrameError> {
-        family.check_header(&self.bytes[self.pos..])?;
+        family.check_header(&self.body.bytes[self.pos..])?;
         let block = Block {
             outer: std::mem::replace(&mut self.family, family),
             start: self.pos,
@@ -437,11 +577,12 @@ impl<'a> Reader<'a> {
     }
 
     /// Close a block: the next four bytes must be the CRC-32 of everything
-    /// read since [`Reader::enter`].
+    /// read since [`Reader::enter`] — summed from the marks, if any.
     pub fn leave(&mut self, block: Block) -> Result<(), FrameError> {
-        let covered = &self.bytes[block.start..self.pos];
+        let end = self.pos;
         let trailer = self.take(TRAILER_LEN)?;
-        self.family.check_crc(covered, trailer)?;
+        self.family
+            .check_crc(self.body.crc(block.start..end), trailer)?;
         self.family = block.outer;
         Ok(())
     }
@@ -449,7 +590,7 @@ impl<'a> Reader<'a> {
     /// The body must be fully consumed.
     #[inline]
     pub fn finish(self) -> Result<(), FrameError> {
-        if self.pos != self.bytes.len() {
+        if self.pos != self.body.bytes.len() {
             return Err(self.error(FrameErrorKind::TrailingBytes));
         }
         Ok(())
@@ -544,10 +685,10 @@ pub const fn unzigzag(v: u64) -> i64 {
 /// (slicing-by-8): `TABLES[k][b]` is the CRC of byte `b` followed by `k`
 /// zero bytes, so the eight lookups of one step are independent of each
 /// other and only the final XOR waits on the previous step — the
-/// byte-at-a-time loop chains one dependent lookup per byte. Every frame
-/// is summed on open, several times over for a checkpoint that travels
-/// `CK` → `SP` → `CR`; writers that embed a frame they just sealed use
-/// [`seal_around`] and sum it once.
+/// byte-at-a-time loop chains one dependent lookup per byte. A frame is
+/// summed once on open — nested frames from the [`Marks`] of the outermost
+/// — and writers that embed a frame they just sealed use [`seal_around`]
+/// and sum it once too.
 pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_continue(0, bytes)
 }
@@ -892,6 +1033,77 @@ mod tests {
                 Reader::bare(family, &[0xff; 9]).varint().unwrap_err().kind,
                 Truncated
             );
+        }
+    }
+
+    /// One value, one spelling: a zero group after a continuation byte
+    /// is refused wherever it falls, the tenth byte included, while every
+    /// spelling `write_varint` produces reads back.
+    #[test]
+    fn overlong_varints_are_refused_in_every_family() {
+        let mut nine_then_zero = [0x80; 10];
+        nine_then_zero[9] = 0;
+        for family in ENVELOPED.into_iter().chain([&PARTIAL]) {
+            for overlong in [
+                &[0x80, 0x00][..],
+                &[0xff, 0x00],
+                &[0x80, 0x80, 0x00],
+                &nine_then_zero,
+            ] {
+                let read = Reader::bare(family, overlong).varint();
+                assert_eq!(read, Err(family.error(OverlongVarint)), "{overlong:?}");
+            }
+            for v in [0, 1, 127, 128, 1 << 35, u64::MAX >> 1, 1 << 63, u64::MAX] {
+                let mut spelled = Vec::new();
+                write_varint(&mut spelled, v);
+                let mut r = Reader::bare(family, &spelled);
+                assert_eq!(r.varint(), Ok(v));
+                assert_eq!(r.finish(), Ok(()));
+            }
+        }
+    }
+
+    /// Every range of a buffer a few strides long, from its marks: empty
+    /// ranges, ranges inside one stride, across one edge, across many.
+    #[test]
+    fn marks_sum_every_range_of_a_short_buffer() {
+        let buf = noise(2021, 5 * STRIDE + 13);
+        let marks = Marks::new(&buf);
+        for a in 0..=buf.len() {
+            for b in a..=buf.len() {
+                assert_eq!(marks.range(a, b), crc32(&buf[a..b]), "{a}..{b}");
+            }
+        }
+        assert_eq!(Marks::new(&[]).range(0, 0), 0);
+    }
+
+    proptest::proptest! {
+        /// `Marks::range(a, b) == crc32(&buf[a..b])` for any `a ≤ b` of a
+        /// buffer up to past 2¹⁶ bytes (lengths drawn log-uniformly), with
+        /// the ends drawn anywhere, or on or one beside a stride edge.
+        #[test]
+        fn marks_range_is_the_crc_of_the_range(
+            (len_bits, len_low) in (0u32..18, proptest::prelude::any::<usize>()),
+            (a, b) in (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+            edges in 0usize..16,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let buf = noise(seed, len_low % (1 << len_bits) + len_bits as usize);
+            let marks = Marks::new(&buf);
+            let end = |x: usize, edge: usize| {
+                let x = x % (buf.len() + 1);
+                let on = x / STRIDE * STRIDE;
+                match edge {
+                    0 => x,
+                    1 => on,
+                    2 => on.saturating_sub(1),
+                    _ => (on + 1).min(buf.len()),
+                }
+            };
+            let (a, b) = (end(a, edges % 4), end(b, edges / 4));
+            let (a, b) = (a.min(b), a.max(b));
+            proptest::prop_assert_eq!(marks.range(a, b), crc32(&buf[a..b]));
+            proptest::prop_assert_eq!(marks.frame().crc(a..b), Frame::from(&buf[..]).crc(a..b));
         }
     }
 

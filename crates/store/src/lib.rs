@@ -66,5 +66,5 @@ pub use cube::{
     StoreConfig, StoreSink, NO_CAUSE_CLASS, NO_ISP,
 };
 pub use federate::{decode_partial, encode_partial, merge_partials, PartialResultSet};
-pub use persist::{restore_store, save_store};
+pub use persist::{read_store, restore_store, save_store};
 pub use query::{Dim, Filter, Metric, Query, QueryError, ResultRow, ResultSet};

@@ -12,7 +12,7 @@
 use crate::columnar::ColumnSegment;
 use crate::cube::{Cell, CellKey, DeviceRec, Store, StoreConfig};
 use cellrel_ingest::frame::{
-    read_pairs, seal_around, write_pairs, write_varint, FrameError, Reader, CS,
+    read_pairs, seal_around, write_pairs, write_varint, Frame, FrameError, Marks, Reader, CS,
 };
 use cellrel_sim::SparseSketch;
 
@@ -110,8 +110,17 @@ pub fn save_store(store: &Store) -> Vec<u8> {
 }
 
 /// Restore a store image. Total: every failure mode is a [`FrameError`].
+/// The bytes are marked first, so the `SC` blocks a columnar image embeds
+/// are checked without a second read ([`read_store`]).
 pub fn restore_store(bytes: &[u8]) -> Result<Store, FrameError> {
-    let mut r = CS.open(bytes)?;
+    read_store(Marks::new(bytes).frame())
+}
+
+/// [`restore_store`] of a frame that is plain bytes or marked — an image
+/// embedded in a segment or a checkpoint frame that was marked as a whole.
+/// The store and every error are the same either way.
+pub fn read_store(frame: Frame<'_>) -> Result<Store, FrameError> {
+    let mut r = CS.open(frame)?;
     let bucket_ms = r.varint()?;
     let rollup = r.varint()?;
     // Each partition costs ≥ 6 bytes (four counters, two counts).

@@ -28,15 +28,22 @@
 //! hands the last image to [`StreamPipeline::decode_onto`], which parses
 //! only the collector sections that changed since. Both are total:
 //! truncated, bit-flipped, or garbage bytes yield a [`StreamError::Frame`].
+//!
+//! The frame embeds frames — the `CK` checkpoint, a `CS` image per pending
+//! window and one for the late lane — each with its own trailer. A decode
+//! reads the bytes once: [`StreamPipeline::decode`] marks them
+//! ([`cellrel_ingest::frame::Marks`]) and every embedded trailer is checked
+//! from the marks; a caller that marked a frame carrying this one hands it
+//! to `decode_onto` still marked.
 
 use crate::pipeline::{StreamConfig, StreamCounters, StreamPipeline};
 use crate::segment::{
     decode_manifest, encode_manifest, fetch_segment, SegmentEntry, SegmentKind, SegmentStore,
 };
 use crate::StreamError;
-use cellrel_ingest::frame::{seal_around, write_varint, SP};
+use cellrel_ingest::frame::{seal_around, write_varint, Frame, Marks, SP};
 use cellrel_ingest::{restore_checkpoint_onto, save_checkpoint, Collector, CollectorConfig};
-use cellrel_store::{restore_store, save_store, DeviceDirectory, Store, StoreConfig};
+use cellrel_store::{read_store, save_store, DeviceDirectory, Store, StoreConfig};
 use cellrel_types::SimDuration;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -119,19 +126,20 @@ impl<'d> StreamPipeline<'d> {
     /// the pending windows and late lane against the store config — without
     /// touching a segment.
     pub fn decode(bytes: &[u8]) -> Result<CheckpointImage, StreamError> {
-        Self::decode_onto(bytes, None)
+        Self::decode_onto(Marks::new(bytes).frame(), None)
     }
 
-    /// [`decode`](StreamPipeline::decode), reusing `basis` — the image the
-    /// previous checkpoint of the same stream decoded to — for the
-    /// collector shards whose `CK` sections did not change since
-    /// ([`restore_checkpoint_onto`]). The image and every error are those
-    /// of `decode(bytes)`; the basis is consumed either way.
+    /// [`decode`](StreamPipeline::decode) of a frame that is plain bytes or
+    /// marked, reusing `basis` — the image the previous checkpoint of the
+    /// same stream decoded to — for the collector shards whose `CK`
+    /// sections did not change since ([`restore_checkpoint_onto`]). The
+    /// image and every error are those of `decode(frame.bytes())`; the
+    /// basis is consumed either way.
     pub fn decode_onto(
-        bytes: &[u8],
+        frame: Frame<'_>,
         basis: Option<CheckpointImage>,
     ) -> Result<CheckpointImage, StreamError> {
-        let mut r = SP.open(bytes)?;
+        let mut r = SP.open(frame)?;
         let window_ms = r.varint()?;
         let lateness_ms = r.varint()?;
         let hot_windows = r.narrow("hot_windows")?;
@@ -166,7 +174,7 @@ impl<'d> StreamPipeline<'d> {
         let counters = counters_from_fields(cfields);
 
         let basis = basis.map(|image| image.collector);
-        let collector = restore_checkpoint_onto(r.blob("collector length")?, basis)?;
+        let collector = restore_checkpoint_onto(r.frame("collector length")?, basis)?;
         let manifest = decode_manifest(&mut r)?;
         // `load` replays the manifest entry by entry, so it must be the
         // seal history the counters and replay position describe: one
@@ -199,13 +207,13 @@ impl<'d> StreamPipeline<'d> {
                 return Err(r.invalid("pending window order").into());
             }
             prev = Some(w);
-            let delta = restore_store(r.blob("pending image length")?)?;
+            let delta = read_store(r.frame("pending image length")?)?;
             if *delta.config() != cfg.store {
                 return Err(r.invalid("pending window store config").into());
             }
             pending.insert(w, delta);
         }
-        let late = restore_store(r.blob("late image length")?)?;
+        let late = read_store(r.frame("late image length")?)?;
         if *late.config() != cfg.store {
             return Err(r.invalid("late lane store config").into());
         }

@@ -48,7 +48,7 @@ pub use checkpoint::{CheckpointImage, CKPT_STREAM_VERSION};
 pub use error::StreamError;
 pub use pipeline::{StreamConfig, StreamCounters, StreamPipeline};
 pub use segment::{
-    decode_manifest, decode_segment, encode_manifest, encode_segment, fetch_segment, DirSegments,
-    MemSegments, SegmentEntry, SegmentKind, SegmentStore, SEG_VERSION,
+    decode_manifest, decode_segment, encode_manifest, encode_segment, fetch_segment, read_segment,
+    DirSegments, MemSegments, SegmentEntry, SegmentKind, SegmentStore, SEG_VERSION,
 };
 pub use source::batches_from_events;

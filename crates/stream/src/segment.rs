@@ -15,8 +15,8 @@
 //! a missing or tampered segment is a typed error, not a wrong answer.
 
 use crate::StreamError;
-use cellrel_ingest::frame::{seal_around, write_varint, FrameError, Reader, SG};
-use cellrel_store::{restore_store, save_store, Store, StoreConfig};
+use cellrel_ingest::frame::{seal_around, write_varint, Frame, FrameError, Marks, Reader, SG};
+use cellrel_store::{read_store, save_store, Store, StoreConfig};
 use std::collections::BTreeMap;
 
 /// Current segment frame schema version.
@@ -97,17 +97,25 @@ pub fn encode_segment(entry: &SegmentEntry, store: &Store) -> Vec<u8> {
 
 /// Decode a segment frame back into its header and delta. Total: hostile
 /// bytes yield a typed [`FrameError`]. The returned entry's `bytes` field
-/// is the frame length.
+/// is the frame length. The bytes are marked first, so the image and its
+/// blocks are checked without reading them again ([`read_segment`]).
 pub fn decode_segment(bytes: &[u8]) -> Result<(SegmentEntry, Store), FrameError> {
-    let mut r = SG.open(bytes)?;
+    read_segment(Marks::new(bytes).frame())
+}
+
+/// [`decode_segment`] of a frame that is plain bytes or marked — a segment
+/// a replication frame carries, say. The result and every error are the
+/// same either way.
+pub fn read_segment(frame: Frame<'_>) -> Result<(SegmentEntry, Store), FrameError> {
+    let mut r = SG.open(frame)?;
     let kind = SegmentKind::read(&mut r)?;
     let index = r.varint()?;
     let watermark_ms = r.varint()?;
     let records = r.varint()?;
     let digest = r.varint()?;
-    let image = r.blob("segment image length")?;
+    let image = r.frame("segment image length")?;
     r.finish()?;
-    let store = restore_store(image)?;
+    let store = read_store(image)?;
     if store.inserted() != records || store.digest() != digest {
         return Err(SG.invalid("segment header/image disagreement"));
     }
@@ -117,7 +125,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(SegmentEntry, Store), FrameError>
         watermark_ms,
         records,
         digest,
-        bytes: bytes.len() as u64,
+        bytes: frame.bytes().len() as u64,
     };
     Ok((entry, store))
 }

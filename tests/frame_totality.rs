@@ -18,20 +18,28 @@
 //! * random bytes — raw, and wrapped in a valid envelope so the field
 //!   grammar sees them — never panic.
 //!
+//! The families that embed frames (`CR`, `SP`, `SG`, `CS`) decode every
+//! sample twice, from plain bytes and from marked ones (`frame::Marks`,
+//! whose sums the embedded trailers are checked from), and the two must
+//! agree on every value and every error.
+//!
 //! Below the table, one cross-family property splices the same hostile
 //! sketch `pairs` into each of the four families that carry a sketch (`CK`,
-//! `CS`, `SC`, partial) and requires the same refusal from all of them.
+//! `CS`, `SC`, partial) and requires the same refusal from all of them; a
+//! flip inside a frame embedded in a re-sealed one is reported by the
+//! embedded family on both paths; and a field spelled with a spare zero
+//! group is refused by every family.
 //!
 //! Round-trip properties over *arbitrary* values, and the properties about
 //! server state not advancing on hostile frames, stay with each crate.
 
-use cellrel::cluster::{decode_frame, encode_frame, Message};
+use cellrel::cluster::{decode_frame, encode_frame, read_frame, Message, MessageRef};
 use cellrel::ingest::frame::{
-    self, seal, write_varint, Family, Reader, CB, CK, CQ, CR, CS, PARTIAL, SC, SG, SP,
+    self, seal, write_varint, Family, Frame, Marks, Reader, CB, CK, CQ, CR, CS, PARTIAL, SC, SG, SP,
 };
 use cellrel::ingest::{
     decode_batch, encode_batch, peek_device, restore_checkpoint, save_checkpoint, Collector,
-    CollectorConfig,
+    CollectorConfig, FrameErrorKind,
 };
 use cellrel::queryd::proto::{
     decode_request, decode_response, encode_request, encode_response, Request, Response,
@@ -41,12 +49,13 @@ use cellrel::sim::sketch::BUCKETS;
 use cellrel::sim::SparseSketch;
 use cellrel::store::workload::canonical;
 use cellrel::store::{
-    decode_partial, encode_partial, merge_partials, restore_store, save_store, Cell as StoreCell,
-    ColumnSegment, DeviceDirectory, Dim, Metric, PartialResultSet, Query, Store, StoreConfig,
+    decode_partial, encode_partial, merge_partials, read_store, restore_store, save_store,
+    Cell as StoreCell, ColumnSegment, DeviceDirectory, Dim, Metric, PartialResultSet, Query, Store,
+    StoreConfig,
 };
 use cellrel::stream::{
-    decode_manifest, decode_segment, encode_manifest, encode_segment, MemSegments, SegmentEntry,
-    SegmentKind, StreamConfig, StreamPipeline,
+    decode_manifest, decode_segment, encode_manifest, encode_segment, read_segment, MemSegments,
+    SegmentEntry, SegmentKind, StreamConfig, StreamError, StreamPipeline,
 };
 use cellrel::types::{
     Apn, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat, SignalLevel,
@@ -57,6 +66,7 @@ use proptest::test_runner::TestCaseError;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Debug;
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // Allocation accounting: the largest single request each thread has made,
@@ -249,6 +259,22 @@ fn check<T: PartialEq + Debug, E: Debug>(
     let _ = s.decode_hostile(&junk)?;
     let _ = s.decode_hostile(&s.wrap(&junk))?;
     Ok(())
+}
+
+/// Parse `bytes` plain and marked: the two must agree, value or error,
+/// and the plain result is returned.
+fn plain_and_marked<T: PartialEq + Debug, E: PartialEq + Debug>(
+    bytes: &[u8],
+    parse: impl Fn(Frame<'_>) -> Result<T, E>,
+) -> Result<T, E> {
+    let plain = parse(Frame::from(bytes));
+    let marks = Marks::new(bytes);
+    assert_eq!(
+        parse(marks.frame()),
+        plain,
+        "marked and plain parses differ"
+    );
+    plain
 }
 
 // ---------------------------------------------------------------------------
@@ -507,7 +533,7 @@ proptest! {
         let value = store(&parts, layout);
         let subject = Subject {
             family: Some(&CS),
-            decode: &restore_store,
+            decode: &|b| plain_and_marked(b, read_store),
             encode: Some(&save_store),
             lie_prefix: varints(&[1_000, 4]), // bucket_ms, rollup → partitions
         };
@@ -540,7 +566,7 @@ proptest! {
         let value = segment(&parts);
         let subject = Subject {
             family: Some(&SG),
-            decode: &decode_segment,
+            decode: &|b| plain_and_marked(b, read_segment),
             encode: Some(&|(entry, store)| encode_segment(entry, store)),
             lie_prefix: varints(&[0, 3, 40_000, 1, 9]), // kind … digest → image length
         };
@@ -559,9 +585,13 @@ proptest! {
         let view = |p: &StreamPipeline| {
             (p.digest(), p.collector_digest(), p.cursor(), p.manifest().to_vec())
         };
+        let restore = |f: Frame<'_>| {
+            let image = StreamPipeline::decode_onto(f, None)?;
+            StreamPipeline::load(image, &dir, &segs).map(|p| view(&p))
+        };
         let subject = Subject {
             family: Some(&SP),
-            decode: &|b| StreamPipeline::restore(b, &dir, &segs).map(|p| view(&p)),
+            decode: &|b| plain_and_marked(b, restore),
             encode: None,
             // A valid config, replay position and counters → collector length.
             lie_prefix: varints(&[
@@ -661,7 +691,7 @@ proptest! {
         };
         let subject = Subject {
             family: Some(&CR),
-            decode: &decode_frame,
+            decode: &|b| plain_and_marked(b, |f| read_frame(f).map(MessageRef::into_message)),
             encode: Some(&encode_frame),
             lie_prefix: vec![0x01, 1], // KIND_SEGMENT, seq → segment length
         };
@@ -886,6 +916,282 @@ proptest! {
             }
         };
         prop_assert_eq!(carried(&s), refused(field), "{:?}", s);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Nested trailers. A marked frame checks each embedded trailer from the
+// marks of the outermost buffer; whatever it embeds is damaged, the family
+// that embeds it must still say so, in the words a plain decode uses.
+// ---------------------------------------------------------------------------
+
+/// Where `inner`, a slice of `outer`, sits in it.
+fn range_in(outer: &[u8], inner: &[u8]) -> Range<usize> {
+    let start = inner.as_ptr() as usize - outer.as_ptr() as usize;
+    assert!(start + inner.len() <= outer.len(), "not a slice of outer");
+    start..start + inner.len()
+}
+
+/// `bytes` with one bit at `at` flipped and the frames at `frames` —
+/// innermost first, the whole buffer last — sealed again, so only the
+/// frame around `at` that is not among them fails its check.
+fn flip_and_reseal(bytes: &[u8], at: usize, frames: &[Range<usize>]) -> Vec<u8> {
+    let mut bad = bytes.to_vec();
+    bad[at] ^= 1;
+    for f in frames {
+        let crc = frame::crc32(&bad[f.start..f.end - 4]);
+        bad[f.end - 4..f.end].copy_from_slice(&crc.to_le_bytes());
+    }
+    bad
+}
+
+fn fixed_parts() -> Vec<EventParts> {
+    (0..40usize)
+        .map(|i| {
+            let ms = i as u64;
+            (
+                (i as u32 % 5, 997 * ms, 1 + 7_919 * ms),
+                (i % 5, None),
+                (i % 4, i % 3),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn a_flip_inside_an_embedded_frame_is_reported_by_its_family_plain_and_marked() {
+    let parts = fixed_parts();
+
+    // `SC` blocks inside the `CS` image inside an `SG` segment.
+    let sealed = store(&parts, 2);
+    let entry = SegmentEntry {
+        kind: SegmentKind::Window,
+        index: 0,
+        watermark_ms: 0,
+        records: sealed.inserted(),
+        digest: sealed.digest(),
+        bytes: 0,
+    };
+    let sg = encode_segment(&entry, &sealed);
+    let mut r = SG.open(&sg).expect("own segment opens");
+    let _kind = r.u8().expect("kind");
+    for _ in 0..4 {
+        r.varint().expect("header field");
+    }
+    let cs = range_in(&sg, r.frame("image").expect("image").bytes());
+    let whole = 0..sg.len();
+    let blocks = sealed.segment_blocks();
+    let block = blocks.last().expect("a sealed store has blocks");
+    let at = cs.start
+        + sg[cs.clone()]
+            .windows(block.len())
+            .position(|w| w == &block[..])
+            .unwrap();
+    let sc = at..at + block.len();
+    let segment = |bytes: &[u8]| plain_and_marked(bytes, read_segment).map(|_| ());
+    assert_eq!(segment(&sg), Ok(()));
+    for (flip, resealed, family) in [
+        (
+            sc.start + sc.len() / 2,
+            vec![cs.clone(), whole.clone()],
+            &SC,
+        ),
+        (sc.end - 2, vec![cs.clone(), whole.clone()], &SC),
+        (cs.start + 5, vec![whole.clone()], &CS),
+        (cs.end - 6, vec![whole.clone()], &CS),
+    ] {
+        let err = segment(&flip_and_reseal(&sg, flip, &resealed)).expect_err("a flipped frame");
+        assert_eq!(err.family, family, "flip at {flip}: {err}");
+    }
+
+    // The `CK` checkpoint and the `CS` images inside an `SP` checkpoint.
+    let dir = DeviceDirectory::default();
+    let mut segs = MemSegments::new();
+    let mut p = StreamPipeline::new(&stream_cfg(), &dir).expect("valid config");
+    for b in batches(&parts) {
+        p.offer(&b, &mut segs).expect("offer succeeds");
+    }
+    let sp = p.checkpoint();
+    let mut r = SP.open(&sp).expect("own frame opens");
+    for _ in 0..22 {
+        r.varint().expect("head");
+    }
+    let ck = range_in(&sp, r.frame("collector").expect("collector").bytes());
+    decode_manifest(&mut r).expect("manifest");
+    for _ in 0..r.varint().expect("pending count") {
+        r.varint().expect("window");
+        r.frame("pending").expect("pending image");
+    }
+    let late = range_in(&sp, r.frame("late").expect("late image").bytes());
+    let decode = |bytes: &[u8]| {
+        plain_and_marked(bytes, |f| StreamPipeline::decode_onto(f, None).map(|_| ()))
+    };
+    assert_eq!(decode(&sp), Ok(()));
+    let whole = 0..sp.len();
+    for (flip, family) in [
+        (ck.start + ck.len() / 2, &CK),
+        (ck.end - 1, &CK),
+        (late.start + 3, &CS),
+        (late.end - 5, &CS),
+    ] {
+        let err = decode(&flip_and_reseal(&sp, flip, std::slice::from_ref(&whole)));
+        assert!(
+            matches!(err, Err(StreamError::Frame(e)) if e.family == family && matches!(e.kind, FrameErrorKind::BadCrc { .. })),
+            "flip at {flip}: {err:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One value, one spelling. LEB128 can spell any value with spare zero
+// groups (`0x80 0x00` for 0); the writers never do, and a frame that does
+// is refused by the one reader every family shares — else a collector
+// restored from such a `CK` would hand the spelling on, section by section.
+// ---------------------------------------------------------------------------
+
+/// `frame` with the varint `at` bytes into its body spelled with one spare
+/// zero group, and sealed again if `family` has an envelope.
+fn respelled(family: Option<&'static Family>, frame: &[u8], at: usize) -> Vec<u8> {
+    let body = match family {
+        Some(_) => &frame[3..frame.len() - 4],
+        None => frame,
+    };
+    let mut r = Reader::bare(&PARTIAL, &body[at..]);
+    let value = r.varint().expect("a varint at the offset");
+    let end = body.len() - r.remaining();
+    let mut spelled = varints(&[value]);
+    *spelled.last_mut().expect("one byte at least") |= 0x80;
+    spelled.push(0);
+    let body = [&body[..at], &spelled, &body[end..]].concat();
+    match family {
+        Some(family) => framed(family, frame[2], &body),
+        None => body,
+    }
+}
+
+#[test]
+fn a_field_spelled_with_a_spare_zero_group_is_refused_by_every_family() {
+    type Decode = Box<dyn Fn(&[u8]) -> Result<(), frame::FrameError>>;
+    fn ok<T, E>(r: Result<T, E>) -> Result<(), E> {
+        r.map(|_| ())
+    }
+    let parts = fixed_parts();
+    let mut collector = Collector::new(&stream_cfg().collector);
+    for b in batches(&parts) {
+        collector.ingest(&b);
+    }
+    let ck = save_checkpoint(&collector);
+    // The first counter of the first shard, behind the three header fields.
+    let mut r = CK.open(&ck).expect("own frame opens");
+    for _ in 0..3 {
+        r.varint().expect("header");
+    }
+    let first_section = ck.len() - 7 - r.remaining();
+    let dir = DeviceDirectory::default();
+    let mut p = StreamPipeline::new(&stream_cfg(), &dir).expect("valid config");
+    for b in batches(&parts) {
+        p.offer(&b, &mut MemSegments::new())
+            .expect("offer succeeds");
+    }
+    let (entry, delta) = segment(&parts);
+    let rows = Response::Rows {
+        epoch: 1,
+        result: store(&parts, 1)
+            .query(&query(3))
+            .expect("a canonical query runs"),
+    };
+    let partial = store(&parts, 0)
+        .query_partial(&Query::count_by(vec![Dim::Kind]))
+        .expect("legal query");
+    // (family, decoder, a frame of it, where in its body a varint starts)
+    let cases: Vec<(Option<&'static Family>, Decode, Vec<u8>, usize)> = vec![
+        (
+            Some(&CB),
+            Box::new(|b| ok(decode_batch(b))),
+            batches(&parts).swap_remove(1),
+            0,
+        ),
+        (
+            Some(&CK),
+            Box::new(|b| ok(restore_checkpoint(b))),
+            ck.clone(),
+            0,
+        ),
+        (
+            Some(&CK),
+            Box::new(|b| ok(restore_checkpoint(b))),
+            ck,
+            first_section,
+        ),
+        (
+            Some(&CS),
+            Box::new(|b| ok(restore_store(b))),
+            save_store(&store(&parts, 0)),
+            0,
+        ),
+        (
+            Some(&SC),
+            Box::new(|b| ok(decode_block(b))),
+            store(&parts, 2).segment_blocks().swap_remove(0),
+            0,
+        ),
+        (
+            Some(&SG),
+            Box::new(|b| ok(decode_segment(b))),
+            encode_segment(&entry, &delta),
+            1,
+        ),
+        (
+            Some(&SP),
+            Box::new(|b| {
+                ok(StreamPipeline::decode(b)).map_err(|e| match e {
+                    StreamError::Frame(e) => e,
+                    other => panic!("not a frame error: {other}"),
+                })
+            }),
+            p.checkpoint(),
+            0,
+        ),
+        (
+            Some(&CQ),
+            Box::new(|b| ok(decode_request(b))),
+            encode_request(&Request::Query(query(3))),
+            1,
+        ),
+        (
+            Some(&CQ),
+            Box::new(|b| ok(decode_response(b))),
+            encode_response(&rows),
+            1,
+        ),
+        (
+            Some(&CR),
+            Box::new(|b| ok(decode_frame(b))),
+            encode_frame(&Message::Catchup { from_seq: 0 }),
+            1,
+        ),
+        (
+            None,
+            Box::new(|b| ok(decode_partial(b))),
+            encode_partial(&partial),
+            0,
+        ),
+    ];
+    for (family, decode, bytes, at) in cases {
+        let name = family.map_or("partial", |f| f.name);
+        assert_eq!(
+            decode(&bytes),
+            Ok(()),
+            "{name}: the canonical frame decodes"
+        );
+        let refusal = family
+            .unwrap_or(&PARTIAL)
+            .error(FrameErrorKind::OverlongVarint);
+        assert_eq!(
+            decode(&respelled(family, &bytes, at)),
+            Err(refusal),
+            "{name} at {at}"
+        );
     }
 }
 
