@@ -8,7 +8,8 @@
 //! Experiment ids: headline, table1, table2, fig2 (= fig5), fig3, fig4,
 //! fig6 (= fig7 fig8 fig9), fig10, fig11, fig12 (= fig13), fig14,
 //! fig15 (= fig16), fig17, fig19 (= fig20), fig21, timp, overhead,
-//! hardware, measurement.
+//! hardware, measurement, ablations. An unknown id is a usage error
+//! (exit 2) before anything runs.
 //!
 //! `repro export-csv <dir>` additionally writes the full event dataset and
 //! per-device counts as CSV into `<dir>` for external plotting.
@@ -21,7 +22,7 @@
 //! `chrome://tracing`.
 
 // Wall-clock is the *measurement* in the fleet experiment (events/s), not
-// simulation state — benches are outside the workspace-wide
+// simulation state, so this file opts out of the workspace-wide
 // Instant/SystemTime gate.
 #![allow(clippy::disallowed_types)]
 
@@ -32,10 +33,10 @@ use cellrel::timp::{anneal_probations, AnnealConfig, TimpModel};
 use cellrel::types::SimDuration;
 use cellrel::workload::durations::sample_auto_heal_secs;
 use cellrel::workload::{
-    run_fleet_event_driven, run_fleet_per_tick, run_rat_policy_ab, run_recovery_ab, FleetConfig,
-    PopulationConfig,
+    run_fleet_event_driven, run_fleet_per_tick, run_macro_study, run_rat_policy_ab,
+    run_recovery_ab, AbConfig, FleetConfig, PopulationConfig, StudyConfig, StudyDataset,
 };
-use cellrel_bench::{ab_config, recovery_ab_config, standard_config, standard_study};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 const ALL: &[&str] = &[
@@ -59,49 +60,130 @@ const ALL: &[&str] = &[
     "overhead",
     "hardware",
     "measurement",
+    "ablations",
 ];
 
+/// The standard macro study every §3 table and figure is computed from
+/// (medium size: large enough for stable statistics, small enough to
+/// regenerate in seconds), as the paper derives all of §3 from one dataset.
+fn standard_study() -> &'static StudyDataset {
+    static DATA: OnceLock<StudyDataset> = OnceLock::new();
+    DATA.get_or_init(|| run_macro_study(&standard_config()))
+}
+
+/// The configuration behind [`standard_study`].
+fn standard_config() -> StudyConfig {
+    StudyConfig {
+        population: PopulationConfig {
+            devices: 20_000,
+            ..Default::default()
+        },
+        bs_count: 20_000,
+        seed: 2020,
+        ..Default::default()
+    }
+}
+
+/// A/B experiment configuration for the enhancement figures (Figs. 19–21):
+/// paired fleets of fully simulated devices.
+fn ab_config() -> AbConfig {
+    AbConfig {
+        devices: 24,
+        days: 3,
+        seed: 2021,
+        stall_rate_per_hour: 2.0,
+        suppress_user_reset: false,
+        threads: 0,
+    }
+}
+
+/// Recovery-focused A/B configuration (Fig. 21: user resets suppressed so
+/// the recovery mechanism's effect is isolated).
+fn recovery_ab_config() -> AbConfig {
+    AbConfig {
+        devices: 16,
+        days: 4,
+        seed: 2022,
+        stall_rate_per_hour: 4.0,
+        suppress_user_reset: true,
+        threads: 0,
+    }
+}
+
+/// A parsed command line.
+#[derive(Debug, Default)]
+struct Args {
+    /// `--threads N`.
+    threads: Option<usize>,
+    /// `--metrics`, also implied by `--trace-out`.
+    metrics: bool,
+    /// `--trace-out FILE`, as typed.
+    trace_out: Option<String>,
+    /// `export-csv [DIR]`, as typed; the export replaces the experiments.
+    export_dir: Option<String>,
+    /// Canonical experiment ids in the order asked for, each once.
+    ids: Vec<&'static str>,
+}
+
+/// Alias figure pairs that share one computation.
+fn canon(id: &str) -> &str {
+    match id {
+        "fig5" => "fig2",
+        "fig7" | "fig8" | "fig9" => "fig6",
+        "fig13" => "fig12",
+        "fig16" => "fig15",
+        "fig20" => "fig19",
+        other => other,
+    }
+}
+
+/// Read the command line. Flags and ids are case-insensitive; the paths
+/// after `--trace-out` and `export-csv` are kept as typed. Every id is
+/// checked here, so a typo fails before any experiment runs.
+fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut all = false;
+    let mut words = raw.into_iter().peekable();
+    while let Some(word) = words.next() {
+        match word.to_lowercase().as_str() {
+            "--threads" => {
+                let n = words.next().and_then(|s| s.parse().ok());
+                args.threads = Some(n.ok_or("--threads needs a number")?);
+            }
+            "--metrics" => args.metrics = true,
+            "--trace-out" => {
+                args.trace_out = Some(words.next().ok_or("--trace-out needs a file path")?);
+                args.metrics = true;
+            }
+            "export-csv" => {
+                let dir = words.next_if(|w| !w.starts_with("--"));
+                args.export_dir = Some(dir.unwrap_or_else(|| "cellrel-export".to_string()));
+            }
+            "all" => all = true,
+            id => {
+                let known = ALL.iter().copied().find(|known| *known == canon(id));
+                args.ids
+                    .push(known.ok_or_else(|| format!("unknown experiment id: {id}"))?);
+            }
+        }
+    }
+    if all || args.ids.is_empty() {
+        args.ids = ALL.to_vec();
+    }
+    let mut seen = std::collections::BTreeSet::new();
+    args.ids.retain(|id| seen.insert(*id));
+    Ok(args)
+}
+
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).map(|s| s.to_lowercase()).collect();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|why| {
+        eprintln!("repro: {why}");
+        std::process::exit(2)
+    });
     // `--threads N` routes through the CELLREL_THREADS knob so every
     // driver below (macro study, A/B arms, sweeps) picks it up.
-    if let Some(pos) = raw.iter().position(|w| w == "--threads") {
-        let n = raw
-            .get(pos + 1)
-            .and_then(|s| s.parse::<usize>().ok())
-            .expect("--threads needs a number");
+    if let Some(n) = args.threads {
         std::env::set_var(cellrel::sim::par::THREADS_ENV, n.to_string());
-        raw.drain(pos..pos + 2);
-    }
-    let mut metrics = false;
-    if let Some(pos) = raw.iter().position(|w| w == "--metrics") {
-        raw.remove(pos);
-        metrics = true;
-    }
-    let mut trace_out: Option<String> = None;
-    if let Some(pos) = raw.iter().position(|w| w == "--trace-out") {
-        let file = raw
-            .get(pos + 1)
-            .cloned()
-            .expect("--trace-out needs a file path");
-        raw.drain(pos..pos + 2);
-        trace_out = Some(file);
-        metrics = true;
-    }
-    let mut wanted = raw;
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = ALL.iter().map(|s| s.to_string()).collect();
-    }
-    // Alias figure pairs that share one computation.
-    fn canon(w: &str) -> &str {
-        match w {
-            "fig5" => "fig2",
-            "fig7" | "fig8" | "fig9" => "fig6",
-            "fig13" => "fig12",
-            "fig16" => "fig15",
-            "fig20" => "fig19",
-            other => other,
-        }
     }
 
     let cfg = standard_config();
@@ -114,13 +196,8 @@ fn main() {
         cellrel::sim::auto_threads()
     );
 
-    // Special form: `repro export-csv <dir>`.
-    if let Some(pos) = wanted.iter().position(|w| w == "export-csv") {
-        let dir = wanted
-            .get(pos + 1)
-            .cloned()
-            .unwrap_or_else(|| "cellrel-export".to_string());
-        std::fs::create_dir_all(&dir).expect("create export dir");
+    if let Some(dir) = &args.export_dir {
+        std::fs::create_dir_all(dir).expect("create export dir");
         let data = standard_study();
         let events_path = format!("{dir}/events.csv");
         let counts_path = format!("{dir}/device_counts.csv");
@@ -134,12 +211,7 @@ fn main() {
         return;
     }
 
-    let mut done = std::collections::BTreeSet::new();
-    for w in &wanted {
-        let id = canon(w);
-        if !done.insert(id.to_string()) {
-            continue;
-        }
+    for &id in &args.ids {
         match id {
             "headline" => println!("{}", an::headline::compute(standard_study()).render()),
             "table1" => println!("{}", an::table1::compute(standard_study()).render()),
@@ -181,20 +253,21 @@ fn main() {
                 let (v, t) = run_recovery_ab(&recovery_ab_config());
                 println!("{}", an::ab::compare_recovery(v, t).render());
             }
-            "export-csv" => { /* handled below, needs the path argument */ }
             "fleet" => println!("{}", fleet_report()),
             "timp" => println!("{}", timp_report()),
             "overhead" => println!("{}", overhead_report()),
-            other => eprintln!("unknown experiment id: {other}"),
+            "ablations" => ablations(),
+            other => unreachable!("parse_args admits only ids in ALL, not {other}"),
         }
     }
 
-    if metrics {
+    if args.metrics {
         eprintln!("repro: running fleet metrics pass ...");
-        let (snap, devices) = cellrel::workload::run_fleet_metrics(&cfg, 0, trace_out.is_some());
+        let trace = args.trace_out.is_some();
+        let (snap, devices) = cellrel::workload::run_fleet_metrics(&cfg, 0, trace);
         eprintln!("repro: fleet metrics over {devices} devices");
         print!("{}", an::metrics::render_metrics(&snap));
-        if let Some(path) = trace_out {
+        if let Some(path) = args.trace_out {
             std::fs::write(&path, snap.trace_sink().to_chrome_json()).expect("write trace file");
             eprintln!(
                 "repro: wrote Chrome trace to {path} ({} events)",
@@ -369,4 +442,200 @@ fn overhead_report() -> String {
         typical.within_typical_budget(),
         worst.within_worst_case_budget(),
     )
+}
+
+/// The ablations behind the design choices DESIGN.md calls out: the
+/// recovery probation trigger (a grid over probation triples, and the TIMP
+/// optimum against the operation-cost model, §4.2), the stability-compatible
+/// policy's pieces (Figs. 19–20), the probe's DNS-timeout bound (§2.2) and
+/// the §4.1 guideline sweeps.
+fn ablations() {
+    ablate_probation_grid();
+    ablate_op_cost();
+    ablate_policy_pieces();
+    ablate_probe_timeout();
+    ablate_guidelines();
+}
+
+fn heal_samples(n: usize, seed: u64) -> Vec<f64> {
+    let mut rng = SimRng::new(seed);
+    (0..n).map(|_| sample_auto_heal_secs(&mut rng)).collect()
+}
+
+fn ablate_probation_grid() {
+    let samples = heal_samples(30_000, 7);
+    let rec = RecoveryConfig::vanilla();
+    let model = TimpModel::from_durations(
+        &samples,
+        rec.op_success,
+        rec.op_cost.map(|d| d.as_secs_f64()),
+    );
+    println!("== ablation: expected recovery time over probation triples ==");
+    for p0 in [5u64, 15, 21, 30, 60, 120] {
+        print!("Pro0={p0:>3}s:");
+        for p1 in [6u64, 20, 60] {
+            let t = model.expected_recovery_time([p0 as f64, p1 as f64, 16.0]);
+            print!("  (Pro1={p1:>2},Pro2=16) {t:5.1}s");
+        }
+        println!();
+    }
+}
+
+fn ablate_op_cost() {
+    let samples = heal_samples(30_000, 8);
+    println!("== ablation: TIMP optimum vs operation-cost model ==");
+    for (label, costs) in [
+        ("cheap ops (1.5/4/9 s)", [1.5, 4.0, 9.0]),
+        ("default ops (12/30/60 s)", [12.0, 30.0, 60.0]),
+        ("heavy ops (30/60/120 s)", [30.0, 60.0, 120.0]),
+    ] {
+        let model = TimpModel::from_durations(&samples, [0.75, 0.90, 0.97], costs);
+        let r = anneal_probations(&model, &AnnealConfig::default());
+        println!(
+            "{label:>26}: optimum {:?} → {:.1}s ({:+.0}% vs vanilla {:.1}s)",
+            r.probations,
+            r.expected_time,
+            -r.improvement() * 100.0,
+            r.vanilla_time
+        );
+    }
+}
+
+fn ablate_policy_pieces() {
+    use cellrel::telephony::RatPolicyKind::{StabilityNoDualConnectivity, StabilityThreshold};
+    use cellrel::types::SignalLevel;
+    use cellrel::workload::ab::run_custom_arm;
+    let cfg = AbConfig {
+        devices: 12,
+        days: 2,
+        ..ab_config()
+    };
+    println!("== ablation: stability-compatible policy pieces ==");
+    let (vanilla, full) = run_rat_policy_ab(&cfg);
+    let mut arms = vec![
+        ("vanilla android 10", vanilla.frequency),
+        ("full fix (threshold+DC)", full.frequency),
+    ];
+    for (label, kind) in [
+        ("no dual connectivity", StabilityNoDualConnectivity),
+        (
+            "threshold L2 (stricter)",
+            StabilityThreshold(SignalLevel::L2),
+        ),
+        (
+            "threshold L3 (strictest)",
+            StabilityThreshold(SignalLevel::L3),
+        ),
+    ] {
+        arms.push((label, run_custom_arm(kind, &cfg).frequency));
+    }
+    for (label, frequency) in arms {
+        println!("{label:>28}: {frequency:.1} failures/device");
+    }
+}
+
+fn ablate_probe_timeout() {
+    use cellrel::monitor::{ProbeConfig, ProbeSession};
+    use cellrel::netstack::LinkCondition;
+    println!("== ablation: probe round length (DNS timeout) vs accuracy/overhead ==");
+    let mut rng = SimRng::new(9);
+    for dns_secs in [2u64, 5, 10, 20] {
+        let cfg = ProbeConfig {
+            dns_timeout: SimDuration::from_secs(dns_secs),
+            ..ProbeConfig::default()
+        };
+        let mut rounds = 0u64;
+        let mut err = 0.0;
+        let n = 300;
+        for _ in 0..n {
+            let truth = rng.range_f64(60.0, 300.0);
+            let m = ProbeSession.measure_with(
+                SimDuration::from_secs_f64(truth),
+                LinkCondition::NetworkBlackhole,
+                &cfg,
+                &mut rng,
+            );
+            rounds += m.rounds as u64;
+            err += (m.measured.expect("measured").as_secs_f64() - truth).abs();
+        }
+        println!(
+            "dns timeout {dns_secs:>2}s: {:.1} rounds/stall, mean |error| {:.1}s{}",
+            rounds as f64 / n as f64,
+            err / n as f64,
+            if dns_secs == 5 {
+                "   <- the paper's design point"
+            } else {
+                ""
+            }
+        );
+    }
+}
+
+fn ablate_guidelines() {
+    use cellrel::workload::guidelines::{
+        cross_isp_gap_sweep, density_sweep, idle_3g_offload_sweep,
+    };
+    println!("== ablation: §4.1 guideline sweeps ==");
+    let density = density_sweep(60, 10);
+    println!(
+        "hub density 0→60 neighbours: P(fail|L5) {:.3} → {:.3}",
+        density.first().expect("non-empty").l5_failure_prob,
+        density.last().expect("non-empty").l5_failure_prob
+    );
+    let gaps = cross_isp_gap_sweep(&[0.0, 5.0, 15.0, 40.0, 100.0, 300.0]);
+    println!(
+        "cross-ISP gap 0→300 MHz:     P(fail|L5) {:.3} → {:.3}",
+        gaps.first().expect("non-empty").l5_failure_prob,
+        gaps.last().expect("non-empty").l5_failure_prob
+    );
+    let offload = idle_3g_offload_sweep(0.95, 20);
+    let best = offload
+        .iter()
+        .min_by(|a, b| {
+            a.total_rejection
+                .partial_cmp(&b.total_rejection)
+                .expect("finite")
+        })
+        .expect("non-empty");
+    println!(
+        "idle-3G offload optimum:     {:.0}% of 4G demand (rejections {:.3} → {:.3})",
+        best.offload_fraction * 100.0,
+        offload[0].total_rejection,
+        best.total_rejection
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn standard_study_builds() {
+        let d = standard_study();
+        assert!(d.events.len() > 100_000);
+    }
+
+    #[test]
+    fn paths_pass_verbatim_and_unknown_ids_are_refused() {
+        let parse = |line: &str| parse_args(line.split_whitespace().map(String::from));
+        let args = parse("--Trace-Out Trace.json TABLE1 Fig16 table1").expect("valid");
+        assert_eq!(args.trace_out.as_deref(), Some("Trace.json"));
+        assert!(args.metrics);
+        assert_eq!(args.ids, ["table1", "fig15"]);
+        let args = parse("--threads 2 export-csv OutDir").expect("valid");
+        assert_eq!(args.export_dir.as_deref(), Some("OutDir"));
+        assert_eq!(args.threads, Some(2));
+        // The export directory is not an id, whatever it is called.
+        let args = parse("export-csv ablation").expect("valid");
+        assert_eq!(args.export_dir.as_deref(), Some("ablation"));
+        assert_eq!(parse("").expect("valid").ids, ALL);
+        assert_eq!(parse("fig3 all").expect("valid").ids, ALL);
+        assert_eq!(
+            parse("headline ablation").unwrap_err(),
+            "unknown experiment id: ablation"
+        );
+        assert!(parse("all no-such-id").is_err());
+        assert!(parse("--threads x headline").is_err());
+        assert!(parse("headline --trace-out").is_err());
+    }
 }

@@ -1,7 +1,7 @@
 //! The assembled tier: shard leaders, replica sets, routers.
 //!
 //! [`Cluster`] wires the three layers together for in-process use (tests,
-//! benches, `repro --cluster`): batches route by device hash to their
+//! the repo benchmark, `chaos --failover`): batches route by device hash to their
 //! shard leader, every replication frame a leader emits is delivered to
 //! the shard's followers **in order** with acks checked, and routers fan
 //! queries across either the leaders or the follower tier. Leader failure

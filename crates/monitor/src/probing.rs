@@ -47,7 +47,7 @@ pub struct StallMeasurement {
 }
 
 /// Probe-session timing configuration. The defaults are the paper's; the
-/// ablation benches sweep them to show the accuracy/overhead trade-off the
+/// ablations (`repro ablations`) sweep them to show the accuracy/overhead trade-off the
 /// paper's choices sit on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeConfig {

@@ -185,7 +185,7 @@ impl Ecdf {
     }
 
     /// Evaluate the CDF at evenly spaced points, returning `(x, F(x))` pairs —
-    /// the series the figure benches print.
+    /// the series a CDF figure plots.
     pub fn series(&self, points: usize) -> Vec<(f64, f64)> {
         assert!(points >= 2);
         let (lo, hi) = (self.min(), self.max());

@@ -14,7 +14,7 @@
 //! The paper reports the first-stage operation alone fixes 75 % of stalls
 //! once executed; later stages are progressively more effective (and more
 //! expensive). Those effectiveness/cost numbers live in the config so
-//! ablation benches can sweep them.
+//! ablations (`repro ablations`) can sweep them.
 
 use cellrel_sim::SimRng;
 use cellrel_types::{SimDuration, SimTime};

@@ -214,7 +214,7 @@ fn run_arm(
 }
 
 /// Run a single arm with an arbitrary RAT policy and vanilla recovery —
-/// the hook the ablation benches use to evaluate policy pieces
+/// the hook `repro ablations` uses to evaluate policy pieces
 /// (no dual connectivity, stricter thresholds) in isolation.
 pub fn run_custom_arm(policy: RatPolicyKind, cfg: &AbConfig) -> AbOutcome {
     run_arm(AbArm::Custom, policy, RecoveryConfig::vanilla(), cfg)

@@ -26,9 +26,10 @@ const DOCS: [&str; 5] = [
 /// now), the collector's own sink trait and the closure-fed study driver
 /// (one `EventSink`, one `run_macro_study_parallel`), the monitor's second
 /// record type and second backend (a record is a `FailureEvent`, the
-/// backend is `ingest::Collector`). The verify skill is held to this list
-/// too.
-const RETIRED: [&str; 16] = [
+/// backend is `ingest::Collector`), and the bench targets' command and size
+/// knob (`repro ablations` prints what only they printed). The verify
+/// skill is held to this list too.
+const RETIRED: [&str; 18] = [
     "run_ingest",
     "serve_with",
     "ServerConfig",
@@ -46,6 +47,8 @@ const RETIRED: [&str; 16] = [
     concat!("run_macro_study", "_streaming"),
     concat!("Trace", "Record"),
     concat!("Fleet", "Summary"),
+    "cargo bench",
+    "CELLREL_BENCH_DEVICES",
 ];
 
 fn root() -> PathBuf {
@@ -153,8 +156,6 @@ fn no_retired_snapshot_name_survives() {
             assert!(!text.contains(name), "{doc} names the retired `{name}`");
         }
         for (at, _) in text.match_indices("BENCH_") {
-            // `CELLREL_BENCH_DEVICES` (the criterion bench's size knob) is
-            // a live name; a bare `BENCH_<name>.json` is a retired file.
             let bare = !text[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_');
             assert!(
                 !bare,
