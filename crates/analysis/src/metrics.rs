@@ -1,4 +1,4 @@
-//! Rendering a [`MetricsSnapshot`] as the repro harness's text tables.
+//! Rendering a [`MetricsRegistry`] as the repro harness's text tables.
 //!
 //! The observability layer keeps metrics as plain mergeable data
 //! (`cellrel_sim::telemetry`); this module is the human-facing view the
@@ -6,7 +6,7 @@
 //! class plus the registry digest line CI greps to compare runs and
 //! thread counts.
 
-use cellrel_sim::MetricsSnapshot;
+use cellrel_sim::MetricsRegistry;
 use std::fmt::Write as _;
 
 use crate::render::Table;
@@ -15,7 +15,7 @@ use crate::render::Table;
 /// text tables, ending with the `registry digest:` line. Output is a pure
 /// function of the snapshot (names are `BTreeMap`-ordered), so two
 /// deterministic runs render byte-identical reports.
-pub fn render_metrics(snap: &MetricsSnapshot) -> String {
+pub fn render_metrics(snap: &MetricsRegistry) -> String {
     let mut out = String::new();
     let mut counters = Table::new("Counters", &["name", "value"]);
     for (name, value) in snap.counters() {

@@ -208,7 +208,7 @@ fn main() {
         println!();
         print!("{}", render_metrics(snap));
         if let Some(path) = &trace_out {
-            std::fs::write(path, snap.trace_sink().to_chrome_json()).expect("write trace file");
+            std::fs::write(path, snap.to_chrome_json()).expect("write trace file");
             eprintln!(
                 "chaos: wrote Chrome trace to {path} ({} events)",
                 snap.trace().len()

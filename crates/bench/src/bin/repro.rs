@@ -268,7 +268,7 @@ fn main() {
         eprintln!("repro: fleet metrics over {devices} devices");
         print!("{}", an::metrics::render_metrics(&snap));
         if let Some(path) = args.trace_out {
-            std::fs::write(&path, snap.trace_sink().to_chrome_json()).expect("write trace file");
+            std::fs::write(&path, snap.to_chrome_json()).expect("write trace file");
             eprintln!(
                 "repro: wrote Chrome trace to {path} ({} events)",
                 snap.trace().len()

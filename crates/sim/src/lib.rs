@@ -7,13 +7,13 @@
 //! Design notes (following the workspace guides):
 //!
 //! * **Event-driven and synchronous.** The workload is CPU-bound simulation,
-//!   so the kernel is a plain event loop over a binary heap — no async
-//!   runtime, no wall-clock time. Fleet-scale drivers parallelise *across*
-//!   devices, not inside the event loop: the [`par`] module shards an index
-//!   range over scoped threads and merges per-shard partials with [`Merge`],
-//!   while each device's randomness comes from a counter-based substream
-//!   ([`SimRng::for_substream`]) so output is bit-identical at any thread
-//!   count.
+//!   so the kernel is one plain event loop, the hierarchical
+//!   [`TimerWheel`] — no async runtime, no wall-clock time. Fleet-scale
+//!   drivers parallelise *across* devices, not inside the event loop: the
+//!   [`par`] module shards an index range over scoped threads and merges
+//!   per-shard partials with [`Merge`], while each device's randomness
+//!   comes from a counter-based substream ([`SimRng::for_substream`]) so
+//!   output is bit-identical at any thread count.
 //! * **Deterministic.** All randomness flows from a single seed through
 //!   [`SimRng`]; forked sub-streams are derived with SplitMix64 so component
 //!   seeds are independent yet reproducible. Two runs with the same seed
@@ -44,9 +44,9 @@ pub use dist::{Empirical, LogNormalDist, ParetoDist, WeightedIndex, ZipfDist};
 pub use par::{
     auto_threads, merge_all, resolve_threads, run_sharded, run_sharded_merge, shard_ranges, Merge,
 };
-pub use queue::{run_scheduled, EventHandler, EventQueue, EventToken, Scheduler};
+pub use queue::{EventHandler, EventQueue};
 pub use rng::SimRng;
 pub use sketch::{QuantileSketch, SparseSketch};
 pub use stats::{bootstrap_mean_ci, fit_zipf, linreg, percentile, Ecdf, Histogram, Summary};
-pub use telemetry::{MetricsRegistry, MetricsSnapshot, SpanGuard, Telemetry, TraceSink};
-pub use wheel::TimerWheel;
+pub use telemetry::{MetricsRegistry, SpanGuard, Telemetry};
+pub use wheel::{EventToken, TimerWheel};

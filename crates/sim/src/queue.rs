@@ -1,131 +1,30 @@
-//! The discrete-event queue and simulation driver.
+//! The event-loop surface: event handlers.
 //!
-//! [`EventQueue`] is a time-ordered priority queue of typed events with
-//! stable FIFO ordering for simultaneous events and O(log n) cancellation
-//! via tombstones. Popping an event advances the simulation clock; time
-//! never moves backwards.
-//!
-//! The [`Scheduler`] trait abstracts the scheduling surface so simulation
-//! components can run unchanged on either backend: the binary-heap
-//! [`EventQueue`] here, or the hierarchical [`TimerWheel`](crate::TimerWheel)
-//! whose schedule/cancel/advance are O(1) for the fleet hot path. Both
-//! dispatch simultaneous events in strict schedule (FIFO) order, so a
-//! deterministic simulation produces bit-identical traces on either.
+//! There is one event loop, the hierarchical [`TimerWheel`]: events pop in
+//! ascending `(time, schedule order)`, so simultaneous events fire in the
+//! order they were scheduled (FIFO), popping an event advances the clock,
+//! and time never moves backwards. A component that consumes events
+//! implements [`EventHandler`] and is driven by
+//! [`TimerWheel::run_until`].
 
-use cellrel_types::{SimDuration, SimTime};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use cellrel_types::SimTime;
 
-/// Handle to a scheduled event, used to cancel it before it fires.
-///
-/// Tokens are only meaningful on the scheduler that issued them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken(u64);
+use crate::wheel::TimerWheel;
 
-impl EventToken {
-    /// Build a token from a raw backend-specific id (crate-internal: the
-    /// timer wheel packs a slab index + generation in here).
-    pub(crate) fn from_raw(raw: u64) -> Self {
-        EventToken(raw)
-    }
-
-    /// The raw backend-specific id.
-    pub(crate) fn raw(self) -> u64 {
-        self.0
-    }
+/// A component that consumes events and may schedule follow-ups.
+pub trait EventHandler<E> {
+    /// Handle one event that fired at time `at`.
+    fn handle(&mut self, at: SimTime, event: E, queue: &mut TimerWheel<E>);
 }
 
-/// The scheduling surface shared by every event-loop backend.
-///
-/// Implementations guarantee:
-///
-/// * the clock ([`now`](Scheduler::now)) is the timestamp of the last popped
-///   event and never moves backwards;
-/// * events pop in ascending `(time, schedule order)` — simultaneous events
-///   fire in the order they were scheduled (FIFO);
-/// * scheduling in the past (before `now`) panics — a past-dated event is
-///   always a logic bug in the caller.
-pub trait Scheduler<E> {
-    /// Current simulation time (the timestamp of the last popped event).
-    fn now(&self) -> SimTime;
-    /// Number of live (non-cancelled) scheduled events.
-    fn len(&self) -> usize;
-    /// True if no live events remain.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Schedule `event` at absolute time `at`.
-    fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken;
-    /// Schedule `event` after a delay from the current time.
-    fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventToken {
-        let at = self.now() + delay;
-        self.schedule_at(at, event)
-    }
-    /// Cancel a previously scheduled event. Returns `false` if the event has
-    /// already fired or was already cancelled.
-    fn cancel(&mut self, token: EventToken) -> bool;
-    /// Timestamp of the next live event, without popping it.
-    fn peek_time(&mut self) -> Option<SimTime>;
-    /// Pop the next live event, advancing the clock to its timestamp.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-}
-
-/// Run the simulation loop on any [`Scheduler`] backend until the queue
-/// drains or the clock passes `until`. Events scheduled exactly at `until`
-/// still fire. Returns the number of events dispatched.
-pub fn run_scheduled<E, Q, H>(queue: &mut Q, handler: &mut H, until: SimTime) -> u64
-where
-    Q: Scheduler<E>,
-    H: EventHandler<E, Q>,
-{
-    let mut dispatched = 0;
-    while let Some(at) = queue.peek_time() {
-        if at > until {
-            break;
-        }
-        let (at, ev) = queue.pop().expect("peeked event vanished");
-        handler.handle(at, ev, queue);
-        dispatched += 1;
-    }
-    dispatched
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-// Min-heap ordering: earliest time first; FIFO (lowest seq) among equals.
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest entry on top.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A deterministic, cancellable discrete-event queue.
+/// Another name for [`TimerWheel`]: the `sim.queue_events_per_s` probe in
+/// `benchmark/` builds a queue by this name.
 ///
 /// ```
-/// use cellrel_sim::{EventQueue, Scheduler};
+/// use cellrel_sim::{EventQueue, TimerWheel};
 /// use cellrel_types::{SimDuration, SimTime};
 ///
-/// let mut q: EventQueue<&str> = EventQueue::new();
+/// let mut q: EventQueue<&str> = TimerWheel::new();
 /// q.schedule_after(SimDuration::from_secs(10), "b");
 /// q.schedule_after(SimDuration::from_secs(5), "a");
 /// let tok = q.schedule_after(SimDuration::from_secs(7), "cancelled");
@@ -135,189 +34,17 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(10), "b")));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Seqs of events currently scheduled (in the heap, not yet fired or
-    /// skimmed). Membership here is what makes cancellation exact.
-    pending: HashSet<u64>,
-    /// Seqs cancelled while still pending; lazily removed from the heap.
-    /// Compacted whenever tombstones come to dominate the heap, so memory
-    /// stays proportional to *live* events under schedule/cancel churn.
-    cancelled: HashSet<u64>,
-    now: SimTime,
-    next_seq: u64,
-}
+pub type EventQueue<E> = TimerWheel<E>;
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Compaction threshold: never compact below this many tombstones (small
-/// queues would churn), above it compact once tombstones reach half the heap.
-const COMPACT_MIN_TOMBSTONES: usize = 64;
-
-impl<E> EventQueue<E> {
-    /// An empty queue with the clock at `SimTime::ZERO`.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
-            now: SimTime::ZERO,
-            next_seq: 0,
-        }
-    }
-
-    /// Current simulation time (the timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of live (non-cancelled) scheduled events.
-    pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
-    }
-
-    /// True if no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past — the simulation never time-travels,
-    /// and a past-dated event is always a logic bug in the caller.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken {
-        assert!(
-            at >= self.now,
-            "scheduled event at {at} before current time {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-        self.pending.insert(seq);
-        EventToken(seq)
-    }
-
-    /// Schedule `event` after a delay from the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventToken {
-        self.schedule_at(self.now + delay, event)
-    }
-
-    /// Cancel a previously scheduled event. Returns `false` if the event has
-    /// already fired or was already cancelled.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        if !self.pending.remove(&token.0) {
-            return false;
-        }
-        self.cancelled.insert(token.0);
-        // Tombstones buried deep in the heap are invisible to the skim at
-        // pop time; on long cancel-heavy runs they used to accumulate
-        // without bound. Compact whenever they reach half the heap, which
-        // keeps memory O(live events) at amortised O(1) per cancel.
-        if self.cancelled.len() >= COMPACT_MIN_TOMBSTONES
-            && self.cancelled.len() * 2 >= self.heap.len()
-        {
-            let cancelled = std::mem::take(&mut self.cancelled);
-            self.heap.retain(|e| !cancelled.contains(&e.seq));
-        }
-        true
-    }
-
-    /// Timestamp of the next live event, without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skim_cancelled();
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Pop the next live event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skim_cancelled();
-        let entry = self.heap.pop()?;
-        self.pending.remove(&entry.seq);
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
-        Some((entry.at, entry.event))
-    }
-
-    /// Drop any cancelled entries sitting on top of the heap.
-    fn skim_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Discard all pending events (the clock is unchanged).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.pending.clear();
-        self.cancelled.clear();
-    }
-}
-
-impl<E> Scheduler<E> for EventQueue<E> {
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken {
-        EventQueue::schedule_at(self, at, event)
-    }
-    fn cancel(&mut self, token: EventToken) -> bool {
-        EventQueue::cancel(self, token)
-    }
-    fn peek_time(&mut self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-}
-
-/// A component that consumes events and may schedule follow-ups.
-///
-/// The second type parameter selects the scheduler backend the handler runs
-/// on; it defaults to [`EventQueue`] so existing single-backend handlers
-/// keep compiling unchanged. Handlers that should run on any backend (the
-/// device simulator, for example) implement `EventHandler<E, Q>` for all
-/// `Q: Scheduler<E>`.
-pub trait EventHandler<E, Q: Scheduler<E> = EventQueue<E>> {
-    /// Handle one event that fired at time `at`.
-    fn handle(&mut self, at: SimTime, event: E, queue: &mut Q);
-}
-
-impl<E> EventQueue<E> {
-    /// Run the simulation loop until the queue drains or the clock passes
-    /// `until`. Events scheduled exactly at `until` still fire. Returns the
-    /// number of events dispatched.
-    pub fn run_until<H: EventHandler<E, Self>>(&mut self, handler: &mut H, until: SimTime) -> u64 {
-        run_scheduled(self, handler, until)
-    }
-
-    /// Run until the queue drains completely. Returns events dispatched.
-    pub fn run_to_completion<H: EventHandler<E, Self>>(&mut self, handler: &mut H) -> u64 {
-        self.run_until(handler, SimTime::MAX)
-    }
-}
-
+// The loop contract, observed from outside the wheel.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cellrel_types::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         q.schedule_at(SimTime::from_secs(3), 3u32);
         q.schedule_at(SimTime::from_secs(1), 1u32);
         q.schedule_at(SimTime::from_secs(2), 2u32);
@@ -328,7 +55,7 @@ mod tests {
 
     #[test]
     fn simultaneous_events_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         for i in 0..10u32 {
             q.schedule_at(SimTime::from_secs(5), i);
         }
@@ -338,7 +65,7 @@ mod tests {
 
     #[test]
     fn cancellation() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         let t1 = q.schedule_at(SimTime::from_secs(1), "a");
         q.schedule_at(SimTime::from_secs(2), "b");
         assert!(q.cancel(t1));
@@ -349,20 +76,21 @@ mod tests {
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         let t = q.schedule_at(SimTime::from_secs(1), ());
         q.pop();
         assert!(!q.cancel(t), "cancelling a fired event must return false");
         let t2 = q.schedule_at(SimTime::from_secs(2), ());
-        assert_ne!(t, t2, "tokens are never reused");
+        assert!(!q.cancel(t), "a reused slot must not honour the old token");
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), ())));
+        assert!(q.cancel(t2));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     #[should_panic(expected = "before current time")]
     fn scheduling_in_the_past_panics() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         q.schedule_at(SimTime::from_secs(10), ());
         q.pop();
         q.schedule_at(SimTime::from_secs(5), ());
@@ -372,11 +100,11 @@ mod tests {
     fn run_until_respects_horizon() {
         struct Counter(u64);
         impl EventHandler<u32> for Counter {
-            fn handle(&mut self, _at: SimTime, _ev: u32, _q: &mut EventQueue<u32>) {
+            fn handle(&mut self, _at: SimTime, _ev: u32, _q: &mut TimerWheel<u32>) {
                 self.0 += 1;
             }
         }
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         for s in 1..=10 {
             q.schedule_at(SimTime::from_secs(s), s as u32);
         }
@@ -393,14 +121,14 @@ mod tests {
             fired: Vec<u64>,
         }
         impl EventHandler<u64> for Chain {
-            fn handle(&mut self, at: SimTime, ev: u64, q: &mut EventQueue<u64>) {
+            fn handle(&mut self, at: SimTime, ev: u64, q: &mut TimerWheel<u64>) {
                 self.fired.push(ev);
                 if ev < 5 {
                     q.schedule_at(at + SimDuration::from_secs(1), ev + 1);
                 }
             }
         }
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         q.schedule_at(SimTime::from_secs(0), 1);
         let mut h = Chain { fired: vec![] };
         q.run_to_completion(&mut h);
@@ -408,25 +136,12 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_secs(4));
     }
 
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(1), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    /// Regression test for unbounded tombstone growth: a long-running
-    /// schedule/cancel churn loop (recurring timers that are always
-    /// rescheduled before firing) must not accumulate dead heap entries.
-    /// Before compaction was added, the heap grew to one entry per cancel
-    /// — 200k entries here; with compaction it stays O(live).
+    /// A recurring timer that is always rescheduled before it fires must
+    /// not grow the wheel: 200 k cancels behind 100 live events leave it
+    /// the size of a few hundred nodes, not 200 k.
     #[test]
     fn cancel_churn_keeps_memory_bounded() {
-        let mut q = EventQueue::new();
-        // A stable backlog of far-future events keeps the tombstones buried
-        // so the pop-time skim alone could never reclaim them.
+        let mut q = TimerWheel::new();
         for i in 0..100u32 {
             q.schedule_at(SimTime::from_secs(1_000_000 + u64::from(i)), i);
         }
@@ -436,19 +151,18 @@ mod tests {
         }
         assert_eq!(q.len(), 100);
         assert!(
-            q.heap.len() <= 100 + 2 * COMPACT_MIN_TOMBSTONES,
-            "heap retained {} entries for 100 live events — tombstones leak",
-            q.heap.len()
+            q.approx_bytes() < 64 * 1024,
+            "{} bytes for 100 live events — tombstones leak",
+            q.approx_bytes()
         );
-        assert!(q.cancelled.len() <= 2 * COMPACT_MIN_TOMBSTONES);
-        // The queue still works and pops only live events, in order.
         assert_eq!(q.pop(), Some((SimTime::from_secs(1_000_000), 0u32)));
     }
 
-    /// The compaction path must preserve ordering and cancellation exactness.
+    /// Cancelling two thirds of the events triggers the tombstone purge;
+    /// the survivors still pop in order.
     #[test]
     fn compaction_preserves_semantics() {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         let mut keep = Vec::new();
         let mut cancel = Vec::new();
         for i in 0..500u64 {

@@ -5,11 +5,15 @@
 //! a measurement of the telephony stack — yet counters and timings used to
 //! be hand-rolled per crate. This module is the single instrumentation API:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges and sim-time duration
-//!   histograms. Histograms are [`QuantileSketch`]es (the log-bucketed
-//!   rank histogram the ingest pipeline uses), so per-shard registries
-//!   merge exactly: bucket counts add like integers and any merge tree
-//!   yields the same bytes.
+//! * [`MetricsRegistry`] — named counters, gauges, sim-time duration
+//!   histograms and an optional trace. Histograms are [`QuantileSketch`]es
+//!   (the log-bucketed rank histogram the ingest pipeline uses), so
+//!   per-shard registries merge exactly: bucket counts add like integers.
+//!   A registry is its own snapshot: [`Merge`] is commutative and
+//!   associative (property-tested in `tests/parallel_invariance.rs`), so
+//!   fleet-level metrics folded from per-shard registries are bit-identical
+//!   at any thread count, and the trace renders as Chrome trace-event JSON,
+//!   loadable in `chrome://tracing` or Perfetto.
 //! * [`Telemetry`] — a cheap-to-clone handle the instrumented code holds.
 //!   The default handle is *disabled* and every operation on it is a single
 //!   `Option` branch, so always-on instrumentation in hot paths costs
@@ -18,12 +22,6 @@
 //!   simulation has no ambient clock, so spans carry explicit [`SimTime`]s:
 //!   begin at one event, end at a later one (stall detected → stall
 //!   healed), record the duration under the span's label.
-//! * [`TraceSink`] — completed spans and instant events rendered as Chrome
-//!   trace-event JSON, loadable in `chrome://tracing` or Perfetto.
-//! * [`MetricsSnapshot`] — the mergeable, digestible view of a registry.
-//!   [`Merge`] on snapshots is commutative and associative (property-tested
-//!   in `tests/parallel_invariance.rs`), so fleet-level metrics folded from
-//!   per-shard registries are bit-identical at any thread count.
 //!
 //! Everything is keyed to sim-time and `&'static str` labels: no wall
 //! clock, no allocation per sample, no iteration-order nondeterminism
@@ -65,22 +63,6 @@ pub struct TraceEvent {
     pub ph: TracePhase,
 }
 
-/// Collects completed spans/events and renders them as Chrome trace-event
-/// JSON. Events are kept in arrival order and sorted canonically (by
-/// timestamp, then track, then label) at render time, so the emitted file
-/// does not depend on shard layout.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceSink {
-    events: Vec<TraceEvent>,
-}
-
-/// Canonical event order: the derived `Ord` on [`TraceEvent`] leads with
-/// `ts_us`, making sorted output monotone in time (the validity test's
-/// invariant) and merge order irrelevant.
-fn canonicalize(events: &mut [TraceEvent]) {
-    events.sort_unstable();
-}
-
 fn escape_json_str(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
@@ -94,111 +76,38 @@ fn escape_json_str(out: &mut String, s: &str) {
     }
 }
 
-impl TraceSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        TraceSink::default()
-    }
-
-    /// Record a completed span.
-    pub fn record_complete(&mut self, name: &'static str, start: SimTime, end: SimTime, tid: u64) {
-        self.events.push(TraceEvent {
-            ts_us: start.as_millis() * 1000,
-            tid,
-            name,
-            dur_us: end.since(start).as_millis() * 1000,
-            ph: TracePhase::Complete,
-        });
-    }
-
-    /// Record an instant event.
-    pub fn record_instant(&mut self, name: &'static str, at: SimTime, tid: u64) {
-        self.events.push(TraceEvent {
-            ts_us: at.as_millis() * 1000,
-            tid,
-            name,
-            dur_us: 0,
-            ph: TracePhase::Instant,
-        });
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The recorded events.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Render the sink as Chrome trace-event JSON (the object form with a
-    /// `traceEvents` array, as `chrome://tracing` and Perfetto load it).
-    /// Events are emitted in canonical order; all spans are `"X"` complete
-    /// events, instants are `"i"` with `"s": "t"` (thread scope).
-    pub fn to_chrome_json(&self) -> String {
-        let mut events = self.events.clone();
-        canonicalize(&mut events);
-        let mut out = String::with_capacity(64 + events.len() * 96);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            escape_json_str(&mut out, e.name);
-            let _ = match e.ph {
-                TracePhase::Complete => write!(
-                    out,
-                    "\",\"ph\":\"X\",\"cat\":\"sim\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
-                    e.tid, e.ts_us, e.dur_us
-                ),
-                TracePhase::Instant => write!(
-                    out,
-                    "\",\"ph\":\"i\",\"cat\":\"sim\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":0}}",
-                    e.tid, e.ts_us
-                ),
-            };
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-impl Merge for TraceSink {
-    fn merge(&mut self, other: Self) {
-        self.events.extend(other.events);
-    }
-}
-
-/// Named counters, gauges and sim-time duration histograms.
+/// Named counters, gauges, sim-time duration histograms and, once
+/// [`enable_trace`](Self::enable_trace) is called, a trace of spans and
+/// instants.
 ///
-/// Plain owned data — `Send`, mergeable — so parallel drivers build one
-/// registry per shard and fold them. Instrumented code normally holds a
-/// [`Telemetry`] handle rather than the registry itself.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The registry is also its own snapshot: plain owned data — `Send`,
+/// mergeable — that golden tests assert against, shards exchange and the
+/// fleet digest covers. Parallel drivers build one registry per shard and
+/// fold them; instrumented code normally holds a [`Telemetry`] handle
+/// rather than the registry itself. Trace events are kept in recording
+/// order, but equality, [`digest`](Self::digest) and
+/// [`to_chrome_json`](Self::to_chrome_json) read them in canonical order,
+/// so [`Merge`] is commutative *and* associative and any merge tree over
+/// any shard layout compares, digests and renders the same.
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, i64>,
     histograms: BTreeMap<&'static str, QuantileSketch>,
-    trace: Option<TraceSink>,
+    /// `None` while tracing is off: spans then record only their duration.
+    trace: Option<Vec<TraceEvent>>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry without a trace sink.
+    /// An empty registry with tracing off.
     pub fn new() -> Self {
         MetricsRegistry::default()
     }
 
-    /// Attach an (empty) trace sink; spans recorded after this also become
+    /// Turn tracing on; spans and instants recorded after this also become
     /// Chrome trace events.
     pub fn enable_trace(&mut self) {
-        self.trace.get_or_insert_with(TraceSink::new);
+        self.trace.get_or_insert_with(Vec::new);
     }
 
     /// Increment a counter by `n`.
@@ -241,74 +150,33 @@ impl MetricsRegistry {
         }
     }
 
-    /// The trace sink, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceSink> {
-        self.trace.as_ref()
-    }
-
-    /// Mutable trace sink access, if tracing is enabled.
-    pub fn trace_mut(&mut self) -> Option<&mut TraceSink> {
-        self.trace.as_mut()
-    }
-
-    /// Copy the registry into its mergeable, digestible snapshot form.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut trace = self
-            .trace
-            .as_ref()
-            .map(|t| t.events.clone())
-            .unwrap_or_default();
-        canonicalize(&mut trace);
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-            trace,
+    /// Record a completed span as a trace event (no-op while tracing is
+    /// off).
+    pub fn record_complete(&mut self, name: &'static str, start: SimTime, end: SimTime, tid: u64) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEvent {
+                ts_us: start.as_millis() * 1000,
+                tid,
+                name,
+                dur_us: end.since(start).as_millis() * 1000,
+                ph: TracePhase::Complete,
+            });
         }
     }
-}
 
-impl Merge for MetricsRegistry {
-    /// Fold another registry in: counters and gauges add, histograms merge
-    /// bucket-wise, trace events append in merge order (shard order in the
-    /// parallel drivers, which equals single-thread emission order).
-    fn merge(&mut self, other: Self) {
-        for (k, v) in other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in other.gauges {
-            *self.gauges.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(h) => h.merge(v),
-                None => {
-                    self.histograms.insert(k, v);
-                }
-            }
-        }
-        match (&mut self.trace, other.trace) {
-            (Some(a), Some(b)) => a.merge(b),
-            (t @ None, Some(b)) => *t = Some(b),
-            _ => {}
+    /// Record an instant trace event (no-op while tracing is off).
+    pub fn record_instant(&mut self, name: &'static str, at: SimTime, tid: u64) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEvent {
+                ts_us: at.as_millis() * 1000,
+                tid,
+                name,
+                dur_us: 0,
+                ph: TracePhase::Instant,
+            });
         }
     }
-}
 
-/// The frozen, order-canonical view of a [`MetricsRegistry`]: what golden
-/// snapshots assert against, what shards exchange, what the fleet digest
-/// covers. [`Merge`] here is commutative *and* associative — trace events
-/// are re-sorted canonically after every merge — so any merge tree over any
-/// shard layout produces identical bytes.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
-    histograms: BTreeMap<&'static str, QuantileSketch>,
-    trace: Vec<TraceEvent>,
-}
-
-impl MetricsSnapshot {
     /// Counter `(name, value)` pairs in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&k, &v)| (k, v))
@@ -334,9 +202,18 @@ impl MetricsSnapshot {
         self.histograms.get(name)
     }
 
-    /// Canonically ordered trace events.
+    /// The trace events in recording order (none while tracing is off).
     pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
+        self.trace.as_deref().unwrap_or_default()
+    }
+
+    /// The trace events in canonical order: the derived `Ord` on
+    /// [`TraceEvent`] leads with `ts_us`, so the result is monotone in time
+    /// and independent of shard layout and merge order.
+    fn canonical_trace(&self) -> Vec<TraceEvent> {
+        let mut events = self.trace().to_vec();
+        events.sort_unstable();
+        events
     }
 
     /// True when nothing was recorded.
@@ -344,7 +221,7 @@ impl MetricsSnapshot {
         self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
-            && self.trace.is_empty()
+            && self.trace().is_empty()
     }
 
     /// Content digest over every name, value, histogram bucket and trace
@@ -367,8 +244,9 @@ impl MetricsSnapshot {
             d.write_str(k);
             h.absorb_into(&mut d);
         }
-        d.write_u64(self.trace.len() as u64);
-        for e in &self.trace {
+        let trace = self.canonical_trace();
+        d.write_u64(trace.len() as u64);
+        for e in &trace {
             d.write_u64(e.ts_us);
             d.write_u64(e.tid);
             d.write_str(e.name);
@@ -378,16 +256,52 @@ impl MetricsSnapshot {
         d.finish()
     }
 
-    /// Rebuild a [`TraceSink`] from the snapshot's events (for JSON export
-    /// after a merged run).
-    pub fn trace_sink(&self) -> TraceSink {
-        TraceSink {
-            events: self.trace.clone(),
+    /// Render the trace as Chrome trace-event JSON (the object form with a
+    /// `traceEvents` array, as `chrome://tracing` and Perfetto load it).
+    /// Events are emitted in canonical order; all spans are `"X"` complete
+    /// events, instants are `"i"` with `"s": "t"` (thread scope).
+    pub fn to_chrome_json(&self) -> String {
+        let events = self.canonical_trace();
+        let mut out = String::with_capacity(64 + events.len() * 96);
+        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        for (i, e) in events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":\"");
+            escape_json_str(&mut out, e.name);
+            let _ = match e.ph {
+                TracePhase::Complete => write!(
+                    out,
+                    "\",\"ph\":\"X\",\"cat\":\"sim\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
+                    e.tid, e.ts_us, e.dur_us
+                ),
+                TracePhase::Instant => write!(
+                    out,
+                    "\",\"ph\":\"i\",\"cat\":\"sim\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":0}}",
+                    e.tid, e.ts_us
+                ),
+            };
         }
+        out.push_str("]}");
+        out
     }
 }
 
-impl Merge for MetricsSnapshot {
+impl PartialEq for MetricsRegistry {
+    /// Every metric equal, the traces as multisets (canonical order).
+    fn eq(&self, other: &Self) -> bool {
+        self.counters == other.counters
+            && self.gauges == other.gauges
+            && self.histograms == other.histograms
+            && self.canonical_trace() == other.canonical_trace()
+    }
+}
+
+impl Merge for MetricsRegistry {
+    /// Fold another registry in: counters and gauges add, histograms merge
+    /// bucket-wise, trace events append (tracing is on in the result if it
+    /// was on in either side).
     fn merge(&mut self, other: Self) {
         for (k, v) in other.counters {
             *self.counters.entry(k).or_insert(0) += v;
@@ -396,15 +310,13 @@ impl Merge for MetricsSnapshot {
             *self.gauges.entry(k).or_insert(0) += v;
         }
         for (k, v) in other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(h) => h.merge(v),
-                None => {
-                    self.histograms.insert(k, v);
-                }
-            }
+            self.merge_histogram(k, v);
         }
-        self.trace.extend(other.trace);
-        canonicalize(&mut self.trace);
+        match (&mut self.trace, other.trace) {
+            (Some(a), Some(b)) => a.extend(b),
+            (t @ None, Some(b)) => *t = Some(b),
+            _ => {}
+        }
     }
 }
 
@@ -412,11 +324,9 @@ impl Merge for MetricsSnapshot {
 /// to one registry, or nothing at all.
 ///
 /// The disabled handle (the [`Default`]) makes every operation a single
-/// branch on a `None`, so subsystems can be instrumented unconditionally —
-/// the `par_macro_study` bench gates the claim that this costs nothing
-/// measurable. Handles are `Rc`-based and deliberately **not** `Send`:
-/// parallel drivers give each shard its own enabled handle and fold the
-/// [`MetricsSnapshot`]s.
+/// branch on a `None`, so subsystems can be instrumented unconditionally.
+/// Handles are `Rc`-based and deliberately **not** `Send`: parallel
+/// drivers give each shard its own enabled handle and fold the snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry(Option<Rc<RefCell<MetricsRegistry>>>);
 
@@ -451,11 +361,6 @@ impl Telemetry {
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// Run `f` against the registry; no-op (returns `None`) when disabled.
-    pub fn with<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> Option<R> {
-        self.0.as_ref().map(|r| f(&mut r.borrow_mut()))
     }
 
     /// Increment a counter by one.
@@ -509,9 +414,7 @@ impl Telemetry {
     #[inline]
     pub fn instant(&self, name: &'static str, at: SimTime, tid: u64) {
         if let Some(r) = &self.0 {
-            if let Some(t) = r.borrow_mut().trace_mut() {
-                t.record_instant(name, at, tid);
-            }
+            r.borrow_mut().record_instant(name, at, tid);
         }
     }
 
@@ -527,11 +430,11 @@ impl Telemetry {
         }
     }
 
-    /// Snapshot the registry (empty snapshot when disabled).
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// A copy of the registry (an empty one when disabled).
+    pub fn snapshot(&self) -> MetricsRegistry {
         match &self.0 {
-            Some(r) => r.borrow().snapshot(),
-            None => MetricsSnapshot::default(),
+            Some(r) => r.borrow().clone(),
+            None => MetricsRegistry::default(),
         }
     }
 }
@@ -564,9 +467,7 @@ impl SpanGuard {
         if let Some(r) = &self.tele.0 {
             let mut reg = r.borrow_mut();
             reg.observe_duration(self.name, end.since(self.start));
-            if let Some(t) = reg.trace_mut() {
-                t.record_complete(self.name, self.start, end, self.tid);
-            }
+            reg.record_complete(self.name, self.start, end, self.tid);
         }
     }
 }
@@ -666,7 +567,7 @@ mod tests {
         let tele = Telemetry::with_trace();
         span!(tele, "a\"quoted\"", SimTime::from_millis(2), 1).end(SimTime::from_millis(5));
         tele.instant("tick", SimTime::from_millis(1), 1);
-        let json = tele.snapshot().trace_sink().to_chrome_json();
+        let json = tele.snapshot().to_chrome_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
@@ -674,6 +575,22 @@ mod tests {
         assert!(json.contains("a\\\"quoted\\\""));
         // Canonical order: the instant at 1 ms precedes the span at 2 ms.
         assert!(json.find("tick").unwrap() < json.find("quoted").unwrap());
+    }
+
+    #[test]
+    fn recording_order_is_not_part_of_equality_digest_or_json() {
+        let record = |order: &[u64]| {
+            let tele = Telemetry::with_trace();
+            for &s in order {
+                span!(tele, "s", SimTime::from_secs(s), s).end(SimTime::from_secs(s + 1));
+            }
+            tele.snapshot()
+        };
+        let (a, b) = (record(&[1, 2, 3]), record(&[3, 1, 2]));
+        assert_ne!(a.trace(), b.trace());
+        assert_eq!(a, b);
+        assert_eq!(a.digest(), b.digest());
+        assert_eq!(a.to_chrome_json(), b.to_chrome_json());
     }
 
     #[test]
@@ -688,14 +605,9 @@ mod tests {
             whole.inc("n");
             part.inc("n");
         }
-        let merged = pa
-            .with(|r| {
-                let mut r = r.clone();
-                pb.with(|o| r.merge(o.clone()));
-                r
-            })
-            .unwrap();
-        assert_eq!(merged.snapshot(), whole.snapshot());
-        assert_eq!(merged.snapshot().digest(), whole.snapshot().digest());
+        let mut merged = pa.snapshot();
+        merged.merge(pb.snapshot());
+        assert_eq!(merged, whole.snapshot());
+        assert_eq!(merged.digest(), whole.snapshot().digest());
     }
 }

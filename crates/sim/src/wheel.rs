@@ -1,14 +1,13 @@
-//! Hierarchical timer wheel: the O(1) scheduler backend for fleet-scale runs.
+//! Hierarchical timer wheel: the simulator's one event loop.
 //!
-//! [`TimerWheel`] implements the same [`Scheduler`]
-//! contract as [`EventQueue`](crate::EventQueue) — deterministic FIFO order
-//! among simultaneous events, clock that never moves backwards, exact
-//! cancellation — but replaces the binary heap with six levels of 64 slots
-//! over the millisecond clock, so `schedule`, `cancel` and the common-case
-//! `advance` are constant-time instead of `O(log n)`. A fleet driver keeps
-//! one wheel per shard with one alarm per device; with a million devices in
-//! a shard, heap discipline is what separates "events per second" from
-//! "log-n pointer chases per second".
+//! [`TimerWheel`] is a deterministic, cancellable discrete-event queue:
+//! events pop in ascending `(time, schedule order)` — FIFO among
+//! simultaneous events — the clock never moves backwards, and cancellation
+//! is exact. Six levels of 64 slots over the millisecond clock make
+//! `schedule`, `cancel` and the common-case `advance` constant-time instead
+//! of `O(log n)`. A fleet driver keeps one wheel per shard with one alarm
+//! per device; with a million devices in a shard, heap discipline is what
+//! separates "events per second" from "log-n pointer chases per second".
 //!
 //! Layout. Level `L` covers deadlines `64^L..64^(L+1)` ms ahead of the wheel
 //! cursor in slots of `64^L` ms; six levels span ~795 days, far beyond any
@@ -18,10 +17,9 @@
 //! `trailing_zeros`. Advancing cascades a higher-level slot's nodes into
 //! lower levels until an exact-millisecond level-0 slot is due, whose nodes
 //! are sorted by schedule sequence — restoring the global `(time, seq)`
-//! order the `EventQueue` heap maintains, which is what makes the two
-//! backends produce bit-identical simulations.
+//! order (`tests/sim_properties.rs` checks it against a sorted list).
 
-use crate::queue::{run_scheduled, EventHandler, EventToken, Scheduler};
+use crate::queue::EventHandler;
 use cellrel_types::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -33,10 +31,16 @@ const WHEEL_SPAN: u64 = 1 << (SLOT_BITS * LEVELS as u32); // 2^36 ms ≈ 795 day
 
 const NIL: u32 = u32::MAX;
 
-/// Tombstone-purge threshold, mirroring the `EventQueue` policy: never purge
-/// below this many cancelled nodes, above it purge once they reach half the
-/// allocated nodes.
+/// Tombstone-purge threshold: never purge below this many cancelled nodes,
+/// above it purge once they reach half the allocated nodes.
 const PURGE_MIN_TOMBSTONES: usize = 64;
+
+/// Handle to a scheduled event, used to cancel it before it fires: a slab
+/// index in the low 32 bits and the slot's generation in the high 32.
+///
+/// Tokens are only meaningful on the wheel that issued them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EventToken(u64);
 
 #[derive(Debug)]
 struct Node<E> {
@@ -48,12 +52,10 @@ struct Node<E> {
     event: Option<E>,
 }
 
-/// A hierarchical timer wheel with the [`Scheduler`] contract.
-///
-/// Drop-in for [`EventQueue`](crate::EventQueue):
+/// A deterministic, cancellable hierarchical timer wheel.
 ///
 /// ```
-/// use cellrel_sim::{Scheduler, TimerWheel};
+/// use cellrel_sim::TimerWheel;
 /// use cellrel_types::{SimDuration, SimTime};
 ///
 /// let mut w: TimerWheel<&str> = TimerWheel::new();
@@ -385,7 +387,7 @@ impl<E> TimerWheel<E> {
         self.live += 1;
         self.place(idx);
         let gen = self.nodes[idx as usize].gen;
-        EventToken::from_raw((u64::from(gen) << 32) | u64::from(idx))
+        EventToken((u64::from(gen) << 32) | u64::from(idx))
     }
 
     /// Schedule `event` after a delay from the current time.
@@ -398,7 +400,7 @@ impl<E> TimerWheel<E> {
     /// in place and reclaimed when its slot is next visited (or by the purge
     /// sweep if tombstones ever dominate).
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        let raw = token.raw();
+        let raw = token.0;
         let idx = (raw & u64::from(u32::MAX)) as usize;
         let gen = (raw >> 32) as u32;
         let Some(node) = self.nodes.get_mut(idx) else {
@@ -525,42 +527,25 @@ impl<E> TimerWheel<E> {
     /// Run the simulation loop until the wheel drains or the clock passes
     /// `until`. Events scheduled exactly at `until` still fire. Returns the
     /// number of events dispatched.
-    pub fn run_until<H: EventHandler<E, Self>>(&mut self, handler: &mut H, until: SimTime) -> u64 {
-        run_scheduled(self, handler, until)
+    pub fn run_until<H: EventHandler<E>>(&mut self, handler: &mut H, until: SimTime) -> u64 {
+        let mut dispatched = 0;
+        while self.peek_time().is_some_and(|at| at <= until) {
+            let (at, ev) = self.pop().expect("peeked event vanished");
+            handler.handle(at, ev, self);
+            dispatched += 1;
+        }
+        dispatched
     }
 
     /// Run until the wheel drains completely. Returns events dispatched.
-    pub fn run_to_completion<H: EventHandler<E, Self>>(&mut self, handler: &mut H) -> u64 {
+    pub fn run_to_completion<H: EventHandler<E>>(&mut self, handler: &mut H) -> u64 {
         self.run_until(handler, SimTime::MAX)
-    }
-}
-
-impl<E> Scheduler<E> for TimerWheel<E> {
-    fn now(&self) -> SimTime {
-        TimerWheel::now(self)
-    }
-    fn len(&self) -> usize {
-        TimerWheel::len(self)
-    }
-    fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken {
-        TimerWheel::schedule_at(self, at, event)
-    }
-    fn cancel(&mut self, token: EventToken) -> bool {
-        TimerWheel::cancel(self, token)
-    }
-    fn peek_time(&mut self) -> Option<SimTime> {
-        TimerWheel::peek_time(self)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        TimerWheel::pop(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::EventQueue;
-    use crate::rng::SimRng;
 
     #[test]
     fn pops_in_time_order() {
@@ -676,52 +661,9 @@ mod tests {
     }
 
     #[test]
-    fn matches_event_queue_on_random_workloads() {
-        // Randomised differential test; the proptest suite goes further,
-        // this one keeps a fast in-crate witness.
-        for seed in 0..20u64 {
-            let mut rng = SimRng::new(seed);
-            let mut q: EventQueue<u64> = EventQueue::new();
-            let mut w: TimerWheel<u64> = TimerWheel::new();
-            let mut q_toks = Vec::new();
-            let mut w_toks = Vec::new();
-            let mut q_log = Vec::new();
-            let mut w_log = Vec::new();
-            for step in 0..400u64 {
-                match rng.index(4) {
-                    0 | 1 => {
-                        let delay = SimDuration::from_millis(rng.range_u64(0, 500_000));
-                        q_toks.push(q.schedule_after(delay, step));
-                        w_toks.push(w.schedule_after(delay, step));
-                    }
-                    2 if !q_toks.is_empty() => {
-                        let i = rng.index(q_toks.len());
-                        assert_eq!(q.cancel(q_toks[i]), w.cancel(w_toks[i]));
-                    }
-                    _ => {
-                        assert_eq!(q.peek_time(), w.peek_time());
-                        q_log.push(q.pop());
-                        w_log.push(w.pop());
-                    }
-                }
-                assert_eq!(q.len(), w.len());
-            }
-            loop {
-                let (a, b) = (q.pop(), w.pop());
-                q_log.push(a);
-                w_log.push(b);
-                if a.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(q_log, w_log, "divergence at seed {seed}");
-        }
-    }
-
-    #[test]
     fn run_until_respects_horizon() {
         struct Counter(u64);
-        impl EventHandler<u32, TimerWheel<u32>> for Counter {
+        impl EventHandler<u32> for Counter {
             fn handle(&mut self, _at: SimTime, _ev: u32, _q: &mut TimerWheel<u32>) {
                 self.0 += 1;
             }
@@ -742,7 +684,7 @@ mod tests {
         struct Chain {
             fired: Vec<u64>,
         }
-        impl EventHandler<u64, TimerWheel<u64>> for Chain {
+        impl EventHandler<u64> for Chain {
             fn handle(&mut self, at: SimTime, ev: u64, q: &mut TimerWheel<u64>) {
                 self.fired.push(ev);
                 if ev < 5 {

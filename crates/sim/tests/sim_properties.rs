@@ -2,10 +2,9 @@
 //! statistics and scheduler backends.
 
 use cellrel_sim::{
-    fit_zipf, percentile, Ecdf, Empirical, EventQueue, Scheduler, SimRng, TimerWheel,
-    WeightedIndex, ZipfDist,
+    fit_zipf, percentile, Ecdf, Empirical, SimRng, TimerWheel, WeightedIndex, ZipfDist,
 };
-use cellrel_types::SimDuration;
+use cellrel_types::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// One step of a scheduler workload, decoded from a raw `(kind, payload)`
@@ -38,50 +37,80 @@ fn decode_op(kind: u8, payload: u64) -> SchedOp {
     }
 }
 
+/// The reference the wheel is checked against: every live event in one
+/// list, popped by least `(time, schedule order)`. A token is the event's
+/// schedule order.
+#[derive(Default)]
+struct SortedList {
+    now: SimTime,
+    live: Vec<(SimTime, usize)>,
+}
+
+impl SortedList {
+    fn schedule(&mut self, delay: SimDuration, seq: usize) {
+        self.live.push((self.now + delay, seq));
+    }
+
+    fn cancel(&mut self, seq: usize) -> bool {
+        let before = self.live.len();
+        self.live.retain(|&(_, s)| s != seq);
+        self.live.len() < before
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.live.iter().min().map(|&(at, _)| at)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let (i, _) = self.live.iter().enumerate().min_by_key(|(_, e)| **e)?;
+        let (at, seq) = self.live.swap_remove(i);
+        self.now = at;
+        Some((at, seq))
+    }
+}
+
 proptest! {
-    /// The tentpole equivalence property: on an arbitrary interleaving of
-    /// schedule/cancel/pop operations, the timer wheel observably behaves
-    /// exactly like the binary-heap `EventQueue` — same pop order (times
-    /// AND payloads, i.e. FIFO among simultaneous events), same peeks,
-    /// same cancel results, same lengths.
+    /// The wheel's contract: on an arbitrary interleaving of
+    /// schedule/cancel/pop operations it observably behaves exactly like a
+    /// sorted list — same pop order (times AND payloads, i.e. FIFO among
+    /// simultaneous events), same peeks, same cancel results, same lengths.
     #[test]
-    fn wheel_matches_event_queue(
+    fn wheel_matches_a_sorted_list(
         raw_ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..200)
     ) {
         let ops: Vec<SchedOp> = raw_ops
             .iter()
             .map(|&(kind, payload)| decode_op(kind, payload))
             .collect();
-        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut list = SortedList::default();
         let mut w: TimerWheel<usize> = TimerWheel::new();
-        let mut q_toks = Vec::new();
         let mut w_toks = Vec::new();
         for (step, op) in ops.iter().enumerate() {
             match *op {
                 SchedOp::Schedule(delay) => {
                     let d = SimDuration::from_millis(delay);
-                    q_toks.push(q.schedule_after(d, step));
-                    w_toks.push(w.schedule_after(d, step));
+                    list.schedule(d, step);
+                    w_toks.push((w.schedule_after(d, step), step));
                 }
                 SchedOp::Cancel(i) => {
-                    if !q_toks.is_empty() {
-                        let i = i % q_toks.len();
-                        prop_assert_eq!(q.cancel(q_toks[i]), w.cancel(w_toks[i]));
+                    if !w_toks.is_empty() {
+                        let (tok, seq) = w_toks[i % w_toks.len()];
+                        prop_assert_eq!(list.cancel(seq), w.cancel(tok));
                     }
                 }
                 SchedOp::Pop => {
-                    prop_assert_eq!(q.pop(), w.pop());
+                    prop_assert_eq!(list.pop(), w.pop());
                 }
                 SchedOp::Peek => {
-                    prop_assert_eq!(q.peek_time(), w.peek_time());
+                    prop_assert_eq!(list.peek_time(), w.peek_time());
                 }
             }
-            prop_assert_eq!(q.len(), w.len());
-            prop_assert_eq!(q.now(), Scheduler::<usize>::now(&w));
+            prop_assert_eq!(list.live.len(), w.len());
+            prop_assert_eq!(list.now, w.now());
         }
         // Drain both completely; the full tails must agree.
         loop {
-            let (a, b) = (q.pop(), w.pop());
+            let (a, b) = (list.pop(), w.pop());
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;

@@ -26,7 +26,7 @@ use crate::stall::DataStallDetector;
 use cellrel_modem::Modem;
 use cellrel_netstack::{LinkCondition, NetStack};
 use cellrel_radio::{CellView, Pos, RadioEnvironment, RiskFactors};
-use cellrel_sim::{span, EventHandler, EventToken, Scheduler, SimRng, Telemetry};
+use cellrel_sim::{span, EventHandler, EventToken, SimRng, Telemetry, TimerWheel};
 use cellrel_types::{
     Apn, DeviceId, InSituInfo, Isp, Rat, RatSet, ServiceState, SimDuration, SimTime,
 };
@@ -230,12 +230,12 @@ pub struct DeviceSim<'a, L: TelephonyListener> {
 
 impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
     /// Build the agent and prime the event queue with its recurring events.
-    pub fn new<Q: Scheduler<WorldEvent>>(
+    pub fn new(
         cfg: DeviceConfig,
         env: &'a RadioEnvironment,
         listener: L,
         rng: SimRng,
-        queue: &mut Q,
+        queue: &mut TimerWheel<WorldEvent>,
     ) -> Self {
         let policy = cfg.policy.build();
         let recovery = RecoveryEngine::new(cfg.recovery);
@@ -346,7 +346,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
     /// listeners observe the regular clear sequence). After this, the
     /// device must drain back to healthy service — [`Self::wedged_reason`]
     /// checks that it did.
-    pub fn quiesce<Q: Scheduler<WorldEvent>>(&mut self, queue: &mut Q) {
+    pub fn quiesce(&mut self, queue: &mut TimerWheel<WorldEvent>) {
         self.injection_enabled = false;
         if let Some(ep) = &mut self.stall {
             if let Some(tok) = ep.heal_token.take() {
@@ -461,7 +461,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
 
     // ---- recurring-event scheduling -------------------------------------
 
-    fn schedule_next_stall_injection<Q: Scheduler<WorldEvent>>(&mut self, queue: &mut Q) {
+    fn schedule_next_stall_injection(&mut self, queue: &mut TimerWheel<WorldEvent>) {
         let mult = self
             .serving_risk
             .map(|r| r.stall_rate_multiplier())
@@ -485,7 +485,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         queue.schedule_after(wait, WorldEvent::StallInject(condition));
     }
 
-    fn schedule_next_oos<Q: Scheduler<WorldEvent>>(&mut self, queue: &mut Q) {
+    fn schedule_next_oos(&mut self, queue: &mut TimerWheel<WorldEvent>) {
         let hazard = self
             .serving_risk
             .map(|r| r.out_of_service_hazard())
@@ -495,7 +495,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         queue.schedule_after(wait, WorldEvent::OosInject);
     }
 
-    fn schedule_next_voice_call<Q: Scheduler<WorldEvent>>(&mut self, queue: &mut Q) {
+    fn schedule_next_voice_call(&mut self, queue: &mut TimerWheel<WorldEvent>) {
         if self.cfg.voice_calls_per_hour <= 0.0 {
             return;
         }
@@ -507,7 +507,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         queue.schedule_after(wait, WorldEvent::VoiceCall);
     }
 
-    fn schedule_next_sms<Q: Scheduler<WorldEvent>>(&mut self, queue: &mut Q) {
+    fn schedule_next_sms(&mut self, queue: &mut TimerWheel<WorldEvent>) {
         if self.cfg.sms_per_hour <= 0.0 {
             return;
         }
@@ -533,7 +533,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
 
     // ---- event handlers ---------------------------------------------------
 
-    fn handle_scan<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_scan(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         let views = self.env.scan_salted(
             self.pos,
             self.cfg.isp,
@@ -622,7 +622,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         queue.schedule_after(self.cfg.scan_interval, WorldEvent::ScanAndSelect);
     }
 
-    fn request_setup<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn request_setup(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         if self.setup_pending || !self.tracker.can_attempt() {
             return;
         }
@@ -630,7 +630,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         queue.schedule_at(now, WorldEvent::SetupAttempt);
     }
 
-    fn handle_setup_attempt<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_setup_attempt(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         self.setup_pending = false;
         if self.modem.call().is_some() || !self.tracker.can_attempt() {
             return;
@@ -667,7 +667,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         }
     }
 
-    fn handle_app_traffic<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_app_traffic(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         if self.screen_active && self.modem.call().is_some() && self.sst.state().data_possible() {
             let burst = 8 + self.rng.index(20);
             self.stack.app_exchange(now, burst);
@@ -675,7 +675,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         queue.schedule_after(self.cfg.traffic_interval, WorldEvent::AppTraffic);
     }
 
-    fn handle_stall_poll<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_stall_poll(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         match self.detector.poll(now, &mut self.stack) {
             Some(true) => {
                 self.stats.stalls_detected += 1;
@@ -703,7 +703,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
     /// Close out the current stall episode (predicate fell). The reported
     /// duration is detection → heal — the span Android (and the monitor's
     /// probing) can observe; pre-detection time is invisible to the device.
-    fn finish_stall<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn finish_stall(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         if let Some(ep) = self.stall.take() {
             if let Some(detected_at) = ep.detected_at {
                 debug_assert!(detected_at >= ep.onset, "detection precedes onset");
@@ -741,17 +741,17 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
     /// queue, which could execute a recovery stage early in a later
     /// episode — exactly the regression the campaign's probation invariant
     /// watches for.
-    fn cancel_probation<Q: Scheduler<WorldEvent>>(&mut self, queue: &mut Q) {
+    fn cancel_probation(&mut self, queue: &mut TimerWheel<WorldEvent>) {
         if let Some(tok) = self.probation_token.take() {
             queue.cancel(tok);
         }
     }
 
-    fn handle_stall_inject<Q: Scheduler<WorldEvent>>(
+    fn handle_stall_inject(
         &mut self,
         now: SimTime,
         condition: LinkCondition,
-        queue: &mut Q,
+        queue: &mut TimerWheel<WorldEvent>,
     ) {
         if !self.injection_enabled {
             return; // quiesced: no new faults, and stop rescheduling
@@ -786,7 +786,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         self.schedule_next_stall_injection(queue);
     }
 
-    fn heal_link<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn heal_link(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         self.stack.set_link(LinkCondition::Healthy);
         if let Some(ep) = &mut self.stall {
             ep.healed_at.get_or_insert(now);
@@ -805,7 +805,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         }
     }
 
-    fn handle_natural_heal<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_natural_heal(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         if self.stall.is_some() {
             self.heal_link(now, queue);
             if self
@@ -825,7 +825,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         }
     }
 
-    fn handle_probation_expired<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_probation_expired(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         self.probation_token = None;
         if !self.recovery.active() {
             return;
@@ -868,11 +868,11 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         }
     }
 
-    fn apply_recovery_action<Q: Scheduler<WorldEvent>>(
+    fn apply_recovery_action(
         &mut self,
         now: SimTime,
         action: RecoveryAction,
-        queue: &mut Q,
+        queue: &mut TimerWheel<WorldEvent>,
     ) {
         match action {
             RecoveryAction::CleanupConnections => {
@@ -901,7 +901,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         }
     }
 
-    fn handle_manual_reset<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_manual_reset(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         let Some(ep) = &mut self.stall else { return };
         ep.reset_token = None;
         self.stats.manual_resets += 1;
@@ -931,7 +931,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
 
     /// Alternate active/idle periods whose mean lengths realise the
     /// configured active fraction (mean cycle: 30 minutes).
-    fn schedule_screen_toggle<Q: Scheduler<WorldEvent>>(&mut self, queue: &mut Q) {
+    fn schedule_screen_toggle(&mut self, queue: &mut TimerWheel<WorldEvent>) {
         let cycle_secs = 1800.0;
         let frac = self.cfg.screen_active_fraction.clamp(0.01, 0.99);
         let mean = if self.screen_active {
@@ -943,12 +943,12 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         queue.schedule_after(wait, WorldEvent::ScreenToggle);
     }
 
-    fn handle_screen_toggle<Q: Scheduler<WorldEvent>>(&mut self, queue: &mut Q) {
+    fn handle_screen_toggle(&mut self, queue: &mut TimerWheel<WorldEvent>) {
         self.screen_active = !self.screen_active;
         self.schedule_screen_toggle(queue);
     }
 
-    fn handle_move<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_move(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         let next = match self.cfg.mobility {
             MobilityProfile::Stationary => self.pos,
             MobilityProfile::Commuter { work } => {
@@ -989,7 +989,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         queue.schedule_after(self.cfg.move_interval, WorldEvent::Move);
     }
 
-    fn handle_sms_send<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_sms_send(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         if let (Some(view), Some(risk)) = (self.modem.serving().copied(), self.serving_risk) {
             let (result, _attempts) = self.sms.send_with_retries(view.rat, &risk, &mut self.rng);
             if result == crate::sms::SmsResult::Failed {
@@ -1001,7 +1001,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         self.schedule_next_sms(queue);
     }
 
-    fn handle_voice_call<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_voice_call(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         // Attempt the call setup itself (CS on 2G/3G, VoLTE on 4G/5G).
         if let (Some(view), Some(risk)) = (self.modem.serving().copied(), self.serving_risk) {
             let ok = self.voice.attempt_call(
@@ -1038,7 +1038,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         self.schedule_next_voice_call(queue);
     }
 
-    fn handle_oos_inject<Q: Scheduler<WorldEvent>>(&mut self, now: SimTime, queue: &mut Q) {
+    fn handle_oos_inject(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         if !self.injection_enabled {
             return; // quiesced: no new outages, and stop rescheduling
         }
@@ -1086,10 +1086,8 @@ fn action_can_fix(condition: LinkCondition, action: RecoveryAction) -> bool {
     }
 }
 
-impl<'a, L: TelephonyListener, Q: Scheduler<WorldEvent>> EventHandler<WorldEvent, Q>
-    for DeviceSim<'a, L>
-{
-    fn handle(&mut self, at: SimTime, event: WorldEvent, queue: &mut Q) {
+impl<'a, L: TelephonyListener> EventHandler<WorldEvent> for DeviceSim<'a, L> {
+    fn handle(&mut self, at: SimTime, event: WorldEvent, queue: &mut TimerWheel<WorldEvent>) {
         match event {
             WorldEvent::ScanAndSelect => self.handle_scan(at, queue),
             WorldEvent::SetupAttempt => self.handle_setup_attempt(at, queue),
@@ -1114,7 +1112,6 @@ mod tests {
     use super::*;
     use crate::events::RecordingListener;
     use cellrel_radio::DeploymentConfig;
-    use cellrel_sim::EventQueue;
 
     fn run_device(
         mut cfg: DeviceConfig,
@@ -1124,7 +1121,7 @@ mod tests {
         let mut world_rng = SimRng::new(seed);
         let env = RadioEnvironment::generate(DeploymentConfig::small(), &mut world_rng);
         cfg.home = env.city_centers()[0];
-        let mut queue = EventQueue::new();
+        let mut queue = TimerWheel::new();
         let mut dev = DeviceSim::new(
             cfg,
             &env,
@@ -1139,54 +1136,6 @@ mod tests {
 
     fn base_cfg() -> DeviceConfig {
         DeviceConfig::new(DeviceId(1), Isp::A, Pos::new(0.0, 0.0))
-    }
-
-    /// The scheduler-backend drop-in proof: the full device stack — every
-    /// periodic source (scans, traffic, stall polls, probations, mobility,
-    /// OOS) plus all the cancel-heavy stall bookkeeping — produces a
-    /// bit-identical event log and stats on the timer wheel and on the
-    /// binary-heap queue.
-    #[test]
-    fn wheel_backend_is_bit_identical_to_queue() {
-        use cellrel_sim::TimerWheel;
-
-        let mut cfg = base_cfg();
-        cfg.stall_rate_per_hour = 4.0;
-        cfg.mobility = MobilityProfile::Roamer { radius_km: 3.0 };
-        let horizon = SimTime::from_secs(24 * 3600);
-
-        let mut world_rng = SimRng::new(77);
-        let env = RadioEnvironment::generate(DeploymentConfig::small(), &mut world_rng);
-        cfg.home = env.city_centers()[0];
-
-        let mut queue = EventQueue::new();
-        let mut on_queue = DeviceSim::new(
-            cfg.clone(),
-            &env,
-            RecordingListener::default(),
-            SimRng::for_substream(77, 1),
-            &mut queue,
-        );
-        let n_queue = queue.run_until(&mut on_queue, horizon);
-
-        let mut wheel = TimerWheel::new();
-        let mut on_wheel = DeviceSim::new(
-            cfg,
-            &env,
-            RecordingListener::default(),
-            SimRng::for_substream(77, 1),
-            &mut wheel,
-        );
-        let n_wheel = wheel.run_until(&mut on_wheel, horizon);
-
-        assert_eq!(n_queue, n_wheel, "dispatch counts diverged");
-        assert_eq!(on_queue.stats(), on_wheel.stats(), "stats diverged");
-        let log_q = on_queue.into_listener().log;
-        let log_w = on_wheel.into_listener().log;
-        assert_eq!(log_q.len(), log_w.len(), "log lengths diverged");
-        for (i, (a, b)) in log_q.iter().zip(log_w.iter()).enumerate() {
-            assert_eq!(a, b, "log diverged at entry {i}");
-        }
     }
 
     #[test]
@@ -1322,7 +1271,7 @@ mod tests {
         cfg.home = env.city_centers()[0];
         let work = env.city_centers()[1 % env.city_centers().len()].offset(1.0, 0.5);
         cfg.mobility = MobilityProfile::Commuter { work };
-        let mut queue = EventQueue::new();
+        let mut queue = TimerWheel::new();
         let mut dev = DeviceSim::new(
             cfg,
             &env,
@@ -1346,7 +1295,7 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.home = env.city_centers()[0];
         cfg.mobility = MobilityProfile::Roamer { radius_km: 3.0 };
-        let mut queue = EventQueue::new();
+        let mut queue = TimerWheel::new();
         let mut dev = DeviceSim::new(
             cfg,
             &env,
@@ -1359,7 +1308,7 @@ mod tests {
 
         let mut cfg2 = base_cfg();
         cfg2.home = env.city_centers()[0];
-        let mut queue2 = EventQueue::new();
+        let mut queue2 = TimerWheel::new();
         let mut still = DeviceSim::new(
             cfg2,
             &env,

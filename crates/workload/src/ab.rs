@@ -180,9 +180,6 @@ fn run_arm(
             }
 
             let monitor = MonitoringService::new(DeviceId(i as u32), dev_rng.fork(1));
-            // Timer-wheel backend: O(1) schedule/cancel instead of the heap's
-            // O(log n). Bit-identical to `EventQueue` (see the device-sim
-            // drop-in test and the kernel equivalence proptest).
             let mut queue = TimerWheel::new();
             let mut sim = DeviceSim::new(dc, &env, monitor, dev_rng.fork(2), &mut queue);
             queue.run_until(&mut sim, horizon);

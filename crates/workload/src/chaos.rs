@@ -30,7 +30,7 @@ use cellrel_sim::campaign::{
     run_campaign, CampaignReport, Invariant, InvariantRegistry, ScenarioOutcome,
 };
 use cellrel_sim::{
-    resolve_threads, run_sharded, EventHandler, Merge, MetricsSnapshot, SimRng, Telemetry,
+    resolve_threads, run_sharded, EventHandler, Merge, MetricsRegistry, SimRng, Telemetry,
     TimerWheel,
 };
 use cellrel_telephony::{
@@ -515,7 +515,7 @@ pub fn run_scenario_telemetry(
     cfg: &ChaosConfig,
     id: u64,
     trace: bool,
-) -> (ScenarioOutcome, MetricsSnapshot) {
+) -> (ScenarioOutcome, MetricsRegistry) {
     let tele = Telemetry::from_flags(true, trace);
     let outcome = run_scenario_instrumented(cfg, id, default_registry, tele.clone());
     (outcome, tele.snapshot())
@@ -523,7 +523,7 @@ pub fn run_scenario_telemetry(
 
 /// The scenario harness. The telemetry handle is scenario-local (scenarios
 /// are single-threaded units); campaign drivers fold the per-scenario
-/// snapshots, whose merge is commutative, so campaign metrics stay
+/// registries, whose merge is commutative, so campaign metrics stay
 /// thread-count invariant.
 fn run_scenario_instrumented<F>(
     cfg: &ChaosConfig,
@@ -638,19 +638,19 @@ pub fn run_chaos_campaign(cfg: &ChaosConfig) -> CampaignReport {
 }
 
 /// Run the campaign with telemetry on: every scenario records into its own
-/// registry and the per-scenario [`MetricsSnapshot`]s fold into one fleet
-/// snapshot alongside the report. Snapshot merge is commutative and
+/// registry and the per-scenario [`MetricsRegistry`]s fold into one fleet
+/// registry alongside the report. Registry merge is commutative and
 /// associative, so the folded metrics (and their digest) are identical at
 /// any thread count. With `trace` set, device spans also become Chrome
-/// trace events in the snapshot.
+/// trace events in the registry.
 pub fn run_chaos_campaign_metrics(
     cfg: &ChaosConfig,
     trace: bool,
-) -> (CampaignReport, MetricsSnapshot) {
+) -> (CampaignReport, MetricsRegistry) {
     let threads = resolve_threads(cfg.threads);
     let parts = run_sharded(cfg.scenarios as usize, threads, |range| {
         let mut report = CampaignReport::default();
-        let mut snap = MetricsSnapshot::default();
+        let mut snap = MetricsRegistry::new();
         for idx in range {
             let (outcome, s) = run_scenario_telemetry(cfg, idx as u64, trace);
             report.absorb(outcome);
@@ -659,7 +659,7 @@ pub fn run_chaos_campaign_metrics(
         (report, snap)
     });
     let mut report = CampaignReport::default();
-    let mut snap = MetricsSnapshot::default();
+    let mut snap = MetricsRegistry::new();
     for (r, s) in parts {
         report.merge(r);
         snap.merge(s);

@@ -54,7 +54,7 @@ use crate::BsAssigner;
 use cellrel_modem::cause_mix::CauseMix;
 use cellrel_radio::load::diurnal_factor;
 use cellrel_radio::RatTransitionModel;
-use cellrel_sim::{resolve_threads, run_sharded, Merge, MetricsSnapshot, SimRng, TimerWheel};
+use cellrel_sim::{resolve_threads, run_sharded, Merge, MetricsRegistry, SimRng, TimerWheel};
 use cellrel_types::{
     Apn, DeviceId, EventSink, FailureEvent, FailureKind, InSituInfo, Rat, SimDuration, SimTime,
 };
@@ -133,7 +133,7 @@ pub struct FleetReport {
     /// Total hot bytes: SoA arrays plus (event-driven) the timer wheel.
     pub hot_bytes: u64,
     /// Folded failure metrics (same registry names as the macro study).
-    pub metrics: MetricsSnapshot,
+    pub metrics: MetricsRegistry,
 }
 
 impl FleetReport {
@@ -558,7 +558,7 @@ where
         rat_changes: folded.rat_changes,
         digest: folded.digest,
         hot_bytes: folded.hot_bytes,
-        metrics: folded.sink.snapshot(),
+        metrics: folded.sink.into_registry(),
     }
 }
 

@@ -3,15 +3,14 @@
 //! [`FleetMetrics`] is an [`EventSink`] that folds every generated
 //! [`FailureEvent`] into a [`MetricsRegistry`]: counters per failure kind,
 //! RAT and fault layer, plus per-kind duration histograms. Because the
-//! registry's snapshot [`Merge`] is exact (counters add, sketch buckets
-//! add), [`run_macro_study_parallel`] folds per-shard sinks into a fleet
+//! registry's [`Merge`] is exact (counters add, sketch buckets add), [`run_macro_study_parallel`] folds per-shard sinks into a fleet
 //! registry whose digest is **bit-identical at 1, 2 or 8 threads** — the
 //! observability layer inherits the workspace's determinism guarantee
 //! instead of weakening it.
 //!
 //! [`run_macro_study_parallel`]: crate::study::run_macro_study_parallel
 
-use cellrel_sim::{Merge, MetricsRegistry, MetricsSnapshot};
+use cellrel_sim::{Merge, MetricsRegistry};
 use cellrel_types::{EventSink, FailureEvent, FailureKind, FailureLayer, Rat};
 
 use crate::study::{run_macro_study_parallel, StudyConfig};
@@ -97,14 +96,9 @@ impl FleetMetrics {
         FleetMetrics { registry }
     }
 
-    /// The underlying registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Snapshot the aggregated metrics.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+    /// The aggregated metrics.
+    pub fn into_registry(self) -> MetricsRegistry {
+        self.registry
     }
 }
 
@@ -118,15 +112,12 @@ impl EventSink for FleetMetrics {
         }
         self.registry
             .observe_duration(kind_duration_histogram(event.kind), event.duration);
-        let (name, start, end, tid) = (
+        self.registry.record_complete(
             kind_span(event.kind),
             event.start,
             event.start + event.duration,
             event.device.0 as u64,
         );
-        if let Some(trace) = self.registry.trace_mut() {
-            trace.record_complete(name, start, end, tid);
-        }
     }
 }
 
@@ -137,14 +128,14 @@ impl Merge for FleetMetrics {
 }
 
 /// Run the macro study with a [`FleetMetrics`] sink per shard and return
-/// the folded fleet snapshot plus the device-count denominator. The
-/// snapshot's [`MetricsSnapshot::digest`] is thread-count invariant.
+/// the folded fleet registry plus the device-count denominator. The
+/// registry's [`MetricsRegistry::digest`] is thread-count invariant.
 /// With `trace` set, every failure also becomes a Chrome trace span.
 pub fn run_fleet_metrics(
     cfg: &StudyConfig,
     threads: usize,
     trace: bool,
-) -> (MetricsSnapshot, usize) {
+) -> (MetricsRegistry, usize) {
     let make_sink = || {
         if trace {
             FleetMetrics::with_trace()
@@ -153,7 +144,7 @@ pub fn run_fleet_metrics(
         }
     };
     let (population, _, _, sink) = run_macro_study_parallel(cfg, threads, make_sink);
-    (sink.snapshot(), population.len())
+    (sink.into_registry(), population.len())
 }
 
 #[cfg(test)]

@@ -26,10 +26,12 @@ const DOCS: [&str; 5] = [
 /// now), the collector's own sink trait and the closure-fed study driver
 /// (one `EventSink`, one `run_macro_study_parallel`), the monitor's second
 /// record type and second backend (a record is a `FailureEvent`, the
-/// backend is `ingest::Collector`), and the bench targets' command and size
-/// knob (`repro ablations` prints what only they printed). The verify
-/// skill is held to this list too.
-const RETIRED: [&str; 18] = [
+/// backend is `ingest::Collector`), the bench targets' command and size
+/// knob (`repro ablations` prints what only they printed), and the
+/// simulator's second scheduler surface and second metrics type (the timer
+/// wheel is the one event loop, a registry is its own snapshot and holds
+/// its own trace). The verify skill is held to this list too.
+const RETIRED: [&str; 21] = [
     "run_ingest",
     "serve_with",
     "ServerConfig",
@@ -49,6 +51,9 @@ const RETIRED: [&str; 18] = [
     concat!("Fleet", "Summary"),
     "cargo bench",
     "CELLREL_BENCH_DEVICES",
+    concat!("run_", "scheduled"),
+    concat!("Metrics", "Snapshot"),
+    concat!("Trace", "Sink"),
 ];
 
 fn root() -> PathBuf {

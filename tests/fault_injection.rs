@@ -5,7 +5,7 @@
 use cellrel::modem::{FaultProfile, Modem};
 use cellrel::monitor::MonitoringService;
 use cellrel::radio::{DeploymentConfig, EmmStateMachine, RadioEnvironment, RiskFactors};
-use cellrel::sim::{EventQueue, SimRng};
+use cellrel::sim::{SimRng, TimerWheel};
 use cellrel::telephony::{
     DcTracker, DeviceConfig, DeviceSim, RatPolicyKind, RecordingBoth, RecoveryConfig, RetryPolicy,
     TelephonyEvent,
@@ -68,7 +68,7 @@ fn ineffective_early_stages_reach_radio_restart() {
     recovery.op_success = [0.0, 0.0, 1.0];
     cfg.recovery = recovery;
 
-    let mut queue = EventQueue::new();
+    let mut queue = TimerWheel::new();
     let listener = RecordingBoth::new(MonitoringService::new(DeviceId(0), rng.fork(1)));
     let mut dev = DeviceSim::new(cfg, &env, listener, rng.fork(2), &mut queue);
     queue.run_until(&mut dev, SimTime::from_secs(48 * 3600));
@@ -155,7 +155,7 @@ fn fp_only_world_records_nothing_but_counts_everything() {
     cfg.fp_condition_prob = 1.0;
     cfg.policy = RatPolicyKind::Android9;
 
-    let mut queue = EventQueue::new();
+    let mut queue = TimerWheel::new();
     let monitor = MonitoringService::new(DeviceId(0), rng.fork(1));
     let mut dev = DeviceSim::new(cfg, &env, monitor, rng.fork(2), &mut queue);
     queue.run_until(&mut dev, SimTime::from_secs(36 * 3600));

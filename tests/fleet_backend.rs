@@ -8,7 +8,7 @@ use cellrel::analysis::streaming::FleetAccumulator;
 use cellrel::ingest::{Collector, CollectorConfig};
 use cellrel::monitor::MonitoringService;
 use cellrel::radio::{DeploymentConfig, RadioEnvironment};
-use cellrel::sim::{EventQueue, SimRng};
+use cellrel::sim::{SimRng, TimerWheel};
 use cellrel::telephony::{DeviceConfig, DeviceSim, RatPolicyKind};
 use cellrel::types::{DeviceId, EventSink, FailureEvent, FailureKind, Isp, Rat, RatSet, SimTime};
 
@@ -37,7 +37,7 @@ fn run_fleet(devices: u32, hours: u64, seed: u64) -> Fleet {
         cfg.stall_rate_per_hour = if i % 3 == 0 { 2.0 } else { 0.05 };
 
         let monitor = MonitoringService::new(DeviceId(i), dev_rng.fork(1));
-        let mut queue = EventQueue::new();
+        let mut queue = TimerWheel::new();
         let mut sim = DeviceSim::new(cfg, &env, monitor, dev_rng.fork(2), &mut queue);
         queue.run_until(&mut sim, SimTime::from_secs(hours * 3600));
         // Ship the traces the way real devices do: an end-of-run WiFi

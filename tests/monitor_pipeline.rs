@@ -4,7 +4,7 @@
 
 use cellrel::monitor::MonitoringService;
 use cellrel::radio::{DeploymentConfig, RadioEnvironment};
-use cellrel::sim::{EventQueue, SimRng};
+use cellrel::sim::{SimRng, TimerWheel};
 use cellrel::telephony::{DeviceConfig, DeviceSim, RatPolicyKind, RecordingBoth};
 use cellrel::types::{DeviceId, FailureKind, Isp, Rat, RatSet, SimTime};
 
@@ -25,7 +25,7 @@ fn run_monitored_device(seed: u64, hours: u64, fp_prob: f64) -> Run {
     cfg.fp_condition_prob = fp_prob;
 
     let listener = RecordingBoth::new(MonitoringService::new(DeviceId(1), rng.fork(1)));
-    let mut queue = EventQueue::new();
+    let mut queue = TimerWheel::new();
     let mut dev = DeviceSim::new(cfg, &env, listener, rng.fork(2), &mut queue);
     queue.run_until(&mut dev, SimTime::from_secs(hours * 3600));
     let listener = dev.into_listener();

@@ -7,7 +7,7 @@
 //! order.
 
 use cellrel::analysis::streaming::FleetAccumulator;
-use cellrel::sim::{Merge, MetricsRegistry, MetricsSnapshot};
+use cellrel::sim::{Merge, MetricsRegistry};
 use cellrel::telephony::RatPolicyKind;
 use cellrel::types::{FailureEvent, SimDuration, SimTime};
 use cellrel::workload::{
@@ -75,18 +75,14 @@ fn registry_from_ops(ops: &[(u8, u8, u64)]) -> MetricsRegistry {
             2 => r.observe(name, v),
             3 => {
                 let start = SimTime::from_millis(v % 1_000_000);
-                let trace = r.trace_mut().expect("tracing enabled");
-                trace.record_complete(
+                r.record_complete(
                     name,
                     start,
                     start + SimDuration::from_millis(v % 5_000),
                     v % 7,
                 );
             }
-            _ => {
-                let trace = r.trace_mut().expect("tracing enabled");
-                trace.record_instant(name, SimTime::from_millis(v % 1_000_000), v % 7);
-            }
+            _ => r.record_instant(name, SimTime::from_millis(v % 1_000_000), v % 7),
         }
     }
     r
@@ -96,14 +92,14 @@ fn ops_strategy() -> impl Strategy<Value = Vec<(u8, u8, u64)>> {
     prop::collection::vec((any::<u8>(), any::<u8>(), any::<u64>()), 0..60)
 }
 
-fn merged(a: &MetricsSnapshot, b: &MetricsSnapshot) -> MetricsSnapshot {
+fn merged(a: &MetricsRegistry, b: &MetricsRegistry) -> MetricsRegistry {
     let mut m = a.clone();
     m.merge(b.clone());
     m
 }
 
 proptest! {
-    /// `MetricsSnapshot::merge` is commutative and associative on arbitrary
+    /// `MetricsRegistry::merge` is commutative and associative on arbitrary
     /// registries — the property that makes fleet metrics independent of
     /// shard layout and merge-tree shape.
     #[test]
@@ -112,9 +108,9 @@ proptest! {
         b_ops in ops_strategy(),
         c_ops in ops_strategy(),
     ) {
-        let a = registry_from_ops(&a_ops).snapshot();
-        let b = registry_from_ops(&b_ops).snapshot();
-        let c = registry_from_ops(&c_ops).snapshot();
+        let a = registry_from_ops(&a_ops);
+        let b = registry_from_ops(&b_ops);
+        let c = registry_from_ops(&c_ops);
         let ab = merged(&a, &b);
         let ba = merged(&b, &a);
         prop_assert_eq!(&ab, &ba);
@@ -133,12 +129,12 @@ proptest! {
         ops in ops_strategy(),
         split in 0usize..60,
     ) {
-        let whole = registry_from_ops(&ops).snapshot();
+        let whole = registry_from_ops(&ops);
         let cut = split.min(ops.len());
         let mut left = registry_from_ops(&ops[..cut]);
         left.merge(registry_from_ops(&ops[cut..]));
-        prop_assert_eq!(&left.snapshot(), &whole);
-        prop_assert_eq!(left.snapshot().digest(), whole.digest());
+        prop_assert_eq!(&left, &whole);
+        prop_assert_eq!(left.digest(), whole.digest());
     }
 
     /// On random fleets, per-shard fleet-metrics registries folded across

@@ -4,7 +4,7 @@
 use cellrel::netstack::{
     run_probe, LinkCondition, ProbeVerdict, TcpAccounting, STALL_MIN_SENT, STALL_WINDOW,
 };
-use cellrel::sim::{percentile, Ecdf, EventQueue, SimRng, Summary};
+use cellrel::sim::{percentile, Ecdf, SimRng, Summary, TimerWheel};
 use cellrel::telephony::{RecoveryConfig, RecoveryEngine};
 use cellrel::timp::TimpModel;
 use cellrel::types::{Rat, RssDbm, SignalLevel, SimDuration, SimTime};
@@ -15,7 +15,7 @@ proptest! {
     fn event_queue_pops_in_nondecreasing_time_order(
         times in prop::collection::vec(0u64..1_000_000, 1..200)
     ) {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         for (i, &t) in times.iter().enumerate() {
             q.schedule_at(SimTime::from_millis(t), i);
         }
@@ -34,7 +34,7 @@ proptest! {
         times in prop::collection::vec(0u64..100_000, 2..100),
         cancel_mask in prop::collection::vec(any::<bool>(), 2..100)
     ) {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         let tokens: Vec<_> = times
             .iter()
             .enumerate()

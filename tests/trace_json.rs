@@ -293,7 +293,7 @@ fn hand_built_trace_is_valid_and_escapes_names() {
     span!(tele, "needs \"escaping\"", SimTime::from_millis(5), 3)
         .end(SimTime::from_millis(5) + SimDuration::from_millis(10));
     tele.instant("tick", SimTime::ZERO, 1);
-    let json = tele.snapshot().trace_sink().to_chrome_json();
+    let json = tele.snapshot().to_chrome_json();
     let n = assert_valid_chrome_trace(&json);
     assert_eq!(n, 2);
     // Round trip: the escaped name parses back to the original.
@@ -311,10 +311,7 @@ fn hand_built_trace_is_valid_and_escapes_names() {
 
 #[test]
 fn empty_trace_is_valid() {
-    let json = Telemetry::with_trace()
-        .snapshot()
-        .trace_sink()
-        .to_chrome_json();
+    let json = Telemetry::with_trace().snapshot().to_chrome_json();
     assert_eq!(assert_valid_chrome_trace(&json), 0);
 }
 
@@ -328,7 +325,7 @@ fn chaos_scenario_trace_is_valid() {
         ..ChaosConfig::default()
     };
     let (_, snap) = run_scenario_telemetry(&cfg, 6, true);
-    let json = snap.trace_sink().to_chrome_json();
+    let json = snap.to_chrome_json();
     let n = assert_valid_chrome_trace(&json);
     assert_eq!(n, snap.trace().len());
     assert!(n > 0, "storm scenario produced no trace events");
@@ -346,7 +343,7 @@ fn fleet_metrics_trace_is_valid() {
         ..Default::default()
     };
     let (snap, _) = run_fleet_metrics(&cfg, 0, true);
-    let json = snap.trace_sink().to_chrome_json();
+    let json = snap.to_chrome_json();
     let n = assert_valid_chrome_trace(&json);
     assert_eq!(n as u64, snap.counter("fleet.failures"));
     assert!(n > 0, "fleet produced no failures");
