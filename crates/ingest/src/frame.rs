@@ -461,6 +461,14 @@ impl<'a> Reader<'a> {
     /// it.
     #[inline]
     pub fn varint(&mut self) -> Result<u64, FrameError> {
+        // Most fields fit one group: a byte below 0x80 is the whole value
+        // and cannot be any error.
+        if let Some(&b) = self.body.bytes.get(self.pos) {
+            if b < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -598,7 +606,12 @@ impl<'a> Reader<'a> {
 }
 
 /// Append `v` as an LEB128 varint (1–10 bytes).
+#[inline]
 pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    if v < 0x80 {
+        out.push(v as u8);
+        return;
+    }
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;

@@ -241,6 +241,18 @@ pub struct Digest64(u64);
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME^k` for `k` in `0..=8`: absorbing `k` zero bytes is one
+/// multiply by `PRIME_POW[k]`, since `(h ^ 0) * P = h * P`.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 impl Default for Digest64 {
     fn default() -> Self {
         Self::new()
@@ -261,9 +273,18 @@ impl Digest64 {
         }
     }
 
-    /// Absorb a `u64` (little-endian).
+    /// Absorb a `u64` (little-endian): exactly `write_bytes` of its eight
+    /// bytes, but the zero bytes above its significant ones cost one
+    /// multiply between them.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        let n = (u64::BITS - v.leading_zeros()).div_ceil(8) as usize;
+        let mut h = self.0;
+        for i in 0..n {
+            h ^= (v >> (8 * i)) & 0xff;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        self.0 = h.wrapping_mul(PRIME_POW[8 - n]);
     }
 
     /// Absorb a string, length-prefixed so concatenations can't collide

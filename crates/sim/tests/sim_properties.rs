@@ -1,8 +1,8 @@
 //! Property-based tests for the simulation kernel's RNG, distributions,
-//! statistics and scheduler backends.
+//! statistics, scheduler backends and content digest.
 
 use cellrel_sim::{
-    fit_zipf, percentile, Ecdf, Empirical, SimRng, TimerWheel, WeightedIndex, ZipfDist,
+    fit_zipf, percentile, Digest64, Ecdf, Empirical, SimRng, TimerWheel, WeightedIndex, ZipfDist,
 };
 use cellrel_types::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -295,5 +295,29 @@ proptest! {
         let v = rng.poisson(mean);
         // 20 standard deviations above the mean is astronomically unlikely.
         prop_assert!((v as f64) < mean + 20.0 * mean.sqrt() + 20.0);
+    }
+}
+
+proptest! {
+    /// `write_u64` skips the multiplies of a word's zero high bytes: it
+    /// must still be FNV-1a over all eight little-endian bytes, the byte
+    /// loop of `write_bytes`, from any state. `v` is log-uniform (every
+    /// significant-byte count is drawn alike), beside the byte-boundary
+    /// extremes on every case.
+    #[test]
+    fn digest_write_u64_equals_its_bytes(
+        raw in any::<u64>(),
+        bits in 0u32..65,
+        prefix in prop::collection::vec(any::<u8>(), 0..12),
+    ) {
+        let drawn = raw.checked_shr(64 - bits).unwrap_or(0);
+        for v in [drawn, 0, 0x7f, 0x80, 0xff, 1 << 56, u64::MAX] {
+            let mut fast = Digest64::new();
+            fast.write_bytes(&prefix);
+            let mut oracle = fast;
+            fast.write_u64(v);
+            oracle.write_bytes(&v.to_le_bytes());
+            prop_assert_eq!(fast.finish(), oracle.finish(), "v = {:#x}", v);
+        }
     }
 }

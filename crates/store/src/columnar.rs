@@ -35,8 +35,7 @@ use crate::cube::{Cell, CellKey};
 use cellrel_ingest::frame::{read_pairs, seal, write_pairs, write_varint, FrameError, Reader, SC};
 use cellrel_sim::sketch::{check_run, merge_runs_into};
 use cellrel_sim::{Merge, SparseSketch};
-use std::cmp::Reverse;
-use std::collections::{btree_map, BTreeMap, BinaryHeap};
+use std::collections::{btree_map, BTreeMap};
 use std::ops::Range;
 
 /// Current segment block format version.
@@ -288,6 +287,11 @@ impl ColumnSegment {
         let block = r.enter(&SC)?;
         // Per row: a bucket delta, six key bytes, six varint columns, nnz.
         let n = r.count("segment row count", 14)?;
+        // No builder makes an empty segment: one of 0 rows would carry
+        // zone maps nothing checks, a second frame for no content.
+        if n == 0 {
+            return Err(r.invalid("segment row count"));
+        }
         let mut seg = ColumnSegment::with_capacity(n, 0);
         let mut prev = 0u64;
         for _ in 0..n {
@@ -371,7 +375,7 @@ impl ColumnSegment {
         }
         zones.cause = (r.varint()?, r.varint()?);
         seg.zones = zones;
-        if !seg.is_empty() && compute_zones(&seg) != zones {
+        if compute_zones(&seg) != zones {
             return Err(r.invalid("zone maps disagree with columns"));
         }
         r.leave(block)?;
@@ -809,22 +813,29 @@ impl<'a> Run<'a> {
 /// run order — which keeps partition merges commutative even when both
 /// sides carry segments.
 ///
-/// The smallest head comes off a heap, so a row costs O(log runs) at most
-/// and a fold over tens of thousands of one-row runs stays linearithmic.
+/// The smallest head is the root of a min-heap of `(key, run)` pairs, so a
+/// row costs O(log runs) at most and a fold over tens of thousands of
+/// one-row runs stays linearithmic. The heap is kept by hand: the
+/// next-smallest head is the root's smaller child, a run that goes on
+/// takes its new key at the root and sifts down once (where a pop and a
+/// push sift twice), and a spent run is swapped out for the last leaf.
 /// While one run alone holds the smallest keys, everything it holds below
 /// the next-smallest head moves in one [`RowSink::rows`] /
 /// [`Run::drain_below`] step without touching the heap — so a lone run, of
 /// either kind, is a straight loop over its rows.
 pub(crate) fn merge_runs<S: RowSink>(mut runs: Vec<Run<'_>>, sink: &mut S) {
-    let mut heads: BinaryHeap<Reverse<(CellKey, usize)>> = runs
+    let mut heads: Vec<(CellKey, usize)> = runs
         .iter()
         .enumerate()
-        .filter_map(|(r, run)| Some(Reverse((run.key()?, r))))
+        .filter_map(|(r, run)| Some((run.key()?, r)))
         .collect();
+    // Pairs are distinct (each names its run), and an ascending array is a
+    // min-heap.
+    heads.sort_unstable();
     // The key of the sink's last row while another run may still hold it.
     let mut open: Option<CellKey> = None;
-    while let Some(Reverse((key, r))) = heads.pop() {
-        let bound = heads.peek().map(|Reverse((k, _))| *k);
+    while let Some(&(key, r)) = heads.first() {
+        let bound = heads[1..heads.len().min(3)].iter().min().map(|&(k, _)| k);
         let run = &mut runs[r];
         if open == Some(key) {
             run.pop(|row| sink.fold(row));
@@ -835,9 +846,33 @@ pub(crate) fn merge_runs<S: RowSink>(mut runs: Vec<Run<'_>>, sink: &mut S) {
             run.drain_below(bound, sink);
             open = None;
         }
-        if let Some(k) = run.key() {
-            heads.push(Reverse((k, r)));
+        match run.key() {
+            Some(k) => heads[0].0 = k,
+            None => {
+                heads.swap_remove(0);
+            }
         }
+        sift_down(&mut heads);
+    }
+}
+
+/// Restore the min-heap order of `heap` after its root changed.
+fn sift_down(heap: &mut [(CellKey, usize)]) {
+    let mut at = 0;
+    loop {
+        let left = 2 * at + 1;
+        let Some(&l) = heap.get(left) else {
+            return;
+        };
+        let child = match heap.get(left + 1) {
+            Some(&right) if right < l => left + 1,
+            _ => left,
+        };
+        if heap[at] < heap[child] {
+            return;
+        }
+        heap.swap(at, child);
+        at = child;
     }
 }
 
@@ -1036,15 +1071,77 @@ mod tests {
     /// different shifts do not overlap at all).
     type InputParts = (Vec<RowParts>, usize, u32);
 
-    fn inputs_strategy() -> impl Strategy<Value = Vec<InputParts>> {
-        let row = (
+    fn row_strategy() -> impl Strategy<Value = RowParts> {
+        (
             (0u32..4, 0u8..3, 0usize..3),
             prop::collection::vec(0u64..1 << 17, 0..4),
-        );
+        )
+    }
+
+    fn inputs_strategy() -> impl Strategy<Value = Vec<InputParts>> {
         prop::collection::vec(
-            (prop::collection::vec(row, 0..10), 0usize..5, 0u32..3),
+            (
+                prop::collection::vec(row_strategy(), 0..10),
+                0usize..5,
+                0u32..3,
+            ),
             1..13,
         )
+    }
+
+    /// Three to five non-empty inputs, each fed whole: one run apiece.
+    fn whole_inputs_strategy() -> impl Strategy<Value = Vec<InputParts>> {
+        prop::collection::vec(
+            (
+                prop::collection::vec(row_strategy(), 1..10),
+                prop::sample::select(vec![0usize, 2, 4]),
+                0u32..3,
+            ),
+            3..6,
+        )
+    }
+
+    /// 100–399 inputs of one row each.
+    fn single_rows_strategy() -> impl Strategy<Value = Vec<InputParts>> {
+        prop::collection::vec(
+            (prop::collection::vec(row_strategy(), 1), 0usize..5, 0u32..3),
+            100..400,
+        )
+    }
+
+    /// The inputs of one case, in one of five shapes: the general one
+    /// (0), or one of the heap's edges — one, two or three runs (1); three
+    /// or more runs sharing their head key, the least there is (2); a run
+    /// that lies wholly below the others, so it is spent while at the root
+    /// and the rest stay in the heap (3); hundreds of one-row runs (4).
+    fn shaped(
+        shape: usize,
+        general: Vec<InputParts>,
+        mut whole: Vec<InputParts>,
+        singles: Vec<InputParts>,
+    ) -> Vec<InputParts> {
+        match shape {
+            0 => general,
+            1 => {
+                // The general draw's length picks how many.
+                whole.truncate(1 + general.len() % 3);
+                whole
+            }
+            2 => {
+                for (rows, _, shift) in &mut whole {
+                    rows.insert(0, ((0, 0, 1), vec![1_000]));
+                    *shift = 0;
+                }
+                whole
+            }
+            3 => {
+                for (i, (_, _, shift)) in whole.iter_mut().enumerate() {
+                    *shift = if i == 0 { 0 } else { 1 + *shift % 2 };
+                }
+                whole
+            }
+            _ => singles,
+        }
     }
 
     fn build_input(rows: &[RowParts], shift: u32) -> BTreeMap<CellKey, Cell> {
@@ -1096,11 +1193,18 @@ mod tests {
     proptest! {
         /// The kernel against the oracle: the same segment — columns, pool,
         /// offsets, zones — and the same `SC` bytes, over 1–12 inputs in
-        /// every form, sharing keys or not, empty ones included. Every sink
-        /// here also checks, as it finishes, that no column and not the pool
-        /// outgrew what it reserved from its runs' bounds.
+        /// every form, sharing keys or not, empty ones included, and over
+        /// the heap's edge cases ([`shaped`]). Every sink here also checks,
+        /// as it finishes, that no column and not the pool outgrew what it
+        /// reserved from its runs' bounds.
         #[test]
-        fn merge_runs_equals_the_row_by_row_merge(inputs in inputs_strategy()) {
+        fn merge_runs_equals_the_row_by_row_merge(
+            shape in 0usize..5,
+            general in inputs_strategy(),
+            whole in whole_inputs_strategy(),
+            singles in single_rows_strategy(),
+        ) {
+            let inputs = shaped(shape, general, whole, singles);
             let maps: Vec<BTreeMap<CellKey, Cell>> = inputs
                 .iter()
                 .map(|(rows, _, shift)| build_input(rows, *shift))

@@ -39,6 +39,7 @@ use cellrel_ingest::codec::{unzigzag, zigzag};
 use cellrel_sim::{run_sharded, Digest64, Merge, SparseSketch};
 use cellrel_types::{DeviceId, EventSink, FailureEvent, Isp, PhoneModelId};
 use cellrel_workload::Population;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -120,8 +121,11 @@ impl Default for StoreConfig {
 /// A cell address: one point in the cube's dimension space.
 ///
 /// Ordered with `bucket` first so a partition's cell map is time-ordered
-/// and time-range queries prune to a key range instead of a full scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// and time-range queries prune to a key range instead of a full scan. The
+/// order is the lexicographic one over the fields in declaration order,
+/// compared as two integers (the other fields packed into one, then
+/// `cause`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellKey {
     /// Time bucket index: `start_ms / bucket_ms` (possibly rollup-aligned
     /// after compaction).
@@ -182,6 +186,19 @@ impl CellKey {
         self
     }
 
+    /// Every field but `cause`, most significant first, in one integer:
+    /// comparing two of them is comparing the fields one by one.
+    #[inline]
+    fn packed(&self) -> u128 {
+        (u128::from(self.bucket) << 48)
+            | (u128::from(self.kind) << 40)
+            | (u128::from(self.isp) << 32)
+            | (u128::from(self.rat) << 24)
+            | (u128::from(self.model) << 16)
+            | (u128::from(self.region) << 8)
+            | u128::from(self.cause_class)
+    }
+
     /// The words a digest absorbs for this key.
     fn words(&self) -> [u64; 8] {
         [
@@ -194,6 +211,20 @@ impl CellKey {
             u64::from(self.cause_class),
             self.cause,
         ]
+    }
+}
+
+impl Ord for CellKey {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.packed(), self.cause).cmp(&(other.packed(), other.cause))
+    }
+}
+
+impl PartialOrd for CellKey {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 

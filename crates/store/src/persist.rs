@@ -15,6 +15,7 @@ use cellrel_ingest::frame::{
     read_pairs, seal_around, write_pairs, write_varint, Frame, FrameError, Marks, Reader, CS,
 };
 use cellrel_sim::SparseSketch;
+use std::collections::BTreeMap;
 
 /// Row-only format version. Stores with no sealed segments save exactly
 /// as they always have — byte-identical v1 images — so old readers and
@@ -146,6 +147,9 @@ pub fn read_store(frame: Frame<'_>) -> Result<Store, FrameError> {
         p.since_compact = r.varint()?;
         // Eight key fields, three aggregates, a three-field sketch header.
         let ncells = r.count("cell count", 14)?;
+        // Checked ascending as they are read, so each map is built in one
+        // bulk pass over a sorted `Vec` instead of an insert per item.
+        let mut cells = Vec::with_capacity(ncells);
         let mut prev_key: Option<CellKey> = None;
         for _ in 0..ncells {
             let key = CellKey {
@@ -169,7 +173,7 @@ pub fn read_store(frame: Frame<'_>) -> Result<Store, FrameError> {
             if sketch.count() != count || under_30s > count {
                 return Err(r.invalid("cell/sketch count mismatch"));
             }
-            p.cells.insert(
+            cells.push((
                 key,
                 Cell {
                     count,
@@ -177,8 +181,9 @@ pub fn read_store(frame: Frame<'_>) -> Result<Store, FrameError> {
                     under_30s,
                     sketch,
                 },
-            );
+            ));
         }
+        p.cells = BTreeMap::from_iter(cells);
         if r.version() == STORE_VERSION_COLUMNAR {
             // A segment costs at least a header + CRC.
             let nsegs = r.count("segment count", 8)?;
@@ -188,6 +193,7 @@ pub fn read_store(frame: Frame<'_>) -> Result<Store, FrameError> {
         }
         // Id, model, region, isp, failures.
         let ndevices = r.count("device count", 5)?;
+        let mut devices = Vec::with_capacity(ndevices);
         let mut prev_id: Option<u32> = None;
         for _ in 0..ndevices {
             let v: u32 = r.narrow("device id")?;
@@ -203,8 +209,9 @@ pub fn read_store(frame: Frame<'_>) -> Result<Store, FrameError> {
                 isp: r.narrow("field exceeds u8")?,
                 failures: r.varint()?,
             };
-            p.devices.insert(id, rec);
+            devices.push((id, rec));
         }
+        p.devices = BTreeMap::from_iter(devices);
     }
     r.finish()?;
     Ok(store)

@@ -2,17 +2,18 @@
 //! commutative and associative, compaction never changes a legal query's
 //! answer, and sharded builds are bit-identical to single-threaded builds
 //! at any thread count — the invariants the digest and the analysis
-//! adapters lean on.
+//! adapters lean on — and a cell key orders as its fields do.
 
 use cellrel_sim::Merge;
 use cellrel_store::{
-    build_sharded, DeviceDirectory, Dim, Filter, Metric, Query, Store, StoreConfig,
+    build_sharded, CellKey, DeviceDirectory, Dim, Filter, Metric, Query, Store, StoreConfig,
 };
 use cellrel_types::{
     Apn, BsId, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat,
     SignalLevel, SimDuration, SimTime,
 };
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 /// The varying material of one event. Grouped into nested tuples because
 /// the vendored proptest implements `Strategy` for tuples of ≤ 5 elements
@@ -260,5 +261,83 @@ proptest! {
             prop_assert_eq!(&s, &base, "threads={}", threads);
             prop_assert_eq!(s.digest(), base.digest());
         }
+    }
+}
+
+/// The largest value of each `CellKey` field, in declaration order.
+const FIELD_MAX: [u64; 8] = [
+    u32::MAX as u64,
+    u8::MAX as u64,
+    u8::MAX as u64,
+    u8::MAX as u64,
+    u8::MAX as u64,
+    u8::MAX as u64,
+    u8::MAX as u64,
+    u64::MAX,
+];
+
+/// Field values from raw draws: a quarter each 0, the field's largest
+/// value, one below it, and any value of its width.
+fn fields(raw: &[u64]) -> [u64; 8] {
+    let mut out = [0; 8];
+    for ((o, &r), max) in out.iter_mut().zip(raw).zip(FIELD_MAX) {
+        *o = match r % 4 {
+            0 => 0,
+            1 => max,
+            2 => max - 1,
+            _ => (r >> 2) & max,
+        };
+    }
+    out
+}
+
+fn cell_key(f: &[u64; 8]) -> CellKey {
+    let narrow = |v: u64| u8::try_from(v).expect("a u8 field");
+    CellKey {
+        bucket: u32::try_from(f[0]).expect("a u32 field"),
+        kind: narrow(f[1]),
+        isp: narrow(f[2]),
+        rat: narrow(f[3]),
+        model: narrow(f[4]),
+        region: narrow(f[5]),
+        cause_class: narrow(f[6]),
+        cause: f[7],
+    }
+}
+
+/// The derived order: field by field, in declaration order.
+fn by_field(k: &CellKey) -> (u32, u8, u8, u8, u8, u8, u8, u64) {
+    (
+        k.bucket,
+        k.kind,
+        k.isp,
+        k.rat,
+        k.model,
+        k.region,
+        k.cause_class,
+        k.cause,
+    )
+}
+
+proptest! {
+    /// `CellKey` compares packed fields as two integers: that must be the
+    /// field-by-field order, and `Equal` exactly when the keys are `==`.
+    /// The second key shares the first one's leading `shared` fields, so
+    /// every field decides some cases and all eight tie in some.
+    #[test]
+    fn cell_key_order_is_the_field_by_field_order(
+        a in prop::collection::vec(any::<u64>(), 8),
+        b in prop::collection::vec(any::<u64>(), 8),
+        shared in 0usize..9,
+    ) {
+        let a = fields(&a);
+        let mut b = fields(&b);
+        b[..shared].copy_from_slice(&a[..shared]);
+        let (ka, kb) = (cell_key(&a), cell_key(&b));
+        let want = by_field(&ka).cmp(&by_field(&kb));
+        prop_assert_eq!(ka.cmp(&kb), want);
+        prop_assert_eq!(kb.cmp(&ka), want.reverse());
+        prop_assert_eq!(ka.partial_cmp(&kb), Some(want));
+        prop_assert_eq!(want == Ordering::Equal, ka == kb);
     }
 }

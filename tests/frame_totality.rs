@@ -559,6 +559,24 @@ proptest! {
         };
         let value = decode_block(&bytes).expect("own block decodes");
         check(&subject, &value, &bytes, seed)?;
+        // A block of no rows is a segment no builder makes, whatever zone
+        // maps it claims: refused alone and inside an image, else one
+        // content would have two frames.
+        let mut noise = seed;
+        let zones: Vec<u64> = (0..16).map(|_| next(&mut noise) % 300).collect();
+        let empty = framed(&SC, SC.versions[0], &[&[0u8][..], &varints(&zones)].concat());
+        prop_assert_eq!(decode_block(&empty), Err(SC.invalid("segment row count")));
+        let image = save_store(&store(&parts, 2));
+        let at = image
+            .windows(bytes.len())
+            .position(|w| w == &bytes[..])
+            .expect("the image embeds its first block");
+        let mut spliced = [&image[..at], &empty, &image[at + bytes.len()..image.len() - 4]].concat();
+        seal(&mut spliced, 0);
+        prop_assert_eq!(
+            plain_and_marked(&spliced, read_store),
+            Err(SC.invalid("segment row count"))
+        );
     }
 
     #[test]
