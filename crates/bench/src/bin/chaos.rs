@@ -58,11 +58,12 @@ fn die(why: impl std::fmt::Display) -> ! {
 
 fn parse_flag<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Option<T> {
     let pos = args.iter().position(|a| a == flag)?;
-    let value = args
-        .get(pos + 1)
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
-        .parse::<T>()
-        .unwrap_or_else(|_| panic!("{flag}: bad value"));
+    let Some(raw) = args.get(pos + 1) else {
+        die(format!("{flag} needs a value"))
+    };
+    let Ok(value) = raw.parse::<T>() else {
+        die(format!("{flag}: bad value {raw:?}"))
+    };
     args.drain(pos..pos + 2);
     Some(value)
 }

@@ -26,8 +26,7 @@ impl TcpAccounting {
     }
 
     fn prune(&mut self, now: SimTime) {
-        let cutoff = now.since(SimTime::ZERO).saturating_sub(STALL_WINDOW);
-        let cutoff = SimTime::ZERO + cutoff;
+        let cutoff = window_start(now);
         while self.sent.front().is_some_and(|&t| t < cutoff) {
             self.sent.pop_front();
         }
@@ -38,6 +37,10 @@ impl TcpAccounting {
 
     /// Record `n` outbound segments at `now`.
     pub fn record_sent(&mut self, now: SimTime, n: usize) {
+        debug_assert!(
+            self.sent.back().map_or(true, |&t| t <= now),
+            "sent segments recorded out of time order"
+        );
         self.prune(now);
         // Only the count within the window matters; cap retained timestamps
         // at a comfortable multiple of the threshold.
@@ -48,6 +51,10 @@ impl TcpAccounting {
 
     /// Record `n` inbound segments at `now`.
     pub fn record_received(&mut self, now: SimTime, n: usize) {
+        debug_assert!(
+            self.received.back().map_or(true, |&t| t <= now),
+            "received segments recorded out of time order"
+        );
         self.prune(now);
         for _ in 0..n.min(4 * STALL_MIN_SENT) {
             self.received.push_back(now);
@@ -74,13 +81,13 @@ impl TcpAccounting {
 
     /// `(sent, received)` within the window ending at `now`, without
     /// mutating the queues — the read-only view campaign invariants use to
-    /// audit the stack without perturbing its pruning behaviour.
+    /// audit the stack without perturbing its pruning behaviour. Both
+    /// queues are in time order (`prune` relies on it too), so each count
+    /// is one binary search for the window's start.
     pub fn counts_in_window(&self, now: SimTime) -> (usize, usize) {
-        let cutoff = now.since(SimTime::ZERO).saturating_sub(STALL_WINDOW);
-        let cutoff = SimTime::ZERO + cutoff;
-        let sent = self.sent.iter().filter(|&&t| t >= cutoff).count();
-        let received = self.received.iter().filter(|&&t| t >= cutoff).count();
-        (sent, received)
+        let cutoff = window_start(now);
+        let in_window = |q: &VecDeque<SimTime>| q.len() - q.partition_point(|&t| t < cutoff);
+        (in_window(&self.sent), in_window(&self.received))
     }
 
     /// Reset all counters (connection cleanup does this).
@@ -90,9 +97,16 @@ impl TcpAccounting {
     }
 }
 
+/// The oldest instant still inside the window ending at `now`; before one
+/// full window has elapsed, the start of time.
+fn window_start(now: SimTime) -> SimTime {
+    SimTime::ZERO + now.since(SimTime::ZERO).saturating_sub(STALL_WINDOW)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn quiet_stack_never_stalls() {
@@ -192,5 +206,50 @@ mod tests {
         tcp.record_sent(t, 1_000_000);
         assert!(tcp.sent_in_window(t) <= 4 * STALL_MIN_SENT);
         assert!(tcp.stall_detected(t));
+    }
+
+    proptest! {
+        #[test]
+        fn counts_in_window_is_the_filter_count(
+            steps in prop::collection::vec(
+                (any::<bool>(), 0u64..40_000, any::<bool>(), 1usize..15),
+                0..60,
+            ),
+            probe in 0usize..3,
+            pick in 0usize..60,
+            later_ms in 0u64..120_000,
+        ) {
+            let mut tcp = TcpAccounting::new();
+            let mut t = 0u64;
+            let mut stamps = Vec::new();
+            for &(repeat, gap, inbound, n) in &steps {
+                // Non-decreasing per queue, with runs of equal timestamps.
+                if !repeat {
+                    t += gap;
+                }
+                stamps.push(t);
+                if inbound {
+                    tcp.record_received(SimTime::from_millis(t), n);
+                } else {
+                    tcp.record_sent(SimTime::from_millis(t), n);
+                }
+            }
+            let now_ms = match probe {
+                // Before one full window: the cutoff saturates to zero.
+                0 => later_ms / 2,
+                // The cutoff lands exactly on a stored timestamp.
+                1 if !stamps.is_empty() => {
+                    stamps[pick % stamps.len()] + STALL_WINDOW.as_millis()
+                }
+                _ => t + later_ms,
+            };
+            let now = SimTime::from_millis(now_ms);
+            let cutoff = window_start(now);
+            let filtered = |q: &VecDeque<SimTime>| q.iter().filter(|&&s| s >= cutoff).count();
+            prop_assert_eq!(
+                tcp.counts_in_window(now),
+                (filtered(&tcp.sent), filtered(&tcp.received))
+            );
+        }
     }
 }

@@ -20,7 +20,7 @@ use crate::interference::RiskFactors;
 use crate::propagation;
 use crate::selection::{best_per_rat, CellView};
 use cellrel_sim::{SimRng, WeightedIndex};
-use cellrel_types::{BsId, Isp, Rat, RatSet};
+use cellrel_types::{BsId, Isp, Rat, RatSet, RssDbm};
 
 /// Radius (km) within which sites interfere / count as neighbours.
 const NEIGHBOR_RADIUS_KM: f64 = 0.6;
@@ -222,7 +222,8 @@ impl RadioEnvironment {
     }
 
     /// Scan from `pos`: the best candidate cell per RAT in `rats`, for the
-    /// device's subscribed ISP, with fresh shadowing per candidate.
+    /// device's subscribed ISP, with salt-0 persistent shadowing plus fresh
+    /// fast fading per candidate (see [`Self::scan_salted`]).
     pub fn scan(&self, pos: Pos, isp: Isp, rats: RatSet, rng: &mut SimRng) -> Vec<CellView> {
         self.scan_salted(pos, isp, rats, 0, rng)
     }
@@ -233,6 +234,10 @@ impl RadioEnvironment {
     /// Persistent shadowing is what keeps repeated scans of a stationary
     /// device coherent — without it, cell levels flicker scan-to-scan and
     /// every RAT policy degenerates into handover churn.
+    ///
+    /// A device that scans repeatedly from one position builds its
+    /// [`Links`] once and calls [`Links::scan`] instead: the result and the
+    /// draws taken from `rng` are the same.
     pub fn scan_salted(
         &self,
         pos: Pos,
@@ -241,40 +246,98 @@ impl RadioEnvironment {
         salt: u64,
         rng: &mut SimRng,
     ) -> Vec<CellView> {
-        let mut candidates = Vec::new();
+        self.links(pos, isp, rats, salt).scan(rng)
+    }
+
+    /// Everything a scan from `pos` computes that does not change from one
+    /// scan to the next: every BS of `isp` within scan range that radiates
+    /// one of `rats`, in grid order, with its distance loss, persistent
+    /// shadowing and per-RAT transmit power. Draws nothing from any RNG.
+    pub fn links(&self, pos: Pos, isp: Isp, rats: RatSet, salt: u64) -> Links {
         let near = self
             .grid
             .query_within(pos, SCAN_RADIUS_KM, |j| self.bses[j as usize].pos);
-        for j in near {
-            let bs = &self.bses[j as usize];
-            if bs.isp != isp {
-                continue;
-            }
-            let d = bs.pos.distance_km(pos);
-            let usable = bs.rats.intersection(rats);
-            if usable.is_empty() {
-                continue;
-            }
-            let shadow = 0.85 * stable_std_normal(salt, j) + 0.15 * rng.std_normal();
-            for rat in usable.iter() {
-                let tx = bs.tx_power_dbm - propagation::rat_clutter_db(rat);
-                let rss = propagation::received_rss(tx, d, bs.freq_mhz, bs.env, shadow);
-                // Ignore cells below the detection floor entirely. The floor
-                // sits well under the level-1 thresholds so that a cell can
-                // be *detectable yet level-0* — the band where Android 10's
-                // blind 5G preference does its damage (§3.2).
-                if rss.dbm() < -142.0 {
-                    continue;
+        let links = near
+            .into_iter()
+            .filter_map(|j| {
+                let bs = &self.bses[j as usize];
+                let usable = bs.rats.intersection(rats);
+                if bs.isp != isp || usable.is_empty() {
+                    return None;
                 }
-                candidates.push(CellView::new(BsIndex(j), rat, rss));
-            }
-        }
-        best_per_rat(&candidates)
+                let mut tx_dbm = [0.0; 4];
+                for rat in usable.iter() {
+                    tx_dbm[rat.index()] = bs.tx_power_dbm - propagation::rat_clutter_db(rat);
+                }
+                Some(Link {
+                    bs: BsIndex(j),
+                    usable,
+                    stable_shadow: stable_std_normal(salt, j),
+                    path_loss_db: propagation::path_loss_db(
+                        bs.pos.distance_km(pos),
+                        bs.freq_mhz,
+                        bs.env,
+                    ),
+                    sigma_db: bs.env.shadowing_sigma_db(),
+                    tx_dbm,
+                })
+            })
+            .collect();
+        Links { links }
     }
 
     /// Risk assessment for a candidate cell.
     pub fn risk(&self, cell: &CellView) -> RiskFactors {
         RiskFactors::assess(self.bs(cell.bs), cell.rat, cell.level)
+    }
+}
+
+/// Cells below this RSS are not detected at all. The floor sits well under
+/// the level-1 thresholds so that a cell can be *detectable yet level-0* —
+/// the band where Android 10's blind 5G preference does its damage (§3.2).
+const DETECTION_FLOOR_DBM: f64 = -142.0;
+
+/// The links a scan from one position draws, from
+/// [`RadioEnvironment::links`]. Only fast fading differs between two scans
+/// of the same `Links`, so a device keeps them for as long as it stays put.
+#[derive(Debug, Clone)]
+pub struct Links {
+    links: Vec<Link>,
+}
+
+/// One (device, BS) link: the per-position terms of its received power.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    bs: BsIndex,
+    /// The RATs both ends support; never empty.
+    usable: RatSet,
+    /// The persistent shadowing draw, `stable_std_normal(salt, bs)`.
+    stable_shadow: f64,
+    /// Deterministic path loss over the link's distance.
+    path_loss_db: f64,
+    /// The BS environment's shadowing sigma.
+    sigma_db: f64,
+    /// Transmit power less the RAT's clutter loss, by `Rat::index`.
+    tx_dbm: [f64; 4],
+}
+
+impl Links {
+    /// One scan: a fast-fading draw per link, in grid order, then the best
+    /// detectable cell per RAT.
+    pub fn scan(&self, rng: &mut SimRng) -> Vec<CellView> {
+        let mut candidates = Vec::new();
+        for link in &self.links {
+            let shadow = 0.85 * link.stable_shadow + 0.15 * rng.std_normal();
+            let loss_db = link.path_loss_db + shadow * link.sigma_db;
+            for rat in link.usable.iter() {
+                let rss = RssDbm(link.tx_dbm[rat.index()] - loss_db);
+                if rss.dbm() < DETECTION_FLOOR_DBM {
+                    continue;
+                }
+                candidates.push(CellView::new(link.bs, rat, rss));
+            }
+        }
+        best_per_rat(&candidates)
     }
 }
 
@@ -386,10 +449,102 @@ fn carrier_frequency(isp: Isp, rats: RatSet, rng: &mut SimRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn env_with_seed(seed: u64) -> RadioEnvironment {
         let mut rng = SimRng::new(seed);
         RadioEnvironment::generate(DeploymentConfig::default(), &mut rng)
+    }
+
+    /// The oracle for [`Links::scan`]: one scan that redoes the grid query,
+    /// the distance, the persistent shadowing and the path loss per BS.
+    fn scan_per_bs(
+        env: &RadioEnvironment,
+        pos: Pos,
+        isp: Isp,
+        rats: RatSet,
+        salt: u64,
+        rng: &mut SimRng,
+    ) -> Vec<CellView> {
+        let mut candidates = Vec::new();
+        let near = env
+            .grid
+            .query_within(pos, SCAN_RADIUS_KM, |j| env.bses[j as usize].pos);
+        for j in near {
+            let bs = &env.bses[j as usize];
+            if bs.isp != isp {
+                continue;
+            }
+            let d = bs.pos.distance_km(pos);
+            let usable = bs.rats.intersection(rats);
+            if usable.is_empty() {
+                continue;
+            }
+            let shadow = 0.85 * stable_std_normal(salt, j) + 0.15 * rng.std_normal();
+            for rat in usable.iter() {
+                let tx = bs.tx_power_dbm - propagation::rat_clutter_db(rat);
+                let rss = propagation::received_rss(tx, d, bs.freq_mhz, bs.env, shadow);
+                if rss.dbm() < -142.0 {
+                    continue;
+                }
+                candidates.push(CellView::new(BsIndex(j), rat, rss));
+            }
+        }
+        best_per_rat(&candidates)
+    }
+
+    fn small_env() -> &'static RadioEnvironment {
+        static ENV: OnceLock<RadioEnvironment> = OnceLock::new();
+        ENV.get_or_init(|| {
+            RadioEnvironment::generate(DeploymentConfig::small(), &mut SimRng::new(5))
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn cached_links_scan_exactly_as_the_per_bs_loop(
+            place in 0usize..3,
+            corner in 0usize..4,
+            fx in 0.0f64..1.0,
+            fy in 0.0f64..1.0,
+            isp in prop::sample::select(Isp::ALL.to_vec()),
+            mask in 0u8..16,
+            salt in prop::sample::select(vec![0, 1, u64::MAX]),
+            scans in 1usize..6,
+            seed in any::<u64>(),
+        ) {
+            let env = small_env();
+            let size = env.config().region_km;
+            let pos = match place {
+                // Inside the map.
+                0 => Pos::new(fx * size, fy * size),
+                // On one of its corners.
+                1 => Pos::new((corner & 1) as f64 * size, (corner >> 1) as f64 * size),
+                // Up to one scan radius outside it.
+                _ => Pos::new(-fx * SCAN_RADIUS_KM, size + fy * SCAN_RADIUS_KM),
+            };
+            let rats: RatSet = Rat::ALL
+                .into_iter()
+                .filter(|r| mask & (1 << r.index()) != 0)
+                .collect();
+            let links = env.links(pos, isp, rats, salt);
+            let mut cached = SimRng::new(seed);
+            let mut oracle = SimRng::new(seed);
+            for _ in 0..scans {
+                let got = links.scan(&mut cached);
+                let want = scan_per_bs(env, pos, isp, rats, salt, &mut oracle);
+                prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert_eq!(g.bs, w.bs);
+                    prop_assert_eq!(g.rat, w.rat);
+                    prop_assert_eq!(g.level, w.level);
+                    prop_assert_eq!(g.rss.dbm().to_bits(), w.rss.dbm().to_bits());
+                }
+            }
+            // Both drew the same number of times: the streams still agree.
+            prop_assert_eq!(cached.f64().to_bits(), oracle.f64().to_bits());
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod selection;
 pub mod transitions;
 
 pub use bs::{BaseStation, BsIndex};
-pub use deployment::{DeploymentConfig, RadioEnvironment};
+pub use deployment::{DeploymentConfig, Links, RadioEnvironment};
 pub use emm::{EmmEvent, EmmState, EmmStateMachine};
 pub use environment::Environment;
 pub use geometry::Pos;

@@ -25,7 +25,7 @@ use crate::service_state::ServiceStateTracker;
 use crate::stall::DataStallDetector;
 use cellrel_modem::Modem;
 use cellrel_netstack::{LinkCondition, NetStack};
-use cellrel_radio::{CellView, Pos, RadioEnvironment, RiskFactors};
+use cellrel_radio::{CellView, Links, Pos, RadioEnvironment, RiskFactors};
 use cellrel_sim::{span, EventHandler, EventToken, SimRng, Telemetry, TimerWheel};
 use cellrel_types::{
     Apn, DeviceId, InSituInfo, Isp, Rat, RatSet, ServiceState, SimDuration, SimTime,
@@ -197,6 +197,12 @@ struct StallEpisode {
     reset_token: Option<EventToken>,
 }
 
+/// The links a device with `cfg` scans from `pos`: its ISP and hardware
+/// RATs, with its id as the persistent-shadowing salt.
+fn links_at(env: &RadioEnvironment, cfg: &DeviceConfig, pos: Pos) -> Links {
+    env.links(pos, cfg.isp, cfg.rats, cfg.id.0 as u64 + 1)
+}
+
 /// The device agent. Borrows the shared radio environment; owns everything
 /// else.
 pub struct DeviceSim<'a, L: TelephonyListener> {
@@ -205,6 +211,8 @@ pub struct DeviceSim<'a, L: TelephonyListener> {
     listener: L,
     rng: SimRng,
     pos: Pos,
+    /// The scan links from `pos`, rebuilt only when the device moves.
+    links: Links,
     modem: Modem,
     stack: NetStack,
     tracker: DcTracker,
@@ -241,6 +249,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         let recovery = RecoveryEngine::new(cfg.recovery);
         let mut sim = DeviceSim {
             pos: cfg.home,
+            links: links_at(env, &cfg, cfg.home),
             env,
             listener,
             rng,
@@ -534,13 +543,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
     // ---- event handlers ---------------------------------------------------
 
     fn handle_scan(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
-        let views = self.env.scan_salted(
-            self.pos,
-            self.cfg.isp,
-            self.cfg.rats,
-            self.cfg.id.0 as u64 + 1,
-            &mut self.rng,
-        );
+        let views = self.links.scan(&mut self.rng);
         let current = self.modem.serving().map(|v| v.rat);
         let selected = self.policy.select(&views, current).copied();
 
@@ -967,7 +970,10 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
             ),
         };
         let moved_km = next.distance_km(self.pos);
-        self.pos = next;
+        if next != self.pos {
+            self.links = links_at(self.env, &self.cfg, next);
+            self.pos = next;
+        }
         self.stats.moves += 1;
         // A significant move crosses tracking areas: run a TAU. Failures
         // drop the data call (stale EMM state); the retry machinery and the

@@ -15,7 +15,8 @@ use cellrel::sim::{Invariant, InvariantRegistry};
 use cellrel::telephony::TelephonyEvent;
 use cellrel::types::SimDuration;
 use cellrel::workload::{
-    replay_scenario, run_chaos_campaign, run_scenario_with, ChaosConfig, ChaosScenario, StepView,
+    replay_scenario, run_chaos_campaign, run_scenario, run_scenario_with, ChaosConfig,
+    ChaosScenario, StepView,
 };
 
 fn test_cfg() -> ChaosConfig {
@@ -122,4 +123,26 @@ fn forced_violation_replays_at_the_same_event_index() {
         v.event_index, replay.violations[0].event_index,
         "the violation must land on the same event index on replay"
     );
+}
+
+#[test]
+fn moving_devices_pass_the_invariant_registry() {
+    // Ids below 72 decode to `mobility:stationary`, so the campaign test
+    // above, the CI smoke's first 64 and the benchmark's six never audit a
+    // moving device. Id 72 is the first commuter, 144 the first roamer:
+    // each move rebuilds the device's scan links. The event counts are the
+    // ones a per-BS scan from the current position gives.
+    let cfg = test_cfg();
+    for (id, mobility, events) in [
+        (72, "mobility:commuter", 4295),
+        (144, "mobility:roamer", 4301),
+    ] {
+        let outcome = run_scenario(&cfg, id);
+        assert!(
+            outcome.coverage.iter().any(|c| c == mobility),
+            "scenario {id}"
+        );
+        assert_eq!(outcome.violations, Vec::new(), "scenario {id}");
+        assert_eq!(outcome.events, events, "scenario {id}");
+    }
 }
