@@ -41,7 +41,8 @@ pub fn dataset_csv(data: &StudyDataset) -> String {
 }
 
 /// Serialize an `(x, y)` series (one figure line) as CSV.
-pub fn series_csv(x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {
+#[cfg(test)]
+pub(crate) fn series_csv(x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {
     let mut out = format!("{x_label},{y_label}\n");
     for (x, y) in points {
         let _ = writeln!(out, "{x},{y}");

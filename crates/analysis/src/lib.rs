@@ -67,7 +67,7 @@ pub(crate) mod testutil {
     /// expectation: at 3 000 devices the low-share models carry ~10²
     /// devices, so tolerance tests need a typical draw, and the seed was
     /// re-picked once when event generation moved to per-device substreams.
-    pub fn dataset() -> &'static StudyDataset {
+    pub(crate) fn dataset() -> &'static StudyDataset {
         static DATA: OnceLock<StudyDataset> = OnceLock::new();
         DATA.get_or_init(|| {
             run_macro_study(&StudyConfig {

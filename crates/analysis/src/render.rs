@@ -34,12 +34,13 @@ impl Table {
     }
 
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -73,17 +74,18 @@ impl Table {
 }
 
 /// Format a fraction as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
 /// Format a float with two decimals.
-pub fn f2(x: f64) -> String {
+#[cfg(test)]
+pub(crate) fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
 /// Render an `(x, y)` series as a compact text block (one point per line).
-pub fn series(title: &str, points: &[(f64, f64)], x_label: &str, y_label: &str) -> String {
+pub(crate) fn series(title: &str, points: &[(f64, f64)], x_label: &str, y_label: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(out, "{x_label:>12}  {y_label}");

@@ -4,7 +4,7 @@
 //! dataset; these adapters answer the same questions with `cellrel-store`
 //! queries — three device-directory queries and one cell query for Table 1,
 //! one filtered group-by for Table 2 — and then feed the shared constructors
-//! ([`table1::from_stats`], [`table2::from_cause_counts`]), so the rendered
+//! (`table1::from_stats`, `table2::from_cause_counts`), so the rendered
 //! tables are **byte-identical** to the batch output on the same fleet.
 //! That identity is the end-to-end correctness check for the store: it holds
 //! only if routing, directory registration, merge, compaction, and query
@@ -18,7 +18,7 @@ use cellrel_store::{Dim, Filter, Metric, Query, QueryError, ResultSet, Store};
 use cellrel_types::{DataFailCause, FailureKind, PhoneModelId};
 
 /// The three per-model queries behind Table 1, in the order
-/// [`model_stats_from_results`] consumes them: devices, failing devices,
+/// `model_stats_from_results` consumes them: devices, failing devices,
 /// failure counts — all grouped by [`Dim::Model`]. Any query path (the
 /// in-process adapters here, or a queryd wire client) that evaluates these
 /// and feeds the shared constructors renders byte-identical tables.
@@ -50,7 +50,7 @@ pub fn table2_query() -> Query {
 /// device directory, failure totals from the cube cells — the same
 /// numerators and denominators the batch [`crate::per_model::compute`]
 /// derives from the raw dataset.
-pub fn model_stats_from_results(results: &[ResultSet; 3]) -> Vec<ModelStats> {
+pub(crate) fn model_stats_from_results(results: &[ResultSet; 3]) -> Vec<ModelStats> {
     // Model keys are `PhoneModelId.0` (1-based; 0 = unknown). Index by key.
     let mut tallies = [[0u64; 35]; 3];
     for (tally, rs) in tallies.iter_mut().zip(results) {
@@ -98,7 +98,7 @@ pub fn table2_from_result(rs: &ResultSet, k: usize) -> Table2 {
 }
 
 /// [`model_stats_from_results`] over in-process queries.
-pub fn model_stats_from_store(store: &Store) -> Result<Vec<ModelStats>, QueryError> {
+pub(crate) fn model_stats_from_store(store: &Store) -> Result<Vec<ModelStats>, QueryError> {
     let [d, f, c] = table1_queries();
     let results = [store.query(&d)?, store.query(&f)?, store.query(&c)?];
     Ok(model_stats_from_results(&results))

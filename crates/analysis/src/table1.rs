@@ -24,7 +24,7 @@ pub fn compute(data: &StudyDataset) -> Table1 {
 /// the batch path above and the store-query path
 /// ([`crate::store_tables::table1_from_store`]), so both produce
 /// byte-identical tables from equal stats.
-pub fn from_stats(stats: Vec<ModelStats>) -> Table1 {
+pub(crate) fn from_stats(stats: Vec<ModelStats>) -> Table1 {
     let mut p_err = 0.0;
     let mut f_err = 0.0;
     let mut n = 0usize;

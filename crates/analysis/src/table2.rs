@@ -47,7 +47,7 @@ pub fn compute(data: &StudyDataset, k: usize) -> Table2 {
 /// ([`crate::store_tables::table2_from_store`]). Ranking is fully
 /// deterministic: descending by share, ties broken by ascending cause code,
 /// so equal counts yield byte-identical tables regardless of input order.
-pub fn from_cause_counts(counts: Vec<(DataFailCause, u64)>, total: u64, k: usize) -> Table2 {
+pub(crate) fn from_cause_counts(counts: Vec<(DataFailCause, u64)>, total: u64, k: usize) -> Table2 {
     let mut rows: Vec<CauseRow> = counts
         .into_iter()
         .map(|(cause, n)| CauseRow {

@@ -12,7 +12,7 @@ use cellrel_types::{Rat, SignalLevel};
 use cellrel_workload::exposure;
 
 /// The six RAT pairs of Fig. 17, in the paper's panel order (a–f).
-pub const PAIRS: [(Rat, Rat); 6] = [
+pub(crate) const PAIRS: [(Rat, Rat); 6] = [
     (Rat::G2, Rat::G3),
     (Rat::G2, Rat::G4),
     (Rat::G2, Rat::G5),
@@ -36,7 +36,7 @@ pub struct TransitionMatrix {
 /// Figure 17 result: the six matrices.
 #[derive(Debug, Clone)]
 pub struct TransitionFigure {
-    /// The panels, ordered per [`PAIRS`].
+    /// The panels, ordered per `PAIRS`.
     pub matrices: Vec<TransitionMatrix>,
 }
 
@@ -70,7 +70,8 @@ pub fn compute(samples: u32, rng: &mut SimRng) -> TransitionFigure {
 
 impl TransitionFigure {
     /// The panel for a RAT pair.
-    pub fn panel(&self, from: Rat, to: Rat) -> Option<&TransitionMatrix> {
+    #[cfg(test)]
+    pub(crate) fn panel(&self, from: Rat, to: Rat) -> Option<&TransitionMatrix> {
         self.matrices.iter().find(|m| m.from == from && m.to == to)
     }
 

@@ -104,7 +104,8 @@ impl<'d> Cluster<'d> {
     }
 
     /// Mutable follower set of `shard` (restart/recovery tests).
-    pub fn followers_of_mut(&mut self, shard: usize) -> &mut Vec<Follower> {
+    #[cfg(test)]
+    pub(crate) fn followers_of_mut(&mut self, shard: usize) -> &mut Vec<Follower> {
         &mut self.followers[shard]
     }
 
@@ -177,7 +178,7 @@ impl<'d> Cluster<'d> {
     /// Byte-identical (digest included) to a single-node store that
     /// ingested the whole fleet, because shard record sets and registered
     /// populations partition the global ones exactly.
-    pub fn store(&self) -> Store {
+    pub(crate) fn store(&self) -> Store {
         let shards: Vec<Store> = self.leaders.iter().map(|l| l.pipeline().store()).collect();
         Store::sealed_union(&self.stream_cfg.store, &shards.iter().collect::<Vec<_>>())
     }
@@ -206,7 +207,7 @@ impl<'d> Cluster<'d> {
         let (pipeline, segs) = promoted.promote(&self.dirs[shard])?;
         let cursor = pipeline.cursor();
         self.leaders[shard] =
-            ShardLeader::from_parts(pipeline, segs, shard, self.cluster_cfg.checkpoint_every);
+            ShardLeader::from_parts(pipeline, segs, self.cluster_cfg.checkpoint_every);
         // Backfill the replica slot: a fresh follower, caught up from the
         // promoted leader's durable log through the catch-up protocol.
         let mut fresh = Follower::new(&self.stream_cfg, &self.dirs[shard], shard);

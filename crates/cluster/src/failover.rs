@@ -13,7 +13,6 @@
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::error::ClusterError;
-use cellrel_sim::campaign::CampaignReport;
 use cellrel_sim::SimRng;
 use cellrel_store::DeviceDirectory;
 use cellrel_stream::campaign::{Drill, KillPlan, KillReplay, Observed};
@@ -115,24 +114,12 @@ pub fn failover_drill<'a>(
     Ok(drill)
 }
 
-/// [`failover_drill`], then [`Drill::run`] on `threads` threads.
-pub fn run_failover(
-    scfg: &StreamConfig,
-    ccfg: &ClusterConfig,
-    plan: &KillPlan,
-    dirs: &[DeviceDirectory],
-    batches: &[Vec<u8>],
-    threads: usize,
-) -> Result<CampaignReport, ClusterError> {
-    Ok(failover_drill(scfg, ccfg, plan, dirs, batches)?.run(threads))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::tests::fixture;
     use crate::partition::shard_directories;
-    use cellrel_sim::campaign::Violation;
+    use cellrel_sim::campaign::{CampaignReport, Violation};
 
     const PLAN: KillPlan = KillPlan {
         kills: 3,
@@ -190,14 +177,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let batches = [Vec::new(), Vec::new()];
-        let err = run_failover(
-            &StreamConfig::default(),
-            &unreplicated,
-            &PLAN,
-            &[],
-            &batches,
-            1,
-        );
+        let scfg = StreamConfig::default();
+        let err = failover_drill(&scfg, &unreplicated, &PLAN, &[], &batches);
         assert!(matches!(err, Err(ClusterError::Config(_))));
     }
 }

@@ -27,7 +27,7 @@
 //!   before the shared finalize step re-applies ordering and top-k. The
 //!   federated answer is byte-identical to evaluating the query on one
 //!   store holding every record — the invariant `tests/cluster_differential.rs`
-//!   enforces at 1, 2, and 4 shards, and [`failover::run_failover`]
+//!   enforces at 1, 2, and 4 shards, and [`failover::failover_drill`]
 //!   re-proves across leader-kill campaigns.
 //!
 //! Everything is std-only and deterministic. All frame decoding is total:
@@ -50,9 +50,9 @@ pub mod router;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use error::ClusterError;
-pub use failover::{failover_drill, run_failover};
+pub use failover::failover_drill;
 pub use node::ShardLeader;
-pub use partition::{shard_directories, shard_of, shard_of_batch};
+pub use partition::{shard_directories, shard_of_batch};
 pub use proto::{decode_frame, encode_frame, read_frame, Message, MessageRef};
 pub use replica::Follower;
 pub use router::{ClusterRouter, RoutedAnswer, ShardHandle};

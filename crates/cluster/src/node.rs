@@ -20,7 +20,6 @@ use cellrel_stream::{MemSegments, StreamConfig, StreamPipeline};
 
 /// One shard's write path: pipeline, durable segments, replication log.
 pub struct ShardLeader<'d> {
-    shard: usize,
     pipeline: StreamPipeline<'d>,
     segs: MemSegments,
     /// Manifest entries shipped so far == the head of the replication log.
@@ -31,16 +30,16 @@ pub struct ShardLeader<'d> {
 }
 
 impl<'d> ShardLeader<'d> {
-    /// A fresh leader for `shard` over the shard's directory view.
+    /// A fresh leader over one shard's directory view. The shard index is
+    /// the caller's to keep: nothing in the leader reads it.
     pub fn new(
         cfg: &StreamConfig,
         dir: &'d DeviceDirectory,
-        shard: usize,
+        _shard: usize,
         checkpoint_every: u64,
     ) -> Result<Self, ClusterError> {
         let pipeline = StreamPipeline::new(cfg, dir)?;
         let leader = ShardLeader {
-            shard,
             pipeline,
             segs: MemSegments::new(),
             shipped: 0,
@@ -56,16 +55,14 @@ impl<'d> ShardLeader<'d> {
     /// restored pipeline plus the segment backend it references. The
     /// replication log head resumes at the restored manifest length, so
     /// segments re-sealed during replay ship at fresh positions.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         pipeline: StreamPipeline<'d>,
         segs: MemSegments,
-        shard: usize,
         checkpoint_every: u64,
     ) -> Self {
         let shipped = pipeline.manifest().len();
         let core = QuerydCore::new(Store::new(&pipeline.config().store));
         let leader = ShardLeader {
-            shard,
             pipeline,
             segs,
             shipped,
@@ -77,13 +74,8 @@ impl<'d> ShardLeader<'d> {
         leader
     }
 
-    /// This shard's index.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
     /// The serving core (for routers and read clients).
-    pub fn core(&self) -> Arc<QuerydCore> {
+    pub(crate) fn core(&self) -> Arc<QuerydCore> {
         Arc::clone(&self.core)
     }
 
@@ -93,13 +85,14 @@ impl<'d> ShardLeader<'d> {
     }
 
     /// Replication log head: frames shipped so far.
-    pub fn shipped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn shipped(&self) -> u64 {
         self.shipped as u64
     }
 
     /// The merged store this leader would serve right now (the pipeline's
     /// view is already columnar-sealed).
-    pub fn serving_store(&self) -> Store {
+    pub(crate) fn serving_store(&self) -> Store {
         self.pipeline.store()
     }
 

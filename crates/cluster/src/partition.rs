@@ -30,7 +30,7 @@ fn mix64(mut x: u64) -> u64 {
 ///
 /// Panics if `shards` is zero — a cluster with no shards is a
 /// construction-time configuration error, not a runtime condition.
-pub fn shard_of(device: DeviceId, shards: usize) -> usize {
+pub(crate) fn shard_of(device: DeviceId, shards: usize) -> usize {
     assert!(shards > 0, "shard count must be positive");
     (mix64(u64::from(device.0)) % shards as u64) as usize
 }
@@ -43,7 +43,7 @@ pub fn shard_of_batch(batch: &[u8], shards: usize) -> Result<usize, ClusterError
 }
 
 /// Per-shard views of the fleet directory: view `s` yields exactly the
-/// devices [`shard_of`] assigns to shard `s`, while still answering
+/// devices `shard_of` assigns to shard `s`, while still answering
 /// dimension lookups for the whole fleet. Registering view `s` into shard
 /// `s`'s store and merging all shards reproduces a full-fleet
 /// registration exactly.

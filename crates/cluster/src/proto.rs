@@ -43,31 +43,31 @@ use cellrel_store::{decode_partial, encode_partial, PartialResultSet, Query};
 pub const VERSION: u8 = 1;
 
 /// Leader → follower: one sealed segment (`SG` frame) at a log position.
-pub const KIND_SEGMENT: u8 = 0x01;
+pub(crate) const KIND_SEGMENT: u8 = 0x01;
 /// Leader → follower: a pipeline checkpoint (`SP` blob) at a log position.
-pub const KIND_CHECKPOINT: u8 = 0x02;
+pub(crate) const KIND_CHECKPOINT: u8 = 0x02;
 /// Follower → leader: replay the manifest suffix from a log position.
 pub const KIND_CATCHUP: u8 = 0x03;
 /// Router → shard: evaluate a typed query, return a partial aggregate.
-pub const KIND_QUERY: u8 = 0x04;
+pub(crate) const KIND_QUERY: u8 = 0x04;
 /// Follower → leader: a frame was applied; carries the verified digest.
-pub const KIND_ACK: u8 = 0x81;
+pub(crate) const KIND_ACK: u8 = 0x81;
 /// Leader → follower: catch-up reply, the requested segment frames.
-pub const KIND_SEGMENTS: u8 = 0x82;
+pub(crate) const KIND_SEGMENTS: u8 = 0x82;
 /// Shard → router: the partial aggregate for one query.
-pub const KIND_PARTIAL: u8 = 0x84;
+pub(crate) const KIND_PARTIAL: u8 = 0x84;
 /// Either direction: the peer rejected the frame; code + detail.
-pub const KIND_ERROR: u8 = 0xEE;
+pub(crate) const KIND_ERROR: u8 = 0xEE;
 
 /// Rejection code: the frame failed to decode.
-pub const ERR_MALFORMED: u8 = 1;
+pub(crate) const ERR_MALFORMED: u8 = 1;
 /// Rejection code: unknown kind or unsupported version.
-pub const ERR_UNSUPPORTED: u8 = 2;
+pub(crate) const ERR_UNSUPPORTED: u8 = 2;
 /// Rejection code: the query failed store-side validation; the detail is
 /// the store's `QueryError` display string.
 pub const ERR_BAD_QUERY: u8 = 4;
 /// Rejection code: the frame exceeds the `CR` cap (64 MiB).
-pub const ERR_TOO_LARGE: u8 = 5;
+pub(crate) const ERR_TOO_LARGE: u8 = 5;
 /// Rejection code: a replication frame decoded but could not be applied
 /// (sequence gap, digest mismatch, corrupt segment or checkpoint).
 pub const ERR_APPLY: u8 = 6;
@@ -323,7 +323,7 @@ pub fn read_frame<'a>(frame: impl Into<Frame<'a>>) -> Result<MessageRef<'a>, Fra
 
 /// The rejection frame a total server half answers with when a request
 /// fails to decode.
-pub fn rejection_for(e: &FrameError) -> Message {
+pub(crate) fn rejection_for(e: &FrameError) -> Message {
     let code = match e.kind {
         FrameErrorKind::TooLarge(_) => ERR_TOO_LARGE,
         FrameErrorKind::UnsupportedVersion(_) | FrameErrorKind::UnknownKind(_) => ERR_UNSUPPORTED,
@@ -337,7 +337,7 @@ pub fn rejection_for(e: &FrameError) -> Message {
 
 /// Decode a reply that must be an [`Message::Ack`]; anything else is a
 /// replication fault on `shard`.
-pub fn expect_ack(shard: usize, reply: &[u8]) -> Result<(u64, u64), ClusterError> {
+pub(crate) fn expect_ack(shard: usize, reply: &[u8]) -> Result<(u64, u64), ClusterError> {
     match decode_frame(reply)? {
         Message::Ack { seq, digest } => Ok((seq, digest)),
         Message::Rejection { code, detail } => Err(ClusterError::Replication {

@@ -3,7 +3,7 @@
 //! Durable state is exactly what survives a follower restart: the segment
 //! bytes, the manifest they decode to, and the latest checkpoint blob.
 //! The merged store, applied position, and serving snapshot are volatile
-//! and rebuilt by [`Follower::recover`].
+//! and rebuilt by `Follower::recover`.
 //!
 //! **Once per segment:** every shipped segment is CRC-, count- and
 //! digest-verified by the segment codec, checked against this replica's
@@ -47,9 +47,11 @@ use cellrel_ingest::frame::{Frame, Marks, RESIDUE};
 use cellrel_queryd::QuerydCore;
 use cellrel_sim::Merge;
 use cellrel_store::{DeviceDirectory, Store};
+#[cfg(test)]
+use cellrel_stream::fetch_segment;
 use cellrel_stream::{
-    fetch_segment, read_segment, CheckpointImage, MemSegments, SegmentEntry, SegmentStore,
-    StreamConfig, StreamPipeline,
+    read_segment, CheckpointImage, MemSegments, SegmentEntry, SegmentStore, StreamConfig,
+    StreamPipeline,
 };
 
 /// One shard's read replica and failover target.
@@ -90,13 +92,8 @@ impl Follower {
         f
     }
 
-    /// This shard's index.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
     /// The serving core (for read scale-out routers).
-    pub fn core(&self) -> Arc<QuerydCore> {
+    pub(crate) fn core(&self) -> Arc<QuerydCore> {
         Arc::clone(&self.core)
     }
 
@@ -106,7 +103,8 @@ impl Follower {
     }
 
     /// Replication position of the newest accepted checkpoint.
-    pub fn checkpoint_seq(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn checkpoint_seq(&self) -> Option<u64> {
         self.checkpoint.as_ref().map(|(seq, _)| *seq)
     }
 
@@ -126,7 +124,7 @@ impl Follower {
 
     /// Swap a fresh snapshot into the serving core, tagged with the
     /// applied replication position.
-    pub fn publish(&self) -> bool {
+    pub(crate) fn publish(&self) -> bool {
         self.core.publish_at(self.sealed_store(), self.applied)
     }
 
@@ -264,7 +262,7 @@ impl Follower {
 
     /// Apply a leader's catch-up reply: the manifest suffix after our
     /// applied position, replayed through the normal verified-apply path.
-    pub fn ingest_catchup(&mut self, reply: &[u8]) -> Result<u64, ClusterError> {
+    pub(crate) fn ingest_catchup(&mut self, reply: &[u8]) -> Result<u64, ClusterError> {
         let marks = Marks::new(reply);
         match proto::read_frame(marks.frame())? {
             MessageRef::Segments { from_seq, frames } => {
@@ -314,7 +312,8 @@ impl Follower {
     /// Simulate a restart: drop all volatile state and rebuild it from the
     /// durable segment log, re-verifying every segment against its
     /// manifest entry on the way back in.
-    pub fn recover(&mut self) -> Result<(), ClusterError> {
+    #[cfg(test)]
+    pub(crate) fn recover(&mut self) -> Result<(), ClusterError> {
         let mut base = Store::new(&self.cfg.store);
         for entry in &self.manifest {
             base.merge(fetch_segment(&self.segs, entry, &self.cfg.store)?.1);
@@ -332,7 +331,7 @@ impl Follower {
     /// log. Returns the pipeline and the segment backend the new leader
     /// takes over; the caller replays the shard's batches from
     /// `pipeline.cursor()`.
-    pub fn promote<'d>(
+    pub(crate) fn promote<'d>(
         &self,
         dir: &'d DeviceDirectory,
     ) -> Result<(StreamPipeline<'d>, MemSegments), ClusterError> {

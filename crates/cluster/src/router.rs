@@ -25,7 +25,7 @@ use cellrel_store::{merge_partials, Query, ResultSet};
 /// Answer one query from a serving core's current snapshot, as a `CR`
 /// reply frame. Shared by leaders, followers, and bare shard handles so a
 /// query means exactly the same thing at every endpoint.
-pub fn answer_query(core: &QuerydCore, q: &Query) -> Vec<u8> {
+pub(crate) fn answer_query(core: &QuerydCore, q: &Query) -> Vec<u8> {
     let snap = core.snapshot();
     match snap.store.query_partial(q) {
         Ok(partial) => proto::encode_frame(&Message::Partial {
@@ -82,7 +82,7 @@ pub struct ClusterRouter {
 
 impl ClusterRouter {
     /// A router over one serving handle per shard, in shard order.
-    pub fn new(shards: Vec<ShardHandle>) -> Self {
+    pub(crate) fn new(shards: Vec<ShardHandle>) -> Self {
         ClusterRouter { shards }
     }
 

@@ -50,7 +50,7 @@ use cellrel_sim::sketch::{check_run, sum_runs_into, SparseSketch};
 use std::collections::BTreeMap;
 
 /// Current checkpoint format version.
-pub const CKPT_VERSION: u8 = 1;
+pub(crate) const CKPT_VERSION: u8 = 1;
 
 /// One `sketch` of the grammar above: its header, then the pairs.
 fn write_counted(
@@ -220,7 +220,7 @@ thread_local! {
 /// section. A section is cached beside its shard, with its CRC-32, until
 /// the shard next takes a batch, so a checkpoint after *k* batches encodes
 /// and sums at most *k* sections: the rest are copied and their CRCs
-/// combined into the frame's ([`crate::frame::crc32_combine`]). The bytes
+/// combined into the frame's (`crate::frame::crc32_combine`). The bytes
 /// are the same either way.
 pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
     let mut all = AllKinds::default();

@@ -39,7 +39,7 @@ use cellrel_types::{
 };
 
 /// Current schema version.
-pub const SCHEMA_VERSION: u8 = 1;
+pub(crate) const SCHEMA_VERSION: u8 = 1;
 
 // ---------------------------------------------------------------------------
 // Batch encode.

@@ -140,7 +140,7 @@ impl IngestAggregate {
     }
 
     /// Absorb into a content digest.
-    pub fn absorb_into(&self, d: &mut Digest64) {
+    pub(crate) fn absorb_into(&self, d: &mut Digest64) {
         d.write_u64(self.records);
         for c in self.by_kind.iter().chain(&self.by_isp).chain(&self.by_rat) {
             d.write_u64(*c);
@@ -352,7 +352,7 @@ impl Collector {
     }
 
     /// The virtual shard a device's batches route to.
-    pub fn shard_of(&self, device: DeviceId) -> usize {
+    pub(crate) fn shard_of(&self, device: DeviceId) -> usize {
         device.0 as usize % self.virtual_shards
     }
 
@@ -376,7 +376,7 @@ impl Collector {
     }
 
     /// Devices seen so far (shards partition devices, so this is exact).
-    pub fn devices(&self) -> u64 {
+    pub(crate) fn devices(&self) -> u64 {
         self.shards.iter().map(|s| s.last_seq.len() as u64).sum()
     }
 

@@ -25,7 +25,7 @@
 //! `CK` checkpoint and `CS` images, which carry `SC` blocks. Each has its
 //! own trailer, and summing each one over its own bytes reads the innermost
 //! bytes once per level. A reader that opens such a frame marks the buffer
-//! first ([`Marks`]: one read, the running CRC kept every [`STRIDE`]
+//! first ([`Marks`]: one read, the running CRC kept every `STRIDE`
 //! bytes) and opens it as a marked [`Frame`]; every frame embedded in it
 //! comes out of the [`Reader`] still marked ([`Reader::frame`], and the
 //! `SC` blocks [`Reader::leave`] closes), and its trailer is checked from
@@ -173,7 +173,7 @@ impl Family {
     /// A reader over the fields after the header **without** checking the
     /// version or the CRC — for routing on a header field before paying for
     /// a full decode. Anything read this way is a hint, not a fact.
-    pub fn peek<'a>(&'static self, bytes: &'a [u8]) -> Result<Reader<'a>, FrameError> {
+    pub(crate) fn peek<'a>(&'static self, bytes: &'a [u8]) -> Result<Reader<'a>, FrameError> {
         if bytes.len() < HEADER_LEN {
             return Err(self.error(FrameErrorKind::Truncated));
         }
@@ -197,7 +197,7 @@ pub fn seal(out: &mut Vec<u8>, start: usize) {
 /// [`seal`] for a frame that embeds frames sealed a moment ago. Each range
 /// of `out` in `sealed` (ascending, disjoint, inside the frame) must hold
 /// one complete sealed frame; whatever its bytes, such a frame sums to
-/// [`RESIDUE`], so it enters the CRC through [`crc32_combine`] instead of
+/// [`RESIDUE`], so it enters the CRC through `crc32_combine` instead of
 /// being read a second time. The trailer is the one [`seal`] would write.
 pub fn seal_around(out: &mut Vec<u8>, start: usize, sealed: &[std::ops::Range<usize>]) {
     let mut crc = 0;
@@ -214,11 +214,11 @@ pub fn seal_around(out: &mut Vec<u8>, start: usize, sealed: &[std::ops::Range<us
 
 /// Bytes between two marks of a [`Marks`]: the most a range check
 /// re-reads at either end.
-pub const STRIDE: usize = 64;
+pub(crate) const STRIDE: usize = 64;
 
-/// A buffer summed once, keeping the running CRC-32 every [`STRIDE`]
+/// A buffer summed once, keeping the running CRC-32 every `STRIDE`
 /// bytes. The sum of any range of it is then two prefix sums — each a mark
-/// continued over fewer than `STRIDE` bytes — and one [`crc32_combine`]
+/// continued over fewer than `STRIDE` bytes — and one `crc32_combine`
 /// to take the shorter prefix out of the longer: the CRC register is
 /// linear, so `crc32(a ‖ b)` and `crc32(a)` give `crc32(b)`. A range of
 /// up to `2 · STRIDE` bytes is summed directly instead, which costs less.
@@ -229,7 +229,7 @@ pub struct Marks<'a> {
 }
 
 impl<'a> Marks<'a> {
-    /// Read `bytes` once, marking every [`STRIDE`] bytes.
+    /// Read `bytes` once, marking every `STRIDE` bytes.
     pub fn new(bytes: &'a [u8]) -> Self {
         let mut sums = Vec::with_capacity(bytes.len() / STRIDE + 1);
         let mut crc = 0;
@@ -715,7 +715,7 @@ pub const RESIDUE: u32 = 0x2144_DF1C;
 /// over GF(2), so `a`'s sum moves past `b` by a multiplication with
 /// `x^(8·len_b) mod P` — a handful of 32-step multiplies over a table of
 /// the powers `x^(2^k)`, however long `b` is.
-pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
     crc32_combine_op(crc_a, crc_b, crc32_combine_gen(len_b))
 }
 

@@ -62,7 +62,8 @@ impl CauseMix {
     }
 
     /// The probability assigned to a specific cause.
-    pub fn probability_of(&self, cause: DataFailCause) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn probability_of(&self, cause: DataFailCause) -> f64 {
         self.causes
             .iter()
             .position(|&c| c == cause)
@@ -71,13 +72,9 @@ impl CauseMix {
     }
 
     /// Number of distinct causes in the mix.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.causes.len()
-    }
-
-    /// Always false; provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.causes.is_empty()
     }
 }
 

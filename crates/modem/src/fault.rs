@@ -50,7 +50,7 @@ impl FaultProfile {
     }
 
     /// The effective hazard multiplier (guards the zero-initialised default).
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         if self.hazard_scale <= 0.0 {
             1.0
         } else {

@@ -29,4 +29,3 @@ pub mod sim_card;
 
 pub use fault::FaultProfile;
 pub use modem::{DataCall, Modem};
-pub use sim_card::SimCardState;

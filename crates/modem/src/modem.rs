@@ -21,17 +21,17 @@ pub struct DataCall {
 
 impl DataCall {
     /// The call's RAT.
-    pub fn rat(&self) -> Rat {
+    pub(crate) fn rat(&self) -> Rat {
         self.cell.rat
     }
 }
 
 /// Maximum simultaneous PDP contexts the modem supports (typical baseband
 /// limit; exceeding it yields `MAX_PDP_EXCEEDED`).
-pub const MAX_PDP_CONTEXTS: usize = 3;
+pub(crate) const MAX_PDP_CONTEXTS: usize = 3;
 
 /// The modem: power, SIM, EMM registration, serving cell and the active
-/// data calls (one per APN, up to [`MAX_PDP_CONTEXTS`]). The default
+/// data calls (one per APN, up to `MAX_PDP_CONTEXTS`). The default
 /// internet bearer is the study's main concern; IMS/MMS contexts ride
 /// alongside as Android's `DcTracker` manages them.
 #[derive(Debug, Clone)]
@@ -83,7 +83,8 @@ impl Modem {
     }
 
     /// Change the SIM state (drops any call if the SIM becomes unusable).
-    pub fn set_sim(&mut self, sim: SimCardState) {
+    #[cfg(test)]
+    pub(crate) fn set_sim(&mut self, sim: SimCardState) {
         self.sim = sim;
         if !sim.usable() {
             self.calls.clear();
@@ -92,12 +93,13 @@ impl Modem {
     }
 
     /// Whether the radio is powered.
-    pub fn powered(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn powered(&self) -> bool {
         self.powered
     }
 
     /// Power the radio on/off. Powering off tears down everything.
-    pub fn set_power(&mut self, on: bool) {
+    pub(crate) fn set_power(&mut self, on: bool) {
         self.powered = on;
         if !on {
             self.calls.clear();
@@ -132,18 +134,13 @@ impl Modem {
     }
 
     /// The data call serving a specific APN, if any.
-    pub fn call_for(&self, apn: Apn) -> Option<&DataCall> {
+    pub(crate) fn call_for(&self, apn: Apn) -> Option<&DataCall> {
         self.calls.iter().find(|c| c.apn == apn)
     }
 
     /// All active data calls.
     pub fn calls(&self) -> &[DataCall] {
         &self.calls
-    }
-
-    /// Access the EMM machine (tests, diagnosis).
-    pub fn emm(&self) -> &EmmStateMachine {
-        &self.emm
     }
 
     /// Pre-establish a dual-connectivity standby on `cell` (only meaningful
@@ -160,7 +157,8 @@ impl Modem {
     }
 
     /// The current standby cell, if any.
-    pub fn standby(&self) -> Option<&CellView> {
+    #[cfg(test)]
+    pub(crate) fn standby(&self) -> Option<&CellView> {
         self.standby.as_ref()
     }
 

@@ -14,22 +14,12 @@ use cellrel_radio::{EmmStateMachine, RiskFactors};
 use cellrel_sim::SimRng;
 use cellrel_types::{DataFailCause, FailureLayer, Rat, SignalLevel};
 
-/// Outcome classification of one setup attempt, used by tests and by the
-/// monitor's bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetupOutcome {
-    /// The data call came up.
-    Success,
-    /// A true failure with the attached cause.
-    Failed(DataFailCause),
-}
-
 /// Run one data-call setup attempt through the staged pipeline.
 ///
 /// `emm` carries registration state across attempts (retries interact with
 /// barring streaks, as in the real stack).
 #[allow(clippy::too_many_arguments)]
-pub fn run_setup(
+pub(crate) fn run_setup(
     rat: Rat,
     level: SignalLevel,
     risk: &RiskFactors,
@@ -95,7 +85,7 @@ pub fn run_setup(
 /// user-initiated teardowns the monitor filters) in one bucket, true
 /// failures by the protocol layer they originate from (stages 1–4 of the
 /// pipeline). Static labels so the hot path never allocates.
-pub fn setup_fail_counter(cause: DataFailCause) -> &'static str {
+pub(crate) fn setup_fail_counter(cause: DataFailCause) -> &'static str {
     if cause.false_positive().is_some() {
         return "modem.setup.fail.fp";
     }

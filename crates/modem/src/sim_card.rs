@@ -8,19 +8,21 @@ use std::fmt;
 
 /// State of the device's SIM card.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimCardState {
+pub(crate) enum SimCardState {
     /// SIM present and unlocked — normal operation.
     #[default]
     Ready,
     /// No SIM inserted.
+    #[cfg(test)]
     Absent,
     /// SIM present but PIN-locked.
+    #[cfg(test)]
     PinLocked,
 }
 
 impl SimCardState {
     /// Whether data calls are possible with this SIM state.
-    pub const fn usable(self) -> bool {
+    pub(crate) const fn usable(self) -> bool {
         matches!(self, SimCardState::Ready)
     }
 }
@@ -29,7 +31,9 @@ impl fmt::Display for SimCardState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             SimCardState::Ready => "READY",
+            #[cfg(test)]
             SimCardState::Absent => "ABSENT",
+            #[cfg(test)]
             SimCardState::PinLocked => "PIN_LOCKED",
         })
     }

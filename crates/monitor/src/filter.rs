@@ -12,7 +12,7 @@ use cellrel_types::FalsePositiveClass;
 
 /// Outcome of filtering one telephony event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterDecision {
+pub(crate) enum FilterDecision {
     /// A true failure: record it.
     Record,
     /// A false positive of the given class: count it, don't record it.
@@ -26,11 +26,11 @@ pub enum FilterDecision {
 /// stateful — it needs probing — and lives in the probing module; this
 /// filter handles everything decidable from the event alone.)
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FpFilter;
+pub(crate) struct FpFilter;
 
 impl FpFilter {
     /// Classify one event.
-    pub fn classify(&self, event: &TelephonyEvent) -> FilterDecision {
+    pub(crate) fn classify(&self, event: &TelephonyEvent) -> FilterDecision {
         match event {
             TelephonyEvent::DataSetupError { cause, .. } => match cause.false_positive() {
                 Some(class) => FilterDecision::Reject(class),

@@ -33,7 +33,6 @@ pub mod probing;
 pub mod service;
 pub mod uploader;
 
-pub use filter::{FilterDecision, FpFilter};
 pub use overhead::OverheadAccounting;
 pub use probing::{ProbeConfig, ProbeSession, StallMeasurement};
 pub use service::MonitoringService;

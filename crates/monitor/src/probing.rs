@@ -15,14 +15,12 @@
 //! The first round also classifies the episode: system-side and
 //! DNS-outage verdicts are false positives and the episode is dropped.
 
-use cellrel_netstack::{run_probe, LinkCondition, ProbeVerdict};
+use cellrel_netstack::{
+    run_probe, LinkCondition, ProbeVerdict, DEFAULT_DNS_TIMEOUT, DEFAULT_ICMP_TIMEOUT,
+};
 use cellrel_sim::SimRng;
 use cellrel_types::SimDuration;
 
-/// Initial ICMP timeout (1 s).
-const ICMP_TIMEOUT: SimDuration = SimDuration::from_secs(1);
-/// Initial DNS timeout (5 s).
-const DNS_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 /// Stall length past which timeouts start doubling.
 const BACKOFF_THRESHOLD: SimDuration = SimDuration::from_secs(1200);
 /// Timeout ceiling: beyond one minute, revert to vanilla estimation.
@@ -64,8 +62,8 @@ pub struct ProbeConfig {
 impl Default for ProbeConfig {
     fn default() -> Self {
         ProbeConfig {
-            icmp_timeout: ICMP_TIMEOUT,
-            dns_timeout: DNS_TIMEOUT,
+            icmp_timeout: DEFAULT_ICMP_TIMEOUT,
+            dns_timeout: DEFAULT_DNS_TIMEOUT,
             backoff_threshold: BACKOFF_THRESHOLD,
             revert_timeout: REVERT_TIMEOUT,
         }

@@ -47,7 +47,7 @@ pub struct Uploader {
 
 impl Uploader {
     /// Fresh uploader for one device.
-    pub fn new(device: DeviceId) -> Self {
+    pub(crate) fn new(device: DeviceId) -> Self {
         Uploader {
             device,
             shipped: 0,
@@ -59,7 +59,8 @@ impl Uploader {
     }
 
     /// Encoded wire bytes shipped so far.
-    pub fn uploaded_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn uploaded_bytes(&self) -> u64 {
         self.uploaded_bytes_encoded
     }
 
@@ -69,7 +70,8 @@ impl Uploader {
     }
 
     /// Number of upload batches.
-    pub fn uploads(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn uploads(&self) -> u32 {
         self.uploads
     }
 
@@ -79,7 +81,7 @@ impl Uploader {
     /// that cellular upload is fine. Returns the encoded batch that was
     /// shipped (the caller feeds `payload.len()` to overhead accounting and
     /// the bytes to the collector), or `None` if nothing was shipped.
-    pub fn try_upload(
+    pub(crate) fn try_upload(
         &mut self,
         now: SimTime,
         wifi_available: bool,

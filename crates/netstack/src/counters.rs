@@ -62,13 +62,15 @@ impl TcpAccounting {
     }
 
     /// Outbound segments within the last window.
-    pub fn sent_in_window(&mut self, now: SimTime) -> usize {
+    #[cfg(test)]
+    pub(crate) fn sent_in_window(&mut self, now: SimTime) -> usize {
         self.prune(now);
         self.sent.len()
     }
 
     /// Inbound segments within the last window.
-    pub fn received_in_window(&mut self, now: SimTime) -> usize {
+    #[cfg(test)]
+    pub(crate) fn received_in_window(&mut self, now: SimTime) -> usize {
         self.prune(now);
         self.received.len()
     }
@@ -91,7 +93,7 @@ impl TcpAccounting {
     }
 
     /// Reset all counters (connection cleanup does this).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.sent.clear();
         self.received.clear();
     }

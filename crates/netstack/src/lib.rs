@@ -26,5 +26,5 @@ pub mod stack;
 
 pub use counters::{TcpAccounting, STALL_MIN_SENT, STALL_WINDOW};
 pub use link::LinkCondition;
-pub use probe::{run_probe, ProbeOutcome, ProbeVerdict};
+pub use probe::{run_probe, ProbeOutcome, ProbeVerdict, DEFAULT_DNS_TIMEOUT, DEFAULT_ICMP_TIMEOUT};
 pub use stack::NetStack;

@@ -52,7 +52,7 @@ impl LinkCondition {
     }
 
     /// Does an ICMP echo to 127.0.0.1 come back?
-    pub const fn loopback_ok(self) -> bool {
+    pub(crate) const fn loopback_ok(self) -> bool {
         !matches!(
             self,
             LinkCondition::FirewallMisconfig
@@ -62,12 +62,12 @@ impl LinkCondition {
     }
 
     /// Does an ICMP echo to the DNS server come back?
-    pub const fn icmp_to_dns_ok(self) -> bool {
+    pub(crate) const fn icmp_to_dns_ok(self) -> bool {
         matches!(self, LinkCondition::Healthy | LinkCondition::DnsOutage)
     }
 
     /// Does a DNS query resolve?
-    pub const fn dns_ok(self) -> bool {
+    pub(crate) const fn dns_ok(self) -> bool {
         matches!(self, LinkCondition::Healthy)
     }
 

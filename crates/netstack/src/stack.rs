@@ -2,7 +2,9 @@
 
 use crate::counters::TcpAccounting;
 use crate::link::LinkCondition;
+#[cfg(test)]
 use crate::probe::{run_probe, ProbeOutcome};
+#[cfg(test)]
 use cellrel_sim::SimRng;
 use cellrel_types::{SimDuration, SimTime};
 
@@ -12,6 +14,7 @@ pub struct NetStack {
     tcp: TcpAccounting,
     link: LinkCondition,
     /// Number of configured DNS servers (Android typically carries 2).
+    #[cfg(test)]
     dns_servers: u8,
 }
 
@@ -21,6 +24,7 @@ impl NetStack {
         NetStack {
             tcp: TcpAccounting::new(),
             link: LinkCondition::Healthy,
+            #[cfg(test)]
             dns_servers: 2,
         }
     }
@@ -37,7 +41,8 @@ impl NetStack {
     }
 
     /// Number of configured DNS servers.
-    pub fn dns_server_count(&self) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn dns_server_count(&self) -> u8 {
         self.dns_servers
     }
 
@@ -64,7 +69,8 @@ impl NetStack {
     }
 
     /// Run one probing round with the given timeouts.
-    pub fn probe(
+    #[cfg(test)]
+    pub(crate) fn probe(
         &self,
         icmp_timeout: SimDuration,
         dns_timeout: SimDuration,

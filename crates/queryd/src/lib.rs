@@ -37,4 +37,4 @@ pub mod server;
 
 pub use net::{serve, ClientError, InProcClient, QuerydServer, TcpClient};
 pub use proto::{Request, Response, ServerStats, WireError};
-pub use server::{QuerydCore, ServerMetrics, Snapshot};
+pub use server::{QuerydCore, Snapshot};

@@ -3,17 +3,15 @@
 //!
 //! On the wire each frame travels as `u32` little-endian length + frame
 //! bytes. The length prefix is untrusted: a prefix above the `CQ` frame cap
-//! ([`CQ`]`.max_len`) is answered with an [`ERR_TOO_LARGE`] error and
+//! ([`CQ`]`.max_len`) is answered with an `ERR_TOO_LARGE` error and
 //! the connection is closed (the stream's framing can no longer be
 //! trusted), without ever allocating the claimed size.
 //!
 //! [`InProcClient`] feeds [`QuerydCore::handle_frame`] directly — the same
 //! encode → decode → serve → encode → decode path as TCP minus the socket,
 //! which is what the determinism tests pin against the live server.
-//!
-//! [`ERR_TOO_LARGE`]: crate::proto::ERR_TOO_LARGE
 
-use crate::proto::{self, Request, Response, ServerStats, WireError};
+use crate::proto::{self, Request, Response, WireError};
 use crate::server::QuerydCore;
 use cellrel_ingest::frame::{FrameError, FrameErrorKind, CQ};
 use cellrel_store::{Query, ResultSet};
@@ -76,14 +74,6 @@ fn expect_rows(resp: Response) -> Result<(u64, ResultSet), ClientError> {
     }
 }
 
-fn expect_stats(resp: Response) -> Result<ServerStats, ClientError> {
-    match resp {
-        Response::Stats(s) => Ok(s),
-        Response::Error(e) => Err(ClientError::Rejected(e)),
-        _ => Err(ClientError::Unexpected("expected stats")),
-    }
-}
-
 /// A client that short-circuits the socket: every call runs the full frame
 /// encode/decode path through the shared core, deterministically.
 #[derive(Clone)]
@@ -98,7 +88,7 @@ impl InProcClient {
     }
 
     /// One request/response exchange.
-    pub fn call(&self, req: &Request) -> Result<Response, ClientError> {
+    pub(crate) fn call(&self, req: &Request) -> Result<Response, ClientError> {
         let frame = self.core.handle_frame(&proto::encode_request(req));
         Ok(proto::decode_response(&frame)?)
     }
@@ -106,11 +96,6 @@ impl InProcClient {
     /// Evaluate a query; returns the snapshot epoch and the answer.
     pub fn query(&self, q: &Query) -> Result<(u64, ResultSet), ClientError> {
         expect_rows(self.call(&Request::Query(q.clone()))?)
-    }
-
-    /// Fetch server statistics.
-    pub fn stats(&self) -> Result<ServerStats, ClientError> {
-        expect_stats(self.call(&Request::Stats)?)
     }
 }
 
@@ -138,11 +123,6 @@ impl TcpClient {
     /// Evaluate a query; returns the snapshot epoch and the answer.
     pub fn query(&mut self, q: &Query) -> Result<(u64, ResultSet), ClientError> {
         expect_rows(self.call(&Request::Query(q.clone()))?)
-    }
-
-    /// Fetch server statistics.
-    pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        expect_stats(self.call(&Request::Stats)?)
     }
 }
 

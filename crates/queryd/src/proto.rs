@@ -27,7 +27,7 @@
 //! frame snapshot (`tests/golden/queryd_frames_seed2021.txt`) fails loudly
 //! on any accidental change. Version negotiation is a single byte: a server
 //! answers a frame with an unexpected version byte with error code
-//! [`ERR_VERSION`] and never attempts to parse its payload.
+//! `ERR_VERSION` and never attempts to parse its payload.
 
 use cellrel_ingest::frame::{
     seal, unzigzag, write_varint, zigzag, FrameError, FrameErrorKind, Reader, CQ,
@@ -42,32 +42,32 @@ pub const VERSION: u8 = 1;
 /// Request kind: liveness probe, empty payload.
 pub const KIND_PING: u8 = 0x01;
 /// Request kind: evaluate a [`Query`] against the current snapshot.
-pub const KIND_QUERY: u8 = 0x02;
+pub(crate) const KIND_QUERY: u8 = 0x02;
 /// Request kind: server/snapshot statistics, empty payload.
-pub const KIND_STATS: u8 = 0x03;
+pub(crate) const KIND_STATS: u8 = 0x03;
 /// Response kind: answer to [`KIND_PING`].
-pub const KIND_PONG: u8 = 0x81;
+pub(crate) const KIND_PONG: u8 = 0x81;
 /// Response kind: a [`ResultSet`] plus the snapshot epoch it was read from.
-pub const KIND_ROWS: u8 = 0x82;
+pub(crate) const KIND_ROWS: u8 = 0x82;
 /// Response kind: answer to [`KIND_STATS`].
-pub const KIND_STATS_REPLY: u8 = 0x83;
+pub(crate) const KIND_STATS_REPLY: u8 = 0x83;
 /// Response kind: a [`WireError`].
-pub const KIND_ERROR: u8 = 0xEE;
+pub(crate) const KIND_ERROR: u8 = 0xEE;
 
 /// Error code: the request frame failed to decode (truncation, bad magic,
 /// bad CRC, garbage payload).
-pub const ERR_MALFORMED: u8 = 1;
+pub(crate) const ERR_MALFORMED: u8 = 1;
 /// Error code: the request carried an unsupported protocol version.
-pub const ERR_VERSION: u8 = 2;
+pub(crate) const ERR_VERSION: u8 = 2;
 /// Error code: the request kind byte is not a known request.
-pub const ERR_UNKNOWN_KIND: u8 = 3;
+pub(crate) const ERR_UNKNOWN_KIND: u8 = 3;
 /// Error code: the query decoded but the engine rejected it
 /// ([`QueryError`]).
-pub const ERR_BAD_QUERY: u8 = 4;
+pub(crate) const ERR_BAD_QUERY: u8 = 4;
 /// Error code: the claimed frame length exceeds the `CQ` cap (16 MiB). The
 /// transport refuses to allocate a body larger than that no matter what
 /// the length prefix claims.
-pub const ERR_TOO_LARGE: u8 = 5;
+pub(crate) const ERR_TOO_LARGE: u8 = 5;
 
 /// An error the server sends back over the wire instead of an answer.
 /// Carrying a code + free-text detail (rather than a typed enum) keeps old
@@ -82,7 +82,7 @@ pub struct WireError {
 
 impl WireError {
     /// Classify a request-decode failure into a wire error code.
-    pub fn from_decode(e: &FrameError) -> WireError {
+    pub(crate) fn from_decode(e: &FrameError) -> WireError {
         let code = match e.kind {
             FrameErrorKind::UnsupportedVersion(_) => ERR_VERSION,
             FrameErrorKind::UnknownKind(_) => ERR_UNKNOWN_KIND,
@@ -104,7 +104,7 @@ impl WireError {
     }
 
     /// A length prefix exceeded the `CQ` cap.
-    pub fn too_large(claimed: u64) -> WireError {
+    pub(crate) fn too_large(claimed: u64) -> WireError {
         WireError::from_decode(&CQ.error(FrameErrorKind::TooLarge(claimed)))
     }
 }

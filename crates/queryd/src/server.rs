@@ -15,7 +15,7 @@
 //! answer is tagged with the snapshot's publish epoch so clients can pin a
 //! set of queries to one state.
 //!
-//! **Counters.** [`ServerMetrics`] keeps the three counts something reads:
+//! **Counters.** `ServerMetrics` keeps the three counts something reads:
 //! frames answered (the `Stats` response reports it), wire-level errors and
 //! engine rejects. They are plain atomics — the server is multi-threaded —
 //! and answering a query takes no lock beyond the snapshot read.
@@ -37,7 +37,7 @@ pub struct Snapshot {
 
 /// Server-side request counters, shared by every connection thread.
 #[derive(Debug, Default)]
-pub struct ServerMetrics {
+pub(crate) struct ServerMetrics {
     requests: AtomicU64,
     wire_errors: AtomicU64,
     query_rejects: AtomicU64,
@@ -45,17 +45,19 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Frames answered so far (including error responses).
-    pub fn requests(&self) -> u64 {
+    pub(crate) fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
     }
 
     /// Requests answered with a wire-level error response.
-    pub fn wire_errors(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn wire_errors(&self) -> u64 {
         self.wire_errors.load(Ordering::Relaxed)
     }
 
     /// Queries rejected by engine validation.
-    pub fn query_rejects(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn query_rejects(&self) -> u64 {
         self.query_rejects.load(Ordering::Relaxed)
     }
 }
@@ -77,7 +79,8 @@ impl QuerydCore {
     }
 
     /// Request counters accumulated so far.
-    pub fn metrics(&self) -> &ServerMetrics {
+    #[cfg(test)]
+    pub(crate) fn metrics(&self) -> &ServerMetrics {
         &self.metrics
     }
 
@@ -111,7 +114,7 @@ impl QuerydCore {
 
     /// Answer a typed request. Queries read from one snapshot for their
     /// whole evaluation; errors come back as [`Response::Error`].
-    pub fn handle(&self, req: &Request) -> Response {
+    pub(crate) fn handle(&self, req: &Request) -> Response {
         match req {
             Request::Ping => Response::Pong,
             Request::Stats => {

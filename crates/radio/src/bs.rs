@@ -43,13 +43,13 @@ pub struct BaseStation {
 impl BaseStation {
     /// Effective utilisation as seen by a device attaching over `rat`,
     /// applying the per-RAT demand model (the idle-3G effect).
-    pub fn load_for(&self, rat: Rat) -> f64 {
+    pub(crate) fn load_for(&self, rat: Rat) -> f64 {
         (self.load * crate::load::rat_demand_factor(rat)).clamp(0.0, 1.0)
     }
 
     /// Probability the BS rejects a setup right now purely because it is
     /// overloaded (a *rational* rejection → false positive in the study).
-    pub fn overload_rejection_prob(&self, rat: Rat) -> f64 {
+    pub(crate) fn overload_rejection_prob(&self, rat: Rat) -> f64 {
         let l = self.load_for(rat);
         // Rejections only materialise once utilisation is high; quadratic
         // onset above 70 %.

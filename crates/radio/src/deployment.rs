@@ -72,11 +72,9 @@ impl DeploymentConfig {
 /// The generated radio world: all base stations plus a spatial index.
 #[derive(Debug)]
 pub struct RadioEnvironment {
-    cfg: DeploymentConfig,
     bses: Vec<BaseStation>,
     grid: GridIndex,
     city_centers: Vec<Pos>,
-    hub_centers: Vec<Pos>,
 }
 
 impl RadioEnvironment {
@@ -180,16 +178,15 @@ impl RadioEnvironment {
         }
 
         RadioEnvironment {
-            cfg,
             bses,
             grid,
             city_centers,
-            hub_centers,
         }
     }
 
     /// Number of base stations.
-    pub fn bs_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bs_count(&self) -> usize {
         self.bses.len()
     }
 
@@ -199,16 +196,12 @@ impl RadioEnvironment {
     }
 
     /// All base stations.
-    pub fn iter(&self) -> impl Iterator<Item = (BsIndex, &BaseStation)> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (BsIndex, &BaseStation)> {
         self.bses
             .iter()
             .enumerate()
             .map(|(i, b)| (BsIndex(i as u32), b))
-    }
-
-    /// The generation config.
-    pub fn config(&self) -> &DeploymentConfig {
-        &self.cfg
     }
 
     /// City centres (for placing device home locations).
@@ -216,15 +209,11 @@ impl RadioEnvironment {
         &self.city_centers
     }
 
-    /// Transport-hub centres.
-    pub fn hub_centers(&self) -> &[Pos] {
-        &self.hub_centers
-    }
-
     /// Scan from `pos`: the best candidate cell per RAT in `rats`, for the
     /// device's subscribed ISP, with salt-0 persistent shadowing plus fresh
     /// fast fading per candidate (see [`Self::scan_salted`]).
-    pub fn scan(&self, pos: Pos, isp: Isp, rats: RatSet, rng: &mut SimRng) -> Vec<CellView> {
+    #[cfg(test)]
+    pub(crate) fn scan(&self, pos: Pos, isp: Isp, rats: RatSet, rng: &mut SimRng) -> Vec<CellView> {
         self.scan_salted(pos, isp, rats, 0, rng)
     }
 
@@ -515,7 +504,7 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let env = small_env();
-            let size = env.config().region_km;
+            let size = DeploymentConfig::small().region_km;
             let pos = match place {
                 // Inside the map.
                 0 => Pos::new(fx * size, fy * size),

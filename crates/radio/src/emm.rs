@@ -18,7 +18,7 @@ use cellrel_types::{DataFailCause, Rat};
 /// EMM registration states (EMM-DEREGISTERED / EMM-REGISTERED with the
 /// ECM-IDLE / ECM-CONNECTED split folded in).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EmmState {
+pub(crate) enum EmmState {
     /// Not attached to any network.
     Deregistered,
     /// Attach procedure in flight.
@@ -31,7 +31,7 @@ pub enum EmmState {
 
 /// Observable EMM transitions, kept as a bounded history for diagnosis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EmmEvent {
+pub(crate) enum EmmEvent {
     /// Attach accepted by the network.
     AttachAccepted,
     /// Attach rejected (cause attached).
@@ -79,12 +79,14 @@ impl EmmStateMachine {
     }
 
     /// Current state.
-    pub fn state(&self) -> EmmState {
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> EmmState {
         self.state
     }
 
     /// The recorded event history (most recent last, bounded).
-    pub fn history(&self) -> &[EmmEvent] {
+    #[cfg(test)]
+    pub(crate) fn history(&self) -> &[EmmEvent] {
         &self.history
     }
 

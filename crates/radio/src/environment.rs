@@ -40,7 +40,8 @@ impl Environment {
     ];
 
     /// Stable array index.
-    pub const fn index(self) -> usize {
+    #[cfg(test)]
+    pub(crate) const fn index(self) -> usize {
         match self {
             Environment::UrbanCore => 0,
             Environment::Urban => 1,
@@ -52,7 +53,7 @@ impl Environment {
     }
 
     /// Share of the BS population deployed in this environment.
-    pub const fn deployment_share(self) -> f64 {
+    pub(crate) const fn deployment_share(self) -> f64 {
         match self {
             Environment::UrbanCore => 0.12,
             Environment::Urban => 0.30,
@@ -65,7 +66,7 @@ impl Environment {
 
     /// Log-distance path-loss exponent (free space = 2.0; dense clutter
     /// higher).
-    pub const fn path_loss_exponent(self) -> f64 {
+    pub(crate) const fn path_loss_exponent(self) -> f64 {
         match self {
             Environment::UrbanCore => 3.5,
             Environment::Urban => 3.2,
@@ -77,7 +78,7 @@ impl Environment {
     }
 
     /// Log-normal shadowing standard deviation in dB.
-    pub const fn shadowing_sigma_db(self) -> f64 {
+    pub(crate) const fn shadowing_sigma_db(self) -> f64 {
         match self {
             Environment::UrbanCore => 8.0,
             Environment::Urban => 7.0,
@@ -90,7 +91,7 @@ impl Environment {
 
     /// Baseline cell utilisation (0..1) before per-BS noise: the ambient
     /// cellular access workload of the area.
-    pub const fn base_load(self) -> f64 {
+    pub(crate) const fn base_load(self) -> f64 {
         match self {
             Environment::UrbanCore => 0.70,
             Environment::Urban => 0.55,
@@ -103,7 +104,7 @@ impl Environment {
 
     /// Relative probability that a BS here is in disrepair (drives the
     /// extreme-duration outage tail).
-    pub const fn disrepair_prob(self) -> f64 {
+    pub(crate) const fn disrepair_prob(self) -> f64 {
         match self {
             Environment::UrbanCore => 0.001,
             Environment::Urban => 0.002,
@@ -116,7 +117,7 @@ impl Environment {
 
     /// Typical inter-site distance in km — controls cluster tightness during
     /// deployment generation.
-    pub const fn typical_site_spacing_km(self) -> f64 {
+    pub(crate) const fn typical_site_spacing_km(self) -> f64 {
         match self {
             Environment::UrbanCore => 0.4,
             Environment::Urban => 0.8,
@@ -129,7 +130,7 @@ impl Environment {
 
     /// Whether devices here are crowd-mobility heavy (hubs and cores), which
     /// stresses mobility management.
-    pub const fn is_high_mobility(self) -> bool {
+    pub(crate) const fn is_high_mobility(self) -> bool {
         matches!(self, Environment::TransportHub | Environment::UrbanCore)
     }
 }

@@ -27,7 +27,7 @@ impl Pos {
     }
 
     /// Clamp the position into the square `[0, size] × [0, size]`.
-    pub fn clamped(self, size: f64) -> Pos {
+    pub(crate) fn clamped(self, size: f64) -> Pos {
         Pos {
             x: self.x.clamp(0.0, size),
             y: self.y.clamp(0.0, size),
@@ -82,7 +82,7 @@ impl GridIndex {
     /// Visit every item whose grid cell intersects the disc of `radius_km`
     /// around `pos`. Items outside the disc may be visited (cell granularity);
     /// callers filter by exact distance.
-    pub fn for_each_near(&self, pos: Pos, radius_km: f64, mut f: impl FnMut(u32)) {
+    pub(crate) fn for_each_near(&self, pos: Pos, radius_km: f64, mut f: impl FnMut(u32)) {
         let pos = pos.clamped(self.size_km);
         let r_cells = (radius_km / self.cell_km).ceil() as isize;
         let (cx, cy) = self.cell_of(pos);

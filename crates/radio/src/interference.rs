@@ -32,7 +32,7 @@ pub struct RiskFactors {
 /// level 0 to level 5. The Fig. 15 *spike* at level 5 is NOT encoded here; it
 /// emerges from interference+EMM pressure at the dense sites where level-5
 /// readings occur.
-pub fn signal_base_risk(level: SignalLevel) -> f64 {
+pub(crate) fn signal_base_risk(level: SignalLevel) -> f64 {
     const RISK: [f64; SignalLevel::COUNT] = [0.32, 0.115, 0.075, 0.048, 0.030, 0.022];
     RISK[level.index()]
 }
@@ -40,7 +40,7 @@ pub fn signal_base_risk(level: SignalLevel) -> f64 {
 /// Interference coupling of a site: density saturating at ~30 neighbours,
 /// modulated by how close the nearest other-ISP carrier sits in frequency
 /// (exponential with a 25 MHz scale).
-pub fn interference_factor(bs: &BaseStation) -> f64 {
+pub(crate) fn interference_factor(bs: &BaseStation) -> f64 {
     let density = (bs.neighbor_count as f64 / 30.0).min(1.0);
     let freq = if bs.min_cross_isp_gap_mhz.is_finite() {
         (-bs.min_cross_isp_gap_mhz / 25.0).exp()
@@ -52,7 +52,7 @@ pub fn interference_factor(bs: &BaseStation) -> f64 {
 
 /// Mobility-management pressure of a site: grows with deployment density
 /// (more handover candidates, more tracking-area churn, more barring).
-pub fn emm_pressure(bs: &BaseStation) -> f64 {
+pub(crate) fn emm_pressure(bs: &BaseStation) -> f64 {
     let density = (bs.neighbor_count as f64 / 20.0).min(1.0);
     let mobility = if bs.env.is_high_mobility() { 1.0 } else { 0.45 };
     (density * mobility).clamp(0.0, 1.0)

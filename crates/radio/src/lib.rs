@@ -42,7 +42,7 @@ pub mod transitions;
 
 pub use bs::{BaseStation, BsIndex};
 pub use deployment::{DeploymentConfig, Links, RadioEnvironment};
-pub use emm::{EmmEvent, EmmState, EmmStateMachine};
+pub use emm::EmmStateMachine;
 pub use environment::Environment;
 pub use geometry::Pos;
 pub use interference::RiskFactors;

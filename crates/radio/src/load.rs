@@ -15,7 +15,7 @@ use cellrel_types::Rat;
 /// 4G carries the bulk of traffic; 2G remains a fallback workhorse (voice /
 /// coverage); 3G is the neglected middle child; 5G carriers are still few
 /// but each serves data-hungry early adopters.
-pub fn rat_demand_factor(rat: Rat) -> f64 {
+pub(crate) fn rat_demand_factor(rat: Rat) -> f64 {
     match rat {
         Rat::G2 => 0.80,
         Rat::G3 => 0.35, // the "idle" 3G network

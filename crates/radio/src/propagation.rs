@@ -19,7 +19,7 @@ use cellrel_types::{Rat, RssDbm, SignalLevel};
 
 /// Free-space path loss at 1 m for carrier frequency `freq_mhz`, in dB
 /// (Friis: 20·log10(d_km) + 20·log10(f_MHz) + 32.44, with d = 0.001 km).
-pub fn reference_loss_db(freq_mhz: f64) -> f64 {
+pub(crate) fn reference_loss_db(freq_mhz: f64) -> f64 {
     20.0 * (0.001f64).log10() + 20.0 * freq_mhz.log10() + 32.44
 }
 
@@ -57,7 +57,7 @@ pub fn range_for_rss(tx_power_dbm: f64, target_dbm: f64, freq_mhz: f64, env: Env
 /// suffers far more from walls and street clutter than the sub-2 GHz legacy
 /// carriers — this is why 2020-era 5G coverage was spotty at the edges even
 /// where 4G stayed healthy (§3.2's level-0 5G problem zone).
-pub const fn rat_clutter_db(rat: Rat) -> f64 {
+pub(crate) const fn rat_clutter_db(rat: Rat) -> f64 {
     match rat {
         Rat::G2 => 0.0,
         Rat::G3 => 3.0,

@@ -36,21 +36,23 @@ impl CellView {
     /// peak scaled by a per-level efficiency. This is the model behind the
     /// paper's §4.2 observation that a level-0 5G link almost never beats a
     /// healthy 4G link.
-    pub fn estimated_rate_mbps(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn estimated_rate_mbps(&self) -> f64 {
         self.rat.peak_rate_mbps() * level_efficiency(self.level)
     }
 }
 
 /// Link efficiency per signal level: fraction of the RAT's peak rate a
 /// device can realistically draw.
-pub fn level_efficiency(level: SignalLevel) -> f64 {
+#[cfg(test)]
+pub(crate) fn level_efficiency(level: SignalLevel) -> f64 {
     const EFF: [f64; SignalLevel::COUNT] = [0.004, 0.05, 0.15, 0.35, 0.62, 0.85];
     EFF[level.index()]
 }
 
 /// From a flat candidate list, keep the best (max-RSS) view per RAT,
 /// returned in ascending RAT order.
-pub fn best_per_rat(candidates: &[CellView]) -> Vec<CellView> {
+pub(crate) fn best_per_rat(candidates: &[CellView]) -> Vec<CellView> {
     let mut best: [Option<CellView>; 4] = [None; 4];
     for &c in candidates {
         let slot = &mut best[c.rat.index()];

@@ -64,7 +64,8 @@ impl RatTransitionModel {
     }
 
     /// The configured long-run time share of `rat` (0 if absent).
-    pub fn time_share(&self, rat: Rat) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn time_share(&self, rat: Rat) -> f64 {
         self.rats
             .iter()
             .position(|&r| r == rat)
@@ -72,7 +73,8 @@ impl RatTransitionModel {
     }
 
     /// Mean holding time between jump opportunities, in ms.
-    pub fn mean_dwell_ms(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_dwell_ms(&self) -> f64 {
         self.mean_dwell_ms
     }
 }

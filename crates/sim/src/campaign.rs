@@ -97,17 +97,14 @@ impl<V> InvariantRegistry<V> {
     }
 
     /// Number of registered invariants.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.invariants.len()
     }
 
-    /// True when no invariants are registered.
-    pub fn is_empty(&self) -> bool {
-        self.invariants.is_empty()
-    }
-
     /// Names of the registered invariants, in check order.
-    pub fn names(&self) -> Vec<&'static str> {
+    #[cfg(test)]
+    pub(crate) fn names(&self) -> Vec<&'static str> {
         self.invariants.iter().map(|i| i.name()).collect()
     }
 
@@ -289,7 +286,7 @@ impl Digest64 {
 
     /// Absorb a string, length-prefixed so concatenations can't collide
     /// with shifted boundaries.
-    pub fn write_str(&mut self, s: &str) {
+    pub(crate) fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
         self.write_bytes(s.as_bytes());
     }

@@ -76,7 +76,6 @@ impl WeightedIndex {
 #[derive(Debug, Clone)]
 pub struct ZipfDist {
     weights: WeightedIndex,
-    exponent: f64,
 }
 
 impl ZipfDist {
@@ -88,33 +87,12 @@ impl ZipfDist {
             .collect();
         ZipfDist {
             weights: WeightedIndex::new(&weights),
-            exponent,
         }
-    }
-
-    /// The exponent this distribution was built with.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Always false; provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
     }
 
     /// Sample a rank (0 = most popular).
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         self.weights.sample(rng)
-    }
-
-    /// Expected relative mass of rank `k`.
-    pub fn probability(&self, k: usize) -> f64 {
-        self.weights.probability(k)
     }
 }
 

@@ -41,9 +41,7 @@ pub use campaign::{
     Violation,
 };
 pub use dist::{Empirical, LogNormalDist, ParetoDist, WeightedIndex, ZipfDist};
-pub use par::{
-    auto_threads, merge_all, resolve_threads, run_sharded, run_sharded_merge, shard_ranges, Merge,
-};
+pub use par::{auto_threads, resolve_threads, run_sharded, run_sharded_merge, Merge};
 pub use queue::{EventHandler, EventQueue};
 pub use rng::SimRng;
 pub use sketch::{QuantileSketch, SparseSketch};

@@ -125,7 +125,7 @@ impl_merge_tuple!(
 );
 
 /// Fold an ordered sequence of partials into one via [`Merge`].
-pub fn merge_all<T: Merge>(parts: impl IntoIterator<Item = T>) -> Option<T> {
+pub(crate) fn merge_all<T: Merge>(parts: impl IntoIterator<Item = T>) -> Option<T> {
     let mut parts = parts.into_iter();
     let mut acc = parts.next()?;
     for p in parts {
@@ -162,7 +162,7 @@ pub fn auto_threads() -> usize {
 
 /// Split `0..len` into at most `threads` contiguous, near-equal,
 /// non-empty shards covering the whole range, in order.
-pub fn shard_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
+pub(crate) fn shard_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
     let threads = threads.max(1).min(len.max(1));
     if len == 0 {
         // One empty shard, so every worker-based API still runs once.

@@ -6,6 +6,7 @@
 //! so that adding a consumer never perturbs the draws another consumer sees —
 //! the property that keeps large experiments reproducible as they grow.
 
+#[cfg(test)]
 use cellrel_types::SimDuration;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -169,12 +170,14 @@ impl SimRng {
     }
 
     /// Exponentially distributed duration with the given mean.
-    pub fn duration_exp(&mut self, mean: SimDuration) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn duration_exp(&mut self, mean: SimDuration) -> SimDuration {
         SimDuration::from_millis(self.exp(mean.as_millis() as f64).round() as u64)
     }
 
     /// Uniform duration in `[lo, hi)`.
-    pub fn duration_range(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn duration_range(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
         SimDuration::from_millis(self.range_u64(lo.as_millis(), hi.as_millis()))
     }
 

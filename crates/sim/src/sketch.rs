@@ -15,8 +15,8 @@
 //! (HDR-histogram style). Bucket counts add like integers, so any shard
 //! order, any merge tree, and any thread count produce the same bytes.
 //!
-//! Resolution: values below [`LINEAR_MAX`] get exact unit buckets; above,
-//! each power-of-two octave is split into [`SUBBUCKETS`] equal slots, so
+//! Resolution: values below `LINEAR_MAX` get exact unit buckets; above,
+//! each power-of-two octave is split into `SUBBUCKETS` equal slots, so
 //! the relative value error of any reported quantile is at most
 //! `1/SUBBUCKETS` ≈ 0.78 %. On the continuous duration distributions the
 //! fleet produces, that value resolution translates into well under 1 %
@@ -54,10 +54,10 @@ use crate::campaign::Digest64;
 use crate::par::Merge;
 
 /// Sub-buckets per power-of-two octave (the relative-error knob).
-pub const SUBBUCKETS: u64 = 128;
+pub(crate) const SUBBUCKETS: u64 = 128;
 const SUB_SHIFT: u32 = 7; // log2(SUBBUCKETS)
 /// Values `< LINEAR_MAX` get an exact bucket each.
-pub const LINEAR_MAX: u64 = SUBBUCKETS;
+pub(crate) const LINEAR_MAX: u64 = SUBBUCKETS;
 /// Number of octaves above the linear region for the full `u64` range.
 const OCTAVES: usize = 64 - SUB_SHIFT as usize;
 /// Total bucket count.
@@ -197,7 +197,7 @@ impl QuantileSketch {
     ///
     /// `q <= 0` and `q >= 1` return the exact recorded min/max. Interior
     /// quantiles return a representative of the bucket containing the
-    /// target rank: exact for values below [`LINEAR_MAX`], the bucket
+    /// target rank: exact for values below `LINEAR_MAX`, the bucket
     /// midpoint above — so the reported value is within `1/SUBBUCKETS` of a
     /// true order statistic at that rank. Clamped into `[min, max]`.
     pub fn quantile(&self, q: f64) -> Option<u64> {

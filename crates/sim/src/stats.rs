@@ -84,17 +84,20 @@ impl Summary {
     }
 
     /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 
     /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> f64 {
         self.max
     }
 
     /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f64 {
         self.mean() * self.n as f64
     }
 }
@@ -165,13 +168,9 @@ impl Ecdf {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.sorted.len()
-    }
-
-    /// Always false; provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// Largest sample.

@@ -141,7 +141,7 @@ impl MetricsRegistry {
     /// Fold a whole pre-built sketch into a histogram — the bridge for
     /// subsystems (like the ingest aggregate) that already summarise their
     /// streams with [`QuantileSketch`]es.
-    pub fn merge_histogram(&mut self, name: &'static str, sketch: QuantileSketch) {
+    pub(crate) fn merge_histogram(&mut self, name: &'static str, sketch: QuantileSketch) {
         match self.histograms.get_mut(name) {
             Some(h) => h.merge(sketch),
             None => {
@@ -198,7 +198,8 @@ impl MetricsRegistry {
     }
 
     /// One histogram, when present.
-    pub fn histogram(&self, name: &str) -> Option<&QuantileSketch> {
+    #[cfg(test)]
+    pub(crate) fn histogram(&self, name: &str) -> Option<&QuantileSketch> {
         self.histograms.get(name)
     }
 
@@ -217,7 +218,8 @@ impl MetricsRegistry {
     }
 
     /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
@@ -403,13 +405,6 @@ impl Telemetry {
         }
     }
 
-    /// Fold a pre-built sketch into a histogram.
-    pub fn merge_histogram(&self, name: &'static str, sketch: QuantileSketch) {
-        if let Some(r) = &self.0 {
-            r.borrow_mut().merge_histogram(name, sketch);
-        }
-    }
-
     /// Record an instant trace event (no-op unless tracing is enabled).
     #[inline]
     pub fn instant(&self, name: &'static str, at: SimTime, tid: u64) {
@@ -452,16 +447,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// The span's label.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The span's start instant.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
     /// Close the span at `end`, recording its duration.
     pub fn end(self, end: SimTime) {
         if let Some(r) = &self.tele.0 {

@@ -538,7 +538,8 @@ impl<E> TimerWheel<E> {
     }
 
     /// Run until the wheel drains completely. Returns events dispatched.
-    pub fn run_to_completion<H: EventHandler<E>>(&mut self, handler: &mut H) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn run_to_completion<H: EventHandler<E>>(&mut self, handler: &mut H) -> u64 {
         self.run_until(handler, SimTime::MAX)
     }
 }

@@ -12,15 +12,15 @@
 //! that line).
 //!
 //! **Zone maps.** Each segment carries the inclusive `[min, max]` of every
-//! key column ([`Zones`]). A conjunctive equality filter whose wanted value
+//! key column (`Zones`). A conjunctive equality filter whose wanted value
 //! falls outside a column's range provably matches no row of the segment,
 //! so the scan can skip it without touching any column — see
-//! [`Zones::may_match_value`] for the one subtle case (raw cause codes).
+//! `Zones::may_match_value` for the one subtle case (raw cause codes).
 //!
 //! **Merging.** Segments never mutate; compaction, merges and views build
 //! a new segment by k-way merging sorted runs (`merge_runs`): rows only one
 //! run holds move column to column as whole ranges, and rows with equal
-//! keys are summed by the same exact [`Merge`] algebra the row path uses —
+//! keys are summed by the same exact [`Merge`](cellrel_sim::Merge) algebra the row path uses —
 //! so layout changes can never change a digest or a query answer.
 //!
 //! **Framing.** [`ColumnSegment::encode`] emits a self-delimiting `SC`
@@ -34,7 +34,9 @@
 use crate::cube::{Cell, CellKey};
 use cellrel_ingest::frame::{read_pairs, seal, write_pairs, write_varint, FrameError, Reader, SC};
 use cellrel_sim::sketch::{check_run, merge_runs_into};
-use cellrel_sim::{Merge, SparseSketch};
+#[cfg(test)]
+use cellrel_sim::Merge;
+use cellrel_sim::SparseSketch;
 use std::collections::{btree_map, BTreeMap};
 use std::ops::Range;
 
@@ -48,7 +50,7 @@ pub const SEGMENT_VERSION: u8 = 1;
 /// and cross-checked on decode, so a restored segment can never carry
 /// zones that disagree with its columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Zones {
+pub(crate) struct Zones {
     /// Time-bucket range.
     pub bucket: (u32, u32),
     /// `FailureKind::index()` range.
@@ -78,7 +80,7 @@ impl Zones {
     /// every alias of it is ≥ 2³², so pruning on `want` is only sound when
     /// the segment's cause column stays below 2³² — then out-of-range
     /// `want` provably matches nothing.
-    pub fn may_match_value(&self, want: u64) -> bool {
+    pub(crate) fn may_match_value(&self, want: u64) -> bool {
         if self.cause.1 >= 1 << 32 {
             return true; // aliasing possible: never prune
         }
@@ -87,7 +89,7 @@ impl Zones {
 }
 
 /// One immutable sealed run of cells in columnar layout. See the module
-/// docs; build with [`ColumnSegment::from_rows`] or `merge_runs`.
+/// docs; `merge_runs` builds one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnSegment {
     // Key columns, sorted by the composite CellKey order (bucket first).
@@ -142,7 +144,8 @@ impl ColumnSegment {
     /// Build a segment from `(key, cell)` rows; duplicate keys merge by
     /// the exact cell algebra, and rows need not arrive sorted. Returns
     /// `None` for an empty input (empty segments are never stored).
-    pub fn from_rows(rows: impl IntoIterator<Item = (CellKey, Cell)>) -> Option<Self> {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: impl IntoIterator<Item = (CellKey, Cell)>) -> Option<Self> {
         let mut sorted: BTreeMap<CellKey, Cell> = BTreeMap::new();
         for (k, c) in rows {
             match sorted.get_mut(&k) {
@@ -156,18 +159,18 @@ impl ColumnSegment {
     }
 
     /// Cells in the run.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buckets.len()
     }
 
     /// True when the run holds no cells (never stored; a decode result
     /// can still be empty).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buckets.is_empty()
     }
 
     /// The per-column zone maps.
-    pub fn zones(&self) -> &Zones {
+    pub(crate) fn zones(&self) -> &Zones {
         &self.zones
     }
 
@@ -214,7 +217,8 @@ impl ColumnSegment {
     }
 
     /// Iterate `(key, cell)` rows in key order (materialising each cell).
-    pub fn rows(&self) -> impl Iterator<Item = (CellKey, Cell)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (CellKey, Cell)> + '_ {
         (0..self.len()).map(|i| (self.key_at(i), self.cell_at(i)))
     }
 

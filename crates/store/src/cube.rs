@@ -80,7 +80,7 @@ impl Region {
     }
 
     /// Printable label.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             Region::Urban => "urban",
             Region::Remote => "remote",
@@ -141,7 +141,7 @@ pub struct CellKey {
     pub model: u8,
     /// `Region::index()`.
     pub region: u8,
-    /// `FailureLayer::index()` of the cause, or [`NO_CAUSE_CLASS`].
+    /// `FailureLayer::index()` of the cause, or `NO_CAUSE_CLASS`.
     pub cause_class: u8,
     /// Fail-cause code, wire-encoded like the ingest codec: 0 = no cause,
     /// else `1 + zigzag(code)` (codes can be negative).
@@ -149,17 +149,17 @@ pub struct CellKey {
 }
 
 /// `cause_class` marker for records without a fail cause.
-pub const NO_CAUSE_CLASS: u8 = 255;
+pub(crate) const NO_CAUSE_CLASS: u8 = 255;
 
 /// `DeviceRec::isp` marker for devices without a directory entry. The
 /// directory is the only ISP source for device records — falling back to an
 /// event's in-situ ISP would make the record depend on which of the
 /// device's events arrived first, breaking shard-order invariance.
-pub const NO_ISP: u8 = 255;
+pub(crate) const NO_ISP: u8 = 255;
 
 impl CellKey {
     /// Decode the cause field back to the raw Android error code.
-    pub fn cause_code(&self) -> Option<i32> {
+    pub(crate) fn cause_code(&self) -> Option<i32> {
         (self.cause != 0).then(|| unzigzag(self.cause - 1) as i32)
     }
 
@@ -243,7 +243,7 @@ pub struct Cell {
 
 impl Cell {
     /// Fold one record's duration in.
-    pub fn push(&mut self, duration_ms: u64) {
+    pub(crate) fn push(&mut self, duration_ms: u64) {
         self.count += 1;
         self.duration_ms_total += duration_ms;
         if duration_ms < 30_000 {
@@ -256,7 +256,7 @@ impl Cell {
     /// accumulation folds thousands of borrowed cells per group, and
     /// cloning each one's sketch just to consume it would dominate the
     /// scan.
-    pub fn merge_ref(&mut self, o: &Cell) {
+    pub(crate) fn merge_ref(&mut self, o: &Cell) {
         self.count += o.count;
         self.duration_ms_total += o.duration_ms_total;
         self.under_30s += o.under_30s;
@@ -273,7 +273,7 @@ impl Merge for Cell {
 /// A device's directory entry inside a partition: static dimensions plus
 /// its recorded failure count (the Table-1 prevalence numerator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceRec {
+pub(crate) struct DeviceRec {
     /// `PhoneModelId.0`, or 0 when unknown.
     pub model: u8,
     /// `Region::index()`.
@@ -311,7 +311,7 @@ pub struct DeviceDim {
 
 impl DeviceDim {
     /// The all-unknown dimension set (no directory available).
-    pub const UNKNOWN: DeviceDim = DeviceDim {
+    pub(crate) const UNKNOWN: DeviceDim = DeviceDim {
         model: None,
         region: Region::Unknown,
         isp: None,
@@ -368,22 +368,12 @@ impl DeviceDirectory {
         }
     }
 
-    /// The dimensions of a device ([`DeviceDim::UNKNOWN`] if unlisted).
+    /// The dimensions of a device (`DeviceDim::UNKNOWN` if unlisted).
     pub fn dim_of(&self, device: DeviceId) -> DeviceDim {
         self.dims
             .get(device.0 as usize)
             .copied()
             .unwrap_or(DeviceDim::UNKNOWN)
-    }
-
-    /// Devices listed.
-    pub fn len(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// True when no devices are listed.
-    pub fn is_empty(&self) -> bool {
-        self.dims.is_empty()
     }
 
     /// Iterate `(device id, dims)` in id order, skipping devices outside
@@ -582,7 +572,7 @@ impl Store {
     }
 
     /// Route a record into its cell. `dim` carries the device's static
-    /// dimensions (pass [`DeviceDim::UNKNOWN`] when no directory exists).
+    /// dimensions (pass `DeviceDim::UNKNOWN` when no directory exists).
     pub fn record(&mut self, e: &FailureEvent, dim: DeviceDim) {
         let bucket = (e.start.as_millis() / self.cfg.bucket_ms).min(u64::from(u32::MAX)) as u32;
         let key = CellKey {

@@ -60,10 +60,9 @@ pub mod persist;
 pub mod query;
 pub mod workload;
 
-pub use columnar::{ColumnSegment, Zones, SEGMENT_VERSION};
+pub use columnar::{ColumnSegment, SEGMENT_VERSION};
 pub use cube::{
-    build_sharded, Cell, CellKey, DeviceDim, DeviceDirectory, DeviceRec, Region, Store,
-    StoreConfig, StoreSink, NO_CAUSE_CLASS, NO_ISP,
+    build_sharded, Cell, CellKey, DeviceDim, DeviceDirectory, Region, Store, StoreConfig, StoreSink,
 };
 pub use federate::{decode_partial, encode_partial, merge_partials, PartialResultSet};
 pub use persist::{read_store, restore_store, save_store};

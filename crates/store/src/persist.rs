@@ -20,12 +20,12 @@ use std::collections::BTreeMap;
 /// Row-only format version. Stores with no sealed segments save exactly
 /// as they always have — byte-identical v1 images — so old readers and
 /// golden snapshots of row-only stores are untouched.
-pub const STORE_VERSION: u8 = 1;
+pub(crate) const STORE_VERSION: u8 = 1;
 /// Columnar format version: identical to v1 except each partition writes
 /// a segment count followed by CRC-framed `SC` blocks (see
 /// [`crate::columnar`]) between its cells and its device table. Emitted
 /// only when at least one partition holds a sealed segment.
-pub const STORE_VERSION_COLUMNAR: u8 = 2;
+pub(crate) const STORE_VERSION_COLUMNAR: u8 = 2;
 
 /// A cell's sketch as the `CS` image and the partial form carry it: exact
 /// extremes (zeros beside no samples), then the shared `pairs` sequence.

@@ -226,18 +226,6 @@ pub fn kill_restart_drill<'a>(
     Ok(drill)
 }
 
-/// [`kill_restart_drill`], then [`Drill::run`] on `threads` threads.
-pub fn run_kill_restart(
-    cfg: &StreamConfig,
-    plan: &KillPlan,
-    checkpoint_every: u64,
-    dir: &DeviceDirectory,
-    batches: &[Vec<u8>],
-    threads: usize,
-) -> Result<CampaignReport, StreamError> {
-    Ok(kill_restart_drill(cfg, plan, checkpoint_every, dir, batches)?.run(threads))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,7 +48,7 @@ use cellrel_types::SimDuration;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Current pipeline checkpoint schema version.
-pub const CKPT_STREAM_VERSION: u8 = 1;
+pub(crate) const CKPT_STREAM_VERSION: u8 = 1;
 
 impl<'d> StreamPipeline<'d> {
     /// Serialize the full pipeline state. Pure: checkpointing never

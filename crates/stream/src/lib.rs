@@ -29,7 +29,7 @@
 //!   [`StreamPipeline::load`] (segments fetched, verified and replayed).
 //!   Restart is **digest-transparent**: replaying the remaining
 //!   batches yields byte-identical store digests, manifests, and tables,
-//!   even when the kill lands mid-window ([`campaign::run_kill_restart`]).
+//!   even when the kill lands mid-window ([`campaign::kill_restart_drill`]).
 //!
 //! Everything is std-only and deterministic; all decode paths are total
 //! (malformed checkpoint/segment/manifest bytes yield a typed
@@ -43,12 +43,12 @@ pub mod source;
 
 mod error;
 
-pub use campaign::{kill_restart_drill, run_kill_restart, Drill, KillPlan, KillReplay};
-pub use checkpoint::{CheckpointImage, CKPT_STREAM_VERSION};
+pub use campaign::{kill_restart_drill, Drill, KillPlan, KillReplay};
+pub use checkpoint::CheckpointImage;
 pub use error::StreamError;
 pub use pipeline::{StreamConfig, StreamCounters, StreamPipeline};
 pub use segment::{
     decode_manifest, decode_segment, encode_manifest, encode_segment, fetch_segment, read_segment,
-    DirSegments, MemSegments, SegmentEntry, SegmentKind, SegmentStore, SEG_VERSION,
+    DirSegments, MemSegments, SegmentEntry, SegmentKind, SegmentStore,
 };
 pub use source::batches_from_events;

@@ -51,7 +51,7 @@ impl Default for StreamConfig {
 
 impl StreamConfig {
     /// Check the window/bucket alignment constraint.
-    pub fn validate(&self) -> Result<(), StreamError> {
+    pub(crate) fn validate(&self) -> Result<(), StreamError> {
         if self.window_ms == 0 {
             return Err(StreamError::Config("window_ms must be positive"));
         }
@@ -326,18 +326,14 @@ impl<'d> StreamPipeline<'d> {
         &self.cfg
     }
 
-    /// The device directory the pipeline resolves dimensions from.
-    pub fn directory(&self) -> &'d DeviceDirectory {
-        self.dir
-    }
-
     /// Batches consumed so far — the replay position after a restore.
     pub fn cursor(&self) -> u64 {
         self.cursor
     }
 
     /// First window index not yet sealed.
-    pub fn sealed_before(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sealed_before(&self) -> u64 {
         self.sealed_before
     }
 
@@ -347,13 +343,9 @@ impl<'d> StreamPipeline<'d> {
     }
 
     /// Records currently waiting in the late lane.
-    pub fn late_pending(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn late_pending(&self) -> u64 {
         self.late.inserted()
-    }
-
-    /// The collector's event-time watermark, ms.
-    pub fn watermark_ms(&self) -> u64 {
-        self.collector.watermark_ms()
     }
 
     /// Content digest of the embedded collector state.

@@ -20,7 +20,7 @@ use cellrel_store::{read_store, save_store, Store, StoreConfig};
 use std::collections::BTreeMap;
 
 /// Current segment frame schema version.
-pub const SEG_VERSION: u8 = 1;
+pub(crate) const SEG_VERSION: u8 = 1;
 
 /// What a segment holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -240,12 +240,13 @@ impl SegmentStore for MemSegments {
     }
 }
 
-/// Filesystem segment backend: one file per segment under a directory.
-/// Used by the long-running bins; writes go through a temp file + fsync +
-/// rename + directory fsync, so a kill mid-write never leaves a torn
-/// segment under its final name **and** a crash right after publish
-/// cannot lose a segment the manifest already references (the rename
-/// itself is only durable once the parent directory entry is synced).
+/// Filesystem segment backend: one file per segment under a directory,
+/// the on-disk counterpart of [`MemSegments`]. Writes go through a temp
+/// file + fsync + rename + directory fsync, so a kill mid-write never
+/// leaves a torn segment under its final name **and** a crash right after
+/// publish cannot lose a segment the manifest already references (the
+/// rename itself is only durable once the parent directory entry is
+/// synced).
 #[derive(Debug, Clone)]
 pub struct DirSegments {
     dir: std::path::PathBuf,

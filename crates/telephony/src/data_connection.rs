@@ -13,7 +13,7 @@ use std::fmt;
 
 /// States of a data connection (Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DcState {
+pub(crate) enum DcState {
     /// No connection, none being built.
     Inactive,
     /// Setup negotiation in flight.
@@ -40,7 +40,7 @@ impl fmt::Display for DcState {
 
 /// A recorded transition.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Transition {
+pub(crate) struct Transition {
     /// When it happened.
     pub at: SimTime,
     /// State before.
@@ -53,7 +53,7 @@ pub struct Transition {
 
 /// The life-cycle FSM with bounded transition history.
 #[derive(Debug, Clone)]
-pub struct DataConnectionFsm {
+pub(crate) struct DataConnectionFsm {
     state: DcState,
     history: Vec<Transition>,
     setup_attempts: u32,
@@ -82,7 +82,7 @@ impl Default for DataConnectionFsm {
 
 impl DataConnectionFsm {
     /// A fresh FSM in `Inactive`.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DataConnectionFsm {
             state: DcState::Inactive,
             history: Vec::new(),
@@ -93,22 +93,24 @@ impl DataConnectionFsm {
 
     /// Attach a telemetry handle; every transition then bumps a
     /// `dc.state.*` counter (disabled handles cost one branch).
-    pub fn set_telemetry(&mut self, tele: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, tele: Telemetry) {
         self.tele = tele;
     }
 
     /// Current state.
-    pub fn state(&self) -> DcState {
+    pub(crate) fn state(&self) -> DcState {
         self.state
     }
 
     /// Total setup attempts ever issued.
-    pub fn setup_attempts(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn setup_attempts(&self) -> u32 {
         self.setup_attempts
     }
 
     /// Transition history (bounded, most recent last).
-    pub fn history(&self) -> &[Transition] {
+    #[cfg(test)]
+    pub(crate) fn history(&self) -> &[Transition] {
         &self.history
     }
 
@@ -132,7 +134,7 @@ impl DataConnectionFsm {
     ///
     /// # Panics
     /// Panics on an illegal source state.
-    pub fn begin_setup(&mut self, at: SimTime) {
+    pub(crate) fn begin_setup(&mut self, at: SimTime) {
         assert!(
             matches!(self.state, DcState::Inactive | DcState::Retrying),
             "begin_setup from {}",
@@ -143,7 +145,7 @@ impl DataConnectionFsm {
     }
 
     /// Setup succeeded.
-    pub fn setup_succeeded(&mut self, at: SimTime) {
+    pub(crate) fn setup_succeeded(&mut self, at: SimTime) {
         assert_eq!(
             self.state,
             DcState::Activating,
@@ -154,7 +156,7 @@ impl DataConnectionFsm {
     }
 
     /// Setup failed; will retry.
-    pub fn setup_failed_retry(&mut self, at: SimTime, cause: DataFailCause) {
+    pub(crate) fn setup_failed_retry(&mut self, at: SimTime, cause: DataFailCause) {
         assert_eq!(
             self.state,
             DcState::Activating,
@@ -165,7 +167,7 @@ impl DataConnectionFsm {
     }
 
     /// Setup failed permanently; give up to `Inactive`.
-    pub fn setup_failed_permanent(&mut self, at: SimTime, cause: DataFailCause) {
+    pub(crate) fn setup_failed_permanent(&mut self, at: SimTime, cause: DataFailCause) {
         assert!(
             matches!(self.state, DcState::Activating | DcState::Retrying),
             "setup_failed_permanent from {}",
@@ -175,7 +177,7 @@ impl DataConnectionFsm {
     }
 
     /// Begin a teardown of the active connection.
-    pub fn begin_disconnect(&mut self, at: SimTime) {
+    pub(crate) fn begin_disconnect(&mut self, at: SimTime) {
         assert_eq!(
             self.state,
             DcState::Active,
@@ -186,7 +188,7 @@ impl DataConnectionFsm {
     }
 
     /// Teardown completed.
-    pub fn disconnect_completed(&mut self, at: SimTime) {
+    pub(crate) fn disconnect_completed(&mut self, at: SimTime) {
         assert_eq!(
             self.state,
             DcState::Disconnecting,
@@ -197,7 +199,7 @@ impl DataConnectionFsm {
     }
 
     /// The connection dropped while `Active` (network-initiated loss).
-    pub fn connection_lost(&mut self, at: SimTime, cause: DataFailCause) {
+    pub(crate) fn connection_lost(&mut self, at: SimTime, cause: DataFailCause) {
         assert_eq!(
             self.state,
             DcState::Active,
@@ -208,7 +210,8 @@ impl DataConnectionFsm {
     }
 
     /// Abandon a pending retry (user disabled data, policy change).
-    pub fn cancel_retry(&mut self, at: SimTime) {
+    #[cfg(test)]
+    pub(crate) fn cancel_retry(&mut self, at: SimTime) {
         assert_eq!(
             self.state,
             DcState::Retrying,
@@ -219,7 +222,7 @@ impl DataConnectionFsm {
     }
 
     /// Hard reset to `Inactive` from any state (modem restart).
-    pub fn force_reset(&mut self, at: SimTime) {
+    pub(crate) fn force_reset(&mut self, at: SimTime) {
         if self.state != DcState::Inactive {
             self.transition(at, DcState::Inactive, None);
         }

@@ -40,7 +40,8 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// An aggressive schedule for tests (short delays, bounded attempts).
-    pub fn fast_for_tests() -> Self {
+    #[cfg(test)]
+    pub(crate) fn fast_for_tests() -> Self {
         RetryPolicy {
             delays: vec![SimDuration::from_secs(1), SimDuration::from_secs(2)],
             steady_state: SimDuration::from_secs(4),
@@ -49,14 +50,14 @@ impl RetryPolicy {
     }
 
     /// Delay before retry number `n` (1-based count of *failures so far*).
-    pub fn delay_after(&self, failures: u32) -> SimDuration {
+    pub(crate) fn delay_after(&self, failures: u32) -> SimDuration {
         let idx = (failures as usize).saturating_sub(1);
         self.delays.get(idx).copied().unwrap_or(self.steady_state)
     }
 
     /// Whether another retry is allowed after `failures` consecutive
     /// failures.
-    pub fn allows_retry(&self, failures: u32) -> bool {
+    pub(crate) fn allows_retry(&self, failures: u32) -> bool {
         self.max_attempts.map(|m| failures < m).unwrap_or(true)
     }
 }
@@ -93,27 +94,24 @@ impl DcTracker {
     }
 
     /// The connection FSM (read-only).
-    pub fn fsm(&self) -> &DataConnectionFsm {
+    #[cfg(test)]
+    pub(crate) fn fsm(&self) -> &DataConnectionFsm {
         &self.fsm
     }
 
     /// Attach a telemetry handle to the FSM (state-transition counters).
-    pub fn set_telemetry(&mut self, tele: cellrel_sim::Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, tele: cellrel_sim::Telemetry) {
         self.fsm.set_telemetry(tele);
     }
 
     /// Current consecutive-failure streak.
-    pub fn consecutive_failures(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn consecutive_failures(&self) -> u32 {
         self.consecutive_failures
     }
 
-    /// The APN this tracker manages.
-    pub fn apn(&self) -> Apn {
-        self.apn
-    }
-
     /// Whether a setup attempt is currently legal.
-    pub fn can_attempt(&self) -> bool {
+    pub(crate) fn can_attempt(&self) -> bool {
         matches!(self.fsm.state(), DcState::Inactive | DcState::Retrying)
     }
 
@@ -150,7 +148,7 @@ impl DcTracker {
     }
 
     /// Tear down an active connection cleanly.
-    pub fn disconnect(&mut self, modem: &mut Modem, now: SimTime) {
+    pub(crate) fn disconnect(&mut self, modem: &mut Modem, now: SimTime) {
         if self.fsm.state() == DcState::Active {
             self.fsm.begin_disconnect(now);
             modem.deactivate();
@@ -159,7 +157,12 @@ impl DcTracker {
     }
 
     /// The network dropped the active connection.
-    pub fn connection_lost(&mut self, modem: &mut Modem, now: SimTime, cause: DataFailCause) {
+    pub(crate) fn connection_lost(
+        &mut self,
+        modem: &mut Modem,
+        now: SimTime,
+        cause: DataFailCause,
+    ) {
         if self.fsm.state() == DcState::Active {
             modem.deactivate();
             self.fsm.connection_lost(now, cause);
@@ -168,7 +171,7 @@ impl DcTracker {
 
     /// Reset after a modem restart or external recovery: back to `Inactive`,
     /// streak cleared.
-    pub fn reset(&mut self, now: SimTime) {
+    pub(crate) fn reset(&mut self, now: SimTime) {
         self.fsm.force_reset(now);
         self.consecutive_failures = 0;
     }

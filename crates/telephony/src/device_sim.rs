@@ -315,11 +315,6 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         self.listener
     }
 
-    /// Current position.
-    pub fn position(&self) -> Pos {
-        self.pos
-    }
-
     /// The modem (tests).
     pub fn modem(&self) -> &Modem {
         &self.modem

@@ -6,7 +6,9 @@
 //! manual toggles, overload rejections) the monitor must filter out.
 
 use cellrel_netstack::LinkCondition;
-use cellrel_types::{DataFailCause, FailureKind, InSituInfo, Rat, SimDuration, SimTime};
+#[cfg(test)]
+use cellrel_types::FailureKind;
+use cellrel_types::{DataFailCause, InSituInfo, Rat, SimDuration, SimTime};
 
 /// An event emitted by the telephony stack.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,7 +91,8 @@ pub enum TelephonyEvent {
 
 impl TelephonyEvent {
     /// The failure kind this event suggests, if it is failure-shaped.
-    pub fn failure_kind(&self) -> Option<FailureKind> {
+    #[cfg(test)]
+    pub(crate) fn failure_kind(&self) -> Option<FailureKind> {
         match self {
             TelephonyEvent::DataSetupError { .. } => Some(FailureKind::DataSetupError),
             TelephonyEvent::OutOfServiceBegan { .. } => Some(FailureKind::OutOfService),
@@ -108,24 +111,18 @@ pub trait TelephonyListener {
 }
 
 /// A listener that records everything (tests, tracing).
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct RecordingListener {
+pub(crate) struct RecordingListener {
     /// The recorded `(time, event)` log.
     pub log: Vec<(SimTime, TelephonyEvent)>,
 }
 
+#[cfg(test)]
 impl TelephonyListener for RecordingListener {
     fn on_event(&mut self, at: SimTime, event: &TelephonyEvent) {
         self.log.push((at, *event));
     }
-}
-
-/// A no-op listener.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullListener;
-
-impl TelephonyListener for NullListener {
-    fn on_event(&mut self, _at: SimTime, _event: &TelephonyEvent) {}
 }
 
 /// A tee: records the raw event log *and* forwards every event to an inner

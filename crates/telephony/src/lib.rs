@@ -9,8 +9,6 @@
 //!   Disconnecting).
 //! * [`dc_tracker`] — `DcTracker`: drives setups through the modem, applies
 //!   the retry schedule, distinguishes permanent causes.
-//! * [`apn_manager`] — one `DcTracker` per enabled APN (internet / IMS /
-//!   MMS), priority-ordered as Android manages its PDN contexts.
 //! * [`service_state`] — `ServiceStateTracker`: Out_of_Service detection.
 //! * [`stall`] — the vanilla Data_Stall detector over kernel TCP counters.
 //! * [`recovery`] — the three-stage progressive recovery mechanism with
@@ -28,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod apn_manager;
 pub mod data_connection;
 pub mod dc_tracker;
 pub mod device_sim;
@@ -39,18 +36,10 @@ pub mod service_state;
 pub mod sms;
 pub mod stall;
 
-pub use apn_manager::ApnManager;
-pub use data_connection::{DataConnectionFsm, DcState};
 pub use dc_tracker::{DcTracker, RetryPolicy};
 pub use device_sim::{DeviceConfig, DeviceSim, DeviceStats, MobilityProfile, WorldEvent};
-pub use events::{
-    NullListener, RecordingBoth, RecordingListener, TelephonyEvent, TelephonyListener,
-};
-pub use rat_policy::{
-    DualConnectivity, RatPolicyKind, RatSelectionPolicy, StabilityCompatible, VanillaAndroid10,
-    VanillaAndroid11, VanillaAndroid9,
-};
+pub use events::{RecordingBoth, TelephonyEvent, TelephonyListener};
+pub use rat_policy::RatPolicyKind;
 pub use recovery::{RecoveryAction, RecoveryConfig, RecoveryEngine};
 pub use service_state::ServiceStateTracker;
-pub use sms::{SmsResult, SmsService, VoiceService};
 pub use stall::DataStallDetector;

@@ -3,17 +3,17 @@
 //! This is where the paper's headline software defect lives and where its
 //! first deployed fix goes:
 //!
-//! * [`VanillaAndroid9`] — no 5G support; prefers the highest available
+//! * `VanillaAndroid9` — no 5G support; prefers the highest available
 //!   legacy generation.
-//! * [`VanillaAndroid10`] — "5G is blindly preferred to the other RATs"
+//! * `VanillaAndroid10` — "5G is blindly preferred to the other RATs"
 //!   (§3.2): a level-0 5G cell beats a level-4 4G cell. This is the defect
 //!   that inflates failures on 5G phones.
-//! * [`StabilityCompatible`] — the paper's §4.2 fix: avoid transitions whose
+//! * `StabilityCompatible` — the paper's §4.2 fix: avoid transitions whose
 //!   target signal level is 0 when any usable alternative exists (the four
 //!   disastrous 4G→5G cases of Fig. 17f, generalised to all RATs per the
 //!   "failures tend to occur when there is level-0 RSS after transition"
 //!   pattern), with mild stickiness to the serving RAT to avoid churn.
-//! * [`DualConnectivity`] — 3GPP TS 37.340 4G/5G dual connectivity: keeps a
+//! * `DualConnectivity` — 3GPP TS 37.340 4G/5G dual connectivity: keeps a
 //!   master + slave control-plane pair so transitions between 4G and 5G are
 //!   faster and less disruptive; a wrapper over any inner policy.
 
@@ -23,8 +23,9 @@ use std::fmt;
 
 /// A RAT selection policy: given the scan's best-cell-per-RAT views and the
 /// currently serving RAT, pick the cell to camp on.
-pub trait RatSelectionPolicy {
-    /// Human-readable policy name (used in experiment tables).
+pub(crate) trait RatSelectionPolicy {
+    /// Human-readable policy name.
+    #[cfg(test)]
     fn name(&self) -> &'static str;
 
     /// Choose a view. `None` means no usable candidate.
@@ -61,7 +62,7 @@ pub enum RatPolicyKind {
 
 impl RatPolicyKind {
     /// Instantiate the policy.
-    pub fn build(self) -> Box<dyn RatSelectionPolicy> {
+    pub(crate) fn build(self) -> Box<dyn RatSelectionPolicy> {
         match self {
             RatPolicyKind::Android9 => Box::new(VanillaAndroid9),
             RatPolicyKind::Android10 => Box::new(VanillaAndroid10),
@@ -95,9 +96,10 @@ impl fmt::Display for RatPolicyKind {
 /// Android 9: no 5G stack; prefer the highest of 4G/3G/2G that is present
 /// at all (vanilla Android pays no attention to the signal level here).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct VanillaAndroid9;
+pub(crate) struct VanillaAndroid9;
 
 impl RatSelectionPolicy for VanillaAndroid9 {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "vanilla-android-9"
     }
@@ -113,9 +115,10 @@ impl RatSelectionPolicy for VanillaAndroid9 {
 /// Android 10: blind 5G preference — any detectable 5G cell wins over
 /// everything, regardless of signal level (§3.2).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct VanillaAndroid10;
+pub(crate) struct VanillaAndroid10;
 
 impl RatSelectionPolicy for VanillaAndroid10 {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "vanilla-android-10"
     }
@@ -130,9 +133,10 @@ impl RatSelectionPolicy for VanillaAndroid10 {
 /// stronger cell. The defining defect (a level-0 5G cell beating a healthy
 /// 4G cell) is unchanged, which is the paper's point.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct VanillaAndroid11;
+pub(crate) struct VanillaAndroid11;
 
 impl RatSelectionPolicy for VanillaAndroid11 {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "vanilla-android-11"
     }
@@ -146,7 +150,7 @@ impl RatSelectionPolicy for VanillaAndroid11 {
 
 /// The stability-compatible policy of §4.2.
 #[derive(Debug, Clone, Copy)]
-pub struct StabilityCompatible {
+pub(crate) struct StabilityCompatible {
     /// Minimum target level for an *upgrade* transition to be taken when a
     /// usable alternative exists. The paper's rule is "avoid level-0
     /// targets"; expressed as a threshold to let ablations sweep it.
@@ -162,6 +166,7 @@ impl Default for StabilityCompatible {
 }
 
 impl RatSelectionPolicy for StabilityCompatible {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "stability-compatible"
     }
@@ -220,19 +225,20 @@ impl RatSelectionPolicy for StabilityCompatible {
 /// device agent queries [`RatSelectionPolicy::dual_connectivity`] to decide
 /// whether transitions pay the full disruption cost.
 #[derive(Debug, Clone, Copy)]
-pub struct DualConnectivity<P> {
+pub(crate) struct DualConnectivity<P> {
     inner: P,
 }
 
 impl<P: RatSelectionPolicy> DualConnectivity<P> {
     /// Wrap a policy with dual connectivity.
-    pub fn new(inner: P) -> Self {
+    pub(crate) fn new(inner: P) -> Self {
         DualConnectivity { inner }
     }
 
     /// Given the selection, the standby RAT to hold (the other of 4G/5G),
     /// if the views offer it.
-    pub fn standby_rat(selected: Rat, views: &[CellView]) -> Option<Rat> {
+    #[cfg(test)]
+    pub(crate) fn standby_rat(selected: Rat, views: &[CellView]) -> Option<Rat> {
         let other = match selected {
             Rat::G4 => Rat::G5,
             Rat::G5 => Rat::G4,
@@ -243,6 +249,7 @@ impl<P: RatSelectionPolicy> DualConnectivity<P> {
 }
 
 impl<P: RatSelectionPolicy> RatSelectionPolicy for DualConnectivity<P> {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         self.inner.name()
     }

@@ -33,7 +33,7 @@ pub enum RecoveryAction {
 
 impl RecoveryAction {
     /// Stage number 1..=3.
-    pub const fn stage(self) -> u8 {
+    pub(crate) const fn stage(self) -> u8 {
         match self {
             RecoveryAction::CleanupConnections => 1,
             RecoveryAction::Reregister => 2,
@@ -97,7 +97,7 @@ impl RecoveryConfig {
     /// (~60 s). The disruption cost is what makes firing recovery on a
     /// 2-second transient a net loss — the trade-off the TIMP probations
     /// balance.
-    pub fn default_costs() -> [SimDuration; 3] {
+    pub(crate) fn default_costs() -> [SimDuration; 3] {
         [
             SimDuration::from_secs(12),
             SimDuration::from_secs(30),
@@ -107,7 +107,7 @@ impl RecoveryConfig {
 
     /// Default operation effectiveness: stage 1 fixes 75 % (§3.2), the
     /// heavier stages more.
-    pub fn default_success() -> [f64; 3] {
+    pub(crate) fn default_success() -> [f64; 3] {
         [0.75, 0.90, 0.97]
     }
 
@@ -160,18 +160,14 @@ impl RecoveryEngine {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &RecoveryConfig {
-        &self.cfg
-    }
-
     /// Whether a recovery episode is in progress.
     pub fn active(&self) -> bool {
         !matches!(self.phase, Phase::Idle)
     }
 
     /// Whether all stages ran without clearing the stall.
-    pub fn exhausted(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn exhausted(&self) -> bool {
         matches!(self.phase, Phase::Exhausted)
     }
 
@@ -229,7 +225,8 @@ impl RecoveryEngine {
 
     /// The cost of the stage that would run next (for scheduling the
     /// post-operation check).
-    pub fn next_op_cost(&self) -> Option<SimDuration> {
+    #[cfg(test)]
+    pub(crate) fn next_op_cost(&self) -> Option<SimDuration> {
         match self.phase {
             Phase::Probation { next } => Some(self.cfg.op_cost[next]),
             _ => None,
@@ -237,7 +234,7 @@ impl RecoveryEngine {
     }
 
     /// The operation that will execute when the current probation expires.
-    pub fn next_action(&self) -> Option<RecoveryAction> {
+    pub(crate) fn next_action(&self) -> Option<RecoveryAction> {
         match self.phase {
             Phase::Probation { next } => Some(match next {
                 0 => RecoveryAction::CleanupConnections,
@@ -249,7 +246,7 @@ impl RecoveryEngine {
     }
 
     /// The stall cleared by itself (or by the user): abort the episode.
-    pub fn stall_cleared(&mut self) {
+    pub(crate) fn stall_cleared(&mut self) {
         self.phase = Phase::Idle;
         self.started_at = None;
     }

@@ -23,7 +23,7 @@ impl Default for ServiceStateTracker {
 
 impl ServiceStateTracker {
     /// A tracker starting in service.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ServiceStateTracker {
             state: ServiceState::InService,
             outage_started: None,
@@ -37,18 +37,19 @@ impl ServiceStateTracker {
     }
 
     /// Whether an outage is in progress.
-    pub fn in_outage(&self) -> bool {
+    pub(crate) fn in_outage(&self) -> bool {
         self.outage_started.is_some()
     }
 
     /// Completed outages as `(start, duration)`.
-    pub fn outages(&self) -> &[(SimTime, SimDuration)] {
+    #[cfg(test)]
+    pub(crate) fn outages(&self) -> &[(SimTime, SimDuration)] {
         &self.completed_outages
     }
 
     /// Update the service state; returns the finished outage duration when a
     /// transition closes an Out_of_Service episode.
-    pub fn update(&mut self, now: SimTime, new_state: ServiceState) -> Option<SimDuration> {
+    pub(crate) fn update(&mut self, now: SimTime, new_state: ServiceState) -> Option<SimDuration> {
         if new_state == self.state {
             return None;
         }
@@ -71,7 +72,8 @@ impl ServiceStateTracker {
     }
 
     /// Total outage time accumulated so far (completed episodes only).
-    pub fn total_outage(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn total_outage(&self) -> SimDuration {
         self.completed_outages
             .iter()
             .fold(SimDuration::ZERO, |acc, &(_, d)| acc + d)

@@ -10,11 +10,11 @@
 
 use cellrel_radio::RiskFactors;
 use cellrel_sim::SimRng;
-use cellrel_types::{Rat, SimDuration};
+use cellrel_types::Rat;
 
 /// Result of an SMS submission attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SmsResult {
+pub(crate) enum SmsResult {
     /// Delivered to the SMSC.
     Sent,
     /// Transient failure; Android schedules a retry
@@ -26,11 +26,9 @@ pub enum SmsResult {
 
 /// The SMS service: a small retry state machine per message.
 #[derive(Debug, Clone)]
-pub struct SmsService {
+pub(crate) struct SmsService {
     /// Maximum send attempts per message (Android retries a few times).
     pub max_attempts: u32,
-    /// Delay between retries.
-    pub retry_delay: SimDuration,
     sent: u64,
     retries: u64,
     failures: u64,
@@ -40,7 +38,6 @@ impl Default for SmsService {
     fn default() -> Self {
         SmsService {
             max_attempts: 3,
-            retry_delay: SimDuration::from_secs(5),
             sent: 0,
             retries: 0,
             failures: 0,
@@ -61,28 +58,31 @@ fn sms_attempt_failure_prob(risk: &RiskFactors, rat: Rat) -> f64 {
 
 impl SmsService {
     /// A fresh service.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Messages delivered.
-    pub fn sent(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sent(&self) -> u64 {
         self.sent
     }
 
     /// Retry events (each maps to one `RIL_SMS_SEND_FAIL_RETRY`).
-    pub fn retries(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn retries(&self) -> u64 {
         self.retries
     }
 
     /// Messages abandoned after the retry budget.
-    pub fn failures(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn failures(&self) -> u64 {
         self.failures
     }
 
     /// One send attempt for a message that has already used
     /// `attempts_so_far` attempts.
-    pub fn attempt_send(
+    pub(crate) fn attempt_send(
         &mut self,
         attempts_so_far: u32,
         rat: Rat,
@@ -105,7 +105,7 @@ impl SmsService {
 
     /// Send with the full internal retry loop collapsed (macro-style use):
     /// returns the terminal result and the number of attempts consumed.
-    pub fn send_with_retries(
+    pub(crate) fn send_with_retries(
         &mut self,
         rat: Rat,
         risk: &RiskFactors,
@@ -123,30 +123,26 @@ impl SmsService {
 
 /// Voice call setup over the circuit-switched (or VoLTE) path.
 #[derive(Debug, Clone, Default)]
-pub struct VoiceService {
+pub(crate) struct VoiceService {
     setups: u64,
     failures: u64,
 }
 
 impl VoiceService {
     /// A fresh service.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Successful call setups.
-    pub fn setups(&self) -> u64 {
-        self.setups
-    }
-
     /// Failed call setups.
-    pub fn failures(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn failures(&self) -> u64 {
         self.failures
     }
 
     /// Attempt a call setup. Legacy CS voice is extremely reliable; VoLTE
     /// (4G/5G) couples to the data bearer health.
-    pub fn attempt_call(
+    pub(crate) fn attempt_call(
         &mut self,
         rat: Rat,
         risk: &RiskFactors,

@@ -11,7 +11,7 @@ use cellrel_types::{SimDuration, SimTime};
 
 /// Default evaluation cadence (Android polls the predicate roughly once a
 /// minute).
-pub const DEFAULT_POLL_INTERVAL: SimDuration = SimDuration::from_secs(60);
+pub(crate) const DEFAULT_POLL_INTERVAL: SimDuration = SimDuration::from_secs(60);
 
 /// The stall detector: cadence + edge detection.
 #[derive(Debug, Clone)]
@@ -31,7 +31,7 @@ impl Default for DataStallDetector {
 
 impl DataStallDetector {
     /// Detector with a custom poll interval.
-    pub fn new(interval: SimDuration) -> Self {
+    pub(crate) fn new(interval: SimDuration) -> Self {
         assert!(!interval.is_zero());
         DataStallDetector {
             interval,
@@ -41,7 +41,7 @@ impl DataStallDetector {
     }
 
     /// The evaluation cadence.
-    pub fn poll_interval(&self) -> SimDuration {
+    pub(crate) fn poll_interval(&self) -> SimDuration {
         self.interval
     }
 
@@ -51,14 +51,15 @@ impl DataStallDetector {
     }
 
     /// When the current stall was detected.
-    pub fn detected_at(&self) -> Option<SimTime> {
+    #[cfg(test)]
+    pub(crate) fn detected_at(&self) -> Option<SimTime> {
         self.detected_at
     }
 
     /// Evaluate the predicate now. Returns `Some(true)` on a rising edge
     /// (new stall detected), `Some(false)` on a falling edge (stall
     /// cleared), `None` when nothing changed.
-    pub fn poll(&mut self, now: SimTime, stack: &mut NetStack) -> Option<bool> {
+    pub(crate) fn poll(&mut self, now: SimTime, stack: &mut NetStack) -> Option<bool> {
         let stalled = stack.stall_detected(now);
         match (self.stalled, stalled) {
             (false, true) => {
@@ -76,7 +77,7 @@ impl DataStallDetector {
     }
 
     /// Clear the detector state (after recovery resets counters).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.stalled = false;
         self.detected_at = None;
     }

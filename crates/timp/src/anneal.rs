@@ -115,7 +115,8 @@ pub fn anneal_probations(model: &TimpModel, cfg: &AnnealConfig) -> AnnealResult 
 
 /// Exhaustive coarse grid search (step 5 s) — a slow oracle the tests use to
 /// validate the annealer's optimum.
-pub fn grid_search(model: &TimpModel, max: u64) -> ([u64; 3], f64) {
+#[cfg(test)]
+pub(crate) fn grid_search(model: &TimpModel, max: u64) -> ([u64; 3], f64) {
     let mut best = [5u64, 5, 5];
     let mut best_e = f64::INFINITY;
     let mut p0 = 5;

@@ -82,7 +82,7 @@ impl TimpModel {
     }
 
     /// Natural-recovery CDF `F(t)` (empirical step function).
-    pub fn natural_cdf(&self, t: f64) -> f64 {
+    pub(crate) fn natural_cdf(&self, t: f64) -> f64 {
         self.sorted.partition_point(|&d| d <= t) as f64 / self.sorted.len() as f64
     }
 
@@ -95,7 +95,8 @@ impl TimpModel {
 
     /// `P_{i→e}(t)`: probability of having recovered by elapsed time `t`
     /// after operations `1..=i` have executed.
-    pub fn p_recovered(&self, ops_executed: usize, t: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn p_recovered(&self, ops_executed: usize, t: f64) -> f64 {
         let mult: f64 = self.op_success[..ops_executed.min(3)]
             .iter()
             .map(|s| 1.0 - s)

@@ -21,9 +21,6 @@ pub enum AndroidVersion {
 }
 
 impl AndroidVersion {
-    /// Both studied versions.
-    pub const ALL: [AndroidVersion; 2] = [AndroidVersion::V9, AndroidVersion::V10];
-
     /// Numeric major version.
     pub const fn number(self) -> u8 {
         match self {
@@ -33,7 +30,8 @@ impl AndroidVersion {
     }
 
     /// Whether this version supports 5G at all (only Android 10 does).
-    pub const fn supports_5g(self) -> bool {
+    #[cfg(test)]
+    pub(crate) const fn supports_5g(self) -> bool {
         matches!(self, AndroidVersion::V10)
     }
 }

@@ -144,7 +144,8 @@ pub struct FailureEvent {
 
 impl FailureEvent {
     /// Instant the failure ended.
-    pub fn end(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn end(&self) -> SimTime {
         self.start + self.duration
     }
 

@@ -176,7 +176,8 @@ pub enum Apn {
 
 impl Apn {
     /// All APN kinds.
-    pub const ALL: [Apn; 4] = [Apn::Internet, Apn::Ims, Apn::Mms, Apn::Supl];
+    #[cfg(test)]
+    pub(crate) const ALL: [Apn; 4] = [Apn::Internet, Apn::Ims, Apn::Mms, Apn::Supl];
 
     /// Stable array index (0..4).
     pub const fn index(self) -> usize {

@@ -46,7 +46,8 @@ impl Rat {
     }
 
     /// The generation number (2..=5).
-    pub const fn generation(self) -> u8 {
+    #[cfg(test)]
+    pub(crate) const fn generation(self) -> u8 {
         match self {
             Rat::G2 => 2,
             Rat::G3 => 3,
@@ -77,7 +78,8 @@ impl Rat {
     }
 
     /// The next-lower generation, if any.
-    pub const fn downgrade(self) -> Option<Rat> {
+    #[cfg(test)]
+    pub(crate) const fn downgrade(self) -> Option<Rat> {
         match self {
             Rat::G2 => None,
             Rat::G3 => Some(Rat::G2),
@@ -128,7 +130,8 @@ impl RatSet {
     }
 
     /// Remove one RAT.
-    pub fn remove(&mut self, r: Rat) {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, r: Rat) {
         self.0 &= !(1 << r.index());
     }
 
@@ -153,7 +156,8 @@ impl RatSet {
     }
 
     /// Set union.
-    pub const fn union(self, other: RatSet) -> RatSet {
+    #[cfg(test)]
+    pub(crate) const fn union(self, other: RatSet) -> RatSet {
         RatSet(self.0 | other.0)
     }
 
@@ -163,7 +167,8 @@ impl RatSet {
     }
 
     /// The lowest generation in the set, if any.
-    pub fn lowest(self) -> Option<Rat> {
+    #[cfg(test)]
+    pub(crate) fn lowest(self) -> Option<Rat> {
         Rat::ALL.iter().copied().find(|&r| self.contains(r))
     }
 

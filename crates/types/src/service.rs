@@ -28,7 +28,7 @@ impl ServiceState {
     }
 
     /// Android constant-style name.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             ServiceState::InService => "STATE_IN_SERVICE",
             ServiceState::OutOfService => "STATE_OUT_OF_SERVICE",

@@ -52,18 +52,11 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Saturating addition of a span.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
     /// The zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The longest representable span; used as a sentinel for "forever".
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from raw milliseconds.
     pub const fn from_millis(ms: u64) -> Self {

@@ -32,18 +32,7 @@ pub enum AbArm {
     Custom,
 }
 
-impl AbArm {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AbArm::VanillaAndroid10 => "vanilla-android-10",
-            AbArm::StabilityCompatible => "stability-compatible",
-            AbArm::VanillaRecovery => "vanilla-recovery",
-            AbArm::TimpRecovery => "timp-recovery",
-            AbArm::Custom => "custom",
-        }
-    }
-}
+impl AbArm {}
 
 /// A/B experiment parameters.
 #[derive(Debug, Clone, Copy)]

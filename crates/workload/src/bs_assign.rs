@@ -34,12 +34,12 @@ pub struct BsAssigner {
 
 impl BsAssigner {
     /// The paper's fitted Zipf exponent.
-    pub const PAPER_ZIPF_A: f64 = 0.82;
+    pub(crate) const PAPER_ZIPF_A: f64 = 0.82;
 
     /// Build a directory of `n` base stations with ISP shares and RAT
     /// support per the paper, and a Zipf rank permutation. The *top ranks*
     /// are biased toward urban sites (crowded-area finding).
-    pub fn new(n: usize, rng: &mut SimRng) -> Self {
+    pub(crate) fn new(n: usize, rng: &mut SimRng) -> Self {
         assert!(n > 0);
         let mut rng = rng.fork(0xB5A5);
         let mut directory = Vec::with_capacity(n);
@@ -115,7 +115,7 @@ impl BsAssigner {
     /// ISP and a RAT the BS must support. Falls back to an unconstrained
     /// draw after a bounded number of rejections (directory mixes are dense
     /// enough that this is rare).
-    pub fn assign(&self, isp: Isp, rat: Rat, rng: &mut SimRng) -> &MacroBs {
+    pub(crate) fn assign(&self, isp: Isp, rat: Rat, rng: &mut SimRng) -> &MacroBs {
         for _ in 0..64 {
             let rank = self.zipf.sample(rng);
             let bs = &self.directory[self.rank_to_bs[rank] as usize];

@@ -481,7 +481,7 @@ impl Invariant<StepView> for NoWedge {
 
 /// The standard cross-stack invariant registry. Campaign drivers and the
 /// replay path both build it from here so they check the same properties.
-pub fn default_registry() -> InvariantRegistry<StepView> {
+pub(crate) fn default_registry() -> InvariantRegistry<StepView> {
     let mut reg = InvariantRegistry::new();
     reg.register(StageMonotonic::default())
         .register(ProbationRespected::default())

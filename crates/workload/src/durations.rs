@@ -13,10 +13,14 @@ use cellrel_sim::SimRng;
 use cellrel_types::{FailureKind, SimDuration};
 
 /// Hard cap on any failure duration (the paper's observed maximum).
-pub const MAX_DURATION_SECS: f64 = 91_770.0;
+pub(crate) const MAX_DURATION_SECS: f64 = 91_770.0;
 
 /// Sample a duration (seconds) for a failure of the given kind.
-pub fn sample_duration_secs(kind: FailureKind, rng: &mut SimRng, disrepair_region: bool) -> f64 {
+pub(crate) fn sample_duration_secs(
+    kind: FailureKind,
+    rng: &mut SimRng,
+    disrepair_region: bool,
+) -> f64 {
     let secs = match kind {
         FailureKind::DataSetupError => {
             // Setup-error episodes resolve with retries within seconds to a
@@ -40,7 +44,7 @@ pub fn sample_duration_secs(kind: FailureKind, rng: &mut SimRng, disrepair_regio
 
 /// Stall durations: fast-healing body (Fig. 10) plus the heavy tail that
 /// makes stalls 94 % of total failure time.
-pub fn sample_stall_duration_secs(rng: &mut SimRng) -> f64 {
+pub(crate) fn sample_stall_duration_secs(rng: &mut SimRng) -> f64 {
     if rng.chance(0.80) {
         // Fig. 10 body: most stalls clear in seconds.
         rng.lognormal(1.85, 1.15)
@@ -63,7 +67,11 @@ pub fn sample_auto_heal_secs(rng: &mut SimRng) -> f64 {
 }
 
 /// Convenience: sample as a [`SimDuration`].
-pub fn sample_duration(kind: FailureKind, rng: &mut SimRng, disrepair_region: bool) -> SimDuration {
+pub(crate) fn sample_duration(
+    kind: FailureKind,
+    rng: &mut SimRng,
+    disrepair_region: bool,
+) -> SimDuration {
     SimDuration::from_secs_f64(sample_duration_secs(kind, rng, disrepair_region))
 }
 

@@ -11,7 +11,7 @@
 //! * [`level_exposure`] — the fraction of camped time a fleet spends at
 //!   each signal level (provided to the paper's authors by Xiaomi's
 //!   nationwide measurement; synthesised here);
-//! * [`normalized_prevalence`] — the per-level failure likelihood (the
+//! * `NORMALIZED_PREVALENCE` — the per-level failure likelihood (the
 //!   Fig. 15 series shape).
 //!
 //! The joint product gives the probability a recorded failure carries a
@@ -24,11 +24,11 @@ use cellrel_types::{Rat, SignalLevel};
 /// Fraction of camped time spent at each signal level (levels 0..=5).
 /// Most fleets sit at mid-to-good levels; level 0 and level 5 are both
 /// comparatively rare exposures.
-pub const LEVEL_EXPOSURE: [f64; 6] = [0.04, 0.09, 0.18, 0.30, 0.27, 0.12];
+pub(crate) const LEVEL_EXPOSURE: [f64; 6] = [0.04, 0.09, 0.18, 0.30, 0.27, 0.12];
 
 /// The Fig. 15 normalized-prevalence shape: strictly decreasing levels 0→4,
 /// then the level-5 spike that rises above every level except 0.
-pub const NORMALIZED_PREVALENCE: [f64; 6] = [0.34, 0.205, 0.155, 0.115, 0.085, 0.24];
+pub(crate) const NORMALIZED_PREVALENCE: [f64; 6] = [0.34, 0.205, 0.155, 0.115, 0.085, 0.24];
 
 /// Fig. 16: per-RAT normalized prevalence for 4G and 5G. 5G is uniformly
 /// riskier (immature modules, §3.2) and its level-0 entry is the policy
@@ -54,15 +54,10 @@ pub fn level_exposure(level: SignalLevel) -> f64 {
     LEVEL_EXPOSURE[level.index()]
 }
 
-/// Normalized prevalence at a level (the Fig. 15 series).
-pub fn normalized_prevalence(level: SignalLevel) -> f64 {
-    NORMALIZED_PREVALENCE[level.index()]
-}
-
 /// A sampler over the signal level *of a failure*: P(level | failure) ∝
 /// exposure(level) × normalized_prevalence(level, rat).
 #[derive(Debug, Clone)]
-pub struct FailureLevelSampler {
+pub(crate) struct FailureLevelSampler {
     samplers: [WeightedIndex; 4],
 }
 
@@ -74,7 +69,7 @@ impl Default for FailureLevelSampler {
 
 impl FailureLevelSampler {
     /// Build per-RAT samplers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let build = |rat: Rat| {
             let weights: Vec<f64> = SignalLevel::ALL
                 .iter()
@@ -93,7 +88,7 @@ impl FailureLevelSampler {
     }
 
     /// Draw the signal level of a failure occurring on `rat`.
-    pub fn sample(&self, rat: Rat, rng: &mut SimRng) -> SignalLevel {
+    pub(crate) fn sample(&self, rat: Rat, rng: &mut SimRng) -> SignalLevel {
         SignalLevel::ALL[self.samplers[rat.index()].sample(rng)]
     }
 }
@@ -109,7 +104,7 @@ impl FailureLevelSampler {
 /// The paper's observed pattern: transitions landing on level-0 targets are
 /// the dangerous ones, and the danger grows with how *good* the signal was
 /// before the switch (the 4G L4 → 5G L0 cell is the darkest at +0.37).
-pub fn transition_risk_increase(
+pub(crate) fn transition_risk_increase(
     from_rat: Rat,
     from_level: SignalLevel,
     to_rat: Rat,

@@ -45,12 +45,12 @@
 //! event-driven driver adds one timer-wheel alarm per device (the wheel
 //! reports its own footprint via `approx_bytes`).
 
+use crate::bs_assign::BsAssigner;
 use crate::durations;
 use crate::exposure::FailureLevelSampler;
 use crate::fleet_metrics::FleetMetrics;
 use crate::population::{DeviceProfile, Population, PopulationConfig};
 use crate::study::{kind_weights_for, rat_mix, OOS_PRONE_SHARE};
-use crate::BsAssigner;
 use cellrel_modem::cause_mix::CauseMix;
 use cellrel_radio::load::diurnal_factor;
 use cellrel_radio::RatTransitionModel;
@@ -61,7 +61,7 @@ use cellrel_types::{
 
 /// Upper envelope of [`diurnal_factor`] used by the thinning sampler; a
 /// unit test scans the curve to prove it dominates.
-pub const DIURNAL_PEAK: f64 = 1.45;
+pub(crate) const DIURNAL_PEAK: f64 = 1.45;
 
 /// Fleet-run parameters.
 #[derive(Debug, Clone, Copy)]
@@ -92,7 +92,8 @@ impl Default for FleetConfig {
 
 impl FleetConfig {
     /// A small configuration for unit tests.
-    pub fn small() -> Self {
+    #[cfg(test)]
+    pub(crate) fn small() -> Self {
         FleetConfig {
             population: PopulationConfig {
                 devices: 1_500,
@@ -105,7 +106,7 @@ impl FleetConfig {
     }
 
     /// The simulated window in ms.
-    pub fn horizon_ms(&self) -> u64 {
+    pub(crate) fn horizon_ms(&self) -> u64 {
         self.days * 86_400_000
     }
 }

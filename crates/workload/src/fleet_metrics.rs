@@ -1,6 +1,6 @@
 //! Fleet-level metrics for the macro study.
 //!
-//! [`FleetMetrics`] is an [`EventSink`] that folds every generated
+//! `FleetMetrics` is an [`EventSink`] that folds every generated
 //! [`FailureEvent`] into a [`MetricsRegistry`]: counters per failure kind,
 //! RAT and fault layer, plus per-kind duration histograms. Because the
 //! registry's [`Merge`] is exact (counters add, sketch buckets add), [`run_macro_study_parallel`] folds per-shard sinks into a fleet
@@ -16,7 +16,7 @@ use cellrel_types::{EventSink, FailureEvent, FailureKind, FailureLayer, Rat};
 use crate::study::{run_macro_study_parallel, StudyConfig};
 
 /// Counter name for a failure kind.
-pub fn kind_counter(kind: FailureKind) -> &'static str {
+pub(crate) fn kind_counter(kind: FailureKind) -> &'static str {
     match kind {
         FailureKind::DataSetupError => "fleet.kind.data_setup_error",
         FailureKind::OutOfService => "fleet.kind.out_of_service",
@@ -27,7 +27,7 @@ pub fn kind_counter(kind: FailureKind) -> &'static str {
 }
 
 /// Duration-histogram name for a failure kind.
-pub fn kind_duration_histogram(kind: FailureKind) -> &'static str {
+pub(crate) fn kind_duration_histogram(kind: FailureKind) -> &'static str {
     match kind {
         FailureKind::DataSetupError => "fleet.duration.data_setup_error",
         FailureKind::OutOfService => "fleet.duration.out_of_service",
@@ -39,7 +39,7 @@ pub fn kind_duration_histogram(kind: FailureKind) -> &'static str {
 
 /// Trace-span label for a failure kind (the short form shown on a
 /// device's track in the trace viewer).
-pub fn kind_span(kind: FailureKind) -> &'static str {
+pub(crate) fn kind_span(kind: FailureKind) -> &'static str {
     match kind {
         FailureKind::DataSetupError => "data_setup_error",
         FailureKind::OutOfService => "out_of_service",
@@ -50,7 +50,7 @@ pub fn kind_span(kind: FailureKind) -> &'static str {
 }
 
 /// Counter name for the RAT a failure occurred on.
-pub fn rat_counter(rat: Rat) -> &'static str {
+pub(crate) fn rat_counter(rat: Rat) -> &'static str {
     match rat {
         Rat::G2 => "fleet.rat.2g",
         Rat::G3 => "fleet.rat.3g",
@@ -61,7 +61,7 @@ pub fn rat_counter(rat: Rat) -> &'static str {
 
 /// Counter name for the fault layer of a setup-error cause (§3.2's
 /// layered taxonomy).
-pub fn layer_counter(layer: FailureLayer) -> &'static str {
+pub(crate) fn layer_counter(layer: FailureLayer) -> &'static str {
     match layer {
         FailureLayer::Physical => "fleet.layer.physical",
         FailureLayer::LinkMac => "fleet.layer.link_mac",
@@ -76,13 +76,13 @@ pub fn layer_counter(layer: FailureLayer) -> &'static str {
 /// to the registry's exact merge, so one sink per shard folds into the
 /// same bytes as a single sequential sink.
 #[derive(Debug, Clone, Default)]
-pub struct FleetMetrics {
+pub(crate) struct FleetMetrics {
     registry: MetricsRegistry,
 }
 
 impl FleetMetrics {
     /// An empty sink.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FleetMetrics::default()
     }
 
@@ -90,14 +90,14 @@ impl FleetMetrics {
     /// trace span on its device's track (`tid` = device id, `ts`/`dur` =
     /// the failure's sim-time window). Use with small fleets — the trace
     /// grows by one event per failure.
-    pub fn with_trace() -> Self {
+    pub(crate) fn with_trace() -> Self {
         let mut registry = MetricsRegistry::new();
         registry.enable_trace();
         FleetMetrics { registry }
     }
 
     /// The aggregated metrics.
-    pub fn into_registry(self) -> MetricsRegistry {
+    pub(crate) fn into_registry(self) -> MetricsRegistry {
         self.registry
     }
 }
@@ -127,7 +127,7 @@ impl Merge for FleetMetrics {
     }
 }
 
-/// Run the macro study with a [`FleetMetrics`] sink per shard and return
+/// Run the macro study with a `FleetMetrics` sink per shard and return
 /// the folded fleet registry plus the device-count denominator. The
 /// registry's [`MetricsRegistry::digest`] is thread-count invariant.
 /// With `trace` set, every failure also becomes a Chrome trace span.

@@ -35,11 +35,11 @@ pub mod study;
 pub use ab::{run_rat_policy_ab, run_recovery_ab, AbArm, AbConfig, AbOutcome};
 pub use bs_assign::BsAssigner;
 pub use chaos::{
-    default_registry, replay_scenario, run_chaos_campaign, run_chaos_campaign_metrics,
-    run_scenario, run_scenario_telemetry, run_scenario_with, ChaosConfig, ChaosScenario, StepView,
+    replay_scenario, run_chaos_campaign, run_chaos_campaign_metrics, run_scenario,
+    run_scenario_telemetry, run_scenario_with, ChaosConfig, ChaosScenario, StepView,
 };
 pub use fleet::{run_fleet_event_driven, run_fleet_per_tick, FleetConfig, FleetReport};
-pub use fleet_metrics::{run_fleet_metrics, FleetMetrics};
-pub use models::{PhoneModelSpec, MODELS};
+pub use fleet_metrics::run_fleet_metrics;
+pub use models::PhoneModelSpec;
 pub use population::{DeviceProfile, Population, PopulationConfig};
 pub use study::{run_macro_study, run_macro_study_parallel, StudyConfig, StudyDataset};

@@ -43,7 +43,7 @@ macro_rules! model {
 }
 
 /// Table 1, all 34 models.
-pub const MODELS: [PhoneModelSpec; 34] = [
+pub(crate) const MODELS: [PhoneModelSpec; 34] = [
     model!(1, 1.8, 2, 16, false, V10, 2.71, 28.0, 35.9),
     model!(2, 1.95, 2, 16, false, V9, 3.02, 13.0, 23.8),
     model!(3, 2.0, 2, 16, false, V9, 7.31, 10.0, 13.8),
@@ -86,23 +86,25 @@ pub fn model(id: PhoneModelId) -> &'static PhoneModelSpec {
 }
 
 /// A sampler over models weighted by user share.
-pub fn model_sampler() -> WeightedIndex {
+pub(crate) fn model_sampler() -> WeightedIndex {
     WeightedIndex::new(&MODELS.map(|m| m.user_share))
 }
 
 /// Draw a model per user share.
-pub fn sample_model(sampler: &WeightedIndex, rng: &mut SimRng) -> &'static PhoneModelSpec {
+pub(crate) fn sample_model(sampler: &WeightedIndex, rng: &mut SimRng) -> &'static PhoneModelSpec {
     &MODELS[sampler.sample(rng)]
 }
 
 /// The population-weighted mean prevalence (the paper's "averaging at 23 %").
-pub fn weighted_mean_prevalence() -> f64 {
+#[cfg(test)]
+pub(crate) fn weighted_mean_prevalence() -> f64 {
     MODELS.iter().map(|m| m.user_share * m.prevalence).sum()
 }
 
 /// The population-weighted mean frequency (the paper's "as many as 33
 /// failures ... on average").
-pub fn weighted_mean_frequency() -> f64 {
+#[cfg(test)]
+pub(crate) fn weighted_mean_frequency() -> f64 {
     MODELS.iter().map(|m| m.user_share * m.frequency).sum()
 }
 

@@ -37,12 +37,12 @@ impl DeviceProfile {
 
     /// This device's probability of experiencing ≥1 failure during the
     /// study: the model's prevalence modulated by the ISP factor.
-    pub fn failure_prevalence(&self) -> f64 {
+    pub(crate) fn failure_prevalence(&self) -> f64 {
         (self.spec().prevalence * isp_prevalence_factor(self.isp)).clamp(0.0, 0.98)
     }
 
     /// Expected number of failures *given* the device fails at all.
-    pub fn conditional_mean_failures(&self) -> f64 {
+    pub(crate) fn conditional_mean_failures(&self) -> f64 {
         let s = self.spec();
         let base = if s.prevalence > 0.0 {
             s.frequency / s.prevalence
@@ -56,7 +56,7 @@ impl DeviceProfile {
 /// The ISP's prevalence relative to the user-share-weighted national mean,
 /// used to modulate per-model prevalence so that per-ISP slices land on
 /// Fig. 12.
-pub fn isp_prevalence_factor(isp: Isp) -> f64 {
+pub(crate) fn isp_prevalence_factor(isp: Isp) -> f64 {
     let national: f64 = Isp::ALL
         .iter()
         .map(|i| i.user_share() * ISP_PREVALENCE[i.index()])
@@ -94,14 +94,15 @@ pub struct Population {
 impl Population {
     /// An empty population — the degenerate case of a study with no
     /// devices. `generate` always produces at least one device.
-    pub fn empty() -> Self {
+    #[cfg(test)]
+    pub(crate) fn empty() -> Self {
         Population {
             devices: Vec::new(),
         }
     }
 
     /// Generate deterministically from `rng`.
-    pub fn generate(cfg: &PopulationConfig, rng: &mut SimRng) -> Self {
+    pub(crate) fn generate(cfg: &PopulationConfig, rng: &mut SimRng) -> Self {
         assert!(cfg.devices > 0);
         let mut rng = rng.fork(0xD0D0);
         let model_sampler = models::model_sampler();

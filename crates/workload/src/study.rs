@@ -12,9 +12,9 @@ use crate::exposure::FailureLevelSampler;
 use crate::population::{DeviceProfile, Population, PopulationConfig};
 use cellrel_modem::cause_mix::CauseMix;
 use cellrel_sim::{resolve_threads, run_sharded, Merge, SimRng};
-use cellrel_types::{
-    Apn, EventSink, FailureEvent, FailureKind, InSituInfo, Rat, SimDuration, SimTime,
-};
+#[cfg(test)]
+use cellrel_types::SimDuration;
+use cellrel_types::{Apn, EventSink, FailureEvent, FailureKind, InSituInfo, Rat, SimTime};
 
 /// Macro study parameters.
 #[derive(Debug, Clone, Copy)]
@@ -56,17 +56,17 @@ impl StudyConfig {
 
 /// Share of failures by kind (§3.1: averages of 16 setup errors, 14 stalls,
 /// 3 out-of-service per phone, plus the <1 % legacy bucket).
-pub const KIND_WEIGHTS: [f64; 5] = [0.48, 0.42, 0.09, 0.008, 0.002];
+pub(crate) const KIND_WEIGHTS: [f64; 5] = [0.48, 0.42, 0.09, 0.008, 0.002];
 
 /// Out_of_Service is highly concentrated: 95 % of phones never see one
 /// (§3.1), yet OOS is 9 % of all failures — so the OOS mass sits on a small
 /// "OOS-prone" slice of the failing population (poor-coverage homes, remote
 /// regions). Fraction of *failing* devices that are OOS-prone:
-pub const OOS_PRONE_SHARE: f64 = 0.22;
+pub(crate) const OOS_PRONE_SHARE: f64 = 0.22;
 
 /// Kind weights for OOS-prone devices: the population OOS share divided by
 /// the prone share, with the remainder scaled down proportionally.
-pub fn kind_weights_for(oos_prone: bool) -> [f64; 5] {
+pub(crate) fn kind_weights_for(oos_prone: bool) -> [f64; 5] {
     if oos_prone {
         let w_oos = KIND_WEIGHTS[2] / OOS_PRONE_SHARE;
         let scale =
@@ -107,13 +107,15 @@ pub struct StudyDataset {
 
 impl StudyDataset {
     /// Study window length.
-    pub fn window(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn window(&self) -> SimDuration {
         SimDuration::from_days(self.config.days)
     }
 
     /// Fraction of devices with ≥1 failure. An empty population has no
     /// failing devices, so the rate is 0 rather than 0/0.
-    pub fn overall_prevalence(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn overall_prevalence(&self) -> f64 {
         if self.per_device_counts.is_empty() {
             return 0.0;
         }
@@ -123,7 +125,8 @@ impl StudyDataset {
 
     /// Mean failures per device (including zero-failure devices); 0 for an
     /// empty population.
-    pub fn overall_frequency(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn overall_frequency(&self) -> f64 {
         if self.per_device_counts.is_empty() {
             return 0.0;
         }

@@ -16,7 +16,7 @@ use cellrel::sim::campaign::CampaignReport;
 use cellrel::sim::Digest64;
 use cellrel::store::{DeviceDirectory, Store, StoreConfig, StoreSink};
 use cellrel::stream::{
-    batches_from_events, kill_restart_drill, run_kill_restart, KillPlan, MemSegments, SegmentStore,
+    batches_from_events, kill_restart_drill, DirSegments, KillPlan, MemSegments, SegmentStore,
     StreamConfig, StreamError, StreamPipeline,
 };
 use cellrel::types::{DeviceId, FailureEvent};
@@ -141,12 +141,63 @@ fn kill_restart_campaign_is_digest_transparent() {
     // Engine contract: one report at any thread count and across runs, and
     // every kill replays to its outcome inside the campaign.
     for threads in [1, 2, 8] {
-        let again = run_kill_restart(&cfg, &plan, 5, dir, batches, threads);
+        let again = kill_restart_drill(&cfg, &plan, 5, dir, batches).map(|d| d.run(threads));
         assert_eq!(again.as_ref(), Ok(&report), "threads={threads}");
     }
     let mut replayed = CampaignReport::default();
     (0..8).for_each(|id| replayed.absorb(drill.kill(id).outcome));
     assert_eq!(replayed, report);
+}
+
+/// The on-disk segment backend across a restart. A pipeline seals into
+/// `DirSegments`, checkpoints mid-stream and runs on past the checkpoint
+/// before it is dropped. A pipeline restored from that checkpoint and a
+/// fresh `DirSegments::open` of the same directory reads its segments
+/// back from disk, replays the rest, and ends on the store digest and
+/// manifest of an uninterrupted in-memory run.
+#[test]
+fn dir_segments_restore_matches_an_uninterrupted_run() {
+    let (batches, dir) = fixture();
+    let cfg = stream_cfg();
+    let mut mem = MemSegments::new();
+    let mut want = StreamPipeline::new(&cfg, dir).expect("valid config");
+    for b in batches {
+        want.offer(b, &mut mem).expect("offer");
+    }
+    want.flush(&mut mem).expect("flush");
+
+    let path = std::env::temp_dir().join(format!("cellrel-dir-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
+    let kill_at = batches.len() / 2;
+    let durable = {
+        let mut segs = DirSegments::open(&path).expect("open");
+        let mut p = StreamPipeline::new(&cfg, dir).expect("valid config");
+        for b in &batches[..kill_at] {
+            p.offer(b, &mut segs).expect("offer");
+        }
+        let durable = p.checkpoint();
+        // Work past the checkpoint is lost with the process; segments it
+        // sealed stay on disk and are rewritten byte for byte on replay.
+        for b in &batches[kill_at..kill_at + 40] {
+            p.offer(b, &mut segs).expect("offer");
+        }
+        durable
+    };
+
+    let mut segs = DirSegments::open(&path).expect("reopen");
+    let mut p = StreamPipeline::restore(&durable, dir, &segs).expect("restore from disk");
+    assert_eq!(p.cursor(), kill_at as u64);
+    assert!(
+        !p.manifest().is_empty(),
+        "no segment sealed before the checkpoint"
+    );
+    for b in &batches[kill_at..] {
+        p.offer(b, &mut segs).expect("offer");
+    }
+    p.flush(&mut segs).expect("flush");
+    assert_eq!(p.digest(), want.digest());
+    assert_eq!(p.manifest(), want.manifest());
+    std::fs::remove_dir_all(&path).expect("remove the segment directory");
 }
 
 /// Drive a pipeline over `batches`, publishing the merged view into a
