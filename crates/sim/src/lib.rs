@@ -19,7 +19,7 @@
 //!   seeds are independent yet reproducible. Two runs with the same seed
 //!   produce byte-identical traces.
 //! * **Self-contained.** Distribution sampling (exponential, log-normal,
-//!   Pareto, Zipf, empirical) and statistics (summaries, ECDFs, histograms,
+//!   Pareto, Zipf, categorical, empirical) and statistics (summaries, ECDFs,
 //!   regression, Zipf fitting) are implemented here rather than pulled in as
 //!   dependencies, keeping the dependency surface to `rand` alone.
 
@@ -40,11 +40,11 @@ pub use campaign::{
     run_campaign, CampaignReport, Digest64, Invariant, InvariantRegistry, ScenarioOutcome,
     Violation,
 };
-pub use dist::{Empirical, LogNormalDist, ParetoDist, WeightedIndex, ZipfDist};
+pub use dist::{ClassMasks, Empirical, WeightedIndex};
 pub use par::{auto_threads, resolve_threads, run_sharded, run_sharded_merge, Merge};
 pub use queue::{EventHandler, EventQueue};
 pub use rng::SimRng;
 pub use sketch::{QuantileSketch, SparseSketch};
-pub use stats::{bootstrap_mean_ci, fit_zipf, linreg, percentile, Ecdf, Histogram, Summary};
+pub use stats::{bootstrap_mean_ci, fit_zipf, linreg, percentile, Ecdf, Summary};
 pub use telemetry::{MetricsRegistry, SpanGuard, Telemetry};
 pub use wheel::{EventToken, TimerWheel};

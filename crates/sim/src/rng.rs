@@ -147,9 +147,12 @@ impl SimRng {
     /// [`crate::dist::WeightedIndex`] for repeated sampling).
     ///
     /// # Panics
-    /// Panics if `weights` is empty or sums to a non-positive value.
+    /// Panics if `weights` is empty, holds an infinite or NaN value, or sums
+    /// to a non-positive value or past `f64::MAX`.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
+        // An infinite or NaN weight makes the sum infinite or NaN.
+        assert!(total.is_finite(), "non-finite weight or sum in {weights:?}");
         assert!(total > 0.0, "weighted_index with non-positive total");
         let mut x = self.f64() * total;
         for (i, &w) in weights.iter().enumerate() {
@@ -320,6 +323,18 @@ mod tests {
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.4, "ratio {ratio}");
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite weight or sum in [inf, 1.0]")]
+    fn weighted_index_rejects_an_infinite_weight() {
+        SimRng::new(5).weighted_index(&[f64::INFINITY, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite weight or sum in [1.0, NaN]")]
+    fn weighted_index_rejects_a_nan_weight() {
+        SimRng::new(5).weighted_index(&[1.0, f64::NAN]);
     }
 
     #[test]

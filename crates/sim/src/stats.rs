@@ -1,11 +1,10 @@
-//! Statistics utilities: running summaries, percentiles, ECDFs, histograms,
+//! Statistics utilities: running summaries, percentiles, ECDFs,
 //! least-squares regression, and the Zipf fit used for Figure 11.
 //!
-//! The accumulators ([`Summary`], [`Histogram`], [`Ecdf`]) implement
-//! [`crate::par::Merge`] so per-shard partials from parallel fleet runs
-//! combine associatively into the same value a sequential pass produces
-//! (exactly for counts and bins; up to floating-point associativity for
-//! [`Summary`]'s mean/variance).
+//! The accumulators ([`Summary`], [`Ecdf`]) implement [`crate::par::Merge`]
+//! so per-shard partials from parallel fleet runs combine associatively into
+//! the same value a sequential pass produces (exactly for the ECDF's samples;
+//! up to floating-point associativity for [`Summary`]'s mean/variance).
 
 use crate::par::Merge;
 
@@ -197,92 +196,6 @@ impl Ecdf {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with values outside clamped into
-/// the edge bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create with `bins` equal-width buckets spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0 && hi > lo);
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
-        };
-        self.counts[idx.min(bins - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Merge another histogram over the same binning into this one.
-    ///
-    /// # Panics
-    /// Panics if the bin layouts differ.
-    pub fn merge_from(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.counts.len() == other.counts.len(),
-            "merging histograms with different binning"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
-    /// The `(bin_center, fraction)` series.
-    pub fn normalized(&self) -> Vec<(f64, f64)> {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let center = self.lo + width * (i as f64 + 0.5);
-                let frac = if self.total == 0 {
-                    0.0
-                } else {
-                    c as f64 / self.total as f64
-                };
-                (center, frac)
-            })
-            .collect()
-    }
-}
-
-impl Merge for Histogram {
-    fn merge(&mut self, other: Self) {
-        self.merge_from(&other);
-    }
-}
-
 impl Merge for Ecdf {
     /// Merge two ECDFs into the ECDF over the union of their samples
     /// (linear two-way merge of the sorted sample sets).
@@ -448,42 +361,6 @@ mod tests {
         assert_eq!(series.len(), 5);
         assert_eq!(series[0].0, 1.0);
         assert_eq!(series[4].1, 1.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_clamping() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(-5.0); // clamps to first bin
-        h.push(0.5);
-        h.push(9.5);
-        h.push(100.0); // clamps to last bin
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[9], 2);
-        assert_eq!(h.total(), 4);
-        let norm = h.normalized();
-        assert!((norm[0].1 - 0.5).abs() < 1e-12);
-        assert!((norm[0].0 - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..200).map(|i| (i % 17) as f64).collect();
-        let mut whole = Histogram::new(0.0, 20.0, 10);
-        xs.iter().for_each(|&x| whole.push(x));
-        let mut a = Histogram::new(0.0, 20.0, 10);
-        let mut b = Histogram::new(0.0, 20.0, 10);
-        xs[..90].iter().for_each(|&x| a.push(x));
-        xs[90..].iter().for_each(|&x| b.push(x));
-        Merge::merge(&mut a, b);
-        assert_eq!(a.counts(), whole.counts());
-        assert_eq!(a.total(), whole.total());
-    }
-
-    #[test]
-    #[should_panic(expected = "different binning")]
-    fn histogram_merge_rejects_mismatched_bins() {
-        let mut a = Histogram::new(0.0, 10.0, 10);
-        a.merge_from(&Histogram::new(0.0, 10.0, 5));
     }
 
     #[test]

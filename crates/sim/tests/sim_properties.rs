@@ -2,7 +2,7 @@
 //! statistics, scheduler backends and content digest.
 
 use cellrel_sim::{
-    fit_zipf, percentile, Digest64, Ecdf, Empirical, SimRng, TimerWheel, WeightedIndex, ZipfDist,
+    fit_zipf, percentile, Digest64, Ecdf, Empirical, SimRng, TimerWheel, WeightedIndex,
 };
 use cellrel_types::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -238,7 +238,7 @@ proptest! {
 
     #[test]
     fn zipf_samples_in_range(seed in 0u64..5000, n in 1usize..500) {
-        let z = ZipfDist::new(n, 0.82);
+        let z = WeightedIndex::zipf(n, 0.82);
         let mut rng = SimRng::new(seed);
         for _ in 0..50 {
             prop_assert!(z.sample(&mut rng) < n);

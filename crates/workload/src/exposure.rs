@@ -61,12 +61,6 @@ pub(crate) struct FailureLevelSampler {
     samplers: [WeightedIndex; 4],
 }
 
-impl Default for FailureLevelSampler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FailureLevelSampler {
     /// Build per-RAT samplers.
     pub(crate) fn new() -> Self {
