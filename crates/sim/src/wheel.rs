@@ -9,15 +9,20 @@
 //! per device; with a million devices in a shard, heap discipline is what
 //! separates "events per second" from "log-n pointer chases per second".
 //!
-//! Layout. Level `L` covers deadlines `64^L..64^(L+1)` ms ahead of the wheel
-//! cursor in slots of `64^L` ms; six levels span ~795 days, far beyond any
-//! simulated horizon (later deadlines park in an overflow list). Slots hold
-//! intrusive singly-linked lists of slab-allocated nodes; a per-level 64-bit
-//! occupancy bitmap finds the next non-empty slot with a single
-//! `trailing_zeros`. Advancing cascades a higher-level slot's nodes into
-//! lower levels until an exact-millisecond level-0 slot is due, whose nodes
-//! are sorted by schedule sequence — restoring the global `(time, seq)`
-//! order (`tests/sim_properties.rs` checks it against a sorted list).
+//! Layout. A deadline sits at level `L`, in slots of `64^L` ms, when the
+//! highest bit where it differs from the wheel cursor lies in the cursor's
+//! `L`-th 6-bit group; six levels span 2^36 ms ≈ 795 days, far beyond any
+//! simulated horizon (later deadlines park in an overflow list, pulled
+//! only once the wheel is empty). So a slot never holds a deadline of a
+//! later rotation, every node at a level precedes every node above it, and
+//! equal deadlines always share one slot. Slots hold intrusive
+//! singly-linked lists of slab-allocated nodes; a per-level 64-bit
+//! occupancy bitmap makes the next slot to visit the lowest set bit of the
+//! lowest non-empty level. Visiting a slot moves the cursor to its start
+//! and cascades its nodes into lower levels, until an exact-millisecond
+//! level-0 slot is due, whose nodes are sorted by schedule sequence in
+//! place — restoring the global `(time, seq)` order
+//! (`tests/sim_properties.rs` checks it against a sorted list).
 
 use crate::queue::EventHandler;
 use cellrel_types::{SimDuration, SimTime};
@@ -26,7 +31,8 @@ use std::collections::VecDeque;
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64 slots per level
 const LEVELS: usize = 6;
-/// Deadlines this far (ms) past the cursor overflow into the `far` list.
+/// A deadline that differs from the cursor at this bit or above overflows
+/// into the `far` list.
 const WHEEL_SPAN: u64 = 1 << (SLOT_BITS * LEVELS as u32); // 2^36 ms ≈ 795 days
 
 const NIL: u32 = u32::MAX;
@@ -78,14 +84,14 @@ pub struct TimerWheel<E> {
     free_head: u32,
     /// Public clock: timestamp (ms) of the last popped event.
     clock: u64,
-    /// Wheel position (ms): every node still in the wheel has `at >= cursor`;
-    /// everything earlier has been moved to `due`. Always `>= clock`.
+    /// Wheel position (ms): every node still in the wheel has `at > cursor`;
+    /// everything at or before it has been moved to `due`. Always `>= clock`.
     cursor: u64,
     /// Nodes due at or before the cursor, sorted by `(at, seq)`; popped from
     /// the front before the wheel advances again.
     due: VecDeque<u32>,
-    /// Deadlines beyond [`WHEEL_SPAN`] from the cursor; re-placed as the
-    /// cursor catches up. Expected empty in practice.
+    /// Deadlines past the cursor's [`WHEEL_SPAN`]-aligned window; re-placed
+    /// once the wheel is empty. Expected empty in practice.
     far: Vec<u32>,
     far_min: u64,
     live: usize,
@@ -182,55 +188,23 @@ impl<E> TimerWheel<E> {
         self.free_head = idx;
     }
 
-    /// Slot placement: which level holds a deadline `delta` ms ahead.
-    fn level_for(delta: u64) -> usize {
-        debug_assert!(delta > 0);
-        ((63 - delta.leading_zeros()) / SLOT_BITS) as usize
-    }
-
-    /// Absolute start time of the next occurrence of `slot` at `level`, at
-    /// or after the cursor.
-    fn slot_base(&self, level: usize, slot: u64) -> u64 {
-        let slot_size = 1u64 << (SLOT_BITS * level as u32);
-        let span = slot_size << SLOT_BITS;
-        let rotation_start = self.cursor & !(span - 1);
-        let base = rotation_start.saturating_add(slot * slot_size);
-        if base.saturating_add(slot_size) <= self.cursor {
-            // The slot's window already passed this rotation.
-            base.saturating_add(span)
-        } else {
-            base
-        }
-    }
-
     /// Link node `idx` where it belongs given the current cursor: the sorted
     /// due ring (deadline already reached), a wheel slot, or the far list.
+    /// The level is the 6-bit group of the highest bit where `at` and the
+    /// cursor differ (see the module doc for what that guarantees).
     fn place(&mut self, idx: u32) {
         let at = self.nodes[idx as usize].at;
         if at <= self.cursor {
             self.insert_due(idx);
             return;
         }
-        let delta = at - self.cursor;
-        if delta >= WHEEL_SPAN {
+        let differ = at ^ self.cursor;
+        if differ >= WHEEL_SPAN {
             self.far_min = self.far_min.min(at);
             self.far.push(idx);
             return;
         }
-        let mut level = Self::level_for(delta);
-        // If the deadline maps onto the cursor's own slot at this level it is
-        // a full rotation away, not current — park it one level up (where the
-        // slot index is guaranteed to differ; see the equivalence proptest).
-        if (at >> (SLOT_BITS * level as u32)) & 63
-            == (self.cursor >> (SLOT_BITS * level as u32)) & 63
-        {
-            level += 1;
-        }
-        if level >= LEVELS {
-            self.far_min = self.far_min.min(at);
-            self.far.push(idx);
-            return;
-        }
+        let level = ((63 - differ.leading_zeros()) / SLOT_BITS) as usize;
         let slot = ((at >> (SLOT_BITS * level as u32)) & 63) as usize;
         let head = level * SLOTS + slot;
         self.nodes[idx as usize].next = self.slots[head];
@@ -255,101 +229,52 @@ impl<E> TimerWheel<E> {
         self.due.insert(pos, idx);
     }
 
-    /// Earliest occupied slot across all levels: `(level, slot, base)`,
-    /// preferring the highest level on a base tie so cascades happen before
-    /// harvests (their nodes may share the harvested millisecond).
-    fn best_slot(&self) -> Option<(usize, u64, u64)> {
-        let mut best: Option<(usize, u64, u64)> = None;
-        for level in 0..LEVELS {
-            let occ = self.occupied[level];
-            if occ == 0 {
-                continue;
-            }
-            let cs = ((self.cursor >> (SLOT_BITS * level as u32)) & 63) as u32;
-            // Rotate so bit k of `rotated` is slot (cs + k) % 64: the first
-            // set bit is the next occupied slot at/after the cursor's.
-            let rotated = occ.rotate_right(cs);
-            let k = rotated.trailing_zeros() as u64;
-            let slot = (u64::from(cs) + k) % 64;
-            let base = self.slot_base(level, slot);
-            let better = match best {
-                None => true,
-                Some((bl, _, bb)) => base < bb || (base == bb && level > bl),
-            };
-            if better {
-                best = Some((level, slot, base));
-            }
-        }
-        best
-    }
-
-    /// Detach and return the head of a slot's list, clearing its bitmap bit.
-    fn take_slot(&mut self, level: usize, slot: u64) -> u32 {
-        let head = level * SLOTS + slot as usize;
-        let idx = self.slots[head];
-        self.slots[head] = NIL;
-        self.occupied[level] &= !(1 << slot);
-        idx
-    }
-
     /// Advance the wheel until the due ring has entries or nothing is left.
     fn refill_due(&mut self) {
-        // Scratch buffer for level-0 harvests, kept out of the loop.
-        let mut batch: Vec<u32> = Vec::new();
         while self.due.is_empty() {
-            let best = self.best_slot();
-            let far_ready = !self.far.is_empty()
-                && match best {
-                    None => true,
-                    Some((_, _, base)) => self.far_min < base,
-                };
-            if far_ready {
-                // Nothing in the wheel fires before the earliest far node:
-                // jump the cursor forward and re-place what now fits.
-                self.cursor = self.cursor.max(match best {
-                    None => self.far_min,
-                    Some((_, _, base)) => base.min(self.far_min),
-                });
+            // Every node at a level is earlier than every node above it, and
+            // every wheel node is earlier than every far node.
+            let Some(level) = self.occupied.iter().position(|&occ| occ != 0) else {
+                if self.far.is_empty() {
+                    return;
+                }
+                self.cursor = self.far_min;
                 self.pull_far();
                 continue;
-            }
-            let Some((level, slot, base)) = best else {
-                return;
             };
-            debug_assert!(base >= self.cursor || level > 0);
-            self.cursor = self.cursor.max(base);
-            let mut idx = self.take_slot(level, slot);
-            if level == 0 {
-                // Exact-millisecond slot: everything in it is due *now*.
-                batch.clear();
-                while idx != NIL {
-                    let next = self.nodes[idx as usize].next;
-                    if self.nodes[idx as usize].event.is_none() {
-                        self.cancelled -= 1;
-                        self.release(idx);
-                    } else {
-                        debug_assert_eq!(self.nodes[idx as usize].at, self.cursor);
-                        batch.push(idx);
-                    }
-                    idx = next;
+            let slot = u64::from(self.occupied[level].trailing_zeros());
+            let shift = SLOT_BITS * level as u32;
+            let span = (SLOTS as u64) << shift;
+            let base = (self.cursor & !(span - 1)) | (slot << shift);
+            debug_assert!(base > self.cursor);
+            self.cursor = base;
+            let head = level * SLOTS + slot as usize;
+            let mut idx = self.slots[head];
+            self.slots[head] = NIL;
+            self.occupied[level] &= !(1 << slot);
+            while idx != NIL {
+                let next = self.nodes[idx as usize].next;
+                if self.nodes[idx as usize].event.is_none() {
+                    self.cancelled -= 1;
+                    self.release(idx);
+                } else if level == 0 {
+                    // Exact-millisecond slot: everything in it is due now.
+                    debug_assert_eq!(self.nodes[idx as usize].at, base);
+                    self.due.push_back(idx);
+                } else {
+                    // Cascade: the node falls to a lower level or the due
+                    // ring now that the cursor is inside its slot.
+                    self.place(idx);
                 }
-                // Restore FIFO among simultaneous events (lists are LIFO).
-                batch.sort_unstable_by_key(|&i| self.nodes[i as usize].seq);
-                self.due.extend(batch.iter().copied());
-            } else {
-                // Cascade: nodes fall to strictly lower levels (or the due
-                // ring) now that the cursor is inside their slot window.
-                while idx != NIL {
-                    let next = self.nodes[idx as usize].next;
-                    if self.nodes[idx as usize].event.is_none() {
-                        self.cancelled -= 1;
-                        self.release(idx);
-                    } else {
-                        self.nodes[idx as usize].next = NIL;
-                        self.place(idx);
-                    }
-                    idx = next;
-                }
+                idx = next;
+            }
+            if level == 0 && self.due.len() > 1 {
+                // Restore FIFO among simultaneous events (lists are LIFO);
+                // the ring was empty, so this sorts the harvest in place.
+                let nodes = &self.nodes;
+                self.due
+                    .make_contiguous()
+                    .sort_unstable_by_key(|&i| nodes[i as usize].seq);
             }
         }
     }
@@ -587,6 +512,11 @@ mod tests {
         let t = w.schedule_at(SimTime::from_secs(1), ());
         w.pop();
         assert!(!w.cancel(t), "cancelling a fired event must return false");
+        let t2 = w.schedule_at(SimTime::from_secs(2), ());
+        assert!(!w.cancel(t), "a reused slot must not honour the old token");
+        assert_eq!(w.len(), 1);
+        assert!(w.cancel(t2));
+        assert_eq!(w.pop(), None);
     }
 
     #[test]
@@ -609,6 +539,23 @@ mod tests {
         w.schedule_at(SimTime::from_millis(50), 0u32);
         let order: Vec<u32> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn equal_deadlines_pop_fifo_across_a_cascade() {
+        // B shares A's deadline but is filed from a later cursor. A wheel
+        // that files B a level below A and cascades A first on the tie
+        // between their slots pops C, scheduled at `now` once A pops,
+        // ahead of B.
+        let mut w = TimerWheel::new();
+        w.schedule_at(SimTime::from_millis(4196), 'X');
+        w.schedule_at(SimTime::from_millis(8192), 'A');
+        let mut order = vec![w.pop().unwrap().1];
+        w.schedule_at(SimTime::from_millis(8192), 'B');
+        order.push(w.pop().unwrap().1);
+        w.schedule_at(SimTime::from_millis(8192), 'C');
+        order.extend(std::iter::from_fn(|| w.pop().map(|(_, e)| e)));
+        assert_eq!(order, vec!['X', 'A', 'B', 'C']);
     }
 
     #[test]

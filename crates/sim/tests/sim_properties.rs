@@ -15,17 +15,21 @@ use proptest::prelude::*;
 /// * kind 4–5 — cancel the `payload % issued`-th token ever issued
 ///   (possibly already fired or cancelled: results must still agree);
 /// * kind 6–7 — pop the next event (or observe the drained state);
-/// * kind 8 — peek the next timestamp without popping.
+/// * kind 8 — peek the next timestamp without popping;
+/// * kind 9 — schedule at the next multiple of `64^L` ms, `L` = 1…6: a
+///   deadline at a level boundary, which later steps often land on again
+///   from a cursor in a lower level.
 #[derive(Debug, Clone)]
 enum SchedOp {
     Schedule(u64),
+    ScheduleAtBoundary(u32),
     Cancel(usize),
     Pop,
     Peek,
 }
 
 fn decode_op(kind: u8, payload: u64) -> SchedOp {
-    match kind % 9 {
+    match kind % 10 {
         0 | 1 => SchedOp::Schedule(payload % 5_000),
         2 => SchedOp::Schedule(payload % 500_000_000),
         // Past the 2^36 ms wheel span, into the overflow list; bounded so
@@ -33,8 +37,16 @@ fn decode_op(kind: u8, payload: u64) -> SchedOp {
         3 => SchedOp::Schedule(payload % (1 << 40)),
         4 | 5 => SchedOp::Cancel(payload as usize),
         6 | 7 => SchedOp::Pop,
-        _ => SchedOp::Peek,
+        8 => SchedOp::Peek,
+        _ => SchedOp::ScheduleAtBoundary(1 + (payload % 6) as u32),
     }
+}
+
+/// Delay from `now` to the next multiple of `64^level` ms after it.
+fn delay_to_boundary(now: SimTime, level: u32) -> SimDuration {
+    let step = 1u64 << (6 * level);
+    let now = now.as_millis();
+    SimDuration::from_millis((now / step + 1) * step - now)
 }
 
 /// The reference the wheel is checked against: every live event in one
@@ -92,6 +104,11 @@ proptest! {
                     list.schedule(d, step);
                     w_toks.push((w.schedule_after(d, step), step));
                 }
+                SchedOp::ScheduleAtBoundary(level) => {
+                    let d = delay_to_boundary(list.now, level);
+                    list.schedule(d, step);
+                    w_toks.push((w.schedule_after(d, step), step));
+                }
                 SchedOp::Cancel(i) => {
                     if !w_toks.is_empty() {
                         let (tok, seq) = w_toks[i % w_toks.len()];
@@ -115,6 +132,73 @@ proptest! {
             if a.is_none() {
                 break;
             }
+        }
+    }
+}
+
+/// A wheel and its reference fed the same schedules, plus, per event,
+/// whether popping it schedules follow-ups.
+#[derive(Default)]
+struct Sweep {
+    list: SortedList,
+    w: TimerWheel<usize>,
+    spawns: Vec<bool>,
+}
+
+impl Sweep {
+    fn schedule(&mut self, at: u64, spawns: bool) {
+        let d = SimTime::from_millis(at) - self.list.now;
+        self.list.schedule(d, self.spawns.len());
+        self.w.schedule_after(d, self.spawns.len());
+        self.spawns.push(spawns);
+    }
+}
+
+/// Deadlines on and 1 ms beside the first three multiples of every level
+/// boundary `64^L` (L = 1…6; `64^6` is the 2^36 ms far span), from a
+/// clock at 0 and at each of those deadlines in turn. After each newly
+/// peeked time the sweep schedules at `now`; after popping a grid event it
+/// schedules at `now` and at the next grid deadline ahead, one another
+/// event already waits on, filed from a cursor in a lower level. Wheel and
+/// list must agree on every step.
+#[test]
+fn wheel_matches_a_sorted_list_beside_every_level_boundary() {
+    let mut grid: Vec<u64> = (1..=6u32)
+        .flat_map(|level| (1..=3u64).map(move |k| k << (6 * level)))
+        .flat_map(|at| [at - 1, at, at + 1])
+        .collect();
+    grid.sort_unstable();
+    for start in std::iter::once(0).chain(grid.iter().copied()) {
+        let mut s = Sweep::default();
+        if start > 0 {
+            s.schedule(start, false);
+            assert_eq!(s.list.pop(), s.w.pop());
+        }
+        for &at in grid.iter().filter(|&&at| at >= start) {
+            s.schedule(at, true);
+        }
+        let mut last_peek = None;
+        loop {
+            let peeked = s.list.peek_time();
+            assert_eq!(peeked, s.w.peek_time(), "start {start}");
+            if peeked.is_none() {
+                break;
+            }
+            if peeked != last_peek {
+                last_peek = peeked;
+                s.schedule(s.list.now.as_millis(), false);
+            }
+            let popped = s.list.pop();
+            assert_eq!(popped, s.w.pop(), "start {start}");
+            let (at, seq) = popped.expect("peeked");
+            if s.spawns[seq] {
+                let now = at.as_millis();
+                s.schedule(now, false);
+                if let Some(&next) = grid.iter().find(|&&at| at > now) {
+                    s.schedule(next, false);
+                }
+            }
+            assert_eq!(s.list.live.len(), s.w.len());
         }
     }
 }
