@@ -46,7 +46,7 @@ use cellrel::store::DeviceDirectory;
 use cellrel::stream::{batches_from_events, kill_restart_drill, KillPlan, StreamConfig};
 use cellrel::types::SimDuration;
 use cellrel::workload::{
-    replay_scenario, run_chaos_campaign, run_chaos_campaign_metrics, run_macro_study, ChaosConfig,
+    run_chaos_campaign, run_chaos_campaign_metrics, run_macro_study, run_scenario, ChaosConfig,
     ChaosScenario, PopulationConfig, StudyConfig,
 };
 
@@ -120,7 +120,7 @@ fn main() {
             // any violation's event index) is identical.
             let scenario = ChaosScenario::decode(id).describe();
             eprintln!("chaos: replaying scenario {id} (seed {seed}): {scenario}");
-            finish_replay(&replay_scenario(&cfg, id), fail_on_violation);
+            finish_replay(&run_scenario(&cfg, id), fail_on_violation);
         }
         eprintln!(
             "chaos: {} scenarios (grid {}), seed {seed}, horizon {} + grace {}, threads {}",

@@ -5,7 +5,6 @@
 //! requests to the modem and receives either a data call or a
 //! `DataFailCause`. This crate models that boundary:
 //!
-//! * [`sim_card`] — SIM presence/lock state.
 //! * [`fault`] — fault-injection profile (force causes, scale hazards),
 //!   mirroring the fault-injection idiom of the workspace guides.
 //! * [`setup`] — the staged data-call setup pipeline (overload check →
@@ -25,7 +24,6 @@ pub mod cause_mix;
 pub mod fault;
 pub mod modem;
 pub mod setup;
-pub mod sim_card;
 
 pub use fault::FaultProfile;
 pub use modem::{DataCall, Modem};

@@ -3,10 +3,9 @@
 
 use crate::fault::FaultProfile;
 use crate::setup::{run_setup, setup_fail_counter};
-use crate::sim_card::SimCardState;
 use cellrel_radio::{CellView, EmmStateMachine, RiskFactors};
 use cellrel_sim::{SimRng, Telemetry};
-use cellrel_types::{Apn, DataFailCause, Rat, SimTime};
+use cellrel_types::{Apn, DataFailCause, Rat};
 
 /// An established data call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,8 +14,6 @@ pub struct DataCall {
     pub apn: Apn,
     /// The serving cell at establishment.
     pub cell: CellView,
-    /// When the call came up.
-    pub established_at: SimTime,
 }
 
 impl DataCall {
@@ -30,14 +27,13 @@ impl DataCall {
 /// limit; exceeding it yields `MAX_PDP_EXCEEDED`).
 pub(crate) const MAX_PDP_CONTEXTS: usize = 3;
 
-/// The modem: power, SIM, EMM registration, serving cell and the active
+/// The modem: power, EMM registration, serving cell and the active
 /// data calls (one per APN, up to `MAX_PDP_CONTEXTS`). The default
 /// internet bearer is the study's main concern; IMS/MMS contexts ride
 /// alongside as Android's `DcTracker` manages them.
 #[derive(Debug, Clone)]
 pub struct Modem {
     powered: bool,
-    sim: SimCardState,
     emm: EmmStateMachine,
     serving: Option<CellView>,
     calls: Vec<DataCall>,
@@ -56,11 +52,10 @@ impl Default for Modem {
 }
 
 impl Modem {
-    /// A powered-on modem with a ready SIM and no serving cell.
+    /// A powered-on modem with no serving cell.
     pub fn new() -> Self {
         Modem {
             powered: true,
-            sim: SimCardState::Ready,
             emm: EmmStateMachine::new(),
             serving: None,
             calls: Vec::new(),
@@ -82,16 +77,6 @@ impl Modem {
         self.fault = fault;
     }
 
-    /// Change the SIM state (drops any call if the SIM becomes unusable).
-    #[cfg(test)]
-    pub(crate) fn set_sim(&mut self, sim: SimCardState) {
-        self.sim = sim;
-        if !sim.usable() {
-            self.calls.clear();
-            self.emm.detach();
-        }
-    }
-
     /// Whether the radio is powered.
     #[cfg(test)]
     pub(crate) fn powered(&self) -> bool {
@@ -109,8 +94,8 @@ impl Modem {
         }
     }
 
-    /// Restart the radio component (recovery stage 3): power-cycle without
-    /// losing the SIM. Counts restarts for overhead accounting.
+    /// Restart the radio component (recovery stage 3): a power cycle.
+    /// Counts restarts for overhead accounting.
     pub fn restart(&mut self) {
         self.set_power(false);
         self.set_power(true);
@@ -177,11 +162,10 @@ impl Modem {
         &mut self,
         apn: Apn,
         risk: &RiskFactors,
-        now: SimTime,
         rng: &mut SimRng,
     ) -> Result<DataCall, DataFailCause> {
         self.tele.inc("modem.setup.attempt");
-        match self.try_setup_data_call(apn, risk, now, rng) {
+        match self.try_setup_data_call(apn, risk, rng) {
             Ok(call) => {
                 self.tele.inc("modem.setup.ok");
                 Ok(call)
@@ -197,7 +181,6 @@ impl Modem {
         &mut self,
         apn: Apn,
         risk: &RiskFactors,
-        now: SimTime,
         rng: &mut SimRng,
     ) -> Result<DataCall, DataFailCause> {
         let cell = self.serving.ok_or(DataFailCause::NoService)?;
@@ -213,16 +196,11 @@ impl Modem {
             cell.level,
             risk,
             &mut self.emm,
-            self.sim,
             self.powered,
             &self.fault,
             rng,
         )?;
-        let call = DataCall {
-            apn,
-            cell,
-            established_at: now,
-        };
+        let call = DataCall { apn, cell };
         self.calls.push(call);
         Ok(call)
     }
@@ -342,7 +320,7 @@ mod tests {
     fn bring_up(m: &mut Modem, rng: &mut SimRng) -> DataCall {
         let risk = quiet_risk();
         loop {
-            match m.setup_data_call(Apn::Internet, &risk, SimTime::ZERO, rng) {
+            match m.setup_data_call(Apn::Internet, &risk, rng) {
                 Ok(c) => return c,
                 Err(_) => continue,
             }
@@ -354,7 +332,7 @@ mod tests {
         let mut m = Modem::new();
         let mut rng = SimRng::new(1);
         let err = m
-            .setup_data_call(Apn::Internet, &quiet_risk(), SimTime::ZERO, &mut rng)
+            .setup_data_call(Apn::Internet, &quiet_risk(), &mut rng)
             .unwrap_err();
         assert_eq!(err, DataFailCause::NoService);
     }
@@ -383,7 +361,7 @@ mod tests {
         assert!(m.call().is_none());
         assert!(m.serving().is_none());
         let err = m
-            .setup_data_call(Apn::Internet, &quiet_risk(), SimTime::ZERO, &mut rng)
+            .setup_data_call(Apn::Internet, &quiet_risk(), &mut rng)
             .unwrap_err();
         assert_eq!(err, DataFailCause::NoService); // not camped after power-off
     }
@@ -395,21 +373,6 @@ mod tests {
         m.restart();
         assert_eq!(m.restart_count(), 2);
         assert!(m.powered());
-    }
-
-    #[test]
-    fn sim_removal_drops_call() {
-        let mut m = Modem::new();
-        let mut rng = SimRng::new(4);
-        m.camp_on(cell(Rat::G4, -95.0));
-        bring_up(&mut m, &mut rng);
-        m.set_sim(SimCardState::Absent);
-        assert!(m.call().is_none());
-        m.camp_on(cell(Rat::G4, -95.0));
-        let err = m
-            .setup_data_call(Apn::Internet, &quiet_risk(), SimTime::ZERO, &mut rng)
-            .unwrap_err();
-        assert_eq!(err, DataFailCause::SimCardChanged);
     }
 
     #[test]
@@ -535,12 +498,7 @@ mod tests {
         m.camp_on(cell(Rat::G4, -95.0));
         let first = bring_up(&mut m, &mut rng);
         let second = m
-            .setup_data_call(
-                Apn::Internet,
-                &quiet_risk(),
-                SimTime::from_secs(5),
-                &mut rng,
-            )
+            .setup_data_call(Apn::Internet, &quiet_risk(), &mut rng)
             .expect("idempotent setup");
         assert_eq!(first, second);
     }

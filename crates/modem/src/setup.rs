@@ -9,7 +9,6 @@
 //! produce false-positive-class causes — the noise the monitor must filter.
 
 use crate::fault::FaultProfile;
-use crate::sim_card::SimCardState;
 use cellrel_radio::{EmmStateMachine, RiskFactors};
 use cellrel_sim::SimRng;
 use cellrel_types::{DataFailCause, FailureLayer, Rat, SignalLevel};
@@ -18,23 +17,18 @@ use cellrel_types::{DataFailCause, FailureLayer, Rat, SignalLevel};
 ///
 /// `emm` carries registration state across attempts (retries interact with
 /// barring streaks, as in the real stack).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_setup(
     rat: Rat,
     level: SignalLevel,
     risk: &RiskFactors,
     emm: &mut EmmStateMachine,
-    sim: SimCardState,
     powered: bool,
     fault: &FaultProfile,
     rng: &mut SimRng,
 ) -> Result<(), DataFailCause> {
-    // Device-local preconditions.
+    // Device-local precondition.
     if !powered {
         return Err(DataFailCause::RadioPowerOff);
-    }
-    if !sim.usable() {
-        return Err(DataFailCause::SimCardChanged);
     }
     if let Some(cause) = fault.forced_cause {
         return Err(cause);
@@ -207,7 +201,6 @@ mod tests {
             SignalLevel::L3,
             risk,
             &mut emm,
-            SimCardState::Ready,
             true,
             &FaultProfile::none(),
             rng,
@@ -241,26 +234,12 @@ mod tests {
             SignalLevel::L3,
             &quiet(),
             &mut emm,
-            SimCardState::Ready,
             false,
             &FaultProfile::none(),
             &mut rng,
         )
         .unwrap_err();
         assert_eq!(err, DataFailCause::RadioPowerOff);
-
-        let err = run_setup(
-            Rat::G4,
-            SignalLevel::L3,
-            &quiet(),
-            &mut emm,
-            SimCardState::Absent,
-            true,
-            &FaultProfile::none(),
-            &mut rng,
-        )
-        .unwrap_err();
-        assert_eq!(err, DataFailCause::SimCardChanged);
     }
 
     #[test]
@@ -272,7 +251,6 @@ mod tests {
             SignalLevel::L5,
             &quiet(),
             &mut emm,
-            SimCardState::Ready,
             true,
             &FaultProfile::forcing(DataFailCause::ForbiddenPlmn),
             &mut rng,
@@ -294,7 +272,6 @@ mod tests {
             SignalLevel::L4,
             &quiet(),
             &mut emm,
-            SimCardState::Ready,
             true,
             &fault,
             &mut rng,
@@ -330,7 +307,6 @@ mod tests {
                 SignalLevel::L1,
                 &risk,
                 &mut emm,
-                SimCardState::Ready,
                 true,
                 &FaultProfile::none(),
                 &mut rng,
@@ -350,17 +326,7 @@ mod tests {
             (0..2000)
                 .filter(|_| {
                     let mut emm = EmmStateMachine::new();
-                    run_setup(
-                        Rat::G4,
-                        SignalLevel::L3,
-                        &risk,
-                        &mut emm,
-                        SimCardState::Ready,
-                        true,
-                        &fault,
-                        rng,
-                    )
-                    .is_err()
+                    run_setup(Rat::G4, SignalLevel::L3, &risk, &mut emm, true, &fault, rng).is_err()
                 })
                 .count()
         };

@@ -138,12 +138,10 @@ impl MonitoringService {
     /// first opportunity after the episode closes. Returns the encoded wire
     /// batch that was shipped, if any, for the caller to deliver to the
     /// collector.
-    pub fn upload_opportunity(&mut self, now: SimTime, wifi: bool) -> Option<EncodedUpload> {
+    pub fn upload_opportunity(&mut self, wifi: bool) -> Option<EncodedUpload> {
         let open = &self.setup_episode.open_record_indices;
         let ready = open.first().copied().unwrap_or(self.records.len());
-        let up = self
-            .uploader
-            .try_upload(now, wifi, &self.records[..ready])?;
+        let up = self.uploader.try_upload(wifi, &self.records[..ready])?;
         self.overhead.on_upload(up.records, up.payload.len() as u64);
         Some(up)
     }
@@ -529,7 +527,7 @@ mod tests {
         setup_error(&mut s, 10, DataFailCause::SignalLost);
         s.on_event(t(15), &TelephonyEvent::DataSetupSuccess { ctx: ctx() });
         assert_eq!(s.pending_records(), 1);
-        s.upload_opportunity(t(20), true);
+        s.upload_opportunity(true);
         assert_eq!(s.pending_records(), 0);
         assert!(s.overhead().network_bytes() > 0);
     }
@@ -541,12 +539,10 @@ mod tests {
         setup_error(&mut s, 10, DataFailCause::SignalLost);
         setup_error(&mut s, 15, DataFailCause::GprsRegistrationFail);
         // The episode is open: neither duration is known, nothing ships.
-        assert!(s.upload_opportunity(t(20), true).is_none());
+        assert!(s.upload_opportunity(true).is_none());
         assert_eq!(s.pending_records(), 2);
         s.on_event(t(25), &TelephonyEvent::DataSetupSuccess { ctx: ctx() });
-        let up = s
-            .upload_opportunity(t(30), true)
-            .expect("a closed episode ships");
+        let up = s.upload_opportunity(true).expect("a closed episode ships");
         let shipped = decode_batch(&up.payload).expect("decodable").records;
         assert_eq!(shipped, s.records());
         assert_eq!(shipped[0].duration, SimDuration::from_secs(15));
@@ -576,12 +572,12 @@ mod tests {
             },
         );
         // Only what precedes the open record is final.
-        let up = s.upload_opportunity(t(13), true).expect("the OOS record");
+        let up = s.upload_opportunity(true).expect("the OOS record");
         assert_eq!((up.seq, up.records), (0, 1));
         assert_eq!(s.pending_records(), 2);
-        assert!(s.upload_opportunity(t(14), true).is_none());
+        assert!(s.upload_opportunity(true).is_none());
         s.on_event(t(20), &TelephonyEvent::DataSetupSuccess { ctx: ctx() });
-        let up = s.upload_opportunity(t(21), true).expect("the rest");
+        let up = s.upload_opportunity(true).expect("the rest");
         assert_eq!((up.seq, up.records), (1, 2));
         // The SMS failure carries the context its event did.
         let sms = s.records()[2];

@@ -14,7 +14,7 @@
 //! batch by `(device, seq)`.
 
 use cellrel_ingest::codec::{encode_batch, RAW_RECORD_BYTES};
-use cellrel_types::{DeviceId, FailureEvent, SimTime};
+use cellrel_types::{DeviceId, FailureEvent};
 
 /// Unshipped raw bytes above which an upload is forced to wait for WiFi
 /// (typical users' volumes are tiny, so cellular upload is fine; heavy
@@ -40,9 +40,6 @@ pub struct Uploader {
     /// Records shipped so far — the list's first `shipped` entries.
     shipped: usize,
     next_seq: u64,
-    uploaded_bytes_encoded: u64,
-    uploads: u32,
-    last_upload: Option<SimTime>,
 }
 
 impl Uploader {
@@ -52,27 +49,12 @@ impl Uploader {
             device,
             shipped: 0,
             next_seq: 0,
-            uploaded_bytes_encoded: 0,
-            uploads: 0,
-            last_upload: None,
         }
-    }
-
-    /// Encoded wire bytes shipped so far.
-    #[cfg(test)]
-    pub(crate) fn uploaded_bytes(&self) -> u64 {
-        self.uploaded_bytes_encoded
     }
 
     /// Records shipped so far.
     pub fn uploaded_records(&self) -> u64 {
         self.shipped as u64
-    }
-
-    /// Number of upload batches.
-    #[cfg(test)]
-    pub(crate) fn uploads(&self) -> u32 {
-        self.uploads
     }
 
     /// An upload opportunity over `ready`, the leading part of the device's
@@ -83,7 +65,6 @@ impl Uploader {
     /// the bytes to the collector), or `None` if nothing was shipped.
     pub(crate) fn try_upload(
         &mut self,
-        now: SimTime,
         wifi_available: bool,
         ready: &[FailureEvent],
     ) -> Option<EncodedUpload> {
@@ -101,9 +82,6 @@ impl Uploader {
 
         self.next_seq += 1;
         self.shipped = ready.len();
-        self.uploaded_bytes_encoded += payload.len() as u64;
-        self.uploads += 1;
-        self.last_upload = Some(now);
         Some(EncodedUpload {
             seq,
             records,
@@ -116,7 +94,9 @@ impl Uploader {
 mod tests {
     use super::*;
     use cellrel_ingest::codec::decode_batch;
-    use cellrel_types::{Apn, BsId, FailureKind, InSituInfo, Isp, Rat, SignalLevel, SimDuration};
+    use cellrel_types::{
+        Apn, BsId, FailureKind, InSituInfo, Isp, Rat, SignalLevel, SimDuration, SimTime,
+    };
 
     fn record(start_s: u64) -> FailureEvent {
         FailureEvent {
@@ -140,7 +120,7 @@ mod tests {
         let mut u = Uploader::new(DeviceId(9));
         let list = [record(10), record(20)];
         let up = u
-            .try_upload(SimTime::from_secs(30), false, &list)
+            .try_upload(false, &list)
             .expect("small batch uploads without wifi");
         assert_eq!(up.records, 2);
         assert!(
@@ -156,11 +136,9 @@ mod tests {
         let mut u = Uploader::new(DeviceId(9));
         // 105 KB raw > threshold
         let list: Vec<FailureEvent> = (0..3000).map(|i| record(i * 30)).collect();
-        assert!(u.try_upload(SimTime::from_secs(1), false, &list).is_none());
+        assert!(u.try_upload(false, &list).is_none());
         assert_eq!(u.uploaded_records(), 0);
-        let up = u
-            .try_upload(SimTime::from_secs(2), true, &list)
-            .expect("wifi flushes");
+        let up = u.try_upload(true, &list).expect("wifi flushes");
         assert_eq!(up.records, 3000);
     }
 
@@ -168,7 +146,7 @@ mod tests {
     fn payload_is_a_decodable_wire_batch() {
         let mut u = Uploader::new(DeviceId(9));
         let list = [record(5), record(65)];
-        let up = u.try_upload(SimTime::from_secs(100), true, &list).unwrap();
+        let up = u.try_upload(true, &list).unwrap();
         let batch = decode_batch(&up.payload).expect("uploader ships valid batches");
         assert_eq!(batch.device, DeviceId(9));
         assert_eq!(batch.seq, up.seq);
@@ -179,10 +157,8 @@ mod tests {
     fn sequence_numbers_increase_per_flush() {
         let mut u = Uploader::new(DeviceId(9));
         let list = [record(1), record(2)];
-        let first = u
-            .try_upload(SimTime::from_secs(1), true, &list[..1])
-            .unwrap();
-        let second = u.try_upload(SimTime::from_secs(2), true, &list).unwrap();
+        let first = u.try_upload(true, &list[..1]).unwrap();
+        let second = u.try_upload(true, &list).unwrap();
         assert_eq!(first.seq, 0);
         assert_eq!(second.seq, 1);
         // The second flush ships only what the first did not.
@@ -192,28 +168,27 @@ mod tests {
     #[test]
     fn empty_uploader_is_quiet() {
         let mut u = Uploader::new(DeviceId(9));
-        assert!(u.try_upload(SimTime::ZERO, true, &[]).is_none());
-        assert_eq!(u.uploads(), 0);
+        assert!(u.try_upload(true, &[]).is_none());
+        assert_eq!(u.uploaded_records(), 0);
         // Nothing new since the last flush is as quiet as nothing at all.
         let list = [record(1)];
-        assert!(u.try_upload(SimTime::ZERO, true, &list).is_some());
-        assert!(u.try_upload(SimTime::ZERO, true, &list).is_none());
-        assert_eq!(u.uploads(), 1);
+        assert!(u.try_upload(true, &list).is_some());
+        assert!(u.try_upload(true, &list).is_none());
+        assert_eq!(u.uploaded_records(), 1);
     }
 
     #[test]
     fn totals_accumulate_encoded_bytes() {
         let mut u = Uploader::new(DeviceId(9));
         let list = [record(1), record(2)];
-        let a = u
-            .try_upload(SimTime::from_secs(1), true, &list[..1])
-            .unwrap();
-        let b = u.try_upload(SimTime::from_secs(2), true, &list).unwrap();
+        let total: usize = [&list[..1], &list[..]]
+            .iter()
+            .map(|ready| u.try_upload(true, ready).unwrap().payload.len())
+            .sum();
         assert_eq!(u.uploaded_records(), 2);
-        assert_eq!(u.uploads(), 2);
-        assert_eq!(
-            u.uploaded_bytes(),
-            (a.payload.len() + b.payload.len()) as u64
-        );
+        // Each flush ships only what the ones before it did not.
+        let expected = encode_batch(DeviceId(9), 0, &list[..1]).len()
+            + encode_batch(DeviceId(9), 1, &list[1..]).len();
+        assert_eq!(total, expected);
     }
 }

@@ -29,35 +29,10 @@ pub(crate) enum EmmState {
     Connected,
 }
 
-/// Observable EMM transitions, kept as a bounded history for diagnosis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EmmEvent {
-    /// Attach accepted by the network.
-    AttachAccepted,
-    /// Attach rejected (cause attached).
-    AttachRejected(DataFailCause),
-    /// Access barred before the request could be sent.
-    AccessBarred,
-    /// Service request accepted (idle → connected).
-    ServiceAccepted,
-    /// Service request rejected.
-    ServiceRejected(DataFailCause),
-    /// Network- or device-initiated detach.
-    Detached,
-    /// Tracking-area update completed.
-    TauCompleted,
-    /// Tracking-area update failed.
-    TauFailed,
-}
-
-/// Maximum number of events retained in the history ring.
-const HISTORY_LIMIT: usize = 64;
-
 /// The per-device EMM state machine.
 #[derive(Debug, Clone)]
 pub struct EmmStateMachine {
     state: EmmState,
-    history: Vec<EmmEvent>,
     /// Consecutive barring events — barring storms escalate.
     barred_streak: u32,
 }
@@ -73,7 +48,6 @@ impl EmmStateMachine {
     pub fn new() -> Self {
         EmmStateMachine {
             state: EmmState::Deregistered,
-            history: Vec::new(),
             barred_streak: 0,
         }
     }
@@ -82,19 +56,6 @@ impl EmmStateMachine {
     #[cfg(test)]
     pub(crate) fn state(&self) -> EmmState {
         self.state
-    }
-
-    /// The recorded event history (most recent last, bounded).
-    #[cfg(test)]
-    pub(crate) fn history(&self) -> &[EmmEvent] {
-        &self.history
-    }
-
-    fn record(&mut self, ev: EmmEvent) {
-        if self.history.len() == HISTORY_LIMIT {
-            self.history.remove(0);
-        }
-        self.history.push(ev);
     }
 
     /// Probability the network bars this access attempt, given site risk.
@@ -122,7 +83,6 @@ impl EmmStateMachine {
         if rng.chance(self.barring_prob(risk)) {
             self.barred_streak += 1;
             self.state = EmmState::Deregistered;
-            self.record(EmmEvent::AccessBarred);
             return Err(DataFailCause::EmmAccessBarred);
         }
         self.barred_streak = 0;
@@ -131,16 +91,13 @@ impl EmmStateMachine {
         let reg_fail = (0.4 * risk.signal_risk * (1.0 + risk.interference)).min(0.5);
         if rng.chance(reg_fail) {
             self.state = EmmState::Deregistered;
-            let cause = match rat {
+            return Err(match rat {
                 Rat::G2 | Rat::G3 => DataFailCause::GprsRegistrationFail,
                 Rat::G4 | Rat::G5 => DataFailCause::RegistrationFail,
-            };
-            self.record(EmmEvent::AttachRejected(cause));
-            return Err(cause);
+            });
         }
 
         self.state = EmmState::RegisteredIdle;
-        self.record(EmmEvent::AttachAccepted);
         Ok(())
     }
 
@@ -155,7 +112,6 @@ impl EmmStateMachine {
             EmmState::Deregistered | EmmState::Registering => {
                 // Asking for service while not attached: the INVALID_EMM_STATE
                 // class of failure.
-                self.record(EmmEvent::ServiceRejected(DataFailCause::InvalidEmmState));
                 return Err(DataFailCause::InvalidEmmState);
             }
             EmmState::Connected => return Ok(()),
@@ -164,7 +120,6 @@ impl EmmStateMachine {
 
         if rng.chance(self.barring_prob(risk)) {
             self.barred_streak += 1;
-            self.record(EmmEvent::AccessBarred);
             return Err(DataFailCause::EmmAccessBarred);
         }
         self.barred_streak = 0;
@@ -174,18 +129,15 @@ impl EmmStateMachine {
         // INVALID_EMM_STATE.
         if rng.chance(0.05 * risk.emm_pressure) {
             self.state = EmmState::Deregistered;
-            self.record(EmmEvent::ServiceRejected(DataFailCause::InvalidEmmState));
             return Err(DataFailCause::InvalidEmmState);
         }
 
         // Paging / service-request timeout under poor signal.
         if rng.chance((0.25 * risk.signal_risk).min(0.2)) {
-            self.record(EmmEvent::ServiceRejected(DataFailCause::EmmT3417Expired));
             return Err(DataFailCause::EmmT3417Expired);
         }
 
         self.state = EmmState::Connected;
-        self.record(EmmEvent::ServiceAccepted);
         Ok(())
     }
 
@@ -201,16 +153,13 @@ impl EmmStateMachine {
         }
         let fail = (0.02 + 0.12 * risk.emm_pressure + 0.2 * risk.signal_risk).min(0.45);
         if rng.chance(fail) {
-            self.record(EmmEvent::TauFailed);
             if rng.chance(0.3) {
                 self.state = EmmState::Deregistered;
-                self.record(EmmEvent::Detached);
                 return Err(DataFailCause::EmmDetached);
             }
             self.state = EmmState::RegisteredIdle;
             return Err(DataFailCause::InvalidEmmState);
         }
-        self.record(EmmEvent::TauCompleted);
         Ok(())
     }
 
@@ -223,10 +172,7 @@ impl EmmStateMachine {
 
     /// Detach from the network entirely.
     pub fn detach(&mut self) {
-        if self.state != EmmState::Deregistered {
-            self.state = EmmState::Deregistered;
-            self.record(EmmEvent::Detached);
-        }
+        self.state = EmmState::Deregistered;
     }
 }
 
@@ -346,7 +292,6 @@ mod tests {
         while emm.attach(Rat::G4, &quiet_risk(), &mut rng).is_err() {}
         emm.detach();
         assert_eq!(emm.state(), EmmState::Deregistered);
-        assert!(emm.history().contains(&EmmEvent::Detached));
     }
 
     #[test]
@@ -357,17 +302,6 @@ mod tests {
             emm.tracking_area_update(&quiet_risk(), &mut rng),
             Err(DataFailCause::EmmDetached)
         );
-    }
-
-    #[test]
-    fn history_is_bounded() {
-        let mut emm = EmmStateMachine::new();
-        let mut rng = SimRng::new(8);
-        for _ in 0..1000 {
-            let _ = emm.attach(Rat::G4, &hub_risk(), &mut rng);
-            emm.detach();
-        }
-        assert!(emm.history().len() <= HISTORY_LIMIT);
     }
 
     #[test]

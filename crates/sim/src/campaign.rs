@@ -21,7 +21,7 @@
 //! must depend only on `(root_seed, scenario_id)` — derive all randomness
 //! via [`crate::SimRng::for_substream`] and never read host state.
 
-use crate::par::{merge_all, resolve_threads, run_sharded, Merge};
+use crate::par::{resolve_threads, run_sharded_merge, Merge};
 use std::collections::BTreeMap;
 
 /// A minimal repro record for one invariant failure.
@@ -310,14 +310,13 @@ where
     F: Fn(u64) -> ScenarioOutcome + Sync,
 {
     let threads = resolve_threads(threads);
-    let parts = run_sharded(scenarios as usize, threads, |range| {
+    run_sharded_merge(scenarios as usize, threads, |range| {
         let mut report = CampaignReport::default();
         for idx in range {
             report.absorb(run_one(idx as u64));
         }
         report
-    });
-    merge_all(parts).expect("at least one shard")
+    })
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 
 use crate::columnar::{merge_runs, merge_to_segment, Agg, ColumnSegment, RowRef, RowSink, Run};
 use cellrel_ingest::codec::{unzigzag, zigzag};
-use cellrel_sim::{run_sharded, Digest64, Merge, SparseSketch};
+use cellrel_sim::{run_sharded_merge, Digest64, Merge, SparseSketch};
 use cellrel_types::{DeviceId, EventSink, FailureEvent, Isp, PhoneModelId};
 use cellrel_workload::Population;
 use std::cmp::Ordering;
@@ -940,17 +940,13 @@ pub fn build_sharded(
     events: &[FailureEvent],
     threads: usize,
 ) -> Store {
-    let shards = run_sharded(events.len(), threads, |range| {
+    let mut store = run_sharded_merge(events.len(), threads, |range| {
         let mut s = Store::new(cfg);
         for e in &events[range] {
             s.record(e, dir.dim_of(e.device));
         }
         s
     });
-    let mut store = Store::new(cfg);
-    for shard in shards {
-        store.merge(shard);
-    }
     store.register_population(dir);
     store
 }

@@ -2,13 +2,12 @@
 //!
 //! Android models a cellular data connection with five states; transitions
 //! are driven by setup requests, setup results, retry timers and teardowns.
-//! This FSM enforces exactly the legal transitions and records its history —
-//! invalid transitions are programming errors (the real
+//! This FSM enforces exactly the legal transitions — invalid transitions
+//! are programming errors (the real
 //! `DataConnection.java` logs and drops them; we make them loud, since in a
 //! simulation they always indicate a driver bug).
 
 use cellrel_sim::Telemetry;
-use cellrel_types::{DataFailCause, SimTime};
 use std::fmt;
 
 /// States of a data connection (Fig. 1).
@@ -38,25 +37,11 @@ impl fmt::Display for DcState {
     }
 }
 
-/// A recorded transition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Transition {
-    /// When it happened.
-    pub at: SimTime,
-    /// State before.
-    pub from: DcState,
-    /// State after.
-    pub to: DcState,
-    /// Failure cause if the transition was failure-driven.
-    pub cause: Option<DataFailCause>,
-}
-
-/// The life-cycle FSM with bounded transition history.
+/// The life-cycle FSM. Its only record of past transitions is the
+/// `dc.*` telemetry counters.
 #[derive(Debug, Clone)]
 pub(crate) struct DataConnectionFsm {
     state: DcState,
-    history: Vec<Transition>,
-    setup_attempts: u32,
     tele: Telemetry,
 }
 
@@ -71,9 +56,6 @@ fn state_counter(to: DcState) -> &'static str {
     }
 }
 
-/// History ring size.
-const HISTORY_LIMIT: usize = 128;
-
 impl Default for DataConnectionFsm {
     fn default() -> Self {
         Self::new()
@@ -85,8 +67,6 @@ impl DataConnectionFsm {
     pub(crate) fn new() -> Self {
         DataConnectionFsm {
             state: DcState::Inactive,
-            history: Vec::new(),
-            setup_attempts: 0,
             tele: Telemetry::disabled(),
         }
     }
@@ -102,28 +82,7 @@ impl DataConnectionFsm {
         self.state
     }
 
-    /// Total setup attempts ever issued.
-    #[cfg(test)]
-    pub(crate) fn setup_attempts(&self) -> u32 {
-        self.setup_attempts
-    }
-
-    /// Transition history (bounded, most recent last).
-    #[cfg(test)]
-    pub(crate) fn history(&self) -> &[Transition] {
-        &self.history
-    }
-
-    fn transition(&mut self, at: SimTime, to: DcState, cause: Option<DataFailCause>) {
-        if self.history.len() == HISTORY_LIMIT {
-            self.history.remove(0);
-        }
-        self.history.push(Transition {
-            at,
-            from: self.state,
-            to,
-            cause,
-        });
+    fn transition(&mut self, to: DcState) {
         self.tele.inc("dc.transitions");
         self.tele.inc(state_counter(to));
         self.state = to;
@@ -134,97 +93,96 @@ impl DataConnectionFsm {
     ///
     /// # Panics
     /// Panics on an illegal source state.
-    pub(crate) fn begin_setup(&mut self, at: SimTime) {
+    pub(crate) fn begin_setup(&mut self) {
         assert!(
             matches!(self.state, DcState::Inactive | DcState::Retrying),
             "begin_setup from {}",
             self.state
         );
-        self.setup_attempts += 1;
-        self.transition(at, DcState::Activating, None);
+        self.transition(DcState::Activating);
     }
 
     /// Setup succeeded.
-    pub(crate) fn setup_succeeded(&mut self, at: SimTime) {
+    pub(crate) fn setup_succeeded(&mut self) {
         assert_eq!(
             self.state,
             DcState::Activating,
             "setup_succeeded from {}",
             self.state
         );
-        self.transition(at, DcState::Active, None);
+        self.transition(DcState::Active);
     }
 
     /// Setup failed; will retry.
-    pub(crate) fn setup_failed_retry(&mut self, at: SimTime, cause: DataFailCause) {
+    pub(crate) fn setup_failed_retry(&mut self) {
         assert_eq!(
             self.state,
             DcState::Activating,
             "setup_failed from {}",
             self.state
         );
-        self.transition(at, DcState::Retrying, Some(cause));
+        self.transition(DcState::Retrying);
     }
 
     /// Setup failed permanently; give up to `Inactive`.
-    pub(crate) fn setup_failed_permanent(&mut self, at: SimTime, cause: DataFailCause) {
+    pub(crate) fn setup_failed_permanent(&mut self) {
         assert!(
             matches!(self.state, DcState::Activating | DcState::Retrying),
             "setup_failed_permanent from {}",
             self.state
         );
-        self.transition(at, DcState::Inactive, Some(cause));
+        self.transition(DcState::Inactive);
     }
 
     /// Begin a teardown of the active connection.
-    pub(crate) fn begin_disconnect(&mut self, at: SimTime) {
+    pub(crate) fn begin_disconnect(&mut self) {
         assert_eq!(
             self.state,
             DcState::Active,
             "begin_disconnect from {}",
             self.state
         );
-        self.transition(at, DcState::Disconnecting, None);
+        self.transition(DcState::Disconnecting);
     }
 
     /// Teardown completed.
-    pub(crate) fn disconnect_completed(&mut self, at: SimTime) {
+    pub(crate) fn disconnect_completed(&mut self) {
         assert_eq!(
             self.state,
             DcState::Disconnecting,
             "disconnect_completed from {}",
             self.state
         );
-        self.transition(at, DcState::Inactive, None);
+        self.transition(DcState::Inactive);
     }
 
     /// The connection dropped while `Active` (network-initiated loss).
-    pub(crate) fn connection_lost(&mut self, at: SimTime, cause: DataFailCause) {
+    pub(crate) fn connection_lost(&mut self) {
         assert_eq!(
             self.state,
             DcState::Active,
             "connection_lost from {}",
             self.state
         );
-        self.transition(at, DcState::Inactive, Some(cause));
+        self.transition(DcState::Inactive);
     }
 
     /// Abandon a pending retry (user disabled data, policy change).
     #[cfg(test)]
-    pub(crate) fn cancel_retry(&mut self, at: SimTime) {
+    pub(crate) fn cancel_retry(&mut self) {
         assert_eq!(
             self.state,
             DcState::Retrying,
             "cancel_retry from {}",
             self.state
         );
-        self.transition(at, DcState::Inactive, None);
+        self.transition(DcState::Inactive);
     }
 
     /// Hard reset to `Inactive` from any state (modem restart).
-    pub(crate) fn force_reset(&mut self, at: SimTime) {
+    pub(crate) fn force_reset(&mut self) {
         if self.state != DcState::Inactive {
-            self.transition(at, DcState::Inactive, None);
+            self.transition(DcState::Inactive);
         }
     }
 }
@@ -233,95 +191,86 @@ impl DataConnectionFsm {
 mod tests {
     use super::*;
 
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
     #[test]
     fn happy_path_matches_figure1() {
+        let tele = Telemetry::enabled();
         let mut fsm = DataConnectionFsm::new();
-        fsm.begin_setup(t(0));
+        fsm.set_telemetry(tele.clone());
+        fsm.begin_setup();
         assert_eq!(fsm.state(), DcState::Activating);
-        fsm.setup_succeeded(t(1));
+        fsm.setup_succeeded();
         assert_eq!(fsm.state(), DcState::Active);
-        fsm.begin_disconnect(t(100));
+        fsm.begin_disconnect();
         assert_eq!(fsm.state(), DcState::Disconnecting);
-        fsm.disconnect_completed(t(101));
+        fsm.disconnect_completed();
         assert_eq!(fsm.state(), DcState::Inactive);
-        assert_eq!(fsm.setup_attempts(), 1);
+        assert_eq!(tele.snapshot().counter("dc.state.activating"), 1);
     }
 
     #[test]
     fn retry_loop() {
+        let tele = Telemetry::enabled();
         let mut fsm = DataConnectionFsm::new();
-        fsm.begin_setup(t(0));
-        fsm.setup_failed_retry(t(1), DataFailCause::SignalLost);
+        fsm.set_telemetry(tele.clone());
+        fsm.begin_setup();
+        fsm.setup_failed_retry();
         assert_eq!(fsm.state(), DcState::Retrying);
-        fsm.begin_setup(t(6));
-        fsm.setup_failed_retry(t(7), DataFailCause::SignalLost);
-        fsm.begin_setup(t(17));
-        fsm.setup_succeeded(t(18));
+        fsm.begin_setup();
+        fsm.setup_failed_retry();
+        fsm.begin_setup();
+        fsm.setup_succeeded();
         assert_eq!(fsm.state(), DcState::Active);
-        assert_eq!(fsm.setup_attempts(), 3);
+        let snap = tele.snapshot();
+        assert_eq!(snap.counter("dc.state.activating"), 3);
+        assert_eq!(snap.counter("dc.state.retrying"), 2);
     }
 
     #[test]
     fn permanent_failure_goes_inactive() {
         let mut fsm = DataConnectionFsm::new();
-        fsm.begin_setup(t(0));
-        fsm.setup_failed_permanent(t(1), DataFailCause::MissingUnknownApn);
+        fsm.begin_setup();
+        fsm.setup_failed_permanent();
         assert_eq!(fsm.state(), DcState::Inactive);
-        let last = fsm.history().last().expect("history");
-        assert_eq!(last.cause, Some(DataFailCause::MissingUnknownApn));
     }
 
     #[test]
     fn connection_loss_from_active() {
         let mut fsm = DataConnectionFsm::new();
-        fsm.begin_setup(t(0));
-        fsm.setup_succeeded(t(1));
-        fsm.connection_lost(t(50), DataFailCause::LostConnection);
+        fsm.begin_setup();
+        fsm.setup_succeeded();
+        fsm.connection_lost();
         assert_eq!(fsm.state(), DcState::Inactive);
     }
 
     #[test]
     fn cancel_retry_path() {
         let mut fsm = DataConnectionFsm::new();
-        fsm.begin_setup(t(0));
-        fsm.setup_failed_retry(t(1), DataFailCause::NetworkFailure);
-        fsm.cancel_retry(t(2));
+        fsm.begin_setup();
+        fsm.setup_failed_retry();
+        fsm.cancel_retry();
         assert_eq!(fsm.state(), DcState::Inactive);
     }
 
     #[test]
     fn force_reset_from_any_state() {
+        let tele = Telemetry::enabled();
         let mut fsm = DataConnectionFsm::new();
-        fsm.begin_setup(t(0));
-        fsm.force_reset(t(1));
+        fsm.set_telemetry(tele.clone());
+        fsm.begin_setup();
+        fsm.force_reset();
         assert_eq!(fsm.state(), DcState::Inactive);
-        // From inactive it's a no-op (no history entry added).
-        let len = fsm.history().len();
-        fsm.force_reset(t(2));
-        assert_eq!(fsm.history().len(), len);
+        // From inactive it's a no-op (no transition counted).
+        let before = tele.snapshot().counter("dc.transitions");
+        fsm.force_reset();
+        assert_eq!(tele.snapshot().counter("dc.transitions"), before);
     }
 
     #[test]
     #[should_panic(expected = "begin_setup from Active")]
     fn illegal_transition_panics() {
         let mut fsm = DataConnectionFsm::new();
-        fsm.begin_setup(t(0));
-        fsm.setup_succeeded(t(1));
-        fsm.begin_setup(t(2));
-    }
-
-    #[test]
-    fn history_is_bounded() {
-        let mut fsm = DataConnectionFsm::new();
-        for i in 0..200 {
-            fsm.begin_setup(t(2 * i));
-            fsm.setup_failed_retry(t(2 * i + 1), DataFailCause::SignalLost);
-        }
-        assert!(fsm.history().len() <= HISTORY_LIMIT);
-        assert_eq!(fsm.setup_attempts(), 200);
+        fsm.begin_setup();
+        fsm.setup_succeeded();
+        fsm.begin_setup();
     }
 }

@@ -9,7 +9,7 @@ use crate::data_connection::{DataConnectionFsm, DcState};
 use cellrel_modem::Modem;
 use cellrel_radio::RiskFactors;
 use cellrel_sim::SimRng;
-use cellrel_types::{Apn, DataFailCause, SimDuration, SimTime};
+use cellrel_types::{Apn, DataFailCause, SimDuration};
 
 /// The retry-delay schedule applied after consecutive setup failures.
 /// Mirrors the shape of Android's default data-retry configuration:
@@ -120,24 +120,23 @@ impl DcTracker {
         &mut self,
         modem: &mut Modem,
         risk: &RiskFactors,
-        now: SimTime,
         rng: &mut SimRng,
     ) -> SetupVerdict {
         assert!(self.can_attempt(), "attempt_setup in {}", self.fsm.state());
-        self.fsm.begin_setup(now);
-        match modem.setup_data_call(self.apn, risk, now, rng) {
+        self.fsm.begin_setup();
+        match modem.setup_data_call(self.apn, risk, rng) {
             Ok(_) => {
-                self.fsm.setup_succeeded(now);
+                self.fsm.setup_succeeded();
                 self.consecutive_failures = 0;
                 SetupVerdict::Connected
             }
             Err(cause) => {
                 self.consecutive_failures += 1;
                 if cause.is_permanent() || !self.retry.allows_retry(self.consecutive_failures) {
-                    self.fsm.setup_failed_permanent(now, cause);
+                    self.fsm.setup_failed_permanent();
                     SetupVerdict::GaveUp(cause)
                 } else {
-                    self.fsm.setup_failed_retry(now, cause);
+                    self.fsm.setup_failed_retry();
                     SetupVerdict::RetryAfter(
                         self.retry.delay_after(self.consecutive_failures),
                         cause,
@@ -148,31 +147,26 @@ impl DcTracker {
     }
 
     /// Tear down an active connection cleanly.
-    pub(crate) fn disconnect(&mut self, modem: &mut Modem, now: SimTime) {
+    pub(crate) fn disconnect(&mut self, modem: &mut Modem) {
         if self.fsm.state() == DcState::Active {
-            self.fsm.begin_disconnect(now);
+            self.fsm.begin_disconnect();
             modem.deactivate();
-            self.fsm.disconnect_completed(now);
+            self.fsm.disconnect_completed();
         }
     }
 
     /// The network dropped the active connection.
-    pub(crate) fn connection_lost(
-        &mut self,
-        modem: &mut Modem,
-        now: SimTime,
-        cause: DataFailCause,
-    ) {
+    pub(crate) fn connection_lost(&mut self, modem: &mut Modem) {
         if self.fsm.state() == DcState::Active {
             modem.deactivate();
-            self.fsm.connection_lost(now, cause);
+            self.fsm.connection_lost();
         }
     }
 
     /// Reset after a modem restart or external recovery: back to `Inactive`,
     /// streak cleared.
-    pub(crate) fn reset(&mut self, now: SimTime) {
-        self.fsm.force_reset(now);
+    pub(crate) fn reset(&mut self) {
+        self.fsm.force_reset();
         self.consecutive_failures = 0;
     }
 }
@@ -206,11 +200,10 @@ mod tests {
         let mut modem = camped_modem();
         let mut rng = SimRng::new(1);
         // Quiet cell: succeed within a few attempts.
-        let mut now = SimTime::ZERO;
         loop {
-            match tracker.attempt_setup(&mut modem, &quiet_risk(), now, &mut rng) {
+            match tracker.attempt_setup(&mut modem, &quiet_risk(), &mut rng) {
                 SetupVerdict::Connected => break,
-                SetupVerdict::RetryAfter(d, _) => now += d,
+                SetupVerdict::RetryAfter(..) => {}
                 SetupVerdict::GaveUp(c) => panic!("gave up: {c}"),
             }
         }
@@ -224,7 +217,7 @@ mod tests {
         let mut modem = camped_modem();
         modem.set_fault(FaultProfile::forcing(DataFailCause::MissingUnknownApn));
         let mut rng = SimRng::new(2);
-        let v = tracker.attempt_setup(&mut modem, &quiet_risk(), SimTime::ZERO, &mut rng);
+        let v = tracker.attempt_setup(&mut modem, &quiet_risk(), &mut rng);
         assert_eq!(v, SetupVerdict::GaveUp(DataFailCause::MissingUnknownApn));
         assert_eq!(tracker.fsm().state(), DcState::Inactive);
         assert!(tracker.can_attempt());
@@ -246,13 +239,13 @@ mod tests {
         let mut modem = camped_modem();
         modem.set_fault(FaultProfile::forcing(DataFailCause::SignalLost));
         let mut rng = SimRng::new(3);
-        let v = tracker.attempt_setup(&mut modem, &quiet_risk(), SimTime::ZERO, &mut rng);
+        let v = tracker.attempt_setup(&mut modem, &quiet_risk(), &mut rng);
         assert_eq!(
             v,
             SetupVerdict::RetryAfter(SimDuration::from_secs(5), DataFailCause::SignalLost)
         );
         assert_eq!(tracker.fsm().state(), DcState::Retrying);
-        let v = tracker.attempt_setup(&mut modem, &quiet_risk(), SimTime::from_secs(5), &mut rng);
+        let v = tracker.attempt_setup(&mut modem, &quiet_risk(), &mut rng);
         assert_eq!(
             v,
             SetupVerdict::RetryAfter(SimDuration::from_secs(10), DataFailCause::SignalLost)
@@ -266,11 +259,10 @@ mod tests {
         let mut modem = camped_modem();
         modem.set_fault(FaultProfile::forcing(DataFailCause::SignalLost));
         let mut rng = SimRng::new(4);
-        let mut now = SimTime::ZERO;
         let mut gave_up = false;
         for _ in 0..20 {
-            match tracker.attempt_setup(&mut modem, &quiet_risk(), now, &mut rng) {
-                SetupVerdict::RetryAfter(d, _) => now += d,
+            match tracker.attempt_setup(&mut modem, &quiet_risk(), &mut rng) {
+                SetupVerdict::RetryAfter(..) => {}
                 SetupVerdict::GaveUp(_) => {
                     gave_up = true;
                     break;
@@ -286,27 +278,18 @@ mod tests {
         let mut tracker = DcTracker::new(Apn::Internet, RetryPolicy::default());
         let mut modem = camped_modem();
         let mut rng = SimRng::new(5);
-        let mut now = SimTime::ZERO;
-        while tracker.attempt_setup(&mut modem, &quiet_risk(), now, &mut rng)
-            != SetupVerdict::Connected
+        while tracker.attempt_setup(&mut modem, &quiet_risk(), &mut rng) != SetupVerdict::Connected
         {
-            now += SimDuration::from_secs(5);
         }
-        tracker.disconnect(&mut modem, now + SimDuration::from_secs(1));
+        tracker.disconnect(&mut modem);
         assert_eq!(tracker.fsm().state(), DcState::Inactive);
         assert!(modem.call().is_none());
 
         // Reconnect then lose the connection.
-        while tracker.attempt_setup(&mut modem, &quiet_risk(), now, &mut rng)
-            != SetupVerdict::Connected
+        while tracker.attempt_setup(&mut modem, &quiet_risk(), &mut rng) != SetupVerdict::Connected
         {
-            now += SimDuration::from_secs(5);
         }
-        tracker.connection_lost(
-            &mut modem,
-            now + SimDuration::from_secs(2),
-            DataFailCause::LostConnection,
-        );
+        tracker.connection_lost(&mut modem);
         assert_eq!(tracker.fsm().state(), DcState::Inactive);
     }
 
@@ -316,9 +299,9 @@ mod tests {
         let mut modem = camped_modem();
         modem.set_fault(FaultProfile::forcing(DataFailCause::SignalLost));
         let mut rng = SimRng::new(6);
-        tracker.attempt_setup(&mut modem, &quiet_risk(), SimTime::ZERO, &mut rng);
+        tracker.attempt_setup(&mut modem, &quiet_risk(), &mut rng);
         assert_eq!(tracker.consecutive_failures(), 1);
-        tracker.reset(SimTime::from_secs(1));
+        tracker.reset();
         assert_eq!(tracker.consecutive_failures(), 0);
         assert_eq!(tracker.fsm().state(), DcState::Inactive);
     }

@@ -226,8 +226,6 @@ pub struct DeviceSim<'a, L: TelephonyListener> {
     oos_heal_token: Option<EventToken>,
     serving_risk: Option<RiskFactors>,
     setup_pending: bool,
-    sms: crate::sms::SmsService,
-    voice: crate::sms::VoiceService,
     screen_active: bool,
     tele: Telemetry,
     /// While true (the default) the world keeps injecting faults. Campaign
@@ -266,8 +264,6 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
             oos_heal_token: None,
             serving_risk: None,
             setup_pending: false,
-            sms: crate::sms::SmsService::new(),
-            voice: crate::sms::VoiceService::new(),
             screen_active: true,
             tele: Telemetry::disabled(),
             injection_enabled: true,
@@ -544,18 +540,11 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
 
         match selected {
             None => {
-                // No coverage at all.
+                // No coverage at all: the signal is lost.
                 if self.modem.call().is_some() {
-                    self.tracker.connection_lost(
-                        &mut self.modem,
-                        now,
-                        cellrel_types::DataFailCause::SignalLost,
-                    );
+                    self.tracker.connection_lost(&mut self.modem);
                 }
-                let oos = self.sst.update(now, ServiceState::OutOfService);
-                if oos.is_none() && self.sst.in_outage() {
-                    // freshly entered handled in update(); nothing more here
-                }
+                self.sst.update(now, ServiceState::OutOfService);
             }
             Some(view) => {
                 let rat_changed = current != Some(view.rat);
@@ -570,7 +559,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
                         match self.modem.handover(view, &risk, &mut self.rng) {
                             Ok(()) => {}
                             Err(cause) => {
-                                self.tracker.reset(now);
+                                self.tracker.reset();
                                 self.stats.setup_errors += 1;
                                 let ctx = self.in_situ(Some(&view));
                                 self.emit(now, TelephonyEvent::DataSetupError { cause, ctx });
@@ -640,7 +629,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         self.tele.inc("telephony.setup.attempt");
         match self
             .tracker
-            .attempt_setup(&mut self.modem, &risk, now, &mut self.rng)
+            .attempt_setup(&mut self.modem, &risk, &mut self.rng)
         {
             SetupVerdict::Connected => {
                 self.stats.setup_successes += 1;
@@ -685,7 +674,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
                 self.emit(now, TelephonyEvent::DataStallSuspected { ctx, condition });
                 // Kick off the three-stage recovery engine.
                 if !self.recovery.active() {
-                    let probation = self.recovery.begin(now);
+                    let probation = self.recovery.begin();
                     self.probation_token =
                         Some(queue.schedule_after(probation, WorldEvent::ProbationExpired));
                 }
@@ -874,7 +863,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
     ) {
         match action {
             RecoveryAction::CleanupConnections => {
-                self.tracker.disconnect(&mut self.modem, now);
+                self.tracker.disconnect(&mut self.modem);
                 self.stack.reset_counters();
                 self.detector.reset();
                 self.request_setup(now, queue);
@@ -883,14 +872,14 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
                 if let Some(risk) = self.serving_risk {
                     let _ = self.modem.reregister(&risk, &mut self.rng);
                 }
-                self.tracker.reset(now);
+                self.tracker.reset();
                 self.stack.reset_counters();
                 self.detector.reset();
                 self.request_setup(now, queue);
             }
             RecoveryAction::RadioRestart => {
                 self.modem.restart();
-                self.tracker.reset(now);
+                self.tracker.reset();
                 self.stack.reset_counters();
                 self.detector.reset();
                 // Radio restart requires a fresh scan to camp again; the
@@ -916,8 +905,8 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         } else {
             0.85
         };
-        self.tracker.disconnect(&mut self.modem, now);
-        self.tracker.reset(now);
+        self.tracker.disconnect(&mut self.modem);
+        self.tracker.reset();
         self.stack.reset_counters();
         self.detector.reset();
         if self.rng.chance(fix_prob) {
@@ -982,7 +971,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
                     .is_err()
                 {
                     self.stats.tau_failures += 1;
-                    self.tracker.reset(now);
+                    self.tracker.reset();
                     self.request_setup(now, queue);
                 }
             }
@@ -992,7 +981,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
 
     fn handle_sms_send(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         if let (Some(view), Some(risk)) = (self.modem.serving().copied(), self.serving_risk) {
-            let (result, _attempts) = self.sms.send_with_retries(view.rat, &risk, &mut self.rng);
+            let (result, _attempts) = crate::sms::send_with_retries(view.rat, &risk, &mut self.rng);
             if result == crate::sms::SmsResult::Failed {
                 self.stats.sms_failures += 1;
                 let ctx = self.in_situ(Some(&view));
@@ -1005,7 +994,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
     fn handle_voice_call(&mut self, now: SimTime, queue: &mut TimerWheel<WorldEvent>) {
         // Attempt the call setup itself (CS on 2G/3G, VoLTE on 4G/5G).
         if let (Some(view), Some(risk)) = (self.modem.serving().copied(), self.serving_risk) {
-            let ok = self.voice.attempt_call(
+            let ok = crate::sms::attempt_call(
                 view.rat,
                 &risk,
                 self.modem.call().is_some(),
@@ -1029,11 +1018,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         if on_legacy && self.modem.call().is_some() {
             self.stats.voice_interruptions += 1;
             self.emit(now, TelephonyEvent::VoiceCallInterruption);
-            self.tracker.connection_lost(
-                &mut self.modem,
-                now,
-                cellrel_types::DataFailCause::TetheredCallActive,
-            );
+            self.tracker.connection_lost(&mut self.modem);
             self.request_setup(now, queue);
         }
         self.schedule_next_voice_call(queue);

@@ -17,7 +17,7 @@
 //! ablations (`repro ablations`) can sweep them.
 
 use cellrel_sim::SimRng;
-use cellrel_types::{SimDuration, SimTime};
+use cellrel_types::SimDuration;
 use std::fmt;
 
 /// One of the three progressive recovery operations.
@@ -144,7 +144,6 @@ enum Phase {
 pub struct RecoveryEngine {
     cfg: RecoveryConfig,
     phase: Phase,
-    started_at: Option<SimTime>,
     actions_executed: u32,
 }
 
@@ -155,7 +154,6 @@ impl RecoveryEngine {
         RecoveryEngine {
             cfg,
             phase: Phase::Idle,
-            started_at: None,
             actions_executed: 0,
         }
     }
@@ -178,10 +176,9 @@ impl RecoveryEngine {
 
     /// A stall was detected: start the episode. Returns the first probation
     /// window (the caller schedules a timer for it).
-    pub fn begin(&mut self, now: SimTime) -> SimDuration {
+    pub fn begin(&mut self) -> SimDuration {
         debug_assert!(!self.active(), "begin() while active");
         self.phase = Phase::Probation { next: 0 };
-        self.started_at = Some(now);
         self.cfg.probations[0]
     }
 
@@ -211,7 +208,6 @@ impl RecoveryEngine {
         let fixed = fixable && rng.chance(self.cfg.op_success[next]);
         if fixed {
             self.phase = Phase::Idle;
-            self.started_at = None;
             return (action, true, None);
         }
         if next + 1 < 3 {
@@ -248,7 +244,6 @@ impl RecoveryEngine {
     /// The stall cleared by itself (or by the user): abort the episode.
     pub(crate) fn stall_cleared(&mut self) {
         self.phase = Phase::Idle;
-        self.started_at = None;
     }
 }
 
@@ -304,7 +299,7 @@ mod tests {
         let mut eng = RecoveryEngine::new(cfg);
         let mut rng = SimRng::new(1);
 
-        let p0 = eng.begin(SimTime::from_secs(0));
+        let p0 = eng.begin();
         assert_eq!(p0, SimDuration::from_secs(60));
         assert!(eng.active());
 
@@ -330,7 +325,7 @@ mod tests {
         cfg.op_success = [1.0, 1.0, 1.0];
         let mut eng = RecoveryEngine::new(cfg);
         let mut rng = SimRng::new(2);
-        eng.begin(SimTime::ZERO);
+        eng.begin();
         let (a, fixed, next) = eng.probation_expired(true, &mut rng);
         assert_eq!(a, RecoveryAction::CleanupConnections);
         assert!(fixed);
@@ -341,13 +336,13 @@ mod tests {
     #[test]
     fn stall_cleared_aborts_episode() {
         let mut eng = RecoveryEngine::new(RecoveryConfig::vanilla());
-        eng.begin(SimTime::ZERO);
+        eng.begin();
         assert!(eng.active());
         eng.stall_cleared();
         assert!(!eng.active());
         assert_eq!(eng.actions_executed(), 0);
         // Can begin a fresh episode afterwards.
-        eng.begin(SimTime::from_secs(100));
+        eng.begin();
         assert!(eng.active());
     }
 
@@ -358,7 +353,7 @@ mod tests {
         let mut eng = RecoveryEngine::new(cfg);
         let mut rng = SimRng::new(3);
         assert_eq!(eng.next_op_cost(), None);
-        eng.begin(SimTime::ZERO);
+        eng.begin();
         assert_eq!(eng.next_op_cost(), Some(RecoveryConfig::default_costs()[0]));
         eng.probation_expired(true, &mut rng);
         assert_eq!(eng.next_op_cost(), Some(RecoveryConfig::default_costs()[1]));
@@ -369,7 +364,7 @@ mod tests {
         let mut eng = RecoveryEngine::new(RecoveryConfig::vanilla());
         let mut rng = SimRng::new(9);
         for _ in 0..200 {
-            eng.begin(SimTime::ZERO);
+            eng.begin();
             let (_, fixed, _) = eng.probation_expired(false, &mut rng);
             assert!(!fixed, "an unfixable condition was 'fixed'");
             eng.stall_cleared();
@@ -386,7 +381,7 @@ mod tests {
         let mut eng = RecoveryEngine::new(cfg);
         let mut rng = SimRng::new(11);
 
-        assert_eq!(eng.begin(SimTime::ZERO), SimDuration::from_secs(5));
+        assert_eq!(eng.begin(), SimDuration::from_secs(5));
         assert_eq!(eng.next_action(), Some(RecoveryAction::CleanupConnections));
 
         let (a, fixed, next) = eng.probation_expired(true, &mut rng);
@@ -416,7 +411,7 @@ mod tests {
         let mut eng = RecoveryEngine::new(cfg);
         let mut rng = SimRng::new(12);
 
-        eng.begin(SimTime::ZERO);
+        eng.begin();
         let (_, fixed, _) = eng.probation_expired(true, &mut rng);
         assert!(!fixed);
         let (a, fixed, next) = eng.probation_expired(true, &mut rng);
@@ -426,10 +421,7 @@ mod tests {
         assert!(!eng.active());
         assert!(!eng.exhausted());
 
-        assert_eq!(
-            eng.begin(SimTime::from_secs(500)),
-            SimDuration::from_secs(5)
-        );
+        assert_eq!(eng.begin(), SimDuration::from_secs(5));
         assert_eq!(eng.next_action(), Some(RecoveryAction::CleanupConnections));
         assert_eq!(eng.actions_executed(), 2, "counter spans episodes");
     }
@@ -444,7 +436,7 @@ mod tests {
         let mut eng = RecoveryEngine::new(cfg);
         let mut rng = SimRng::new(13);
 
-        eng.begin(SimTime::ZERO);
+        eng.begin();
         for _ in 0..3 {
             eng.probation_expired(true, &mut rng);
         }
@@ -455,10 +447,7 @@ mod tests {
         assert!(!eng.active());
         assert!(!eng.exhausted());
 
-        assert_eq!(
-            eng.begin(SimTime::from_secs(900)),
-            SimDuration::from_secs(60)
-        );
+        assert_eq!(eng.begin(), SimDuration::from_secs(60));
         let (a, _, _) = eng.probation_expired(true, &mut rng);
         assert_eq!(a, RecoveryAction::CleanupConnections);
         assert_eq!(eng.actions_executed(), 4);
@@ -471,7 +460,7 @@ mod tests {
         let mut fixed = 0;
         let n = 4000;
         for _ in 0..n {
-            eng.begin(SimTime::ZERO);
+            eng.begin();
             let (_, ok, _) = eng.probation_expired(true, &mut rng);
             if ok {
                 fixed += 1;

@@ -12,7 +12,6 @@ use cellrel_types::{ServiceState, SimDuration, SimTime};
 pub struct ServiceStateTracker {
     state: ServiceState,
     outage_started: Option<SimTime>,
-    completed_outages: Vec<(SimTime, SimDuration)>,
 }
 
 impl Default for ServiceStateTracker {
@@ -27,7 +26,6 @@ impl ServiceStateTracker {
         ServiceStateTracker {
             state: ServiceState::InService,
             outage_started: None,
-            completed_outages: Vec::new(),
         }
     }
 
@@ -39,12 +37,6 @@ impl ServiceStateTracker {
     /// Whether an outage is in progress.
     pub(crate) fn in_outage(&self) -> bool {
         self.outage_started.is_some()
-    }
-
-    /// Completed outages as `(start, duration)`.
-    #[cfg(test)]
-    pub(crate) fn outages(&self) -> &[(SimTime, SimDuration)] {
-        &self.completed_outages
     }
 
     /// Update the service state; returns the finished outage duration when a
@@ -61,22 +53,10 @@ impl ServiceStateTracker {
         // Leaving an outage (to anything but OutOfService; PowerOff ends the
         // *measured* outage because the user action supersedes it).
         if self.state == ServiceState::OutOfService {
-            if let Some(start) = self.outage_started.take() {
-                let d = now.since(start);
-                self.completed_outages.push((start, d));
-                finished = Some(d);
-            }
+            finished = self.outage_started.take().map(|start| now.since(start));
         }
         self.state = new_state;
         finished
-    }
-
-    /// Total outage time accumulated so far (completed episodes only).
-    #[cfg(test)]
-    pub(crate) fn total_outage(&self) -> SimDuration {
-        self.completed_outages
-            .iter()
-            .fold(SimDuration::ZERO, |acc, &(_, d)| acc + d)
     }
 }
 
@@ -102,8 +82,7 @@ mod tests {
         assert!(sst.in_outage());
         let d = sst.update(t(95), ServiceState::InService);
         assert_eq!(d, Some(SimDuration::from_secs(85)));
-        assert_eq!(sst.outages().len(), 1);
-        assert_eq!(sst.total_outage(), SimDuration::from_secs(85));
+        assert!(!sst.in_outage());
     }
 
     #[test]
@@ -128,12 +107,18 @@ mod tests {
     #[test]
     fn multiple_outages_accumulate() {
         let mut sst = ServiceStateTracker::new();
-        sst.update(t(0), ServiceState::OutOfService);
-        sst.update(t(10), ServiceState::InService);
-        sst.update(t(100), ServiceState::OutOfService);
-        sst.update(t(130), ServiceState::InService);
-        assert_eq!(sst.outages().len(), 2);
-        assert_eq!(sst.total_outage(), SimDuration::from_secs(40));
+        let finished: Vec<SimDuration> = [
+            (0, ServiceState::OutOfService),
+            (10, ServiceState::InService),
+            (100, ServiceState::OutOfService),
+            (130, ServiceState::InService),
+        ]
+        .into_iter()
+        .filter_map(|(s, state)| sst.update(t(s), state))
+        .collect();
+        assert_eq!(finished.len(), 2);
+        let total = finished.iter().fold(SimDuration::ZERO, |acc, &d| acc + d);
+        assert_eq!(total, SimDuration::from_secs(40));
     }
 
     #[test]

@@ -24,26 +24,8 @@ pub(crate) enum SmsResult {
     Failed,
 }
 
-/// The SMS service: a small retry state machine per message.
-#[derive(Debug, Clone)]
-pub(crate) struct SmsService {
-    /// Maximum send attempts per message (Android retries a few times).
-    pub max_attempts: u32,
-    sent: u64,
-    retries: u64,
-    failures: u64,
-}
-
-impl Default for SmsService {
-    fn default() -> Self {
-        SmsService {
-            max_attempts: 3,
-            sent: 0,
-            retries: 0,
-            failures: 0,
-        }
-    }
-}
+/// Maximum send attempts per message (Android retries a few times).
+const MAX_ATTEMPTS: u32 = 3;
 
 /// Per-attempt SMS failure probability: low, signal-driven, and slightly
 /// worse over packet-switched IMS paths when signal is marginal.
@@ -56,114 +38,53 @@ fn sms_attempt_failure_prob(risk: &RiskFactors, rat: Rat) -> f64 {
     (base * rat_factor).min(0.9)
 }
 
-impl SmsService {
-    /// A fresh service.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Messages delivered.
-    #[cfg(test)]
-    pub(crate) fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Retry events (each maps to one `RIL_SMS_SEND_FAIL_RETRY`).
-    #[cfg(test)]
-    pub(crate) fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Messages abandoned after the retry budget.
-    #[cfg(test)]
-    pub(crate) fn failures(&self) -> u64 {
-        self.failures
-    }
-
-    /// One send attempt for a message that has already used
-    /// `attempts_so_far` attempts.
-    pub(crate) fn attempt_send(
-        &mut self,
-        attempts_so_far: u32,
-        rat: Rat,
-        risk: &RiskFactors,
-        rng: &mut SimRng,
-    ) -> SmsResult {
-        if rng.chance(sms_attempt_failure_prob(risk, rat)) {
-            if attempts_so_far + 1 >= self.max_attempts {
-                self.failures += 1;
-                SmsResult::Failed
-            } else {
-                self.retries += 1;
-                SmsResult::RetryLater
-            }
+/// One send attempt for a message that has already used `attempts_so_far`
+/// attempts.
+fn attempt_send(attempts_so_far: u32, rat: Rat, risk: &RiskFactors, rng: &mut SimRng) -> SmsResult {
+    if rng.chance(sms_attempt_failure_prob(risk, rat)) {
+        if attempts_so_far + 1 >= MAX_ATTEMPTS {
+            SmsResult::Failed
         } else {
-            self.sent += 1;
-            SmsResult::Sent
+            SmsResult::RetryLater
         }
-    }
-
-    /// Send with the full internal retry loop collapsed (macro-style use):
-    /// returns the terminal result and the number of attempts consumed.
-    pub(crate) fn send_with_retries(
-        &mut self,
-        rat: Rat,
-        risk: &RiskFactors,
-        rng: &mut SimRng,
-    ) -> (SmsResult, u32) {
-        for attempt in 0..self.max_attempts {
-            match self.attempt_send(attempt, rat, risk, rng) {
-                SmsResult::RetryLater => continue,
-                terminal => return (terminal, attempt + 1),
-            }
-        }
-        (SmsResult::Failed, self.max_attempts)
+    } else {
+        SmsResult::Sent
     }
 }
 
-/// Voice call setup over the circuit-switched (or VoLTE) path.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct VoiceService {
-    setups: u64,
-    failures: u64,
-}
-
-impl VoiceService {
-    /// A fresh service.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Failed call setups.
-    #[cfg(test)]
-    pub(crate) fn failures(&self) -> u64 {
-        self.failures
-    }
-
-    /// Attempt a call setup. Legacy CS voice is extremely reliable; VoLTE
-    /// (4G/5G) couples to the data bearer health.
-    pub(crate) fn attempt_call(
-        &mut self,
-        rat: Rat,
-        risk: &RiskFactors,
-        data_bearer_up: bool,
-        rng: &mut SimRng,
-    ) -> bool {
-        let p_fail = match rat {
-            Rat::G2 | Rat::G3 => 0.002 + 0.03 * risk.signal_risk,
-            Rat::G4 | Rat::G5 => {
-                let volte_penalty = if data_bearer_up { 0.0 } else { 0.05 };
-                0.004 + 0.05 * risk.signal_risk + volte_penalty
-            }
-        };
-        if rng.chance(p_fail.min(0.9)) {
-            self.failures += 1;
-            false
-        } else {
-            self.setups += 1;
-            true
+/// Send one message with the retry loop collapsed (macro-style use):
+/// returns the terminal result and the number of attempts consumed.
+pub(crate) fn send_with_retries(
+    rat: Rat,
+    risk: &RiskFactors,
+    rng: &mut SimRng,
+) -> (SmsResult, u32) {
+    for attempt in 0..MAX_ATTEMPTS {
+        match attempt_send(attempt, rat, risk, rng) {
+            SmsResult::RetryLater => continue,
+            terminal => return (terminal, attempt + 1),
         }
     }
+    (SmsResult::Failed, MAX_ATTEMPTS)
+}
+
+/// Attempt a voice call setup; `true` if it connects. Legacy CS voice
+/// (2G/3G) is extremely reliable; VoLTE (4G/5G) couples to the data bearer
+/// health.
+pub(crate) fn attempt_call(
+    rat: Rat,
+    risk: &RiskFactors,
+    data_bearer_up: bool,
+    rng: &mut SimRng,
+) -> bool {
+    let p_fail = match rat {
+        Rat::G2 | Rat::G3 => 0.002 + 0.03 * risk.signal_risk,
+        Rat::G4 | Rat::G5 => {
+            let volte_penalty = if data_bearer_up { 0.0 } else { 0.05 };
+            0.004 + 0.05 * risk.signal_risk + volte_penalty
+        }
+    };
+    !rng.chance(p_fail.min(0.9))
 }
 
 #[cfg(test)]
@@ -192,49 +113,47 @@ mod tests {
 
     #[test]
     fn sms_is_overwhelmingly_reliable_on_good_signal() {
-        let mut svc = SmsService::new();
         let mut rng = SimRng::new(1);
-        let mut delivered = 0;
-        for _ in 0..10_000 {
-            let (r, _) = svc.send_with_retries(Rat::G2, &quiet(), &mut rng);
-            if r == SmsResult::Sent {
-                delivered += 1;
-            }
-        }
+        let delivered = (0..10_000)
+            .filter(|_| send_with_retries(Rat::G2, &quiet(), &mut rng).0 == SmsResult::Sent)
+            .count();
         assert!(delivered > 9_950, "delivered {delivered}/10000");
-        assert_eq!(svc.sent(), delivered);
     }
 
     #[test]
     fn sms_failures_are_under_one_percent_of_cellular_failures() {
         // The <1 % bucket: even at poor signal, terminal SMS failures are
         // rare relative to data-connection failures at the same risk.
-        let mut svc = SmsService::new();
         let mut rng = SimRng::new(2);
+        let (mut failures, mut retries) = (0, 0);
         for _ in 0..10_000 {
-            let _ = svc.send_with_retries(Rat::G4, &dead_zone(), &mut rng);
+            let (result, attempts) = send_with_retries(Rat::G4, &dead_zone(), &mut rng);
+            if result == SmsResult::Failed {
+                failures += 1;
+            }
+            // Every attempt but the terminal one was a retry.
+            retries += attempts - 1;
         }
-        let terminal_rate = svc.failures() as f64 / 10_000.0;
+        let terminal_rate = failures as f64 / 10_000.0;
         assert!(
             terminal_rate < 0.01,
             "terminal SMS failure rate {terminal_rate}"
         );
-        assert!(svc.retries() > 0, "retries should occur at poor signal");
+        assert!(retries > 0, "retries should occur at poor signal");
     }
 
     #[test]
     fn retry_budget_is_respected() {
-        let mut svc = SmsService::new();
         let mut rng = SimRng::new(3);
         // Force failures with a hostile risk to exercise the budget.
         let hostile = RiskFactors {
             signal_risk: 10.0, // clamps the per-attempt probability to 0.9
             ..dead_zone()
         };
-        let (result, attempts) = svc.send_with_retries(Rat::G4, &hostile, &mut rng);
-        assert!(attempts <= svc.max_attempts);
+        let (result, attempts) = send_with_retries(Rat::G4, &hostile, &mut rng);
+        assert!(attempts <= MAX_ATTEMPTS);
         if result == SmsResult::Failed {
-            assert_eq!(attempts, svc.max_attempts);
+            assert_eq!(attempts, MAX_ATTEMPTS);
         }
     }
 
@@ -242,7 +161,6 @@ mod tests {
     fn attempt_send_reports_retry_before_budget() {
         // Failure outcomes are stochastic; sample until both failure
         // positions are observed and assert their classification.
-        let mut svc = SmsService::new();
         let mut rng = SimRng::new(4);
         let hostile = RiskFactors {
             signal_risk: 100.0, // clamps the per-attempt probability at 0.9
@@ -252,13 +170,13 @@ mod tests {
         let mut saw_failed = false;
         for _ in 0..200 {
             // First attempt of three: a failure must be RetryLater.
-            match svc.attempt_send(0, Rat::G4, &hostile, &mut rng) {
+            match attempt_send(0, Rat::G4, &hostile, &mut rng) {
                 SmsResult::RetryLater => saw_retry = true,
                 SmsResult::Failed => panic!("first attempt may not be terminal"),
                 SmsResult::Sent => {}
             }
             // Last attempt: a failure is terminal.
-            match svc.attempt_send(2, Rat::G4, &hostile, &mut rng) {
+            match attempt_send(2, Rat::G4, &hostile, &mut rng) {
                 SmsResult::Failed => saw_failed = true,
                 SmsResult::RetryLater => panic!("last attempt may not retry"),
                 SmsResult::Sent => {}
@@ -271,30 +189,23 @@ mod tests {
     fn legacy_cs_voice_more_reliable_than_volte_without_bearer() {
         let mut rng = SimRng::new(5);
         let risk = dead_zone();
-        let mut cs = VoiceService::new();
-        let mut volte = VoiceService::new();
+        let (mut cs, mut volte) = (0, 0);
         for _ in 0..20_000 {
-            cs.attempt_call(Rat::G2, &risk, false, &mut rng);
-            volte.attempt_call(Rat::G4, &risk, false, &mut rng);
+            cs += u32::from(!attempt_call(Rat::G2, &risk, false, &mut rng));
+            volte += u32::from(!attempt_call(Rat::G4, &risk, false, &mut rng));
         }
-        assert!(
-            volte.failures() > cs.failures(),
-            "volte {} vs cs {}",
-            volte.failures(),
-            cs.failures()
-        );
+        assert!(volte > cs, "volte {volte} vs cs {cs}");
     }
 
     #[test]
     fn healthy_bearer_helps_volte() {
         let mut rng = SimRng::new(6);
         let risk = quiet();
-        let mut up = VoiceService::new();
-        let mut down = VoiceService::new();
+        let (mut up, mut down) = (0, 0);
         for _ in 0..20_000 {
-            up.attempt_call(Rat::G4, &risk, true, &mut rng);
-            down.attempt_call(Rat::G4, &risk, false, &mut rng);
+            up += u32::from(!attempt_call(Rat::G4, &risk, true, &mut rng));
+            down += u32::from(!attempt_call(Rat::G4, &risk, false, &mut rng));
         }
-        assert!(down.failures() > up.failures());
+        assert!(down > up);
     }
 }

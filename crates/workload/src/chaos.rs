@@ -30,7 +30,7 @@ use cellrel_sim::campaign::{
     run_campaign, CampaignReport, Invariant, InvariantRegistry, ScenarioOutcome,
 };
 use cellrel_sim::{
-    resolve_threads, run_sharded, EventHandler, Merge, MetricsRegistry, SimRng, Telemetry,
+    resolve_threads, run_sharded_merge, EventHandler, Merge, MetricsRegistry, SimRng, Telemetry,
     TimerWheel,
 };
 use cellrel_telephony::{
@@ -648,7 +648,7 @@ pub fn run_chaos_campaign_metrics(
     trace: bool,
 ) -> (CampaignReport, MetricsRegistry) {
     let threads = resolve_threads(cfg.threads);
-    let parts = run_sharded(cfg.scenarios as usize, threads, |range| {
+    run_sharded_merge(cfg.scenarios as usize, threads, |range| {
         let mut report = CampaignReport::default();
         let mut snap = MetricsRegistry::new();
         for idx in range {
@@ -657,20 +657,7 @@ pub fn run_chaos_campaign_metrics(
             snap.merge(s);
         }
         (report, snap)
-    });
-    let mut report = CampaignReport::default();
-    let mut snap = MetricsRegistry::new();
-    for (r, s) in parts {
-        report.merge(r);
-        snap.merge(s);
-    }
-    (report, snap)
-}
-
-/// Replay one scenario by id — byte-identical to its campaign run, because
-/// a scenario's behaviour depends only on `(root_seed, id)`.
-pub fn replay_scenario(cfg: &ChaosConfig, id: u64) -> ScenarioOutcome {
-    run_scenario(cfg, id)
+    })
 }
 
 #[cfg(test)]
@@ -739,7 +726,7 @@ mod tests {
     fn scenarios_replay_byte_identically() {
         let cfg = small_cfg();
         let a = run_scenario(&cfg, 1);
-        let b = replay_scenario(&cfg, 1);
+        let b = run_scenario(&cfg, 1);
         assert_eq!(a, b);
         assert!(a.events > 0);
     }

@@ -33,7 +33,7 @@
 //! That is what lets three very different drivers produce **bit-identical
 //! digests**: the per-tick scanner (any tick size), the timer-wheel
 //! event-driven driver, and any shard layout of either under
-//! [`run_sharded`].
+//! [`run_sharded_merge`].
 //!
 //! # Struct-of-arrays state
 //!
@@ -46,18 +46,13 @@
 //! reports its own footprint via `approx_bytes`).
 
 use crate::bs_assign::BsAssigner;
-use crate::durations;
-use crate::exposure::FailureLevelSampler;
 use crate::fleet_metrics::FleetMetrics;
 use crate::population::{DeviceProfile, Population, PopulationConfig};
-use crate::study::{kind_weights_for, rat_mix, OOS_PRONE_SHARE};
-use cellrel_modem::cause_mix::CauseMix;
+use crate::study::{kind_weights_for, rat_mix, FailureAttribution, OOS_PRONE_SHARE};
 use cellrel_radio::load::diurnal_factor;
 use cellrel_radio::RatTransitionModel;
-use cellrel_sim::{resolve_threads, run_sharded, Merge, MetricsRegistry, SimRng, TimerWheel};
-use cellrel_types::{
-    Apn, DeviceId, EventSink, FailureEvent, FailureKind, InSituInfo, Rat, SimDuration, SimTime,
-};
+use cellrel_sim::{resolve_threads, run_sharded_merge, Merge, MetricsRegistry, SimRng, TimerWheel};
+use cellrel_types::{EventSink, Rat, SimDuration, SimTime};
 
 /// Upper envelope of [`diurnal_factor`] used by the thinning sampler; a
 /// unit test scans the curve to prove it dominates.
@@ -180,9 +175,7 @@ fn occ_rng(root: u64, device: usize, source: u64, occurrence: u32) -> SimRng {
 
 /// Read-only per-run context shared by every shard.
 struct FleetCtx {
-    bs: BsAssigner,
-    level_sampler: FailureLevelSampler,
-    cause_mix: CauseMix,
+    attribution: FailureAttribution,
     rat_model: [RatTransitionModel; 2],
     horizon_ms: u64,
     /// Calibration rescale: the population's failure means are per 243-day
@@ -215,9 +208,7 @@ fn fleet_ctx(cfg: &FleetConfig) -> (Population, FleetCtx) {
         RatTransitionModel::new(rats, weights, dwell)
     };
     let ctx = FleetCtx {
-        bs,
-        level_sampler: FailureLevelSampler::new(),
-        cause_mix: CauseMix::table2(),
+        attribution: FailureAttribution::new(bs),
         rat_model: [model(false), model(true)],
         horizon_ms: cfg.horizon_ms(),
         day_scale: cfg.days as f64 / 243.0,
@@ -361,36 +352,16 @@ fn process_failure(
 
     if accepted {
         out.failures += 1;
-        let kind = match rng.weighted_index(&kind_weights_for(st.oos_prone[local])) {
-            0 => FailureKind::DataSetupError,
-            1 => FailureKind::DataStall,
-            2 => FailureKind::OutOfService,
-            3 => FailureKind::SmsSendFail,
-            _ => FailureKind::VoiceSetupFail,
-        };
+        let kind = FailureAttribution::kind(&kind_weights_for(st.oos_prone[local]), &mut rng);
         // In-situ RAT: the live radio state, not an i.i.d. draw.
         let rat = Rat::from_index(st.rat[local] as usize).expect("rat state < 4");
-        let level = ctx.level_sampler.sample(rat, &mut rng);
-        let site = ctx.bs.assign(dev.isp, rat, &mut rng);
-        let cause = (kind == FailureKind::DataSetupError).then(|| ctx.cause_mix.sample(&mut rng));
-        let duration = durations::sample_duration(kind, &mut rng, dev.remote_region);
+        let event = ctx
+            .attribution
+            .failure(dev, kind, rat, &mut rng, |_| SimTime::from_millis(t));
         h = fnv_word(h, kind.index() as u64);
         h = fnv_word(h, rat.index() as u64);
-        h = fnv_word(h, duration.as_millis());
-        out.sink.record(&FailureEvent {
-            device: DeviceId(global as u32),
-            kind,
-            start: SimTime::from_millis(t),
-            duration,
-            cause,
-            ctx: InSituInfo {
-                rat,
-                signal: level,
-                apn: Apn::Internet,
-                bs: Some(site.id),
-                isp: dev.isp,
-            },
-        });
+        h = fnv_word(h, event.duration.as_millis());
+        out.sink.record(&event);
     }
     st.digest[local] = h;
 
@@ -545,11 +516,7 @@ where
     let (population, ctx) = fleet_ctx(cfg);
     let threads = resolve_threads(threads);
     let devices = population.devices();
-    let shards = run_sharded(devices.len(), threads, |range| worker(range, devices, &ctx));
-    let mut folded = ShardPartial::new();
-    for shard in shards {
-        folded.merge(shard);
-    }
+    let folded = run_sharded_merge(devices.len(), threads, |range| worker(range, devices, &ctx));
     FleetReport {
         devices: devices.len() as u64,
         days: cfg.days,
@@ -567,6 +534,7 @@ where
 mod tests {
     use super::*;
     use crate::fleet_metrics::{kind_counter, rat_counter};
+    use cellrel_types::FailureKind;
 
     #[test]
     fn diurnal_peak_is_a_true_envelope() {

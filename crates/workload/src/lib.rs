@@ -35,8 +35,8 @@ pub mod study;
 pub use ab::{run_rat_policy_ab, run_recovery_ab, AbArm, AbConfig, AbOutcome};
 pub use bs_assign::BsAssigner;
 pub use chaos::{
-    replay_scenario, run_chaos_campaign, run_chaos_campaign_metrics, run_scenario,
-    run_scenario_telemetry, run_scenario_with, ChaosConfig, ChaosScenario, StepView,
+    run_chaos_campaign, run_chaos_campaign_metrics, run_scenario, run_scenario_telemetry,
+    run_scenario_with, ChaosConfig, ChaosScenario, StepView,
 };
 pub use fleet::{run_fleet_event_driven, run_fleet_per_tick, FleetConfig, FleetReport};
 pub use fleet_metrics::run_fleet_metrics;

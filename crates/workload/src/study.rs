@@ -11,7 +11,7 @@ use crate::durations;
 use crate::exposure::FailureLevelSampler;
 use crate::population::{DeviceProfile, Population, PopulationConfig};
 use cellrel_modem::cause_mix::CauseMix;
-use cellrel_sim::{resolve_threads, run_sharded, Merge, SimRng};
+use cellrel_sim::{resolve_threads, run_sharded_merge, Merge, SimRng};
 #[cfg(test)]
 use cellrel_types::SimDuration;
 use cellrel_types::{Apn, EventSink, FailureEvent, FailureKind, InSituInfo, Rat, SimTime};
@@ -146,11 +146,70 @@ pub(crate) fn rat_mix(has_5g: bool) -> ([Rat; 4], [f64; 4]) {
     }
 }
 
-/// Read-only per-run context shared by every shard of a study run.
-struct StudyCtx {
-    bs: BsAssigner,
+/// The samplers that attribute a failure to a signal level, a BS, a cause
+/// and a duration, shared read-only by every shard of a study or fleet run.
+pub(crate) struct FailureAttribution {
+    pub(crate) bs: BsAssigner,
     level_sampler: FailureLevelSampler,
     cause_mix: CauseMix,
+}
+
+impl FailureAttribution {
+    pub(crate) fn new(bs: BsAssigner) -> Self {
+        FailureAttribution {
+            bs,
+            level_sampler: FailureLevelSampler::new(),
+            cause_mix: CauseMix::table2(),
+        }
+    }
+
+    /// Draw a failure kind from per-kind weights laid out as
+    /// [`KIND_WEIGHTS`] (not in [`FailureKind::ALL`]'s order).
+    pub(crate) fn kind(weights: &[f64; 5], rng: &mut SimRng) -> FailureKind {
+        match rng.weighted_index(weights) {
+            0 => FailureKind::DataSetupError,
+            1 => FailureKind::DataStall,
+            2 => FailureKind::OutOfService,
+            3 => FailureKind::SmsSendFail,
+            _ => FailureKind::VoiceSetupFail,
+        }
+    }
+
+    /// One failure of `kind` on `rat` for `dev`. The draws come in a fixed
+    /// order: signal level, BS, cause (setup errors only), duration, and
+    /// last whatever `start` draws.
+    pub(crate) fn failure(
+        &self,
+        dev: &DeviceProfile,
+        kind: FailureKind,
+        rat: Rat,
+        rng: &mut SimRng,
+        start: impl FnOnce(&mut SimRng) -> SimTime,
+    ) -> FailureEvent {
+        let level = self.level_sampler.sample(rat, rng);
+        let site = self.bs.assign(dev.isp, rat, rng);
+        let cause = (kind == FailureKind::DataSetupError).then(|| self.cause_mix.sample(rng));
+        let duration = durations::sample_duration(kind, rng, dev.remote_region);
+        FailureEvent {
+            device: dev.id,
+            kind,
+            start: start(rng),
+            duration,
+            cause,
+            ctx: InSituInfo {
+                rat,
+                signal: level,
+                apn: Apn::Internet,
+                bs: Some(site.id),
+                isp: dev.isp,
+            },
+        }
+    }
+}
+
+/// Read-only per-run context shared by every shard of a study run.
+struct StudyCtx {
+    attribution: FailureAttribution,
     window_ms: u64,
     /// Root of the event-stream randomness; each device derives its own
     /// substream from `(event_root, device_id)` alone, so event draws are
@@ -167,9 +226,7 @@ fn study_ctx(cfg: &StudyConfig) -> (Population, StudyCtx) {
     let bs = BsAssigner::new(cfg.bs_count, &mut rng);
     let event_root = rng.fork(0xEE).seed();
     let ctx = StudyCtx {
-        bs,
-        level_sampler: FailureLevelSampler::new(),
-        cause_mix: CauseMix::table2(),
+        attribution: FailureAttribution::new(bs),
         window_ms: cfg.days * 86_400_000,
         event_root,
     };
@@ -188,34 +245,12 @@ fn emit_device_failures(dev: &DeviceProfile, ctx: &StudyCtx, sink: &mut impl Eve
     let oos_prone = dev.remote_region || ev_rng.chance(OOS_PRONE_SHARE - 0.03);
     let kind_weights = kind_weights_for(oos_prone);
     for _ in 0..count {
-        let kind = match ev_rng.weighted_index(&kind_weights) {
-            0 => FailureKind::DataSetupError,
-            1 => FailureKind::DataStall,
-            2 => FailureKind::OutOfService,
-            3 => FailureKind::SmsSendFail,
-            _ => FailureKind::VoiceSetupFail,
-        };
+        let kind = FailureAttribution::kind(&kind_weights, &mut ev_rng);
         let rat = rats[ev_rng.weighted_index(&rat_weights)];
-        let level = ctx.level_sampler.sample(rat, &mut ev_rng);
-        let site = ctx.bs.assign(dev.isp, rat, &mut ev_rng);
-        let cause =
-            (kind == FailureKind::DataSetupError).then(|| ctx.cause_mix.sample(&mut ev_rng));
-        let duration = durations::sample_duration(kind, &mut ev_rng, dev.remote_region);
-        let start = SimTime::from_millis(ev_rng.range_u64(0, ctx.window_ms));
-        sink.record(&FailureEvent {
-            device: dev.id,
-            kind,
-            start,
-            duration,
-            cause,
-            ctx: InSituInfo {
-                rat,
-                signal: level,
-                apn: Apn::Internet,
-                bs: Some(site.id),
-                isp: dev.isp,
-            },
+        let event = ctx.attribution.failure(dev, kind, rat, &mut ev_rng, |rng| {
+            SimTime::from_millis(rng.range_u64(0, ctx.window_ms))
         });
+        sink.record(&event);
     }
     count
 }
@@ -243,25 +278,15 @@ where
     let (population, ctx) = study_ctx(cfg);
     let threads = resolve_threads(threads);
     let devices = population.devices();
-    let shards = run_sharded(devices.len(), threads, |range| {
+    let (per_device_counts, sink) = run_sharded_merge(devices.len(), threads, |range| {
         let mut sink = make_sink();
-        let mut counts = Vec::with_capacity(range.len());
+        let mut counts: Vec<u32> = Vec::with_capacity(range.len());
         for dev in &devices[range] {
             counts.push(emit_device_failures(dev, &ctx, &mut sink));
         }
         (counts, sink)
     });
-    let mut per_device_counts = Vec::with_capacity(devices.len());
-    let mut merged: Option<S> = None;
-    for (counts, sink) in shards {
-        per_device_counts.extend(counts);
-        match merged.as_mut() {
-            Some(m) => m.merge(sink),
-            None => merged = Some(sink),
-        }
-    }
-    let sink = merged.unwrap_or_else(&make_sink);
-    (population, per_device_counts, ctx.bs, sink)
+    (population, per_device_counts, ctx.attribution.bs, sink)
 }
 
 /// Run the macro study, materialising the full event list. Uses the

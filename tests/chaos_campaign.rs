@@ -15,8 +15,7 @@ use cellrel::sim::{Invariant, InvariantRegistry};
 use cellrel::telephony::TelephonyEvent;
 use cellrel::types::SimDuration;
 use cellrel::workload::{
-    replay_scenario, run_chaos_campaign, run_scenario, run_scenario_with, ChaosConfig,
-    ChaosScenario, StepView,
+    run_chaos_campaign, run_scenario, run_scenario_with, ChaosConfig, ChaosScenario, StepView,
 };
 
 fn test_cfg() -> ChaosConfig {
@@ -56,8 +55,8 @@ fn campaign_is_clean_and_invariant_across_thread_counts() {
 fn scenario_replay_is_byte_identical() {
     let cfg = test_cfg();
     for id in [0, 5, 11] {
-        let a = replay_scenario(&cfg, id);
-        let b = replay_scenario(&cfg, id);
+        let a = run_scenario(&cfg, id);
+        let b = run_scenario(&cfg, id);
         assert_eq!(a, b, "scenario {id} must replay identically");
         assert_eq!(a.scenario, id);
         assert_eq!(a.coverage, ChaosScenario::decode(id).coverage_labels());

@@ -30,8 +30,9 @@ const DOCS: [&str; 5] = [
 /// knob (`repro ablations` prints what only they printed), and the
 /// simulator's second scheduler surface and second metrics type (the timer
 /// wheel is the one event loop, a registry is its own snapshot and holds
-/// its own trace). The verify skill is held to this list too.
-const RETIRED: [&str; 21] = [
+/// its own trace), and the chaos replay alias (a replay is `run_scenario`).
+/// The verify skill is held to this list too.
+const RETIRED: [&str; 22] = [
     "run_ingest",
     "serve_with",
     "ServerConfig",
@@ -54,6 +55,7 @@ const RETIRED: [&str; 21] = [
     concat!("run_", "scheduled"),
     concat!("Metrics", "Snapshot"),
     concat!("Trace", "Sink"),
+    concat!("replay", "_scenario"),
 ];
 
 fn root() -> PathBuf {

@@ -30,7 +30,7 @@ fn forced_cause_flows_from_modem_to_monitor_records() {
     let mut monitor = MonitoringService::new(DeviceId(9), rng.fork(1));
 
     use cellrel::telephony::TelephonyListener;
-    let verdict = tracker.attempt_setup(&mut modem, &risk, SimTime::ZERO, &mut rng);
+    let verdict = tracker.attempt_setup(&mut modem, &risk, &mut rng);
     if let cellrel::telephony::dc_tracker::SetupVerdict::GaveUp(cause) = verdict {
         monitor.on_event(
             SimTime::ZERO,
@@ -127,10 +127,7 @@ fn scaled_hazards_degrade_everything_proportionally() {
             let mut modem = Modem::new();
             modem.camp_on(view);
             modem.set_fault(fault);
-            if modem
-                .setup_data_call(Apn::Internet, &risk, SimTime::ZERO, rng)
-                .is_err()
-            {
+            if modem.setup_data_call(Apn::Internet, &risk, rng).is_err() {
                 failures += 1;
             }
         }

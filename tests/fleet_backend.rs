@@ -43,7 +43,7 @@ fn run_fleet(devices: u32, hours: u64, seed: u64) -> Fleet {
         // Ship the traces the way real devices do: an end-of-run WiFi
         // flush encodes a wire batch.
         let mut monitor = sim.into_listener();
-        if let Some(up) = monitor.upload_opportunity(SimTime::from_secs(hours * 3600), true) {
+        if let Some(up) = monitor.upload_opportunity(true) {
             fleet.payloads.push(up.payload);
         }
         fleet.monitors.push(monitor);

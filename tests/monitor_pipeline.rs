@@ -117,8 +117,7 @@ fn uploads_drain_the_queue() {
     let mut run = run_monitored_device(6, 24, 0.1);
     let pending_before = run.monitor.pending_records();
     assert_eq!(pending_before, run.records.len() as u64);
-    run.monitor
-        .upload_opportunity(SimTime::from_secs(90_000), true);
+    run.monitor.upload_opportunity(true);
     let held = run.monitor.pending_records();
     assert_eq!(
         run.monitor.uploader().uploaded_records() + held,

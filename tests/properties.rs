@@ -161,7 +161,7 @@ proptest! {
         cfg.op_success = [success[0], success[1], success[2]];
         let mut eng = RecoveryEngine::new(cfg);
         let mut rng = SimRng::new(seed);
-        eng.begin(SimTime::ZERO);
+        eng.begin();
         let mut stages = 0;
         loop {
             let (_, fixed, next) = eng.probation_expired(true, &mut rng);
