@@ -13,19 +13,14 @@ use cellrel_types::{SimDuration, SimTime};
 pub struct NetStack {
     tcp: TcpAccounting,
     link: LinkCondition,
-    /// Number of configured DNS servers (Android typically carries 2).
-    #[cfg(test)]
-    dns_servers: u8,
 }
 
 impl NetStack {
-    /// A healthy stack with two DNS servers.
+    /// A healthy stack.
     pub fn new() -> Self {
         NetStack {
             tcp: TcpAccounting::new(),
             link: LinkCondition::Healthy,
-            #[cfg(test)]
-            dns_servers: 2,
         }
     }
 
@@ -38,12 +33,6 @@ impl NetStack {
     /// world injects a stall; recovery flips it back).
     pub fn set_link(&mut self, link: LinkCondition) {
         self.link = link;
-    }
-
-    /// Number of configured DNS servers.
-    #[cfg(test)]
-    pub(crate) fn dns_server_count(&self) -> u8 {
-        self.dns_servers
     }
 
     /// Application traffic: `out` outbound segments at `now`. Whether the
@@ -132,10 +121,5 @@ mod tests {
         s.app_exchange(t, 50);
         s.reset_counters();
         assert!(!s.stall_detected(t));
-    }
-
-    #[test]
-    fn stack_reports_dns_servers() {
-        assert_eq!(NetStack::new().dns_server_count(), 2);
     }
 }

@@ -8,8 +8,6 @@
 //!   counts ([`WeightedIndex::zipf`]; Fig. 11 reports a Zipf with
 //!   a = 0.82). [`ClassMasks`] fold class bits over a guide table, so
 //!   rejection sampling turns most draws of an unwanted class away in O(1).
-//! * [`Empirical`] — sample from (or interpolate quantiles of) an observed
-//!   sample set; used to bootstrap stall-duration curves into TIMP inputs.
 
 use crate::rng::SimRng;
 
@@ -181,69 +179,6 @@ impl ClassMasks {
     }
 }
 
-/// An empirical distribution built from observed samples. Sampling draws a
-/// uniformly random observation; [`Empirical::quantile`] interpolates.
-#[derive(Debug, Clone)]
-pub struct Empirical {
-    sorted: Vec<f64>,
-}
-
-impl Empirical {
-    /// Build from samples (NaNs are rejected).
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty or contains NaN.
-    pub fn new(mut samples: Vec<f64>) -> Self {
-        assert!(!samples.is_empty(), "Empirical needs at least one sample");
-        assert!(
-            samples.iter().all(|x| !x.is_nan()),
-            "Empirical rejects NaN samples"
-        );
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN excluded above"));
-        Empirical { sorted: samples }
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false; provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Draw one of the observations uniformly.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sorted[rng.index(self.sorted.len())]
-    }
-
-    /// Linear-interpolated quantile, `q` in `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        crate::stats::percentile(&self.sorted, q)
-    }
-
-    /// Fraction of observations ≤ `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        self.sorted.partition_point(|&v| v <= x) as f64 / self.sorted.len() as f64
-    }
-
-    /// Arithmetic mean of the observations.
-    pub fn mean(&self) -> f64 {
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// Smallest observation.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty by construction")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,31 +289,5 @@ mod tests {
         // The theoretical rank-0:rank-9 ratio is 10^0.82 ≈ 6.6.
         let ratio = counts[0] as f64 / counts[9].max(1) as f64;
         assert!(ratio > 3.0 && ratio < 13.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn empirical_quantiles_and_cdf() {
-        let e = Empirical::new(vec![3.0, 1.0, 2.0, 4.0, 5.0]);
-        assert_eq!(e.min(), 1.0);
-        assert_eq!(e.max(), 5.0);
-        assert!((e.quantile(0.5) - 3.0).abs() < 1e-12);
-        assert!((e.cdf(3.0) - 0.6).abs() < 1e-12);
-        assert!((e.mean() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empirical_sampling_stays_in_support() {
-        let e = Empirical::new(vec![1.0, 2.0, 3.0]);
-        let mut rng = SimRng::new(15);
-        for _ in 0..100 {
-            let v = e.sample(&mut rng);
-            assert!(v == 1.0 || v == 2.0 || v == 3.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn empirical_rejects_empty() {
-        Empirical::new(vec![]);
     }
 }

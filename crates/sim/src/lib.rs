@@ -40,7 +40,7 @@ pub use campaign::{
     run_campaign, CampaignReport, Digest64, Invariant, InvariantRegistry, ScenarioOutcome,
     Violation,
 };
-pub use dist::{ClassMasks, Empirical, WeightedIndex};
+pub use dist::{ClassMasks, WeightedIndex};
 pub use par::{auto_threads, resolve_threads, run_sharded, run_sharded_merge, Merge};
 pub use queue::{EventHandler, EventQueue};
 pub use rng::SimRng;

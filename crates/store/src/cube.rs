@@ -398,10 +398,12 @@ pub(crate) struct Partition {
     pub(crate) devices: BTreeMap<u32, DeviceRec>,
     /// Records inserted (monotonic; not reduced by compaction).
     pub(crate) inserted: u64,
-    /// Compaction sweeps run.
+    /// Compaction sweeps run; a fold counts one per delta it took in.
     pub(crate) compactions: u64,
-    /// Cells removed by folding (a sweep that folds nothing still counts
-    /// as a sweep).
+    /// Rows a sweep took in less the rows it left: bucket folds and the
+    /// merge of equal keys alike. The rows a run of sweeps leaves are the
+    /// next one's rows in, so the sum telescopes — folding deltas one at a
+    /// time counts what folding them at once counts.
     pub(crate) cells_folded: u64,
     /// Inserts since the last sweep (drives `auto_compact_every`).
     pub(crate) since_compact: u64,
@@ -412,36 +414,74 @@ impl Partition {
         self.cells.len() + self.segments.iter().map(ColumnSegment::len).sum::<usize>()
     }
 
+    /// One sweep; see [`Store::compact`].
     fn compact(&mut self, rollup: u32) {
         self.compactions += 1;
+        self.sweep(Vec::new(), rollup);
+    }
+
+    /// Merge `deltas` in and sweep, in one pass; see [`Store::fold_in`].
+    fn fold_in(&mut self, deltas: Vec<Partition>, rollup: u32) {
+        for d in &deltas {
+            self.merge_directory_and_counters(d);
+        }
+        self.compactions += deltas.len() as u64;
+        self.sweep(deltas, rollup);
+    }
+
+    /// The cells of this partition and of `deltas` as one compacted
+    /// partition: every bucket below the seal — the rollup start of the
+    /// newest bucket any of them holds — folded onto its rollup start in
+    /// the one sealed run, every row-tier cell at or above it kept hot and
+    /// mutable. One k-way pass, however many inputs; `cells_folded` grows
+    /// by the rows in less the rows out.
+    fn sweep(&mut self, deltas: Vec<Partition>, rollup: u32) {
         self.since_compact = 0;
-        let max_hot = self.cells.keys().next_back().map(|k| k.bucket);
-        let max_seg = self.segments.iter().map(|s| s.zones().bucket.1).max();
-        let Some(max_bucket) = max_hot.into_iter().chain(max_seg).max() else {
+        let rows_in =
+            self.physical_cells() + deltas.iter().map(Self::physical_cells).sum::<usize>();
+        let newest = std::iter::once(&*self)
+            .chain(&deltas)
+            .flat_map(|p| {
+                let hot = p.cells.keys().next_back().map(|k| k.bucket);
+                hot.into_iter()
+                    .chain(p.segments.iter().map(|s| s.zones().bucket.1))
+            })
+            .max();
+        let Some(newest) = newest else {
             return;
         };
-        let seal = (max_bucket / rollup) * rollup;
-        if seal == 0 && self.segments.len() <= 1 {
-            return;
+        let seal = (newest / rollup) * rollup;
+        // Row-tier cells below the seal leave for the sealed run; open
+        // buckets stay hot and mutable.
+        let first_open = CellKey::first_of(seal);
+        let open = self.cells.split_off(&first_open);
+        let mut sealed_hot = vec![std::mem::replace(&mut self.cells, open)];
+        let mut segments = std::mem::take(&mut self.segments);
+        for d in deltas {
+            let mut cells = d.cells;
+            absorb(&mut self.cells, cells.split_off(&first_open));
+            sealed_hot.push(cells);
+            segments.extend(d.segments);
         }
-        let before = self.physical_cells();
-        // Hot cells below the seal leave the row tier; open buckets stay
-        // hot and mutable.
-        let open = self.cells.split_off(&CellKey::first_of(seal));
-        let sealed_hot = std::mem::replace(&mut self.cells, open);
-        let old = std::mem::take(&mut self.segments);
-        // The fold is the identity on a row in an open bucket or on a
-        // rollup start already; a lone run of such rows with nothing to
-        // add to it is already the answer.
-        let settled = |s: &ColumnSegment| s.buckets.iter().all(|&b| b >= seal || b % rollup == 0);
-        if sealed_hot.is_empty() && old.len() <= 1 && old.iter().all(settled) {
-            self.segments = old; // already sealed: a no-op sweep
+        sealed_hot.retain(|m| !m.is_empty());
+        let fold = Fold {
+            seal: Some(seal),
+            rollup,
+        };
+        if sealed_hot.is_empty() && segments.len() <= 1 && segments.iter().all(|s| fold.settles(s))
+        {
+            self.segments = segments; // already the answer: nothing to add or fold
         } else {
             let mut runs = Vec::new();
-            push_folded_runs(&sealed_hot, &old, Some(seal), rollup, &mut runs);
+            for cells in &sealed_hot {
+                fold.push_cells(cells, &mut runs);
+            }
+            for seg in &segments {
+                fold.push_segment(seg, &mut runs);
+            }
             self.segments = merge_to_segment(runs).into_iter().collect();
         }
-        self.cells_folded += (before - self.physical_cells()) as u64;
+        self.cells_folded += (rows_in - self.physical_cells()) as u64;
     }
 
     /// The part of a partition merge that is not cells: fold `o`'s device
@@ -475,59 +515,90 @@ impl Partition {
     }
 }
 
-/// The runs that present `cells` and `segments` with every bucket below
-/// `seal` (every bucket, without one) folded onto its rollup start: one run
-/// per stored bucket, its rows' bucket overridden — each still sorted by the
-/// rest of the key, so the k-way merge re-sorts and sums the fold without
-/// taking a row apart — then each source's rows at or above the seal as
-/// they are.
-fn push_folded_runs<'a>(
-    cells: &'a BTreeMap<CellKey, Cell>,
-    segments: &'a [ColumnSegment],
+/// Add `from`'s cells into `cells`, equal keys by the exact cell algebra.
+fn absorb(cells: &mut BTreeMap<CellKey, Cell>, from: BTreeMap<CellKey, Cell>) {
+    for (k, c) in from {
+        match cells.get_mut(&k) {
+            Some(mine) => mine.merge(c),
+            None => {
+                cells.insert(k, c);
+            }
+        }
+    }
+}
+
+/// A bucket fold presented as [`merge_runs`] input: every bucket below
+/// `seal` (every bucket, without one) read under its rollup start. A row
+/// tier feeds one run per stored bucket, its rows' bucket overridden — each
+/// still sorted by the rest of the key, so the k-way merge re-sorts and
+/// sums the fold without taking a row apart. A segment feeds the same for
+/// the buckets the fold moves, and each stretch of rows it leaves where
+/// they are — open buckets and rollup starts — as one plain run.
+#[derive(Clone, Copy)]
+struct Fold {
     seal: Option<u32>,
     rollup: u32,
-    runs: &mut Vec<Run<'a>>,
-) {
-    let folds = |b: u32| seal.map_or(true, |s| b < s);
-    let mut next = cells.first_key_value().map(|(k, _)| k.bucket);
-    while let Some(b) = next {
-        let from = CellKey::first_of(b);
-        if !folds(b) {
-            runs.push(Run::map_range(cells.range(from..), None));
-            break;
-        }
-        let rest = b.checked_add(1).map(CellKey::first_of);
-        let bucket = match rest {
-            Some(to) => cells.range(from..to),
-            None => cells.range(from..),
-        };
-        runs.push(Run::map_range(bucket, Some((b / rollup) * rollup)));
-        next = rest.and_then(|to| cells.range(to..).next().map(|(k, _)| k.bucket));
+}
+
+impl Fold {
+    fn moves(self, b: u32) -> bool {
+        self.seal.map_or(true, |s| b < s) && b % self.rollup != 0
     }
-    for seg in segments {
-        let sealed = seal.map_or(seg.len(), |s| seg.buckets.partition_point(|&b| b < s));
-        let mut i = 0;
-        while i < sealed {
-            let b = seg.buckets[i];
-            let j = i + seg.buckets[i..sealed].partition_point(|&x| x == b);
-            runs.push(Run::slice(seg, i..j, Some((b / rollup) * rollup)));
-            i = j;
+
+    /// Whether the fold leaves every row of `seg` where it is.
+    fn settles(self, seg: &ColumnSegment) -> bool {
+        !seg.buckets.iter().any(|&b| self.moves(b))
+    }
+
+    fn push_cells<'a>(self, cells: &'a BTreeMap<CellKey, Cell>, runs: &mut Vec<Run<'a>>) {
+        let mut next = cells.first_key_value().map(|(k, _)| k.bucket);
+        while let Some(b) = next {
+            let from = CellKey::first_of(b);
+            if self.seal.is_some_and(|s| b >= s) {
+                runs.push(Run::map_range(cells.range(from..), None));
+                break;
+            }
+            let rest = b.checked_add(1).map(CellKey::first_of);
+            let bucket = match rest {
+                Some(to) => cells.range(from..to),
+                None => cells.range(from..),
+            };
+            runs.push(Run::map_range(
+                bucket,
+                Some((b / self.rollup) * self.rollup),
+            ));
+            next = rest.and_then(|to| cells.range(to..).next().map(|(k, _)| k.bucket));
         }
-        runs.push(Run::slice(seg, sealed..seg.len(), None));
+    }
+
+    fn push_segment<'a>(self, seg: &'a ColumnSegment, runs: &mut Vec<Run<'a>>) {
+        let after = |i: usize| {
+            let b = seg.buckets[i];
+            i + seg.buckets[i..].partition_point(|&x| x == b)
+        };
+        let mut i = 0;
+        while i < seg.len() {
+            let b = seg.buckets[i];
+            if self.moves(b) {
+                let j = after(i);
+                runs.push(Run::slice(seg, i..j, Some((b / self.rollup) * self.rollup)));
+                i = j;
+            } else {
+                let mut j = after(i);
+                while j < seg.len() && !self.moves(seg.buckets[j]) {
+                    j = after(j);
+                }
+                runs.push(Run::slice(seg, i..j, None));
+                i = j;
+            }
+        }
     }
 }
 
 impl Merge for Partition {
     fn merge(&mut self, o: Self) {
         self.merge_directory_and_counters(&o);
-        for (k, c) in o.cells {
-            match self.cells.get_mut(&k) {
-                Some(mine) => mine.merge(c),
-                None => {
-                    self.cells.insert(k, c);
-                }
-            }
-        }
+        absorb(&mut self.cells, o.cells);
         // Segments from both sides collapse into one canonical run: the
         // k-way result depends only on the merged content (cell merge is
         // commutative and associative), so `a.merge(b) == b.merge(a)`
@@ -639,6 +710,41 @@ impl Store {
         }
     }
 
+    /// Merge `deltas` into this store and compact the result, in one k-way
+    /// pass per partition: equal, field for field, to merging and
+    /// compacting each delta in turn (`merge` then [`Store::compact`], one
+    /// delta at a time), however many deltas there are. The seal comes
+    /// from the newest bucket over all inputs, so a run of folds and one
+    /// fold of the same deltas leave the same layout, and the counters
+    /// add up alike: one compaction per delta plus each delta's own, and
+    /// [`Store::cells_folded`] grows by the rows in less the rows out.
+    ///
+    /// Folding no deltas leaves the store as it is. Panics, like `merge`,
+    /// if a delta was built under another config.
+    pub fn fold_in(&mut self, deltas: Vec<Store>) {
+        if deltas.is_empty() {
+            return;
+        }
+        let mut parts: Vec<_> = deltas
+            .into_iter()
+            .map(|d| {
+                assert_eq!(
+                    self.cfg, d.cfg,
+                    "stores with different configs do not merge"
+                );
+                d.partitions.into_iter()
+            })
+            .collect();
+        let rollup = self.cfg.rollup_buckets;
+        for p in &mut self.partitions {
+            let deltas = parts
+                .iter_mut()
+                .map(|d| d.next().expect("same config, same partition count"))
+                .collect();
+            p.fold_in(deltas, rollup);
+        }
+    }
+
     /// Seal every partition's hot cells into its columnar run **without**
     /// bucket folding — a pure layout change (same cells, same answers,
     /// same digest) that trades the mutable row tier for branch-light
@@ -740,12 +846,17 @@ impl Store {
         self.partitions.iter().map(|p| p.inserted).sum()
     }
 
-    /// Compaction sweeps run across partitions.
+    /// Compaction sweeps run across partitions, a [`Store::fold_in`]
+    /// counting one per delta.
     pub fn compactions(&self) -> u64 {
         self.partitions.iter().map(|p| p.compactions).sum()
     }
 
-    /// Cells removed by compaction folding so far.
+    /// Rows compaction has removed so far: the rows every sweep
+    /// ([`Store::compact`], [`Store::fold_in`]) took in, the store and each
+    /// delta, less the rows it left. A sweep's rows out are the next
+    /// sweep's rows in, so the count depends on the deltas folded, never on
+    /// how many folds they took.
     pub fn cells_folded(&self) -> u64 {
         self.partitions.iter().map(|p| p.cells_folded).sum()
     }
@@ -758,15 +869,16 @@ impl Store {
     /// count, whether compaction ran — therefore cannot affect it; only
     /// the recorded data can.
     pub fn digest(&self) -> u64 {
+        let fold = Fold {
+            seal: None,
+            rollup: self.cfg.rollup_buckets,
+        };
         let mut runs = Vec::new();
         for p in &self.partitions {
-            push_folded_runs(
-                &p.cells,
-                &p.segments,
-                None,
-                self.cfg.rollup_buckets,
-                &mut runs,
-            );
+            fold.push_cells(&p.cells, &mut runs);
+            for seg in &p.segments {
+                fold.push_segment(seg, &mut runs);
+            }
         }
         let mut canon = CanonWords::default();
         merge_runs(runs, &mut canon);
@@ -957,6 +1069,7 @@ mod tests {
     use cellrel_types::{
         Apn, BsId, DataFailCause, FailureKind, InSituInfo, Rat, SignalLevel, SimDuration, SimTime,
     };
+    use proptest::prelude::*;
 
     pub(crate) fn ev(
         device: u32,
@@ -1404,5 +1517,118 @@ mod tests {
         assert!(auto.compactions() > 0, "auto sweeps actually fired");
         assert_eq!(auto.inserted(), manual.inserted());
         assert_eq!(auto.digest(), manual.digest());
+    }
+
+    /// The stream's base fold as it was before [`Store::fold_in`], kept as
+    /// the oracle: `merge` then `compact`, one delta at a time.
+    fn merge_then_compact(base: &Store, deltas: &[Store]) -> Store {
+        let mut s = base.clone();
+        for d in deltas {
+            s.merge(d.clone());
+            s.compact();
+        }
+        s
+    }
+
+    /// One generated store: its records as (device, bucket, kind, duration)
+    /// and a layout. Buckets span six rollups of four, so they land on and
+    /// beside every edge, and a store drawn after another often holds
+    /// buckets below the seal that one set — the late lane's shape.
+    type StoreParts = (Vec<(u32, u32, usize, u64)>, usize);
+
+    fn store_parts() -> impl Strategy<Value = StoreParts> {
+        (
+            prop::collection::vec((0u32..8, 0u32..24, 0usize..5, 1u64..90), 0..30),
+            0usize..5,
+        )
+    }
+
+    /// The layouts a fold meets: row tier only (0), one sealed run, unfolded
+    /// (1) or compacted with open rows beside it (2), and rows recorded on
+    /// top of either (3, 4). No records at all is an empty delta.
+    fn build(cfg: &StoreConfig, (records, layout): &StoreParts) -> Store {
+        let dir = DeviceDirectory::default();
+        let mut s = Store::new(cfg);
+        let half = if *layout >= 3 {
+            records.len() / 2
+        } else {
+            records.len()
+        };
+        for (i, &(device, bucket, kind, dur)) in records.iter().enumerate() {
+            if i == half {
+                match layout {
+                    3 => s.seal_columnar(),
+                    _ => s.compact(),
+                }
+            }
+            let cause = (kind % 2 == 0).then_some(DataFailCause::SignalLost);
+            let e = ev(
+                device,
+                u64::from(bucket),
+                dur,
+                FailureKind::ALL[kind],
+                cause,
+            );
+            s.record(&e, dir.dim_of(e.device));
+        }
+        match layout {
+            1 => s.seal_columnar(),
+            2 => s.compact(),
+            _ => {}
+        }
+        s
+    }
+
+    proptest! {
+        /// Folding k deltas at once is folding them one at a time, on the
+        /// whole store — layout and every counter — and leaves what
+        /// `merge` + `compact` per delta left: the same cells where they
+        /// were, the same digest, the same answer to every canonical query.
+        /// Only `cells_folded` may differ from the oracle, which did not
+        /// count rows that equal keys collapse in its merge.
+        #[test]
+        fn fold_in_is_one_delta_at_a_time_and_merge_then_compact(
+            base in store_parts(),
+            deltas in prop::collection::vec(store_parts(), 0..6),
+        ) {
+            let cfg = StoreConfig {
+                bucket_ms: 1_000,
+                rollup_buckets: 4,
+                partitions: 2,
+                auto_compact_every: 0,
+            };
+            let base = build(&cfg, &base);
+            let deltas: Vec<Store> = deltas.iter().map(|d| build(&cfg, d)).collect();
+
+            let mut at_once = base.clone();
+            at_once.fold_in(deltas.clone());
+            let mut one_by_one = base.clone();
+            for d in &deltas {
+                one_by_one.fold_in(vec![d.clone()]);
+            }
+            prop_assert_eq!(&at_once, &one_by_one);
+            let rows_in = base.cells() + deltas.iter().map(Store::cells).sum::<u64>();
+            let folded_before = base.cells_folded()
+                + deltas.iter().map(Store::cells_folded).sum::<u64>();
+            if !deltas.is_empty() {
+                prop_assert_eq!(at_once.cells_folded() - folded_before, rows_in - at_once.cells());
+            }
+
+            let want = merge_then_compact(&base, &deltas);
+            for (got, want) in at_once.partitions.iter().zip(&want.partitions) {
+                prop_assert_eq!(&got.cells, &want.cells);
+                prop_assert_eq!(&got.segments, &want.segments);
+                prop_assert_eq!(&got.devices, &want.devices);
+                prop_assert_eq!(
+                    (got.inserted, got.compactions, got.since_compact),
+                    (want.inserted, want.compactions, want.since_compact)
+                );
+            }
+            prop_assert_eq!(at_once.digest(), want.digest());
+            prop_assert_eq!(at_once.digest(), at_once.digest_by_tree());
+            for (name, q) in crate::workload::canonical(4_000) {
+                prop_assert_eq!(at_once.query(&q), want.query(&q), "{}", name);
+            }
+        }
     }
 }

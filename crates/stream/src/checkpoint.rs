@@ -22,7 +22,8 @@
 //! stages: [`StreamPipeline::decode`] checks everything the frame says
 //! against itself and yields a [`CheckpointImage`];
 //! [`StreamPipeline::load`] fetches and verifies the segments the image
-//! names and replays them into the tiers. A reader that has already
+//! names, keeps the newest as the hot tier and folds the rest into the
+//! base in one pass. A reader that has already
 //! verified those segments itself (a cluster follower) stops after the
 //! first stage, and one that decodes every checkpoint of a stream in turn
 //! hands the last image to [`StreamPipeline::decode_onto`], which parses
@@ -233,10 +234,13 @@ impl<'d> StreamPipeline<'d> {
 
     /// Stage two of a restore: reload every segment the image's manifest
     /// names and verify it against its entry (missing or tampered segments
-    /// are typed errors), rebuilding the hot/base tiers by replaying the
-    /// manifest in seal order — so the merged view, and the behaviour of
-    /// every subsequent [`offer`](StreamPipeline::offer), is exactly what
-    /// the uninterrupted pipeline would have produced.
+    /// are typed errors), then rebuild the tiers: the newest
+    /// `hot_windows` segments are the hot tier, and every older one folds
+    /// into the base in one [`Store::fold_in`] — the same base, layout and
+    /// counters, that folding them one by one on eviction built. So the
+    /// merged view, and the behaviour of every subsequent
+    /// [`offer`](StreamPipeline::offer), is exactly what the uninterrupted
+    /// pipeline would have produced.
     pub fn load(
         image: CheckpointImage,
         dir: &'d DeviceDirectory,
@@ -258,12 +262,22 @@ impl<'d> StreamPipeline<'d> {
             sealed_frames: Vec::new(),
             counters: StreamCounters::default(),
         };
+        let depth = cfg.hot_windows.max(1);
+        let evicted = image.manifest.len().saturating_sub(depth);
+        let mut folded = Vec::with_capacity(evicted);
         for entry in image.manifest {
             let (_, delta) = fetch_segment(segs, &entry, &cfg.store)?;
             p.manifest.push(entry);
-            p.tier_insert(delta);
+            if folded.len() < evicted {
+                folded.push(delta);
+            } else {
+                p.hot.push_back(delta);
+            }
         }
-        // The image's counters already hold the folds just replayed.
+        // One fold of every evicted segment leaves the base, counters and
+        // all, that folding them one at a time on eviction left; the
+        // image's stream counters already hold those folds.
+        p.base.fold_in(folded);
         p.counters = image.counters;
         p.counters.restores += 1;
         Ok(p)

@@ -26,7 +26,8 @@
 //!   [`StreamPipeline::restore`] rebuilds from that blob plus the segment
 //!   backend, in two stages: [`StreamPipeline::decode`] (the frame checked
 //!   against itself, yielding a [`CheckpointImage`]) and
-//!   [`StreamPipeline::load`] (segments fetched, verified and replayed).
+//!   [`StreamPipeline::load`] (segments fetched and verified, the newest
+//!   kept hot and the rest folded into the base in one pass).
 //!   Restart is **digest-transparent**: replaying the remaining
 //!   batches yields byte-identical store digests, manifests, and tables,
 //!   even when the kill lands mid-window ([`campaign::kill_restart_drill`]).

@@ -6,7 +6,6 @@ use cellrel_analysis::store_tables::{table1_from_store, table2_from_store};
 use cellrel_analysis::table1::Table1;
 use cellrel_analysis::table2::Table2;
 use cellrel_ingest::{Collector, CollectorConfig};
-use cellrel_sim::Merge;
 use cellrel_store::{DeviceDirectory, QueryError, Store, StoreConfig};
 use cellrel_types::{EventSink, FailureEvent};
 use std::collections::{BTreeMap, VecDeque};
@@ -285,12 +284,11 @@ impl<'d> StreamPipeline<'d> {
 
     /// Push a sealed delta into the hot tier, folding overflow into the
     /// compacted base.
-    pub(crate) fn tier_insert(&mut self, delta: Store) {
+    fn tier_insert(&mut self, delta: Store) {
         self.hot.push_back(delta);
         while self.hot.len() > self.cfg.hot_windows.max(1) {
             let old = self.hot.pop_front().expect("hot tier is non-empty");
-            self.base.merge(old);
-            self.base.compact();
+            self.base.fold_in(vec![old]);
             self.counters.base_folds += 1;
         }
     }

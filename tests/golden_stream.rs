@@ -147,9 +147,13 @@ fn stream_manifest_matches_golden_snapshot() {
 }
 
 /// The physical layout the manifest snapshot does not pin: how many cells
-/// the 31 base folds left where, and the bytes of the served view's image.
+/// the 87 base folds left where, and the bytes of the served view's image.
 /// A fold that merges, slices or counts differently moves these while every
-/// digest stays put. Values recorded before ISSUE 21 touched `merge_runs`.
+/// digest stays put. The cell counts and `compactions` are as recorded
+/// before the column merge; `cells_folded` counts every fold's rows in less
+/// its rows out, so rows that equal keys collapse in the merge count too
+/// (10 428, was 7 686 when only the bucket fold counted), and the image,
+/// which carries the counter, moved with it (0xe012_4f2b, was 0xda14_7b1b).
 #[test]
 fn served_view_layout_is_pinned() {
     let (layout, image_crc) = with_flushed_pipeline(|p, _| {
@@ -170,6 +174,6 @@ fn served_view_layout_is_pinned() {
             },
         )
     });
-    assert_eq!(layout, (30_059, 30_059, 16, 1_392, 7_686));
-    assert_eq!(image_crc, 0xda14_7b1b);
+    assert_eq!(layout, (30_059, 30_059, 16, 1_392, 10_428));
+    assert_eq!(image_crc, 0xe012_4f2b);
 }

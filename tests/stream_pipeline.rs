@@ -14,7 +14,7 @@ use cellrel::ingest::{encode_batch, Collector, CollectorConfig};
 use cellrel::queryd::{InProcClient, QuerydCore, Snapshot};
 use cellrel::sim::campaign::CampaignReport;
 use cellrel::sim::Digest64;
-use cellrel::store::{DeviceDirectory, Store, StoreConfig, StoreSink};
+use cellrel::store::{save_store, DeviceDirectory, Store, StoreConfig, StoreSink};
 use cellrel::stream::{
     batches_from_events, kill_restart_drill, DirSegments, KillPlan, MemSegments, SegmentStore,
     StreamConfig, StreamError, StreamPipeline,
@@ -198,6 +198,73 @@ fn dir_segments_restore_matches_an_uninterrupted_run() {
     assert_eq!(p.digest(), want.digest());
     assert_eq!(p.manifest(), want.manifest());
     std::fs::remove_dir_all(&path).expect("remove the segment directory");
+}
+
+/// The restore's one fold at the scale of the golden stream (seed 2021,
+/// 2 000 devices x 14 days, 87 base folds by the end). After every offer
+/// that seals, a pipeline restored from a checkpoint taken there equals the
+/// live one: the served image byte for byte — layout and fold counters
+/// included — the stream counters but `restores`, the manifest, the cursor
+/// and the collector digest. One of those restores, from mid-stream, then
+/// runs to the end and ends where the live pipeline does.
+#[test]
+fn a_restore_at_every_seal_of_the_golden_stream_is_the_live_pipeline() {
+    let data = run_macro_study(&StudyConfig {
+        seed: 2021,
+        population: PopulationConfig {
+            devices: 2_000,
+            ..Default::default()
+        },
+        days: 14,
+        bs_count: 800,
+    });
+    let dir = DeviceDirectory::from_population(&data.population);
+    let batches = batches_from_events(&data.events, 48);
+    let cfg = stream_cfg();
+    let mut segs = MemSegments::new();
+    let mut live = StreamPipeline::new(&cfg, &dir).expect("valid config");
+    let mut mid = None;
+    let mut restores = 0;
+    for b in &batches {
+        if live.offer(b, &mut segs).expect("offer").is_empty() {
+            continue;
+        }
+        let bytes = live.checkpoint();
+        let back = StreamPipeline::restore(&bytes, &dir, &segs).expect("restore");
+        let at = live.cursor();
+        assert!(
+            save_store(&back.store()) == save_store(&live.store()),
+            "served image differs after a restore at batch {at}"
+        );
+        let mut counters = *back.counters();
+        assert_eq!(counters.restores, live.counters().restores + 1);
+        counters.restores = live.counters().restores;
+        assert_eq!(&counters, live.counters(), "batch {at}");
+        assert_eq!(back.manifest(), live.manifest(), "batch {at}");
+        assert_eq!(back.cursor(), at);
+        assert_eq!(
+            back.collector_digest(),
+            live.collector_digest(),
+            "batch {at}"
+        );
+        restores += 1;
+        if mid.is_none() && live.counters().base_folds >= 40 {
+            mid = Some((bytes, segs.clone()));
+        }
+    }
+    live.flush(&mut segs).expect("flush");
+    assert_eq!(live.counters().base_folds, 87);
+    assert!(restores >= 87, "{restores} restores");
+
+    let (bytes, mut segs) = mid.expect("the base had folded 40 segments by the end");
+    let mut p = StreamPipeline::restore(&bytes, &dir, &segs).expect("restore");
+    for b in &batches[p.cursor() as usize..] {
+        p.offer(b, &mut segs).expect("offer");
+    }
+    p.flush(&mut segs).expect("flush");
+    assert_eq!(p.digest(), live.digest());
+    assert_eq!(p.manifest(), live.manifest());
+    assert!(save_store(&p.store()) == save_store(&live.store()));
 }
 
 /// Drive a pipeline over `batches`, publishing the merged view into a
