@@ -152,33 +152,43 @@ impl Follower {
 
     /// Verify and merge one shipped segment at the next dense position.
     fn apply_segment(&mut self, seq: u64, frame: Frame<'_>) -> Message {
-        if seq != self.applied + 1 {
-            return Message::Rejection {
+        match self.accept_segment(seq, frame) {
+            Ok((entry, delta)) => {
+                self.base.merge(delta);
+                Message::Ack {
+                    seq,
+                    digest: entry.digest,
+                }
+            }
+            Err(detail) => Message::Rejection {
                 code: proto::ERR_APPLY,
-                detail: format!(
-                    "segment seq {seq} does not follow applied seq {}",
-                    self.applied
-                ),
-            };
+                detail,
+            },
+        }
+    }
+
+    /// Verify and store one shipped segment at the next dense position,
+    /// advancing `manifest` and `applied` past it: everything
+    /// [`Follower::apply_segment`] does but fold the segment's store into
+    /// `base`, which is the caller's to do. `Err` is why it was refused.
+    fn accept_segment(
+        &mut self,
+        seq: u64,
+        frame: Frame<'_>,
+    ) -> Result<(SegmentEntry, Store), String> {
+        if seq != self.applied + 1 {
+            return Err(format!(
+                "segment seq {seq} does not follow applied seq {}",
+                self.applied
+            ));
         }
         // read_segment cross-checks the embedded digest and record
         // count, so `entry` here is verified, not merely claimed.
-        let (entry, delta) = match read_segment(frame) {
-            Ok(x) => x,
-            Err(e) => {
-                return Message::Rejection {
-                    code: proto::ERR_APPLY,
-                    detail: format!("segment rejected: {e}"),
-                }
-            }
-        };
+        let (entry, delta) = read_segment(frame).map_err(|e| format!("segment rejected: {e}"))?;
         // `Store::merge` asserts equal configs: a self-consistent segment
         // built under a foreign `StoreConfig` must be refused here.
         if *delta.config() != self.cfg.store {
-            return Message::Rejection {
-                code: proto::ERR_APPLY,
-                detail: "segment rejected: store config mismatch".into(),
-            };
+            return Err("segment rejected: store config mismatch".into());
         }
         // One name, one set of bytes, for good: an accepted checkpoint
         // names this log by entry, so no later ship may replace a segment.
@@ -187,24 +197,17 @@ impl Follower {
             .iter()
             .any(|e| (e.kind, e.index) == (entry.kind, entry.index))
         {
-            return Message::Rejection {
-                code: proto::ERR_APPLY,
-                detail: format!("segment rejected: {} is already held", entry.name()),
-            };
+            return Err(format!(
+                "segment rejected: {} is already held",
+                entry.name()
+            ));
         }
-        if let Err(e) = self.segs.put(&entry.name(), frame.bytes()) {
-            return Message::Rejection {
-                code: proto::ERR_APPLY,
-                detail: format!("segment store: {e}"),
-            };
-        }
-        self.base.merge(delta);
+        self.segs
+            .put(&entry.name(), frame.bytes())
+            .map_err(|e| format!("segment store: {e}"))?;
         self.manifest.push(entry);
         self.applied = seq;
-        Message::Ack {
-            seq,
-            digest: entry.digest,
-        }
+        Ok((entry, delta))
     }
 
     /// Validate and retain a checkpoint covering the applied prefix.
@@ -261,7 +264,11 @@ impl Follower {
     }
 
     /// Apply a leader's catch-up reply: the manifest suffix after our
-    /// applied position, replayed through the normal verified-apply path.
+    /// applied position, every frame verified and stored as a shipped one
+    /// is, then folded into `base` in one [`Store::sealed_union`] rather
+    /// than one merge per segment. A refused frame ends the catch-up, but
+    /// the frames accepted before it are folded in first, so `base` stays
+    /// the merge of exactly the segments `manifest` names.
     pub(crate) fn ingest_catchup(&mut self, reply: &[u8]) -> Result<u64, ClusterError> {
         let marks = Marks::new(reply);
         match proto::read_frame(marks.frame())? {
@@ -275,23 +282,26 @@ impl Follower {
                         ),
                     });
                 }
+                let mut deltas = Vec::new();
+                let mut refused = None;
                 for f in frames {
-                    let seq = self.applied + 1;
-                    match self.apply_segment(seq, f) {
-                        Message::Ack { .. } => {}
-                        Message::Rejection { code, detail } => {
-                            return Err(ClusterError::Replication {
-                                shard: self.shard,
-                                detail: format!("catch-up apply (code {code}): {detail}"),
-                            })
-                        }
-                        other => {
-                            return Err(ClusterError::Replication {
-                                shard: self.shard,
-                                detail: format!("catch-up apply: unexpected {other:?}"),
-                            })
+                    match self.accept_segment(self.applied + 1, f) {
+                        Ok((_, delta)) => deltas.push(delta),
+                        Err(detail) => {
+                            refused = Some(detail);
+                            break;
                         }
                     }
+                }
+                if !deltas.is_empty() {
+                    let parts: Vec<&Store> = std::iter::once(&self.base).chain(&deltas).collect();
+                    self.base = Store::sealed_union(&self.cfg.store, &parts);
+                }
+                if let Some(detail) = refused {
+                    return Err(ClusterError::Replication {
+                        shard: self.shard,
+                        detail: format!("catch-up apply (code {}): {detail}", proto::ERR_APPLY),
+                    });
                 }
                 self.publish();
                 Ok(self.applied)
@@ -841,6 +851,41 @@ mod tests {
         }
         f.promote(&s.dir)
             .expect("the accepted checkpoint still restores");
+    }
+
+    /// A catch-up folds the frames it accepted in one union, and a refused
+    /// frame must not cost the ones before it: whichever frame of a reply
+    /// is damaged, the replica holds exactly the prefix before it — the
+    /// store of a replica shipped that prefix one segment at a time — and a
+    /// second catch-up from there completes the log.
+    #[test]
+    fn a_catchup_refused_at_any_frame_keeps_the_applied_prefix() {
+        let s = shipped();
+        let n = s.segments.len();
+        let whole = follower_at(s, n).sealed_store();
+        let reply = |from: usize, frames: Vec<Vec<u8>>| {
+            proto::encode_frame(&Message::Segments {
+                from_seq: from as u64,
+                frames,
+            })
+        };
+        for k in 0..n {
+            let mut frames = s.segments.clone();
+            let mid = frames[k].len() / 2;
+            frames[k][mid] ^= 0x40;
+            let mut f = Follower::new(&s.cfg, &s.dir, 0);
+            let err = f
+                .ingest_catchup(&reply(0, frames))
+                .expect_err("must refuse");
+            assert!(err.to_string().contains("catch-up apply"), "{err}");
+            assert_position(&f, k as u64);
+            let prefix = follower_at(s, k).sealed_store();
+            assert_eq!(f.sealed_store().digest(), prefix.digest(), "refused at {k}");
+            assert_eq!(f.sealed_store(), prefix, "refused at {k}");
+            let rest = s.segments[k..].to_vec();
+            assert_eq!(f.ingest_catchup(&reply(k, rest)).ok(), Some(n as u64));
+            assert_eq!(f.sealed_store(), whole, "caught up after a refusal at {k}");
+        }
     }
 
     proptest::proptest! {

@@ -387,11 +387,15 @@ impl ColumnSegment {
     }
 }
 
+/// The zone maps of a non-empty segment's columns. Each column is one
+/// fold that carries its minimum and maximum together: one loop the
+/// compiler vectorises, where `Iterator::min` and `max` are two it does
+/// not.
 fn compute_zones(seg: &ColumnSegment) -> Zones {
     fn range<T: Copy + Ord>(col: &[T]) -> (T, T) {
-        let lo = *col.iter().min().expect("non-empty segment");
-        let hi = *col.iter().max().expect("non-empty segment");
-        (lo, hi)
+        let first = *col.first().expect("non-empty segment");
+        col.iter()
+            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
     }
     Zones {
         bucket: (seg.buckets[0], seg.buckets[seg.buckets.len() - 1]),
@@ -426,7 +430,7 @@ pub(crate) struct RowRef<'a> {
 }
 
 impl<'a> RowRef<'a> {
-    fn of(c: &'a Cell) -> Self {
+    pub(crate) fn of(c: &'a Cell) -> Self {
         RowRef {
             agg: Agg {
                 count: c.count,
@@ -482,23 +486,11 @@ impl Agg {
     }
 }
 
-/// Where [`merge_runs`] puts the merged rows. Keys arrive ascending: `row`
-/// and `rows` only ever bring keys above every key before them, and a key
-/// several runs hold arrives as one `row` followed by a `fold` per further
-/// holder.
-pub(crate) trait RowSink {
-    /// A row under a new key.
-    fn row(&mut self, key: CellKey, row: RowRef<'_>);
-    /// One more row under the key of the last `row` call: add it in.
-    fn fold(&mut self, row: RowRef<'_>);
-    /// Rows `rows` of `seg`, keys as stored but for `bucket`, which
-    /// replaces every row's bucket when set. No later row shares a key
-    /// with any of them.
-    fn rows(&mut self, seg: &ColumnSegment, rows: Range<usize>, bucket: Option<u32>);
-}
-
-/// The sink that builds a segment: whole row ranges move column to column,
-/// and equal keys are summed in place in the last row.
+/// Where [`merge_runs`] puts the merged rows, building a segment: whole
+/// row ranges move column to column, and equal keys are summed in place in
+/// the last row. Keys arrive ascending: `row` and `rows` only ever bring
+/// keys above every key before them, and a key several runs hold arrives
+/// as one `row` followed by a `fold` per further holder.
 struct SegmentSink {
     seg: ColumnSegment,
     scratch: Vec<(u32, u64)>,
@@ -544,9 +536,8 @@ impl SegmentSink {
     fn ascends_to(&self, key: CellKey) -> bool {
         self.seg.is_empty() || self.seg.key_at(self.seg.len() - 1) < key
     }
-}
 
-impl RowSink for SegmentSink {
+    /// A row under a new key.
     fn row(&mut self, k: CellKey, row: RowRef<'_>) {
         debug_assert!(
             self.ascends_to(k),
@@ -570,6 +561,7 @@ impl RowSink for SegmentSink {
         seg.sk_off.push(seg.sk_pool.len() as u32);
     }
 
+    /// One more row under the key of the last `row` call: add it in.
     fn fold(&mut self, row: RowRef<'_>) {
         let seg = &mut self.seg;
         let n = seg.buckets.len() - 1;
@@ -584,6 +576,9 @@ impl RowSink for SegmentSink {
         seg.sk_off[n + 1] = seg.sk_pool.len() as u32;
     }
 
+    /// Rows `rows` of `src`, keys as stored but for `bucket`, which
+    /// replaces every row's bucket when set. No later row shares a key
+    /// with any of them.
     fn rows(&mut self, src: &ColumnSegment, rows: Range<usize>, bucket: Option<u32>) {
         debug_assert!(
             bucket.is_none() || src.buckets[rows.start] == src.buckets[rows.end - 1],
@@ -754,7 +749,7 @@ impl<'a> Run<'a> {
 
     /// Move every row below `bound` (all that are left, without one) into
     /// `sink`. The caller knows no other run holds a key below `bound`.
-    fn drain_below<S: RowSink>(&mut self, bound: Option<CellKey>, sink: &mut S) {
+    fn drain_below(&mut self, bound: Option<CellKey>, sink: &mut SegmentSink) {
         let above = |k: &CellKey| bound.is_some_and(|b| *k >= b);
         match self {
             Run::Owned { head, rest, .. } => {
@@ -824,10 +819,10 @@ impl<'a> Run<'a> {
 /// takes its new key at the root and sifts down once (where a pop and a
 /// push sift twice), and a spent run is swapped out for the last leaf.
 /// While one run alone holds the smallest keys, everything it holds below
-/// the next-smallest head moves in one [`RowSink::rows`] /
+/// the next-smallest head moves in one [`SegmentSink::rows`] /
 /// [`Run::drain_below`] step without touching the heap — so a lone run, of
 /// either kind, is a straight loop over its rows.
-pub(crate) fn merge_runs<S: RowSink>(mut runs: Vec<Run<'_>>, sink: &mut S) {
+fn merge_runs(mut runs: Vec<Run<'_>>, sink: &mut SegmentSink) {
     let mut heads: Vec<(CellKey, usize)> = runs
         .iter()
         .enumerate()
@@ -1194,7 +1189,70 @@ mod tests {
         }
     }
 
+    /// One generated row with every key column drawn from its edges — `0`,
+    /// `1`, a middle value and the type's maximum — and its durations.
+    type EdgeRow = ([usize; 8], Vec<u64>);
+
+    fn edge_row(
+        ([b, kind, isp, rat, model, region, class, cause], durations): &EdgeRow,
+    ) -> (CellKey, Cell) {
+        let byte = |i: usize| [0, 1, 200, u8::MAX][i];
+        let key = CellKey {
+            bucket: [0, 1, 7, u32::MAX][*b],
+            kind: byte(*kind),
+            isp: byte(*isp),
+            rat: byte(*rat),
+            model: byte(*model),
+            region: byte(*region),
+            cause_class: byte(*class),
+            cause: [0, 1, 1 << 33, u64::MAX][*cause],
+        };
+        (key, cell(durations))
+    }
+
     proptest! {
+        /// The one-fold zone scan against `min` and `max` taken apart, on
+        /// segments of one row and of many, over columns that reach each
+        /// type's maximum; a decode's cross-check accepts what it made.
+        #[test]
+        fn zones_equal_a_naive_min_and_max_of_every_column(
+            rows in prop::collection::vec(
+                (
+                    (0usize..4, 0usize..4, 0usize..4, 0usize..4),
+                    (0usize..4, 0usize..4, 0usize..4, 0usize..4),
+                    prop::collection::vec(0u64..1 << 20, 0..3),
+                ),
+                1..12,
+            ),
+        ) {
+            fn naive<T: Copy + Ord>(col: &[T]) -> (T, T) {
+                (*col.iter().min().unwrap(), *col.iter().max().unwrap())
+            }
+            let rows: Vec<EdgeRow> = rows
+                .into_iter()
+                .map(|((a, b, c, d), (e, f, g, h), durations)| ([a, b, c, d, e, f, g, h], durations))
+                .collect();
+            for rows in [&rows[..1], &rows[..]] {
+                let seg = ColumnSegment::from_rows(rows.iter().map(edge_row)).unwrap();
+                let want = Zones {
+                    bucket: naive(&seg.buckets),
+                    kind: naive(&seg.kinds),
+                    isp: naive(&seg.isps),
+                    rat: naive(&seg.rats),
+                    model: naive(&seg.models),
+                    region: naive(&seg.regions),
+                    cause_class: naive(&seg.cause_classes),
+                    cause: naive(&seg.causes),
+                };
+                prop_assert_eq!(compute_zones(&seg), want);
+                prop_assert_eq!(seg.zones(), &want);
+                let mut bytes = Vec::new();
+                seg.encode(&mut bytes);
+                let back = ColumnSegment::decode(&mut Reader::bare(&SC, &bytes));
+                prop_assert_eq!(back.as_ref(), Ok(&seg));
+            }
+        }
+
         /// The kernel against the oracle: the same segment — columns, pool,
         /// offsets, zones — and the same `SC` bytes, over 1–12 inputs in
         /// every form, sharing keys or not, empty ones included, and over

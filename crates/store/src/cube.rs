@@ -34,7 +34,7 @@
 //! Both are pure layout changes: answers, digests and merge results are
 //! identical whether a cell lives in the row or the columnar tier.
 
-use crate::columnar::{merge_runs, merge_to_segment, Agg, ColumnSegment, RowRef, RowSink, Run};
+use crate::columnar::{merge_to_segment, ColumnSegment, RowRef, Run};
 use cellrel_ingest::codec::{unzigzag, zigzag};
 use cellrel_sim::{run_sharded_merge, Digest64, Merge, SparseSketch};
 use cellrel_types::{DeviceId, EventSink, FailureEvent, Isp, PhoneModelId};
@@ -197,6 +197,28 @@ impl CellKey {
             | (u128::from(self.model) << 16)
             | (u128::from(self.region) << 8)
             | u128::from(self.cause_class)
+    }
+
+    /// Every field but `bucket`, most significant first, in one integer:
+    /// within one bucket, comparing two of them is comparing the keys.
+    #[inline]
+    pub(crate) fn in_bucket(&self) -> u128 {
+        ((self.packed() & ((1 << 48) - 1)) << 64) | u128::from(self.cause)
+    }
+
+    /// The key [`CellKey::in_bucket`] gave `rest` for, under `bucket`.
+    fn from_in_bucket(bucket: u32, rest: u128) -> CellKey {
+        let byte = |shift: u32| (rest >> shift) as u8;
+        CellKey {
+            bucket,
+            kind: byte(104),
+            isp: byte(96),
+            rat: byte(88),
+            model: byte(80),
+            region: byte(72),
+            cause_class: byte(64),
+            cause: rest as u64,
+        }
     }
 
     /// The words a digest absorbs for this key.
@@ -464,10 +486,7 @@ impl Partition {
             segments.extend(d.segments);
         }
         sealed_hot.retain(|m| !m.is_empty());
-        let fold = Fold {
-            seal: Some(seal),
-            rollup,
-        };
+        let fold = Fold { seal, rollup };
         if sealed_hot.is_empty() && segments.len() <= 1 && segments.iter().all(|s| fold.settles(s))
         {
             self.segments = segments; // already the answer: nothing to add or fold
@@ -527,22 +546,22 @@ fn absorb(cells: &mut BTreeMap<CellKey, Cell>, from: BTreeMap<CellKey, Cell>) {
     }
 }
 
-/// A bucket fold presented as [`merge_runs`] input: every bucket below
-/// `seal` (every bucket, without one) read under its rollup start. A row
-/// tier feeds one run per stored bucket, its rows' bucket overridden — each
-/// still sorted by the rest of the key, so the k-way merge re-sorts and
-/// sums the fold without taking a row apart. A segment feeds the same for
-/// the buckets the fold moves, and each stretch of rows it leaves where
-/// they are — open buckets and rollup starts — as one plain run.
+/// A bucket fold presented as `merge_runs` input: every bucket below
+/// `seal` read under its rollup start. A row tier feeds one run per stored
+/// bucket, its rows' bucket overridden — each still sorted by the rest of
+/// the key, so the k-way merge re-sorts and sums the fold without taking a
+/// row apart. A segment feeds the same for the buckets the fold moves, and
+/// each stretch of rows it leaves where they are — open buckets and rollup
+/// starts — as one plain run.
 #[derive(Clone, Copy)]
 struct Fold {
-    seal: Option<u32>,
+    seal: u32,
     rollup: u32,
 }
 
 impl Fold {
     fn moves(self, b: u32) -> bool {
-        self.seal.map_or(true, |s| b < s) && b % self.rollup != 0
+        b < self.seal && b % self.rollup != 0
     }
 
     /// Whether the fold leaves every row of `seg` where it is.
@@ -554,7 +573,7 @@ impl Fold {
         let mut next = cells.first_key_value().map(|(k, _)| k.bucket);
         while let Some(b) = next {
             let from = CellKey::first_of(b);
-            if self.seal.is_some_and(|s| b >= s) {
+            if b >= self.seal {
                 runs.push(Run::map_range(cells.range(from..), None));
                 break;
             }
@@ -868,24 +887,100 @@ impl Store {
     /// instead of a segment. Physical layout — thread count, partition
     /// count, whether compaction ran — therefore cannot affect it; only
     /// the recorded data can.
+    ///
+    /// The view is built a rollup week at a time. Every row of the week,
+    /// from every partition's row tier and segments, goes into one buffer
+    /// as its key below the bucket (`CellKey::in_bucket`) beside where it
+    /// lives; the buffer is sorted, equal keys are folded by the exact cell
+    /// algebra (commutative, so which holder sorts first does not matter),
+    /// and the cells are hashed in key order. The cell count the digest
+    /// absorbs first is counted off the sorted weeks before any cell is
+    /// hashed. The tests keep the digest through an ordered map of cloned
+    /// cells as its oracle.
     pub fn digest(&self) -> u64 {
-        let fold = Fold {
-            seal: None,
-            rollup: self.cfg.rollup_buckets,
-        };
-        let mut runs = Vec::new();
-        for p in &self.partitions {
-            fold.push_cells(&p.cells, &mut runs);
-            for seg in &p.segments {
-                fold.push_segment(seg, &mut runs);
+        let rollup = self.cfg.rollup_buckets;
+        let mut hot: Vec<_> = self
+            .partitions
+            .iter()
+            .map(|p| p.cells.iter().peekable())
+            .collect();
+        let segs: Vec<&ColumnSegment> = self.partitions.iter().flat_map(|p| &p.segments).collect();
+        let mut at = vec![0usize; segs.len()];
+        // `(key below the bucket, source)`, the source a segment's index
+        // and a row of it, or `HOT` and an index into `cells`.
+        const HOT: u64 = (u32::MAX as u64) << 32;
+        let mut cells: Vec<&Cell> = Vec::new();
+        let mut rows: Vec<(u128, u64)> = Vec::with_capacity(self.cells() as usize);
+        // Each rollup start with its rows' range, ascending.
+        let mut weeks: Vec<(u32, Range<usize>)> = Vec::new();
+        loop {
+            let heads = hot
+                .iter_mut()
+                .filter_map(|it| it.peek().map(|(k, _)| k.bucket));
+            let segment_heads = segs.iter().zip(&at).filter_map(|(s, &i)| s.buckets.get(i));
+            let Some(week) = heads
+                .chain(segment_heads.copied())
+                .min()
+                .map(|b| b / rollup)
+            else {
+                break;
+            };
+            let start = rows.len();
+            for it in &mut hot {
+                while let Some((k, c)) = it.next_if(|(k, _)| k.bucket / rollup == week) {
+                    rows.push((k.in_bucket(), HOT | cells.len() as u64));
+                    cells.push(c);
+                }
             }
+            for (s, (seg, i)) in segs.iter().zip(&mut at).enumerate() {
+                let end = *i + seg.buckets[*i..].partition_point(|&b| b / rollup == week);
+                let source = (s as u64) << 32;
+                rows.extend((*i..end).map(|r| (seg.key_at(r).in_bucket(), source | r as u64)));
+                *i = end;
+            }
+            rows[start..].sort_unstable_by_key(|&(key, _)| key);
+            weeks.push((week * rollup, start..rows.len()));
         }
-        let mut canon = CanonWords::default();
-        merge_runs(runs, &mut canon);
-        canon.close();
-        self.digest_of(canon.cells, |d| {
-            for &w in &canon.words {
-                d.write_u64(w);
+        let row = |source: u64| match source & HOT {
+            HOT => RowRef::of(cells[source as u32 as usize]),
+            s => segs[(s >> 32) as usize].row_at(source as u32 as usize),
+        };
+        let count = weeks
+            .iter()
+            .map(|(_, range)| key_runs(&rows[range.clone()]).count() as u64)
+            .sum();
+        let (mut pool, mut scratch) = (Vec::new(), Vec::new());
+        self.digest_of(count, |d| {
+            for (bucket, range) in &weeks {
+                for group in key_runs(&rows[range.clone()]) {
+                    let first = row(group[0].1);
+                    let (agg, run) = match &group[1..] {
+                        [] => (first.agg, first.run),
+                        more => {
+                            let mut agg = first.agg;
+                            pool.clear();
+                            pool.extend_from_slice(first.run);
+                            for &(_, source) in more {
+                                agg.fold(row(source), &mut pool, 0, &mut scratch);
+                            }
+                            (agg, &pool[..])
+                        }
+                    };
+                    for w in CellKey::from_in_bucket(*bucket, group[0].0).words() {
+                        d.write_u64(w);
+                    }
+                    for w in [agg.count, agg.duration_total, agg.under_30s] {
+                        d.write_u64(w);
+                    }
+                    // The sketch, as `SparseSketch::absorb_into` writes it.
+                    d.write_u64(run.iter().map(|&(_, n)| n).sum());
+                    d.write_u64(agg.min);
+                    d.write_u64(agg.max);
+                    for &(i, n) in run {
+                        d.write_u64(u64::from(i));
+                        d.write_u64(n);
+                    }
+                }
             }
         })
     }
@@ -927,62 +1022,15 @@ impl Store {
     }
 }
 
-/// The sink behind [`Store::digest`]: the words of every canonical cell —
-/// key, count, duration total, under-30 s, then the sketch as
-/// [`SparseSketch::absorb_into`] writes it — in key order. They wait in a
-/// flat buffer because the digest absorbs the cell count before the first
-/// cell, and only the end of the merge knows it.
-#[derive(Default)]
-struct CanonWords {
-    words: Vec<u64>,
-    cells: u64,
-    /// The last `row`, kept apart while further runs may still fold into
-    /// it; its sketch run is all of `run`.
-    open: Option<(CellKey, Agg)>,
-    run: Vec<(u32, u64)>,
-    scratch: Vec<(u32, u64)>,
-}
-
-impl CanonWords {
-    fn write(words: &mut Vec<u64>, key: CellKey, RowRef { agg, run }: RowRef<'_>) {
-        words.extend_from_slice(&key.words());
-        words.extend_from_slice(&[agg.count, agg.duration_total, agg.under_30s]);
-        words.push(run.iter().map(|&(_, n)| n).sum());
-        words.extend_from_slice(&[agg.min, agg.max]);
-        words.extend(run.iter().flat_map(|&(i, n)| [u64::from(i), n]));
-    }
-
-    /// Write the open row out, if there is one.
-    fn close(&mut self) {
-        if let Some((key, agg)) = self.open.take() {
-            let run = &self.run;
-            Self::write(&mut self.words, key, RowRef { agg, run });
-        }
-    }
-}
-
-impl RowSink for CanonWords {
-    fn row(&mut self, key: CellKey, row: RowRef<'_>) {
-        self.close();
-        self.cells += 1;
-        self.open = Some((key, row.agg));
-        self.run.clear();
-        self.run.extend_from_slice(row.run);
-    }
-
-    fn fold(&mut self, row: RowRef<'_>) {
-        let (_, sum) = self.open.as_mut().expect("fold follows a row");
-        sum.fold(row, &mut self.run, 0, &mut self.scratch);
-    }
-
-    fn rows(&mut self, seg: &ColumnSegment, rows: Range<usize>, bucket: Option<u32>) {
-        self.close();
-        self.cells += rows.len() as u64;
-        for i in rows {
-            let key = seg.key_at(i).with_bucket(bucket);
-            Self::write(&mut self.words, key, seg.row_at(i));
-        }
-    }
+/// Sorted `rows` cut into runs of equal keys (`slice::chunk_by`, which the
+/// minimum supported Rust predates).
+fn key_runs<T>(mut rows: &[(u128, T)]) -> impl Iterator<Item = &[(u128, T)]> {
+    std::iter::from_fn(move || {
+        let key = rows.first()?.0;
+        let (run, rest) = rows.split_at(rows.iter().take_while(|r| r.0 == key).count());
+        rows = rest;
+        Some(run)
+    })
 }
 
 impl Merge for Store {
@@ -1579,7 +1627,80 @@ mod tests {
         s
     }
 
+    /// One generated row for the digest: `(far, near bucket, offset below
+    /// u32::MAX)` picks the bucket — one of the first four rollup weeks, or
+    /// one of the last buckets there are — then kind, model and cause, from
+    /// so few values that partitions, tiers and days share keys; no
+    /// durations at all is a zero-count cell.
+    type DigestRow = ((bool, u32, u32), (u8, u8, usize), Vec<u64>);
+    /// One partition: its row tier and 0–3 segments.
+    type DigestPart = (Vec<DigestRow>, Vec<Vec<DigestRow>>);
+
+    fn digest_row(
+        &((far, near, below), (kind, model, cause), ref durations): &DigestRow,
+    ) -> (CellKey, Cell) {
+        // Raw causes past 2^32 are what an `i32` code decodes to by
+        // aliasing; `u64::MAX` is the top of the packed order.
+        let cause = [0, 3, 17, 1 << 32, (1 << 33) + 1, u64::MAX][cause];
+        let key = CellKey {
+            bucket: if far { u32::MAX - below } else { near },
+            kind,
+            isp: 1,
+            rat: 2,
+            model,
+            region: 0,
+            cause_class: if cause == 0 { NO_CAUSE_CLASS } else { 2 },
+            cause,
+        };
+        let mut cell = Cell::default();
+        for &d in durations {
+            cell.push(d);
+        }
+        (key, cell)
+    }
+
+    fn digest_rows() -> impl Strategy<Value = Vec<DigestRow>> {
+        let row = (
+            (any::<bool>(), 0u32..28, 0u32..20),
+            (0u8..3, 0u8..2, 0usize..6),
+            prop::collection::vec(1u64..200_000, 0..4),
+        );
+        prop::collection::vec(row, 0..12)
+    }
+
+    fn digest_parts() -> impl Strategy<Value = Vec<DigestPart>> {
+        let part = (digest_rows(), prop::collection::vec(digest_rows(), 0..4));
+        prop::collection::vec(part, 1..17)
+    }
+
     proptest! {
+        /// The per-week sort against the tree oracle on stores no record
+        /// stream builds: 1–16 partitions of a row tier and 0–3 segments
+        /// each, overlapping in keys within and across partitions, buckets
+        /// in four rollup weeks and at the very top of the range, causes in
+        /// the alias range, and a zero-count cell in every store.
+        #[test]
+        fn digest_by_sort_equals_the_tree_digest_on_generated_stores(parts in digest_parts()) {
+            let cfg = StoreConfig {
+                partitions: parts.len(),
+                ..StoreConfig::default()
+            };
+            let mut s = Store::new(&cfg);
+            for (p, (hot, segments)) in s.partitions.iter_mut().zip(&parts) {
+                for row in hot {
+                    let (key, cell) = digest_row(row);
+                    p.cells.entry(key).or_default().merge(cell);
+                }
+                p.segments = segments
+                    .iter()
+                    .filter_map(|rows| ColumnSegment::from_rows(rows.iter().map(digest_row)))
+                    .collect();
+            }
+            let (zero, _) = digest_row(&((false, 9, 0), (1, 1, 4), Vec::new()));
+            s.partitions[parts.len() - 1].cells.entry(zero).or_default();
+            prop_assert_eq!(s.digest(), s.digest_by_tree());
+        }
+
         /// Folding k deltas at once is folding them one at a time, on the
         /// whole store — layout and every counter — and leaves what
         /// `merge` + `compact` per delta left: the same cells where they
