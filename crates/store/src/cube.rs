@@ -148,6 +148,9 @@ pub struct CellKey {
     pub cause: u64,
 }
 
+/// Bits of [`CellKey::cause`] a record can set.
+const RECORD_CAUSE_BITS: u32 = 33;
+
 /// `cause_class` marker for records without a fail cause.
 pub(crate) const NO_CAUSE_CLASS: u8 = 255;
 
@@ -186,6 +189,24 @@ impl CellKey {
         self
     }
 
+    /// The cell a record lands in, `dim` supplying the device's static
+    /// dimensions. A start past the last bucket there is clamps onto it.
+    /// Always inlined, like [`DeviceRec::of`]: `Store::record` then
+    /// compiles to the code it had with both built in place.
+    #[inline(always)]
+    fn of(e: &FailureEvent, dim: DeviceDim, bucket_ms: u64) -> CellKey {
+        CellKey {
+            bucket: (e.start.as_millis() / bucket_ms).min(u64::from(u32::MAX)) as u32,
+            kind: e.kind.index() as u8,
+            isp: e.ctx.isp.index() as u8,
+            rat: e.ctx.rat.index() as u8,
+            model: dim.model.map_or(0, |m| m.0),
+            region: dim.region.index() as u8,
+            cause_class: e.cause.map_or(NO_CAUSE_CLASS, |c| c.layer().index() as u8),
+            cause: e.cause.map_or(0, |c| 1 + zigzag(i64::from(c.code()))),
+        }
+    }
+
     /// Every field but `cause`, most significant first, in one integer:
     /// comparing two of them is comparing the fields one by one.
     #[inline]
@@ -219,6 +240,24 @@ impl CellKey {
             cause_class: byte(64),
             cause: rest as u64,
         }
+    }
+
+    /// The whole key in one integer, [`CellKey::packed`] above `cause`:
+    /// comparing two of them is comparing the keys. Only for a key a
+    /// record builds, whose cause — `1 + zigzag` of an `i32` code — is at
+    /// most 2³² and so fits in [`RECORD_CAUSE_BITS`].
+    #[inline]
+    fn record_order(&self) -> u128 {
+        debug_assert!(self.cause >> RECORD_CAUSE_BITS == 0, "not a record's cause");
+        (self.packed() << RECORD_CAUSE_BITS) | u128::from(self.cause)
+    }
+
+    /// The key [`CellKey::record_order`] gave `order` for.
+    fn from_record_order(order: u128) -> CellKey {
+        let cause = order as u64 & ((1 << RECORD_CAUSE_BITS) - 1);
+        let packed = order >> RECORD_CAUSE_BITS;
+        let rest = ((packed & ((1 << 48) - 1)) << 64) | u128::from(cause);
+        CellKey::from_in_bucket((packed >> 48) as u32, rest)
     }
 
     /// The words a digest absorbs for this key.
@@ -305,6 +344,19 @@ pub(crate) struct DeviceRec {
     pub isp: u8,
     /// Records stored for this device.
     pub failures: u64,
+}
+
+impl DeviceRec {
+    /// A device's entry under the dimensions the directory gives it.
+    #[inline(always)]
+    fn of(dim: DeviceDim, failures: u64) -> DeviceRec {
+        DeviceRec {
+            model: dim.model.map_or(0, |m| m.0),
+            region: dim.region.index() as u8,
+            isp: dim.isp.map_or(NO_ISP, |i| i.index() as u8),
+            failures,
+        }
+    }
 }
 
 impl Merge for DeviceRec {
@@ -534,8 +586,51 @@ impl Partition {
     }
 }
 
+/// A record waiting in a [`StoreSink`] for its partition's row tier: its
+/// key as [`CellKey::record_order`], then its duration in ms. Pair order
+/// is key order, so a sorted run of them is a row tier's worth of cells,
+/// each cell's durations ascending.
+type Staged = (u128, u64);
+
+impl Partition {
+    /// Record every record of `staged` at once, leaving it empty: one sort,
+    /// one fold of equal keys, and one bulk build of the row tier when it
+    /// is empty (cell by cell into it when not). The partition ends as
+    /// [`Store::record`] leaves it after the same records one at a time.
+    /// The buffer is freed before the tier is built, so a load's peak holds
+    /// one partition's buffer beside its cells, not every buffer beside
+    /// every tier.
+    fn record_staged(&mut self, staged: &mut Vec<Staged>) {
+        if staged.is_empty() {
+            return;
+        }
+        let mut staged = std::mem::take(staged);
+        let n = staged.len() as u64;
+        staged.sort_unstable();
+        let mut cells: Vec<(CellKey, Cell)> = Vec::new();
+        let mut last = None;
+        for &(key, duration_ms) in staged.iter() {
+            if last != Some(key) {
+                last = Some(key);
+                cells.push((CellKey::from_record_order(key), Cell::default()));
+            }
+            if let Some((_, cell)) = cells.last_mut() {
+                cell.push(duration_ms);
+            }
+        }
+        drop(staged);
+        if self.cells.is_empty() {
+            self.cells = BTreeMap::from_iter(cells);
+        } else {
+            absorb(&mut self.cells, cells);
+        }
+        self.inserted += n;
+        self.since_compact += n;
+    }
+}
+
 /// Add `from`'s cells into `cells`, equal keys by the exact cell algebra.
-fn absorb(cells: &mut BTreeMap<CellKey, Cell>, from: BTreeMap<CellKey, Cell>) {
+fn absorb(cells: &mut BTreeMap<CellKey, Cell>, from: impl IntoIterator<Item = (CellKey, Cell)>) {
     for (k, c) in from {
         match cells.get_mut(&k) {
             Some(mine) => mine.merge(c),
@@ -664,32 +759,14 @@ impl Store {
     /// Route a record into its cell. `dim` carries the device's static
     /// dimensions (pass `DeviceDim::UNKNOWN` when no directory exists).
     pub fn record(&mut self, e: &FailureEvent, dim: DeviceDim) {
-        let bucket = (e.start.as_millis() / self.cfg.bucket_ms).min(u64::from(u32::MAX)) as u32;
-        let key = CellKey {
-            bucket,
-            kind: e.kind.index() as u8,
-            isp: e.ctx.isp.index() as u8,
-            rat: e.ctx.rat.index() as u8,
-            model: dim.model.map_or(0, |m| m.0),
-            region: dim.region.index() as u8,
-            cause_class: e.cause.map_or(NO_CAUSE_CLASS, |c| c.layer().index() as u8),
-            cause: e.cause.map_or(0, |c| 1 + zigzag(i64::from(c.code()))),
-        };
+        let key = CellKey::of(e, dim, self.cfg.bucket_ms);
         let part = e.device.0 as usize % self.partitions.len();
         let p = &mut self.partitions[part];
         p.cells.entry(key).or_default().push(e.duration.as_millis());
         match p.devices.get_mut(&e.device.0) {
             Some(rec) => rec.failures += 1,
             None => {
-                p.devices.insert(
-                    e.device.0,
-                    DeviceRec {
-                        model: dim.model.map_or(0, |m| m.0),
-                        region: dim.region.index() as u8,
-                        isp: dim.isp.map_or(NO_ISP, |i| i.index() as u8),
-                        failures: 1,
-                    },
-                );
+                p.devices.insert(e.device.0, DeviceRec::of(dim, 1));
             }
         }
         p.inserted += 1;
@@ -709,12 +786,7 @@ impl Store {
             self.partitions[id.0 as usize % parts]
                 .devices
                 .entry(id.0)
-                .or_insert(DeviceRec {
-                    model: dim.model.map_or(0, |m| m.0),
-                    region: dim.region.index() as u8,
-                    isp: dim.isp.map_or(NO_ISP, |i| i.index() as u8),
-                    failures: 0,
-                });
+                .or_insert(DeviceRec::of(dim, 0));
         }
     }
 
@@ -1045,75 +1117,150 @@ impl Merge for Store {
     }
 }
 
-/// A sink that streams events into a [`Store`], resolving device
-/// dimensions through a shared [`DeviceDirectory`]. It is an [`EventSink`],
-/// so the simulation drivers and the ingest collector feed it alike, and
-/// [`Merge`], so the parallel drivers fold per-shard sinks deterministically.
+/// A sink that loads events into a [`Store`], resolving device dimensions
+/// through a shared [`DeviceDirectory`]. It is an [`EventSink`], so the
+/// simulation drivers and the ingest collector feed it alike, and
+/// [`Merge`], so the parallel drivers fold per-shard sinks
+/// deterministically.
+///
+/// A batch load does not insert record by record. Each record's cell key
+/// and duration wait as two integers in a staging buffer of its
+/// partition, and a device's failure tally is counted as its records
+/// arrive (the device of the previous record first: an upload batch holds
+/// one device's records). [`StoreSink::store`] and
+/// [`StoreSink::into_store`] then build each partition's row tier from its
+/// buffer with one sort and one bulk build. The result is the [`Store`]
+/// that [`Store::record`] builds from the same records one at a time,
+/// field for field, so the digest, the image bytes and every answer are
+/// the same. Under [`StoreConfig::auto_compact_every`] > 0 the sink
+/// records one at a time, because the sweeps fall at insert counts.
 #[derive(Debug, Clone)]
 pub struct StoreSink<'a> {
     store: Store,
     dir: &'a DeviceDirectory,
+    /// Per partition, the records not yet in its row tier.
+    staged: Vec<Vec<Staged>>,
+    /// The device of the last record, its dimensions, and how many of its
+    /// records are not yet in its partition's device directory.
+    last: Option<(DeviceId, DeviceDim, u64)>,
 }
 
 impl<'a> StoreSink<'a> {
     /// Empty sink over a directory.
     pub fn new(cfg: &StoreConfig, dir: &'a DeviceDirectory) -> Self {
+        let store = Store::new(cfg);
         StoreSink {
-            store: Store::new(cfg),
+            staged: vec![Vec::new(); store.partitions.len()],
+            store,
             dir,
+            last: None,
         }
     }
 
-    /// Consume the sink, registering the directory's population so
-    /// zero-failure devices appear in the denominators.
+    /// Consume the sink: build the row tiers from what is staged, then
+    /// register the directory's population so zero-failure devices appear
+    /// in the denominators.
     pub fn into_store(mut self) -> Store {
+        self.settle();
         self.store.register_population(self.dir);
         self.store
     }
 
-    /// Borrow the store built so far (population not yet registered).
-    pub fn store(&self) -> &Store {
+    /// Borrow the store built so far, every record the sink took in
+    /// included (population not yet registered). The staged records are
+    /// moved into the row tiers first, so this takes the sink mutably; a
+    /// load that borrows it after every few records pays a cell-by-cell
+    /// insert for all but the first batch.
+    pub fn store(&mut self) -> &Store {
+        self.settle();
         &self.store
+    }
+
+    /// Move the last device's pending tally into its partition's directory.
+    fn tally_last(&mut self) {
+        if let Some((device, dim, n)) = self.last.take() {
+            let parts = self.store.partitions.len();
+            let p = &mut self.store.partitions[device.0 as usize % parts];
+            p.devices
+                .entry(device.0)
+                .or_insert(DeviceRec::of(dim, 0))
+                .failures += n;
+        }
+    }
+
+    /// Bring the store up to every record taken in.
+    fn settle(&mut self) {
+        self.tally_last();
+        for (p, staged) in self.store.partitions.iter_mut().zip(&mut self.staged) {
+            p.record_staged(staged);
+        }
     }
 }
 
 impl EventSink for StoreSink<'_> {
     fn record(&mut self, event: &FailureEvent) {
-        let dim = self.dir.dim_of(event.device);
-        self.store.record(event, dim);
+        if self.store.cfg.auto_compact_every > 0 {
+            let dim = self.dir.dim_of(event.device);
+            self.store.record(event, dim);
+            return;
+        }
+        let dim = match &mut self.last {
+            Some((device, dim, n)) if *device == event.device => {
+                *n += 1;
+                *dim
+            }
+            _ => {
+                self.tally_last();
+                let dim = self.dir.dim_of(event.device);
+                self.last = Some((event.device, dim, 1));
+                dim
+            }
+        };
+        let key = CellKey::of(event, dim, self.store.cfg.bucket_ms);
+        let part = event.device.0 as usize % self.staged.len();
+        self.staged[part].push((key.record_order(), event.duration.as_millis()));
     }
 }
 
+/// The stores merge, and the staging buffers concatenate in merge order:
+/// the sort that builds the row tiers does not see which shard a record
+/// came from.
 impl Merge for StoreSink<'_> {
-    fn merge(&mut self, o: Self) {
+    fn merge(&mut self, mut o: Self) {
+        self.tally_last();
+        o.tally_last();
         self.store.merge(o.store);
+        for (mine, theirs) in self.staged.iter_mut().zip(&mut o.staged) {
+            mine.append(theirs);
+        }
     }
 }
 
 /// Build a store by replaying `events` sharded over up to `threads` scoped
-/// threads (0 = auto via `CELLREL_THREADS`), folding the shard stores in
-/// shard order. Bit-identical to a single-threaded replay at any thread
-/// count; the population in `dir` is registered on the result.
+/// threads (0 = auto via `CELLREL_THREADS`) into one [`StoreSink`] each,
+/// folding the shard sinks in shard order. Bit-identical to a
+/// single-threaded replay at any thread count; the population in `dir` is
+/// registered on the result.
 pub fn build_sharded(
     cfg: &StoreConfig,
     dir: &DeviceDirectory,
     events: &[FailureEvent],
     threads: usize,
 ) -> Store {
-    let mut store = run_sharded_merge(events.len(), threads, |range| {
-        let mut s = Store::new(cfg);
+    let sink = run_sharded_merge(events.len(), threads, |range| {
+        let mut sink = StoreSink::new(cfg, dir);
         for e in &events[range] {
-            s.record(e, dir.dim_of(e.device));
+            sink.record(e);
         }
-        s
+        sink
     });
-    store.register_population(dir);
-    store
+    sink.into_store()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::save_store;
     use cellrel_types::{
         Apn, BsId, DataFailCause, FailureKind, InSituInfo, Rat, SignalLevel, SimDuration, SimTime,
     };
@@ -1749,6 +1896,114 @@ mod tests {
             prop_assert_eq!(at_once.digest(), at_once.digest_by_tree());
             for (name, q) in crate::workload::canonical(4_000) {
                 prop_assert_eq!(at_once.query(&q), want.query(&q), "{}", name);
+            }
+        }
+    }
+
+    /// One generated run of a device's records, as an upload batch holds
+    /// them: the device (only the first six are in the directory), then
+    /// each record's `(far, day)` — one of the first twenty days, or a start
+    /// so late its bucket clamps onto `u32::MAX` — kind, cause (none, two
+    /// negative codes, the largest raw one), duration in seconds, and how
+    /// many times it repeats. So few values that keys and
+    /// whole records collide.
+    type DeviceRun = (u32, Vec<((bool, u64), usize, usize, u64, usize)>);
+
+    fn device_runs() -> impl Strategy<Value = Vec<DeviceRun>> {
+        let record = (
+            (any::<bool>(), 0u64..20),
+            0usize..5,
+            0usize..4,
+            0u64..40,
+            1usize..4,
+        );
+        prop::collection::vec((0u32..12, prop::collection::vec(record, 1..6)), 0..24)
+    }
+
+    fn run_events(runs: &[DeviceRun]) -> Vec<FailureEvent> {
+        let mut events = Vec::new();
+        for (device, records) in runs {
+            for &((far, day), kind, cause, dur_s, repeat) in records {
+                let start_s = if far { 400_000_000_000_000 } else { 0 } + day * 86_400;
+                let cause = [
+                    None,
+                    Some(DataFailCause::SignalLost),
+                    Some(DataFailCause::GprsRegistrationFail),
+                    Some(DataFailCause::Other(u16::MAX)),
+                ][cause];
+                let e = ev(*device, start_s, dur_s, FailureKind::ALL[kind], cause);
+                events.extend(std::iter::repeat(e).take(repeat));
+            }
+        }
+        events
+    }
+
+    /// A directory listing devices 0–5, over every model, region and ISP.
+    fn six_device_directory() -> DeviceDirectory {
+        let dims = (0..6u8)
+            .map(|i| DeviceDim {
+                model: Some(PhoneModelId(1 + i % 3)),
+                region: Region::ALL[usize::from(i % 2)],
+                isp: Some(Isp::ALL[usize::from(i % 3)]),
+            })
+            .collect();
+        DeviceDirectory { dims, owned: None }
+    }
+
+    proptest! {
+        /// A sink's sorted bulk build is `Store::record` one record at a
+        /// time: split into contiguous shards, each shard's sink borrowed
+        /// through `store()` every few records and equal there to the
+        /// record-by-record store of the same prefix, and the sinks folded
+        /// through `Merge` in shard order onto an empty one equal, with the population
+        /// registered, to the shard stores folded the same way — by `==`,
+        /// image bytes, digest and every canonical answer. Under
+        /// `auto_compact_every > 0` the sink records one at a time and the
+        /// same holds; with it off, `build_sharded` at any thread count
+        /// gives the same store too.
+        #[test]
+        fn bulk_build_equals_record_by_record(
+            runs in device_runs(),
+            partitions in prop::sample::select(vec![1usize, 3, 16]),
+            auto_compact_every in prop::sample::select(vec![0u64, 0, 5]),
+            shards in 1usize..4,
+            borrow_every in 0usize..12,
+        ) {
+            let cfg = StoreConfig {
+                partitions,
+                auto_compact_every,
+                ..StoreConfig::default()
+            };
+            let dir = six_device_directory();
+            let events = run_events(&runs);
+            let per_shard = events.len().div_ceil(shards).max(1);
+            let mut got = StoreSink::new(&cfg, &dir);
+            let mut want = Store::new(&cfg);
+            for chunk in events.chunks(per_shard) {
+                let mut sink = StoreSink::new(&cfg, &dir);
+                let mut oracle = Store::new(&cfg);
+                for (i, e) in chunk.iter().enumerate() {
+                    sink.record(e);
+                    oracle.record(e, dir.dim_of(e.device));
+                    if borrow_every > 0 && i % borrow_every == 0 {
+                        prop_assert_eq!(sink.store(), &oracle);
+                    }
+                }
+                got.merge(sink);
+                want.merge(oracle);
+            }
+            let got = got.into_store();
+            want.register_population(&dir);
+
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(save_store(&got), save_store(&want));
+            prop_assert_eq!(got.digest(), want.digest());
+            prop_assert_eq!(got.digest(), got.digest_by_tree());
+            for (name, q) in crate::workload::canonical(7 * 86_400_000) {
+                prop_assert_eq!(got.query(&q), want.query(&q), "{}", name);
+            }
+            if auto_compact_every == 0 {
+                prop_assert_eq!(build_sharded(&cfg, &dir, &events, shards), want);
             }
         }
     }

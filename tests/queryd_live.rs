@@ -63,7 +63,7 @@ fn feed_events(
     // layout: concurrent readers scan segments instead of the row map.
     // Pure layout change — answers and digests are invariant (the store's
     // differential suite proves it).
-    let mut publish = |sink: &StoreSink<'_>| {
+    let mut publish = |sink: &mut StoreSink<'_>| {
         let mut snap = Store::sealed_union(cfg, &[sink.store()]);
         snap.register_population(dir);
         let epoch = core.publish(snap);
@@ -76,10 +76,10 @@ fn feed_events(
         pending += 1;
         if pending == chunk {
             pending = 0;
-            publish(&sink);
+            publish(&mut sink);
         }
     }
-    publish(&sink)
+    publish(&mut sink)
 }
 
 /// The workload every client runs: the table queries plus a spread of
