@@ -28,11 +28,10 @@
 //! * [`QuantileSketch`] — dense `BUCKETS` u64 slots (~58 KiB), O(1) push;
 //!   the right shape for a handful of long-lived sketches that nobody
 //!   clones, restores or creates per frame — the telemetry registry's
-//!   histograms — and, for the length of one query, the
-//!   store's per-group histograms when a quantile query folds tens of
-//!   thousands of pooled runs into at most 16 groups
-//!   ([`QuantileSketch::merge_run`], collapsed once per group with
-//!   [`SparseSketch::from_dense`]).
+//!   histograms. (A quantile query that folds tens of thousands of pooled
+//!   runs into a few groups keeps its own histograms in `cellrel-store`,
+//!   each only [`bucket_of`] its largest value wide, and hands each
+//!   group out through [`SparseSketch::from_run`].)
 //! * [`SparseSketch`] — a sorted `(bucket, count)` vector, memory
 //!   proportional to the *distinct buckets touched*; the right shape
 //!   wherever sketches are many or short-lived: the analytics cube in
@@ -79,9 +78,9 @@ impl Default for QuantileSketch {
     }
 }
 
-/// Bucket index for a value.
+/// Bucket index for a value: monotone in `v`, below [`BUCKETS`].
 #[inline]
-fn bucket_of(v: u64) -> usize {
+pub fn bucket_of(v: u64) -> usize {
     if v < LINEAR_MAX {
         return v as usize;
     }
@@ -216,10 +215,10 @@ impl QuantileSketch {
         }
     }
 
-    /// Non-empty `(bucket, count)` pairs in ascending bucket order — the run
-    /// [`SparseSketch::from_dense`] keeps. Exact min/max bracket the
-    /// non-empty buckets (`bucket_of` is monotone), so the walk covers
-    /// `bucket_of(min)..=bucket_of(max)` and not all [`BUCKETS`] slots.
+    /// Non-empty `(bucket, count)` pairs in ascending bucket order. Exact
+    /// min/max bracket the non-empty buckets (`bucket_of` is monotone), so
+    /// the walk covers `bucket_of(min)..=bucket_of(max)` and not all
+    /// [`BUCKETS`] slots.
     fn nonzero_buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         let span = if self.count == 0 {
             0..0
@@ -232,26 +231,6 @@ impl QuantileSketch {
             .enumerate()
             .filter(|(_, &c)| c != 0)
             .map(move |(i, &c)| ((lo + i) as u32, c))
-    }
-
-    /// Fold a raw sketch run — exact extremes plus strictly ascending
-    /// `(bucket, count)` pairs, the form [`SparseSketch::as_run`] and sealed
-    /// segments' sketch pools hand out — into the dense histogram: one add
-    /// per pair, where [`SparseSketch::merge_run`] searches or rebuilds a
-    /// sorted vector. Query-time accumulation folds tens of thousands of
-    /// runs into a handful of groups this way and collapses each group
-    /// once with [`SparseSketch::from_dense`]. An empty run is the identity
-    /// whatever extremes ride with it. The run must be valid sketch content.
-    pub fn merge_run(&mut self, min: u64, max: u64, run: &[(u32, u64)]) {
-        if run.is_empty() {
-            return;
-        }
-        self.min = self.min.min(min);
-        self.max = self.max.max(max);
-        for &(i, c) in run {
-            self.buckets[i as usize] += c;
-            self.count += c;
-        }
     }
 }
 
@@ -381,21 +360,8 @@ impl SparseSketch {
         })
     }
 
-    /// Collapse a dense sketch into the sparse form: same count, extremes
-    /// and buckets, so folding runs with [`QuantileSketch::merge_run`] and
-    /// collapsing once equals folding them one by one with
-    /// [`SparseSketch::merge_run`].
-    pub fn from_dense(dense: &QuantileSketch) -> Self {
-        SparseSketch {
-            count: dense.count,
-            min: dense.min,
-            max: dense.max,
-            buckets: dense.nonzero_buckets().collect(),
-        }
-    }
-
     /// The sketch as a raw `(min, max, run)` triple — the form
-    /// [`SparseSketch::merge_run`] and [`QuantileSketch::merge_run`] take.
+    /// [`SparseSketch::merge_run`] takes.
     /// An empty sketch is an empty run (its extremes mean nothing).
     pub fn as_run(&self) -> (u64, u64, &[(u32, u64)]) {
         (self.min, self.max, &self.buckets)
@@ -675,15 +641,14 @@ mod tests {
         assert_eq!(whole, parts);
     }
 
-    /// Dense → sparse → run → sparse: the collapsed sketch hands out a run
-    /// its own validator accepts, and rebuilds from it unchanged.
+    /// Sparse → run → sparse: a sketch hands out a run its own validator
+    /// accepts, and rebuilds from it unchanged.
     #[test]
     fn sparse_round_trip() {
-        let mut dense = QuantileSketch::new();
+        let mut sparse = SparseSketch::new();
         for v in [1u64, 60_000, 60_000, 91_770_000, 5] {
-            dense.push(v);
+            sparse.push(v);
         }
-        let sparse = SparseSketch::from_dense(&dense);
         let (min, max, run) = sparse.as_run();
         assert_eq!((min, max), (1, 91_770_000));
         assert_eq!(check_run(min, max, run), Some(5));
@@ -736,42 +701,6 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        /// Folding runs into the dense histogram and collapsing once is
-        /// the sequential sparse fold of the same runs — empty runs
-        /// (whose extremes mean nothing) included.
-        #[test]
-        fn dense_fold_then_collapse_equals_sequential_sparse_fold(
-            parts in proptest::collection::vec(
-                proptest::collection::vec((0u32..64, proptest::prelude::any::<u64>()), 0..12),
-                0..8,
-            )
-        ) {
-            let mut dense = QuantileSketch::new();
-            let mut sparse = SparseSketch::new();
-            for part in &parts {
-                let mut s = SparseSketch::new();
-                for &(shift, v) in part {
-                    s.push(v >> shift);
-                }
-                let (min, max, run) = s.as_run();
-                dense.merge_run(min, max, run);
-                sparse.merge_run(s.count(), min, max, run);
-            }
-            let collapsed = SparseSketch::from_dense(&dense);
-            proptest::prop_assert_eq!(&collapsed, &sparse);
-            proptest::prop_assert_eq!(collapsed.min(), sparse.min());
-            proptest::prop_assert_eq!(collapsed.max(), sparse.max());
-            let (mut a, mut b) = (Digest64::new(), Digest64::new());
-            collapsed.absorb_into(&mut a);
-            sparse.absorb_into(&mut b);
-            proptest::prop_assert_eq!(a.finish(), b.finish());
-            for q in [0.0, 0.5, 0.95, 1.0] {
-                proptest::prop_assert_eq!(collapsed.quantile(q), sparse.quantile(q));
-            }
-        }
-    }
-
     #[test]
     fn sparse_sketch_matches_dense_exactly() {
         let mut dense = QuantileSketch::new();
@@ -788,7 +717,6 @@ mod tests {
         }
         let dp: Vec<_> = dense.nonzero_buckets().collect();
         assert_eq!(sparse.as_run().2, &dp[..]);
-        assert_eq!(SparseSketch::from_dense(&dense), sparse);
         let mut ds = Digest64::new();
         sparse.absorb_into(&mut ds);
         let mut dd = Digest64::new();

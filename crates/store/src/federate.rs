@@ -89,17 +89,20 @@ pub fn merge_partials(q: &Query, partials: &[PartialResultSet]) -> ResultSet {
         }
         gk
     };
-    // Pass 1, over keys only: the range each key position takes.
+    // Pass 1, over keys and sketch maxima only: the range each key
+    // position takes and the largest value a sketch holds.
     let mut ranges = [EMPTY_RANGE; MAX_DIMS];
-    let (mut width, mut runs) = (0, 0);
-    for (key, _) in partials.iter().flat_map(|p| &p.groups) {
+    let (mut width, mut runs, mut sketch_max) = (0, 0, 0);
+    for (key, cell) in partials.iter().flat_map(|p| &p.groups) {
         runs += 1;
+        sketch_max = cell.sketch.max().unwrap_or(0).max(sketch_max);
         width = width.max(key.len().min(MAX_DIMS));
         for (r, v) in ranges.iter_mut().zip(padded(key)) {
             widen(r, v, v);
         }
     }
-    let mut acc = GroupAcc::new(&ranges[..width], q.metric.reads_sketch().then_some(runs));
+    let sketches = q.metric.reads_sketch().then_some((runs, sketch_max));
+    let mut acc = GroupAcc::new(&ranges[..width], sketches);
     let mut scanned = 0u64;
     let mut matched = 0u64;
     for p in partials {

@@ -28,17 +28,26 @@
 //!   inside a `u64` and injective.
 //!
 //! Sketch metrics add one quantile sketch per slot: a dense histogram
-//! (one add per pooled bucket) while the code space is at most
-//! [`DENSE_SKETCH_GROUPS`] and the caller brings at least
-//! [`DENSE_SKETCH_RUNS`] sketches, a sparse sketch merged run by run
-//! otherwise.
+//! while the code space is at most [`DENSE_SKETCH_GROUPS`] and the caller
+//! can bring at least [`DENSE_SKETCH_RUNS`] sketches, a sparse sketch
+//! merged run by run otherwise. A histogram is only as wide as the bucket
+//! of the largest sketch maximum the caller can bring, so a query over
+//! minute-long failures zeroes and walks a few hundred buckets, not all
+//! [`BUCKETS`](cellrel_sim::sketch::BUCKETS). Rows are key-sorted and a
+//! grouping position near the front of the key changes slowly, so
+//! consecutive segment rows often share a group: each such stretch is
+//! folded as one unit — for a span of rows its pooled pairs are one
+//! contiguous pool slice, walked flat with one add per pair — and the
+//! group's count and extremes are written once per stretch, the extremes
+//! from its live (non-empty) rows only.
 //!
 //! One [`Cell`] per *group* is materialised at the end, key-ascending
 //! whatever order slots were handed out in.
 
 use crate::columnar::ColumnSegment;
 use crate::cube::Cell;
-use cellrel_sim::{QuantileSketch, SparseSketch};
+use cellrel_sim::sketch::bucket_of;
+use cellrel_sim::SparseSketch;
 use std::collections::HashMap;
 
 /// There are exactly [`MAX_DIMS`] dimensions and duplicates are rejected,
@@ -55,11 +64,12 @@ pub(crate) type GroupKey = [u64; MAX_DIMS];
 pub(crate) const DIRECT_CODES: usize = 4_096;
 
 /// Most groups that get a dense sketch histogram, and fewest sketch runs
-/// a query must be able to bring for them to get one. A histogram is
-/// 58 KiB to zero and to walk once at the end, where a sparse merge costs
-/// a search per pooled bucket: a group repays its histogram after a few
-/// hundred runs, so a query that spreads its rows over more groups than
-/// this — or a router merging one run per shard — merges too few into each.
+/// a query must be able to bring for them to get one. A histogram is up
+/// to 58 KiB to zero and to walk once at the end, where a sparse merge
+/// costs a search per pooled bucket: a group repays its histogram after a
+/// few hundred runs, so a query that spreads its rows over more groups
+/// than this — or a router merging one run per shard — merges too few
+/// into each.
 pub(crate) const DENSE_SKETCH_GROUPS: usize = 16;
 pub(crate) const DENSE_SKETCH_RUNS: usize = 256;
 
@@ -145,8 +155,104 @@ struct Hashed {
 /// Per-slot sketches, for the metrics that read one.
 enum Sketches {
     None,
-    Dense(Vec<QuantileSketch>),
+    Dense(Vec<Histogram>),
     Sparse(Vec<SparseSketch>),
+}
+
+/// One group's dense histogram for the length of a query: the sketch
+/// algebra over a bucket vector cut off past the bucket of the largest
+/// value the query can bring.
+#[derive(Clone, Default)]
+struct Histogram {
+    count: u64,
+    /// Exact extremes of the live runs folded in (`u64::MAX`, `0` before
+    /// any).
+    min: u64,
+    max: u64,
+    buckets: Vec<u64>,
+}
+
+/// Add `pairs` to `buckets`, returning the samples they count.
+#[inline]
+fn add_pairs(buckets: &mut [u64], pairs: &[(u32, u64)]) -> u64 {
+    let mut count = 0;
+    for &(b, n) in pairs {
+        buckets[b as usize] += n;
+        count += n;
+    }
+    count
+}
+
+impl Histogram {
+    /// An empty histogram of `width` buckets.
+    fn new(width: usize) -> Self {
+        Histogram {
+            count: 0,
+            min: u64::MAX,
+            max: 0,
+            buckets: vec![0; width],
+        }
+    }
+
+    /// Fold one sketch run; an empty run is the identity whatever extremes
+    /// ride with it.
+    fn merge_run(&mut self, min: u64, max: u64, run: &[(u32, u64)]) {
+        if run.is_empty() {
+            return;
+        }
+        self.count += add_pairs(&mut self.buckets, run);
+        self.min = self.min.min(min);
+        self.max = self.max.max(max);
+    }
+
+    /// Fold `seg`'s rows `[a, b)`: their pool slice is one stretch.
+    fn fold_span(&mut self, seg: &ColumnSegment, a: usize, b: usize) {
+        let pool = &seg.sk_pool[seg.sk_off[a] as usize..seg.sk_off[b] as usize];
+        let count = add_pairs(&mut self.buckets, pool);
+        if count == 0 {
+            return;
+        }
+        self.count += count;
+        for i in a..b {
+            if seg.sk_off[i] != seg.sk_off[i + 1] {
+                self.min = self.min.min(seg.sk_min[i]);
+                self.max = self.max.max(seg.sk_max[i]);
+            }
+        }
+    }
+
+    /// Fold `seg`'s listed rows, each pool slice in turn.
+    fn fold_picked(&mut self, seg: &ColumnSegment, rows: &[u32]) {
+        let (mut count, mut min, mut max) = (0, self.min, self.max);
+        for &i in rows {
+            let i = i as usize;
+            let (lo, hi) = (seg.sk_off[i] as usize, seg.sk_off[i + 1] as usize);
+            if lo != hi {
+                count += add_pairs(&mut self.buckets, &seg.sk_pool[lo..hi]);
+                min = min.min(seg.sk_min[i]);
+                max = max.max(seg.sk_max[i]);
+            }
+        }
+        (self.count, self.min, self.max) = (self.count + count, min, max);
+    }
+
+    /// The sparse sketch of what was folded in: its non-empty buckets,
+    /// walked between the buckets of the extremes. Empty if the counts
+    /// passed `u64::MAX` — only a forged store's rows add up that far, and
+    /// the scan's plain sums have wrapped by then too.
+    fn into_sketch(self) -> SparseSketch {
+        if self.count == 0 {
+            return SparseSketch::new();
+        }
+        let lo = bucket_of(self.min);
+        let run = self.buckets[lo..=bucket_of(self.max)]
+            .iter()
+            .zip(lo as u32..)
+            .filter(|&(&n, _)| n != 0)
+            .map(|(&n, b)| (b, n))
+            .collect();
+        SparseSketch::from_run(self.min, self.max, run).unwrap_or_default()
+    }
 }
 
 /// The group accumulator of one query. See the module docs.
@@ -170,9 +276,10 @@ fn rename(map: &mut HashMap<u64, u32>, v: u64) -> u64 {
 impl GroupAcc {
     /// An accumulator for keys whose position `d` lies in the inclusive
     /// `ranges[d]` (an [`EMPTY_RANGE`] nothing widened is a position no row
-    /// will bring a value for). `sketch_runs` is `None` for a metric
-    /// that reads no sketch, else the most sketches the caller can add.
-    pub(crate) fn new(ranges: &[(u64, u64)], sketch_runs: Option<usize>) -> Self {
+    /// will bring a value for). `sketches` is `None` for a metric that
+    /// reads no sketch, else the most sketches the caller can add and the
+    /// largest maximum any of them holds.
+    pub(crate) fn new(ranges: &[(u64, u64)], sketches: Option<(usize, u64)>) -> Self {
         let mut space: u128 = 1;
         let mut renames = 0usize;
         let mut table = || {
@@ -214,12 +321,12 @@ impl GroupAcc {
                 })
             }),
             sums: vec![[0; 4]; slots],
-            sketches: match sketch_runs {
+            sketches: match sketches {
                 None => Sketches::None,
-                Some(runs)
+                Some((runs, max))
                     if (1..=DENSE_SKETCH_GROUPS).contains(&slots) && runs >= DENSE_SKETCH_RUNS =>
                 {
-                    Sketches::Dense(vec![QuantileSketch::new(); slots])
+                    Sketches::Dense(vec![Histogram::new(bucket_of(max) + 1); slots])
                 }
                 Some(_) => Sketches::Sparse(vec![SparseSketch::new(); slots]),
             },
@@ -278,7 +385,7 @@ impl GroupAcc {
         let count = c.sketch.count();
         let fits = |held: u64| held.checked_add(count).is_some();
         match &mut self.sketches {
-            Sketches::Dense(d) if fits(d[s].count()) => d[s].merge_run(min, max, run),
+            Sketches::Dense(d) if fits(d[s].count) => d[s].merge_run(min, max, run),
             Sketches::Sparse(sp) if fits(sp[s].count()) => sp[s].merge_run(count, min, max, run),
             _ => {}
         }
@@ -314,7 +421,8 @@ impl GroupAcc {
     /// groups their finished `codes` name (which this overwrites with
     /// slots); `key(i)` is row `i`'s group key, asked for once per new
     /// group. These are the scan's own sums: plain `+=`, like the write
-    /// path's.
+    /// path's. Dense histograms take each stretch of rows that share a
+    /// slot as one fold.
     pub(crate) fn add_rows(
         &mut self,
         seg: &ColumnSegment,
@@ -337,10 +445,19 @@ impl GroupAcc {
         });
         match &mut self.sketches {
             Sketches::None => {}
-            Sketches::Dense(d) => rows.zip(codes.iter(), |&s, i| {
-                let (min, max, run) = seg.sketch_run(i);
-                d[s as usize].merge_run(min, max, run);
-            }),
+            Sketches::Dense(d) => {
+                let mut at = 0;
+                while at < codes.len() {
+                    let s = codes[at];
+                    let end = at + codes[at..].iter().take_while(|&&c| c == s).count();
+                    let h = &mut d[s as usize];
+                    match rows {
+                        Rows::Span(i0, _) => h.fold_span(seg, i0 + at, i0 + end),
+                        Rows::Picked(picked) => h.fold_picked(seg, &picked[at..end]),
+                    }
+                    at = end;
+                }
+            }
             Sketches::Sparse(sp) => rows.zip(codes.iter(), |&s, i| {
                 let (min, max, run) = seg.sketch_run(i);
                 let count = run.iter().map(|&(_, c)| c).sum();
@@ -376,7 +493,7 @@ impl GroupAcc {
             .map(|(gk, s)| {
                 let sketch = match &mut self.sketches {
                     Sketches::None => SparseSketch::new(),
-                    Sketches::Dense(d) => SparseSketch::from_dense(&d[s]),
+                    Sketches::Dense(d) => std::mem::take(&mut d[s]).into_sketch(),
                     Sketches::Sparse(sp) => std::mem::take(&mut sp[s]),
                 };
                 let [_, count, duration_ms_total, under_30s] = self.sums[s];
@@ -439,17 +556,25 @@ mod tests {
         let sketches = |max, runs| GroupAcc::new(&[(0, max)], runs).sketches;
         assert!(matches!(sketches(groups - 1, None), Sketches::None));
         assert!(matches!(
-            sketches(groups - 1, Some(DENSE_SKETCH_RUNS)),
+            sketches(groups - 1, Some((DENSE_SKETCH_RUNS, 0))),
             Sketches::Dense(_)
         ));
         assert!(matches!(
-            sketches(groups, Some(DENSE_SKETCH_RUNS)),
+            sketches(groups, Some((DENSE_SKETCH_RUNS, 0))),
             Sketches::Sparse(_)
         ));
         assert!(matches!(
-            sketches(groups - 1, Some(DENSE_SKETCH_RUNS - 1)),
+            sketches(groups - 1, Some((DENSE_SKETCH_RUNS - 1, 0))),
             Sketches::Sparse(_)
         ));
+        // A histogram reaches the bucket of the largest maximum, no further.
+        let width = |max| match sketches(0, Some((DENSE_SKETCH_RUNS, max))) {
+            Sketches::Dense(h) => h[0].buckets.len(),
+            _ => unreachable!(),
+        };
+        assert_eq!(width(0), 1);
+        assert_eq!(width(127), 128);
+        assert_eq!(width(u64::MAX), cellrel_sim::sketch::BUCKETS);
 
         // 2³² × 2³² codes are exactly a `u64`; a third such position needs
         // the running code renamed, and a position spanning more than 2³²

@@ -661,16 +661,24 @@ impl Store {
         // A segment's zones bound every row it holds (computed on build,
         // re-checked on decode), its in-range buckets bound the time
         // position exactly, and hot keys are read directly — so every row
-        // pass 2 adds falls inside these ranges.
+        // pass 2 adds falls inside these ranges. A sketch metric also
+        // counts the rows pass 2 can bring (kept segment rows and hot rows
+        // in range) and the largest sketch maximum among them.
+        let reads_sketch = q.metric.reads_sketch();
         let mut scanned = 0u64;
+        let (mut runs, mut sketch_max) = (0usize, 0u64);
         let mut ranges = [EMPTY_RANGE; MAX_DIMS];
         let mut scans: Vec<(&ColumnSegment, usize, usize)> = Vec::new();
         for p in &self.partitions {
-            for (key, _) in plan.hot(&p.cells) {
+            for (key, cell) in plan.hot(&p.cells) {
                 scanned += 1;
                 for (r, d) in ranges.iter_mut().zip(dims) {
                     let v = group_component(key, *d, plan);
                     widen(r, v, v);
+                }
+                if reads_sketch {
+                    runs += 1;
+                    sketch_max = sketch_max.max(cell.sketch.max().unwrap_or(0));
                 }
             }
             for seg in &p.segments {
@@ -685,12 +693,17 @@ impl Store {
                     let (lo, hi) = range_of(seg, i0, i1, *d, plan);
                     widen(r, lo, hi);
                 }
+                if reads_sketch {
+                    // An empty run's extremes are zero: they raise no max.
+                    runs += i1 - i0;
+                    sketch_max = seg.sk_max[i0..i1].iter().fold(sketch_max, |m, &v| m.max(v));
+                }
                 scans.push((seg, i0, i1));
             }
         }
         // Pass 2: add every matching row to its group.
-        let sketch_runs = q.metric.reads_sketch().then_some(scanned as usize);
-        let mut acc = GroupAcc::new(&ranges[..dims.len()], sketch_runs);
+        let sketches = reads_sketch.then_some((runs, sketch_max));
+        let mut acc = GroupAcc::new(&ranges[..dims.len()], sketches);
         let mut matched = 0u64;
         for p in &self.partitions {
             for (key, cell) in plan.hot(&p.cells) {
@@ -1640,6 +1653,90 @@ mod tests {
             for metric in metrics.into_iter().chain([Metric::MaxDurationMs]) {
                 let rs = assert_kernel_matches_row(&s, &metric_by(metric, vec![Dim::Model]));
                 assert_eq!(rs.rows.len(), models);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The run fold into capped histograms answers every sketch metric
+        /// as the row engine does: over sealed segments and hot cells, with
+        /// count-0 rows (empty runs carry zero extremes), groups that change
+        /// every row or hold runs of hundreds of rows, time-range and
+        /// equality filters (the latter pick rows), durations from 0 to
+        /// `u64::MAX` (histograms from one bucket to all of them), and row
+        /// and group counts on both sides of the dense caps.
+        #[test]
+        fn quantile_fold_matches_the_row_engine(
+            (parts, hot_every) in (1usize..4, proptest::sample::select(vec![0usize, 1, 3, 50])),
+            groups in proptest::sample::select(vec![
+                1usize,
+                crate::group::DENSE_SKETCH_GROUPS - 1,
+                crate::group::DENSE_SKETCH_GROUPS,
+                crate::group::DENSE_SKETCH_GROUPS + 1,
+            ]),
+            rows in proptest::sample::select(vec![
+                crate::group::DENSE_SKETCH_RUNS - 1,
+                crate::group::DENSE_SKETCH_RUNS,
+                crate::group::DENSE_SKETCH_RUNS + 1,
+                700,
+            ]),
+            run_len in proptest::sample::select(vec![1usize, 2, 7, 300]),
+            scale in proptest::sample::select(vec![0u32, 16, 44, 58, 63, 64]),
+            cells in proptest::collection::vec(
+                (0u8..5, proptest::collection::vec((0u8..8, proptest::prelude::any::<u64>()), 0..4)),
+                700,
+            ),
+            (filter, cut) in (0usize..5, 0u32..200),
+            group_by in proptest::sample::select(vec![
+                vec![Dim::Model],
+                vec![],
+                vec![Dim::Kind],
+                vec![Dim::Rat, Dim::Model],
+            ]),
+        ) {
+            let mut sealed = vec![Vec::new(); parts];
+            let mut hot = Vec::new();
+            for (i, (kind, durations)) in cells.into_iter().take(rows).enumerate() {
+                let model = ((i / run_len) % groups) as u8;
+                // The duration totals are not read by a sketch metric, and
+                // would overflow at these durations: left at zero.
+                let mut c = Cell::default();
+                for (tag, v) in durations {
+                    let d = match tag {
+                        0 => u64::MAX,
+                        1 => 0,
+                        _ => v.checked_shr(scale).unwrap_or(0),
+                    };
+                    c.count += 1;
+                    c.under_30s += u64::from(d < 30_000);
+                    c.sketch.push(d);
+                }
+                let row = (ck(i as u32, kind, model, 0, 0), c);
+                if hot_every > 0 && i % hot_every == 0 {
+                    hot.push(row);
+                } else {
+                    sealed[i * parts / rows].push(row);
+                }
+            }
+            let s = hand_built(sealed, hot);
+            let time = Filter::TimeRange {
+                start_ms: u64::from(cut / 4),
+                end_ms: (rows - cut as usize % 50) as u64,
+            };
+            let filters = match filter {
+                0 => vec![],
+                1 => vec![time],
+                2 => vec![Filter::Kind(FailureKind::ALL[cut as usize % 5])],
+                3 => vec![Filter::Rat(Rat::ALL[cut as usize % 4]), time],
+                _ => vec![Filter::Kind(FailureKind::ALL[1]), Filter::Isp(Isp::ALL[1])],
+            };
+            let metrics = [0.0, 0.5, 0.95, 1.0].map(Metric::QuantileMs);
+            for metric in metrics.into_iter().chain([Metric::MaxDurationMs]) {
+                let q = Query {
+                    filters: filters.clone(),
+                    ..metric_by(metric, group_by.clone())
+                };
+                assert_kernel_matches_row(&s, &q);
             }
         }
     }
