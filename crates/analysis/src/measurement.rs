@@ -10,8 +10,7 @@
 //! component at all.
 
 use crate::render::Table;
-use cellrel_monitor::ProbeSession;
-use cellrel_netstack::LinkCondition;
+use cellrel_device::{LinkCondition, ProbeSession};
 use cellrel_sim::SimRng;
 use cellrel_types::SimDuration;
 use cellrel_workload::durations::sample_auto_heal_secs;

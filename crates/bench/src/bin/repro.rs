@@ -27,8 +27,8 @@
 #![allow(clippy::disallowed_types)]
 
 use cellrel::analysis as an;
+use cellrel::device::RecoveryConfig;
 use cellrel::sim::SimRng;
-use cellrel::telephony::RecoveryConfig;
 use cellrel::timp::{anneal_probations, AnnealConfig, TimpModel};
 use cellrel::types::SimDuration;
 use cellrel::workload::durations::sample_auto_heal_secs;
@@ -395,7 +395,7 @@ fn encoded_batch_bytes(n: u64, mean_gap_secs: u64, mean_duration_secs: u64) -> u
 }
 
 fn overhead_report() -> String {
-    use cellrel::monitor::OverheadAccounting;
+    use cellrel::device::OverheadAccounting;
     use cellrel::types::SimDuration;
     // Typical user: the paper's ~33 failures over 8 months.
     let mut typical = OverheadAccounting::new();
@@ -502,7 +502,7 @@ fn ablate_op_cost() {
 }
 
 fn ablate_policy_pieces() {
-    use cellrel::telephony::RatPolicyKind::{StabilityNoDualConnectivity, StabilityThreshold};
+    use cellrel::device::RatPolicyKind::{StabilityNoDualConnectivity, StabilityThreshold};
     use cellrel::types::SignalLevel;
     use cellrel::workload::ab::run_custom_arm;
     let cfg = AbConfig {
@@ -535,8 +535,7 @@ fn ablate_policy_pieces() {
 }
 
 fn ablate_probe_timeout() {
-    use cellrel::monitor::{ProbeConfig, ProbeSession};
-    use cellrel::netstack::LinkCondition;
+    use cellrel::device::{LinkCondition, ProbeConfig, ProbeSession};
     println!("== ablation: probe round length (DNS timeout) vs accuracy/overhead ==");
     let mut rng = SimRng::new(9);
     for dns_secs in [2u64, 5, 10, 20] {

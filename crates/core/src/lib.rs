@@ -14,11 +14,7 @@
 //! |---|---|---|
 //! | [`types`] | `cellrel-types` | shared vocabulary (RATs, levels, causes, events) |
 //! | [`sim`] | `cellrel-sim` | deterministic DES kernel, RNG, statistics |
-//! | [`radio`] | `cellrel-radio` | BS deployment, propagation, EMM, interference |
-//! | [`modem`] | `cellrel-modem` | RIL modem, staged setup, cause generation |
-//! | [`netstack`] | `cellrel-netstack` | TCP counters, ICMP/DNS probes, link faults |
-//! | [`telephony`] | `cellrel-telephony` | DataConnection FSM, stall detection, recovery, RAT policies, device agent |
-//! | [`monitor`] | `cellrel-monitor` | Android-MOD: filtering, probing, traces, overhead |
+//! | [`device`] | `cellrel-device` | one phone's stack: BS deployment, propagation, EMM, RIL modem, cause generation, TCP counters, ICMP/DNS probes, DataConnection FSM, stall detection, recovery, RAT policies, device agent, Android-MOD |
 //! | [`ingest`] | `cellrel-ingest` | backend ingestion: wire codec, sharded collector, sketches |
 //! | [`store`] | `cellrel-store` | embedded analytics cube: mergeable partitions, query engine |
 //! | [`queryd`] | `cellrel-queryd` | query daemon: framed wire protocol, snapshot-isolated server, TCP + in-process transports |
@@ -50,16 +46,12 @@ pub mod report;
 
 pub use cellrel_analysis as analysis;
 pub use cellrel_cluster as cluster;
+pub use cellrel_device as device;
 pub use cellrel_ingest as ingest;
-pub use cellrel_modem as modem;
-pub use cellrel_monitor as monitor;
-pub use cellrel_netstack as netstack;
 pub use cellrel_queryd as queryd;
-pub use cellrel_radio as radio;
 pub use cellrel_sim as sim;
 pub use cellrel_store as store;
 pub use cellrel_stream as stream;
-pub use cellrel_telephony as telephony;
 pub use cellrel_timp as timp;
 pub use cellrel_types as types;
 pub use cellrel_workload as workload;
@@ -75,11 +67,11 @@ mod tests {
         // drop a crate.
         let _ = crate::types::Rat::G5;
         let _ = crate::sim::SimRng::new(0);
-        let _ = crate::radio::DeploymentConfig::small();
-        let _ = crate::modem::FaultProfile::none();
-        let _ = crate::netstack::LinkCondition::Healthy;
-        let _ = crate::telephony::RecoveryConfig::timp_optimized();
-        let _ = crate::monitor::ProbeSession;
+        let _ = crate::device::DeploymentConfig::small();
+        let _ = crate::device::FaultProfile::none();
+        let _ = crate::device::LinkCondition::Healthy;
+        let _ = crate::device::RecoveryConfig::timp_optimized();
+        let _ = crate::device::ProbeSession;
         let _ = crate::ingest::CollectorConfig::default();
         let _ = crate::store::StoreConfig::default();
         let _ = crate::queryd::Request::Ping;

@@ -10,10 +10,11 @@
 //! stream consumption, or formatting anywhere in the stack shows up as a
 //! readable diff instead of a silent behaviour shift.
 
-use crate::monitor::MonitoringService;
-use crate::radio::{DeploymentConfig, RadioEnvironment};
+use crate::device::{
+    DeploymentConfig, DeviceConfig, DeviceSim, MonitoringService, RadioEnvironment, RatPolicyKind,
+    RecordingBoth, TelephonyEvent,
+};
 use crate::sim::{SimRng, TimerWheel};
-use crate::telephony::{DeviceConfig, DeviceSim, RatPolicyKind, RecordingBoth, TelephonyEvent};
 use crate::types::{DeviceId, Isp, Rat, RatSet, SimTime};
 use std::fmt::Write as _;
 

@@ -6,8 +6,8 @@
 //! (`MISSING_UNKNOWN_APN`, `OPERATOR_BARRED`, …) stop retrying entirely.
 
 use crate::data_connection::{DataConnectionFsm, DcState};
-use cellrel_modem::Modem;
-use cellrel_radio::RiskFactors;
+use crate::interference::RiskFactors;
+use crate::modem::Modem;
 use cellrel_sim::SimRng;
 use cellrel_types::{Apn, DataFailCause, SimDuration};
 
@@ -174,8 +174,9 @@ impl DcTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellrel_modem::FaultProfile;
-    use cellrel_radio::{BsIndex, CellView};
+    use crate::bs::BsIndex;
+    use crate::fault::FaultProfile;
+    use crate::selection::CellView;
     use cellrel_types::{Rat, RssDbm};
 
     fn quiet_risk() -> RiskFactors {

@@ -18,14 +18,18 @@
 //! surface Android-MOD instruments.
 
 use crate::dc_tracker::{DcTracker, RetryPolicy, SetupVerdict};
+use crate::deployment::{Links, RadioEnvironment};
 use crate::events::{TelephonyEvent, TelephonyListener};
+use crate::geometry::Pos;
+use crate::interference::RiskFactors;
+use crate::link::LinkCondition;
+use crate::modem::Modem;
 use crate::rat_policy::{RatPolicyKind, RatSelectionPolicy};
 use crate::recovery::{RecoveryAction, RecoveryConfig, RecoveryEngine};
+use crate::selection::CellView;
 use crate::service_state::ServiceStateTracker;
+use crate::stack::NetStack;
 use crate::stall::DataStallDetector;
-use cellrel_modem::Modem;
-use cellrel_netstack::{LinkCondition, NetStack};
-use cellrel_radio::{CellView, Links, Pos, RadioEnvironment, RiskFactors};
 use cellrel_sim::{span, EventHandler, EventToken, SimRng, Telemetry, TimerWheel};
 use cellrel_types::{
     Apn, DeviceId, InSituInfo, Isp, Rat, RatSet, ServiceState, SimDuration, SimTime,
@@ -469,7 +473,7 @@ impl<'a, L: TelephonyListener> DeviceSim<'a, L> {
         // Ambient load (and with it the stall hazard) follows the day:
         // rush hours are the worst, deep night the calmest.
         let hour = queue.now().as_secs_f64() / 3600.0;
-        let diurnal = cellrel_radio::load::diurnal_factor(hour);
+        let diurnal = crate::load::diurnal_factor(hour);
         let rate = (self.cfg.stall_rate_per_hour * mult * diurnal).max(1e-6);
         let wait = SimDuration::from_secs_f64(self.rng.exp(3600.0 / rate).max(1.0));
         let condition = if self.rng.chance(self.cfg.fp_condition_prob) {
@@ -1096,8 +1100,8 @@ impl<'a, L: TelephonyListener> EventHandler<WorldEvent> for DeviceSim<'a, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deployment::DeploymentConfig;
     use crate::events::RecordingListener;
-    use cellrel_radio::DeploymentConfig;
 
     fn run_device(
         mut cfg: DeviceConfig,
@@ -1251,8 +1255,7 @@ mod tests {
     #[test]
     fn commuters_move_and_exercise_mobility_management() {
         let mut world_rng = SimRng::new(77);
-        let env =
-            RadioEnvironment::generate(cellrel_radio::DeploymentConfig::small(), &mut world_rng);
+        let env = RadioEnvironment::generate(DeploymentConfig::small(), &mut world_rng);
         let mut cfg = base_cfg();
         cfg.home = env.city_centers()[0];
         let work = env.city_centers()[1 % env.city_centers().len()].offset(1.0, 0.5);
@@ -1276,8 +1279,7 @@ mod tests {
     #[test]
     fn roamers_wander_but_stationary_devices_do_not() {
         let mut world_rng = SimRng::new(78);
-        let env =
-            RadioEnvironment::generate(cellrel_radio::DeploymentConfig::small(), &mut world_rng);
+        let env = RadioEnvironment::generate(DeploymentConfig::small(), &mut world_rng);
         let mut cfg = base_cfg();
         cfg.home = env.city_centers()[0];
         cfg.mobility = MobilityProfile::Roamer { radius_km: 3.0 };

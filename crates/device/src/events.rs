@@ -5,7 +5,7 @@
 //! is that full event stream — including the noise (voice-call disruptions,
 //! manual toggles, overload rejections) the monitor must filter out.
 
-use cellrel_netstack::LinkCondition;
+use crate::link::LinkCondition;
 #[cfg(test)]
 use cellrel_types::FailureKind;
 use cellrel_types::{DataFailCause, InSituInfo, Rat, SimDuration, SimTime};

@@ -7,7 +7,7 @@
 //! plus setup rejections whose error code marks a rational BS-overload
 //! rejection (the 344-code classification).
 
-use cellrel_telephony::TelephonyEvent;
+use crate::events::TelephonyEvent;
 use cellrel_types::FalsePositiveClass;
 
 /// Outcome of filtering one telephony event.
@@ -63,7 +63,7 @@ impl FpFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellrel_netstack::LinkCondition;
+    use crate::link::LinkCondition;
     use cellrel_types::{Apn, BsId, DataFailCause, InSituInfo, Isp, Rat, SignalLevel};
 
     fn ctx() -> InSituInfo {

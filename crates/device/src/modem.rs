@@ -1,9 +1,11 @@
 //! The [`Modem`] device: the stateful boundary Android's telephony stack
 //! programs against.
 
+use crate::emm::EmmStateMachine;
 use crate::fault::FaultProfile;
+use crate::interference::RiskFactors;
+use crate::selection::CellView;
 use crate::setup::{run_setup, setup_fail_counter};
-use cellrel_radio::{CellView, EmmStateMachine, RiskFactors};
 use cellrel_sim::{SimRng, Telemetry};
 use cellrel_types::{Apn, DataFailCause, Rat};
 
@@ -300,7 +302,7 @@ impl Modem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellrel_radio::BsIndex;
+    use crate::bs::BsIndex;
     use cellrel_types::RssDbm;
 
     fn cell(rat: Rat, dbm: f64) -> CellView {

@@ -16,10 +16,10 @@ use cellrel_sim::SimRng;
 use cellrel_types::SimDuration;
 
 /// Default ICMP echo timeout (1 second, §2.2).
-pub const DEFAULT_ICMP_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+pub(crate) const DEFAULT_ICMP_TIMEOUT: SimDuration = SimDuration::from_secs(1);
 
 /// Default DNS query timeout (5 seconds, §2.2).
-pub const DEFAULT_DNS_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+pub(crate) const DEFAULT_DNS_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// Classification of one probing round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -15,9 +15,8 @@
 //! The first round also classifies the episode: system-side and
 //! DNS-outage verdicts are false positives and the episode is dropped.
 
-use cellrel_netstack::{
-    run_probe, LinkCondition, ProbeVerdict, DEFAULT_DNS_TIMEOUT, DEFAULT_ICMP_TIMEOUT,
-};
+use crate::link::LinkCondition;
+use crate::probe::{run_probe, ProbeVerdict, DEFAULT_DNS_TIMEOUT, DEFAULT_ICMP_TIMEOUT};
 use cellrel_sim::SimRng;
 use cellrel_types::SimDuration;
 

@@ -17,7 +17,7 @@
 //!   master + slave control-plane pair so transitions between 4G and 5G are
 //!   faster and less disruptive; a wrapper over any inner policy.
 
-use cellrel_radio::CellView;
+use crate::selection::CellView;
 use cellrel_types::{Rat, SignalLevel};
 use std::fmt;
 
@@ -266,7 +266,7 @@ impl<P: RatSelectionPolicy> RatSelectionPolicy for DualConnectivity<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellrel_radio::BsIndex;
+    use crate::bs::BsIndex;
 
     fn view(bs: u32, rat: Rat, level: SignalLevel) -> CellView {
         CellView::new(BsIndex(bs), rat, level.representative_rss(rat))

@@ -8,14 +8,14 @@
 //! its dataset: the uploader ships from it and keeps a position, so what
 //! reaches the collector is what [`MonitoringService::records`] shows.
 
+use crate::events::{TelephonyEvent, TelephonyListener};
 use crate::filter::{FilterDecision, FpFilter};
+use crate::link::LinkCondition;
 use crate::overhead::OverheadAccounting;
 use crate::probing::ProbeSession;
 use crate::uploader::{EncodedUpload, Uploader};
 use cellrel_ingest::codec::RAW_RECORD_BYTES;
-use cellrel_netstack::LinkCondition;
 use cellrel_sim::SimRng;
-use cellrel_telephony::{TelephonyEvent, TelephonyListener};
 use cellrel_types::{
     DeviceId, FailureEvent, FailureKind, FalsePositiveClass, InSituInfo, SimDuration, SimTime,
 };

@@ -8,8 +8,9 @@
 //! [`RiskFactors`]. Rational overload rejections are evaluated *first* and
 //! produce false-positive-class causes — the noise the monitor must filter.
 
+use crate::emm::EmmStateMachine;
 use crate::fault::FaultProfile;
-use cellrel_radio::{EmmStateMachine, RiskFactors};
+use crate::interference::RiskFactors;
 use cellrel_sim::SimRng;
 use cellrel_types::{DataFailCause, FailureLayer, Rat, SignalLevel};
 

@@ -8,7 +8,7 @@
 //! probabilities, a bounded retry loop, and sensitivity only to the
 //! signal level.
 
-use cellrel_radio::RiskFactors;
+use crate::interference::RiskFactors;
 use cellrel_sim::SimRng;
 use cellrel_types::Rat;
 

@@ -6,7 +6,7 @@
 //! are coarse (±1 minute) — the limitation Android-MOD's probing component
 //! removes (§2.2).
 
-use cellrel_netstack::NetStack;
+use crate::stack::NetStack;
 use cellrel_types::{SimDuration, SimTime};
 
 /// Default evaluation cadence (Android polls the predicate roughly once a
@@ -86,7 +86,7 @@ impl DataStallDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellrel_netstack::LinkCondition;
+    use crate::link::LinkCondition;
 
     #[test]
     fn detects_rising_and_falling_edges() {

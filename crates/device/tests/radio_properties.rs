@@ -1,10 +1,9 @@
 //! Property-based tests for the radio substrate.
 
-use cellrel_radio::bs::BaseStation;
-use cellrel_radio::geometry::{GridIndex, Pos};
-use cellrel_radio::interference::RiskFactors;
-use cellrel_radio::propagation::{coverage_radius_km, path_loss_db, range_for_rss, received_rss};
-use cellrel_radio::Environment;
+use cellrel_device::{
+    coverage_radius_km, path_loss_db, range_for_rss, received_rss, BaseStation, Environment,
+    GridIndex, Pos, RiskFactors,
+};
 use cellrel_types::{BsId, Isp, Rat, RatSet, SignalLevel};
 use proptest::prelude::*;
 

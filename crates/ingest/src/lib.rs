@@ -15,7 +15,7 @@
 //!   version, device id, upload sequence number) and a CRC-32 trailer.
 //!   Encoding is a pure function of the record set; decoding is total —
 //!   adversarial bytes yield a [`FrameError`], never a panic.
-//!   The device-side `Uploader` in `cellrel-monitor` ships these bytes, so
+//!   The device-side `cellrel_device::Uploader` ships these bytes, so
 //!   the network-overhead numbers in the monitor are measured, not
 //!   estimated with a compression fudge factor.
 //! * [`collector`] — the sharded collector: a batch routes to
@@ -31,8 +31,6 @@
 //!   stream.
 //! * [`checkpoint`] — versioned, CRC-framed serialization of the full
 //!   collector state, so ingestion survives restarts without replay.
-//!
-//! [`cellrel_monitor::Uploader`]: https://docs.rs/cellrel-monitor
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

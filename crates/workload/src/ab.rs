@@ -10,10 +10,11 @@
 //! * **Recovery A/B** (Fig. 21): vanilla one-minute probations vs the
 //!   TIMP-optimised (21 s, 6 s, 16 s) trigger.
 
-use cellrel_monitor::MonitoringService;
-use cellrel_radio::{DeploymentConfig, RadioEnvironment};
+use cellrel_device::{
+    DeploymentConfig, DeviceConfig, DeviceSim, MonitoringService, RadioEnvironment, RatPolicyKind,
+    RecoveryConfig,
+};
 use cellrel_sim::{resolve_threads, run_sharded_merge, Merge, SimRng, TimerWheel};
-use cellrel_telephony::{DeviceConfig, DeviceSim, RatPolicyKind, RecoveryConfig};
 use cellrel_types::{DeviceId, FailureKind, Isp, Rat, RatSet, SimTime};
 use std::collections::HashSet;
 
@@ -31,8 +32,6 @@ pub enum AbArm {
     /// An ablation arm with a custom policy (see `run_custom_arm`).
     Custom,
 }
-
-impl AbArm {}
 
 /// A/B experiment parameters.
 #[derive(Debug, Clone, Copy)]

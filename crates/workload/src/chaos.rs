@@ -23,19 +23,17 @@
 //!   DES ground truth (§2.2: ≤5 s, minute-granular after long-stall revert);
 //! * once faults stop, no device stays wedged out of service.
 
-use cellrel_monitor::MonitoringService;
-use cellrel_netstack::{LinkCondition, STALL_MIN_SENT};
-use cellrel_radio::{DeploymentConfig, RadioEnvironment};
+use cellrel_device::{
+    DeploymentConfig, DeviceConfig, DeviceSim, DeviceStats, LinkCondition, MobilityProfile,
+    MonitoringService, RadioEnvironment, RatPolicyKind, RecordingBoth, RecoveryConfig,
+    TelephonyEvent, STALL_MIN_SENT,
+};
 use cellrel_sim::campaign::{
     run_campaign, CampaignReport, Invariant, InvariantRegistry, ScenarioOutcome,
 };
 use cellrel_sim::{
     resolve_threads, run_sharded_merge, EventHandler, Merge, MetricsRegistry, SimRng, Telemetry,
     TimerWheel,
-};
-use cellrel_telephony::{
-    DeviceConfig, DeviceSim, DeviceStats, MobilityProfile, RatPolicyKind, RecordingBoth,
-    RecoveryConfig, TelephonyEvent,
 };
 use cellrel_types::{
     DeviceId, FailureEvent, FailureKind, Isp, Rat, RatSet, ServiceState, SimDuration, SimTime,

@@ -49,8 +49,7 @@ use crate::bs_assign::BsAssigner;
 use crate::fleet_metrics::FleetMetrics;
 use crate::population::{DeviceProfile, Population, PopulationConfig};
 use crate::study::{kind_weights_for, rat_mix, FailureAttribution, OOS_PRONE_SHARE};
-use cellrel_radio::load::diurnal_factor;
-use cellrel_radio::RatTransitionModel;
+use cellrel_device::{diurnal_factor, RatTransitionModel};
 use cellrel_sim::{resolve_threads, run_sharded_merge, Merge, MetricsRegistry, SimRng, TimerWheel};
 use cellrel_types::{EventSink, Rat, SimDuration, SimTime};
 

@@ -16,7 +16,7 @@
 //!   idle 3G carrier and watch total overload rejections drop until 3G
 //!   saturates — an interior optimum, not a monotone win.
 
-use cellrel_radio::{BaseStation, Environment, Pos, RiskFactors};
+use cellrel_device::{BaseStation, Environment, Pos, RiskFactors};
 use cellrel_sim::{auto_threads, run_sharded};
 use cellrel_types::{BsId, Isp, Rat, RatSet, SignalLevel};
 
@@ -117,7 +117,7 @@ pub struct OffloadPoint {
 
 /// Shift a fraction of 4G demand to 3G on a busy urban site and compute the
 /// overload-rejection landscape. Demand follows the per-RAT model of
-/// `cellrel_radio::load` (4G carries 1.0 relative demand, 3G 0.35).
+/// `cellrel_device`'s `load` module (4G carries 1.0 relative demand, 3G 0.35).
 pub fn idle_3g_offload_sweep(site_load: f64, steps: u32) -> Vec<OffloadPoint> {
     assert!(steps > 0);
     // Per-carrier rejection with explicit demand factors, mirroring

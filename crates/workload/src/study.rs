@@ -10,7 +10,7 @@ use crate::bs_assign::BsAssigner;
 use crate::durations;
 use crate::exposure::FailureLevelSampler;
 use crate::population::{DeviceProfile, Population, PopulationConfig};
-use cellrel_modem::cause_mix::CauseMix;
+use cellrel_device::CauseMix;
 use cellrel_sim::{resolve_threads, run_sharded_merge, Merge, SimRng};
 #[cfg(test)]
 use cellrel_types::SimDuration;

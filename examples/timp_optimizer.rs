@@ -8,8 +8,8 @@
 //! cargo run --release --example timp_optimizer
 //! ```
 
+use cellrel::device::RecoveryConfig;
 use cellrel::sim::SimRng;
-use cellrel::telephony::RecoveryConfig;
 use cellrel::timp::{anneal_probations, AnnealConfig, TimpModel};
 use cellrel::workload::durations::sample_auto_heal_secs;
 

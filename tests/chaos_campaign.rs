@@ -11,8 +11,8 @@
 //! 3. any violation is *replayable* — re-running its scenario id reproduces
 //!    the same violation at the same event index, byte-identically.
 
+use cellrel::device::TelephonyEvent;
 use cellrel::sim::{Invariant, InvariantRegistry};
-use cellrel::telephony::TelephonyEvent;
 use cellrel::types::SimDuration;
 use cellrel::workload::{
     run_chaos_campaign, run_scenario, run_scenario_with, ChaosConfig, ChaosScenario, StepView,

@@ -7,8 +7,12 @@
 //! snapshots are retired (measurement lives in `benchmark/`), so no
 //! `BENCH_` file name may reappear in those documents either, and neither
 //! may the name of a second driver that was deleted (`RETIRED`).
+//!
+//! The device stack is one crate, `crates/device`, so the crate graph no
+//! longer keeps its layers apart; `device_modules_keep_the_stack_layering`
+//! does (`DEVICE_LAYERS`).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 5] = [
@@ -196,5 +200,178 @@ fn the_scanner_reads_what_the_docs_write() {
     assert_eq!(
         manifest_targets(manifest, "bench"),
         BTreeSet::from(["b".into()])
+    );
+}
+
+/// The five layers of `crates/device/src` — once five crates — with their
+/// modules and the layers each may name. A module names a module of its own
+/// layer or of a layer listed here, and nothing else in the stack.
+const DEVICE_LAYERS: [(&str, &[&str], &[&str]); 5] = [
+    (
+        "radio",
+        &[
+            "bs",
+            "deployment",
+            "emm",
+            "environment",
+            "geometry",
+            "interference",
+            "load",
+            "propagation",
+            "selection",
+            "transitions",
+        ],
+        &[],
+    ),
+    ("netstack", &["counters", "link", "probe", "stack"], &[]),
+    (
+        "modem",
+        &["cause_mix", "fault", "modem", "setup"],
+        &["radio"],
+    ),
+    (
+        "telephony",
+        &[
+            "data_connection",
+            "dc_tracker",
+            "device_sim",
+            "events",
+            "rat_policy",
+            "recovery",
+            "service_state",
+            "sms",
+            "stall",
+        ],
+        &["radio", "modem", "netstack"],
+    ),
+    (
+        "monitor",
+        &["filter", "overhead", "probing", "service", "uploader"],
+        &["netstack", "telephony"],
+    ),
+];
+
+/// The first path segment of every `crate::…` path in `src`, with each
+/// item of a `crate::{x::…, y::{…}}` group counted on its own.
+fn crate_paths(src: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    for (at, _) in src.match_indices("crate::") {
+        let rest = &src[at + "crate::".len()..];
+        if let Some(group) = rest.strip_prefix('{') {
+            let (mut depth, mut start) = (0usize, 0usize);
+            for (i, c) in group.char_indices() {
+                match c {
+                    '{' => depth += 1,
+                    '}' if depth == 0 => {
+                        found.push(group[start..i].to_string());
+                        break;
+                    }
+                    '}' => depth -= 1,
+                    ',' if depth == 0 => {
+                        found.push(group[start..i].to_string());
+                        start = i + 1;
+                    }
+                    _ => {}
+                }
+            }
+        } else {
+            found.push(rest.to_string());
+        }
+    }
+    found
+        .iter()
+        .map(|path| {
+            path.trim_start()
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect::<String>()
+        })
+        .filter(|segment| !segment.is_empty())
+        .collect()
+}
+
+/// `[dependencies]` keys of a manifest.
+fn manifest_dependencies(manifest: &str) -> BTreeSet<String> {
+    let mut inside = false;
+    let mut deps = BTreeSet::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            inside = line == "[dependencies]";
+        } else if inside && !line.is_empty() && !line.starts_with('#') {
+            let key = line.split(['.', '=', ' ']).next().unwrap_or_default();
+            deps.insert(key.to_string());
+        }
+    }
+    deps
+}
+
+#[test]
+fn device_modules_keep_the_stack_layering() {
+    // The scanner reads every path form a module can write.
+    let src = "use crate::bs::BaseStation;\n\
+               use crate::{link::LinkCondition, probe::{run_probe, ProbeVerdict}, Modem};\n\
+               let x = crate::load::diurnal_factor(h); // [`crate::DeviceSim`]";
+    assert_eq!(
+        crate_paths(src),
+        ["bs", "link", "probe", "Modem", "load", "DeviceSim"]
+    );
+    let manifest = "[package]\nname = \"x\"\n\n[dependencies]\na.workspace = true\n\
+                    b = { path = \"b\" }\n\n[dev-dependencies]\nc.workspace = true\n";
+    assert_eq!(
+        manifest_dependencies(manifest),
+        BTreeSet::from(["a".into(), "b".into()])
+    );
+
+    let dir = root().join("crates/device/src");
+    let entry = |module: &str| {
+        DEVICE_LAYERS
+            .iter()
+            .find(|(_, modules, _)| modules.contains(&module))
+    };
+    let layer_of_module = |module: &str| entry(module).map(|(layer, _, _)| *layer);
+    // A root re-export (`crate::DeviceSim`) belongs to its module's layer.
+    let lib = read("crates/device/src/lib.rs");
+    let mut layer_of_name = BTreeMap::new();
+    for line in lib.lines().filter_map(|l| l.strip_prefix("pub use ")) {
+        let (module, names) = line.split_once("::").expect("pub use module::…");
+        let layer = layer_of_module(module).unwrap_or_else(|| panic!("lib.rs: {line}"));
+        for name in names.trim_matches(|c| "{};".contains(c)).split(',') {
+            layer_of_name.insert(name.trim().to_string(), layer);
+        }
+    }
+
+    let mut wrong = Vec::new();
+    for module in rust_files(&dir).iter().filter(|m| *m != "lib") {
+        let Some((layer, _, below)) = entry(module) else {
+            wrong.push(format!("{module}.rs is in no layer of DEVICE_LAYERS"));
+            continue;
+        };
+        let src = std::fs::read_to_string(dir.join(format!("{module}.rs"))).expect("module");
+        for segment in crate_paths(&src) {
+            let Some(target) =
+                layer_of_module(&segment).or_else(|| layer_of_name.get(&segment).copied())
+            else {
+                wrong.push(format!(
+                    "{module}.rs names crate::{segment}, which lib.rs does not declare"
+                ));
+                continue;
+            };
+            if target != *layer && !below.contains(&target) {
+                wrong.push(format!(
+                    "{module}.rs ({layer}) names crate::{segment} ({target})"
+                ));
+            }
+        }
+        if *layer != "monitor" && src.contains("cellrel_ingest") {
+            wrong.push(format!("{module}.rs ({layer}) names cellrel_ingest"));
+        }
+    }
+    assert!(wrong.is_empty(), "layering broken:\n{}", wrong.join("\n"));
+
+    let deps = manifest_dependencies(&read("crates/device/Cargo.toml"));
+    assert_eq!(
+        deps.iter().map(String::as_str).collect::<Vec<_>>(),
+        ["cellrel-ingest", "cellrel-sim", "cellrel-types"],
+        "cellrel-device depends on the types, the simulator and the ingest wire codec only"
     );
 }

@@ -3,8 +3,8 @@
 //! the TIMP optimisation chain from duration samples to probation triples.
 
 use cellrel::analysis::ab::{compare_rat_policy, compare_recovery};
+use cellrel::device::RecoveryConfig;
 use cellrel::sim::SimRng;
-use cellrel::telephony::RecoveryConfig;
 use cellrel::timp::{anneal_probations, AnnealConfig, TimpModel};
 use cellrel::workload::durations::sample_auto_heal_secs;
 use cellrel::workload::{run_rat_policy_ab, run_recovery_ab, AbConfig};

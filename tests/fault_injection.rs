@@ -2,14 +2,12 @@
 //! forced causes, recovery stage 3 (radio restart), barring storms at dense
 //! hubs, and the monitor's long-stall backoff.
 
-use cellrel::modem::{FaultProfile, Modem};
-use cellrel::monitor::MonitoringService;
-use cellrel::radio::{DeploymentConfig, EmmStateMachine, RadioEnvironment, RiskFactors};
-use cellrel::sim::{SimRng, TimerWheel};
-use cellrel::telephony::{
-    DcTracker, DeviceConfig, DeviceSim, RatPolicyKind, RecordingBoth, RecoveryConfig, RetryPolicy,
-    TelephonyEvent,
+use cellrel::device::{
+    DcTracker, DeploymentConfig, DeviceConfig, DeviceSim, EmmStateMachine, FaultProfile, Modem,
+    MonitoringService, RadioEnvironment, RatPolicyKind, RecordingBoth, RecoveryConfig, RetryPolicy,
+    RiskFactors, TelephonyEvent,
 };
+use cellrel::sim::{SimRng, TimerWheel};
 use cellrel::types::{Apn, DataFailCause, DeviceId, Isp, Rat, RatSet, SimTime};
 
 #[test]
@@ -29,9 +27,9 @@ fn forced_cause_flows_from_modem_to_monitor_records() {
     let mut tracker = DcTracker::new(Apn::Internet, RetryPolicy::default());
     let mut monitor = MonitoringService::new(DeviceId(9), rng.fork(1));
 
-    use cellrel::telephony::TelephonyListener;
+    use cellrel::device::TelephonyListener;
     let verdict = tracker.attempt_setup(&mut modem, &risk, &mut rng);
-    if let cellrel::telephony::dc_tracker::SetupVerdict::GaveUp(cause) = verdict {
+    if let cellrel::device::SetupVerdict::GaveUp(cause) = verdict {
         monitor.on_event(
             SimTime::ZERO,
             &TelephonyEvent::DataSetupError {

@@ -5,11 +5,11 @@
 //! qualitative structure the macro study encodes top-down.
 
 use cellrel::analysis::streaming::FleetAccumulator;
+use cellrel::device::{
+    DeploymentConfig, DeviceConfig, DeviceSim, MonitoringService, RadioEnvironment, RatPolicyKind,
+};
 use cellrel::ingest::{Collector, CollectorConfig};
-use cellrel::monitor::MonitoringService;
-use cellrel::radio::{DeploymentConfig, RadioEnvironment};
 use cellrel::sim::{SimRng, TimerWheel};
-use cellrel::telephony::{DeviceConfig, DeviceSim, RatPolicyKind};
 use cellrel::types::{DeviceId, EventSink, FailureEvent, FailureKind, Isp, Rat, RatSet, SimTime};
 
 /// The devices after their end-of-run flush, and what each put on the wire.

@@ -2,10 +2,11 @@
 //! attached — the complete §2 measurement pipeline, from telephony events
 //! through false-positive filtering and stall probing to trace records.
 
-use cellrel::monitor::MonitoringService;
-use cellrel::radio::{DeploymentConfig, RadioEnvironment};
+use cellrel::device::{
+    DeploymentConfig, DeviceConfig, DeviceSim, MonitoringService, RadioEnvironment, RatPolicyKind,
+    RecordingBoth,
+};
 use cellrel::sim::{SimRng, TimerWheel};
-use cellrel::telephony::{DeviceConfig, DeviceSim, RatPolicyKind, RecordingBoth};
 use cellrel::types::{DeviceId, FailureKind, Isp, Rat, RatSet, SimTime};
 
 struct Run {

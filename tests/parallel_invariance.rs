@@ -7,8 +7,8 @@
 //! order.
 
 use cellrel::analysis::streaming::FleetAccumulator;
+use cellrel::device::RatPolicyKind;
 use cellrel::sim::{Merge, MetricsRegistry};
-use cellrel::telephony::RatPolicyKind;
 use cellrel::types::{FailureEvent, SimDuration, SimTime};
 use cellrel::workload::{
     ab, run_fleet_metrics, run_macro_study_parallel, AbConfig, PopulationConfig, StudyConfig,

@@ -1,11 +1,11 @@
 //! Property-based tests over the core data structures and invariants,
 //! spanning crates.
 
-use cellrel::netstack::{
-    run_probe, LinkCondition, ProbeVerdict, TcpAccounting, STALL_MIN_SENT, STALL_WINDOW,
+use cellrel::device::{
+    run_probe, LinkCondition, ProbeVerdict, RecoveryConfig, RecoveryEngine, TcpAccounting,
+    STALL_MIN_SENT, STALL_WINDOW,
 };
 use cellrel::sim::{percentile, Ecdf, SimRng, Summary, TimerWheel};
-use cellrel::telephony::{RecoveryConfig, RecoveryEngine};
 use cellrel::timp::TimpModel;
 use cellrel::types::{Rat, RssDbm, SignalLevel, SimDuration, SimTime};
 use proptest::prelude::*;
