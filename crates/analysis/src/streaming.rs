@@ -6,10 +6,11 @@
 //! the §3.1 headline counters (totals by kind / ISP / RAT, duration
 //! moments, the under-30 s share, the Out_of_Service device set) without
 //! materialising the event list — fleets of 10⁶+ devices run in constant
-//! memory. The counters and the per-kind duration sketches are the
-//! collector's own fold, [`IngestAggregate`]; this type adds what the
-//! collector does not keep (per-kind duration totals, Welford moments, the
-//! Out_of_Service device set). Because it implements [`Merge`], per-shard
+//! memory. The counters and the per-kind duration sketches are
+//! [`IngestAggregate`], the §3.1 fold any caller of a collector can pass as
+//! a sink (the collector itself keeps no record content); this type adds
+//! what that fold does not keep (per-kind duration totals, Welford moments,
+//! the Out_of_Service device set). Because it implements [`Merge`], per-shard
 //! accumulators from [`cellrel_workload::run_macro_study_parallel`] fold
 //! into exactly the sequential result: every field is an integer counter,
 //! a set union, a Welford summary, or a bucket-count sketch merged in
@@ -91,7 +92,7 @@ impl FleetAccumulator {
 
 impl EventSink for FleetAccumulator {
     fn record(&mut self, e: &FailureEvent) {
-        self.agg.push(e);
+        self.agg.record(e);
         self.duration_ms_by_kind[e.kind.index()] += e.duration.as_millis();
         self.duration.push(e.duration.as_secs_f64());
         if e.kind == FailureKind::OutOfService {

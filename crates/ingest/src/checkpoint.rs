@@ -2,185 +2,54 @@
 //!
 //! A 243-day campaign's ingestion should survive a backend restart without
 //! replaying months of uploads, so the full collector state — per-shard
-//! aggregates, sketches (in sparse form), dedup maps, and watermarks —
-//! serializes to a versioned byte format framed exactly like the wire
-//! codec: magic + version up front, CRC-32 at the back, varints throughout.
-//! Restoring a checkpoint and continuing a stream produces the same digest
-//! as ingesting the whole stream in one run (the pipeline test asserts it).
+//! counters, dedup maps and watermarks — serializes to a versioned byte
+//! format framed exactly like the wire codec: magic + version up front,
+//! CRC-32 at the back, varints throughout. Restoring a checkpoint and
+//! continuing a stream produces the same digest as ingesting the whole
+//! stream in one run (the pipeline test asserts it).
 //!
 //! ```text
 //! ckpt  := "CK" version:u8 virtual_shards:varint lateness_ms:varint
 //!          unroutable:varint shard* crc32:u32le
 //! shard := counters:varint^9 watermark:varint
 //!          nseq:varint (device:varint seq:varint)*
-//!          agg
-//! agg   := records:varint by_kind:varint^5 by_isp:varint^3 by_rat:varint^4
-//!          duration_ms_total:varint under_30s:varint max_duration_ms:varint
-//!          sketch sketch^5
-//! sketch:= count:varint min:varint max:varint pairs
 //! ```
 //!
-//! `pairs` is the one run sequence every family shares
-//! ([`crate::frame::write_pairs`]). Sketches serialize sparsely — only
-//! non-empty buckets, with delta-coded indices — and are held sparsely
-//! once restored, so an idle shard costs a
-//! handful of bytes on the wire and in memory. The first sketch of an `agg`
-//! is the all-kinds one: the collector never holds it — it is written as
-//! the bucket sum of the per-kind sketches that follow, built in buffers a
-//! checkpoint reuses from shard to shard — and restore refuses a frame
-//! where it is anything but that sum. A shard's
-//! `(device, seq)` pairs come in strictly ascending device order, as the
-//! map they are written from holds them; restore refuses any other, so one
-//! collector state has one frame. Restore is total: corrupt or truncated checkpoints
-//! yield a [`FrameError`], never a panic or a half-restored collector.
+//! A shard section holds no record content, so its size follows the
+//! devices a shard has seen, never the records or durations it passed on:
+//! an idle shard is 11 bytes. A shard's `(device, seq)` pairs come in
+//! strictly ascending device order, as the map they are written from holds
+//! them; restore refuses any other, so one collector state has one frame.
+//! Restore is total: corrupt or truncated checkpoints yield a
+//! [`FrameError`], never a panic or a half-restored collector.
+//!
+//! **Version 2.** Version 1 frames also carried each shard's §3.1
+//! aggregate (16 counters and six duration sketches). The collector no
+//! longer keeps one, and a version-1 frame's shards cannot be restored
+//! without it: skipping the aggregate would give a collector whose digest
+//! matches neither the one that wrote the frame nor one replayed from the
+//! same uploads. So a version-1 frame — bare, or embedded in a stream or
+//! cluster frame — is refused with [`FrameErrorKind::UnsupportedVersion`],
+//! and a stream checkpoint written before the bump is replaced by one
+//! taken after it, not translated.
 //!
 //! Both directions cost what changed. A shard keeps its section (and the
 //! section's CRC) from the last save or restore until it next takes a
 //! batch, so [`save_checkpoint`] encodes and sums only the shards that
 //! did, and [`restore_checkpoint_onto`] parses only the sections that
 //! differ from the ones its basis — the last image restored — was read from.
+//!
+//! [`FrameErrorKind::UnsupportedVersion`]: crate::frame::FrameErrorKind::UnsupportedVersion
 
-use crate::collector::{
-    Collector, IngestAggregate, IngestCounters, Section, SectionCache, ShardState,
-};
-use crate::frame::{
-    crc32, crc32_combine_op, read_pairs, write_pairs, write_varint, Frame, FrameError, Reader, CK,
-};
-use cellrel_sim::sketch::{check_run, sum_runs_into, SparseSketch};
+use crate::collector::{Collector, IngestCounters, Section, SectionCache, ShardState};
+use crate::frame::{crc32, crc32_combine_op, write_varint, Frame, FrameError, Reader, CK};
 use std::collections::BTreeMap;
 
 /// Current checkpoint format version.
-pub(crate) const CKPT_VERSION: u8 = 1;
-
-/// One `sketch` of the grammar above: its header, then the pairs.
-fn write_counted(
-    out: &mut Vec<u8>,
-    (count, min, max): (u64, u64, u64),
-    nnz: usize,
-    pairs: impl Iterator<Item = (u32, u64)>,
-) {
-    write_varint(out, count);
-    write_varint(out, min);
-    write_varint(out, max);
-    write_pairs(out, nnz, pairs);
-}
-
-/// The `(count, min, max)` a sketch's wire header carries: zero extremes
-/// beside no samples.
-fn header(s: &SparseSketch) -> (u64, u64, u64) {
-    (s.count(), s.min().unwrap_or(0), s.max().unwrap_or(0))
-}
-
-fn read_counted(r: &mut Reader<'_>) -> Result<SparseSketch, FrameError> {
-    let count = r.varint()?;
-    let (min, max) = (r.varint()?, r.varint()?);
-    let mut run = Vec::new();
-    read_pairs(r, (min, max), &mut run)?;
-    let s = SparseSketch::from_run(min, max, run).ok_or(r.invalid("sketch buckets"))?;
-    if s.count() != count {
-        return Err(r.invalid("sketch count"));
-    }
-    Ok(s)
-}
-
-/// The wire header of an aggregate's all-kinds sketch, which is never
-/// built: the per-kind counts summed, the outermost of their extremes.
-/// `None` when the counts do not sum to a `u64` (only a forged frame's).
-fn all_kinds_header(kinds: &[SparseSketch; 5]) -> Option<(u64, u64, u64)> {
-    let count = kinds
-        .iter()
-        .try_fold(0u64, |n, s| n.checked_add(s.count()))?;
-    let min = kinds.iter().filter_map(SparseSketch::min).min();
-    let max = kinds.iter().filter_map(SparseSketch::max).max();
-    Some((count, min.unwrap_or(0), max.unwrap_or(0)))
-}
-
-/// The buffers an aggregate's all-kinds sketch passes through, kept from
-/// one shard section to the next: its buckets as the per-kind runs sum to,
-/// the spare that sum alternates with, and on restore the pairs the frame
-/// spells.
-#[derive(Default)]
-struct AllKinds {
-    buckets: Vec<(u32, u64)>,
-    spare: Vec<(u32, u64)>,
-    read: Vec<(u32, u64)>,
-}
-
-impl AllKinds {
-    /// Sum the per-kind runs into `buckets`; their counts must sum to a
-    /// `u64` ([`all_kinds_header`] says whether they do).
-    fn sum(&mut self, kinds: &[SparseSketch; 5]) {
-        let runs: [_; 5] = std::array::from_fn(|k| kinds[k].as_run().2);
-        sum_runs_into(&runs, &mut self.buckets, &mut self.spare);
-    }
-
-    /// [`read_counted`] into `read` instead of a sketch of its own: the
-    /// header, with the pairs checked as sketch content that counts what
-    /// it says.
-    fn read(&mut self, r: &mut Reader<'_>) -> Result<(u64, u64, u64), FrameError> {
-        let count = r.varint()?;
-        let (min, max) = (r.varint()?, r.varint()?);
-        self.read.clear();
-        read_pairs(r, (min, max), &mut self.read)?;
-        match check_run(min, max, &self.read) {
-            None => Err(r.invalid("sketch buckets")),
-            Some(n) if n != count => Err(r.invalid("sketch count")),
-            Some(_) => Ok((count, min, max)),
-        }
-    }
-}
-
-fn write_agg(out: &mut Vec<u8>, a: &IngestAggregate, all: &mut AllKinds) {
-    write_varint(out, a.records);
-    for c in a.by_kind.iter().chain(&a.by_isp).chain(&a.by_rat) {
-        write_varint(out, *c);
-    }
-    write_varint(out, a.duration_ms_total);
-    write_varint(out, a.under_30s);
-    write_varint(out, a.max_duration_ms);
-    let counted = all_kinds_header(&a.sketch_by_kind).expect("a collector counts in u64");
-    all.sum(&a.sketch_by_kind);
-    write_counted(out, counted, all.buckets.len(), all.buckets.iter().copied());
-    for s in &a.sketch_by_kind {
-        write_counted(out, header(s), s.nnz(), s.as_run().2.iter().copied());
-    }
-}
-
-fn read_agg(r: &mut Reader<'_>, all: &mut AllKinds) -> Result<IngestAggregate, FrameError> {
-    let mut a = IngestAggregate {
-        records: r.varint()?,
-        ..IngestAggregate::default()
-    };
-    for c in a
-        .by_kind
-        .iter_mut()
-        .chain(&mut a.by_isp)
-        .chain(&mut a.by_rat)
-    {
-        *c = r.varint()?;
-    }
-    a.duration_ms_total = r.varint()?;
-    a.under_30s = r.varint()?;
-    a.max_duration_ms = r.varint()?;
-    let spelled = all.read(r)?;
-    for s in &mut a.sketch_by_kind {
-        *s = read_counted(r)?;
-    }
-    // The all-kinds sketch is the bucket sum of the five. The header goes
-    // first: once the counts are known to sum to a `u64`, no bucket of the
-    // sum can overflow.
-    if all_kinds_header(&a.sketch_by_kind) != Some(spelled) {
-        return Err(r.invalid("all-kinds sketch"));
-    }
-    all.sum(&a.sketch_by_kind);
-    if all.buckets != all.read {
-        return Err(r.invalid("all-kinds sketch"));
-    }
-    Ok(a)
-}
+pub(crate) const CKPT_VERSION: u8 = 2;
 
 /// Encode one `shard` section of the grammar above.
-fn encode_shard(s: &ShardState, all: &mut AllKinds) -> Vec<u8> {
+fn encode_shard(s: &ShardState) -> Vec<u8> {
     #[cfg(test)]
     SECTIONS_ENCODED.with(|n| n.set(n.get() + 1));
     let mut out = Vec::with_capacity(64);
@@ -204,7 +73,6 @@ fn encode_shard(s: &ShardState, all: &mut AllKinds) -> Vec<u8> {
         write_varint(&mut out, u64::from(dev));
         write_varint(&mut out, seq);
     }
-    write_agg(&mut out, &s.agg, all);
     out
 }
 
@@ -223,11 +91,10 @@ thread_local! {
 /// combined into the frame's (`crate::frame::crc32_combine`). The bytes
 /// are the same either way.
 pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
-    let mut all = AllKinds::default();
     let sections: Vec<&Section> = c
         .shards
         .iter()
-        .map(|s| s.section.get_or_encode(|| encode_shard(s, &mut all)))
+        .map(|s| s.section.get_or_encode(|| encode_shard(s)))
         .collect();
     let body: usize = sections.iter().map(|s| s.bytes.len()).sum();
     // Magic and version, three varints, the sections, the CRC.
@@ -287,13 +154,12 @@ pub fn restore_checkpoint_onto<'a>(
         .filter(|b| b.virtual_shards == virtual_shards)
         .map(|b| b.shards.into_iter());
     let mut shards = Vec::with_capacity(virtual_shards);
-    let mut all = AllKinds::default();
     for _ in 0..virtual_shards {
         let held = basis.as_mut().and_then(Iterator::next);
         let shard = match held {
             Some(s) if s.section.get().is_some_and(|sec| r.skip_known(&sec.bytes)) => s,
             _ => {
-                let (mut s, read) = r.spanned(|r| read_shard(r, &mut all))?;
+                let (mut s, read) = r.spanned(read_shard)?;
                 s.section = SectionCache::holding(read);
                 s
             }
@@ -310,7 +176,7 @@ pub fn restore_checkpoint_onto<'a>(
 }
 
 /// Parse one `shard` section of the grammar above.
-fn read_shard(r: &mut Reader<'_>, all: &mut AllKinds) -> Result<ShardState, FrameError> {
+fn read_shard(r: &mut Reader<'_>) -> Result<ShardState, FrameError> {
     #[cfg(test)]
     SECTIONS_PARSED.with(|n| n.set(n.get() + 1));
     let mut k = IngestCounters::default();
@@ -341,7 +207,6 @@ fn read_shard(r: &mut Reader<'_>, all: &mut AllKinds) -> Result<ShardState, Fram
         last_seq.push((dev, r.varint()?));
     }
     Ok(ShardState {
-        agg: read_agg(r, all)?,
         counters: k,
         // Sorted input: one bulk build, no per-key descent.
         last_seq: BTreeMap::from_iter(last_seq),
@@ -418,9 +283,9 @@ mod tests {
     fn empty_collector_round_trips_small() {
         let c = Collector::new(&CollectorConfig::default());
         let bytes = save_checkpoint(&c);
-        // ~51 bytes per empty shard: sketches serialize sparsely.
+        // 11 bytes per empty shard: nine counters, a watermark, no devices.
         assert!(
-            bytes.len() < 4096,
+            bytes.len() <= 16 + 64 * 11,
             "empty checkpoint is {} bytes",
             bytes.len()
         );
@@ -490,6 +355,9 @@ mod tests {
         assert_eq!((parsed() - t2, plain), (8, c));
     }
 
+    /// A version-1 frame carried a §3.1 aggregate per shard that this
+    /// collector no longer keeps; it is refused by its version byte, before
+    /// its CRC or body is read, never parsed past or half-restored.
     #[test]
     fn wrong_version_is_rejected() {
         let mut bytes = save_checkpoint(&Collector::new(&CollectorConfig::default()));
@@ -498,6 +366,54 @@ mod tests {
             restore_checkpoint(&bytes),
             Err(CK.error(FrameErrorKind::UnsupportedVersion(99)))
         );
+        // A well-formed version-1 frame: one idle shard, then its empty
+        // aggregate (16 counts and six empty sketches).
+        let mut v1 = b"CK\x01".to_vec();
+        v1.extend_from_slice(&[1, 0, 0]);
+        v1.extend_from_slice(&[0; 11 + 16 + 6 * 4]);
+        seal(&mut v1, 0);
+        let refused = Err(CK.error(FrameErrorKind::UnsupportedVersion(1)));
+        assert_eq!(restore_checkpoint(&v1), refused);
+        // And this version's frame relabelled as version 1.
+        let mut relabelled = save_checkpoint(&populated());
+        relabelled[2] = 1;
+        let n = relabelled.len();
+        relabelled.truncate(n - 4);
+        seal(&mut relabelled, 0);
+        assert_eq!(restore_checkpoint(&relabelled), refused);
+        let basis = restore_checkpoint(&save_checkpoint(&populated())).ok();
+        assert_eq!(restore_checkpoint_onto(&relabelled, basis), refused);
+    }
+
+    /// A checkpoint holds no record content: two collectors that took the
+    /// same devices, upload seqs, timestamps and record counts save to frames
+    /// of one length, whether the records spelled one duration or 600
+    /// spread over the whole three-byte varint range. A frame that held a
+    /// duration sketch per shard would grow with the second's buckets.
+    #[test]
+    fn checkpoint_size_does_not_grow_with_the_durations_folded() {
+        let collect = |duration_ms: &dyn Fn(u64) -> u64| {
+            let mut c = populated();
+            for d in 0..40u32 {
+                let records: Vec<FailureEvent> = (0..15)
+                    .map(|i| {
+                        let mut e = ev(d, 20_000 + 10 * i + u64::from(d), 0);
+                        e.duration = SimDuration::from_millis(duration_ms(15 * u64::from(d) + i));
+                        e
+                    })
+                    .collect();
+                c.ingest(&encode_batch(DeviceId(d), 1, &records));
+            }
+            c
+        };
+        // Three-byte varints: 16 384 ..= 2 097 151.
+        let equal = collect(&|_| 16_384);
+        let spread = collect(&|n| 16_384 + 3_400 * n);
+        let (equal_ck, spread_ck) = (save_checkpoint(&equal), save_checkpoint(&spread));
+        assert_eq!(equal.report().counters, spread.report().counters);
+        assert_eq!(spread.report().counters.records, 40 * 6 + 600);
+        assert_eq!(equal_ck.len(), spread_ck.len());
+        assert_eq!(restore_checkpoint(&spread_ck), Ok(spread));
     }
 
     /// Regression: `restore` inserted a shard's `(device, seq)` pairs into
@@ -518,8 +434,6 @@ mod tests {
                 write_varint(&mut out, u64::from(dev));
                 write_varint(&mut out, seq);
             }
-            // An empty aggregate: 16 counts, then six empty sketches.
-            out.extend_from_slice(&[0; 16 + 6 * 4]);
             seal(&mut out, start);
             out
         };
@@ -532,74 +446,6 @@ mod tests {
             one_shard(&[(0, 1), (0, 1)]),
         ] {
             assert_eq!(restore_checkpoint(&forged), Err(CK.invalid("device order")));
-        }
-    }
-
-    /// Write `a` as `write_agg` does, but with `all` where the all-kinds
-    /// sketch goes.
-    fn agg_bytes_with(a: &IngestAggregate, all: &SparseSketch) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_agg(
-            &mut out,
-            &IngestAggregate::default(),
-            &mut AllKinds::default(),
-        );
-        out.truncate(16); // the scalar fields; no test reads them
-        for s in std::iter::once(all).chain(&a.sketch_by_kind) {
-            write_counted(&mut out, header(s), s.nnz(), s.as_run().2.iter().copied());
-        }
-        out
-    }
-
-    proptest::proptest! {
-        /// The pair-by-pair check against the comparison it replaced:
-        /// `read_agg` accepts an all-kinds sketch exactly when it equals
-        /// `sketch_all()`, on random aggregates (idle kinds included) and on
-        /// forgeries one sample off — a neighbouring bucket, a moved
-        /// extreme, a count one too high — and `write_agg` writes the one
-        /// it accepts.
-        #[test]
-        fn the_five_way_check_is_equality_with_sketch_all(
-            parts in proptest::collection::vec(
-                proptest::collection::vec((0u32..50, proptest::prelude::any::<u64>()), 0..10),
-                5,
-            ),
-            forgery in 0usize..4,
-            at in 0usize..1 << 16,
-        ) {
-            let mut a = IngestAggregate::default();
-            let mut samples = Vec::new();
-            for (s, part) in a.sketch_by_kind.iter_mut().zip(&parts) {
-                for &(shift, v) in part {
-                    s.push(v >> shift);
-                    samples.push(v >> shift);
-                }
-            }
-            let n = samples.len().max(1);
-            match forgery {
-                1 if !samples.is_empty() => {
-                    samples[at % n] = samples[at % n].saturating_add(1 + samples[at % n] / 100)
-                }
-                2 if !samples.is_empty() => samples[at % n] /= 2,
-                3 => samples.push(at as u64),
-                _ => {}
-            }
-            let mut all = SparseSketch::new();
-            for &v in &samples {
-                all.push(v);
-            }
-            let bytes = agg_bytes_with(&a, &all);
-            let mut r = Reader::bare(&CK, &bytes);
-            let read = read_agg(&mut r, &mut AllKinds::default());
-            if all == a.sketch_all() {
-                proptest::prop_assert_eq!(read.as_ref(), Ok(&a));
-                proptest::prop_assert_eq!(r.finish(), Ok(()));
-                let mut written = Vec::new();
-                write_agg(&mut written, &a, &mut AllKinds::default());
-                proptest::prop_assert_eq!(written, bytes);
-            } else {
-                proptest::prop_assert_eq!(read, Err(CK.invalid("all-kinds sketch")));
-            }
         }
     }
 

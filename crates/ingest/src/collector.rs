@@ -1,11 +1,17 @@
 //! The sharded trace collector — the backend half of the paper's platform.
 //!
 //! Encoded upload batches stream in from millions of devices; the collector
-//! decodes, deduplicates, noise-filters (§2.1) and folds them into
-//! aggregates whose size depends on what they have seen (the distinct
-//! duration buckets and devices), never on how many records went by.
+//! decodes, deduplicates and noise-filters them (§2.1) and echoes what it
+//! accepts into the caller's sink. It keeps only what routing and that
+//! filtering need — per-shard counters, a timestamp watermark and each
+//! device's last upload sequence number — so its state grows with the
+//! devices it has seen, never with how many records went by or what they
+//! said. Every aggregate is the sink's to fold, as the paper's backend
+//! derives each one from the raw uploads (§2.3): the store behind a stream
+//! or cluster tier, or an [`IngestAggregate`] for the §3.1 headline
+//! counters, passed beside another sink as a pair.
 //! [`Collector::ingest_with`] is the one driver: route a batch to its
-//! virtual shard, fold it in, echo what was accepted into a sink. Scale-out
+//! virtual shard, filter it, echo what was accepted into a sink. Scale-out
 //! is the cluster tier's device-hash sharding, one collector per shard
 //! leader, not threads inside a collector.
 //!
@@ -58,7 +64,7 @@ pub struct IngestCounters {
     pub batches: u64,
     /// Encoded bytes of accepted batches.
     pub bytes: u64,
-    /// Records folded into the aggregate.
+    /// Records accepted and echoed to the sink.
     pub records: u64,
     /// Batches that failed to decode (truncated / corrupt / bad version).
     pub decode_errors: u64,
@@ -88,10 +94,11 @@ impl Merge for IngestCounters {
     }
 }
 
-/// The aggregate a shard (and, merged, the fleet) keeps: a few dozen
-/// counters plus one sparse duration sketch per failure kind, so an idle
-/// shard holds no heap at all and a busy one ~16 B per distinct duration
-/// bucket it has seen.
+/// The §3.1 headline fold: a few dozen counters plus one sparse duration
+/// sketch per failure kind, so an empty one holds no heap at all and a
+/// busy one ~16 B per distinct duration bucket it has seen. It is a sink:
+/// a caller that wants it from a collector passes it to
+/// [`Collector::ingest_with`], beside its own sink as a pair if it has one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestAggregate {
     /// Records aggregated.
@@ -113,8 +120,20 @@ pub struct IngestAggregate {
 }
 
 impl IngestAggregate {
-    /// Fold one record in.
-    pub fn push(&mut self, e: &FailureEvent) {
+    /// Duration sketch over all kinds (milliseconds). Every record lands in
+    /// exactly one per-kind sketch, so this is their exact bucket sum — it
+    /// is derived on demand, not stored and pushed a second time.
+    pub fn sketch_all(&self) -> SparseSketch {
+        let mut all = SparseSketch::new();
+        for s in &self.sketch_by_kind {
+            all.merge_ref(s);
+        }
+        all
+    }
+}
+
+impl EventSink for IngestAggregate {
+    fn record(&mut self, e: &FailureEvent) {
         let ms = e.duration.as_millis();
         self.records += 1;
         self.by_kind[e.kind.index()] += 1;
@@ -126,32 +145,6 @@ impl IngestAggregate {
         }
         self.max_duration_ms = self.max_duration_ms.max(ms);
         self.sketch_by_kind[e.kind.index()].push(ms);
-    }
-
-    /// Duration sketch over all kinds (milliseconds). Every record lands in
-    /// exactly one per-kind sketch, so this is their exact bucket sum — it
-    /// is derived on demand, not stored and pushed a second time.
-    pub fn sketch_all(&self) -> SparseSketch {
-        let mut all = SparseSketch::new();
-        for s in &self.sketch_by_kind {
-            all.merge_ref(s);
-        }
-        all
-    }
-
-    /// Absorb into a content digest.
-    pub(crate) fn absorb_into(&self, d: &mut Digest64) {
-        d.write_u64(self.records);
-        for c in self.by_kind.iter().chain(&self.by_isp).chain(&self.by_rat) {
-            d.write_u64(*c);
-        }
-        d.write_u64(self.duration_ms_total);
-        d.write_u64(self.under_30s);
-        d.write_u64(self.max_duration_ms);
-        self.sketch_all().absorb_into(d);
-        for s in &self.sketch_by_kind {
-            s.absorb_into(d);
-        }
     }
 }
 
@@ -241,7 +234,6 @@ impl PartialEq for SectionCache {
 /// One virtual shard's deterministic state.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ShardState {
-    pub(crate) agg: IngestAggregate,
     pub(crate) counters: IngestCounters,
     /// Per-device last accepted upload sequence number (dedup).
     pub(crate) last_seq: BTreeMap<u32, u64>,
@@ -252,8 +244,8 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    /// Decode and fold one routed batch, echoing each accepted record into
-    /// `sink` (after dedup and noise filtering, before anything else sees it).
+    /// Decode and filter one routed batch, echoing each accepted record into
+    /// `sink` (after dedup and noise filtering).
     fn accept_with<S: EventSink>(&mut self, bytes: &[u8], lateness_ms: u64, sink: &mut S) {
         // Every outcome below moves at least a counter, and this is the
         // only place shard state mutates.
@@ -303,14 +295,12 @@ impl ShardState {
                 self.counters.late_records += 1;
             }
             self.counters.records += 1;
-            self.agg.push(e);
             sink.record(e);
         }
         self.watermark_ms = self.watermark_ms.max(batch_max);
     }
 
     fn absorb_into(&self, d: &mut Digest64) {
-        self.agg.absorb_into(d);
         d.write_u64(self.counters.batches);
         d.write_u64(self.counters.bytes);
         d.write_u64(self.counters.records);
@@ -363,8 +353,9 @@ impl Collector {
 
     /// Ingest one encoded batch, echoing the records it **accepts** — after
     /// batch decode, per-device sequence dedup, intra-batch duplicate
-    /// collapse and §2.1 noise filtering, so exactly the stream the
-    /// aggregates are built from — into `sink` in batch arrival order.
+    /// collapse and §2.1 noise filtering, so exactly the stream
+    /// [`IngestCounters::records`] counts — into `sink` in batch arrival
+    /// order.
     pub fn ingest_with<S: EventSink>(&mut self, bytes: &[u8], sink: &mut S) {
         match peek_device(bytes) {
             Ok(device) => {
@@ -405,16 +396,13 @@ impl Collector {
         d.finish()
     }
 
-    /// Merge shard states into the fleet-level report.
+    /// Sum shard states into the fleet-level report.
     pub fn report(&self) -> IngestReport {
-        let mut aggregate = IngestAggregate::default();
         let mut counters = IngestCounters::default();
         for s in &self.shards {
-            aggregate.merge(s.agg.clone());
             counters.merge(s.counters);
         }
         IngestReport {
-            aggregate,
             counters,
             devices: self.devices(),
             unroutable: self.unroutable,
@@ -426,8 +414,6 @@ impl Collector {
 /// The fleet-level ingestion summary.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
-    /// Merged aggregate across all shards.
-    pub aggregate: IngestAggregate,
     /// Summed stream counters.
     pub counters: IngestCounters,
     /// Distinct uploading devices.
@@ -531,7 +517,7 @@ mod tests {
         let r = c.report();
         assert_eq!(r.counters.batches, 2);
         assert_eq!(r.counters.duplicate_batches, 2);
-        assert_eq!(r.aggregate.records, 2);
+        assert_eq!(r.counters.records, 2);
     }
 
     #[test]
@@ -542,7 +528,7 @@ mod tests {
         let b = encode_batch(DeviceId(1), 0, &[e, e, e]);
         c.ingest(&b);
         let r = c.report();
-        assert_eq!(r.aggregate.records, 1);
+        assert_eq!(r.counters.records, 1);
         assert_eq!(r.counters.duplicate_records, 2);
     }
 
@@ -560,7 +546,7 @@ mod tests {
         c.ingest(&b);
         let r = c.report();
         assert_eq!(r.counters.filtered_noise, 1);
-        assert_eq!(r.aggregate.records, 1);
+        assert_eq!(r.counters.records, 1);
     }
 
     #[test]
@@ -585,7 +571,7 @@ mod tests {
         let r = c.report();
         assert_eq!(r.counters.late_records, 1);
         assert_eq!(r.counters.out_of_order_batches, 1);
-        assert_eq!(r.aggregate.records, 2, "late records still aggregate");
+        assert_eq!(r.counters.records, 2, "late records are still accepted");
     }
 
     #[test]

@@ -51,8 +51,9 @@ pub struct Family {
 
 /// Trace batch: one device's records in one upload.
 pub static CB: Family = Family::new("CB", &[1], 1 << 24);
-/// Collector checkpoint.
-pub static CK: Family = Family::new("CK", &[1], 1 << 28);
+/// Collector checkpoint; version 1, which also carried a §3.1 aggregate
+/// per shard, is refused.
+pub static CK: Family = Family::new("CK", &[2], 1 << 28);
 /// Store image; version 2 embeds `SC` blocks.
 pub static CS: Family = Family::new("CS", &[1, 2], 1 << 28);
 /// Column segment block inside a `CS` image.

@@ -20,15 +20,16 @@
 //!   estimated with a compression fudge factor.
 //! * [`collector`] — the sharded collector: a batch routes to
 //!   `device % virtual_shards`, where dedup (per-device upload seq), §2.1
-//!   noise filtering and late/out-of-order accounting apply before it
-//!   folds into aggregates whose size follows what a shard has seen
-//!   (distinct duration buckets, devices), not how many records passed.
-//!   Durations are summarised with the sparse mergeable quantile sketch
-//!   from `cellrel_sim::sketch`, one per failure kind; the all-kinds
-//!   sketch is their sum. [`Collector::ingest_with`] is the one way to run
-//!   it; downstream consumers (the `cellrel-store` analytics cube) pass a
-//!   [`cellrel_types::EventSink`] and observe exactly the accepted record
-//!   stream.
+//!   noise filtering and late/out-of-order accounting apply before each
+//!   accepted record is echoed into the caller's
+//!   [`cellrel_types::EventSink`]. The collector folds no record content
+//!   itself, so its state follows the devices it has seen, not how many
+//!   records passed. [`Collector::ingest_with`] is the one way to run it;
+//!   downstream consumers (the `cellrel-store` analytics cube) observe
+//!   exactly the accepted record stream, and a caller that wants the §3.1
+//!   headline fold passes an [`IngestAggregate`] (counters plus one sparse
+//!   duration sketch per failure kind, from `cellrel_sim::sketch`), beside
+//!   its own sink as a pair if it has one.
 //! * [`checkpoint`] — versioned, CRC-framed serialization of the full
 //!   collector state, so ingestion survives restarts without replay.
 

@@ -13,7 +13,7 @@ use cellrel_ingest::{
 };
 use cellrel_sim::{Digest64, Merge, QuantileSketch, SparseSketch};
 use cellrel_types::{
-    Apn, BsId, DataFailCause, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat,
+    Apn, BsId, DataFailCause, DeviceId, EventSink, FailureEvent, FailureKind, InSituInfo, Isp, Rat,
     SignalLevel, SimDuration, SimTime,
 };
 use proptest::prelude::*;
@@ -74,7 +74,7 @@ fn build_event(device: DeviceId, p: &RecordParts) -> FailureEvent {
 }
 
 /// Build a collector holding a few devices' worth of ingested batches, so
-/// its checkpoint bytes cover populated shards, sketches and dedup state.
+/// its checkpoint bytes cover populated shards and dedup state.
 fn populated_collector(devices: u32, per_device: usize) -> Collector {
     let cfg = CollectorConfig {
         virtual_shards: 8,
@@ -118,12 +118,6 @@ fn ck_sections(frame: &[u8]) -> Vec<Range<usize>> {
             skip(&mut r, 10); // counters, watermark
             let nseq = r.varint().expect("nseq");
             skip(&mut r, 2 * nseq);
-            skip(&mut r, 16); // records, by_kind/isp/rat, three duration scalars
-            for _ in 0..6 {
-                skip(&mut r, 3); // count, min, max
-                let nnz = r.varint().expect("nnz");
-                skip(&mut r, 2 * nnz);
-            }
             start..end - r.remaining()
         })
         .collect()
@@ -400,20 +394,21 @@ proptest! {
         prop_assert_eq!(&save_checkpoint(&cached), &last, "the original is untouched");
     }
 
-    /// The collector keeps one sparse sketch per kind and derives the
-    /// all-kinds one. Over any stream the derived sketch is the one a
-    /// second push per record would have built, sparse or dense, whether
-    /// read from one aggregate, from a merge across shards, or after a
-    /// checkpoint round trip.
+    /// The §3.1 aggregate keeps one sparse sketch per kind and derives the
+    /// all-kinds one. Over any accepted stream the derived sketch is the one
+    /// a second push per record would have built, sparse or dense, whether
+    /// read from one aggregate, from one a collector fed beside another sink
+    /// as a pair, or from two that split the stream, merged.
     #[test]
     fn derived_all_kinds_sketch_equals_one_pushed_with_every_record(
         streams in prop::collection::vec(prop::collection::vec(parts_strategy(), 0..24), 1..6),
+        cut in any::<usize>(),
     ) {
         let mut collector = Collector::new(&CollectorConfig {
             virtual_shards: 4,
             ..CollectorConfig::default()
         });
-        let mut accepted: Vec<FailureEvent> = Vec::new();
+        let mut beside: (IngestAggregate, Vec<FailureEvent>) = Default::default();
         for (d, parts) in streams.iter().enumerate() {
             let device = DeviceId(d as u32);
             // Durations up to 2^40 ms: the aggregate also sums them in a u64.
@@ -421,27 +416,36 @@ proptest! {
                 .iter()
                 .map(|p| build_event(device, &((p.0 .0, p.0 .1, p.0 .2 >> 20), p.1, p.2)))
                 .collect();
-            collector.ingest_with(&encode_batch(device, 0, &events), &mut accepted);
+            collector.ingest_with(&encode_batch(device, 0, &events), &mut beside);
         }
+        let (beside, accepted) = beside;
+        prop_assert_eq!(accepted.len() as u64, collector.report().counters.records);
         let mut single = IngestAggregate::default();
         let mut sparse = SparseSketch::new();
         let mut dense = QuantileSketch::new();
         for e in &accepted {
-            single.push(e);
+            single.record(e);
             sparse.push(e.duration.as_millis());
             dense.push(e.duration.as_millis());
         }
+        let (head, tail) = accepted.split_at(cut % (accepted.len() + 1));
+        let [mut merged, rest] = [head, tail].map(|part| {
+            let mut a = IngestAggregate::default();
+            part.iter().for_each(|e| a.record(e));
+            a
+        });
+        merged.merge(rest);
         let digest_of = |absorb: &dyn Fn(&mut Digest64)| {
             let mut d = Digest64::new();
             absorb(&mut d);
             d.finish()
         };
-        let restored = restore_checkpoint(&save_checkpoint(&collector)).expect("own checkpoint");
         for (what, aggregate) in [
-            ("one aggregate", single),
-            ("merged shards", collector.report().aggregate),
-            ("restored and merged", restored.report().aggregate),
+            ("one aggregate", single.clone()),
+            ("beside a sink", beside),
+            ("two merged", merged),
         ] {
+            prop_assert_eq!(&aggregate, &single, "{}", what);
             let derived = aggregate.sketch_all();
             prop_assert_eq!(&derived, &sparse, "{}: {:?} vs {:?}", what, derived, sparse);
             let digest = digest_of(&|d| derived.absorb_into(d));

@@ -466,35 +466,6 @@ pub fn merge_runs_into(a: &[(u32, u64)], b: &[(u32, u64)], out: &mut Vec<(u32, u
     out.extend_from_slice(&b[j..]);
 }
 
-/// The bucket-wise sum of `runs` into `out`, replacing what it held: one
-/// [`merge_runs_into`] per non-empty run after the first, the first two
-/// merged straight into `out` and the sum alternating with `spare` after
-/// that. Both buffers keep their capacity, so a caller that sums many
-/// times (a checkpoint writes and checks a collector's all-kinds sketch as
-/// this sum of the five per-kind runs, once per shard) allocates for the
-/// first few only. The runs must be valid sketch content whose total count
-/// fits a `u64`, so no bucket sum overflows.
-pub fn sum_runs_into(
-    runs: &[&[(u32, u64)]],
-    out: &mut Vec<(u32, u64)>,
-    spare: &mut Vec<(u32, u64)>,
-) {
-    out.clear();
-    let mut runs = runs.iter().filter(|run| !run.is_empty());
-    let Some(first) = runs.next() else {
-        return;
-    };
-    match runs.next() {
-        Some(second) => merge_runs_into(first, second, out),
-        None => out.extend_from_slice(first),
-    }
-    for run in runs {
-        spare.clear();
-        merge_runs_into(out, run, spare);
-        std::mem::swap(out, spare);
-    }
-}
-
 impl Merge for SparseSketch {
     fn merge(&mut self, other: Self) {
         self.merge_ref(&other);
@@ -818,53 +789,6 @@ mod tests {
                 proptest::prop_assert_eq!(s.as_run(), (min, max, &run[..]));
             }
         }
-
-        /// The sum that stands in for the all-kinds sketch is what folding
-        /// the sketches together holds, and what a pair-by-pair walk over
-        /// the runs yields, on any number of empty, disjoint and
-        /// overlapping runs — with buffers left over from an earlier sum.
-        #[test]
-        fn sum_of_runs_is_the_merged_run(
-            parts in proptest::collection::vec(
-                proptest::collection::vec((0u32..40, 0u64..1 << 20), 0..12),
-                5,
-            ),
-            stale in proptest::collection::vec((0u32..40, 1u64..9), 0..6),
-        ) {
-            let mut sketches: [SparseSketch; 5] = Default::default();
-            let mut all = SparseSketch::new();
-            for (s, part) in sketches.iter_mut().zip(&parts) {
-                for &(shift, v) in part {
-                    s.push(v >> shift);
-                }
-                all.merge_ref(s);
-            }
-            let runs: [_; 5] = std::array::from_fn(|k| sketches[k].as_run().2);
-            let (mut summed, mut spare) = (stale.clone(), stale);
-            sum_runs_into(&runs, &mut summed, &mut spare);
-            proptest::prop_assert_eq!(&summed[..], all.as_run().2);
-            proptest::prop_assert!(sum_of_runs(runs).eq(summed.iter().copied()));
-        }
-    }
-
-    /// The oracle of [`sum_runs_into`]: the bucket-wise sum of the runs,
-    /// pair by pair in ascending bucket order, walked without building it.
-    fn sum_of_runs<const N: usize>(
-        mut runs: [&[(u32, u64)]; N],
-    ) -> impl Iterator<Item = (u32, u64)> + '_ {
-        std::iter::from_fn(move || {
-            let bucket = runs.iter().filter_map(|r| Some(r.first()?.0)).min()?;
-            let mut sum = 0;
-            for run in &mut runs {
-                if let Some((&(i, c), rest)) = run.split_first() {
-                    if i == bucket {
-                        sum += c;
-                        *run = rest;
-                    }
-                }
-            }
-            Some((bucket, sum))
-        })
     }
 
     #[test]

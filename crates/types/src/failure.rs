@@ -163,10 +163,11 @@ impl FailureEvent {
 /// them (the macro study's generators, the ingest collector's accepted
 /// stream) and whatever folds them (the analytics cube, the stream windows,
 /// the fleet accumulators, a capture buffer). A collector hands its sink
-/// exactly the records its aggregates are built from, in batch arrival
-/// order; a parallel study driver builds one sink per shard and folds them
-/// with `cellrel_sim::Merge`, so a sink used there must make `merge` behave
-/// like "the other shard's events recorded after mine".
+/// exactly the records it accepts, in batch arrival order; a parallel study
+/// driver builds one sink per shard and folds them with
+/// `cellrel_sim::Merge`, so a sink used there must make `merge` behave like
+/// "the other shard's events recorded after mine". Two sinks side by side
+/// are one: a pair records each event into its first half, then its second.
 pub trait EventSink {
     /// Record one failure event.
     fn record(&mut self, event: &FailureEvent);
@@ -182,6 +183,14 @@ impl EventSink for Vec<FailureEvent> {
 /// Discarding sink, for runs with no downstream consumer.
 impl EventSink for () {
     fn record(&mut self, _event: &FailureEvent) {}
+}
+
+/// Fan-out sink: both halves see every event, in arrival order.
+impl<A: EventSink, B: EventSink> EventSink for (A, B) {
+    fn record(&mut self, event: &FailureEvent) {
+        self.0.record(event);
+        self.1.record(event);
+    }
 }
 
 impl fmt::Display for FailureEvent {
@@ -282,5 +291,26 @@ mod tests {
         let s = ev.to_string();
         assert!(s.contains("Data_Setup_Error"));
         assert!(s.contains("PppTimeout"));
+    }
+
+    #[test]
+    fn a_pair_of_sinks_hands_each_half_every_event_in_order() {
+        let events: Vec<FailureEvent> = (0..6u64)
+            .map(|i| FailureEvent {
+                device: DeviceId(i as u32 % 2),
+                kind: FailureKind::ALL[i as usize % 5],
+                start: SimTime::from_secs(100 - i),
+                duration: SimDuration::from_secs(i),
+                cause: None,
+                ctx: sample_ctx(),
+            })
+            .collect();
+        let mut pair: ((Vec<FailureEvent>, ()), Vec<FailureEvent>) = Default::default();
+        for e in &events {
+            pair.record(e);
+        }
+        let ((first, ()), second) = pair;
+        assert_eq!(first, events);
+        assert_eq!(second, events);
     }
 }

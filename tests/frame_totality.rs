@@ -24,16 +24,18 @@
 //! agree on every value and every error.
 //!
 //! Below the table, one cross-family property splices the same hostile
-//! sketch `pairs` into each of the four families that carry a sketch (`CK`,
-//! `CS`, `SC`, partial) and requires the same refusal from all of them; a
+//! sketch `pairs` into each of the three families that carry a sketch
+//! (`CS`, `SC`, partial) and requires the same refusal from all of them; a
 //! flip inside a frame embedded in a re-sealed one is reported by the
-//! embedded family on both paths; and a field spelled with a spare zero
+//! embedded family on both paths; a retired `CK` version is refused by
+//! version wherever it is embedded; and a field spelled with a spare zero
 //! group is refused by every family.
 //!
 //! Round-trip properties over *arbitrary* values, and the properties about
 //! server state not advancing on hostile frames, stay with each crate.
 
-use cellrel::cluster::{decode_frame, encode_frame, read_frame, Message, MessageRef};
+use cellrel::cluster::proto::ERR_APPLY;
+use cellrel::cluster::{decode_frame, encode_frame, read_frame, Follower, Message, MessageRef};
 use cellrel::ingest::frame::{
     self, seal, write_varint, Family, Frame, Marks, Reader, CB, CK, CQ, CR, CS, PARTIAL, SC, SG, SP,
 };
@@ -71,7 +73,8 @@ use std::ops::Range;
 // ---------------------------------------------------------------------------
 // Allocation accounting: the largest single request each thread has made,
 // and the sum of all of them (many small requests add up: 4 000 idle `CK`
-// shards once restored to 1.36 GB in 58 KiB pieces).
+// shards, each then with six dense sketches, once restored to 1.36 GB in
+// 58 KiB pieces).
 // ---------------------------------------------------------------------------
 
 struct Watermark;
@@ -385,7 +388,7 @@ fn varints(values: &[u64]) -> Vec<u8> {
     out
 }
 
-/// A frame whose body is varints only (`CK`, a row-only `CS` image), with
+/// A frame whose body is varints only (a row-only `CS` image), with
 /// `edit` applied to the decoded values and the envelope sealed again: a
 /// CRC-valid frame saying something its encoder never would.
 fn reframe(family: &'static Family, bytes: &[u8], edit: impl FnOnce(&mut Vec<u64>)) -> Vec<u8> {
@@ -397,24 +400,6 @@ fn reframe(family: &'static Family, bytes: &[u8], edit: impl FnOnce(&mut Vec<u64
     }
     edit(&mut values);
     framed(family, version, &varints(&values))
-}
-
-/// Index of the `max` of the first non-empty sketch in a `CK` body — the
-/// all-kinds sketch of the first shard that took a record. Its `count` and
-/// `min` sit before it, `nnz` and the `(delta, count)` pairs after.
-fn ck_first_sketch_max(v: &[u64]) -> usize {
-    let mut i = 3; // virtual_shards, lateness, unroutable
-    loop {
-        i += 10; // counters, watermark
-        i += 1 + 2 * v[i] as usize; // dedup map
-        i += 16; // records, by_kind/isp/rat, three duration scalars
-        for _ in 0..6 {
-            if v[i] > 0 {
-                return i + 2; // count, min, max
-            }
-            i += 4 + 2 * v[i + 3] as usize;
-        }
-    }
 }
 
 /// Index of the `max` of the first cell's sketch in a row-only `CS` body.
@@ -487,34 +472,8 @@ proptest! {
         let mut corrupted = bytes.clone();
         corrupted[at % bytes.len()] ^= mask;
         prop_assert!(restore_checkpoint(&corrupted).is_err());
-        // `quantile(1.0)` answers `max` verbatim: one that does not fall
-        // in the last non-empty bucket is a lie, however valid the CRC.
-        let lie = reframe(&CK, &bytes, |v| {
-            let at = ck_first_sketch_max(v);
-            v[at] = u64::MAX;
-        });
-        prop_assert_eq!(restore_checkpoint(&lie), Err(CK.invalid("sketch buckets")));
-        // The writer emits occupied buckets only: a zero-count pair behind
-        // the last one would restore and re-encode to different bytes.
-        let lie = reframe(&CK, &bytes, |v| {
-            let nnz = ck_first_sketch_max(v) + 1;
-            v[nnz] += 1;
-            let end = nnz + 1 + 2 * (v[nnz] as usize - 1);
-            v.splice(end..end, [1, 0]);
-        });
-        prop_assert_eq!(restore_checkpoint(&lie), Err(CK.invalid("sketch buckets")));
-        // The all-kinds sketch is the sum of the per-kind ones: one more
-        // sample in its first bucket (its own count kept in step) is a
-        // state no collector reaches.
-        let lie = reframe(&CK, &bytes, |v| {
-            let max = ck_first_sketch_max(v);
-            v[max - 2] += 1; // count
-            v[max + 3] += 1; // first pair's count
-        });
-        prop_assert_eq!(restore_checkpoint(&lie), Err(CK.invalid("all-kinds sketch")));
-        // An idle shard is ~51 bytes on the wire. As many as fit in 1 KiB
-        // must restore in proportion to the frame, not to a dense sketch
-        // per shard and kind.
+        // An idle shard is 11 bytes on the wire. As many as fit in 1 KiB
+        // must restore in proportion to the frame.
         let idle = (1..)
             .map(|virtual_shards| {
                 save_checkpoint(&Collector::new(&CollectorConfig {
@@ -733,9 +692,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// One sketch, four carriers. `CK` shards, `CS` cells, `SC` rows and partial
-// groups each put their own header fields around the one `pairs` sequence
-// `frame::read_pairs` reads; whatever is wrong with the pairs, all four
+// One sketch, three carriers. `CS` cells, `SC` rows and partial groups each
+// put their own header fields around the one `pairs` sequence
+// `frame::read_pairs` reads; whatever is wrong with the pairs, all three
 // must say so in the same words.
 // ---------------------------------------------------------------------------
 
@@ -774,25 +733,6 @@ impl WireSketch {
         }
         out
     }
-}
-
-/// A one-shard checkpoint whose first kind holds `s`, so the all-kinds
-/// sketch — read first — is `s` too.
-fn ck_with(s: &WireSketch) -> Vec<u8> {
-    let sketch = s.bytes(&[s.count, s.min, s.max]);
-    framed(
-        &CK,
-        CK.versions[0],
-        &[
-            &[1u8, 0, 0][..], // virtual_shards, lateness, unroutable
-            &[0; 11],         // counters, watermark, nseq
-            &[0; 16],         // records, by_kind/isp/rat, three duration scalars
-            &sketch,
-            &sketch,
-            &[0; 4 * 4], // four idle kinds: count, min, max, nnz
-        ]
-        .concat(),
-    )
 }
 
 /// A one-partition row image holding one cell.
@@ -838,7 +778,7 @@ fn partial_with(s: &WireSketch) -> Vec<u8> {
 
 /// Decode `s` inside each carrier: `Ok` only when the frame also
 /// re-encodes to itself, else the error.
-fn carried(s: &WireSketch) -> [Result<(), frame::FrameError>; 4] {
+fn carried(s: &WireSketch) -> [Result<(), frame::FrameError>; 3] {
     fn canonical<T>(
         bytes: Vec<u8>,
         decode: impl Fn(&[u8]) -> Result<T, frame::FrameError>,
@@ -848,7 +788,6 @@ fn carried(s: &WireSketch) -> [Result<(), frame::FrameError>; 4] {
         Ok(())
     }
     [
-        canonical(ck_with(s), restore_checkpoint, save_checkpoint),
         canonical(cs_with(s), restore_store, save_store),
         canonical(sc_with(s), decode_block, encode_block),
         canonical(partial_with(s), decode_partial, encode_partial),
@@ -856,18 +795,19 @@ fn carried(s: &WireSketch) -> [Result<(), frame::FrameError>; 4] {
 }
 
 /// The same refusal, `field`, from every carrier.
-fn refused(field: &'static str) -> [Result<(), frame::FrameError>; 4] {
-    [&CK, &CS, &SC, &PARTIAL].map(|family| Err(family.invalid(field)))
+fn refused(field: &'static str) -> [Result<(), frame::FrameError>; 3] {
+    [&CS, &SC, &PARTIAL].map(|family| Err(family.invalid(field)))
 }
 
-/// Regression: `CK`, `CS` and the partial form restored a sketch with no
-/// pairs and non-zero extremes — its constructor ignores extremes beside
-/// an empty run — and re-encoded it with zeros, to other bytes than it was
-/// restored from; only `SC` refused. One state has one frame in all four.
+/// Regression: `CS` and the partial form (and `CK`, while it carried
+/// sketches) restored a sketch with no pairs and non-zero extremes — its
+/// constructor ignores extremes beside an empty run — and re-encoded it
+/// with zeros, to other bytes than it was restored from; only `SC` refused.
+/// One state has one frame in all three.
 #[test]
 fn extremes_beside_an_empty_run_are_refused_by_every_family() {
     let empty = WireSketch::of(&SparseSketch::new());
-    assert_eq!(carried(&empty), [Ok(()), Ok(()), Ok(()), Ok(())]);
+    assert_eq!(carried(&empty), [Ok(()), Ok(()), Ok(())]);
     for (min, max) in [(0, 9), (7, 0), (7, 9)] {
         let forged = WireSketch {
             min,
@@ -891,7 +831,7 @@ proptest! {
             sketch.push(v);
         }
         let good = WireSketch::of(&sketch);
-        prop_assert_eq!(carried(&good), [Ok(()), Ok(()), Ok(()), Ok(())]);
+        prop_assert_eq!(carried(&good), [Ok(()), Ok(()), Ok(())]);
 
         let mut s = good.clone();
         let n = s.pairs.len();
@@ -1058,6 +998,60 @@ fn a_flip_inside_an_embedded_frame_is_reported_by_its_family_plain_and_marked() 
             "flip at {flip}: {err:?}"
         );
     }
+}
+
+/// A version-1 `CK` frame carried a §3.1 aggregate per shard, which the
+/// collector no longer keeps. Wherever one sits — bare, in a stream
+/// checkpoint decoded plain or marked or restored, in the `CR` frame that
+/// ships that checkpoint to a follower — it is refused by its version byte
+/// with a typed error, never parsed past or restored in part.
+#[test]
+fn a_version_1_collector_checkpoint_is_refused_bare_or_embedded() {
+    let dir = DeviceDirectory::default();
+    let mut p = StreamPipeline::new(&stream_cfg(), &dir).expect("valid config");
+    for b in batches(&fixed_parts()) {
+        p.offer(&b, &mut MemSegments::new())
+            .expect("offer succeeds");
+    }
+    let sp = p.checkpoint();
+    let mut r = SP.open(&sp).expect("own frame opens");
+    for _ in 0..22 {
+        r.varint().expect("head");
+    }
+    let ck = range_in(&sp, r.frame("collector").expect("collector").bytes());
+    assert_eq!(sp[ck.start + 2], 2, "the collector checkpoint is version 2");
+    // The same stream checkpoint with its `CK` relabelled as version 1,
+    // every trailer around the byte sealed again.
+    let mut old = sp.clone();
+    old[ck.start + 2] = 1;
+    for f in [ck.clone(), 0..sp.len()] {
+        let crc = frame::crc32(&old[f.start..f.end - 4]);
+        old[f.end - 4..f.end].copy_from_slice(&crc.to_le_bytes());
+    }
+    let refused = CK.error(FrameErrorKind::UnsupportedVersion(1));
+    assert_eq!(restore_checkpoint(&old[ck]), Err(refused));
+
+    let decode = |bytes: &[u8]| {
+        plain_and_marked(bytes, |f| StreamPipeline::decode_onto(f, None).map(|_| ()))
+    };
+    assert_eq!(decode(&sp), Ok(()));
+    assert_eq!(decode(&old), Err(StreamError::Frame(refused)));
+    let restored = StreamPipeline::restore(&old, &dir, &MemSegments::new()).map(|_| ());
+    assert_eq!(restored, Err(StreamError::Frame(refused)));
+
+    let mut follower = Follower::new(&stream_cfg(), &dir, 0);
+    let shipped = encode_frame(&Message::ShipCheckpoint {
+        seq: 0,
+        checkpoint: old,
+    });
+    let reply = decode_frame(&follower.apply(&shipped)).expect("a reply frame");
+    assert_eq!(
+        reply,
+        Message::Rejection {
+            code: ERR_APPLY,
+            detail: format!("checkpoint rejected: {}", StreamError::Frame(refused)),
+        }
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 //! End-to-end ingestion pipeline: fleet traces → wire batches → sharded
-//! collector → aggregate, checked for checkpoint/restore transparency and
-//! conservation of every record.
+//! collector → the §3.1 aggregate as its sink, checked for
+//! checkpoint/restore transparency and conservation of every record.
 
 use cellrel::ingest::codec::encode_batch;
-use cellrel::ingest::{restore_checkpoint, save_checkpoint, Collector, CollectorConfig};
+use cellrel::ingest::{
+    restore_checkpoint, save_checkpoint, Collector, CollectorConfig, IngestAggregate,
+};
 use cellrel::types::{DeviceId, FailureEvent};
 use cellrel::workload::{run_macro_study_parallel, PopulationConfig, StudyConfig};
 
@@ -88,37 +90,39 @@ fn checkpoint_midway_is_transparent() {
 fn aggregate_conserves_every_record() {
     let (batches, records, noise) = encode_fleet(&fleet_cfg(), 48);
     let mut collector = Collector::new(&CollectorConfig::default());
-    let mut accepted: Vec<FailureEvent> = Vec::new();
+    let mut sinks: (IngestAggregate, Vec<FailureEvent>) = Default::default();
     for b in &batches {
-        collector.ingest_with(b, &mut accepted);
+        collector.ingest_with(b, &mut sinks);
     }
+    let (aggregate, accepted) = sinks;
     let report = collector.report();
     assert_eq!(report.counters.decode_errors, 0);
     assert_eq!(report.unroutable, 0);
-    // The sink saw exactly what the aggregate was built from.
+    // Both halves of the pair saw exactly the accepted stream.
     assert_eq!(accepted.len() as u64, records - noise);
 
     // Every wire record is accounted for: aggregated or filtered as noise.
     assert_eq!(report.counters.records, records);
     assert_eq!(report.counters.filtered_noise, noise);
-    assert_eq!(report.aggregate.records, records - noise);
+    assert_eq!(aggregate.records, records - noise);
     assert_eq!(report.counters.batches, batches.len() as u64);
     assert_eq!(report.counters.duplicate_batches, 0);
 
     // The sketch and the by-kind partition both saw every kept record.
-    assert_eq!(report.aggregate.sketch_all().count(), records - noise);
-    let by_kind: u64 = report.aggregate.by_kind.iter().sum();
+    assert_eq!(aggregate.sketch_all().count(), records - noise);
+    let by_kind: u64 = aggregate.by_kind.iter().sum();
     assert_eq!(by_kind, records - noise);
 
     // Replaying the same batches is pure duplication: nothing new lands.
     let mut twice = Collector::new(&CollectorConfig::default());
+    let mut twice_aggregate = IngestAggregate::default();
     for b in batches.iter().chain(batches.iter()) {
-        twice.ingest(b);
+        twice.ingest_with(b, &mut twice_aggregate);
     }
     let twice_report = twice.report();
     assert_eq!(
         twice_report.counters.duplicate_batches,
         batches.len() as u64
     );
-    assert_eq!(twice_report.aggregate.records, records - noise);
+    assert_eq!(twice_aggregate, aggregate);
 }
