@@ -56,8 +56,9 @@ pub static CB: Family = Family::new("CB", &[1], 1 << 24);
 pub static CK: Family = Family::new("CK", &[2], 1 << 28);
 /// Store image; version 2 embeds `SC` blocks.
 pub static CS: Family = Family::new("CS", &[1, 2], 1 << 28);
-/// Column segment block inside a `CS` image.
-pub static SC: Family = Family::new("SC", &[1], 1 << 28);
+/// Column segment block inside a `CS` image; version 1, which also wrote
+/// what a one-record row's duration makes, is refused.
+pub static SC: Family = Family::new("SC", &[2], 1 << 28);
 /// Sealed stream segment.
 pub static SG: Family = Family::new("SG", &[1], 1 << 28);
 /// Stream pipeline checkpoint.

@@ -30,18 +30,28 @@
 //! a typed [`FrameError`], never panic, and never allocate past the
 //! input length; decoded sketch runs are re-validated so later
 //! materialisation cannot fail.
+//!
+//! **A one-record row is its duration.** Most sealed rows hold a single
+//! record (four in five of a batch-loaded store's), and such a row is what
+//! `Cell::push` makes of one duration `d`: a total of `d`, sketch extremes
+//! `d` and `d`, `under_30s` = `d < 30 000`, and the one sketch pair
+//! `(bucket_of(d), 1)`. Block version 2 writes only `d` for those rows and
+//! the decoder derives the rest into the same columns, so a decoded
+//! segment — and every query, merge, zone map and digest over it — is what
+//! it was under version 1, which is refused by its version byte.
 
-use crate::cube::{Cell, CellKey};
+use crate::cube::{Cell, CellKey, UNDER_30S_MS};
 use cellrel_ingest::frame::{read_pairs, seal, write_pairs, write_varint, FrameError, Reader, SC};
-use cellrel_sim::sketch::{check_run, merge_runs_into};
+use cellrel_sim::sketch::{bucket_of, check_run, merge_runs_into};
 #[cfg(test)]
 use cellrel_sim::Merge;
 use cellrel_sim::SparseSketch;
 use std::collections::{btree_map, BTreeMap};
 use std::ops::Range;
 
-/// Current segment block format version.
-pub const SEGMENT_VERSION: u8 = 1;
+/// Current segment block format version: 2 since a one-record row is
+/// written as its duration alone.
+pub const SEGMENT_VERSION: u8 = 2;
 
 /// Per-column inclusive `[min, max]` ranges over one segment's keys.
 ///
@@ -229,6 +239,14 @@ impl ColumnSegment {
         (i0, i1)
     }
 
+    /// True when row `i`, holding one record, is what `Cell::push` makes
+    /// of its duration — all a version-2 block keeps of such a row.
+    fn is_its_duration(&self, i: usize) -> bool {
+        let d = self.duration_totals[i];
+        self.under_30s[i] == u64::from(d < UNDER_30S_MS)
+            && self.sketch_run(i) == (d, d, &[(bucket_of(d) as u32, 1)][..])
+    }
+
     /// Encode as a self-delimiting `SC` block (see the module docs).
     pub fn encode(&self, out: &mut Vec<u8>) {
         let start = SC.begin(out, SEGMENT_VERSION);
@@ -251,21 +269,27 @@ impl ColumnSegment {
         ] {
             out.extend_from_slice(col);
         }
-        for col in [
-            &self.causes,
-            &self.counts,
-            &self.duration_totals,
-            &self.under_30s,
-            &self.sk_min,
-            &self.sk_max,
-        ] {
+        for col in [&self.causes, &self.counts, &self.duration_totals] {
             for &v in col.iter() {
                 write_varint(out, v);
             }
         }
-        // Sketch pool: one `pairs` sequence per row, exactly like the v1
-        // row sketches.
-        for i in 0..n {
+        // The rest of a row only where it holds other than one record: a
+        // one-record row is its duration.
+        debug_assert!(
+            (0..n).all(|i| self.counts[i] != 1 || self.is_its_duration(i)),
+            "a one-record row is not what its duration makes"
+        );
+        for col in [&self.under_30s, &self.sk_min, &self.sk_max] {
+            for (&v, &count) in col.iter().zip(&self.counts) {
+                if count != 1 {
+                    write_varint(out, v);
+                }
+            }
+        }
+        // Sketch pool: one `pairs` sequence per such row, exactly like the
+        // row sketches of the store image.
+        for i in (0..n).filter(|&i| self.counts[i] != 1) {
             let run = self.sketch_run(i).2;
             write_pairs(out, run.len(), run.iter().copied());
         }
@@ -289,8 +313,9 @@ impl ColumnSegment {
     /// [`FrameError`].
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
         let block = r.enter(&SC)?;
-        // Per row: a bucket delta, six key bytes, six varint columns, nnz.
-        let n = r.count("segment row count", 14)?;
+        // Per row at least: a bucket delta, six key bytes, and a cause, a
+        // count and a duration (all a one-record row holds).
+        let n = r.count("segment row count", 10)?;
         // No builder makes an empty segment: one of 0 rows would carry
         // zone maps nothing checks, a second frame for no content.
         if n == 0 {
@@ -317,33 +342,52 @@ impl ColumnSegment {
         ] {
             col.extend_from_slice(r.take(n)?);
         }
-        for col in [
-            &mut seg.causes,
-            &mut seg.counts,
-            &mut seg.duration_totals,
-            &mut seg.under_30s,
-            &mut seg.sk_min,
-            &mut seg.sk_max,
-        ] {
+        for col in [&mut seg.causes, &mut seg.counts, &mut seg.duration_totals] {
             for _ in 0..n {
                 col.push(r.varint()?);
             }
         }
-        // A run holds at most a pair per record its row counts, and a pair
-        // costs two bytes or more: the pool is sized once from whichever
-        // bound is smaller (a forged count column only reaches the second).
-        let records = seg.counts.iter().fold(0usize, |sum, &c| {
-            sum.saturating_add(usize::try_from(c).unwrap_or(usize::MAX))
-        });
-        seg.sk_pool.reserve(records.min(r.remaining() / 2));
         // Keys must come out strictly ascending — equal-bucket runs order
         // by the remaining key columns, which the deltas above can't check.
-        for i in 1..n {
-            if seg.key_at(i) <= seg.key_at(i - 1) {
-                return Err(r.invalid("segment keys out of order"));
+        if !keys_ascend(&seg) {
+            return Err(r.invalid("segment keys out of order"));
+        }
+        // What a one-record row leaves out is what its duration makes.
+        for (&count, &d) in seg.counts.iter().zip(&seg.duration_totals) {
+            let under = if count == 1 {
+                u64::from(d < UNDER_30S_MS)
+            } else {
+                r.varint()?
+            };
+            seg.under_30s.push(under);
+        }
+        for col in [&mut seg.sk_min, &mut seg.sk_max] {
+            for (&count, &d) in seg.counts.iter().zip(&seg.duration_totals) {
+                col.push(if count == 1 { d } else { r.varint()? });
             }
         }
+        // A one-record row's run is one pair. Any other run holds at most a
+        // pair per record its row counts, and a pair costs two bytes or
+        // more: those runs are sized from whichever bound is smaller (a
+        // forged count column only reaches the second), and the pool once.
+        let (ones, records) = seg.counts.iter().fold((0usize, 0usize), |(ones, sum), &c| {
+            if c == 1 {
+                (ones + 1, sum)
+            } else {
+                (
+                    ones,
+                    sum.saturating_add(usize::try_from(c).unwrap_or(usize::MAX)),
+                )
+            }
+        });
+        seg.sk_pool.reserve(ones + records.min(r.remaining() / 2));
         for i in 0..n {
+            let (count, d) = (seg.counts[i], seg.duration_totals[i]);
+            if count == 1 {
+                seg.sk_pool.push((bucket_of(d) as u32, 1));
+                seg.sk_off.push(seg.sk_pool.len() as u32);
+                continue;
+            }
             let start = seg.sk_pool.len();
             let (min, max) = (seg.sk_min[i], seg.sk_max[i]);
             read_pairs(r, (min, max), &mut seg.sk_pool)?;
@@ -351,9 +395,9 @@ impl ColumnSegment {
             // Validate the run where it landed, so a later materialisation
             // of this row can never fail, and pin the cross-column
             // invariants the builder guarantees.
-            let count =
+            let sum =
                 check_run(min, max, &seg.sk_pool[start..]).ok_or(r.invalid("sketch buckets"))?;
-            if count != seg.counts[i] || seg.under_30s[i] > seg.counts[i] {
+            if sum != count || seg.under_30s[i] > count {
                 return Err(r.invalid("segment cell/sketch mismatch"));
             }
         }
@@ -385,6 +429,35 @@ impl ColumnSegment {
         r.leave(block)?;
         Ok(seg)
     }
+}
+
+/// True when a decoded segment's keys ascend strictly, checked in one pass
+/// over its key columns: a key is `(bucket, the six key bytes packed in a
+/// u64, cause)`, which orders as [`CellKey`] does.
+fn keys_ascend(seg: &ColumnSegment) -> bool {
+    let n = seg.len();
+    let (buckets, causes) = (&seg.buckets[..n], &seg.causes[..n]);
+    let bytes = [
+        &seg.kinds[..n],
+        &seg.isps[..n],
+        &seg.rats[..n],
+        &seg.models[..n],
+        &seg.regions[..n],
+        &seg.cause_classes[..n],
+    ];
+    let key = |i: usize| {
+        let packed = bytes.iter().fold(0u64, |p, col| p << 8 | u64::from(col[i]));
+        (buckets[i], packed, causes[i])
+    };
+    let mut prev = key(0);
+    for i in 1..n {
+        let next = key(i);
+        if next <= prev {
+            return false;
+        }
+        prev = next;
+    }
+    true
 }
 
 /// The zone maps of a non-empty segment's columns. Each column is one

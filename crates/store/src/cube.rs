@@ -289,6 +289,10 @@ impl PartialOrd for CellKey {
     }
 }
 
+/// The §3.1 headline threshold: a record shorter than this many
+/// milliseconds counts in [`Cell::under_30s`].
+pub(crate) const UNDER_30S_MS: u64 = 30_000;
+
 /// One cell's partial aggregates. Everything merges by exact addition.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cell {
@@ -307,7 +311,7 @@ impl Cell {
     pub(crate) fn push(&mut self, duration_ms: u64) {
         self.count += 1;
         self.duration_ms_total += duration_ms;
-        if duration_ms < 30_000 {
+        if duration_ms < UNDER_30S_MS {
             self.under_30s += 1;
         }
         self.sketch.push(duration_ms);

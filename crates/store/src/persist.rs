@@ -10,7 +10,7 @@
 //! answers) — asserted by the round-trip and property tests.
 
 use crate::columnar::ColumnSegment;
-use crate::cube::{Cell, CellKey, DeviceRec, Store, StoreConfig};
+use crate::cube::{Cell, CellKey, DeviceRec, Store, StoreConfig, UNDER_30S_MS};
 use cellrel_ingest::frame::{
     read_pairs, seal_around, write_pairs, write_varint, Frame, FrameError, Marks, Reader, CS,
 };
@@ -172,6 +172,16 @@ pub fn read_store(frame: Frame<'_>) -> Result<Store, FrameError> {
             let sketch = read_run(&mut r)?;
             if sketch.count() != count || under_30s > count {
                 return Err(r.invalid("cell/sketch count mismatch"));
+            }
+            // A one-record cell is what `Cell::push` made of its duration,
+            // all a sealed row of it keeps (`crate::columnar`): any other
+            // could not be sealed and saved as itself.
+            let d = duration_ms_total;
+            if count == 1
+                && (under_30s != u64::from(d < UNDER_30S_MS)
+                    || (sketch.min(), sketch.max()) != (Some(d), Some(d)))
+            {
+                return Err(r.invalid("one-record cell"));
             }
             cells.push((
                 key,

@@ -27,9 +27,9 @@
 //! sketch `pairs` into each of the three families that carry a sketch
 //! (`CS`, `SC`, partial) and requires the same refusal from all of them; a
 //! flip inside a frame embedded in a re-sealed one is reported by the
-//! embedded family on both paths; a retired `CK` version is refused by
-//! version wherever it is embedded; and a field spelled with a spare zero
-//! group is refused by every family.
+//! embedded family on both paths; a retired `CK` or `SC` version is
+//! refused by version wherever it is embedded; and a field spelled with a
+//! spare zero group is refused by every family.
 //!
 //! Round-trip properties over *arbitrary* values, and the properties about
 //! server state not advancing on hostile frames, stay with each crate.
@@ -1052,6 +1052,112 @@ fn a_version_1_collector_checkpoint_is_refused_bare_or_embedded() {
             detail: format!("checkpoint rejected: {}", StreamError::Frame(refused)),
         }
     );
+}
+
+/// A version-1 `SC` block wrote the whole of every row, one-record rows
+/// included. Wherever one sits — bare, in a store image decoded plain or
+/// marked, in the `SG` segment that carries the image, in the `CR` frame
+/// that ships that segment to a follower — it is refused by its version
+/// byte with a typed error, never parsed past or restored in part.
+#[test]
+fn a_version_1_column_block_is_refused_bare_or_embedded() {
+    let sealed = store(&fixed_parts(), 2);
+    let entry = SegmentEntry {
+        kind: SegmentKind::Window,
+        index: 0,
+        watermark_ms: 0,
+        records: sealed.inserted(),
+        digest: sealed.digest(),
+        bytes: 0,
+    };
+    let sg = encode_segment(&entry, &sealed);
+    let mut r = SG.open(&sg).expect("own segment opens");
+    let _kind = r.u8().expect("kind");
+    for _ in 0..4 {
+        r.varint().expect("header field");
+    }
+    let cs = range_in(&sg, r.frame("image").expect("image").bytes());
+    let block = sealed.segment_blocks().swap_remove(0);
+    let at = cs.start
+        + sg[cs.clone()]
+            .windows(block.len())
+            .position(|w| w == &block[..])
+            .expect("the image embeds its first block");
+    let sc = at..at + block.len();
+    assert_eq!(sg[sc.start + 2], 2, "the column block is version 2");
+    // The same segment with its first `SC` block relabelled as version 1,
+    // every trailer around the byte sealed again.
+    let mut old = sg.clone();
+    old[sc.start + 2] = 1;
+    for f in [sc.clone(), cs.clone(), 0..sg.len()] {
+        let crc = frame::crc32(&old[f.start..f.end - 4]);
+        old[f.end - 4..f.end].copy_from_slice(&crc.to_le_bytes());
+    }
+    let refused = SC.error(FrameErrorKind::UnsupportedVersion(1));
+    assert_eq!(decode_block(&old[sc]), Err(refused));
+    assert_eq!(plain_and_marked(&old[cs], read_store), Err(refused));
+    let segment = |bytes: &[u8]| plain_and_marked(bytes, read_segment).map(|_| ());
+    assert_eq!(segment(&sg), Ok(()));
+    assert_eq!(segment(&old), Err(refused));
+
+    let dir = DeviceDirectory::default();
+    let mut follower = Follower::new(&stream_cfg(), &dir, 0);
+    let shipped = encode_frame(&Message::ShipSegment { seq: 1, frame: old });
+    let reply = decode_frame(&follower.apply(&shipped)).expect("a reply frame");
+    assert_eq!(
+        reply,
+        Message::Rejection {
+            code: ERR_APPLY,
+            detail: format!("segment rejected: {refused}"),
+        }
+    );
+}
+
+/// A one-record cell is what `Cell::push` makes of its duration, and a
+/// sealed row of it keeps only the duration. A store image whose row tier
+/// holds one that is not — a total, an `under_30s` or extremes of their
+/// own — is refused: restored, it could not be sealed and saved as itself.
+#[test]
+fn a_one_record_cell_that_is_not_its_duration_is_refused() {
+    let mut one = SparseSketch::new();
+    one.push(29_999);
+    let s = WireSketch::of(&one);
+    // count, duration total, under 30 s, then the sketch's min and max.
+    let image = |aggregates: [u64; 3], (min, max): (u64, u64)| {
+        let pairs = WireSketch {
+            min,
+            max,
+            ..s.clone()
+        };
+        framed(
+            &CS,
+            CS.versions[0],
+            &[
+                &varints(&[1_000, 4, 1, 0])[..],
+                &[0, 0, 0, 0, 1],
+                &[0; 8],
+                &varints(&aggregates),
+                &pairs.bytes(&[min, max]),
+                &[0],
+            ]
+            .concat(),
+        )
+    };
+    let good = image([1, 29_999, 1], (29_999, 29_999));
+    let store = restore_store(&good).expect("a one-record cell restores");
+    assert_eq!(save_store(&store), good);
+    for (aggregates, extremes) in [
+        ([1, 29_998, 1], (29_999, 29_999)),
+        ([1, 29_999, 0], (29_999, 29_999)),
+        ([1, 29_999, 1], (29_998, 29_999)),
+        ([1, 29_999, 1], (29_999, 29_998)),
+    ] {
+        assert_eq!(
+            restore_store(&image(aggregates, extremes)),
+            Err(CS.invalid("one-record cell")),
+            "{aggregates:?} {extremes:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ use cellrel::ingest::codec::encode_batch;
 use cellrel::ingest::{
     restore_checkpoint, save_checkpoint, Collector, CollectorConfig, IngestAggregate,
 };
-use cellrel::types::{DeviceId, FailureEvent};
+use cellrel::types::{DataFailCause, DeviceId, FailureEvent, FailureKind};
 use cellrel::workload::{run_macro_study_parallel, PopulationConfig, StudyConfig};
 
 fn fleet_cfg() -> StudyConfig {
@@ -23,14 +23,30 @@ fn fleet_cfg() -> StudyConfig {
 
 /// Encode the fleet's traces exactly as device uploaders would: per-device
 /// batches of at most `cap` records with increasing sequence numbers.
-fn encode_fleet(cfg: &StudyConfig, cap: usize) -> (Vec<Vec<u8>>, u64, u64) {
+/// The study draws setup-error causes from Table 2's true-failure mix, so
+/// it uploads no §2.1 rational rejection; as an unfiltered uploader would,
+/// every `noise_every`-th setup error here (none at 0) carries one of two
+/// rational-rejection causes instead of its own.
+fn encode_fleet(cfg: &StudyConfig, cap: usize, noise_every: usize) -> (Vec<Vec<u8>>, u64, u64) {
     let mut batches = Vec::new();
     let mut records = 0u64;
     let mut noise = 0u64;
     let mut cur: Option<DeviceId> = None;
     let mut seq = 0u64;
     let mut buf: Vec<FailureEvent> = Vec::new();
-    let (_, _, _, events) = run_macro_study_parallel(cfg, 1, Vec::new);
+    let (_, _, _, mut events) = run_macro_study_parallel(cfg, 1, Vec::new);
+    if noise_every > 0 {
+        let setup_errors = events
+            .iter_mut()
+            .filter(|e| e.kind == FailureKind::DataSetupError);
+        for (i, e) in setup_errors.step_by(noise_every).enumerate() {
+            e.cause = Some(if i % 2 == 0 {
+                DataFailCause::InsufficientResources
+            } else {
+                DataFailCause::RadioPowerOff
+            });
+        }
+    }
     for e in &events {
         if cur != Some(e.device) {
             if let Some(d) = cur {
@@ -61,7 +77,7 @@ fn encode_fleet(cfg: &StudyConfig, cap: usize) -> (Vec<Vec<u8>>, u64, u64) {
 
 #[test]
 fn checkpoint_midway_is_transparent() {
-    let (batches, _, _) = encode_fleet(&fleet_cfg(), 48);
+    let (batches, _, _) = encode_fleet(&fleet_cfg(), 48, 0);
     let ccfg = CollectorConfig::default();
 
     let mut full = Collector::new(&ccfg);
@@ -88,7 +104,8 @@ fn checkpoint_midway_is_transparent() {
 
 #[test]
 fn aggregate_conserves_every_record() {
-    let (batches, records, noise) = encode_fleet(&fleet_cfg(), 48);
+    let (batches, records, noise) = encode_fleet(&fleet_cfg(), 48, 7);
+    assert!(noise > 0, "the fixture uploads rational rejections");
     let mut collector = Collector::new(&CollectorConfig::default());
     let mut sinks: (IngestAggregate, Vec<FailureEvent>) = Default::default();
     for b in &batches {
@@ -101,9 +118,18 @@ fn aggregate_conserves_every_record() {
     // Both halves of the pair saw exactly the accepted stream.
     assert_eq!(accepted.len() as u64, records - noise);
 
-    // Every wire record is accounted for: aggregated or filtered as noise.
-    assert_eq!(report.counters.records, records);
+    // Every wire record is accounted for. `counters.records` counts the
+    // records accepted and handed to the sink, `filtered_noise` those
+    // dropped as rational rejections, `duplicate_records` identical copies
+    // collapsed within a batch (the study makes none); the three partition
+    // what the wire carried.
+    assert_eq!(report.counters.duplicate_records, 0);
+    assert_eq!(
+        report.counters.records + report.counters.filtered_noise,
+        records
+    );
     assert_eq!(report.counters.filtered_noise, noise);
+    assert_eq!(report.counters.records, records - noise);
     assert_eq!(aggregate.records, records - noise);
     assert_eq!(report.counters.batches, batches.len() as u64);
     assert_eq!(report.counters.duplicate_batches, 0);
